@@ -7,7 +7,7 @@ baseline and an exhaustive ML oracle.
 """
 
 from sbmimo.ising import IsingModel, energy, validate
-from sbmimo.sb import SBParams, SBState, SolveResult, solve
+from sbmimo.sb import SBParams, SolveResult, solve
 from sbmimo.channel import (
     Constellation,
     ChannelInstance,
@@ -37,7 +37,6 @@ __all__ = [
     "energy",
     "validate",
     "SBParams",
-    "SBState",
     "SolveResult",
     "solve",
     "Constellation",

@@ -40,6 +40,8 @@ CSV_COLUMNS = (
 
 def snr_range(start: float, stop: float, step: float) -> tuple[float, ...]:
     """Inclusive arithmetic SNR grid, robust to float step accumulation."""
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"bounds must be finite, got {start}:{stop}:{step}")
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
     if stop < start:
@@ -81,6 +83,8 @@ class SweepConfig:
             c = None
         if not self.snr_db:
             problems.append("snr_db grid is empty")
+        if not all(math.isfinite(s) for s in self.snr_db):
+            problems.append(f"snr_db values must be finite, got {self.snr_db}")
         if self.instances < 1:
             problems.append(f"instances must be >= 1, got {self.instances}")
         if not self.detectors:
@@ -92,6 +96,8 @@ class SweepConfig:
             problems.append(f"duplicate detectors in {self.detectors}")
         if self.r < 0:
             problems.append(f"r must be >= 0, got {self.r}")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:
             problems.append(f"workers must be >= 1, got {self.workers}")
         if c is not None and "ml-oracle" in self.detectors and self.nt >= 1:

@@ -176,13 +176,13 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
     detectors = pick("detectors", ("mmse", "sb-reg"))
     if not isinstance(detectors, tuple):
         detectors = _parse_detectors(detectors)
-    sb = SBParams(
-        n_steps=int(pick("steps", 100)),
-        dt=float(pick("dt", 0.5)),
-        n_restarts=int(pick("restarts", 1)),
-        seed=0,
-    )
     try:
+        sb = SBParams(
+            n_steps=int(pick("steps", 100)),
+            dt=float(pick("dt", 0.5)),
+            n_restarts=int(pick("restarts", 1)),
+            seed=0,
+        )
         return SweepConfig(
             nt=int(pick("nt", 16)),
             nr=int(pick("nr", 16)),
@@ -197,7 +197,7 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
             trace=pick("trace", None),
             workers=int(pick("workers", 1)),
         )
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise ConfigError(str(err))
 
 

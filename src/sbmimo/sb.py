@@ -12,6 +12,9 @@ momentum zeroed.  The pump ``a`` ramps linearly from 0 to 1 over the
 evolution.  The coupling strength is c0 = 1 / (2 sqrt(N) lambda) with
 lambda the rms off-diagonal coupling, unless overridden.
 
+All restarts evolve together as the rows of one (R, N) state: a step is
+one product sign(X) @ J.T whatever R is.
+
 sign(0) is +1 everywhere (force term and readout), a fixed tie-break.
 """
 
@@ -62,15 +65,6 @@ class SBParams:
             raise ValueError(f"n_restarts must be >= 1, got {self.n_restarts}")
 
 
-@dataclass
-class SBState:
-    """Evolving position/momentum vectors and the current step index."""
-
-    x: np.ndarray
-    y: np.ndarray
-    step: int = 0
-
-
 @dataclass(frozen=True)
 class SolveResult:
     spins: np.ndarray
@@ -107,72 +101,73 @@ def compute_c0(model: IsingModel) -> float:
     return 1.0 / (2.0 * math.sqrt(model.n) * lam)
 
 
-def schedule_a(step: int, n_steps: int) -> float:
-    """Linear pump ramp: 0 at the first step, 1 at the last."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if not 0 <= step <= n_steps - 1:
-        raise ValueError(f"step {step} out of range [0, {n_steps - 1}]")
-    if n_steps == 1:
-        return 1.0
-    return step / (n_steps - 1)
-
-
-def sb_step(
-    model: IsingModel, state: SBState, params: SBParams, c0: float
-) -> SBState:
-    """One symplectic-Euler update with the wall rule applied.
-
-    Momentum updates from the current positions, positions from the new
-    momenta; then every |x_i| > 1 is clamped to sign(x_i) with y_i = 0.
-    """
-    a = schedule_a(state.step, params.n_steps)
-    # Overflow is handled explicitly by the finiteness check below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        force = -(params.a0 - a) * state.x - c0 * (
-            model.j @ sign_pm1(state.x) + 0.5 * model.h
-        )
-        y = state.y + params.dt * force
-        x = state.x + params.dt * params.a0 * y
-    # Check before the wall rule: clamping |x| > 1 to +-1 would otherwise
-    # mask an overflow and turn divergence into silent garbage.
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise SolverDivergenceError(
-            f"non-finite state at step {state.step} (dt = {params.dt})"
-        )
-    over = np.abs(x) > 1.0
-    if over.any():
-        x = np.where(over, sign_pm1(x), x)
-        y = np.where(over, 0.0, y)
-    return SBState(x=x, y=y, step=state.step + 1)
-
-
 def _field_only_spins(model: IsingModel) -> np.ndarray:
     # Exact minimizer of h . s for zero coupling; h_i == 0 breaks to +1.
     return np.where(model.h > 0.0, -1, 1).astype(np.int8)
 
 
-def init_state(n: int, seed: int, restart: int) -> SBState:
-    """Initial state for one restart: x then y i.i.d. uniform [-0.1, 0.1]."""
-    rng = np.random.default_rng([seed, restart])
-    x = rng.uniform(-0.1, 0.1, n)
-    y = rng.uniform(-0.1, 0.1, n)
-    return SBState(x=x, y=y, step=0)
+def pump_schedule(n_steps: int) -> np.ndarray:
+    """Linear pump ramp a_k = k / (n_steps - 1); a single step runs at 1."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if n_steps == 1:
+        return np.ones(1)
+    return np.arange(n_steps) / (n_steps - 1)
+
+
+def initial_states(
+    n: int, seed: int, n_restarts: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n_restarts, n) positions and momenta, i.i.d. uniform [-0.1, 0.1].
+
+    Row r draws x then y from its own stream default_rng([seed, r]), so a
+    restart starts from the same state however many restarts run.
+    """
+    x = np.empty((n_restarts, n))
+    y = np.empty((n_restarts, n))
+    for r in range(n_restarts):
+        rng = np.random.default_rng([seed, r])
+        x[r] = rng.uniform(-0.1, 0.1, n)
+        y[r] = rng.uniform(-0.1, 0.1, n)
+    return x, y
+
+
+def batch_step(x, y, a, jt, half_h, c0, dt, a0):
+    """One symplectic-Euler update of every (R, N) row, then the wall rule.
+
+    ``jt`` is J transposed and ``half_h`` is h / 2.  Returns the new x, y
+    and a per-row mask of rows that stayed finite; rows outside the mask
+    hold garbage.  The mask is taken before the wall rule: clamping
+    |x| > 1 to +-1 would otherwise hide an overflow.
+    """
+    # A stacked product runs one matrix-vector multiply per row, so each
+    # row matches J @ sign(x) bit for bit; a plain (R, N) @ (N, N) gemm
+    # sums in another order.
+    coupling = (sign_pm1(x)[:, None, :] @ jt)[:, 0, :]
+    y = y + dt * (-(a0 - a) * x - c0 * (coupling + half_h))
+    x = x + dt * a0 * y
+    # From a finite x, a non-finite y always makes x non-finite too.
+    finite = np.isfinite(x).all(axis=1)
+    # Wall rule: |x| > 1 goes to sign(x), and the clamped entries' y to 0.
+    walled = np.minimum(np.maximum(x, -1.0), 1.0)
+    return walled, np.where(walled != x, 0.0, y), finite
 
 
 def solve(model: IsingModel, params: SBParams, trace_hook=None) -> SolveResult:
     """Run the evolution over all restarts and return the best readout.
 
-    Each restart draws its own initial state from (seed, restart index),
-    evolves for n_steps, and reads out sign(x).  The readout with the
-    lowest Ising energy wins; ties keep the earlier restart.  A restart
-    that diverges is dropped; solving fails only if every restart does.
+    Restarts evolve together as the rows of one state, each from its own
+    initial state (see initial_states), for n_steps; each reads out
+    sign(x).  The readout with the lowest Ising energy wins; ties keep the
+    earlier restart.  A restart that diverges is frozen and dropped;
+    solving fails only if every restart does.
 
     A model with all-zero couplings (including n = 1) is solved exactly
     by fields alone.
 
-    trace_hook, when given, is called after every step as
-    ``trace_hook(restart, step, a, x, y, readout_energy)``.
+    trace_hook, when given, is called for every step of every restart as
+    ``trace_hook(restart, step, a, x, y, readout_energy)``, restart-major;
+    a diverged restart's rows stop at its last finite step.
     """
     if model.n < 2 or not model.j.any():
         spins = _field_only_spins(model)
@@ -182,37 +177,36 @@ def solve(model: IsingModel, params: SBParams, trace_hook=None) -> SolveResult:
     c0 = params.c0_override
     if c0 is None:
         c0 = compute_c0(model)
-    best: SolveResult | None = None
-    diverged = 0
-    for restart in range(params.n_restarts):
-        state = init_state(model.n, params.seed, restart)
-        try:
-            for k in range(params.n_steps):
-                state = sb_step(model, state, params, c0)
-                if trace_hook is not None:
-                    readout = sign_pm1(state.x).astype(np.int8)
-                    trace_hook(
-                        restart,
-                        k,
-                        schedule_a(k, params.n_steps),
-                        state.x,
-                        state.y,
-                        energy(model, readout),
-                    )
-        except SolverDivergenceError:
-            diverged += 1
-            continue
-        spins = sign_pm1(state.x).astype(np.int8)
-        e = energy(model, spins)
-        if best is None or e < best.energy:
-            best = SolveResult(spins=spins, energy=e, restart=restart)
-    if best is None:
+    jt, half_h = model.j.T, 0.5 * model.h
+    x, y = initial_states(model.n, params.seed, params.n_restarts)
+    live = np.arange(params.n_restarts)  # restart index of each row
+    traced = [[] for _ in live] if trace_hook is not None else None
+    # Overflow is handled explicitly by the per-row finiteness mask.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, a in enumerate(pump_schedule(params.n_steps).tolist()):
+            x, y, finite = batch_step(
+                x, y, a, jt, half_h, c0, params.dt, params.a0
+            )
+            if not finite.all():
+                x, y, live = x[finite], y[finite], live[finite]
+            if traced is not None:
+                for xr, yr, r in zip(x, y, live.tolist()):
+                    e = energy(model, sign_pm1(xr).astype(np.int8))
+                    traced[r].append((r, k, a, xr, yr, e))
+            if live.size == 0:
+                break
+    for rows in traced or ():
+        for row in rows:
+            trace_hook(*row)
+    if live.size == 0:
         raise SolverDivergenceError(
             f"all {params.n_restarts} restarts diverged (dt = {params.dt})"
         )
-    return SolveResult(
-        spins=best.spins,
-        energy=best.energy,
-        restart=best.restart,
-        diverged_restarts=diverged,
-    )
+    diverged = params.n_restarts - live.size
+    best = None
+    for xr, r in zip(x, live.tolist()):
+        spins = sign_pm1(xr).astype(np.int8)
+        e = energy(model, spins)
+        if best is None or e < best.energy:
+            best = SolveResult(spins, e, restart=r, diverged_restarts=diverged)
+    return best

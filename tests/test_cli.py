@@ -150,3 +150,22 @@ class TestMain:
         ])
         assert code == 1
         assert "no-dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--snr-list", "nan"],
+            ["--snr-list", "inf"],
+            ["--snr", "0:inf:1"],
+            ["--seed", "-1"],
+        ],
+        ids=["snr-nan", "snr-inf", "snr-grid-inf", "negative-seed"],
+    )
+    def test_bad_value_returns_2(self, argv, capsys):
+        assert main(argv + ["--instances", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_integer_config_value_returns_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"steps": [1, 2]})
+        assert main(["--config", path, "--instances", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error:")

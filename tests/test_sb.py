@@ -9,13 +9,12 @@ from sbmimo.ising import IsingModel, energy, spin_table
 from sbmimo.sb import (
     DegenerateModelError,
     SBParams,
-    SBState,
     SolverDivergenceError,
+    batch_step,
     compute_c0,
     compute_lambda,
-    init_state,
-    sb_step,
-    schedule_a,
+    initial_states,
+    pump_schedule,
     sign_pm1,
     solve,
 )
@@ -26,6 +25,73 @@ from conftest import random_model
 def model_of(j, h, offset=0.0):
     j = np.asarray(j, dtype=float)
     return IsingModel(n=len(j), j=j, h=np.asarray(h, dtype=float), offset=offset)
+
+
+def reference_runs(model, params, trace=None):
+    """Evolve each restart alone, one (N,) vector per step.
+
+    An independent per-restart loop the batched solver must match bit for
+    bit.  Returns each restart's readout, or None where it diverged; with
+    ``trace`` a list, appends a row per step as solve's trace_hook gets.
+    """
+    c0 = params.c0_override or compute_c0(model)
+    n_steps = params.n_steps
+    runs = []
+    for restart in range(params.n_restarts):
+        rng = np.random.default_rng([params.seed, restart])
+        x = rng.uniform(-0.1, 0.1, model.n)
+        y = rng.uniform(-0.1, 0.1, model.n)
+        for k in range(n_steps):
+            a = 1.0 if n_steps == 1 else k / (n_steps - 1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                force = -(params.a0 - a) * x - c0 * (
+                    model.j @ sign_pm1(x) + 0.5 * model.h
+                )
+                y = y + params.dt * force
+                x = x + params.dt * params.a0 * y
+            if not (np.isfinite(x).all() and np.isfinite(y).all()):
+                runs.append(None)
+                break
+            over = np.abs(x) > 1.0
+            x = np.where(over, sign_pm1(x), x)
+            y = np.where(over, 0.0, y)
+            if trace is not None:
+                spins = sign_pm1(x).astype(np.int8)
+                trace.append((restart, k, a, x, y, energy(model, spins)))
+        else:
+            runs.append(sign_pm1(x).astype(np.int8))
+    return runs
+
+
+def reference_best(model, runs):
+    # (spins, energy, restart) of the first strict minimum over survivors.
+    best = None
+    for restart, spins in enumerate(runs):
+        if spins is not None:
+            e = energy(model, spins)
+            if best is None or e < best[1]:
+                best = (spins, e, restart)
+    return best
+
+
+def assert_same_rows(rows, expected):
+    assert len(rows) == len(expected)
+    for got, want in zip(rows, expected):
+        assert got[:3] == want[:3] and got[5] == want[5]
+        assert np.array_equal(got[3], want[3])
+        assert np.array_equal(got[4], want[4])
+
+
+def staggered_divergence_model():
+    # Couplings near the float limit: some sign patterns overflow the
+    # force and others do not.  With the seed below, restart 0 diverges
+    # at step 1, restart 2 at step 7, and restarts 1 and 3 finish.
+    j = 1e307 * np.array([[0.0, 0.0, 3.0], [0.0, 0.0, -1.0], [3.0, -1.0, 0.0]])
+    model = IsingModel(n=3, j=j, h=1e307 * np.array([-1.0, 2.0, -2.0]))
+    params = SBParams(
+        n_steps=12, dt=0.5, c0_override=4.0, n_restarts=4, seed=7
+    )
+    return model, params
 
 
 class TestNormalization:
@@ -76,59 +142,73 @@ class TestNormalization:
 
 class TestSchedule:
     def test_endpoints_and_midpoint(self):
-        assert schedule_a(0, 100) == 0.0
-        assert schedule_a(99, 100) == 1.0
-        assert schedule_a(50, 101) == 0.5
+        assert pump_schedule(100)[0] == 0.0
+        assert pump_schedule(100)[99] == 1.0
+        assert pump_schedule(101)[50] == 0.5
 
     def test_single_step_schedule(self):
-        assert schedule_a(0, 1) == 1.0
+        assert pump_schedule(1).tolist() == [1.0]
 
     def test_monotone(self):
-        values = [schedule_a(k, 25) for k in range(25)]
+        values = pump_schedule(25).tolist()
+        assert len(values) == 25
         assert values == sorted(values)
+        # Same values as evaluating k / (n_steps - 1) one step at a time.
+        assert values == [k / 24 for k in range(25)]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            schedule_a(100, 100)
+            pump_schedule(0)
         with pytest.raises(ValueError):
-            schedule_a(-1, 100)
+            pump_schedule(-1)
+
+
+def step_model(m, x, y, a, c0, dt=0.5, a0=1.0):
+    # batch_step on a model, with rows given as nested lists.
+    return batch_step(
+        np.array(x, dtype=float), np.array(y, dtype=float), a,
+        m.j.T, 0.5 * m.h, c0, dt, a0,
+    )
 
 
 class TestStep:
     def test_free_drift_at_full_pump(self):
         # J = 0, h = 0, a = 1, a0 = 1: zero force, x drifts by dt*y.
         m = model_of(np.zeros((2, 2)), np.zeros(2))
-        params = SBParams(n_steps=10, dt=0.5)
-        state = SBState(x=np.array([0.1, -0.2]), y=np.array([0.3, 0.4]), step=9)
-        out = sb_step(m, state, params, c0=0.7)
-        assert np.allclose(out.y, state.y)
-        assert np.allclose(out.x, state.x + 0.5 * out.y)
-        assert out.step == 10
+        x0, y0 = [[0.1, -0.2], [0.0, 0.3]], [[0.3, 0.4], [-0.2, 0.1]]
+        x, y, finite = step_model(m, x0, y0, a=1.0, c0=0.7)
+        assert np.allclose(y, y0)
+        assert np.allclose(x, np.array(x0) + 0.5 * y)
+        assert finite.tolist() == [True, True]
 
     def test_hand_evaluated_update(self):
         # n=1, h=2, a=0: y = dt*(-(a0)(0) - c0*(0 + h/2)) = -0.25, x = dt*y.
         m = model_of([[0.0]], [2.0])
-        params = SBParams(n_steps=2, dt=0.5, a0=1.0)
-        state = SBState(x=np.zeros(1), y=np.zeros(1), step=0)
-        out = sb_step(m, state, params, c0=0.5)
-        assert out.y[0] == pytest.approx(-0.25)
-        assert out.x[0] == pytest.approx(-0.125)
+        x, y, _ = step_model(m, [[0.0]], [[0.0]], a=0.0, c0=0.5)
+        assert y[0, 0] == pytest.approx(-0.25)
+        assert x[0, 0] == pytest.approx(-0.125)
 
     def test_wall_rule_clamps_and_zeroes_momentum(self):
         m = model_of(np.zeros((1, 1)), np.zeros(1))
-        params = SBParams(n_steps=10, dt=0.5)
-        state = SBState(x=np.array([0.7]), y=np.array([1.0]), step=9)
-        out = sb_step(m, state, params, c0=1.0)
-        # position update would give 1.2 -> clamped to the wall
-        assert out.x[0] == 1.0
-        assert out.y[0] == 0.0
+        x, y, _ = step_model(m, [[0.7], [0.1]], [[1.0], [1.0]], a=1.0, c0=1.0)
+        # position update would give 1.2 -> clamped to the wall; the
+        # second row (0.6) is inside and keeps its momentum
+        assert x[:, 0].tolist() == [1.0, 0.6]
+        assert y[:, 0].tolist() == [0.0, 1.0]
 
     def test_divergence_raises(self):
-        m = model_of([[0.0]], [1e308])
-        params = SBParams(n_steps=2, dt=2.0)
-        state = SBState(x=np.zeros(1), y=np.zeros(1), step=0)
+        # Under (+, +) J @ s + h/2 overflows; under (-, -) it cancels to 0.
+        j = np.array([[0.0, 1e308], [1e308, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, finite = batch_step(
+                np.array([[0.1, 0.1], [-0.1, -0.1]]), np.zeros((2, 2)), 0.0,
+                j.T, np.array([1e308, 1e308]), 1.0, 0.5, 1.0,
+            )
+        assert finite.tolist() == [False, True]
+        # A lone restart that overflows fails the whole solve.
+        lone = IsingModel(n=2, j=j, h=np.zeros(2))
         with pytest.raises(SolverDivergenceError):
-            sb_step(m, state, params, c0=2.0)
+            solve(lone, SBParams(n_steps=5, dt=1.0, c0_override=10.0))
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=50, deadline=None)
@@ -136,12 +216,13 @@ class TestStep:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
         m = random_model(rng, n)
-        params = SBParams(n_steps=30, dt=float(rng.uniform(0.1, 1.5)))
-        state = init_state(n, seed=int(rng.integers(2**32)), restart=0)
+        dt = float(rng.uniform(0.1, 1.5))
+        x, y = initial_states(n, int(rng.integers(2**32)), 3)
         c0 = compute_c0(m)
-        for _ in range(30):
-            state = sb_step(m, state, params, c0)
-            assert np.max(np.abs(state.x)) <= 1.0
+        for a in pump_schedule(30):
+            x, y, finite = batch_step(x, y, a, m.j.T, 0.5 * m.h, c0, dt, 1.0)
+            assert finite.all()
+            assert np.max(np.abs(x)) <= 1.0
 
 
 class TestSign:
@@ -175,19 +256,67 @@ class TestSolve:
         assert a.energy == b.energy and a.restart == b.restart
 
     def test_best_restart_selected(self, rng):
-        # Re-run each restart trajectory by hand and compare the pick.
+        # Re-run each restart trajectory alone and compare the pick.
         m = random_model(rng, 7)
         params = SBParams(n_steps=60, dt=0.5, n_restarts=5, seed=17)
         res = solve(m, params)
-        c0 = compute_c0(m)
-        energies = []
-        for restart in range(5):
-            state = init_state(7, seed=17, restart=restart)
-            for _ in range(60):
-                state = sb_step(m, state, params, c0)
-            energies.append(energy(m, sign_pm1(state.x).astype(np.int8)))
+        energies = [energy(m, spins) for spins in reference_runs(m, params)]
         assert res.energy == min(energies)
         assert res.restart == int(np.argmin(energies))
+
+    @given(
+        st.integers(min_value=2, max_value=24),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=40),
+        st.floats(min_value=0.05, max_value=1.5),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_restart_reference(self, n, restarts, steps, dt, seed):
+        rng = np.random.default_rng(seed)
+        m = random_model(rng, n)
+        params = SBParams(n_steps=steps, dt=dt, n_restarts=restarts, seed=seed)
+        rows, ref_rows = [], []
+        res = solve(m, params, trace_hook=lambda *row: rows.append(row))
+        runs = reference_runs(m, params, ref_rows)
+        spins, e, restart = reference_best(m, runs)
+        assert np.array_equal(res.spins, spins)
+        assert (res.energy, res.restart) == (e, restart)
+        assert res.diverged_restarts == sum(r is None for r in runs)
+        assert_same_rows(rows, ref_rows)
+
+    def test_one_restart_diverging_is_dropped(self):
+        m, params = staggered_divergence_model()
+        runs = reference_runs(m, params)
+        assert [r is None for r in runs] == [True, False, True, False]
+        res = solve(m, params)
+        assert res.diverged_restarts == 2
+        spins, e, restart = reference_best(m, runs)
+        assert np.array_equal(res.spins, spins)
+        assert (res.energy, res.restart) == (e, restart)
+
+    def test_trace_restart_major_and_stops_at_divergence(self):
+        m, params = staggered_divergence_model()
+        rows, ref_rows = [], []
+        solve(m, params, trace_hook=lambda *row: rows.append(row))
+        reference_runs(m, params, ref_rows)
+        restarts = [row[0] for row in rows]
+        assert restarts == sorted(restarts)
+        # restart 0 diverges at step 1, restart 2 at step 7
+        assert [restarts.count(r) for r in range(4)] == [1, 12, 7, 12]
+        assert_same_rows(rows, ref_rows)
+
+    def test_tie_keeps_earlier_restart(self):
+        # Ferromagnetic pair: both aligned readouts score -2, so every
+        # restart ties; restart 0 wins even where later ones differ.
+        m = model_of([[0, -1], [-1, 0]], [0, 0])
+        params = SBParams(n_steps=50, dt=0.5, n_restarts=6, seed=1)
+        runs = reference_runs(m, params)
+        assert {energy(m, s) for s in runs} == {-2.0}
+        assert len({tuple(s) for s in runs}) == 2
+        res = solve(m, params)
+        assert res.restart == 0
+        assert np.array_equal(res.spins, runs[0])
 
     def test_finds_ground_state_usually(self, rng):
         # Statistical: 200 random 8-spin models, 10 restarts each.
@@ -221,23 +350,20 @@ class TestSolve:
         assert np.array_equal(solve(m1, params).spins, solve(m4, params).spins)
 
     def test_negation_symmetry(self, rng):
-        # h = 0 dynamics are odd: negating the state negates the path.
+        # h = 0 dynamics are odd: a row holding the negated state follows
+        # the negated path.
         a = rng.normal(size=(5, 5))
         j = (a + a.T) / 2.0
         np.fill_diagonal(j, 0.0)
         m = IsingModel(n=5, j=j, h=np.zeros(5))
-        params = SBParams(n_steps=40, dt=0.5)
         c0 = compute_c0(m)
-        s1 = init_state(5, seed=3, restart=0)
-        s2 = SBState(x=-s1.x, y=-s1.y, step=0)
-        for _ in range(40):
-            s1 = sb_step(m, s1, params, c0)
-            s2 = sb_step(m, s2, params, c0)
-            assert np.array_equal(s2.x, -s1.x)
-            assert np.array_equal(s2.y, -s1.y)
-        assert np.array_equal(
-            sign_pm1(s2.x), -sign_pm1(s1.x)
-        )
+        x, y = initial_states(5, seed=3, n_restarts=1)
+        x, y = np.vstack([x, -x]), np.vstack([y, -y])
+        for a in pump_schedule(40):
+            x, y, _ = batch_step(x, y, a, m.j.T, 0.5 * m.h, c0, 0.5, 1.0)
+            assert np.array_equal(x[1], -x[0])
+            assert np.array_equal(y[1], -y[0])
+        assert np.array_equal(sign_pm1(x[1]), -sign_pm1(x[0]))
 
     def test_all_restarts_diverging_raises(self):
         # c0 * J overflows to inf in the force, every restart.
@@ -274,10 +400,13 @@ class TestParams:
             SBParams(c0_override=0.0)
 
     def test_init_state_deterministic_and_bounded(self):
-        a = init_state(16, seed=4, restart=1)
-        b = init_state(16, seed=4, restart=1)
-        other = init_state(16, seed=4, restart=2)
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-        assert not np.array_equal(a.x, other.x)
-        assert np.max(np.abs(a.x)) <= 0.1 and np.max(np.abs(a.y)) <= 0.1
-        assert a.step == 0
+        x, y = initial_states(16, seed=4, n_restarts=3)
+        x2, y2 = initial_states(16, seed=4, n_restarts=2)
+        # A row does not depend on how many restarts run.
+        assert np.array_equal(x[:2], x2) and np.array_equal(y[:2], y2)
+        assert not np.array_equal(x[1], x[2])
+        # Row r: x then y from default_rng([seed, r]).
+        rng = np.random.default_rng([4, 1])
+        assert np.array_equal(x[1], rng.uniform(-0.1, 0.1, 16))
+        assert np.array_equal(y[1], rng.uniform(-0.1, 0.1, 16))
+        assert np.max(np.abs(x)) <= 0.1 and np.max(np.abs(y)) <= 0.1
