@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from sbmimo.channel import get_constellation, sample_instance
-from sbmimo.detectors import ml_oracle, sb_detect
+from sbmimo.detectors import ml_oracle, prepare, sb_detect
 from sbmimo.reduction import ReductionContext
 from sbmimo.sb import SBParams
 
@@ -41,8 +41,9 @@ def main(argv=None) -> int:
             seed = int(rng.integers(0, 1 << 63, dtype=np.uint64))
             params = SBParams(n_steps=args.steps, dt=0.5,
                               n_restarts=args.restarts, seed=seed)
-            e_sb = sb_detect(inst, c, params).ising_energy
-            e_opt = ml_oracle(inst, c).ising_energy
+            p = prepare(inst, c)
+            e_sb = sb_detect(p, params).ising_energy
+            e_opt = ml_oracle(p).ising_energy
             if e_sb <= e_opt + 1e-9:
                 hits += 1
             else:

@@ -6,7 +6,7 @@ solver, and benchmarks the result (BER vs. SNR) against a linear MMSE
 baseline and an exhaustive ML oracle.
 """
 
-from sbmimo.ising import IsingModel, energy, validate
+from sbmimo.ising import IsingModel, energy
 from sbmimo.sb import SBParams, SolveResult, solve
 from sbmimo.channel import (
     Constellation,
@@ -27,7 +27,14 @@ from sbmimo.reduction import (
     spins_to_bits,
     symbols_to_spins,
 )
-from sbmimo.detectors import DetectionResult, mmse_detect, ml_oracle, sb_detect
+from sbmimo.detectors import (
+    DetectionResult,
+    Problem,
+    ml_oracle,
+    mmse_detect,
+    prepare,
+    sb_detect,
+)
 from sbmimo.bench import SweepConfig, BerRecord, run_sweep, write_csv
 
 __version__ = "0.1.0"
@@ -35,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "IsingModel",
     "energy",
-    "validate",
     "SBParams",
     "SolveResult",
     "solve",
@@ -55,6 +61,8 @@ __all__ = [
     "spins_to_bits",
     "symbols_to_spins",
     "DetectionResult",
+    "Problem",
+    "prepare",
     "mmse_detect",
     "ml_oracle",
     "sb_detect",

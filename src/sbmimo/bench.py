@@ -21,6 +21,7 @@ from sbmimo.detectors import (
     DetectionFailureError,
     ml_oracle,
     mmse_detect,
+    prepare,
     sb_detect,
 )
 from sbmimo.reduction import ReductionContext
@@ -100,6 +101,10 @@ class SweepConfig:
             problems.append(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:
             problems.append(f"workers must be >= 1, got {self.workers}")
+        for key in ("out", "trace"):
+            path = getattr(self, key)
+            if path is not None and not isinstance(path, str):
+                problems.append(f"{key} must be a path string, got {path!r}")
         if c is not None and "ml-oracle" in self.detectors and self.nt >= 1:
             spins = ReductionContext.for_constellation(c, self.nt).spin_count
             if spins > ORACLE_SPIN_LIMIT:
@@ -131,35 +136,48 @@ class BerRecord:
     selection_violations: int = 0
 
 
-def _run_detector(name, inst, c, params, r, trace_hook=None):
+def _run_detector(name, p, params, anchor, r, trace_hook=None):
+    if name in ("mmse", "sb-reg") and anchor is None:
+        raise DetectionFailureError("MMSE failed on this instance")
     if name == "mmse":
-        return mmse_detect(inst, c)
+        return anchor
     if name == "sb":
-        return sb_detect(inst, c, params, trace_hook=trace_hook)
+        return sb_detect(p, params, trace_hook=trace_hook)
     if name == "sb-reg":
-        return sb_detect(inst, c, params, r=r, trace_hook=trace_hook)
+        return sb_detect(p, params, anchor, r, trace_hook=trace_hook)
     if name == "ml-oracle":
-        return ml_oracle(inst, c)
+        return ml_oracle(p)
     raise ValueError(f"unknown detector {name!r}")
 
 
 def _eval_chunk(cfg: SweepConfig, snr_idx: int, start: int, stop: int):
     """Evaluate instances [start, stop) at one SNR point.
 
-    Returns per-detector tallies plus trace rows (only the very first
-    instance of the sweep traces, when cfg.trace is set).
+    Each instance is reduced once and MMSE runs at most once; its result
+    is both the `mmse` decision and the `sb-reg` anchor, so an MMSE
+    failure counts against both.  Returns per-detector tallies plus
+    trace rows (only the very first instance of the sweep traces, when
+    cfg.trace is set).
     """
     c = get_constellation(cfg.modulation)
     tally = {
         det: {"errors": 0, "used": 0, "failures": 0, "violations": 0}
         for det in cfg.detectors
     }
+    needs_mmse = "mmse" in cfg.detectors or "sb-reg" in cfg.detectors
     trace_rows = []
     for i in range(start, stop):
         rng = np.random.default_rng([cfg.seed, snr_idx, i])
         inst = sample_instance(cfg.nt, cfg.nr, c, cfg.snr_db[snr_idx], rng)
         solver_seed = int(rng.integers(0, 1 << 63, dtype=np.uint64))
         params = replace(cfg.sb, seed=solver_seed)
+        p = prepare(inst, c)
+        anchor = None
+        if needs_mmse:
+            try:
+                anchor = mmse_detect(p)
+            except DetectionFailureError:
+                pass
         traced = False
         for det in cfg.detectors:
             hook = None
@@ -174,7 +192,7 @@ def _eval_chunk(cfg: SweepConfig, snr_idx: int, start: int, stop: int):
                 hook = lambda *row: trace_rows.append(row)  # noqa: E731
                 traced = True
             try:
-                res = _run_detector(det, inst, c, params, cfg.r, hook)
+                res = _run_detector(det, p, params, anchor, cfg.r, hook)
             except (DetectionFailureError, SolverDivergenceError):
                 tally[det]["failures"] += 1
                 continue

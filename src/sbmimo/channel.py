@@ -18,7 +18,6 @@ one-to-one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,42 +260,3 @@ def sample_instance(
         noise_var=noise_var,
         y=y,
     )
-
-
-def instance_to_json(inst: ChannelInstance, c: Constellation) -> str:
-    """Serialize an instance as a regression fixture."""
-    return json.dumps(
-        {
-            "modulation": c.name,
-            "nt": inst.nt,
-            "nr": inst.nr,
-            "h_re": inst.h.real.tolist(),
-            "h_im": inst.h.imag.tolist(),
-            "tx_bits": inst.tx_bits.tolist(),
-            "y_re": inst.y.real.tolist(),
-            "y_im": inst.y.imag.tolist(),
-            "noise_var": inst.noise_var,
-        }
-    )
-
-
-def instance_from_json(text: str) -> tuple[ChannelInstance, Constellation]:
-    doc = json.loads(text)
-    c = get_constellation(doc["modulation"])
-    h = np.array(doc["h_re"], dtype=np.float64) + 1j * np.array(
-        doc["h_im"], dtype=np.float64
-    )
-    tx_bits = np.array(doc["tx_bits"], dtype=np.int8)
-    y = np.array(doc["y_re"], dtype=np.float64) + 1j * np.array(
-        doc["y_im"], dtype=np.float64
-    )
-    inst = ChannelInstance(
-        nt=int(doc["nt"]),
-        nr=int(doc["nr"]),
-        h=h,
-        tx_bits=tx_bits,
-        tx_symbols=modulate(tx_bits, c),
-        noise_var=float(doc["noise_var"]),
-        y=y,
-    )
-    return inst, c

@@ -61,11 +61,10 @@ def _parse_snr_spec(text: str) -> tuple[float, ...]:
 
 
 def _parse_float_list(value) -> tuple[float, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
+    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
     try:
-        return tuple(float(p) for p in str(value).split(","))
-    except ValueError:
+        return tuple(float(v) for v in items)
+    except (TypeError, ValueError):
         raise ConfigError(f"non-numeric SNR list {value!r}")
 
 
@@ -197,7 +196,7 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
             trace=pick("trace", None),
             workers=int(pick("workers", 1)),
         )
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(str(err))
 
 

@@ -1,10 +1,12 @@
 """Detectors: linear MMSE, exhaustive ML oracle, and the bifurcation
 solver composed with the reduction (plain and MMSE-anchored regularized).
 
-Every detector reports the Ising energy of its decision under the
-unregularized instance model, which equals the squared ML residual; the
-regularized path selects between the solver readout and the MMSE anchor
-by that energy, so its result never scores worse than MMSE's.
+Every detector takes a ``Problem``: the instance reduced once by
+``prepare`` and shared by every detector run on it.  Each reports the
+Ising energy of its decision under the unregularized instance model,
+which equals the squared ML residual; the regularized path selects
+between the solver readout and the MMSE anchor by that energy, so its
+result never scores worse than MMSE's.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from sbmimo.channel import (
     quantize_symbols,
     realify,
 )
-from sbmimo.ising import energy
+from sbmimo.ising import IsingModel, energy
 from sbmimo.reduction import (
     ReductionContext,
     instance_model,
@@ -39,6 +41,25 @@ class DetectionFailureError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class Problem:
+    """One channel instance with its Ising model and spin layout.
+
+    Built once per instance by ``prepare`` and shared by every detector;
+    the constellation is ``ctx.constellation``.
+    """
+
+    inst: ChannelInstance
+    model: IsingModel
+    ctx: ReductionContext
+
+
+def prepare(inst: ChannelInstance, c: Constellation) -> Problem:
+    """Reduce one channel instance to the problem every detector takes."""
+    model, ctx = instance_model(inst, c)
+    return Problem(inst=inst, model=model, ctx=ctx)
+
+
+@dataclass(frozen=True)
 class DetectionResult:
     detector: str
     bits: np.ndarray
@@ -47,23 +68,23 @@ class DetectionResult:
     extras: dict
 
 
-def _result(detector, spins, model, ctx, **extras) -> DetectionResult:
-    symbols = spins_to_symbols(spins, ctx)
+def _result(detector, spins, p: Problem, **extras) -> DetectionResult:
     return DetectionResult(
         detector=detector,
-        bits=spins_to_bits(spins, ctx),
-        symbols=symbols,
-        ising_energy=energy(model, spins),
+        bits=spins_to_bits(spins, p.ctx),
+        symbols=spins_to_symbols(spins, p.ctx),
+        ising_energy=energy(p.model, spins),
         extras=extras,
     )
 
 
-def mmse_detect(inst: ChannelInstance, c: Constellation) -> DetectionResult:
+def mmse_detect(p: Problem) -> DetectionResult:
     """Regularized linear estimate, hard-quantized onto the lattice.
 
     Soft estimate (H^H H + (sigma^2 / Es) I)^-1 H^H y; the regularizer
     scaling reflects the unnormalized constellation energy Es.
     """
+    inst, c = p.inst, p.ctx.constellation
     if not inst.noise_var > 0:
         raise ValueError(f"noise_var must be > 0, got {inst.noise_var}")
     hh = inst.h.conj().T
@@ -72,10 +93,8 @@ def mmse_detect(inst: ChannelInstance, c: Constellation) -> DetectionResult:
         soft = np.linalg.solve(gram, hh @ inst.y)
     except np.linalg.LinAlgError as err:
         raise DetectionFailureError(f"regularized Gram solve failed: {err}")
-    symbols = quantize_symbols(soft, c)
-    model, ctx = instance_model(inst, c)
-    spins = symbols_to_spins(symbols, ctx)
-    return _result("mmse", spins, model, ctx)
+    spins = symbols_to_spins(quantize_symbols(soft, c), p.ctx)
+    return _result("mmse", spins, p)
 
 
 def _spin_chunks(n: int):
@@ -88,20 +107,20 @@ def _spin_chunks(n: int):
         yield (2.0 * bits - 1.0)
 
 
-def ml_oracle(inst: ChannelInstance, c: Constellation) -> DetectionResult:
+def ml_oracle(p: Problem) -> DetectionResult:
     """Global minimizer of the squared residual by full enumeration.
 
     Scans every spin assignment in lexicographic order and keeps the
     first strict minimum, so ties resolve to the lexicographically
     smallest vector.  Refuses above ORACLE_SPIN_LIMIT spins.
     """
-    model, ctx = instance_model(inst, c)
+    ctx = p.ctx
     if ctx.spin_count > ORACLE_SPIN_LIMIT:
         raise ValueError(
             f"{ctx.spin_count} spins exceed the oracle limit of "
             f"{ORACLE_SPIN_LIMIT}"
         )
-    sys = realify(inst.h, inst.y, c)
+    sys = realify(p.inst.h, p.inst.y, ctx.constellation)
     a = sys.h_r @ ctx.t
     best_res = np.inf
     best_spins = None
@@ -112,49 +131,43 @@ def ml_oracle(inst: ChannelInstance, c: Constellation) -> DetectionResult:
         if values[k] < best_res:
             best_res = float(values[k])
             best_spins = spins[k].astype(np.int8)
-    return _result(
-        "ml-oracle", best_spins, model, ctx, candidates=1 << ctx.spin_count
-    )
+    return _result("ml-oracle", best_spins, p, candidates=1 << ctx.spin_count)
 
 
 def sb_detect(
-    inst: ChannelInstance,
-    c: Constellation,
+    p: Problem,
     params: SBParams,
-    r: float | None = None,
+    anchor: DetectionResult | None = None,
+    r: float = 0.5,
     trace_hook=None,
 ) -> DetectionResult:
     """Detect by solving the instance Ising model with the SB solver.
 
-    With r = None the plain model is solved and its readout returned.
-    Otherwise the model is anchored at the MMSE decision with penalty
-    weight r, solved, and the readout and the anchor are compared under
-    the unregularized model; the lower energy wins (ties keep the solver
-    readout).
+    With no anchor the plain model is solved and its readout returned.
+    Otherwise ``anchor`` is the instance's MMSE result: the model is
+    anchored at its decision with penalty weight r, solved, and the
+    readout and the anchor are compared under the unregularized model;
+    the lower energy wins (ties keep the solver readout).
     """
-    model, ctx = instance_model(inst, c)
-    if r is None:
-        res = solve(model, params, trace_hook=trace_hook)
+    if anchor is None:
+        res = solve(p.model, params, trace_hook=trace_hook)
         return _result(
             "sb",
             res.spins,
-            model,
-            ctx,
+            p,
             restart=res.restart,
             steps=params.n_steps,
             diverged_restarts=res.diverged_restarts,
         )
-    mmse = mmse_detect(inst, c)
-    s_p = symbols_to_spins(mmse.symbols, ctx)
-    res = solve(regularize(model, s_p, r), params, trace_hook=trace_hook)
-    sb_energy = energy(model, res.spins)
-    anchor_energy = energy(model, s_p)
+    s_p = symbols_to_spins(anchor.symbols, p.ctx)
+    res = solve(regularize(p.model, s_p, r), params, trace_hook=trace_hook)
+    sb_energy = energy(p.model, res.spins)
+    anchor_energy = anchor.ising_energy
     selected = res.spins if sb_energy <= anchor_energy else s_p
     return _result(
         "sb-reg",
         selected,
-        model,
-        ctx,
+        p,
         restart=res.restart,
         steps=params.n_steps,
         diverged_restarts=res.diverged_restarts,

@@ -14,12 +14,9 @@ objective exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
-
-SYMMETRY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,71 +46,3 @@ def energy(model: IsingModel, s: np.ndarray) -> float:
             f"spin vector has shape {s.shape}, expected ({model.n},)"
         )
     return float(s @ model.j @ s + model.h @ s + model.offset)
-
-
-def validate(model: IsingModel) -> list[str]:
-    """Check the model invariants and return a list of violation messages.
-
-    An empty list means: n >= 1, shapes consistent, diagonal exactly zero,
-    and J symmetric within relative tolerance ``SYMMETRY_RTOL``.
-    """
-    findings = []
-    if model.n < 1:
-        findings.append(f"spin count must be >= 1, got {model.n}")
-        return findings
-    if model.j.shape != (model.n, model.n):
-        findings.append(
-            f"coupling matrix has shape {model.j.shape}, expected "
-            f"({model.n}, {model.n})"
-        )
-        return findings
-    if model.h.shape != (model.n,):
-        findings.append(
-            f"field vector has shape {model.h.shape}, expected ({model.n},)"
-        )
-    diag = np.diagonal(model.j)
-    for i in np.nonzero(diag != 0.0)[0]:
-        findings.append(f"diagonal entry j[{i}][{i}] = {diag[i]} is nonzero")
-    scale = max(np.max(np.abs(model.j)), 1.0)
-    asym = np.abs(model.j - model.j.T)
-    for i, k in zip(*np.nonzero(asym > SYMMETRY_RTOL * scale)):
-        if i < k:
-            findings.append(
-                f"asymmetric couplings j[{i}][{k}] = {model.j[i, k]} vs "
-                f"j[{k}][{i}] = {model.j[k, i]}"
-            )
-    return findings
-
-
-def spin_table(n: int) -> np.ndarray:
-    """All 2^n spin vectors as rows, lexicographic with -1 before +1.
-
-    Row k encodes the binary digits of k (MSB first) mapped 0 -> -1,
-    1 -> +1.  Intended for exhaustive checks on small n.
-    """
-    if n < 1:
-        raise ValueError(f"spin count must be >= 1, got {n}")
-    ks = np.arange(2**n, dtype=np.int64)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    bits = (ks[:, None] >> shifts[None, :]) & 1
-    return (2 * bits - 1).astype(np.int8)
-
-
-def model_to_json(model: IsingModel) -> str:
-    """Serialize a model to JSON with the coupling matrix stored row-major."""
-    return json.dumps(
-        {
-            "n": model.n,
-            "j": model.j.ravel().tolist(),
-            "h": model.h.tolist(),
-            "offset": model.offset,
-        }
-    )
-
-
-def model_from_json(text: str) -> IsingModel:
-    doc = json.loads(text)
-    n = int(doc["n"])
-    j = np.array(doc["j"], dtype=np.float64).reshape(n, n)
-    h = np.array(doc["h"], dtype=np.float64)
-    return IsingModel(n=n, j=j, h=h, offset=float(doc["offset"]))

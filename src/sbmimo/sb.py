@@ -21,7 +21,7 @@ sign(0) is +1 everywhere (force term and readout), a fixed tie-break.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class SolveResult:
     energy: float
     restart: int
     diverged_restarts: int = 0
-    extras: dict = field(default_factory=dict)
 
 
 def sign_pm1(x: np.ndarray) -> np.ndarray:

@@ -11,10 +11,12 @@ import pytest
 
 from sbmimo.bench import SweepConfig, run_sweep, write_csv
 from sbmimo.channel import get_constellation, realify, sample_instance
-from sbmimo.detectors import ml_oracle, sb_detect
-from sbmimo.ising import energy, spin_table
+from sbmimo.detectors import ml_oracle, prepare, sb_detect
+from sbmimo.ising import energy
 from sbmimo.reduction import instance_model, spins_to_symbols
 from sbmimo.sb import SBParams
+
+from conftest import all_spin_vectors
 
 MASTER_SEED = 2026
 
@@ -103,10 +105,10 @@ def test_criterion_2_exhaustive_argmin_matches_oracle():
         rng = np.random.default_rng([41, i])
         inst = sample_instance(3, 3, c, 8.0, rng)
         model, ctx = instance_model(inst, c)
-        table = spin_table(ctx.spin_count)
+        table = np.array(list(all_spin_vectors(ctx.spin_count)))
         energies = np.array([energy(model, s) for s in table])
         best = spins_to_symbols(table[int(np.argmin(energies))], ctx)
-        if np.array_equal(best, ml_oracle(inst, c).symbols):
+        if np.array_equal(best, ml_oracle(prepare(inst, c)).symbols):
             agree += 1
     report(
         "criterion 2: exhaustive Ising argmin matches ML oracle",
@@ -124,8 +126,9 @@ def test_criterion_3_sb_attains_oracle_energy():
         inst = sample_instance(4, 4, c, 10.0, rng)
         seed = int(rng.integers(0, 1 << 63, dtype=np.uint64))
         params = SBParams(n_steps=100, dt=0.5, n_restarts=10, seed=seed)
-        sb_energy = sb_detect(inst, c, params).ising_energy
-        oracle_energy = ml_oracle(inst, c).ising_energy
+        p = prepare(inst, c)
+        sb_energy = sb_detect(p, params).ising_energy
+        oracle_energy = ml_oracle(p).ising_energy
         if sb_energy <= oracle_energy + 1e-9:
             hits += 1
     rate = hits / n_inst

@@ -124,16 +124,57 @@ class TestRunSweep:
     def test_failed_detections_skip_instance_for_that_detector(
         self, monkeypatch
     ):
-        def broken(inst, c):
+        def broken(p):
             raise DetectionFailureError("injected")
 
         monkeypatch.setattr("sbmimo.bench.mmse_detect", broken)
-        records = run_sweep(small_config(snr_db=(5.0,), instances=10))
+        records = run_sweep(small_config(
+            snr_db=(5.0,), instances=10, detectors=("mmse", "sb", "sb-reg"),
+        ))
         by_det = {rec.detector: rec for rec in records}
         assert by_det["mmse"].failures == 10
         assert by_det["mmse"].instances == 0
         assert by_det["mmse"].total_bits == 0 and by_det["mmse"].ber == 0.0
         assert by_det["sb"].failures == 0 and by_det["sb"].instances == 10
+        # sb-reg is anchored at the MMSE decision, so it fails with it.
+        assert by_det["sb-reg"].failures == 10
+        assert by_det["sb-reg"].instances == 0
+        assert by_det["sb-reg"].total_bits == 0
+
+    @pytest.mark.parametrize(
+        "detectors, mmse_calls",
+        [(("mmse", "sb-reg"), 1), (("sb-reg", "mmse"), 1), (("sb", "ml-oracle"), 0)],
+    )
+    def test_one_reduction_and_one_mmse_per_instance(
+        self, monkeypatch, detectors, mmse_calls
+    ):
+        import sbmimo.bench
+        import sbmimo.detectors
+
+        calls = {"build": 0, "mmse": 0}
+
+        def counting(key, func):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            "sbmimo.detectors.instance_model",
+            counting("build", sbmimo.detectors.instance_model),
+        )
+        monkeypatch.setattr(
+            "sbmimo.bench.mmse_detect", counting("mmse", sbmimo.bench.mmse_detect)
+        )
+        cfg = small_config(detectors=detectors, instances=6)
+        run_sweep(cfg)
+        instances = len(cfg.snr_db) * cfg.instances
+        assert calls == {"build": instances, "mmse": mmse_calls * instances}
+
+    def test_detector_order_does_not_change_records(self):
+        a = run_sweep(small_config(detectors=("mmse", "sb-reg")))
+        b = run_sweep(small_config(detectors=("sb-reg", "mmse")))
+        assert a == b
 
     def test_trace_dump(self, tmp_path):
         path = tmp_path / "trace.csv"

@@ -12,8 +12,6 @@ from sbmimo.channel import (
     add_awgn,
     demodulate_hard,
     get_constellation,
-    instance_from_json,
-    instance_to_json,
     modulate,
     noise_variance_for_snr,
     quantize_symbols,
@@ -221,16 +219,6 @@ class TestSampleInstance:
         assert inst.noise_var == noise_variance_for_snr(15.0, 3, QAM16)
         assert inst.y.shape == (4,)
         assert inst.noise_var > 0
-
-    def test_json_round_trip(self, rng):
-        inst = sample_instance(2, 3, QAM16, 9.0, rng)
-        back, c = instance_from_json(instance_to_json(inst, QAM16))
-        assert c is QAM16
-        assert np.array_equal(back.h, inst.h)
-        assert np.array_equal(back.tx_bits, inst.tx_bits)
-        assert np.array_equal(back.tx_symbols, inst.tx_symbols)
-        assert np.array_equal(back.y, inst.y)
-        assert back.noise_var == inst.noise_var
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.sampled_from(["bpsk", "qpsk", "qam16"]))

@@ -169,3 +169,22 @@ class TestMain:
         path = write_config(tmp_path, {"steps": [1, 2]})
         assert main(["--config", path, "--instances", "1"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"snr_list": ["a"]},
+            {"snr_list": [[1]]},
+            {"nt": 1e400},
+            {"out": 5},
+            {"trace": True},
+        ],
+        ids=["snr-list-text", "snr-list-nested", "nt-overflow",
+             "out-not-path", "trace-not-path"],
+    )
+    def test_bad_config_value_returns_2(self, payload, tmp_path, capsys):
+        path = write_config(tmp_path, payload)
+        assert main(["--config", path, "--instances", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""

@@ -13,13 +13,17 @@ from sbmimo.channel import (
 )
 from sbmimo.detectors import (
     ORACLE_SPIN_LIMIT,
+    _spin_chunks,
     ml_oracle,
     mmse_detect,
+    prepare,
     sb_detect,
 )
-from sbmimo.ising import energy, spin_table
+from sbmimo.ising import energy
 from sbmimo.reduction import instance_model, symbols_to_spins
 from sbmimo.sb import SBParams
+
+from conftest import all_spin_vectors
 
 
 def make_instance(nt, nr, c, noise_var, seed):
@@ -39,13 +43,13 @@ class TestMmse:
     def test_noiseless_limit_recovers_bits(self):
         inst = make_instance(2, 2, QPSK, 1e-12, seed=11)
         assert np.linalg.cond(inst.h) < 100  # invertible, well-behaved
-        res = mmse_detect(inst, QPSK)
+        res = mmse_detect(prepare(inst, QPSK))
         assert np.array_equal(res.bits, inst.tx_bits)
         assert np.array_equal(res.symbols, inst.tx_symbols)
 
     def test_matches_independent_pseudo_inverse(self):
         inst = make_instance(2, 2, QPSK, 0.8, seed=21)
-        res = mmse_detect(inst, QPSK)
+        res = mmse_detect(prepare(inst, QPSK))
         hh = inst.h.conj().T
         gram = hh @ inst.h + (inst.noise_var / QPSK.symbol_energy) * np.eye(2)
         soft = np.linalg.pinv(gram) @ (hh @ inst.y)
@@ -53,7 +57,7 @@ class TestMmse:
 
     def test_energy_is_definitionally_consistent(self, rng):
         inst = sample_instance(3, 3, QAM16, 14.0, rng)
-        res = mmse_detect(inst, QAM16)
+        res = mmse_detect(prepare(inst, QAM16))
         model, ctx = instance_model(inst, QAM16)
         s = symbols_to_spins(res.symbols, ctx)
         assert res.ising_energy == energy(model, s)
@@ -65,21 +69,21 @@ class TestMmse:
             tx_symbols=inst.tx_symbols, noise_var=0.0, y=inst.y,
         )
         with pytest.raises(ValueError):
-            mmse_detect(bad, QPSK)
+            mmse_detect(prepare(bad, QPSK))
 
 
 class TestOracle:
     def test_noiseless_recovers_transmitted(self):
         inst = make_instance(2, 2, QPSK, 1e-12, seed=5)
-        res = ml_oracle(inst, QPSK)
+        res = ml_oracle(prepare(inst, QPSK))
         assert np.array_equal(res.symbols, inst.tx_symbols)
         assert np.array_equal(res.bits, inst.tx_bits)
 
     def test_beats_every_candidate_by_full_scan(self, rng):
         inst = sample_instance(2, 2, QPSK, 4.0, rng)
-        res = ml_oracle(inst, QPSK)
+        res = ml_oracle(prepare(inst, QPSK))
         model, ctx = instance_model(inst, QPSK)
-        table = spin_table(ctx.spin_count)
+        table = np.array(list(all_spin_vectors(ctx.spin_count)))
         energies = np.array([energy(model, s) for s in table])
         assert res.ising_energy == energies.min()
         assert np.array_equal(
@@ -96,22 +100,30 @@ class TestOracle:
             tx_symbols=modulate(np.zeros(2, dtype=np.int8), QPSK),
             noise_var=1.0, y=np.zeros(2, dtype=complex),
         )
-        res = ml_oracle(inst, QPSK)
+        res = ml_oracle(prepare(inst, QPSK))
         model, ctx = instance_model(inst, QPSK)
         assert np.array_equal(symbols_to_spins(res.symbols, ctx), -np.ones(4))
+
+    def test_enumeration_is_lexicographic_across_chunks(self, monkeypatch):
+        # The tie-break rests on this order; a 3-row chunk puts several
+        # chunk boundaries inside the 2^4-row table.
+        monkeypatch.setattr("sbmimo.detectors._ENUM_CHUNK", 3)
+        table = np.concatenate(list(_spin_chunks(4)))
+        assert np.array_equal(table, np.array(list(all_spin_vectors(4))))
 
     def test_guard_refuses_large_search(self, rng):
         inst = sample_instance(7, 2, QAM16, 10.0, rng)  # 28 spins
         with pytest.raises(ValueError, match=str(ORACLE_SPIN_LIMIT)):
-            ml_oracle(inst, QAM16)
+            ml_oracle(prepare(inst, QAM16))
 
     def test_dominates_other_detectors(self, rng):
         params = SBParams(n_steps=60, dt=0.5, seed=1)
         for k in range(20):
             inst = sample_instance(2, 2, QPSK, float(5 + k), rng)
-            ml = ml_oracle(inst, QPSK)
-            mmse = mmse_detect(inst, QPSK)
-            sbr = sb_detect(inst, QPSK, params, r=0.5)
+            p = prepare(inst, QPSK)
+            ml = ml_oracle(p)
+            mmse = mmse_detect(p)
+            sbr = sb_detect(p, params, mmse, r=0.5)
             assert ml.ising_energy <= mmse.ising_energy + 1e-9
             assert ml.ising_energy <= sbr.ising_energy + 1e-9
 
@@ -119,7 +131,7 @@ class TestOracle:
 class TestSbDetect:
     def test_plain_readout_is_consistent(self, rng):
         inst = sample_instance(3, 3, QPSK, 10.0, rng)
-        res = sb_detect(inst, QPSK, SBParams(n_steps=80, seed=2))
+        res = sb_detect(prepare(inst, QPSK), SBParams(n_steps=80, seed=2))
         model, ctx = instance_model(inst, QPSK)
         s = symbols_to_spins(res.symbols, ctx)
         assert res.ising_energy == energy(model, s)
@@ -131,8 +143,11 @@ class TestSbDetect:
         params = SBParams(n_steps=50, dt=0.5, seed=0)
         for k in range(40):
             inst = sample_instance(3, 3, QPSK, float(rng.uniform(0, 25)), rng)
-            res = sb_detect(inst, QPSK, params, r=0.5)
+            p = prepare(inst, QPSK)
+            anchor = mmse_detect(p)
+            res = sb_detect(p, params, anchor, r=0.5)
             assert res.ising_energy <= res.extras["mmse_energy"]
+            assert res.extras["mmse_energy"] == anchor.ising_energy
             assert res.ising_energy == min(
                 res.extras["sb_energy"], res.extras["mmse_energy"]
             )
@@ -144,7 +159,10 @@ class TestSbDetect:
         for seed in range(30):
             rng = np.random.default_rng(seed)
             inst = sample_instance(2, 2, QPSK, 28.0, rng)
-            res = sb_detect(inst, QPSK, SBParams(n_steps=100, seed=seed), r=0.5)
+            p = prepare(inst, QPSK)
+            res = sb_detect(
+                p, SBParams(n_steps=100, seed=seed), mmse_detect(p), r=0.5
+            )
             if res.extras["sb_energy"] == res.extras["mmse_energy"]:
                 assert res.extras["selected"] == "sb"
                 return
@@ -153,11 +171,13 @@ class TestSbDetect:
     def test_detector_outputs_are_commensurate(self, rng):
         inst = sample_instance(2, 2, QAM16, 16.0, rng)
         params = SBParams(n_steps=60, seed=4)
+        p = prepare(inst, QAM16)
+        anchor = mmse_detect(p)
         results = [
-            mmse_detect(inst, QAM16),
-            ml_oracle(inst, QAM16),
-            sb_detect(inst, QAM16, params),
-            sb_detect(inst, QAM16, params, r=0.5),
+            anchor,
+            ml_oracle(p),
+            sb_detect(p, params),
+            sb_detect(p, params, anchor, r=0.5),
         ]
         for res in results:
             assert res.bits.shape == (inst.nt * QAM16.bps,)

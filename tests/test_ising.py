@@ -1,18 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbmimo.ising import (
-    IsingModel,
-    energy,
-    model_from_json,
-    model_to_json,
-    spin_table,
-    validate,
-)
+from sbmimo.ising import IsingModel, energy
 
 from conftest import all_spin_vectors, energy_loop, random_model
 
@@ -90,69 +81,3 @@ class TestEnergyProperties:
         assert energy(m, flipped) - energy(m, s) == pytest.approx(
             delta, rel=1e-10, abs=1e-10
         )
-
-
-class TestValidate:
-    def test_valid_model_is_clean(self, rng):
-        assert validate(random_model(rng, 4)) == []
-
-    def test_nonzero_diagonal_reported(self, rng):
-        m = random_model(rng, 3)
-        j = m.j.copy()
-        j[0, 0] = 1.0
-        bad = IsingModel(n=3, j=j, h=m.h)
-        findings = validate(bad)
-        assert len(findings) == 1
-        assert "0" in findings[0] and "diagonal" in findings[0]
-
-    def test_asymmetry_reported(self, rng):
-        m = random_model(rng, 3)
-        j = m.j.copy()
-        j[0, 1] += 0.5
-        bad = IsingModel(n=3, j=j, h=m.h)
-        findings = validate(bad)
-        assert len(findings) == 1
-        assert "symmet" in findings[0]
-
-    def test_shape_violations_reported(self):
-        bad = IsingModel(n=3, j=np.zeros((2, 2)), h=np.zeros(3))
-        assert validate(bad)
-        bad = IsingModel(n=2, j=np.zeros((2, 2)), h=np.zeros(3))
-        assert validate(bad)
-
-    def test_tiny_asymmetry_within_tolerance_ok(self, rng):
-        m = random_model(rng, 3)
-        j = m.j.copy()
-        j[0, 1] += 1e-15 * abs(j).max()
-        assert validate(IsingModel(n=3, j=j, h=m.h)) == []
-
-
-class TestSpinTable:
-    def test_enumerates_lexicographically(self):
-        table = spin_table(3)
-        expected = np.array(list(all_spin_vectors(3)))
-        assert table.shape == (8, 3)
-        assert np.array_equal(table, expected)
-
-    def test_endpoints(self):
-        table = spin_table(4)
-        assert np.all(table[0] == -1)
-        assert np.all(table[-1] == 1)
-        assert set(np.unique(table)) == {-1, 1}
-
-
-class TestJson:
-    def test_round_trip(self, rng):
-        m = random_model(rng, 5)
-        back = model_from_json(model_to_json(m))
-        assert back.n == m.n
-        assert np.array_equal(back.j, m.j)
-        assert np.array_equal(back.h, m.h)
-        assert back.offset == m.offset
-
-    def test_json_is_flat_row_major(self, rng):
-        m = random_model(rng, 3)
-        data = json.loads(model_to_json(m))
-        assert data["n"] == 3
-        assert len(data["j"]) == 9
-        assert data["j"][1] == m.j[0, 1]

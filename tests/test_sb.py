@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbmimo.ising import IsingModel, energy, spin_table
+from sbmimo.ising import IsingModel, energy
 from sbmimo.sb import (
     DegenerateModelError,
     SBParams,
@@ -19,7 +19,7 @@ from sbmimo.sb import (
     solve,
 )
 
-from conftest import random_model
+from conftest import all_spin_vectors, random_model
 
 
 def model_of(j, h, offset=0.0):
@@ -325,8 +325,7 @@ class TestSolve:
             m = random_model(rng, 8)
             res = solve(m, SBParams(n_steps=100, dt=0.5, n_restarts=10,
                                     seed=int(rng.integers(2**63))))
-            table = spin_table(8)
-            best = min(energy(m, s) for s in table)
+            best = min(energy(m, s) for s in all_spin_vectors(8))
             hits += res.energy <= best + 1e-9
         assert hits >= 190  # >= 95% of 200
 
