@@ -21,7 +21,7 @@ from sbmimo.channel import (
     quantize_symbols,
     realify,
 )
-from sbmimo.ising import IsingModel, energy
+from sbmimo.ising import IsingModel, energy, spin_table
 from sbmimo.reduction import (
     ReductionContext,
     instance_model,
@@ -98,13 +98,9 @@ def mmse_detect(p: Problem) -> DetectionResult:
 
 
 def _spin_chunks(n: int):
-    # Lexicographic enumeration of {-1,+1}^n (-1 first), fixed-size blocks.
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    total = 1 << n
-    for start in range(0, total, _ENUM_CHUNK):
-        ks = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
-        bits = (ks[:, None] >> shifts[None, :]) & 1
-        yield (2.0 * bits - 1.0)
+    # The lexicographic spin table in fixed-size blocks.
+    for start in range(0, 1 << n, _ENUM_CHUNK):
+        yield spin_table(n, start, start + _ENUM_CHUNK)
 
 
 def ml_oracle(p: Problem) -> DetectionResult:
