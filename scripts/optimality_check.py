@@ -13,7 +13,6 @@ import numpy as np
 
 from sbmimo.channel import get_constellation, sample_instance
 from sbmimo.detectors import ml_oracle, prepare, sb_detect
-from sbmimo.reduction import ReductionContext
 from sbmimo.sb import SBParams
 
 
@@ -48,7 +47,7 @@ def main(argv=None) -> int:
                 hits += 1
             else:
                 excess.append((e_sb - e_opt) / max(abs(e_opt), 1.0))
-        spins = ReductionContext.for_constellation(c, nt).spin_count
+        spins = nt * c.bps
         mean_excess = float(np.mean(excess)) if excess else 0.0
         print(f"{nt:>4} {spins:>6} {hits / args.instances:>8.1%}"
               f" {mean_excess:>12.3e}")

@@ -21,7 +21,6 @@ from sbmimo.channel import (
     noise_variance_for_snr,
 )
 from sbmimo.reduction import (
-    ReductionContext,
     build_ising,
     regularize,
     spins_to_bits,
@@ -55,7 +54,6 @@ __all__ = [
     "sample_channel",
     "sample_instance",
     "noise_variance_for_snr",
-    "ReductionContext",
     "build_ising",
     "regularize",
     "spins_to_bits",

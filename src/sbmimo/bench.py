@@ -24,7 +24,6 @@ from sbmimo.detectors import (
     prepare,
     sb_detect,
 )
-from sbmimo.reduction import ReductionContext
 from sbmimo.sb import SBParams, SolverDivergenceError
 
 DETECTOR_NAMES = ("mmse", "sb", "sb-reg", "ml-oracle")
@@ -95,8 +94,8 @@ class SweepConfig:
                 problems.append(f"unknown detector {det!r}")
         if len(set(self.detectors)) != len(self.detectors):
             problems.append(f"duplicate detectors in {self.detectors}")
-        if self.r < 0:
-            problems.append(f"r must be >= 0, got {self.r}")
+        if not (math.isfinite(self.r) and self.r >= 0):
+            problems.append(f"r must be finite and >= 0, got {self.r}")
         if self.seed < 0:
             problems.append(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:
@@ -106,7 +105,7 @@ class SweepConfig:
             if path is not None and not isinstance(path, str):
                 problems.append(f"{key} must be a path string, got {path!r}")
         if c is not None and "ml-oracle" in self.detectors and self.nt >= 1:
-            spins = ReductionContext.for_constellation(c, self.nt).spin_count
+            spins = self.nt * c.bps
             if spins > ORACLE_SPIN_LIMIT:
                 problems.append(
                     f"ml-oracle with {self.nt}x{c.name} needs {spins} spins, "
@@ -329,10 +328,15 @@ def _write_trace(rows, path: str) -> None:
 
 
 def summary_table(records: list[BerRecord]) -> str:
-    """Aligned text table: one row per SNR, one BER column per detector."""
+    """Aligned text table: one row per SNR, one BER column per detector.
+
+    A record that counted no instance (every detection failed) shows "-".
+    """
     detectors = sorted({rec.detector for rec in records})
     snrs = sorted({rec.snr_db for rec in records})
-    cell = {(rec.snr_db, rec.detector): rec.ber for rec in records}
+    cell = {
+        (rec.snr_db, rec.detector): rec.ber for rec in records if rec.instances
+    }
     width = max(12, *(len(det) + 2 for det in detectors))
     lines = [
         f"{'snr_db':>8}"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from sbmimo.bench import (
     DETECTOR_NAMES,
@@ -21,7 +22,6 @@ from sbmimo.bench import (
     summary_table,
     write_csv,
 )
-from sbmimo.sb import SBParams
 
 _CONFIG_KEYS = (
     "nt",
@@ -145,15 +145,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv: list[str] | None = None) -> SweepConfig:
-    """Resolve flags, optional config file, and defaults into a SweepConfig."""
+    """Resolve flags, optional config file, and defaults into a SweepConfig.
+
+    The defaults are those of SweepConfig and SBParams.
+    """
     args = build_parser().parse_args(argv)
     filedata = _load_config_file(args.config) if args.config else {}
+    defaults = SweepConfig()
 
     def pick(key, default):
         cli = getattr(args, key)
         if cli is not None:
             return cli
         return filedata.get(key, default)
+
+    def pick_int(key, default):
+        value = pick(key, default)
+        if isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer()
+        ):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        return int(value)
 
     if args.snr is not None or args.snr_list is not None:
         # CLI grid wins outright; ignore any file-side grid.
@@ -170,31 +182,31 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
     elif "snr_list" in filedata:
         grid = _parse_float_list(filedata["snr_list"])
     else:
-        grid = snr_range(0.0, 25.0, 2.5)
+        grid = defaults.snr_db
 
-    detectors = pick("detectors", ("mmse", "sb-reg"))
+    detectors = pick("detectors", defaults.detectors)
     if not isinstance(detectors, tuple):
         detectors = _parse_detectors(detectors)
     try:
-        sb = SBParams(
-            n_steps=int(pick("steps", 100)),
-            dt=float(pick("dt", 0.5)),
-            n_restarts=int(pick("restarts", 1)),
-            seed=0,
+        sb = replace(
+            defaults.sb,
+            n_steps=pick_int("steps", defaults.sb.n_steps),
+            dt=float(pick("dt", defaults.sb.dt)),
+            n_restarts=pick_int("restarts", defaults.sb.n_restarts),
         )
         return SweepConfig(
-            nt=int(pick("nt", 16)),
-            nr=int(pick("nr", 16)),
-            modulation=str(pick("mod", "qpsk")),
+            nt=pick_int("nt", defaults.nt),
+            nr=pick_int("nr", defaults.nr),
+            modulation=str(pick("mod", defaults.modulation)),
             snr_db=grid,
-            instances=int(pick("instances", 10_000)),
+            instances=pick_int("instances", defaults.instances),
             detectors=detectors,
             sb=sb,
-            r=float(pick("r", 0.5)),
-            seed=int(pick("seed", 0)),
-            out=pick("out", None),
-            trace=pick("trace", None),
-            workers=int(pick("workers", 1)),
+            r=float(pick("r", defaults.r)),
+            seed=pick_int("seed", defaults.seed),
+            out=pick("out", defaults.out),
+            trace=pick("trace", defaults.trace),
+            workers=pick_int("workers", defaults.workers),
         )
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(str(err))

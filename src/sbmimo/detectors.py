@@ -23,11 +23,10 @@ from sbmimo.channel import (
 )
 from sbmimo.ising import IsingModel, energy, spin_table
 from sbmimo.reduction import (
-    ReductionContext,
     instance_model,
     regularize,
+    spin_matrix,
     spins_to_bits,
-    spins_to_symbols,
     symbols_to_spins,
 )
 from sbmimo.sb import SBParams, solve
@@ -42,38 +41,38 @@ class DetectionFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class Problem:
-    """One channel instance with its Ising model and spin layout.
+    """One channel instance with its Ising model and constellation.
 
-    Built once per instance by ``prepare`` and shared by every detector;
-    the constellation is ``ctx.constellation``.
+    Built once per instance by ``prepare`` and shared by every detector.
     """
 
     inst: ChannelInstance
     model: IsingModel
-    ctx: ReductionContext
+    c: Constellation
 
 
 def prepare(inst: ChannelInstance, c: Constellation) -> Problem:
     """Reduce one channel instance to the problem every detector takes."""
-    model, ctx = instance_model(inst, c)
-    return Problem(inst=inst, model=model, ctx=ctx)
+    return Problem(inst=inst, model=instance_model(inst, c), c=c)
 
 
 @dataclass(frozen=True)
 class DetectionResult:
+    """A detector's decision as spins and bits, with its model energy."""
+
     detector: str
     bits: np.ndarray
-    symbols: np.ndarray
+    spins: np.ndarray
     ising_energy: float
     extras: dict
 
 
-def _result(detector, spins, p: Problem, **extras) -> DetectionResult:
+def _result(detector, spins, ising_energy, p: Problem, **extras):
     return DetectionResult(
         detector=detector,
-        bits=spins_to_bits(spins, p.ctx),
-        symbols=spins_to_symbols(spins, p.ctx),
-        ising_energy=energy(p.model, spins),
+        bits=spins_to_bits(spins, p.c),
+        spins=spins,
+        ising_energy=ising_energy,
         extras=extras,
     )
 
@@ -84,7 +83,7 @@ def mmse_detect(p: Problem) -> DetectionResult:
     Soft estimate (H^H H + (sigma^2 / Es) I)^-1 H^H y; the regularizer
     scaling reflects the unnormalized constellation energy Es.
     """
-    inst, c = p.inst, p.ctx.constellation
+    inst, c = p.inst, p.c
     if not inst.noise_var > 0:
         raise ValueError(f"noise_var must be > 0, got {inst.noise_var}")
     hh = inst.h.conj().T
@@ -93,8 +92,8 @@ def mmse_detect(p: Problem) -> DetectionResult:
         soft = np.linalg.solve(gram, hh @ inst.y)
     except np.linalg.LinAlgError as err:
         raise DetectionFailureError(f"regularized Gram solve failed: {err}")
-    spins = symbols_to_spins(quantize_symbols(soft, c), p.ctx)
-    return _result("mmse", spins, p)
+    spins = symbols_to_spins(quantize_symbols(soft, c), c)
+    return _result("mmse", spins, energy(p.model, spins), p)
 
 
 def _spin_chunks(n: int):
@@ -110,24 +109,24 @@ def ml_oracle(p: Problem) -> DetectionResult:
     first strict minimum, so ties resolve to the lexicographically
     smallest vector.  Refuses above ORACLE_SPIN_LIMIT spins.
     """
-    ctx = p.ctx
-    if ctx.spin_count > ORACLE_SPIN_LIMIT:
+    n = p.model.n
+    if n > ORACLE_SPIN_LIMIT:
         raise ValueError(
-            f"{ctx.spin_count} spins exceed the oracle limit of "
-            f"{ORACLE_SPIN_LIMIT}"
+            f"{n} spins exceed the oracle limit of {ORACLE_SPIN_LIMIT}"
         )
-    sys = realify(p.inst.h, p.inst.y, ctx.constellation)
-    a = sys.h_r @ ctx.t
+    sys = realify(p.inst.h, p.inst.y, p.c)
+    a = spin_matrix(sys.h_r, p.c)
     best_res = np.inf
     best_spins = None
-    for spins in _spin_chunks(ctx.spin_count):
+    for spins in _spin_chunks(n):
         resid = sys.y_r[None, :] - spins @ a.T
         values = np.einsum("ij,ij->i", resid, resid)
         k = int(np.argmin(values))
         if values[k] < best_res:
             best_res = float(values[k])
             best_spins = spins[k].astype(np.int8)
-    return _result("ml-oracle", best_spins, p, candidates=1 << ctx.spin_count)
+    e = energy(p.model, best_spins)
+    return _result("ml-oracle", best_spins, e, p, candidates=1 << n)
 
 
 def sb_detect(
@@ -141,28 +140,31 @@ def sb_detect(
 
     With no anchor the plain model is solved and its readout returned.
     Otherwise ``anchor`` is the instance's MMSE result: the model is
-    anchored at its decision with penalty weight r, solved, and the
-    readout and the anchor are compared under the unregularized model;
-    the lower energy wins (ties keep the solver readout).
+    anchored at its spins with penalty weight r, solved, and the readout
+    and the anchor are compared under the unregularized model; the lower
+    energy wins (ties keep the solver readout).
     """
     if anchor is None:
         res = solve(p.model, params, trace_hook=trace_hook)
         return _result(
             "sb",
             res.spins,
+            res.energy,
             p,
             restart=res.restart,
             steps=params.n_steps,
             diverged_restarts=res.diverged_restarts,
         )
-    s_p = symbols_to_spins(anchor.symbols, p.ctx)
-    res = solve(regularize(p.model, s_p, r), params, trace_hook=trace_hook)
+    res = solve(
+        regularize(p.model, anchor.spins, r), params, trace_hook=trace_hook
+    )
     sb_energy = energy(p.model, res.spins)
     anchor_energy = anchor.ising_energy
-    selected = res.spins if sb_energy <= anchor_energy else s_p
+    sb_wins = sb_energy <= anchor_energy
     return _result(
         "sb-reg",
-        selected,
+        res.spins if sb_wins else anchor.spins,
+        sb_energy if sb_wins else anchor_energy,
         p,
         restart=res.restart,
         steps=params.n_steps,
@@ -170,5 +172,5 @@ def sb_detect(
         r=r,
         sb_energy=sb_energy,
         mmse_energy=anchor_energy,
-        selected="sb" if sb_energy <= anchor_energy else "mmse",
+        selected="sb" if sb_wins else "mmse",
     )

@@ -10,13 +10,16 @@ exactly for every spin assignment:
 
 The spin vector is laid out in nt-sized blocks ordered (axis, weight):
 [real | imag] for QPSK, [real MSB | real LSB | imag MSB | imag LSB] for
-16-QAM, a single real block for BPSK.  T's column blocks follow the same
-order, so x_r = T s lands every entry on the constellation lattice.
+16-QAM, a single real block for BPSK.  A system with nt transmitters has
+nt * bps spins.  T maps block (axis, weight) onto that axis's nt real
+unknowns scaled by the weight, so x_r = T s lands every entry on the
+constellation lattice; H_r T is never formed by a product with T but by
+scaling H_r's column blocks (see spin_matrix).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from sbmimo.channel import (
     ChannelInstance,
     Constellation,
     RealizedSystem,
+    _axis_weights,
     axis_values_to_spins,
     realify,
     realify_symbols,
@@ -32,100 +36,65 @@ from sbmimo.channel import (
 from sbmimo.ising import IsingModel
 
 
-@dataclass(frozen=True)
-class ReductionContext:
-    """Spin layout and amplitude transform for one (constellation, nt)."""
-
-    constellation: Constellation
-    nt: int
-    t: np.ndarray
-    spin_count: int
-
-    @classmethod
-    def for_constellation(cls, c: Constellation, nt: int) -> "ReductionContext":
-        if nt < 1:
-            raise ValueError(f"need nt >= 1, got {nt}")
-        axes = 2 if c.complex_axes else 1
-        bpa = c.bits_per_axis
-        n_spins = axes * bpa * nt
-        eye = np.eye(nt)
-        t = np.zeros((axes * nt, n_spins))
-        for axis in range(axes):
-            for w, weight in enumerate(2 ** np.arange(bpa - 1, -1, -1)):
-                block = axis * bpa + w
-                rows = slice(axis * nt, (axis + 1) * nt)
-                cols = slice(block * nt, (block + 1) * nt)
-                t[rows, cols] = weight * eye
-        return cls(constellation=c, nt=nt, t=t, spin_count=n_spins)
+def _axes(c: Constellation) -> int:
+    return 2 if c.complex_axes else 1
 
 
-def build_ising(sys: RealizedSystem, ctx: ReductionContext) -> IsingModel:
-    """Ising model whose energy equals ||y_r - H_r T s||^2 for every s."""
-    if sys.h_r.shape[1] != ctx.t.shape[0]:
+def spin_matrix(h_r: np.ndarray, c: Constellation) -> np.ndarray:
+    """H_r T: each axis's column block of H_r once per weight, scaled by it."""
+    h_r = np.asarray(h_r, dtype=np.float64)
+    axes = _axes(c)
+    if h_r.ndim != 2 or h_r.shape[1] == 0 or h_r.shape[1] % axes:
         raise ValueError(
-            f"system has {sys.h_r.shape[1]} real unknowns but the transform "
-            f"expects {ctx.t.shape[0]}"
+            f"real channel of shape {h_r.shape} does not have {axes} "
+            f"column block(s) of nt >= 1 columns for {c.name}"
         )
-    a = sys.h_r @ ctx.t
+    m, nt = h_r.shape[0], h_r.shape[1] // axes
+    w = _axis_weights(c.bits_per_axis)
+    blocks = h_r.reshape(m, axes, 1, nt) * w[None, None, :, None]
+    return blocks.reshape(m, nt * c.bps)
+
+
+def build_ising(sys: RealizedSystem, c: Constellation) -> IsingModel:
+    """Ising model whose energy equals ||y_r - H_r T s||^2 for every s."""
+    a = spin_matrix(sys.h_r, c)
+    if sys.y_r.shape != (a.shape[0],):
+        raise ValueError(
+            f"y_r has shape {sys.y_r.shape} but h_r has {a.shape[0]} rows"
+        )
     g = a.T @ a
     g = 0.5 * (g + g.T)
     j = g - np.diag(np.diagonal(g))
     h = -2.0 * (a.T @ sys.y_r)
     offset = float(np.trace(g) + sys.y_r @ sys.y_r)
-    return IsingModel(n=ctx.spin_count, j=j, h=h, offset=offset)
+    return IsingModel(n=a.shape[1], j=j, h=h, offset=offset)
 
 
-def instance_model(
-    inst: ChannelInstance, c: Constellation
-) -> tuple[IsingModel, ReductionContext]:
+def instance_model(inst: ChannelInstance, c: Constellation) -> IsingModel:
     """Reduce one channel instance to its detection Ising model."""
-    ctx = ReductionContext.for_constellation(c, inst.nt)
-    return build_ising(realify(inst.h, inst.y, c), ctx), ctx
+    return build_ising(realify(inst.h, inst.y, c), c)
 
 
-def spins_to_bits(s: np.ndarray, ctx: ReductionContext) -> np.ndarray:
+def spins_to_bits(s: np.ndarray, c: Constellation) -> np.ndarray:
     """Recover the transmitted bit vector from a spin assignment."""
     s = np.asarray(s)
-    if s.shape != (ctx.spin_count,):
+    if s.ndim != 1 or s.size == 0 or s.size % c.bps:
         raise ValueError(
-            f"spin vector has shape {s.shape}, expected ({ctx.spin_count},)"
+            f"spin vector has shape {s.shape}, expected (nt * {c.bps},)"
         )
-    blocks = s.reshape(-1, ctx.nt)
+    blocks = s.reshape(-1, s.size // c.bps)
     return spins_to_bit_values(blocks.T).ravel()
 
 
-def spins_to_symbols(s: np.ndarray, ctx: ReductionContext) -> np.ndarray:
-    """Complex symbol vector x with realify_symbols(x) == T s."""
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (ctx.spin_count,):
-        raise ValueError(
-            f"spin vector has shape {s.shape}, expected ({ctx.spin_count},)"
-        )
-    x_r = ctx.t @ s
-    if not ctx.constellation.complex_axes:
-        return x_r.astype(np.complex128)
-    return x_r[: ctx.nt] + 1j * x_r[ctx.nt :]
-
-
-def symbols_to_spins(symbols: np.ndarray, ctx: ReductionContext) -> np.ndarray:
+def symbols_to_spins(x: np.ndarray, c: Constellation) -> np.ndarray:
     """Invert x_r = T s per axis; symbols must be exact lattice points."""
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    if symbols.shape != (ctx.nt,):
-        raise ValueError(
-            f"symbol vector has shape {symbols.shape}, expected ({ctx.nt},)"
-        )
-    c = ctx.constellation
-    x_r = realify_symbols(symbols, c)
-    axes = 2 if c.complex_axes else 1
-    bpa = c.bits_per_axis
-    out = np.empty(ctx.spin_count, dtype=np.int8)
-    for axis in range(axes):
-        vals = x_r[axis * ctx.nt : (axis + 1) * ctx.nt]
-        axis_spins = axis_values_to_spins(vals, bpa)
-        for w in range(bpa):
-            block = axis * bpa + w
-            out[block * ctx.nt : (block + 1) * ctx.nt] = axis_spins[:, w]
-    return out
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"symbol vector has shape {x.shape}, expected (nt,)")
+    spins = axis_values_to_spins(realify_symbols(x, c), c.bits_per_axis)
+    # (axis * nt + k, weight) -> block (axis, weight), entry k.
+    spins = spins.reshape(_axes(c), x.size, c.bits_per_axis)
+    return spins.transpose(0, 2, 1).ravel()
 
 
 def regularize(model: IsingModel, s_p: np.ndarray, r: float) -> IsingModel:

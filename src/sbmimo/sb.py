@@ -55,12 +55,12 @@ class SBParams:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if not self.a0 > 0:
-            raise ValueError(f"a0 must be > 0, got {self.a0}")
-        if self.c0_override is not None and not self.c0_override > 0:
-            raise ValueError(f"c0_override must be > 0, got {self.c0_override}")
+        positive = {"dt": self.dt, "a0": self.a0}
+        if self.c0_override is not None:
+            positive["c0_override"] = self.c0_override
+        for key, value in positive.items():
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{key} must be finite and > 0, got {value}")
         if self.n_restarts < 1:
             raise ValueError(f"n_restarts must be >= 1, got {self.n_restarts}")
 

@@ -26,6 +26,32 @@ def all_spin_vectors(n: int):
         yield np.array(combo, dtype=np.int8)
 
 
+def spin_transform(c, nt: int) -> np.ndarray:
+    # The dense spin transform T with x_r = T s, from its definition: spin
+    # block (axis, weight) maps onto that axis's nt real unknowns, scaled
+    # by the weight (MSB first).  Independent of reduction.spin_matrix.
+    axes = 2 if c.complex_axes else 1
+    bpa = c.bits_per_axis
+    t = np.zeros((axes * nt, axes * bpa * nt))
+    for axis in range(axes):
+        for w, weight in enumerate(2 ** np.arange(bpa - 1, -1, -1)):
+            block = axis * bpa + w
+            rows = slice(axis * nt, (axis + 1) * nt)
+            cols = slice(block * nt, (block + 1) * nt)
+            t[rows, cols] = weight * np.eye(nt)
+    return t
+
+
+def spins_to_symbols(s, c) -> np.ndarray:
+    # Complex symbol vector x with realify_symbols(x) == T s.
+    s = np.asarray(s, dtype=np.float64)
+    nt = s.size // c.bps
+    x_r = spin_transform(c, nt) @ s
+    if not c.complex_axes:
+        return x_r.astype(np.complex128)
+    return x_r[:nt] + 1j * x_r[nt:]
+
+
 def random_model(rng, n: int, h_scale: float = 1.0) -> IsingModel:
     a = rng.normal(size=(n, n))
     j = (a + a.T) / 2.0

@@ -13,10 +13,10 @@ from sbmimo.bench import SweepConfig, run_sweep, write_csv
 from sbmimo.channel import get_constellation, realify, sample_instance
 from sbmimo.detectors import ml_oracle, prepare, sb_detect
 from sbmimo.ising import energy
-from sbmimo.reduction import instance_model, spins_to_symbols
+from sbmimo.reduction import instance_model
 from sbmimo.sb import SBParams
 
-from conftest import all_spin_vectors
+from conftest import all_spin_vectors, spin_transform
 
 MASTER_SEED = 2026
 
@@ -81,10 +81,10 @@ def test_criterion_1_energy_equals_ml_residual():
         nr = nt + int(rng.integers(0, 3))
         snr_db = float(rng.uniform(0.0, 30.0))
         inst = sample_instance(nt, nr, c, snr_db, rng)
-        model, ctx = instance_model(inst, c)
+        model = instance_model(inst, c)
         sys_r = realify(inst.h, inst.y, c)
-        a = sys_r.h_r @ ctx.t
-        spins = rng.choice([-1.0, 1.0], size=(100, ctx.spin_count))
+        a = sys_r.h_r @ spin_transform(c, nt)
+        spins = rng.choice([-1.0, 1.0], size=(100, nt * c.bps))
         for s in spins:
             resid = sys_r.y_r - a @ s
             ref = float(resid @ resid)
@@ -104,11 +104,11 @@ def test_criterion_2_exhaustive_argmin_matches_oracle():
     for i in range(n_inst):
         rng = np.random.default_rng([41, i])
         inst = sample_instance(3, 3, c, 8.0, rng)
-        model, ctx = instance_model(inst, c)
-        table = np.array(list(all_spin_vectors(ctx.spin_count)))
+        model = instance_model(inst, c)
+        table = np.array(list(all_spin_vectors(model.n)))
         energies = np.array([energy(model, s) for s in table])
-        best = spins_to_symbols(table[int(np.argmin(energies))], ctx)
-        if np.array_equal(best, ml_oracle(prepare(inst, c)).symbols):
+        best = table[int(np.argmin(energies))]
+        if np.array_equal(best, ml_oracle(prepare(inst, c)).spins):
             agree += 1
     report(
         "criterion 2: exhaustive Ising argmin matches ML oracle",

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from sbmimo.bench import snr_range
+from sbmimo.bench import BerRecord, snr_range, summary_table
 from sbmimo.cli import ConfigError, main, parse_config
 
 
@@ -164,6 +164,57 @@ class TestMain:
     def test_bad_value_returns_2(self, argv, capsys):
         assert main(argv + ["--instances", "1"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--dt", "inf"), ("--dt", "nan"), ("--r", "inf"), ("--r", "nan")],
+        ids=["dt-inf", "dt-nan", "r-inf", "r-nan"],
+    )
+    def test_non_finite_solver_float_returns_2(self, flag, value, capsys):
+        # Before, these ran with every sb / sb-reg detection failed and
+        # a BER of 0 printed for them.
+        code = main([
+            "--nt", "2", "--nr", "2", "--snr-list", "5", "--instances", "3",
+            "--detectors", "mmse,sb,sb-reg", flag, value,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert flag.lstrip("-") in captured.err
+        assert captured.out == ""
+
+    def test_summary_shows_dash_when_no_instance_counted(self):
+        rec = dict(
+            nt=2, nr=2, modulation="qpsk", snr_db=5.0, total_bits=0,
+            bit_errors=0, ber=0.0, steps=100, dt=0.5, restarts=1, r=0.5,
+            seed=0,
+        )
+        table = summary_table([
+            BerRecord(detector="sb", instances=0, failures=3, **rec),
+            BerRecord(detector="mmse", instances=3, **rec),
+        ])
+        header, row = table.splitlines()
+        assert header.split() == ["snr_db", "mmse", "sb"]
+        assert row.split() == ["5", "0.000e+00", "-"]
+
+    @pytest.mark.parametrize(
+        "key", ["nt", "nr", "instances", "steps", "restarts", "seed", "workers"]
+    )
+    @pytest.mark.parametrize("value", [2.7, True, False], ids=["2.7", "true", "false"])
+    def test_non_integral_count_returns_2(self, key, value, tmp_path, capsys):
+        # Before, {"nt": 2.7} ran as nt=2 and {"instances": true} as 1.
+        path = write_config(tmp_path, {key: value})
+        assert main(["--config", path, "--snr-list", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert key in captured.err
+        assert captured.out == ""
+
+    def test_integral_float_count_is_accepted(self, tmp_path):
+        path = write_config(tmp_path, {"nt": 2.0, "instances": 3.0})
+        cfg = parse_config(["--config", path])
+        assert (cfg.nt, cfg.instances) == (2, 3)
+        assert isinstance(cfg.nt, int) and isinstance(cfg.instances, int)
 
     def test_non_integer_config_value_returns_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"steps": [1, 2]})

@@ -20,7 +20,7 @@ from sbmimo.detectors import (
     sb_detect,
 )
 from sbmimo.ising import energy
-from sbmimo.reduction import instance_model, symbols_to_spins
+from sbmimo.reduction import instance_model, spins_to_bits, symbols_to_spins
 from sbmimo.sb import SBParams
 
 from conftest import all_spin_vectors
@@ -45,7 +45,9 @@ class TestMmse:
         assert np.linalg.cond(inst.h) < 100  # invertible, well-behaved
         res = mmse_detect(prepare(inst, QPSK))
         assert np.array_equal(res.bits, inst.tx_bits)
-        assert np.array_equal(res.symbols, inst.tx_symbols)
+        assert np.array_equal(
+            res.spins, symbols_to_spins(inst.tx_symbols, QPSK)
+        )
 
     def test_matches_independent_pseudo_inverse(self):
         inst = make_instance(2, 2, QPSK, 0.8, seed=21)
@@ -58,9 +60,8 @@ class TestMmse:
     def test_energy_is_definitionally_consistent(self, rng):
         inst = sample_instance(3, 3, QAM16, 14.0, rng)
         res = mmse_detect(prepare(inst, QAM16))
-        model, ctx = instance_model(inst, QAM16)
-        s = symbols_to_spins(res.symbols, ctx)
-        assert res.ising_energy == energy(model, s)
+        model = instance_model(inst, QAM16)
+        assert res.ising_energy == energy(model, res.spins)
 
     def test_rejects_nonpositive_noise(self):
         inst = make_instance(2, 2, QPSK, 1e-6, seed=3)
@@ -76,19 +77,19 @@ class TestOracle:
     def test_noiseless_recovers_transmitted(self):
         inst = make_instance(2, 2, QPSK, 1e-12, seed=5)
         res = ml_oracle(prepare(inst, QPSK))
-        assert np.array_equal(res.symbols, inst.tx_symbols)
+        assert np.array_equal(
+            res.spins, symbols_to_spins(inst.tx_symbols, QPSK)
+        )
         assert np.array_equal(res.bits, inst.tx_bits)
 
     def test_beats_every_candidate_by_full_scan(self, rng):
         inst = sample_instance(2, 2, QPSK, 4.0, rng)
         res = ml_oracle(prepare(inst, QPSK))
-        model, ctx = instance_model(inst, QPSK)
-        table = np.array(list(all_spin_vectors(ctx.spin_count)))
+        model = instance_model(inst, QPSK)
+        table = np.array(list(all_spin_vectors(model.n)))
         energies = np.array([energy(model, s) for s in table])
         assert res.ising_energy == energies.min()
-        assert np.array_equal(
-            table[np.argmin(energies)], symbols_to_spins(res.symbols, ctx)
-        )
+        assert np.array_equal(table[np.argmin(energies)], res.spins)
 
     def test_tie_break_is_first_lexicographic(self, rng):
         # With y = 0 and orthogonal columns every sign choice per column
@@ -101,8 +102,7 @@ class TestOracle:
             noise_var=1.0, y=np.zeros(2, dtype=complex),
         )
         res = ml_oracle(prepare(inst, QPSK))
-        model, ctx = instance_model(inst, QPSK)
-        assert np.array_equal(symbols_to_spins(res.symbols, ctx), -np.ones(4))
+        assert np.array_equal(res.spins, -np.ones(4))
 
     def test_enumeration_is_lexicographic_across_chunks(self, monkeypatch):
         # The tie-break rests on this order; a 3-row chunk puts several
@@ -132,9 +132,8 @@ class TestSbDetect:
     def test_plain_readout_is_consistent(self, rng):
         inst = sample_instance(3, 3, QPSK, 10.0, rng)
         res = sb_detect(prepare(inst, QPSK), SBParams(n_steps=80, seed=2))
-        model, ctx = instance_model(inst, QPSK)
-        s = symbols_to_spins(res.symbols, ctx)
-        assert res.ising_energy == energy(model, s)
+        model = instance_model(inst, QPSK)
+        assert res.ising_energy == energy(model, res.spins)
         assert res.detector == "sb"
         assert set(res.extras) >= {"restart", "steps", "diverged_restarts"}
         assert res.extras["steps"] == 80
@@ -152,6 +151,34 @@ class TestSbDetect:
                 res.extras["sb_energy"], res.extras["mmse_energy"]
             )
             assert res.extras["r"] == 0.5
+            if res.extras["selected"] == "mmse":
+                assert np.array_equal(res.spins, anchor.spins)
+
+    @pytest.mark.parametrize("restarts", [1, 4])
+    def test_each_decision_energy_evaluated_once(self, monkeypatch, restarts):
+        # solve scores each restart's readout once; sb reuses the winner's
+        # energy and sb-reg scores only its readout under the plain model.
+        import sbmimo.detectors
+        import sbmimo.sb
+
+        calls = []
+        for module in (sbmimo.detectors, sbmimo.sb):
+            def counting(model, s, _energy=module.energy):
+                calls.append(module.__name__)
+                return _energy(model, s)
+            monkeypatch.setattr(module, "energy", counting)
+        rng = np.random.default_rng(8)
+        inst = sample_instance(3, 3, QPSK, 10.0, rng)
+        params = SBParams(n_steps=40, n_restarts=restarts, seed=3)
+        p = prepare(inst, QPSK)
+        anchor = mmse_detect(p)
+        assert len(calls) == 1
+        sb = sb_detect(p, params)
+        assert len(calls) == 1 + restarts
+        reg = sb_detect(p, params, anchor, r=0.5)
+        assert len(calls) == 1 + 2 * restarts + 1
+        assert sb.ising_energy == energy(p.model, sb.spins)
+        assert reg.ising_energy == energy(p.model, reg.spins)
 
     def test_energy_tie_keeps_solver_readout(self):
         # At high SNR the solver usually lands on the MMSE decision, so
@@ -181,7 +208,8 @@ class TestSbDetect:
         ]
         for res in results:
             assert res.bits.shape == (inst.nt * QAM16.bps,)
-            assert res.symbols.shape == (inst.nt,)
+            assert res.spins.shape == (inst.nt * QAM16.bps,)
+            assert np.array_equal(res.bits, spins_to_bits(res.spins, QAM16))
         assert [r.detector for r in results] == [
             "mmse", "ml-oracle", "sb", "sb-reg"
         ]

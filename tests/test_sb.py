@@ -397,6 +397,10 @@ class TestParams:
             SBParams(n_restarts=0)
         with pytest.raises(ValueError):
             SBParams(c0_override=0.0)
+        for key in ("dt", "a0", "c0_override"):
+            for value in (math.inf, math.nan):
+                with pytest.raises(ValueError, match=key):
+                    SBParams(**{key: value})
 
     def test_init_state_deterministic_and_bounded(self):
         x, y = initial_states(16, seed=4, n_restarts=3)
