@@ -3,8 +3,11 @@
 Each ``tests/golden/NAME.json`` is an ``sbmimo-bench --config`` file and
 ``NAME.csv`` the CSV it produced; ``NAME-trace.csv``, where present, is its
 ``--trace`` output.  The QPSK and 16-QAM files were written by the solver
-as it stood before restarts were batched, and the BPSK file by the code
-as it stood before the dense spin transform was retired, each by
+as it stood before restarts were batched, the BPSK file by the code as
+it stood before the dense spin transform was retired, and the
+``qpsk-2x2-sbreg`` files (whose trace is taken under ``sb-reg``, the
+first SB-family detector configured) by the code as it stood before
+``SBParams`` lost ``a0`` and ``c0_override``, each by
 
     sbmimo-bench --config tests/golden/NAME.json --out tests/golden/NAME.csv
 
@@ -19,7 +22,13 @@ import pytest
 from sbmimo.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-CASES = ("bpsk-4x4", "qpsk-4x4", "qam16-2x2", "qam16-2x2-restarts5")
+CASES = (
+    "bpsk-4x4",
+    "qpsk-4x4",
+    "qam16-2x2",
+    "qam16-2x2-restarts5",
+    "qpsk-2x2-sbreg",
+)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
