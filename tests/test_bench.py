@@ -194,6 +194,28 @@ class TestRunSweep:
         assert len(rows) == 1 + 20 * 2
         assert float(rows[1][2]) == 0.0 and float(rows[20][2]) == 1.0
 
+    def test_trace_header_only_when_traced_detector_fails(
+        self, tmp_path, monkeypatch
+    ):
+        # sb-reg is the first SB-family detector configured, so it is the
+        # one traced; with MMSE failing it never runs, and sb is not traced
+        # in its place.
+        def broken(p):
+            raise DetectionFailureError("injected")
+
+        monkeypatch.setattr("sbmimo.bench.mmse_detect", broken)
+        path = tmp_path / "trace.csv"
+        records = run_sweep(small_config(
+            snr_db=(8.0,), instances=3, detectors=("sb-reg", "mmse", "sb"),
+            trace=str(path),
+        ))
+        assert list(csv.reader(path.open())) == [
+            ["restart", "step", "a", "energy"]
+        ]
+        by_det = {rec.detector: rec for rec in records}
+        assert by_det["sb-reg"].failures == 3
+        assert by_det["sb"].instances == 3
+
 
 class TestWriteCsv:
     def test_empty_records_header_only(self, tmp_path):

@@ -1,6 +1,8 @@
-"""The sweep configs and scripts under ``scripts/`` run against the library."""
+"""The sweep configs and scripts under ``scripts/``, and the README's
+library example, run against the library."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,8 @@ from sbmimo.bench import SweepConfig, snr_range
 from sbmimo.cli import parse_config
 from sbmimo.sb import SBParams
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 # The paper's two BER experiments, pinned: 16x16 QPSK with plain and
 # regularized SB, and 8x8 16-QAM with a longer, finer anneal.
@@ -44,3 +47,12 @@ def test_optimality_check_runs(capsys):
     header, row = capsys.readouterr().out.splitlines()
     assert header.split() == ["nt", "spins", "optimal", "mean", "excess"]
     assert row.split()[:2] == ["2", "4"]
+
+
+def test_readme_library_example_runs(capsys):
+    blocks = re.findall(
+        r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S
+    )
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
