@@ -14,7 +14,6 @@ from sbmimo.channel import (
     RealizedSystem,
     get_constellation,
     modulate,
-    demodulate_hard,
     realify,
     sample_channel,
     sample_instance,
@@ -49,7 +48,6 @@ __all__ = [
     "RealizedSystem",
     "get_constellation",
     "modulate",
-    "demodulate_hard",
     "realify",
     "sample_channel",
     "sample_instance",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -24,7 +25,7 @@ from sbmimo.detectors import (
     prepare,
     sb_detect,
 )
-from sbmimo.sb import SBParams, SolverDivergenceError
+from sbmimo.sb import SBParams, SolverDivergenceError, is_int
 
 DETECTOR_NAMES = ("mmse", "sb", "sb-reg", "ml-oracle")
 
@@ -74,8 +75,13 @@ class SweepConfig:
 
     def validate(self) -> list[str]:
         problems = []
-        if self.nt < 1 or self.nr < 1:
-            problems.append(f"nt, nr must be >= 1, got {self.nt}x{self.nr}")
+        counts = {"nt": 1, "nr": 1, "instances": 1, "seed": 0, "workers": 1}
+        for key, least in counts.items():
+            value = getattr(self, key)
+            if not (is_int(value) and value >= least):
+                problems.append(
+                    f"{key} must be an integer >= {least}, got {value!r}"
+                )
         try:
             c = get_constellation(self.modulation)
         except ValueError:
@@ -85,8 +91,6 @@ class SweepConfig:
             problems.append("snr_db grid is empty")
         if not all(math.isfinite(s) for s in self.snr_db):
             problems.append(f"snr_db values must be finite, got {self.snr_db}")
-        if self.instances < 1:
-            problems.append(f"instances must be >= 1, got {self.instances}")
         if not self.detectors:
             problems.append("no detectors configured")
         for det in self.detectors:
@@ -96,15 +100,11 @@ class SweepConfig:
             problems.append(f"duplicate detectors in {self.detectors}")
         if not (math.isfinite(self.r) and self.r >= 0):
             problems.append(f"r must be finite and >= 0, got {self.r}")
-        if self.seed < 0:
-            problems.append(f"seed must be >= 0, got {self.seed}")
-        if self.workers < 1:
-            problems.append(f"workers must be >= 1, got {self.workers}")
         for key in ("out", "trace"):
             path = getattr(self, key)
             if path is not None and not isinstance(path, str):
                 problems.append(f"{key} must be a path string, got {path!r}")
-        if c is not None and "ml-oracle" in self.detectors and self.nt >= 1:
+        if c is not None and "ml-oracle" in self.detectors and is_int(self.nt):
             spins = self.nt * c.bps
             if spins > ORACLE_SPIN_LIMIT:
                 problems.append(
@@ -130,7 +130,6 @@ class BerRecord:
     restarts: int
     r: float
     seed: int
-    snr_def: str = SNR_DEFINITION
     failures: int = 0
     selection_violations: int = 0
 
@@ -149,60 +148,69 @@ def _run_detector(name, p, params, anchor, r, trace_hook=None):
     raise ValueError(f"unknown detector {name!r}")
 
 
+def _instance(cfg: SweepConfig, c, snr_idx: int, i: int):
+    """Sample and reduce instance i at one SNR point, and run MMSE on it.
+
+    Returns the problem, the solver parameters seeded for this instance,
+    and the MMSE result, which is None when MMSE failed or no configured
+    detector uses it.
+    """
+    rng = np.random.default_rng([cfg.seed, snr_idx, i])
+    inst = sample_instance(cfg.nt, cfg.nr, c, cfg.snr_db[snr_idx], rng)
+    solver_seed = int(rng.integers(0, 1 << 63, dtype=np.uint64))
+    p = prepare(inst, c)
+    anchor = None
+    if "mmse" in cfg.detectors or "sb-reg" in cfg.detectors:
+        try:
+            anchor = mmse_detect(p)
+        except DetectionFailureError:
+            pass
+    return p, replace(cfg.sb, seed=solver_seed), anchor
+
+
 def _eval_chunk(cfg: SweepConfig, snr_idx: int, start: int, stop: int):
-    """Evaluate instances [start, stop) at one SNR point.
+    """Per-detector tallies of instances [start, stop) at one SNR point.
 
     Each instance is reduced once and MMSE runs at most once; its result
     is both the `mmse` decision and the `sb-reg` anchor, so an MMSE
-    failure counts against both.  Returns per-detector tallies plus
-    trace rows (only the very first instance of the sweep traces, when
-    cfg.trace is set).
+    failure counts against both.
     """
     c = get_constellation(cfg.modulation)
-    tally = {
-        det: {"errors": 0, "used": 0, "failures": 0, "violations": 0}
-        for det in cfg.detectors
-    }
-    needs_mmse = "mmse" in cfg.detectors or "sb-reg" in cfg.detectors
-    trace_rows = []
+    tally = {det: Counter() for det in cfg.detectors}
     for i in range(start, stop):
-        rng = np.random.default_rng([cfg.seed, snr_idx, i])
-        inst = sample_instance(cfg.nt, cfg.nr, c, cfg.snr_db[snr_idx], rng)
-        solver_seed = int(rng.integers(0, 1 << 63, dtype=np.uint64))
-        params = replace(cfg.sb, seed=solver_seed)
-        p = prepare(inst, c)
-        anchor = None
-        if needs_mmse:
-            try:
-                anchor = mmse_detect(p)
-            except DetectionFailureError:
-                pass
-        traced = False
+        p, params, anchor = _instance(cfg, c, snr_idx, i)
         for det in cfg.detectors:
-            hook = None
-            want_trace = (
-                cfg.trace is not None
-                and snr_idx == 0
-                and i == 0
-                and not traced
-                and det in ("sb", "sb-reg")
-            )
-            if want_trace:
-                hook = lambda *row: trace_rows.append(row)  # noqa: E731
-                traced = True
             try:
-                res = _run_detector(det, p, params, anchor, cfg.r, hook)
+                res = _run_detector(det, p, params, anchor, cfg.r)
             except (DetectionFailureError, SolverDivergenceError):
                 tally[det]["failures"] += 1
                 continue
             tally[det]["errors"] += int(
-                np.count_nonzero(res.bits != inst.tx_bits)
+                np.count_nonzero(res.bits != p.inst.tx_bits)
             )
             tally[det]["used"] += 1
             if det == "sb-reg":
                 if res.ising_energy > res.extras["mmse_energy"]:
                     tally[det]["violations"] += 1
-    return snr_idx, start, tally, trace_rows
+    return tally
+
+
+def _trace_rows(cfg: SweepConfig, c) -> list:
+    """Solver trajectory of the sweep's first instance (SNR index 0).
+
+    It runs under the first SB-family detector configured; there are no
+    rows when there is none, or when that detector fails before solving.
+    """
+    rows = []
+    family = [det for det in cfg.detectors if det in ("sb", "sb-reg")]
+    if family:
+        p, params, anchor = _instance(cfg, c, 0, 0)
+        hook = lambda *row: rows.append(row)  # noqa: E731
+        try:
+            _run_detector(family[0], p, params, anchor, cfg.r, hook)
+        except (DetectionFailureError, SolverDivergenceError):
+            pass
+    return rows
 
 
 def _chunks(instances: int, workers: int):
@@ -224,26 +232,17 @@ def run_sweep(cfg: SweepConfig) -> list[BerRecord]:
         for start, stop in _chunks(cfg.instances, cfg.workers)
     ]
     if cfg.workers == 1:
-        results = [_eval_chunk(cfg, *job) for job in jobs]
+        tallies = [_eval_chunk(cfg, *job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [pool.submit(_eval_chunk, cfg, *job) for job in jobs]
-            results = [f.result() for f in futures]
-    # Fold deterministically in (snr, start) order regardless of scheduling.
-    results.sort(key=lambda res: (res[0], res[1]))
-    totals = {
-        (snr_idx, det): {"errors": 0, "used": 0, "failures": 0, "violations": 0}
-        for snr_idx in range(len(cfg.snr_db))
-        for det in cfg.detectors
-    }
-    trace_rows = []
-    for snr_idx, _start, tally, rows in results:
-        trace_rows.extend(rows)
+            tallies = [f.result() for f in futures]
+    totals = defaultdict(Counter)
+    for (snr_idx, _, _), tally in zip(jobs, tallies):
         for det, cell in tally.items():
-            for key, val in cell.items():
-                totals[(snr_idx, det)][key] += val
+            totals[(snr_idx, det)].update(cell)
     if cfg.trace is not None:
-        _write_trace(trace_rows, cfg.trace)
+        _write_trace(_trace_rows(cfg, c), cfg.trace)
     bits_per_instance = cfg.nt * c.bps
     records = []
     for det in cfg.detectors:
@@ -312,13 +311,10 @@ def _write_trace(rows, path: str) -> None:
     # Columns: restart, step, pump a, readout energy, then x and y vectors.
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
+        header = ["restart", "step", "a", "energy"]
         if rows:
             n = len(rows[0][3])
-            header = ["restart", "step", "a", "energy"]
-            header += [f"x{i}" for i in range(n)]
-            header += [f"y{i}" for i in range(n)]
-        else:
-            header = ["restart", "step", "a", "energy"]
+            header += [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(n)]
         writer.writerow(header)
         for restart, step, a, x, y, e in rows:
             row = [restart, step, f"{a:.10g}", f"{e:.10g}"]

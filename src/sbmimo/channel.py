@@ -46,13 +46,6 @@ class Constellation:
         axis_ms = float(np.mean(np.square(self.levels)))
         return (2.0 if self.complex_axes else 1.0) * axis_ms
 
-    def points(self) -> np.ndarray:
-        """All 2^bps symbols, indexed by the bit pattern read MSB-first."""
-        idx = np.arange(2**self.bps)
-        shifts = np.arange(self.bps - 1, -1, -1)
-        bits = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-        return modulate(bits.ravel(), self)
-
 
 BPSK = Constellation("bpsk", 1, (-1, 1), complex_axes=False)
 QPSK = Constellation("qpsk", 2, (-1, 1))
@@ -168,17 +161,6 @@ def quantize_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:
     if not c.complex_axes:
         return re.astype(np.complex128)
     return re + 1j * quantize_axis(symbols.imag, c)
-
-
-def demodulate_hard(symbols: np.ndarray, c: Constellation) -> np.ndarray:
-    """Nearest-point detection followed by the inverse bit labeling."""
-    q = quantize_symbols(np.asarray(symbols, dtype=np.complex128), c)
-    re_spins = axis_values_to_spins(q.real, c.bits_per_axis)
-    if not c.complex_axes:
-        return spins_to_bit_values(re_spins).ravel()
-    im_spins = axis_values_to_spins(q.imag, c.bits_per_axis)
-    per_symbol = np.concatenate([re_spins, im_spins], axis=1)
-    return spins_to_bit_values(per_symbol).ravel()
 
 
 def sample_channel(nt: int, nr: int, rng: np.random.Generator) -> np.ndarray:

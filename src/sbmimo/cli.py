@@ -228,7 +228,7 @@ def _echo_config(cfg: SweepConfig) -> None:
         f"workers={cfg.workers}",
         f"out={cfg.out}",
         f"trace={cfg.trace}",
-        f"snr_def={SNR_DEFINITION}",
+        f"snr_definition={SNR_DEFINITION}",
     ]
     print("config: " + " ".join(pairs), file=sys.stderr)
 

@@ -147,13 +147,8 @@ def sb_detect(
     if anchor is None:
         res = solve(p.model, params, trace_hook=trace_hook)
         return _result(
-            "sb",
-            res.spins,
-            res.energy,
-            p,
-            restart=res.restart,
-            steps=params.n_steps,
-            diverged_restarts=res.diverged_restarts,
+            "sb", res.spins, res.energy, p,
+            restart=res.restart, diverged_restarts=res.diverged_restarts,
         )
     res = solve(
         regularize(p.model, anchor.spins, r), params, trace_hook=trace_hook
@@ -167,9 +162,7 @@ def sb_detect(
         sb_energy if sb_wins else anchor_energy,
         p,
         restart=res.restart,
-        steps=params.n_steps,
         diverged_restarts=res.diverged_restarts,
-        r=r,
         sb_energy=sb_energy,
         mmse_energy=anchor_energy,
         selected="sb" if sb_wins else "mmse",

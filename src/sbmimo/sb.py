@@ -2,15 +2,15 @@
 
 Evolves positions ``x`` and momenta ``y`` of a classical oscillator
 network whose pitchfork bifurcation steers ``sign(x)`` toward low Ising
-energy.  One step is a symplectic-Euler update
+energy.  One step is a symplectic-Euler update at unit pump amplitude
 
-    y += dt * ( -(a0 - a) * x - c0 * (J @ sign(x) + h / 2) )
-    x += dt * a0 * y
+    y += dt * ( -(1 - a) * x - c0 * (J @ sign(x) + h / 2) )
+    x += dt * y
 
 followed by the wall rule: any |x_i| > 1 is clamped to sign(x_i) and its
 momentum zeroed.  The pump ``a`` ramps linearly from 0 to 1 over the
-evolution.  The coupling strength is c0 = 1 / (2 sqrt(N) lambda) with
-lambda the rms off-diagonal coupling, unless overridden.
+evolution.  The coupling strength is always derived from the model:
+c0 = 1 / (2 sqrt(N) lambda) with lambda the rms off-diagonal coupling.
 
 All restarts evolve together as the rows of one (R, N) state: a step is
 one product sign(X) @ J.T whatever R is.
@@ -21,6 +21,7 @@ sign(0) is +1 everywhere (force term and readout), a fixed tie-break.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,33 +37,33 @@ class SolverDivergenceError(RuntimeError):
     """State became non-finite during evolution."""
 
 
+def is_int(value) -> bool:
+    """True for an integer (numpy integers too), False for a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SBParams:
     """Solver configuration.
 
-    c0_override, when set, replaces the model-derived coupling strength.
     Restarts re-run the evolution from fresh random initial states; the
     lowest-energy readout wins.
     """
 
     n_steps: int = 100
     dt: float = 0.5
-    a0: float = 1.0
-    c0_override: float | None = None
     n_restarts: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        positive = {"dt": self.dt, "a0": self.a0}
-        if self.c0_override is not None:
-            positive["c0_override"] = self.c0_override
-        for key, value in positive.items():
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{key} must be finite and > 0, got {value}")
-        if self.n_restarts < 1:
-            raise ValueError(f"n_restarts must be >= 1, got {self.n_restarts}")
+        for key in ("n_steps", "n_restarts"):
+            value = getattr(self, key)
+            if not (is_int(value) and value >= 1):
+                raise ValueError(
+                    f"{key} must be an integer >= 1, got {value!r}"
+                )
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ def initial_states(
     return x, y
 
 
-def batch_step(x, y, a, jt, half_h, c0, dt, a0):
+def batch_step(x, y, a, jt, half_h, c0, dt):
     """One symplectic-Euler update of every (R, N) row, then the wall rule.
 
     ``jt`` is J transposed and ``half_h`` is h / 2.  Returns the new x, y
@@ -143,8 +144,8 @@ def batch_step(x, y, a, jt, half_h, c0, dt, a0):
     # row matches J @ sign(x) bit for bit; a plain (R, N) @ (N, N) gemm
     # sums in another order.
     coupling = (sign_pm1(x)[:, None, :] @ jt)[:, 0, :]
-    y = y + dt * (-(a0 - a) * x - c0 * (coupling + half_h))
-    x = x + dt * a0 * y
+    y = y + dt * (-(1.0 - a) * x - c0 * (coupling + half_h))
+    x = x + dt * y
     # From a finite x, a non-finite y always makes x non-finite too.
     finite = np.isfinite(x).all(axis=1)
     # Wall rule: |x| > 1 goes to sign(x), and the clamped entries' y to 0.
@@ -173,9 +174,7 @@ def solve(model: IsingModel, params: SBParams, trace_hook=None) -> SolveResult:
         return SolveResult(
             spins=spins, energy=energy(model, spins), restart=0
         )
-    c0 = params.c0_override
-    if c0 is None:
-        c0 = compute_c0(model)
+    c0 = compute_c0(model)
     jt, half_h = model.j.T, 0.5 * model.h
     x, y = initial_states(model.n, params.seed, params.n_restarts)
     live = np.arange(params.n_restarts)  # restart index of each row
@@ -183,9 +182,7 @@ def solve(model: IsingModel, params: SBParams, trace_hook=None) -> SolveResult:
     # Overflow is handled explicitly by the per-row finiteness mask.
     with np.errstate(over="ignore", invalid="ignore"):
         for k, a in enumerate(pump_schedule(params.n_steps).tolist()):
-            x, y, finite = batch_step(
-                x, y, a, jt, half_h, c0, params.dt, params.a0
-            )
+            x, y, finite = batch_step(x, y, a, jt, half_h, c0, params.dt)
             if not finite.all():
                 x, y, live = x[finite], y[finite], live[finite]
             if traced is not None:

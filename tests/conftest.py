@@ -7,7 +7,9 @@ import itertools
 import numpy as np
 import pytest
 
+from sbmimo.channel import modulate, quantize_symbols
 from sbmimo.ising import IsingModel
+from sbmimo.reduction import spins_to_bits, symbols_to_spins
 
 
 def energy_loop(model: IsingModel, s) -> float:
@@ -50,6 +52,31 @@ def spins_to_symbols(s, c) -> np.ndarray:
     if not c.complex_axes:
         return x_r.astype(np.complex128)
     return x_r[:nt] + 1j * x_r[nt:]
+
+
+def bit_patterns(c) -> list:
+    # Every bps-bit pattern, lexicographic.
+    patterns = itertools.product((0, 1), repeat=c.bps)
+    return [np.array(b, dtype=np.int8) for b in patterns]
+
+
+def constellation_points(c) -> np.ndarray:
+    # All 2^bps symbols, one per bit pattern in bit_patterns order.
+    return np.array([modulate(b, c)[0] for b in bit_patterns(c)])
+
+
+def nearest_point_bits(symbols, c) -> np.ndarray:
+    # Independent nearest-point decision: per symbol, the bit pattern
+    # whose modulated point is closest, by brute force over all patterns.
+    patterns, points = bit_patterns(c), constellation_points(c)
+    return np.concatenate(
+        [patterns[int(np.argmin(np.abs(points - z)))] for z in symbols]
+    )
+
+
+def hard_bits(symbols, c) -> np.ndarray:
+    # The library's hard decision: quantize per axis, then spins to bits.
+    return spins_to_bits(symbols_to_spins(quantize_symbols(symbols, c), c), c)
 
 
 def random_model(rng, n: int, h_scale: float = 1.0) -> IsingModel:

@@ -6,7 +6,6 @@ import pytest
 
 from sbmimo.bench import (
     BerRecord,
-    SNR_DEFINITION,
     SweepConfig,
     run_sweep,
     snr_range,
@@ -80,6 +79,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(**kw)
 
+    @pytest.mark.parametrize(
+        "key", ["nt", "nr", "instances", "seed", "workers"]
+    )
+    def test_counts_must_be_integers(self, key):
+        # nt = 2.5 used to pass validation and fail later inside numpy.
+        for value in (2.5, 2.0, True, "3"):
+            with pytest.raises(ValueError, match=f"{key} must be an integer"):
+                small_config(**{key: value})
+        assert getattr(small_config(**{key: np.int64(2)}), key) == 2
+
     def test_oracle_guard_boundary(self):
         # 6 users QAM16 = 24 spins: allowed; 7 = 28: refused.
         small_config(modulation="qam16", nt=6, detectors=("ml-oracle",),
@@ -108,7 +117,6 @@ class TestRunSweep:
             assert rec.ber == rec.bit_errors / rec.total_bits
             assert rec.total_bits == rec.instances * cfg.nt * 2
             assert rec.instances == cfg.instances and rec.failures == 0
-            assert rec.snr_def == SNR_DEFINITION
             assert (rec.steps, rec.dt, rec.restarts) == (30, 0.5, 1)
 
     def test_deterministic_reruns(self):

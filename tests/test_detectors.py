@@ -6,7 +6,6 @@ from sbmimo.channel import (
     QPSK,
     ChannelInstance,
     add_awgn,
-    demodulate_hard,
     modulate,
     sample_channel,
     sample_instance,
@@ -23,7 +22,7 @@ from sbmimo.ising import energy
 from sbmimo.reduction import instance_model, spins_to_bits, symbols_to_spins
 from sbmimo.sb import SBParams
 
-from conftest import all_spin_vectors
+from conftest import all_spin_vectors, nearest_point_bits
 
 
 def make_instance(nt, nr, c, noise_var, seed):
@@ -55,7 +54,7 @@ class TestMmse:
         hh = inst.h.conj().T
         gram = hh @ inst.h + (inst.noise_var / QPSK.symbol_energy) * np.eye(2)
         soft = np.linalg.pinv(gram) @ (hh @ inst.y)
-        assert np.array_equal(res.bits, demodulate_hard(soft, QPSK))
+        assert np.array_equal(res.bits, nearest_point_bits(soft, QPSK))
 
     def test_energy_is_definitionally_consistent(self, rng):
         inst = sample_instance(3, 3, QAM16, 14.0, rng)
@@ -135,8 +134,7 @@ class TestSbDetect:
         model = instance_model(inst, QPSK)
         assert res.ising_energy == energy(model, res.spins)
         assert res.detector == "sb"
-        assert set(res.extras) >= {"restart", "steps", "diverged_restarts"}
-        assert res.extras["steps"] == 80
+        assert set(res.extras) == {"restart", "diverged_restarts"}
 
     def test_regularized_never_loses_to_anchor(self, rng):
         params = SBParams(n_steps=50, dt=0.5, seed=0)
@@ -150,7 +148,6 @@ class TestSbDetect:
             assert res.ising_energy == min(
                 res.extras["sb_energy"], res.extras["mmse_energy"]
             )
-            assert res.extras["r"] == 0.5
             if res.extras["selected"] == "mmse":
                 assert np.array_equal(res.spins, anchor.spins)
 

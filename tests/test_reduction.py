@@ -27,6 +27,7 @@ from sbmimo.reduction import (
 
 from conftest import (
     all_spin_vectors,
+    constellation_points,
     random_model,
     spin_transform,
     spins_to_symbols,
@@ -104,7 +105,7 @@ class TestBuildIsing:
         best_spins = min(
             all_spin_vectors(6), key=lambda s: energy(model, s)
         )
-        points = QPSK.points()
+        points = constellation_points(QPSK)
         best_symbols, best_res = None, np.inf
         for combo in itertools.product(points, repeat=3):
             x = np.array(combo)

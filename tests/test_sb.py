@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -34,7 +35,7 @@ def reference_runs(model, params, trace=None):
     bit.  Returns each restart's readout, or None where it diverged; with
     ``trace`` a list, appends a row per step as solve's trace_hook gets.
     """
-    c0 = params.c0_override or compute_c0(model)
+    c0 = compute_c0(model)
     n_steps = params.n_steps
     runs = []
     for restart in range(params.n_restarts):
@@ -44,11 +45,11 @@ def reference_runs(model, params, trace=None):
         for k in range(n_steps):
             a = 1.0 if n_steps == 1 else k / (n_steps - 1)
             with np.errstate(over="ignore", invalid="ignore"):
-                force = -(params.a0 - a) * x - c0 * (
+                force = -(1.0 - a) * x - c0 * (
                     model.j @ sign_pm1(x) + 0.5 * model.h
                 )
                 y = y + params.dt * force
-                x = x + params.dt * params.a0 * y
+                x = x + params.dt * y
             if not (np.isfinite(x).all() and np.isfinite(y).all()):
                 runs.append(None)
                 break
@@ -82,16 +83,25 @@ def assert_same_rows(rows, expected):
         assert np.array_equal(got[4], want[4])
 
 
+def overflowing_model():
+    # Every coupling at 1e308: lambda overflows, so c0 = 0, and under any
+    # sign pattern two equal spins put J @ s at inf for some row, where
+    # 0 * inf is nan.  Every restart diverges at its first step.
+    j = np.full((3, 3), 1e308)
+    np.fill_diagonal(j, 0.0)
+    return IsingModel(n=3, j=j, h=np.zeros(3))
+
+
 def staggered_divergence_model():
-    # Couplings near the float limit: some sign patterns overflow the
-    # force and others do not.  With the seed below, restart 0 diverges
-    # at step 1, restart 2 at step 7, and restarts 1 and 3 finish.
-    j = 1e307 * np.array([[0.0, 0.0, 3.0], [0.0, 0.0, -1.0], [3.0, -1.0, 0.0]])
-    model = IsingModel(n=3, j=j, h=1e307 * np.array([-1.0, 2.0, -2.0]))
-    params = SBParams(
-        n_steps=12, dt=0.5, c0_override=4.0, n_restarts=4, seed=7
-    )
-    return model, params
+    # Couplings and fields near the float limit: lambda overflows, so
+    # c0 = 0, and the force is nan exactly when J @ s + h / 2 overflows,
+    # which some sign patterns do and others do not.  With the seed
+    # below, restarts 1 and 3 diverge at step 1, restart 0 at step 9, and
+    # restart 2 finishes.
+    j = np.full((3, 3), 6e307)
+    np.fill_diagonal(j, 0.0)
+    model = IsingModel(n=3, j=j, h=6e307 * np.array([-1.0, 2.0, -2.0]))
+    return model, SBParams(n_steps=12, dt=0.5, n_restarts=4, seed=6)
 
 
 class TestNormalization:
@@ -163,17 +173,17 @@ class TestSchedule:
             pump_schedule(-1)
 
 
-def step_model(m, x, y, a, c0, dt=0.5, a0=1.0):
+def step_model(m, x, y, a, c0, dt=0.5):
     # batch_step on a model, with rows given as nested lists.
     return batch_step(
         np.array(x, dtype=float), np.array(y, dtype=float), a,
-        m.j.T, 0.5 * m.h, c0, dt, a0,
+        m.j.T, 0.5 * m.h, c0, dt,
     )
 
 
 class TestStep:
     def test_free_drift_at_full_pump(self):
-        # J = 0, h = 0, a = 1, a0 = 1: zero force, x drifts by dt*y.
+        # J = 0, h = 0, a = 1: zero force, x drifts by dt*y.
         m = model_of(np.zeros((2, 2)), np.zeros(2))
         x0, y0 = [[0.1, -0.2], [0.0, 0.3]], [[0.3, 0.4], [-0.2, 0.1]]
         x, y, finite = step_model(m, x0, y0, a=1.0, c0=0.7)
@@ -182,7 +192,7 @@ class TestStep:
         assert finite.tolist() == [True, True]
 
     def test_hand_evaluated_update(self):
-        # n=1, h=2, a=0: y = dt*(-(a0)(0) - c0*(0 + h/2)) = -0.25, x = dt*y.
+        # n=1, h=2, a=0: y = dt*(-(1)(0) - c0*(0 + h/2)) = -0.25, x = dt*y.
         m = model_of([[0.0]], [2.0])
         x, y, _ = step_model(m, [[0.0]], [[0.0]], a=0.0, c0=0.5)
         assert y[0, 0] == pytest.approx(-0.25)
@@ -202,13 +212,16 @@ class TestStep:
         with np.errstate(over="ignore", invalid="ignore"):
             _, _, finite = batch_step(
                 np.array([[0.1, 0.1], [-0.1, -0.1]]), np.zeros((2, 2)), 0.0,
-                j.T, np.array([1e308, 1e308]), 1.0, 0.5, 1.0,
+                j.T, np.array([1e308, 1e308]), 1.0, 0.5,
             )
         assert finite.tolist() == [False, True]
         # A lone restart that overflows fails the whole solve.
-        lone = IsingModel(n=2, j=j, h=np.zeros(2))
-        with pytest.raises(SolverDivergenceError):
-            solve(lone, SBParams(n_steps=5, dt=1.0, c0_override=10.0))
+        with np.errstate(over="ignore"):
+            lone = overflowing_model()
+            assert compute_c0(lone) == 0.0
+            assert reference_runs(lone, SBParams(n_steps=5)) == [None]
+            with pytest.raises(SolverDivergenceError):
+                solve(lone, SBParams(n_steps=5))
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=50, deadline=None)
@@ -220,7 +233,7 @@ class TestStep:
         x, y = initial_states(n, int(rng.integers(2**32)), 3)
         c0 = compute_c0(m)
         for a in pump_schedule(30):
-            x, y, finite = batch_step(x, y, a, m.j.T, 0.5 * m.h, c0, dt, 1.0)
+            x, y, finite = batch_step(x, y, a, m.j.T, 0.5 * m.h, c0, dt)
             assert finite.all()
             assert np.max(np.abs(x)) <= 1.0
 
@@ -285,16 +298,18 @@ class TestSolve:
         assert res.diverged_restarts == sum(r is None for r in runs)
         assert_same_rows(rows, ref_rows)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_one_restart_diverging_is_dropped(self):
         m, params = staggered_divergence_model()
         runs = reference_runs(m, params)
-        assert [r is None for r in runs] == [True, False, True, False]
+        assert [r is None for r in runs] == [True, True, False, True]
         res = solve(m, params)
-        assert res.diverged_restarts == 2
+        assert res.diverged_restarts == 3
         spins, e, restart = reference_best(m, runs)
         assert np.array_equal(res.spins, spins)
         assert (res.energy, res.restart) == (e, restart)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_trace_restart_major_and_stops_at_divergence(self):
         m, params = staggered_divergence_model()
         rows, ref_rows = [], []
@@ -302,8 +317,8 @@ class TestSolve:
         reference_runs(m, params, ref_rows)
         restarts = [row[0] for row in rows]
         assert restarts == sorted(restarts)
-        # restart 0 diverges at step 1, restart 2 at step 7
-        assert [restarts.count(r) for r in range(4)] == [1, 12, 7, 12]
+        # restart 0 diverges at step 9, restarts 1 and 3 at step 1
+        assert [restarts.count(r) for r in range(4)] == [9, 1, 12, 1]
         assert_same_rows(rows, ref_rows)
 
     def test_tie_keeps_earlier_restart(self):
@@ -359,18 +374,19 @@ class TestSolve:
         x, y = initial_states(5, seed=3, n_restarts=1)
         x, y = np.vstack([x, -x]), np.vstack([y, -y])
         for a in pump_schedule(40):
-            x, y, _ = batch_step(x, y, a, m.j.T, 0.5 * m.h, c0, 0.5, 1.0)
+            x, y, _ = batch_step(x, y, a, m.j.T, 0.5 * m.h, c0, 0.5)
             assert np.array_equal(x[1], -x[0])
             assert np.array_equal(y[1], -y[0])
         assert np.array_equal(sign_pm1(x[1]), -sign_pm1(x[0]))
 
     def test_all_restarts_diverging_raises(self):
-        # c0 * J overflows to inf in the force, every restart.
-        j = np.array([[0.0, 1e308], [1e308, 0.0]])
-        m = IsingModel(n=2, j=j, h=np.zeros(2))
-        params = SBParams(n_steps=50, dt=1.0, c0_override=10.0, n_restarts=2)
-        with pytest.raises(SolverDivergenceError):
-            solve(m, params)
+        # The force is nan in every restart.
+        params = SBParams(n_steps=50, dt=1.0, n_restarts=2)
+        with np.errstate(over="ignore"):
+            m = overflowing_model()
+            assert reference_runs(m, params) == [None, None]
+            with pytest.raises(SolverDivergenceError):
+                solve(m, params)
 
     def test_trace_hook_sees_every_step(self, rng):
         m = random_model(rng, 4)
@@ -392,15 +408,23 @@ class TestParams:
         with pytest.raises(ValueError):
             SBParams(dt=0.0)
         with pytest.raises(ValueError):
-            SBParams(a0=-1.0)
-        with pytest.raises(ValueError):
             SBParams(n_restarts=0)
-        with pytest.raises(ValueError):
-            SBParams(c0_override=0.0)
-        for key in ("dt", "a0", "c0_override"):
-            for value in (math.inf, math.nan):
-                with pytest.raises(ValueError, match=key):
-                    SBParams(**{key: value})
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="dt"):
+                SBParams(dt=value)
+
+    @pytest.mark.parametrize("key", ["n_steps", "n_restarts"])
+    def test_counts_must_be_integers(self, key):
+        # 2.5 would run a pump schedule that overshoots 1; True would pass
+        # as 1; even an integral float fails later in range().
+        for value in (2.5, 2.0, True, "3"):
+            with pytest.raises(ValueError, match=key):
+                SBParams(**{key: value})
+        assert getattr(SBParams(**{key: np.int64(3)}), key) == 3
+
+    def test_has_only_the_knobs_the_pipeline_sets(self):
+        names = [f.name for f in dataclasses.fields(SBParams)]
+        assert names == ["n_steps", "dt", "n_restarts", "seed"]
 
     def test_init_state_deterministic_and_bounded(self):
         x, y = initial_states(16, seed=4, n_restarts=3)
