@@ -23,25 +23,6 @@ from sbmimo.bench import (
     write_csv,
 )
 
-_CONFIG_KEYS = (
-    "nt",
-    "nr",
-    "mod",
-    "snr",
-    "snr_list",
-    "instances",
-    "detectors",
-    "steps",
-    "dt",
-    "restarts",
-    "r",
-    "seed",
-    "out",
-    "trace",
-    "workers",
-)
-
-
 class ConfigError(ValueError):
     pass
 
@@ -81,7 +62,7 @@ def _parse_detectors(value) -> tuple[str, ...]:
     return names
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, keys: set[str]) -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -94,7 +75,7 @@ def _load_config_file(path: str) -> dict:
     data = {}
     for key, value in raw.items():
         norm = key.replace("-", "_")
-        if norm not in _CONFIG_KEYS:
+        if norm not in keys:
             raise ConfigError(f"unknown config key {key!r}")
         data[norm] = value
     return data
@@ -150,7 +131,9 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
     The defaults are those of SweepConfig and SBParams.
     """
     args = build_parser().parse_args(argv)
-    filedata = _load_config_file(args.config) if args.config else {}
+    # The file takes a key for every flag but --config itself.
+    keys = set(vars(args)) - {"config"}
+    filedata = _load_config_file(args.config, keys) if args.config else {}
     defaults = SweepConfig()
 
     def pick(key, default):

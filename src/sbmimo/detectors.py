@@ -144,26 +144,21 @@ def sb_detect(
     and the anchor are compared under the unregularized model; the lower
     energy wins (ties keep the solver readout).
     """
+    model = p.model if anchor is None else regularize(p.model, anchor.spins, r)
+    res = solve(model, params, trace_hook=trace_hook)
     if anchor is None:
-        res = solve(p.model, params, trace_hook=trace_hook)
         return _result(
             "sb", res.spins, res.energy, p,
-            restart=res.restart, diverged_restarts=res.diverged_restarts,
+            diverged_restarts=res.diverged_restarts,
         )
-    res = solve(
-        regularize(p.model, anchor.spins, r), params, trace_hook=trace_hook
-    )
     sb_energy = energy(p.model, res.spins)
-    anchor_energy = anchor.ising_energy
-    sb_wins = sb_energy <= anchor_energy
+    sb_wins = sb_energy <= anchor.ising_energy
     return _result(
         "sb-reg",
         res.spins if sb_wins else anchor.spins,
-        sb_energy if sb_wins else anchor_energy,
+        sb_energy if sb_wins else anchor.ising_energy,
         p,
-        restart=res.restart,
         diverged_restarts=res.diverged_restarts,
-        sb_energy=sb_energy,
-        mmse_energy=anchor_energy,
+        mmse_energy=anchor.ising_energy,
         selected="sb" if sb_wins else "mmse",
     )

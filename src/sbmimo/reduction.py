@@ -19,6 +19,7 @@ scaling H_r's column blocks (see spin_matrix).
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -105,8 +106,8 @@ def regularize(model: IsingModel, s_p: np.ndarray, r: float) -> IsingModel:
     are untouched and the identity
     energy(new, s) == energy(old, s) + r * ||s - s_p||^2 holds exactly.
     """
-    if r < 0:
-        raise ValueError(f"penalty weight must be >= 0, got {r}")
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError(f"penalty weight r must be finite and >= 0, got {r}")
     s_p = np.asarray(s_p, dtype=np.float64)
     if s_p.shape != (model.n,):
         raise ValueError(

@@ -11,6 +11,9 @@ followed by the wall rule: any |x_i| > 1 is clamped to sign(x_i) and its
 momentum zeroed.  The pump ``a`` ramps linearly from 0 to 1 over the
 evolution.  The coupling strength is always derived from the model:
 c0 = 1 / (2 sqrt(N) lambda) with lambda the rms off-diagonal coupling.
+It is computed on J scaled by a power of two, so it is exact under
+power-of-two rescaling of the model, and sum(J**2) can neither overflow
+nor underflow.
 
 All restarts evolve together as the rows of one (R, N) state: a step is
 one product sign(X) @ J.T whatever R is.
@@ -27,10 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from sbmimo.ising import IsingModel, energy
-
-
-class DegenerateModelError(ValueError):
-    """Coupling matrix is all-zero (or n < 2): c0 is undefined."""
 
 
 class SolverDivergenceError(RuntimeError):
@@ -70,7 +69,6 @@ class SBParams:
 class SolveResult:
     spins: np.ndarray
     energy: float
-    restart: int
     diverged_restarts: int = 0
 
 
@@ -79,26 +77,19 @@ def sign_pm1(x: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(x) >= 0.0, 1.0, -1.0)
 
 
-def compute_lambda(model: IsingModel) -> float:
-    """RMS off-diagonal coupling sqrt(sum_{i!=k} J_ik^2 / (N (N-1)))."""
-    n = model.n
-    if n < 2:
-        raise ValueError(f"coupling scale needs n >= 2, got n = {n}")
-    return math.sqrt(float(np.sum(model.j**2)) / (n * (n - 1)))
-
-
 def compute_c0(model: IsingModel) -> float:
-    """Coupling strength 1 / (2 sqrt(N) lambda).
+    """Coupling strength 1 / (2 sqrt(N) lambda), with lambda the rms
+    off-diagonal coupling sqrt(sum_{i!=k} J_ik^2 / (N (N-1))).
 
-    Raises DegenerateModelError when the coupling matrix is all-zero; the
-    caller should fall back to the field-only solution (see solve()).
+    J is scaled by 2^-k, where 2^(k-1) <= max |J| < 2^k, before squaring,
+    and c0 by the same power of two after.  Both scalings are exact, so
+    c0 equals the unscaled formula wherever that formula is finite and
+    nonzero.  Needs n >= 2 and a nonzero J; solve() handles the rest.
     """
-    lam = compute_lambda(model)
-    if lam == 0.0:
-        raise DegenerateModelError(
-            "all couplings are zero; minimize by fields alone"
-        )
-    return 1.0 / (2.0 * math.sqrt(model.n) * lam)
+    n = model.n
+    k = math.frexp(float(np.max(np.abs(model.j))))[1]
+    lam = math.sqrt(float(np.sum(np.ldexp(model.j, -k) ** 2)) / (n * (n - 1)))
+    return math.ldexp(1.0 / (2.0 * math.sqrt(n) * lam), -k)
 
 
 def _field_only_spins(model: IsingModel) -> np.ndarray:
@@ -171,9 +162,7 @@ def solve(model: IsingModel, params: SBParams, trace_hook=None) -> SolveResult:
     """
     if model.n < 2 or not model.j.any():
         spins = _field_only_spins(model)
-        return SolveResult(
-            spins=spins, energy=energy(model, spins), restart=0
-        )
+        return SolveResult(spins=spins, energy=energy(model, spins))
     c0 = compute_c0(model)
     jt, half_h = model.j.T, 0.5 * model.h
     x, y = initial_states(model.n, params.seed, params.n_restarts)
@@ -198,11 +187,11 @@ def solve(model: IsingModel, params: SBParams, trace_hook=None) -> SolveResult:
         raise SolverDivergenceError(
             f"all {params.n_restarts} restarts diverged (dt = {params.dt})"
         )
-    diverged = params.n_restarts - live.size
-    best = None
-    for xr, r in zip(x, live.tolist()):
-        spins = sign_pm1(xr).astype(np.int8)
-        e = energy(model, spins)
-        if best is None or e < best.energy:
-            best = SolveResult(spins, e, restart=r, diverged_restarts=diverged)
-    return best
+    readouts = sign_pm1(x).astype(np.int8)
+    energies = [energy(model, spins) for spins in readouts]
+    best = int(np.argmin(energies))
+    return SolveResult(
+        spins=readouts[best],
+        energy=energies[best],
+        diverged_restarts=params.n_restarts - live.size,
+    )

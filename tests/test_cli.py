@@ -4,7 +4,7 @@ import json
 import pytest
 
 from sbmimo.bench import BerRecord, snr_range, summary_table
-from sbmimo.cli import ConfigError, main, parse_config
+from sbmimo.cli import ConfigError, build_parser, main, parse_config
 
 
 def write_config(tmp_path, payload):
@@ -89,6 +89,28 @@ class TestConfigFile:
         path = write_config(tmp_path, {"snr-list": [4, 2], "instances": 1})
         cfg = parse_config(["--config", path])
         assert cfg.snr_db == (4.0, 2.0)
+
+    @pytest.mark.parametrize("sep", ["_", "-"])
+    def test_every_flag_is_a_config_key(self, tmp_path, sep):
+        # A non-default value per flag; a new flag needs an entry here.
+        values = {
+            "nt": "3", "nr": "5", "mod": "bpsk", "snr": "0:4:2",
+            "snr_list": "1,2", "instances": "3", "detectors": "mmse",
+            "steps": "7", "dt": "0.25", "restarts": "2", "r": "0.75",
+            "seed": "9", "out": "o.csv", "trace": "t.csv", "workers": "2",
+        }
+        flags = [
+            opt for action in build_parser()._actions
+            for opt in action.option_strings
+            if opt.startswith("--") and opt not in ("--help", "--config")
+        ]
+        assert len(flags) == len(values)
+        for flag in flags:
+            value = values[flag[2:].replace("-", "_")]
+            path = write_config(tmp_path, {flag[2:].replace("-", sep): value})
+            cfg = parse_config(["--config", path])
+            assert cfg == parse_config([flag, value])
+            assert cfg != parse_config([])
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, {"snr_start": 0})

@@ -19,8 +19,13 @@ from sbmimo.detectors import (
     sb_detect,
 )
 from sbmimo.ising import energy
-from sbmimo.reduction import instance_model, spins_to_bits, symbols_to_spins
-from sbmimo.sb import SBParams
+from sbmimo.reduction import (
+    instance_model,
+    regularize,
+    spins_to_bits,
+    symbols_to_spins,
+)
+from sbmimo.sb import SBParams, solve
 
 from conftest import all_spin_vectors, nearest_point_bits
 
@@ -134,7 +139,7 @@ class TestSbDetect:
         model = instance_model(inst, QPSK)
         assert res.ising_energy == energy(model, res.spins)
         assert res.detector == "sb"
-        assert set(res.extras) == {"restart", "diverged_restarts"}
+        assert set(res.extras) == {"diverged_restarts"}
 
     def test_regularized_never_loses_to_anchor(self, rng):
         params = SBParams(n_steps=50, dt=0.5, seed=0)
@@ -143,13 +148,16 @@ class TestSbDetect:
             p = prepare(inst, QPSK)
             anchor = mmse_detect(p)
             res = sb_detect(p, params, anchor, r=0.5)
+            assert set(res.extras) == {
+                "diverged_restarts", "mmse_energy", "selected"
+            }
+            readout = solve(regularize(p.model, anchor.spins, 0.5), params)
+            sb_energy = energy(p.model, readout.spins)
             assert res.ising_energy <= res.extras["mmse_energy"]
             assert res.extras["mmse_energy"] == anchor.ising_energy
-            assert res.ising_energy == min(
-                res.extras["sb_energy"], res.extras["mmse_energy"]
-            )
-            if res.extras["selected"] == "mmse":
-                assert np.array_equal(res.spins, anchor.spins)
+            assert res.ising_energy == min(sb_energy, anchor.ising_energy)
+            winner = readout if res.extras["selected"] == "sb" else anchor
+            assert np.array_equal(res.spins, winner.spins)
 
     @pytest.mark.parametrize("restarts", [1, 4])
     def test_each_decision_energy_evaluated_once(self, monkeypatch, restarts):
@@ -184,11 +192,13 @@ class TestSbDetect:
             rng = np.random.default_rng(seed)
             inst = sample_instance(2, 2, QPSK, 28.0, rng)
             p = prepare(inst, QPSK)
-            res = sb_detect(
-                p, SBParams(n_steps=100, seed=seed), mmse_detect(p), r=0.5
-            )
-            if res.extras["sb_energy"] == res.extras["mmse_energy"]:
+            params = SBParams(n_steps=100, seed=seed)
+            anchor = mmse_detect(p)
+            res = sb_detect(p, params, anchor, r=0.5)
+            readout = solve(regularize(p.model, anchor.spins, 0.5), params)
+            if energy(p.model, readout.spins) == anchor.ising_energy:
                 assert res.extras["selected"] == "sb"
+                assert np.array_equal(res.spins, readout.spins)
                 return
         pytest.fail("no energy tie found in 30 high-SNR instances")
 

@@ -230,8 +230,11 @@ class TestRegularize:
 
     def test_bad_inputs_rejected(self, rng):
         m = random_model(rng, 4)
-        with pytest.raises(ValueError):
-            regularize(m, np.ones(4), -0.1)
+        # A non-finite r would otherwise reach the solver as a nan or inf
+        # field and surface as a divergence blamed on dt.
+        for r in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="r must be finite and >= 0"):
+                regularize(m, np.ones(4), r)
         with pytest.raises(ValueError):
             regularize(m, np.ones(3), 0.5)
 

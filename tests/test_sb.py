@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 from sbmimo.ising import IsingModel, energy
 from sbmimo.sb import (
-    DegenerateModelError,
     SBParams,
     SolverDivergenceError,
     batch_step,
     compute_c0,
-    compute_lambda,
     initial_states,
     pump_schedule,
     sign_pm1,
@@ -65,13 +63,13 @@ def reference_runs(model, params, trace=None):
 
 
 def reference_best(model, runs):
-    # (spins, energy, restart) of the first strict minimum over survivors.
+    # (spins, energy) of the first strict minimum over survivors.
     best = None
-    for restart, spins in enumerate(runs):
+    for spins in runs:
         if spins is not None:
             e = energy(model, spins)
             if best is None or e < best[1]:
-                best = (spins, e, restart)
+                best = (spins, e)
     return best
 
 
@@ -84,34 +82,37 @@ def assert_same_rows(rows, expected):
 
 
 def overflowing_model():
-    # Every coupling at 1e308: lambda overflows, so c0 = 0, and under any
-    # sign pattern two equal spins put J @ s at inf for some row, where
-    # 0 * inf is nan.  Every restart diverges at its first step.
+    # Every coupling at 1e308: under any sign pattern two equal spins put
+    # J @ s at inf for some row, so every restart diverges at its first
+    # step although c0 is finite and > 0.
     j = np.full((3, 3), 1e308)
     np.fill_diagonal(j, 0.0)
     return IsingModel(n=3, j=j, h=np.zeros(3))
 
 
 def staggered_divergence_model():
-    # Couplings and fields near the float limit: lambda overflows, so
-    # c0 = 0, and the force is nan exactly when J @ s + h / 2 overflows,
-    # which some sign patterns do and others do not.  With the seed
-    # below, restarts 1 and 3 diverge at step 1, restart 0 at step 9, and
-    # restart 2 finishes.
-    j = np.full((3, 3), 6e307)
-    np.fill_diagonal(j, 0.0)
-    model = IsingModel(n=3, j=j, h=6e307 * np.array([-1.0, 2.0, -2.0]))
-    return model, SBParams(n_steps=12, dt=0.5, n_restarts=4, seed=6)
+    # Couplings and fields near the float limit: J @ s + h / 2 overflows
+    # in row 0 when (s1, s2) = (+, -) and in row 2 when (s0, s1) = (+, +),
+    # and stays finite otherwise, energies included.  With the seed
+    # below, restart 0 diverges at step 0, restart 1 at step 1, restart 3
+    # at step 6, and restart 2 finishes.
+    j = 2e307 * np.array([[0, 4, -3], [4, 0, -3], [-3, -3, 0]], dtype=float)
+    model = IsingModel(n=3, j=j, h=2e307 * np.array([6.0, 0.0, -6.0]))
+    return model, SBParams(n_steps=12, dt=0.5, n_restarts=4, seed=15)
 
 
 class TestNormalization:
+    # c0 = 1 / (2 sqrt(N) lambda), lambda the rms off-diagonal coupling.
     def test_lambda_two_spin_uniform(self):
-        assert compute_lambda(model_of([[0, 1], [1, 0]], [0, 0])) == pytest.approx(1.0)
+        m = model_of([[0, 3], [3, 0]], [0, 0])  # lambda = 3
+        assert compute_c0(m) == pytest.approx(1.0 / (6.0 * math.sqrt(2.0)))
 
     def test_lambda_three_spin_uniform(self):
-        j = np.full((3, 3), 2.0)
+        j = np.full((3, 3), 2.0)  # lambda = 2
         np.fill_diagonal(j, 0.0)
-        assert compute_lambda(model_of(j, np.zeros(3))) == pytest.approx(2.0)
+        assert compute_c0(model_of(j, np.zeros(3))) == pytest.approx(
+            1.0 / (4.0 * math.sqrt(3.0))
+        )
 
     def test_lambda_matches_scalar_loop(self, rng):
         m = random_model(rng, 8)
@@ -120,15 +121,9 @@ class TestNormalization:
             for k in range(8):
                 if i != k:
                     total += m.j[i, k] ** 2
-        expected = math.sqrt(total / (8 * 7))
-        assert compute_lambda(m) == pytest.approx(expected, rel=1e-12)
-
-    def test_lambda_needs_two_spins(self):
-        with pytest.raises(ValueError):
-            compute_lambda(model_of([[0.0]], [1.0]))
-
-    def test_lambda_zero_for_zero_couplings(self):
-        assert compute_lambda(model_of(np.zeros((3, 3)), np.ones(3))) == 0.0
+        lam = math.sqrt(total / (8 * 7))
+        expected = 1.0 / (2.0 * math.sqrt(8) * lam)
+        assert compute_c0(m) == pytest.approx(expected, rel=1e-12)
 
     def test_c0_two_spin_uniform(self):
         m = model_of([[0, 1], [1, 0]], [0, 0])
@@ -139,15 +134,19 @@ class TestNormalization:
         np.fill_diagonal(j, 0.0)
         assert compute_c0(model_of(j, np.zeros(4))) == pytest.approx(0.25)
 
-    def test_c0_matches_lambda_oracle(self, rng):
-        m = random_model(rng, 8)
-        assert compute_c0(m) == pytest.approx(
-            1.0 / (2.0 * math.sqrt(8) * compute_lambda(m)), rel=1e-12
-        )
-
-    def test_c0_rejects_zero_couplings(self):
-        with pytest.raises(DegenerateModelError):
-            compute_c0(model_of(np.zeros((3, 3)), np.ones(3)))
+    @given(
+        st.integers(min_value=2, max_value=40),
+        st.floats(min_value=-5.0, max_value=5.0),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_c0_matches_lambda_oracle(self, n, log_scale, seed):
+        # Bit for bit the unscaled formula, wherever sum(J**2) is a
+        # normal float.
+        m = random_model(np.random.default_rng(seed), n)
+        j = m.j * 10.0**log_scale
+        lam = math.sqrt(float(np.sum(j**2)) / (n * (n - 1)))
+        assert compute_c0(model_of(j, m.h)) == 1 / (2 * math.sqrt(n) * lam)
 
 
 class TestSchedule:
@@ -216,12 +215,11 @@ class TestStep:
             )
         assert finite.tolist() == [False, True]
         # A lone restart that overflows fails the whole solve.
-        with np.errstate(over="ignore"):
-            lone = overflowing_model()
-            assert compute_c0(lone) == 0.0
-            assert reference_runs(lone, SBParams(n_steps=5)) == [None]
-            with pytest.raises(SolverDivergenceError):
-                solve(lone, SBParams(n_steps=5))
+        lone = overflowing_model()
+        assert 0.0 < compute_c0(lone) < math.inf
+        assert reference_runs(lone, SBParams(n_steps=5)) == [None]
+        with pytest.raises(SolverDivergenceError):
+            solve(lone, SBParams(n_steps=5))
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=50, deadline=None)
@@ -266,16 +264,17 @@ class TestSolve:
         params = SBParams(n_steps=80, dt=0.4, n_restarts=3, seed=99)
         a, b = solve(m, params), solve(m, params)
         assert np.array_equal(a.spins, b.spins)
-        assert a.energy == b.energy and a.restart == b.restart
+        assert a.energy == b.energy
 
     def test_best_restart_selected(self, rng):
         # Re-run each restart trajectory alone and compare the pick.
         m = random_model(rng, 7)
         params = SBParams(n_steps=60, dt=0.5, n_restarts=5, seed=17)
         res = solve(m, params)
-        energies = [energy(m, spins) for spins in reference_runs(m, params)]
+        runs = reference_runs(m, params)
+        energies = [energy(m, spins) for spins in runs]
         assert res.energy == min(energies)
-        assert res.restart == int(np.argmin(energies))
+        assert np.array_equal(res.spins, runs[int(np.argmin(energies))])
 
     @given(
         st.integers(min_value=2, max_value=24),
@@ -292,24 +291,22 @@ class TestSolve:
         rows, ref_rows = [], []
         res = solve(m, params, trace_hook=lambda *row: rows.append(row))
         runs = reference_runs(m, params, ref_rows)
-        spins, e, restart = reference_best(m, runs)
+        spins, e = reference_best(m, runs)
         assert np.array_equal(res.spins, spins)
-        assert (res.energy, res.restart) == (e, restart)
+        assert res.energy == e
         assert res.diverged_restarts == sum(r is None for r in runs)
         assert_same_rows(rows, ref_rows)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_one_restart_diverging_is_dropped(self):
         m, params = staggered_divergence_model()
         runs = reference_runs(m, params)
         assert [r is None for r in runs] == [True, True, False, True]
         res = solve(m, params)
         assert res.diverged_restarts == 3
-        spins, e, restart = reference_best(m, runs)
+        spins, e = reference_best(m, runs)
         assert np.array_equal(res.spins, spins)
-        assert (res.energy, res.restart) == (e, restart)
+        assert res.energy == e
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_trace_restart_major_and_stops_at_divergence(self):
         m, params = staggered_divergence_model()
         rows, ref_rows = [], []
@@ -317,8 +314,8 @@ class TestSolve:
         reference_runs(m, params, ref_rows)
         restarts = [row[0] for row in rows]
         assert restarts == sorted(restarts)
-        # restart 0 diverges at step 9, restarts 1 and 3 at step 1
-        assert [restarts.count(r) for r in range(4)] == [9, 1, 12, 1]
+        # restart 0 diverges at step 0, restart 1 at step 1, restart 3 at 6
+        assert [restarts.count(r) for r in range(4)] == [0, 1, 12, 6]
         assert_same_rows(rows, ref_rows)
 
     def test_tie_keeps_earlier_restart(self):
@@ -330,7 +327,6 @@ class TestSolve:
         assert {energy(m, s) for s in runs} == {-2.0}
         assert len({tuple(s) for s in runs}) == 2
         res = solve(m, params)
-        assert res.restart == 0
         assert np.array_equal(res.spins, runs[0])
 
     def test_finds_ground_state_usually(self, rng):
@@ -363,6 +359,26 @@ class TestSolve:
         params = SBParams(n_steps=50, dt=0.5, seed=5)
         assert np.array_equal(solve(m1, params).spins, solve(m4, params).spins)
 
+    @pytest.mark.parametrize("k", [520, -560])
+    @given(seed=st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=25, deadline=None)
+    def test_power_of_two_rescaling_is_exact(self, k, seed):
+        # Scaling J, h and offset by 2^k scales c0 by 2^-k, leaves every
+        # force and so every trajectory bit for bit, and scales the energy
+        # by 2^k.  At 2^520 sum(J**2) overflows and at 2^-560 it
+        # underflows, so c0 cannot come from the unscaled formula.
+        rng = np.random.default_rng(seed)
+        m = random_model(rng, int(rng.integers(2, 13)))
+        scaled = IsingModel(
+            n=m.n, j=np.ldexp(m.j, k), h=np.ldexp(m.h, k),
+            offset=math.ldexp(m.offset, k),
+        )
+        assert compute_c0(scaled) == math.ldexp(compute_c0(m), -k)
+        params = SBParams(n_steps=40, n_restarts=3, seed=seed)
+        res, ref = solve(scaled, params), solve(m, params)
+        assert np.array_equal(res.spins, ref.spins)
+        assert res.energy == math.ldexp(ref.energy, k)
+
     def test_negation_symmetry(self, rng):
         # h = 0 dynamics are odd: a row holding the negated state follows
         # the negated path.
@@ -380,13 +396,12 @@ class TestSolve:
         assert np.array_equal(sign_pm1(x[1]), -sign_pm1(x[0]))
 
     def test_all_restarts_diverging_raises(self):
-        # The force is nan in every restart.
+        # J @ s overflows in every restart.
         params = SBParams(n_steps=50, dt=1.0, n_restarts=2)
-        with np.errstate(over="ignore"):
-            m = overflowing_model()
-            assert reference_runs(m, params) == [None, None]
-            with pytest.raises(SolverDivergenceError):
-                solve(m, params)
+        m = overflowing_model()
+        assert reference_runs(m, params) == [None, None]
+        with pytest.raises(SolverDivergenceError):
+            solve(m, params)
 
     def test_trace_hook_sees_every_step(self, rng):
         m = random_model(rng, 4)
