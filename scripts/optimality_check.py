@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """How often dSB finds the exact ML optimum, by problem size.
 
-Enumerates the true optimum with the exhaustive oracle (feasible up to
-24 spins) and reports the fraction of instances where the solver's
-energy matches it, plus the mean relative excess when it misses.
+Finds the true optimum with the exact oracle (up to 24 spins) and
+reports the fraction of instances where the solver's energy matches
+it, plus the mean relative excess when it misses.
 """
 
 import argparse

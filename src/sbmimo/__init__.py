@@ -3,7 +3,7 @@
 The package turns maximum-likelihood MIMO detection into an Ising
 ground-state search, solves it with a digital simulated bifurcation
 solver, and benchmarks the result (BER vs. SNR) against a linear MMSE
-baseline and an exhaustive ML oracle.
+baseline and an exact ML oracle.
 """
 
 from sbmimo.ising import IsingModel, energy

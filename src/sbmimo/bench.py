@@ -109,7 +109,7 @@ class SweepConfig:
             if spins > ORACLE_SPIN_LIMIT:
                 problems.append(
                     f"ml-oracle with {self.nt}x{c.name} needs {spins} spins, "
-                    f"above the {ORACLE_SPIN_LIMIT}-spin enumeration guard"
+                    f"above the oracle's {ORACLE_SPIN_LIMIT}-spin limit"
                 )
         return problems
 

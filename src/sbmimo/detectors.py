@@ -1,4 +1,4 @@
-"""Detectors: linear MMSE, exhaustive ML oracle, and the bifurcation
+"""Detectors: linear MMSE, exact ML oracle, and the bifurcation
 solver composed with the reduction (plain and MMSE-anchored regularized).
 
 Every detector takes a ``Problem``: the instance reduced once by
@@ -21,7 +21,7 @@ from sbmimo.channel import (
     quantize_symbols,
     realify,
 )
-from sbmimo.ising import IsingModel, energy, spin_table
+from sbmimo.ising import IsingModel, energy
 from sbmimo.reduction import (
     instance_model,
     regularize,
@@ -32,7 +32,10 @@ from sbmimo.reduction import (
 from sbmimo.sb import SBParams, solve
 
 ORACLE_SPIN_LIMIT = 24
-_ENUM_CHUNK = 1 << 16
+# Rows one frontier expansion may build in ml_oracle.
+_BLOCK_ROWS = 1 << 16
+# Pruning slack, relative to the largest distance an instance can reach.
+_MARGIN = 1e-9
 
 
 class DetectionFailureError(RuntimeError):
@@ -96,37 +99,110 @@ def mmse_detect(p: Problem) -> DetectionResult:
     return _result("mmse", spins, energy(p.model, spins), p)
 
 
-def _spin_chunks(n: int):
-    # The lexicographic spin table in fixed-size blocks.
-    for start in range(0, 1 << n, _ENUM_CHUNK):
-        yield spin_table(n, start, start + _ENUM_CHUNK)
+def _babai_point(sys, c, noise_var):
+    """The MMSE-SIC lattice point: on the QR of [h_r; lam I] with
+    lam^2 = noise_var / Es, the nearest level per real coordinate, last
+    coordinate first, each given the ones already decided."""
+    m, k = sys.h_r.shape
+    lam = (max(0.0, noise_var) / c.symbol_energy) ** 0.5
+    q, r = np.linalg.qr(np.vstack([sys.h_r, lam * np.eye(k)]))
+    z = (q[:m].T @ sys.y_r).tolist()
+    r = r.tolist()
+    x = [0] * k
+    for i in range(k - 1, -1, -1):
+        rest = z[i] - sum(r[i][j] * x[j] for j in range(i + 1, k))
+        centre = rest / r[i][i] if r[i][i] else 0.0
+        x[i] = min(c.levels, key=lambda v: abs(v - centre))
+    return np.array(x, dtype=np.float64)
+
+
+def _leaf_blocks(r, z, lv, bound):
+    """Level-index rows x whose distance ||z - r lv[x]||^2 is within
+    bound, in blocks.
+
+    Breadth-first down the triangle from the last coordinate: each step
+    extends every surviving prefix by every level and keeps the
+    extensions whose partial distance is still within bound.  A frontier
+    wider than one block expands a block's worth of prefixes and keeps
+    the rest for later, so one step builds at most _BLOCK_ROWS rows and
+    at most one block per level waits.
+    """
+    k = len(z)
+    cut = max(1, _BLOCK_ROWS // len(lv))
+    stack = [(k, np.zeros((1, k), dtype=np.int8), np.zeros(1))]
+    while stack:
+        i, idx, d = stack.pop()
+        if i == 0:
+            yield idx
+            continue
+        if len(d) > cut:
+            stack.append((i, idx[cut:], d[cut:]))
+            idx, d = idx[:cut], d[:cut]
+        i -= 1
+        t = z[i] - lv[idx[:, i + 1:]] @ r[i, i + 1:]
+        e = t[:, None] - r[i, i] * lv
+        d = d[:, None] + e * e
+        rows, cols = np.nonzero(d <= bound)
+        if rows.size:
+            idx = idx[rows]
+            idx[:, i] = cols
+            stack.append((i, idx, d[rows, cols]))
 
 
 def ml_oracle(p: Problem) -> DetectionResult:
-    """Global minimizer of the squared residual by full enumeration.
+    """Global minimizer of the squared residual by exact pruned search.
 
-    Scans every spin assignment in lexicographic order and keeps the
-    first strict minimum, so ties resolve to the lexicographically
-    smallest vector.  Refuses above ORACLE_SPIN_LIMIT spins.
+    The search runs over the real coordinates of realify's system, with
+    h_r = Q R: a prefix (last coordinate first) is dropped once its
+    partial distance exceeds that of the MMSE-SIC lattice point by more
+    than rounding can move it, so the optimum is never dropped.  With
+    nr < nt, R has fewer rows than coordinates and the top levels simply
+    go unpruned.  Each surviving leaf is scored by the squared residual
+    over spin_matrix, and ties go to the lexicographically smallest spin
+    vector (-1 before +1): the answer of a scan over all 2^n spin vectors
+    in that order.  extras["candidates"] counts the leaves scored.
+    Refuses above ORACLE_SPIN_LIMIT spins.
     """
     n = p.model.n
     if n > ORACLE_SPIN_LIMIT:
         raise ValueError(
             f"{n} spins exceed the oracle limit of {ORACLE_SPIN_LIMIT}"
         )
-    sys = realify(p.inst.h, p.inst.y, p.c)
-    a = spin_matrix(sys.h_r, p.c)
-    best_res = np.inf
-    best_spins = None
-    for spins in _spin_chunks(n):
-        resid = sys.y_r[None, :] - spins @ a.T
+    c, nt = p.c, p.inst.nt
+    sys = realify(p.inst.h, p.inst.y, c)
+    k = sys.h_r.shape[1]
+    lv = np.array(c.levels, dtype=np.float64)
+    q, r = np.linalg.qr(sys.h_r)
+    z = q.T @ sys.y_r
+    # With fewer rows than coordinates, the missing rows of R are zero.
+    r = np.vstack([r, np.zeros((k - len(r), k))])
+    z = np.concatenate([z, np.zeros(k - len(z))])
+    xb = _babai_point(sys, c, p.inst.noise_var)
+    radius = float(np.sum((z - r @ xb) ** 2))
+    # No distance exceeds 2 * scale, and rounding in the QR and the sums
+    # moves one by a small multiple of (rows * k * eps) * scale.
+    scale = sys.y_r @ sys.y_r + np.sum(sys.h_r**2) * k * lv.max() ** 2
+    bound = radius + _MARGIN * float(scale)
+
+    a = spin_matrix(sys.h_r, c)
+    shifts = np.arange(c.bits_per_axis - 1, -1, -1)[:, None]
+    weights = 1 << np.arange(n - 1, -1, -1)
+    best = (np.inf, 0)  # (residual, spin bits as an integer, MSB first)
+    candidates = 0
+    for idx in _leaf_blocks(r, z, lv, bound):
+        # Level index j's binary digits are that coordinate's spin bits
+        # (+1 -> 1), MSB first; spins are laid out (axis, weight, entry).
+        bits = (idx.reshape(len(idx), -1, 1, nt) >> shifts) & 1
+        bits = bits.reshape(len(idx), n)
+        resid = sys.y_r[None, :] - (2.0 * bits - 1.0) @ a.T
         values = np.einsum("ij,ij->i", resid, resid)
-        k = int(np.argmin(values))
-        if values[k] < best_res:
-            best_res = float(values[k])
-            best_spins = spins[k].astype(np.int8)
-    e = energy(p.model, best_spins)
-    return _result("ml-oracle", best_spins, e, p, candidates=1 << n)
+        v = values.min()
+        best = min(best, (float(v), int((bits[values == v] @ weights).min())))
+        candidates += len(idx)
+    bits = (best[1] >> np.arange(n - 1, -1, -1)) & 1
+    spins = (2 * bits - 1).astype(np.int8)
+    e = energy(p.model, spins)
+    return _result("ml-oracle", spins, e, p, candidates=candidates)
 
 
 def sb_detect(

@@ -46,19 +46,3 @@ def energy(model: IsingModel, s: np.ndarray) -> float:
             f"spin vector has shape {s.shape}, expected ({model.n},)"
         )
     return float(s @ model.j @ s + model.h @ s + model.offset)
-
-
-def spin_table(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Rows ``start:stop`` of the 2^n spin vectors, lexicographic, -1 first.
-
-    Row k encodes the binary digits of k (MSB first) mapped 0 -> -1,
-    1 -> +1.  The rows are float64 so they feed matrix products directly.
-    """
-    if n < 1:
-        raise ValueError(f"spin count must be >= 1, got {n}")
-    total = 1 << n
-    stop = total if stop is None else min(stop, total)
-    ks = np.arange(start, stop, dtype=np.int64)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    bits = (ks[:, None] >> shifts[None, :]) & 1
-    return 2.0 * bits - 1.0

@@ -23,7 +23,7 @@ def energy_loop(model: IsingModel, s) -> float:
 
 
 def all_spin_vectors(n: int):
-    # Lexicographic with -1 before +1, independent of detectors._spin_chunks.
+    # Lexicographic with -1 before +1, independent of detectors.ml_oracle.
     for combo in itertools.product((-1, 1), repeat=n):
         yield np.array(combo, dtype=np.int8)
 

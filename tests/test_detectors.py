@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbmimo.channel import (
+    BPSK,
     QAM16,
     QPSK,
     ChannelInstance,
@@ -12,7 +15,6 @@ from sbmimo.channel import (
 )
 from sbmimo.detectors import (
     ORACLE_SPIN_LIMIT,
-    _spin_chunks,
     ml_oracle,
     mmse_detect,
     prepare,
@@ -41,6 +43,35 @@ def make_instance(nt, nr, c, noise_var, seed):
         nt=nt, nr=nr, h=h, tx_bits=tx_bits, tx_symbols=tx_symbols,
         noise_var=noise_var, y=y,
     )
+
+
+def exhaustive_ml(model):
+    """First minimum of energy over all spin vectors in lexicographic order."""
+    table = np.array(list(all_spin_vectors(model.n)))
+    energies = [energy(model, s) for s in table]
+    k = int(np.argmin(energies))
+    return table[k], energies[k]
+
+
+def zero_channel(nt, nr, c):
+    """y = 0 through H = 0: every spin vector has residual zero."""
+    bits = np.zeros(nt * c.bps, dtype=np.int8)
+    return ChannelInstance(
+        nt=nt, nr=nr, h=np.zeros((nr, nt), dtype=complex),
+        tx_bits=bits, tx_symbols=modulate(bits, c),
+        noise_var=1.0, y=np.zeros(nr, dtype=complex),
+    )
+
+
+@st.composite
+def oracle_instances(draw):
+    # Up to 12 spins, nr from 1 to nt + 2 (rank-deficient and tall).
+    c = draw(st.sampled_from([BPSK, QPSK, QAM16]))
+    nt = draw(st.integers(1, 12 // c.bps))
+    nr = draw(st.integers(1, nt + 2))
+    snr = draw(st.floats(-10.0, 40.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return sample_instance(nt, nr, c, snr, np.random.default_rng(seed)), c
 
 
 class TestMmse:
@@ -108,12 +139,48 @@ class TestOracle:
         res = ml_oracle(prepare(inst, QPSK))
         assert np.array_equal(res.spins, -np.ones(4))
 
-    def test_enumeration_is_lexicographic_across_chunks(self, monkeypatch):
-        # The tie-break rests on this order; a 3-row chunk puts several
-        # chunk boundaries inside the 2^4-row table.
-        monkeypatch.setattr("sbmimo.detectors._ENUM_CHUNK", 3)
-        table = np.concatenate(list(_spin_chunks(4)))
-        assert np.array_equal(table, np.array(list(all_spin_vectors(4))))
+    @pytest.mark.parametrize("c", [QAM16, BPSK], ids=["qam16", "bpsk"])
+    def test_zero_channel_tie_is_all_minus_one(self, c):
+        res = ml_oracle(prepare(zero_channel(2, 2, c), c))
+        assert np.array_equal(res.spins, -np.ones(2 * c.bps))
+        assert res.ising_energy == 0.0
+
+    @given(oracle_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_exhaustive_reference(self, case):
+        inst, c = case
+        res = ml_oracle(prepare(inst, c))
+        spins, e = exhaustive_ml(instance_model(inst, c))
+        assert np.array_equal(res.spins, spins)
+        assert res.ising_energy == e
+
+    def test_split_frontier_matches_reference(self, monkeypatch):
+        # A 3-row block splits every frontier wider than one prefix.  The
+        # zero channel prunes nothing, so all 2^8 leaves come in blocks;
+        # with nr < nt the unpruned top levels split the random cases.
+        monkeypatch.setattr("sbmimo.detectors._BLOCK_ROWS", 3)
+        res = ml_oracle(prepare(zero_channel(2, 2, QAM16), QAM16))
+        assert res.extras["candidates"] == 256
+        assert np.array_equal(res.spins, -np.ones(8))
+        rng = np.random.default_rng(8)
+        for c, nt, nr, snr in [(QAM16, 3, 2, 0.0), (QPSK, 5, 3, -10.0)]:
+            inst = sample_instance(nt, nr, c, snr, rng)
+            res = ml_oracle(prepare(inst, c))
+            spins, e = exhaustive_ml(instance_model(inst, c))
+            assert np.array_equal(res.spins, spins)
+            assert res.ising_energy == e
+
+    def test_fewer_receivers_qam16_is_exact(self):
+        # nr < nt: R has fewer rows than coordinates, so the top levels of
+        # the search go unpruned; the answer must still be the optimum.
+        rng = np.random.default_rng(63)
+        for snr in (-10.0, 10.0, 40.0):
+            inst = sample_instance(3, 1, QAM16, snr, rng)
+            res = ml_oracle(prepare(inst, QAM16))
+            spins, e = exhaustive_ml(instance_model(inst, QAM16))
+            assert isinstance(res.extras["candidates"], int)
+            assert np.array_equal(res.spins, spins)
+            assert res.ising_energy == e
 
     def test_guard_refuses_large_search(self, rng):
         inst = sample_instance(7, 2, QAM16, 10.0, rng)  # 28 spins

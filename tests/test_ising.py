@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbmimo.ising import IsingModel, energy, spin_table
+from sbmimo.ising import IsingModel, energy
 
 from conftest import all_spin_vectors, energy_loop, random_model
 
@@ -81,17 +81,3 @@ class TestEnergyProperties:
         assert energy(m, flipped) - energy(m, s) == pytest.approx(
             delta, rel=1e-10, abs=1e-10
         )
-
-
-class TestSpinTable:
-    def test_enumerates_lexicographically(self):
-        table = spin_table(3)
-        expected = np.array(list(all_spin_vectors(3)))
-        assert table.shape == (8, 3)
-        assert np.array_equal(table, expected)
-
-    def test_endpoints(self):
-        table = spin_table(4)
-        assert np.all(table[0] == -1)
-        assert np.all(table[-1] == 1)
-        assert set(np.unique(table)) == {-1, 1}
