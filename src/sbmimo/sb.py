@@ -10,13 +10,14 @@ energy.  One step is a symplectic-Euler update at unit pump amplitude
 followed by the wall rule: any |x_i| > 1 is clamped to sign(x_i) and its
 momentum zeroed.  The pump ``a`` ramps linearly from 0 to 1 over the
 evolution.  The coupling strength is always derived from the model:
-c0 = 1 / (2 sqrt(N) lambda) with lambda the rms off-diagonal coupling.
-It is computed on J scaled by a power of two, so it is exact under
-power-of-two rescaling of the model, and sum(J**2) can neither overflow
-nor underflow.
+c0 = 1 / (2 sqrt(N) lambda) with lambda the rms off-diagonal coupling,
+computed on J scaled by a power of two: it is exact under power-of-two
+rescaling of the model, and sum(J**2) can neither overflow nor underflow.
 
-All restarts evolve together as the rows of one (R, N) state: a step is
-one product sign(X) @ J.T whatever R is.
+All restarts evolve together as the rows of one (R, N) state, updated in
+place by a stacked product sign(x) @ J.T, one matrix-vector product per
+row, and in-place ufuncs.  One sum over x screens for divergence; only a
+non-finite sum runs the per-row check that drops diverged restarts.
 
 sign(0) is +1 everywhere (force term and readout), a fixed tie-break.
 """
@@ -72,11 +73,6 @@ class SolveResult:
     diverged_restarts: int = 0
 
 
-def sign_pm1(x: np.ndarray) -> np.ndarray:
-    """Sign with sign(0) = +1, as float64."""
-    return np.where(np.asarray(x) >= 0.0, 1.0, -1.0)
-
-
 def compute_c0(model: IsingModel) -> float:
     """Coupling strength 1 / (2 sqrt(N) lambda), with lambda the rms
     off-diagonal coupling sqrt(sum_{i!=k} J_ik^2 / (N (N-1))).
@@ -123,25 +119,38 @@ def initial_states(
     return x, y
 
 
-def batch_step(x, y, a, jt, half_h, c0, dt):
-    """One symplectic-Euler update of every (R, N) row, then the wall rule.
+def step(x, y, s, a, jt, half_h, c0, dt):
+    """One symplectic-Euler update of the (R, N) rows of x and y, then the
+    wall rule, all in place; ``s`` holds sign(x) before and after.
 
-    ``jt`` is J transposed and ``half_h`` is h / 2.  Returns the new x, y
-    and a per-row mask of rows that stayed finite; rows outside the mask
-    hold garbage.  The mask is taken before the wall rule: clamping
-    |x| > 1 to +-1 would otherwise hide an overflow.
+    ``jt`` is J transposed and ``half_h`` is h / 2.  Returns None when every
+    row stayed finite, else the mask of rows that did; rows outside it hold
+    garbage.  The mask is taken before the wall rule: clamping |x| > 1 to
+    +-1 would otherwise hide an overflow.
     """
     # A stacked product runs one matrix-vector multiply per row, so each
-    # row matches J @ sign(x) bit for bit; a plain (R, N) @ (N, N) gemm
-    # sums in another order.
-    coupling = (sign_pm1(x)[:, None, :] @ jt)[:, 0, :]
-    y = y + dt * (-(1.0 - a) * x - c0 * (coupling + half_h))
-    x = x + dt * y
-    # From a finite x, a non-finite y always makes x non-finite too.
-    finite = np.isfinite(x).all(axis=1)
+    # row matches J @ s bit for bit; a plain (R, N) @ (N, N) gemm sums in
+    # another order.
+    force = np.matmul(s[:, None, :], jt)[:, 0, :]
+    np.add(force, half_h, out=force)
+    np.multiply(force, c0, out=force)
+    np.subtract(np.multiply(x, -(1.0 - a), out=s), force, out=force)
+    y += np.multiply(force, dt, out=force)
+    x += np.multiply(y, dt, out=force)
+    # A sum over x is finite only if every entry is, so only a non-finite
+    # sum pays for the per-row mask.  From a finite x, a non-finite y
+    # always makes x non-finite too.
+    finite = None
+    if not math.isfinite(np.add.reduce(x, axis=None)):
+        finite = np.isfinite(x).all(axis=1)
+    # x is never -0.0 (initial_states draws none; x + dt * y is -0.0 only
+    # when both terms are), so copysign gives sign(x) with sign(0) = +1.
     # Wall rule: |x| > 1 goes to sign(x), and the clamped entries' y to 0.
-    walled = np.minimum(np.maximum(x, -1.0), 1.0)
-    return walled, np.where(walled != x, 0.0, y), finite
+    np.copysign(1.0, x, out=s)
+    over = np.greater(np.abs(x, out=force), 1.0)
+    np.copyto(x, s, where=over)
+    np.copyto(y, 0.0, where=over)
+    return finite
 
 
 def solve(model: IsingModel, params: SBParams, trace_hook=None) -> SolveResult:
@@ -163,21 +172,27 @@ def solve(model: IsingModel, params: SBParams, trace_hook=None) -> SolveResult:
     if model.n < 2 or not model.j.any():
         spins = _field_only_spins(model)
         return SolveResult(spins=spins, energy=energy(model, spins))
-    c0 = compute_c0(model)
-    jt, half_h = model.j.T, 0.5 * model.h
+    # c0 ~ 1 / max |J| leaves the float range only below max |J| ~ 2^-1000.
+    # Such J, and h, are scaled up to that by a power of two, which changes
+    # no force among normal floats; every other model runs as given.
+    shift = min(math.frexp(float(np.max(np.abs(model.j))))[1] + 1000, 0)
+    j, half_h = np.ldexp(model.j, -shift), np.ldexp(0.5 * model.h, -shift)
+    c0, jt = compute_c0(IsingModel(model.n, j, model.h)), j.T
     x, y = initial_states(model.n, params.seed, params.n_restarts)
+    s = np.copysign(1.0, x)
     live = np.arange(params.n_restarts)  # restart index of each row
     traced = [[] for _ in live] if trace_hook is not None else None
     # Overflow is handled explicitly by the per-row finiteness mask.
     with np.errstate(over="ignore", invalid="ignore"):
         for k, a in enumerate(pump_schedule(params.n_steps).tolist()):
-            x, y, finite = batch_step(x, y, a, jt, half_h, c0, params.dt)
-            if not finite.all():
-                x, y, live = x[finite], y[finite], live[finite]
+            finite = step(x, y, s, a, jt, half_h, c0, params.dt)
+            if finite is not None and not finite.all():
+                x, y, s, live = x[finite], y[finite], s[finite], live[finite]
             if traced is not None:
-                for xr, yr, r in zip(x, y, live.tolist()):
-                    e = energy(model, sign_pm1(xr).astype(np.int8))
-                    traced[r].append((r, k, a, xr, yr, e))
+                # x and y are updated in place, so trace rows are copies.
+                xs, ys, spins = x.copy(), y.copy(), s.astype(np.int8)
+                for xr, yr, sr, r in zip(xs, ys, spins, live.tolist()):
+                    traced[r].append((r, k, a, xr, yr, energy(model, sr)))
             if live.size == 0:
                 break
     for rows in traced or ():
@@ -187,7 +202,7 @@ def solve(model: IsingModel, params: SBParams, trace_hook=None) -> SolveResult:
         raise SolverDivergenceError(
             f"all {params.n_restarts} restarts diverged (dt = {params.dt})"
         )
-    readouts = sign_pm1(x).astype(np.int8)
+    readouts = s.astype(np.int8)
     energies = [energy(model, spins) for spins in readouts]
     best = int(np.argmin(energies))
     return SolveResult(

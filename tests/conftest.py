@@ -22,6 +22,11 @@ def energy_loop(model: IsingModel, s) -> float:
     return total
 
 
+def sign_pm1(x) -> np.ndarray:
+    # Sign with sign(0) = +1, as float64: the solver's readout rule.
+    return np.where(np.asarray(x) >= 0.0, 1.0, -1.0)
+
+
 def all_spin_vectors(n: int):
     # Lexicographic with -1 before +1, independent of detectors.ml_oracle.
     for combo in itertools.product((-1, 1), repeat=n):
