@@ -11,8 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter, defaultdict
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -165,7 +164,7 @@ def _instance(cfg: SweepConfig, c, snr_idx: int, i: int):
             anchor = mmse_detect(p)
         except DetectionFailureError:
             pass
-    return p, replace(cfg.sb, seed=solver_seed), anchor
+    return p, cfg.sb.reseed(solver_seed), anchor
 
 
 def _eval_chunk(cfg: SweepConfig, snr_idx: int, start: int, stop: int):
@@ -234,6 +233,10 @@ def run_sweep(cfg: SweepConfig) -> list[BerRecord]:
     if cfg.workers == 1:
         tallies = [_eval_chunk(cfg, *job) for job in jobs]
     else:
+        # Imported here: it pulls in multiprocessing, which a one-worker
+        # sweep and a plain `import sbmimo` never need.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [pool.submit(_eval_chunk, cfg, *job) for job in jobs]
             tallies = [f.result() for f in futures]

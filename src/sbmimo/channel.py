@@ -27,8 +27,9 @@ import numpy as np
 class Constellation:
     """Symbol alphabet described per real axis.
 
-    levels are the amplitude values one axis can take; complex_axes is
-    False for BPSK (real-only symbols).  bps is bits per symbol.
+    levels are the amplitude values one axis can take, ascending;
+    complex_axes is False for BPSK (real-only symbols).  bps is bits per
+    symbol.
     """
 
     name: str
@@ -102,27 +103,6 @@ def spins_to_bit_values(s: np.ndarray) -> np.ndarray:
     return ((1 - s) // 2).astype(np.int8)
 
 
-def axis_values_to_spins(values: np.ndarray, bits_per_axis: int) -> np.ndarray:
-    """Invert the binary amplitude expansion, one spin column per weight.
-
-    values must lie on the odd-integer lattice the expansion generates
-    ({-1, 1} for one bit, {-3, -1, 1, 3} for two); raises otherwise.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    spins = np.empty((values.size, bits_per_axis), dtype=np.int8)
-    remaining = values.copy()
-    for col, w in enumerate(_axis_weights(bits_per_axis)):
-        s = np.where(remaining > 0, 1, -1)
-        spins[:, col] = s
-        remaining = remaining - w * s
-    if np.any(remaining != 0.0):
-        bad = values[remaining != 0.0][0]
-        raise ValueError(
-            f"{bad} is not a {bits_per_axis}-bit amplitude level"
-        )
-    return spins
-
-
 def modulate(bits: np.ndarray, c: Constellation) -> np.ndarray:
     """Map a bit vector to symbols, bps bits per symbol.
 
@@ -141,26 +121,6 @@ def modulate(bits: np.ndarray, c: Constellation) -> np.ndarray:
         return re.astype(np.complex128)
     im = spins[:, c.bits_per_axis :] @ w
     return re + 1j * im
-
-
-def quantize_axis(values: np.ndarray, c: Constellation) -> np.ndarray:
-    """Nearest amplitude level per entry.
-
-    Distance ties prefer the smaller amplitude, then the positive level
-    (so exactly 0 quantizes to +1, matching sign(0) = +1 elsewhere).
-    """
-    order = np.array(sorted(c.levels, key=lambda v: (abs(v), -v)), dtype=np.float64)
-    d = np.abs(np.asarray(values, dtype=np.float64)[:, None] - order[None, :])
-    return order[np.argmin(d, axis=1)]
-
-
-def quantize_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:
-    """Per-axis hard quantization onto the constellation lattice."""
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    re = quantize_axis(symbols.real, c)
-    if not c.complex_axes:
-        return re.astype(np.complex128)
-    return re + 1j * quantize_axis(symbols.imag, c)
 
 
 def sample_channel(nt: int, nr: int, rng: np.random.Generator) -> np.ndarray:
@@ -208,7 +168,12 @@ def realify(H: np.ndarray, y: np.ndarray, c: Constellation) -> RealizedSystem:
     y_r = np.concatenate([y.real, y.imag])
     if not c.complex_axes:
         return RealizedSystem(h_r=np.vstack([H.real, H.imag]), y_r=y_r)
-    h_r = np.block([[H.real, -H.imag], [H.imag, H.real]])
+    # Filled block by block: np.block costs several times as much.
+    nr, nt = H.shape
+    h_r = np.empty((2 * nr, 2 * nt))
+    h_r[:nr, :nt] = h_r[nr:, nt:] = H.real
+    h_r[nr:, :nt] = H.imag
+    np.negative(H.imag, out=h_r[:nr, nt:])
     return RealizedSystem(h_r=h_r, y_r=y_r)
 
 

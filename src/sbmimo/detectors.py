@@ -18,7 +18,6 @@ import numpy as np
 from sbmimo.channel import (
     ChannelInstance,
     Constellation,
-    quantize_symbols,
     realify,
 )
 from sbmimo.ising import IsingModel, energy
@@ -95,7 +94,7 @@ def mmse_detect(p: Problem) -> DetectionResult:
         soft = np.linalg.solve(gram, hh @ inst.y)
     except np.linalg.LinAlgError as err:
         raise DetectionFailureError(f"regularized Gram solve failed: {err}")
-    spins = symbols_to_spins(quantize_symbols(soft, c), c)
+    spins = symbols_to_spins(soft, c)
     return _result("mmse", spins, energy(p.model, spins), p)
 
 

@@ -19,6 +19,7 @@ scaling H_r's column blocks (see spin_matrix).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 
@@ -29,7 +30,6 @@ from sbmimo.channel import (
     Constellation,
     RealizedSystem,
     _axis_weights,
-    axis_values_to_spins,
     realify,
     realify_symbols,
     spins_to_bit_values,
@@ -87,12 +87,31 @@ def spins_to_bits(s: np.ndarray, c: Constellation) -> np.ndarray:
     return spins_to_bit_values(blocks.T).ravel()
 
 
+@functools.cache
+def _decisions(c: Constellation) -> tuple[np.ndarray, np.ndarray]:
+    # c's levels in tie order (smaller amplitude first, then the positive
+    # one), and each level's spins, MSB first: levels ascend, so level i's
+    # spins are the binary digits of i with +1 for a one.
+    order = sorted(c.levels, key=lambda v: (abs(v), -v))
+    index = np.array([c.levels.index(v) for v in order])[:, None]
+    bits = (index >> np.arange(c.bits_per_axis - 1, -1, -1)) & 1
+    return np.array(order, dtype=np.float64), (2 * bits - 1).astype(np.int8)
+
+
 def symbols_to_spins(x: np.ndarray, c: Constellation) -> np.ndarray:
-    """Invert x_r = T s per axis; symbols must be exact lattice points."""
+    """Spins of the lattice point nearest to x on each real axis.
+
+    On a lattice point this inverts x_r = T s; elsewhere it is the hard
+    decision.  Distance ties prefer the smaller amplitude, then the
+    positive level, so 0 goes to +1 as sign(0) does elsewhere; a
+    non-finite coordinate goes to +1 too.
+    """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1 or x.size == 0:
         raise ValueError(f"symbol vector has shape {x.shape}, expected (nt,)")
-    spins = axis_values_to_spins(realify_symbols(x, c), c.bits_per_axis)
+    order, level_spins = _decisions(c)
+    d = np.abs(realify_symbols(x, c)[:, None] - order)
+    spins = level_spins[np.argmin(d, axis=1)]
     # (axis * nt + k, weight) -> block (axis, weight), entry k.
     spins = spins.reshape(_axes(c), x.size, c.bits_per_axis)
     return spins.transpose(0, 2, 1).ravel()

@@ -14,10 +14,11 @@ c0 = 1 / (2 sqrt(N) lambda) with lambda the rms off-diagonal coupling,
 computed on J scaled by a power of two: it is exact under power-of-two
 rescaling of the model, and sum(J**2) can neither overflow nor underflow.
 
-All restarts evolve together as the rows of one (R, N) state, updated in
-place by a stacked product sign(x) @ J.T, one matrix-vector product per
-row, and in-place ufuncs.  One sum over x screens for divergence; only a
-non-finite sum runs the per-row check that drops diverged restarts.
+All restarts evolve together as the rows of one (2, R, N) state holding
+positions and momenta, updated in place by np.matvec(J, sign(x)), one
+matrix-vector product per row, and in-place ufuncs.  One dot product of
+x with itself screens for divergence; only a non-finite one runs the
+per-row check that drops diverged restarts.
 
 sign(0) is +1 everywhere (force term and readout), a fixed tie-break.
 """
@@ -65,6 +66,14 @@ class SBParams:
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
 
+    def reseed(self, seed: int) -> SBParams:
+        """A copy with another seed.  It skips __post_init__: the other
+        knobs were checked when self was built, and re-checking them per
+        instance costs more than the copy."""
+        params = object.__new__(SBParams)
+        params.__dict__.update(self.__dict__, seed=seed)
+        return params
+
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -73,17 +82,19 @@ class SolveResult:
     diverged_restarts: int = 0
 
 
-def compute_c0(model: IsingModel) -> float:
+def compute_c0(model: IsingModel, k: int | None = None) -> float:
     """Coupling strength 1 / (2 sqrt(N) lambda), with lambda the rms
     off-diagonal coupling sqrt(sum_{i!=k} J_ik^2 / (N (N-1))).
 
     J is scaled by 2^-k, where 2^(k-1) <= max |J| < 2^k, before squaring,
     and c0 by the same power of two after.  Both scalings are exact, so
     c0 equals the unscaled formula wherever that formula is finite and
-    nonzero.  Needs n >= 2 and a nonzero J; solve() handles the rest.
+    nonzero.  A caller that has taken max |J| already passes k.  Needs
+    n >= 2 and a nonzero J; solve() handles the rest.
     """
     n = model.n
-    k = math.frexp(float(np.max(np.abs(model.j))))[1]
+    if k is None:
+        k = math.frexp(float(np.max(np.abs(model.j))))[1]
     lam = math.sqrt(float(np.sum(np.ldexp(model.j, -k) ** 2)) / (n * (n - 1)))
     return math.ldexp(1.0 / (2.0 * math.sqrt(n) * lam), -k)
 
@@ -102,54 +113,58 @@ def pump_schedule(n_steps: int) -> np.ndarray:
     return np.arange(n_steps) / (n_steps - 1)
 
 
-def initial_states(
-    n: int, seed: int, n_restarts: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(n_restarts, n) positions and momenta, i.i.d. uniform [-0.1, 0.1].
+def initial_states(n: int, seed: int, n_restarts: int) -> np.ndarray:
+    """(2, n_restarts, n) positions then momenta, i.i.d. uniform [-0.1, 0.1].
 
     Row r draws x then y from its own stream default_rng([seed, r]), so a
     restart starts from the same state however many restarts run.
     """
-    x = np.empty((n_restarts, n))
-    y = np.empty((n_restarts, n))
+    xy = np.empty((2, n_restarts, n))
     for r in range(n_restarts):
         rng = np.random.default_rng([seed, r])
-        x[r] = rng.uniform(-0.1, 0.1, n)
-        y[r] = rng.uniform(-0.1, 0.1, n)
-    return x, y
+        xy[0, r] = rng.uniform(-0.1, 0.1, n)
+        xy[1, r] = rng.uniform(-0.1, 0.1, n)
+    return xy
 
 
-def step(x, y, s, a, jt, half_h, c0, dt):
-    """One symplectic-Euler update of the (R, N) rows of x and y, then the
-    wall rule, all in place; ``s`` holds sign(x) before and after.
+# ufuncs take a 0-d array faster than a Python float, with the same bits.
+_ONE = np.array(1.0)
+_ONE.flags.writeable = False
 
-    ``jt`` is J transposed and ``half_h`` is h / 2.  Returns None when every
-    row stayed finite, else the mask of rows that did; rows outside it hold
-    garbage.  The mask is taken before the wall rule: clamping |x| > 1 to
-    +-1 would otherwise hide an overflow.
+
+def step(xy, wall, over, a, j, half_h, c0, dt):
+    """One symplectic-Euler update of the (R, N) rows of x = xy[0] and
+    y = xy[1], then the wall rule, all in place.
+
+    ``wall`` is (2, R, N): sign(x) in plane 0, before and after the step,
+    and zeros in plane 1.  ``over`` is an (R, N) bool buffer and ``half_h``
+    is h / 2 tiled to (R, N).  c0 and dt run fastest as 0-d arrays, as
+    solve() passes them.  Returns None when every row stayed finite,
+    else the mask of rows that did; rows outside it hold garbage.  The
+    mask is taken before the wall rule: clamping |x| > 1 to +-1 would
+    otherwise hide an overflow.
     """
-    # A stacked product runs one matrix-vector multiply per row, so each
-    # row matches J @ s bit for bit; a plain (R, N) @ (N, N) gemm sums in
-    # another order.
-    force = np.matmul(s[:, None, :], jt)[:, 0, :]
+    x, y, s = xy[0], xy[1], wall[0]
+    # matvec runs one matrix-vector multiply per row, so each row matches
+    # J @ s bit for bit; a plain (R, N) @ (N, N) gemm sums in another order.
+    force = np.matvec(j, s)
     np.add(force, half_h, out=force)
     np.multiply(force, c0, out=force)
     np.subtract(np.multiply(x, -(1.0 - a), out=s), force, out=force)
     y += np.multiply(force, dt, out=force)
     x += np.multiply(y, dt, out=force)
-    # A sum over x is finite only if every entry is, so only a non-finite
-    # sum pays for the per-row mask.  From a finite x, a non-finite y
-    # always makes x non-finite too.
+    # x . x is finite only if every entry is (a sum of squares cannot
+    # cancel an inf), so only a non-finite one pays for the per-row mask.
+    # From a finite x, a non-finite y always makes x non-finite too.
     finite = None
-    if not math.isfinite(np.add.reduce(x, axis=None)):
+    if not math.isfinite(np.vdot(x, x)):
         finite = np.isfinite(x).all(axis=1)
     # x is never -0.0 (initial_states draws none; x + dt * y is -0.0 only
     # when both terms are), so copysign gives sign(x) with sign(0) = +1.
-    # Wall rule: |x| > 1 goes to sign(x), and the clamped entries' y to 0.
-    np.copysign(1.0, x, out=s)
-    over = np.greater(np.abs(x, out=force), 1.0)
-    np.copyto(x, s, where=over)
-    np.copyto(y, 0.0, where=over)
+    # Wall rule: |x| > 1 takes sign(x) from plane 0 and y = 0 from plane 1.
+    np.copysign(_ONE, x, out=s)
+    np.greater(np.abs(x, out=force), _ONE, out=over)
+    np.copyto(xy, wall, where=over)
     return finite
 
 
@@ -159,8 +174,9 @@ def solve(model: IsingModel, params: SBParams, trace_hook=None) -> SolveResult:
     Restarts evolve together as the rows of one state, each from its own
     initial state (see initial_states), for n_steps; each reads out
     sign(x).  The readout with the lowest Ising energy wins; ties keep the
-    earlier restart.  A restart that diverges is frozen and dropped;
-    solving fails only if every restart does.
+    earlier restart, and a NaN energy (inf - inf near the float limit)
+    ranks last.  A restart that diverges is frozen and dropped; solving
+    fails only if every restart does.
 
     A model with all-zero couplings (including n = 1) is solved exactly
     by fields alone.
@@ -175,26 +191,34 @@ def solve(model: IsingModel, params: SBParams, trace_hook=None) -> SolveResult:
     # c0 ~ 1 / max |J| leaves the float range only below max |J| ~ 2^-1000.
     # Such J, and h, are scaled up to that by a power of two, which changes
     # no force among normal floats; every other model runs as given.
-    shift = min(math.frexp(float(np.max(np.abs(model.j))))[1] + 1000, 0)
+    mag = math.frexp(float(np.max(np.abs(model.j))))[1]
+    shift = min(mag + 1000, 0)
     j, half_h = np.ldexp(model.j, -shift), np.ldexp(0.5 * model.h, -shift)
-    c0, jt = compute_c0(IsingModel(model.n, j, model.h)), j.T
-    x, y = initial_states(model.n, params.seed, params.n_restarts)
-    s = np.copysign(1.0, x)
+    c0 = np.array(compute_c0(IsingModel(model.n, j, model.h), mag - shift))
+    xy = initial_states(model.n, params.seed, params.n_restarts)
+    wall = np.zeros_like(xy)
+    np.copysign(1.0, xy[0], out=wall[0])
+    over = np.empty(xy.shape[1:], dtype=bool)
+    half_h = np.tile(half_h, (params.n_restarts, 1))
+    dt = np.array(params.dt)
     live = np.arange(params.n_restarts)  # restart index of each row
     traced = [[] for _ in live] if trace_hook is not None else None
     # Overflow is handled explicitly by the per-row finiteness mask.
     with np.errstate(over="ignore", invalid="ignore"):
         for k, a in enumerate(pump_schedule(params.n_steps).tolist()):
-            finite = step(x, y, s, a, jt, half_h, c0, params.dt)
+            finite = step(xy, wall, over, a, j, half_h, c0, dt)
             if finite is not None and not finite.all():
-                x, y, s, live = x[finite], y[finite], s[finite], live[finite]
+                live = live[finite]
+                if live.size == 0:
+                    break
+                xy, wall = xy[:, finite], wall[:, finite]
+                over, half_h = over[finite], half_h[finite]
             if traced is not None:
-                # x and y are updated in place, so trace rows are copies.
-                xs, ys, spins = x.copy(), y.copy(), s.astype(np.int8)
+                # xy is updated in place, so trace rows are copies.
+                xs, ys = xy[0].copy(), xy[1].copy()
+                spins = wall[0].astype(np.int8)
                 for xr, yr, sr, r in zip(xs, ys, spins, live.tolist()):
                     traced[r].append((r, k, a, xr, yr, energy(model, sr)))
-            if live.size == 0:
-                break
     for rows in traced or ():
         for row in rows:
             trace_hook(*row)
@@ -202,9 +226,14 @@ def solve(model: IsingModel, params: SBParams, trace_hook=None) -> SolveResult:
         raise SolverDivergenceError(
             f"all {params.n_restarts} restarts diverged (dt = {params.dt})"
         )
-    readouts = s.astype(np.int8)
+    readouts = wall[0].astype(np.int8)
     energies = [energy(model, spins) for spins in readouts]
-    best = int(np.argmin(energies))
+    # Keyed on (isnan, e), NaN ranks last; min moves on only to a strictly
+    # smaller key, so ties and an all-NaN set keep the earlier readout.
+    best = min(
+        range(len(energies)),
+        key=lambda r: (math.isnan(energies[r]), energies[r]),
+    )
     return SolveResult(
         spins=readouts[best],
         energy=energies[best],

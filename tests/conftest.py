@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from sbmimo.channel import modulate, quantize_symbols
+from sbmimo.channel import modulate
 from sbmimo.ising import IsingModel
 from sbmimo.reduction import spins_to_bits, symbols_to_spins
 
@@ -80,8 +80,14 @@ def nearest_point_bits(symbols, c) -> np.ndarray:
 
 
 def hard_bits(symbols, c) -> np.ndarray:
-    # The library's hard decision: quantize per axis, then spins to bits.
-    return spins_to_bits(symbols_to_spins(quantize_symbols(symbols, c), c), c)
+    # The library's hard decision, nearest level per axis, as bits.
+    return spins_to_bits(symbols_to_spins(symbols, c), c)
+
+
+def hard_symbols(symbols, c) -> np.ndarray:
+    # The library's hard decision as symbols, mapped back through the
+    # dense T.
+    return spins_to_symbols(symbols_to_spins(symbols, c), c)
 
 
 def random_model(rng, n: int, h_scale: float = 1.0) -> IsingModel:

@@ -1,9 +1,14 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sbmimo
 from sbmimo.bench import (
     BerRecord,
     SweepConfig,
@@ -278,6 +283,18 @@ class TestWriteCsv:
                       str(path))
             paths.append(path.read_bytes())
         assert paths[0] == paths[1] == paths[2]
+
+
+def test_import_leaves_out_the_process_pool():
+    # run_sweep imports the process pool only for workers > 1, so a plain
+    # import does not pay for multiprocessing.
+    code = (
+        "import sys, sbmimo; "
+        "assert 'concurrent.futures.process' not in sys.modules"
+    )
+    src = str(Path(sbmimo.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestSummary:

@@ -13,14 +13,13 @@ from sbmimo.channel import (
     get_constellation,
     modulate,
     noise_variance_for_snr,
-    quantize_symbols,
     realify,
     realify_symbols,
     sample_channel,
     sample_instance,
 )
 
-from conftest import constellation_points, hard_bits
+from conftest import constellation_points, hard_bits, hard_symbols
 
 
 class TestConstellations:
@@ -97,20 +96,20 @@ class TestDemodulate:
         assert bits.tolist() == [0, 1]
 
     def test_qam16_nearest_levels(self):
-        sym = quantize_symbols(np.array([2.9 + 0.2j]), QAM16)
+        sym = hard_symbols(np.array([2.9 + 0.2j]), QAM16)
         assert sym[0] == 3 + 1j
 
     def test_ties_quantize_to_smaller_amplitude(self):
         # midpoint 2 sits between 1 and 3; -2 between -1 and -3
-        sym = quantize_symbols(np.array([2.0 - 2.0j]), QAM16)
+        sym = hard_symbols(np.array([2.0 - 2.0j]), QAM16)
         assert sym[0] == 1 - 1j
 
     def test_tie_at_zero_resolves_positive(self):
-        assert quantize_symbols(np.array([0.0 + 0.0j]), QPSK)[0] == 1 + 1j
-        assert quantize_symbols(np.array([0.0 + 0.0j]), QAM16)[0] == 1 + 1j
+        assert hard_symbols(np.array([0.0 + 0.0j]), QPSK)[0] == 1 + 1j
+        assert hard_symbols(np.array([0.0 + 0.0j]), QAM16)[0] == 1 + 1j
 
     def test_bpsk_quantizes_real_axis(self):
-        sym = quantize_symbols(np.array([-0.2 + 5.0j]), BPSK)
+        sym = hard_symbols(np.array([-0.2 + 5.0j]), BPSK)
         assert sym[0] == -1
 
 

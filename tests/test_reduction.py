@@ -150,9 +150,18 @@ class TestSpinMaps:
     def test_qpsk_symbols_to_spins_example(self):
         assert symbols_to_spins(np.array([1 - 1j]), QPSK).tolist() == [1, -1]
 
-    def test_non_constellation_symbol_rejected(self):
-        with pytest.raises(ValueError):
-            symbols_to_spins(np.array([2.0 + 1j]), QAM16)
+    def test_off_lattice_symbol_takes_nearest_point(self):
+        # 2 ties between 1 and 3 and goes to the smaller amplitude; 1.4
+        # is nearest 1; a non-finite coordinate goes to +1.
+        for x, point in [(2.0 + 1.4j, 1 + 1j), (-2.5 - 0.2j, -3 - 1j)]:
+            assert symbols_to_spins(np.array([x]), QAM16).tolist() == (
+                symbols_to_spins(np.array([point]), QAM16).tolist()
+            )
+        for c in (QPSK, QAM16):
+            x = np.array([complex(np.nan, -np.inf)])
+            assert spins_to_symbols(symbols_to_spins(x, c), c).tolist() == [
+                1 + 1j
+            ]
 
     @pytest.mark.parametrize("c", [BPSK, QPSK, QAM16], ids=lambda c: c.name)
     def test_bit_spin_symbol_round_trips(self, c):

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbmimo import sb
 from sbmimo.ising import IsingModel, energy
 from sbmimo.sb import (
     SBParams,
@@ -62,22 +63,31 @@ def reference_runs(model, params, trace=None):
 
 
 def reference_best(model, runs):
-    # (spins, energy) of the first strict minimum over survivors.
+    # (spins, energy) of the first strict minimum over survivors, where a
+    # NaN energy ranks last; if every survivor's is NaN, the first wins.
     best = None
     for spins in runs:
         if spins is not None:
             e = energy(model, spins)
-            if best is None or e < best[1]:
+            if (
+                best is None
+                or e < best[1]
+                or math.isnan(best[1]) and not math.isnan(e)
+            ):
                 best = (spins, e)
     return best
+
+
+def same_energy(got, want):
+    # Energies near the float limit can be NaN on both sides.
+    return got == want or math.isnan(got) and math.isnan(want)
 
 
 def assert_same_rows(rows, expected):
     assert len(rows) == len(expected)
     for got, want in zip(rows, expected):
         assert got[:3] == want[:3]
-        # Energies near the float limit can be NaN on both sides.
-        assert got[5] == want[5] or math.isnan(got[5]) and math.isnan(want[5])
+        assert same_energy(got[5], want[5])
         assert np.array_equal(got[3], want[3])
         assert np.array_equal(got[4], want[4])
 
@@ -173,18 +183,29 @@ class TestSchedule:
             pump_schedule(-1)
 
 
-def step_rows(x, y, a, jt, half_h, c0, dt=0.5):
-    # step on fresh copies of x and y, with s = sign(x); returns the new
-    # x and y, the per-row mask (None when every row stayed finite) and s.
-    x, y = np.array(x, dtype=float), np.array(y, dtype=float)
-    s = sign_pm1(x)
-    finite = step(x, y, s, a, jt, half_h, c0, dt)
-    return x, y, finite, s
+def step_buffers(xy, half_h):
+    # The buffers step takes besides the state: the wall source (sign(x),
+    # then zeros), the |x| > 1 mask and h / 2 tiled to one row per restart.
+    wall = np.zeros_like(xy)
+    wall[0] = sign_pm1(xy[0])
+    over = np.empty(xy.shape[1:], dtype=bool)
+    return wall, over, np.tile(half_h, (xy.shape[1], 1))
+
+
+def step_rows(x, y, a, j, half_h, c0, dt=0.5):
+    # step on a fresh (2, R, N) state from x and y, with s = sign(x);
+    # returns the new x and y, the per-row mask (None when every row
+    # stayed finite) and s.
+    xy = np.array([x, y], dtype=float)
+    wall, over, half_h = step_buffers(xy, half_h)
+    finite = step(xy, wall, over, a, j, half_h, c0, dt)
+    assert not wall[1].any()
+    return xy[0], xy[1], finite, wall[0]
 
 
 def step_model(m, x, y, a, c0, dt=0.5):
     # step on a model, with rows given as nested lists.
-    return step_rows(x, y, a, m.j.T, 0.5 * m.h, c0, dt)
+    return step_rows(x, y, a, m.j, 0.5 * m.h, c0, dt)
 
 
 class TestStep:
@@ -235,7 +256,7 @@ class TestStep:
         with np.errstate(over="ignore", invalid="ignore"):
             _, _, finite, _ = step_rows(
                 [[0.1, 0.1], [-0.1, -0.1]], np.zeros((2, 2)), 0.0,
-                j.T, np.array([1e308, 1e308]), 1.0, 0.5,
+                j, np.array([1e308, 1e308]), 1.0, 0.5,
             )
         assert finite.tolist() == [False, True]
         # A lone restart that overflows fails the whole solve.
@@ -252,14 +273,15 @@ class TestStep:
         n = int(rng.integers(2, 9))
         m = random_model(rng, n)
         dt = float(rng.uniform(0.1, 1.5))
-        x, y = initial_states(n, int(rng.integers(2**32)), 3)
-        s = sign_pm1(x)
+        xy = initial_states(n, int(rng.integers(2**32)), 3)
+        wall, over, half_h = step_buffers(xy, 0.5 * m.h)
         c0 = compute_c0(m)
         for a in pump_schedule(30):
-            assert step(x, y, s, a, m.j.T, 0.5 * m.h, c0, dt) is None
-            assert np.max(np.abs(x)) <= 1.0
+            assert step(xy, wall, over, a, m.j, half_h, c0, dt) is None
+            assert np.max(np.abs(xy[0])) <= 1.0
             # The signs step hands on are sign(x) with sign(0) = +1.
-            assert np.array_equal(s, sign_pm1(x))
+            assert np.array_equal(wall[0], sign_pm1(xy[0]))
+            assert not wall[1].any()
 
 
 class TestSign:
@@ -303,7 +325,7 @@ class TestSolve:
         assert np.array_equal(res.spins, runs[int(np.argmin(energies))])
 
     @given(
-        st.integers(min_value=2, max_value=24),
+        st.integers(min_value=2, max_value=40),
         st.integers(min_value=1, max_value=6),
         st.integers(min_value=1, max_value=40),
         st.floats(min_value=0.05, max_value=1.5),
@@ -327,9 +349,7 @@ class TestSolve:
         quiet = "ignore" if huge else "warn"
         with np.errstate(over=quiet, invalid=quiet):
             runs = reference_runs(m, params, ref_rows)
-            survivors = [energy(m, s) for s in runs if s is not None]
-            # np.argmin and reference_best pick apart only around a NaN.
-            assume(not any(math.isnan(e) for e in survivors))
+            survivors = [s for s in runs if s is not None]
             if not survivors:
                 with pytest.raises(SolverDivergenceError):
                     solve(m, params, trace_hook=lambda *row: rows.append(row))
@@ -337,7 +357,7 @@ class TestSolve:
                 res = solve(m, params, trace_hook=lambda *row: rows.append(row))
                 spins, e = reference_best(m, runs)
                 assert np.array_equal(res.spins, spins)
-                assert res.energy == e
+                assert same_energy(res.energy, e)
                 assert res.diverged_restarts == restarts - len(survivors)
         assert_same_rows(rows, ref_rows)
 
@@ -381,6 +401,35 @@ class TestSolve:
         # restart 0 diverges at step 0, restart 1 at step 1, restart 3 at 6
         assert [restarts.count(r) for r in range(4)] == [0, 1, 12, 6]
         assert_same_rows(rows, ref_rows)
+
+    def test_nan_energy_ranks_last(self):
+        # Near the float limit a readout's energy can be NaN (inf - inf).
+        # Here the five readouts score [inf, 4.05e307, -inf, nan, inf];
+        # np.argmin would return the NaN one, and restart 2 must win.
+        n, seed = 21, 239
+        m = random_model(np.random.default_rng(seed), n)
+        scale = 8e307 / math.sqrt(n)
+        m = IsingModel(n=n, j=m.j * scale, h=m.h * scale, offset=m.offset)
+        params = SBParams(n_steps=1, dt=0.05, n_restarts=5, seed=seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            runs = reference_runs(m, params)
+            energies = [energy(m, s) for s in runs]
+            res = solve(m, params)
+        assert energies[0] == energies[4] == math.inf
+        assert math.isfinite(energies[1]) and energies[2] == -math.inf
+        assert math.isnan(energies[3])
+        assert res.energy == -math.inf and res.diverged_restarts == 0
+        assert np.array_equal(res.spins, runs[2])
+
+    def test_all_nan_energies_keep_the_first_readout(self, rng, monkeypatch):
+        m = random_model(rng, 6)
+        params = SBParams(n_steps=20, n_restarts=4, seed=2)
+        runs = reference_runs(m, params)
+        assert len({tuple(s) for s in runs}) > 1
+        monkeypatch.setattr(sb, "energy", lambda model, s: math.nan)
+        res = solve(m, params)
+        assert math.isnan(res.energy)
+        assert np.array_equal(res.spins, runs[0])
 
     def test_tie_keeps_earlier_restart(self):
         # Ferromagnetic pair: both aligned readouts score -2, so every
@@ -461,14 +510,15 @@ class TestSolve:
         np.fill_diagonal(j, 0.0)
         m = IsingModel(n=5, j=j, h=np.zeros(5))
         c0 = compute_c0(m)
-        x, y = initial_states(5, seed=3, n_restarts=1)
-        x, y = np.vstack([x, -x]), np.vstack([y, -y])
-        s = sign_pm1(x)
+        xy = initial_states(5, seed=3, n_restarts=1)
+        xy = np.concatenate([xy, -xy], axis=1)
+        x, y = xy
+        wall, over, half_h = step_buffers(xy, 0.5 * m.h)
         for a in pump_schedule(40):
-            step(x, y, s, a, m.j.T, 0.5 * m.h, c0, 0.5)
+            step(xy, wall, over, a, m.j, half_h, c0, 0.5)
             assert np.array_equal(x[1], -x[0])
             assert np.array_equal(y[1], -y[0])
-        assert np.array_equal(s[1], -s[0])
+        assert np.array_equal(wall[0, 1], -wall[0, 0])
 
     def test_all_restarts_diverging_raises(self):
         # J @ s overflows in every restart.
@@ -511,6 +561,12 @@ class TestParams:
             with pytest.raises(ValueError, match=key):
                 SBParams(**{key: value})
         assert getattr(SBParams(**{key: np.int64(3)}), key) == 3
+
+    def test_reseed_changes_only_the_seed(self):
+        params = SBParams(n_steps=7, dt=0.25, n_restarts=3, seed=1)
+        again = params.reseed(2**62)
+        assert again == dataclasses.replace(params, seed=2**62)
+        assert params.seed == 1
 
     def test_has_only_the_knobs_the_pipeline_sets(self):
         names = [f.name for f in dataclasses.fields(SBParams)]
