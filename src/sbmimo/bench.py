@@ -15,7 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sbmimo.channel import get_constellation, sample_instance
+from sbmimo.channel import (
+    get_constellation,
+    noise_variance_for_snr,
+    sample_instance,
+)
 from sbmimo.detectors import (
     ORACLE_SPIN_LIMIT,
     DetectionFailureError,
@@ -48,6 +52,17 @@ def snr_range(start: float, stop: float, step: float) -> tuple[float, ...]:
         raise ValueError(f"stop {stop} below start {start}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     return tuple(round(start + k * step, 10) for k in range(count))
+
+
+def _noise_ok(snr_db: float, nt: int, c) -> bool:
+    # 10 ** (snr / 10) overflows above about 3082 dB and is 0.0 below
+    # about -3233 dB; short of that the variance can still be inf (e.g.
+    # -3080 dB at nt = 16).
+    try:
+        v = noise_variance_for_snr(snr_db, nt, c)
+    except (OverflowError, ZeroDivisionError):
+        return False
+    return math.isfinite(v) and v > 0
 
 
 @dataclass(frozen=True)
@@ -90,11 +105,20 @@ class SweepConfig:
             problems.append("snr_db grid is empty")
         if not all(math.isfinite(s) for s in self.snr_db):
             problems.append(f"snr_db values must be finite, got {self.snr_db}")
+        elif c is not None and is_int(self.nt) and self.nt >= 1:
+            bad = [s for s in self.snr_db if not _noise_ok(s, self.nt, c)]
+            if bad:
+                problems.append(
+                    f"snr_db {bad} out of range: the noise variance must be "
+                    f"a finite positive number"
+                )
         if not self.detectors:
             problems.append("no detectors configured")
         for det in self.detectors:
             if det not in DETECTOR_NAMES:
-                problems.append(f"unknown detector {det!r}")
+                problems.append(
+                    f"unknown detector {det!r}; choose from {DETECTOR_NAMES}"
+                )
         if len(set(self.detectors)) != len(self.detectors):
             problems.append(f"duplicate detectors in {self.detectors}")
         if not (math.isfinite(self.r) and self.r >= 0):
@@ -142,9 +166,7 @@ def _run_detector(name, p, params, anchor, r, trace_hook=None):
         return sb_detect(p, params, trace_hook=trace_hook)
     if name == "sb-reg":
         return sb_detect(p, params, anchor, r, trace_hook=trace_hook)
-    if name == "ml-oracle":
-        return ml_oracle(p)
-    raise ValueError(f"unknown detector {name!r}")
+    return ml_oracle(p)
 
 
 def _instance(cfg: SweepConfig, c, snr_idx: int, i: int):
@@ -189,20 +211,22 @@ def _eval_chunk(cfg: SweepConfig, snr_idx: int, start: int, stop: int):
             )
             tally[det]["used"] += 1
             if det == "sb-reg":
-                if res.ising_energy > res.extras["mmse_energy"]:
+                if res.ising_energy > anchor.ising_energy:
                     tally[det]["violations"] += 1
     return tally
 
 
-def _trace_rows(cfg: SweepConfig, c) -> list:
+def trace_rows(cfg: SweepConfig) -> list:
     """Solver trajectory of the sweep's first instance (SNR index 0).
 
     It runs under the first SB-family detector configured; there are no
     rows when there is none, or when that detector fails before solving.
+    Each row is (restart, step, a, x, y, energy), as `solve` reports it.
     """
     rows = []
     family = [det for det in cfg.detectors if det in ("sb", "sb-reg")]
     if family:
+        c = get_constellation(cfg.modulation)
         p, params, anchor = _instance(cfg, c, 0, 0)
         hook = lambda *row: rows.append(row)  # noqa: E731
         try:
@@ -222,7 +246,9 @@ def run_sweep(cfg: SweepConfig) -> list[BerRecord]:
 
     Per-instance detector failures are counted on the record and the
     instance is skipped for that detector only, so `instances` on a
-    record is the number actually counted.
+    record is the number actually counted.  Nothing is written: `out`
+    and `trace` name files for the caller (see `write_csv`, `trace_rows`
+    and `write_trace`).
     """
     c = get_constellation(cfg.modulation)
     jobs = [
@@ -244,8 +270,6 @@ def run_sweep(cfg: SweepConfig) -> list[BerRecord]:
     for (snr_idx, _, _), tally in zip(jobs, tallies):
         for det, cell in tally.items():
             totals[(snr_idx, det)].update(cell)
-    if cfg.trace is not None:
-        _write_trace(_trace_rows(cfg, c), cfg.trace)
     bits_per_instance = cfg.nt * c.bps
     records = []
     for det in cfg.detectors:
@@ -291,27 +315,14 @@ def write_csv(records: list[BerRecord], path: str) -> None:
         writer.writerow(CSV_COLUMNS)
         for rec in rows:
             writer.writerow(
-                [
-                    rec.nt,
-                    rec.nr,
-                    rec.modulation,
-                    _fmt(rec.snr_db),
-                    rec.detector,
-                    rec.instances,
-                    rec.total_bits,
-                    rec.bit_errors,
-                    f"{rec.ber:.6e}",
-                    rec.steps,
-                    _fmt(rec.dt),
-                    rec.restarts,
-                    _fmt(rec.r),
-                    rec.seed,
-                ]
+                f"{rec.ber:.6e}" if col == "ber" else _fmt(getattr(rec, col))
+                for col in CSV_COLUMNS
             )
 
 
-def _write_trace(rows, path: str) -> None:
-    # Columns: restart, step, pump a, readout energy, then x and y vectors.
+def write_trace(rows, path: str) -> None:
+    """Write `trace_rows` output as CSV: restart, step, pump a, readout
+    energy, then the x and y vectors."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["restart", "step", "a", "energy"]

@@ -18,6 +18,7 @@ one-to-one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,14 +39,18 @@ class Constellation:
     complex_axes: bool = True
 
     @property
-    def bits_per_axis(self) -> int:
-        return self.bps // 2 if self.complex_axes else self.bps
+    def axes(self) -> int:
+        """Real axes per symbol: 2, or 1 for BPSK."""
+        return 2 if self.complex_axes else 1
 
     @property
+    def bits_per_axis(self) -> int:
+        return self.bps // self.axes
+
+    @functools.cached_property
     def symbol_energy(self) -> float:
         """Average symbol energy E_s over the alphabet."""
-        axis_ms = float(np.mean(np.square(self.levels)))
-        return (2.0 if self.complex_axes else 1.0) * axis_ms
+        return self.axes * float(np.mean(np.square(self.levels)))
 
 
 BPSK = Constellation("bpsk", 1, (-1, 1), complex_axes=False)

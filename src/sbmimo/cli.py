@@ -20,7 +20,9 @@ from sbmimo.bench import (
     run_sweep,
     snr_range,
     summary_table,
+    trace_rows,
     write_csv,
+    write_trace,
 )
 
 class ConfigError(ValueError):
@@ -50,16 +52,10 @@ def _parse_float_list(value) -> tuple[float, ...]:
 
 
 def _parse_detectors(value) -> tuple[str, ...]:
+    # Names are checked by SweepConfig.validate.
     if isinstance(value, (list, tuple)):
-        names = tuple(str(v) for v in value)
-    else:
-        names = tuple(p.strip() for p in str(value).split(","))
-    for name in names:
-        if name not in DETECTOR_NAMES:
-            raise ConfigError(
-                f"unknown detector {name!r}; choose from {DETECTOR_NAMES}"
-            )
-    return names
+        return tuple(str(v) for v in value)
+    return tuple(p.strip() for p in str(value).split(","))
 
 
 def _load_config_file(path: str, keys: set[str]) -> dict:
@@ -133,63 +129,51 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
     args = build_parser().parse_args(argv)
     # The file takes a key for every flag but --config itself.
     keys = set(vars(args)) - {"config"}
-    filedata = _load_config_file(args.config, keys) if args.config else {}
+    values = _load_config_file(args.config, keys) if args.config else {}
+    flags = {k: v for k, v in vars(args).items() if k in keys and v is not None}
+    if "snr" in flags or "snr_list" in flags:
+        # A command-line grid replaces any grid in the file.
+        values.pop("snr", None)
+        values.pop("snr_list", None)
+    elif "snr" in values and "snr_list" in values:
+        raise ConfigError("config file sets both snr and snr_list")
+    values.update(flags)
     defaults = SweepConfig()
 
-    def pick(key, default):
-        cli = getattr(args, key)
-        if cli is not None:
-            return cli
-        return filedata.get(key, default)
-
-    def pick_int(key, default):
-        value = pick(key, default)
+    def count(key, default):
+        value = values.get(key, default)
         if isinstance(value, bool) or (
             isinstance(value, float) and not value.is_integer()
         ):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
         return int(value)
 
-    if args.snr is not None or args.snr_list is not None:
-        # CLI grid wins outright; ignore any file-side grid.
-        filedata.pop("snr", None)
-        filedata.pop("snr_list", None)
-    if "snr" in filedata and "snr_list" in filedata:
-        raise ConfigError("config file sets both snr and snr_list")
-    if args.snr is not None:
-        grid = _parse_snr_spec(args.snr)
-    elif args.snr_list is not None:
-        grid = _parse_float_list(args.snr_list)
-    elif "snr" in filedata:
-        grid = _parse_snr_spec(str(filedata["snr"]))
-    elif "snr_list" in filedata:
-        grid = _parse_float_list(filedata["snr_list"])
+    if "snr" in values:
+        grid = _parse_snr_spec(str(values["snr"]))
     else:
-        grid = defaults.snr_db
-
-    detectors = pick("detectors", defaults.detectors)
-    if not isinstance(detectors, tuple):
-        detectors = _parse_detectors(detectors)
+        grid = _parse_float_list(values.get("snr_list", defaults.snr_db))
     try:
         sb = replace(
             defaults.sb,
-            n_steps=pick_int("steps", defaults.sb.n_steps),
-            dt=float(pick("dt", defaults.sb.dt)),
-            n_restarts=pick_int("restarts", defaults.sb.n_restarts),
+            n_steps=count("steps", defaults.sb.n_steps),
+            dt=float(values.get("dt", defaults.sb.dt)),
+            n_restarts=count("restarts", defaults.sb.n_restarts),
         )
         return SweepConfig(
-            nt=pick_int("nt", defaults.nt),
-            nr=pick_int("nr", defaults.nr),
-            modulation=str(pick("mod", defaults.modulation)),
+            nt=count("nt", defaults.nt),
+            nr=count("nr", defaults.nr),
+            modulation=str(values.get("mod", defaults.modulation)),
             snr_db=grid,
-            instances=pick_int("instances", defaults.instances),
-            detectors=detectors,
+            instances=count("instances", defaults.instances),
+            detectors=_parse_detectors(
+                values.get("detectors", defaults.detectors)
+            ),
             sb=sb,
-            r=float(pick("r", defaults.r)),
-            seed=pick_int("seed", defaults.seed),
-            out=pick("out", defaults.out),
-            trace=pick("trace", defaults.trace),
-            workers=pick_int("workers", defaults.workers),
+            r=float(values.get("r", defaults.r)),
+            seed=count("seed", defaults.seed),
+            out=values.get("out", defaults.out),
+            trace=values.get("trace", defaults.trace),
+            workers=count("workers", defaults.workers),
         )
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(str(err))
@@ -224,13 +208,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     _echo_config(cfg)
     records = run_sweep(cfg)
+    print(summary_table(records))
     try:
         if cfg.out is not None:
             write_csv(records, cfg.out)
+        if cfg.trace is not None:
+            write_trace(trace_rows(cfg), cfg.trace)
     except OSError as err:
-        print(f"error: cannot write {cfg.out}: {err}", file=sys.stderr)
+        print(f"error: cannot write {err.filename}: {err}", file=sys.stderr)
         return 1
-    print(summary_table(records))
     return 0
 
 

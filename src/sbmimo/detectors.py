@@ -234,6 +234,5 @@ def sb_detect(
         sb_energy if sb_wins else anchor.ising_energy,
         p,
         diverged_restarts=res.diverged_restarts,
-        mmse_energy=anchor.ising_energy,
         selected="sb" if sb_wins else "mmse",
     )

@@ -37,22 +37,17 @@ from sbmimo.channel import (
 from sbmimo.ising import IsingModel
 
 
-def _axes(c: Constellation) -> int:
-    return 2 if c.complex_axes else 1
-
-
 def spin_matrix(h_r: np.ndarray, c: Constellation) -> np.ndarray:
     """H_r T: each axis's column block of H_r once per weight, scaled by it."""
     h_r = np.asarray(h_r, dtype=np.float64)
-    axes = _axes(c)
-    if h_r.ndim != 2 or h_r.shape[1] == 0 or h_r.shape[1] % axes:
+    if h_r.ndim != 2 or h_r.shape[1] == 0 or h_r.shape[1] % c.axes:
         raise ValueError(
-            f"real channel of shape {h_r.shape} does not have {axes} "
+            f"real channel of shape {h_r.shape} does not have {c.axes} "
             f"column block(s) of nt >= 1 columns for {c.name}"
         )
-    m, nt = h_r.shape[0], h_r.shape[1] // axes
+    m, nt = h_r.shape[0], h_r.shape[1] // c.axes
     w = _axis_weights(c.bits_per_axis)
-    blocks = h_r.reshape(m, axes, 1, nt) * w[None, None, :, None]
+    blocks = h_r.reshape(m, c.axes, 1, nt) * w[None, None, :, None]
     return blocks.reshape(m, nt * c.bps)
 
 
@@ -113,7 +108,7 @@ def symbols_to_spins(x: np.ndarray, c: Constellation) -> np.ndarray:
     d = np.abs(realify_symbols(x, c)[:, None] - order)
     spins = level_spins[np.argmin(d, axis=1)]
     # (axis * nt + k, weight) -> block (axis, weight), entry k.
-    spins = spins.reshape(_axes(c), x.size, c.bits_per_axis)
+    spins = spins.reshape(c.axes, x.size, c.bits_per_axis)
     return spins.transpose(0, 2, 1).ravel()
 
 

@@ -15,7 +15,9 @@ from sbmimo.bench import (
     run_sweep,
     snr_range,
     summary_table,
+    trace_rows,
     write_csv,
+    write_trace,
 )
 from sbmimo.detectors import DetectionFailureError
 from sbmimo.sb import SBParams
@@ -78,11 +80,22 @@ class TestConfigValidation:
             dict(workers=0),
             dict(snr_db=()),
             dict(modulation="qam16", nt=8, detectors=("ml-oracle",)),
+            # 10 ** (snr / 10) overflows; underflows to 0; the noise
+            # variance 32 / 1e-308 is inf.
+            dict(snr_db=(5.0, 4000.0)),
+            dict(snr_db=(-4000.0,)),
+            dict(nt=16, nr=16, snr_db=(-3080.0,)),
         ],
     )
     def test_invalid_configs_rejected(self, kw):
         with pytest.raises(ValueError):
             small_config(**kw)
+
+    def test_extreme_snr_within_float_range_accepted(self):
+        # Near the ends of the float range: at nt = 2 QPSK, 3080 dB gives
+        # a noise variance of 4e-308 and -3000 dB one of 4e300.
+        cfg = small_config(snr_db=(3080.0, -3000.0))
+        assert cfg.snr_db == (3080.0, -3000.0)
 
     @pytest.mark.parametrize(
         "key", ["nt", "nr", "instances", "seed", "workers"]
@@ -189,14 +202,20 @@ class TestRunSweep:
         b = run_sweep(small_config(detectors=("sb-reg", "mmse")))
         assert a == b
 
+    def test_writes_no_file(self, tmp_path):
+        out, trace = tmp_path / "out.csv", tmp_path / "trace.csv"
+        run_sweep(small_config(
+            instances=2, detectors=("sb",), out=str(out), trace=str(trace),
+        ))
+        assert list(tmp_path.iterdir()) == []
+
     def test_trace_dump(self, tmp_path):
         path = tmp_path / "trace.csv"
         cfg = small_config(
             snr_db=(8.0,), instances=3, detectors=("mmse", "sb"),
             sb=SBParams(n_steps=20, dt=0.5, n_restarts=2, seed=0),
-            trace=str(path),
         )
-        run_sweep(cfg)
+        write_trace(trace_rows(cfg), str(path))
         rows = list(csv.reader(path.open()))
         n = 2 * cfg.nt  # spin count for QPSK
         assert rows[0] == (
@@ -218,10 +237,11 @@ class TestRunSweep:
 
         monkeypatch.setattr("sbmimo.bench.mmse_detect", broken)
         path = tmp_path / "trace.csv"
-        records = run_sweep(small_config(
+        cfg = small_config(
             snr_db=(8.0,), instances=3, detectors=("sb-reg", "mmse", "sb"),
-            trace=str(path),
-        ))
+        )
+        records = run_sweep(cfg)
+        write_trace(trace_rows(cfg), str(path))
         assert list(csv.reader(path.open())) == [
             ["restart", "step", "a", "energy"]
         ]

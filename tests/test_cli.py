@@ -173,15 +173,34 @@ class TestMain:
         assert code == 1
         assert "no-dir" in capsys.readouterr().err
 
+    def test_unwritable_trace_returns_1_and_keeps_csv(self, tmp_path, capsys):
+        # Before, the sweep wrote the trace itself, unguarded: a
+        # FileNotFoundError traceback, and the CSV never written.
+        out, trace = tmp_path / "x.csv", tmp_path / "no-dir" / "t.csv"
+        code = main([
+            "--nt", "2", "--nr", "2", "--snr-list", "5",
+            "--instances", "2", "--detectors", "mmse,sb", "--steps", "5",
+            "--out", str(out), "--trace", str(trace),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"error: cannot write {trace}" in captured.err
+        assert "snr_db" in captured.out
+        assert len(list(csv.DictReader(out.open()))) == 2
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["--snr-list", "nan"],
             ["--snr-list", "inf"],
             ["--snr", "0:inf:1"],
+            ["--snr-list", "4000"],
+            ["--snr-list", "-4000"],
+            ["--snr-list", "-3080"],
             ["--seed", "-1"],
         ],
-        ids=["snr-nan", "snr-inf", "snr-grid-inf", "negative-seed"],
+        ids=["snr-nan", "snr-inf", "snr-grid-inf", "snr-overflow",
+             "snr-underflow", "snr-inf-noise", "negative-seed"],
     )
     def test_bad_value_returns_2(self, argv, capsys):
         assert main(argv + ["--instances", "1"]) == 2
