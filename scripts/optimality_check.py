@@ -39,9 +39,9 @@ def main(argv=None) -> int:
             inst = sample_instance(nt, nt, c, args.snr_db, rng)
             seed = int(rng.integers(0, 1 << 63, dtype=np.uint64))
             params = SBParams(n_steps=args.steps, dt=0.5,
-                              n_restarts=args.restarts, seed=seed)
+                              n_restarts=args.restarts)
             p = prepare(inst, c)
-            e_sb = sb_detect(p, params).ising_energy
+            e_sb = sb_detect(p, params, seed=seed).ising_energy
             e_opt = ml_oracle(p).ising_energy
             if e_sb <= e_opt + 1e-9:
                 hits += 1

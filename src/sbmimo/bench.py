@@ -98,8 +98,8 @@ class SweepConfig:
                 )
         try:
             c = get_constellation(self.modulation)
-        except ValueError:
-            problems.append(f"unknown modulation {self.modulation!r}")
+        except ValueError as err:
+            problems.append(str(err))
             c = None
         if not self.snr_db:
             problems.append("snr_db grid is empty")
@@ -157,23 +157,23 @@ class BerRecord:
     selection_violations: int = 0
 
 
-def _run_detector(name, p, params, anchor, r, trace_hook=None):
+def _run_detector(name, p, params, seed, anchor, r, trace_hook=None):
     if name in ("mmse", "sb-reg") and anchor is None:
         raise DetectionFailureError("MMSE failed on this instance")
     if name == "mmse":
         return anchor
     if name == "sb":
-        return sb_detect(p, params, trace_hook=trace_hook)
+        return sb_detect(p, params, seed=seed, trace_hook=trace_hook)
     if name == "sb-reg":
-        return sb_detect(p, params, anchor, r, trace_hook=trace_hook)
+        return sb_detect(p, params, anchor, r, seed, trace_hook)
     return ml_oracle(p)
 
 
 def _instance(cfg: SweepConfig, c, snr_idx: int, i: int):
     """Sample and reduce instance i at one SNR point, and run MMSE on it.
 
-    Returns the problem, the solver parameters seeded for this instance,
-    and the MMSE result, which is None when MMSE failed or no configured
+    Returns the problem, the solver seed drawn for this instance, and the
+    MMSE result, which is None when MMSE failed or no configured
     detector uses it.
     """
     rng = np.random.default_rng([cfg.seed, snr_idx, i])
@@ -186,7 +186,7 @@ def _instance(cfg: SweepConfig, c, snr_idx: int, i: int):
             anchor = mmse_detect(p)
         except DetectionFailureError:
             pass
-    return p, cfg.sb.reseed(solver_seed), anchor
+    return p, solver_seed, anchor
 
 
 def _eval_chunk(cfg: SweepConfig, snr_idx: int, start: int, stop: int):
@@ -199,10 +199,10 @@ def _eval_chunk(cfg: SweepConfig, snr_idx: int, start: int, stop: int):
     c = get_constellation(cfg.modulation)
     tally = {det: Counter() for det in cfg.detectors}
     for i in range(start, stop):
-        p, params, anchor = _instance(cfg, c, snr_idx, i)
+        p, seed, anchor = _instance(cfg, c, snr_idx, i)
         for det in cfg.detectors:
             try:
-                res = _run_detector(det, p, params, anchor, cfg.r)
+                res = _run_detector(det, p, cfg.sb, seed, anchor, cfg.r)
             except (DetectionFailureError, SolverDivergenceError):
                 tally[det]["failures"] += 1
                 continue
@@ -227,10 +227,10 @@ def trace_rows(cfg: SweepConfig) -> list:
     family = [det for det in cfg.detectors if det in ("sb", "sb-reg")]
     if family:
         c = get_constellation(cfg.modulation)
-        p, params, anchor = _instance(cfg, c, 0, 0)
+        p, seed, anchor = _instance(cfg, c, 0, 0)
         hook = lambda *row: rows.append(row)  # noqa: E731
         try:
-            _run_detector(family[0], p, params, anchor, cfg.r, hook)
+            _run_detector(family[0], p, cfg.sb, seed, anchor, cfg.r, hook)
         except (DetectionFailureError, SolverDivergenceError):
             pass
     return rows
@@ -281,7 +281,7 @@ def run_sweep(cfg: SweepConfig) -> list[BerRecord]:
                 BerRecord(
                     nt=cfg.nt,
                     nr=cfg.nr,
-                    modulation=cfg.modulation,
+                    modulation=c.name,
                     snr_db=snr,
                     detector=det,
                     instances=cell["used"],

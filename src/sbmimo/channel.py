@@ -63,7 +63,7 @@ _BY_NAME = {c.name: c for c in (BPSK, QPSK, QAM16)}
 def get_constellation(name: str) -> Constellation:
     try:
         return _BY_NAME[name.lower()]
-    except KeyError:
+    except (AttributeError, KeyError):  # AttributeError: not a string
         raise ValueError(
             f"unknown modulation {name!r}; choose from {sorted(_BY_NAME)}"
         ) from None

@@ -87,9 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--nt", type=int, help="transmit antennas")
     parser.add_argument("--nr", type=int, help="receive antennas")
-    parser.add_argument(
-        "--mod", choices=("bpsk", "qpsk", "qam16"), help="modulation"
-    )
+    parser.add_argument("--mod", help="modulation")
     snr = parser.add_mutually_exclusive_group()
     snr.add_argument(
         "--snr", metavar="START:STOP:STEP", help="inclusive SNR grid in dB"
@@ -209,13 +207,17 @@ def main(argv: list[str] | None = None) -> int:
     _echo_config(cfg)
     records = run_sweep(cfg)
     print(summary_table(records))
+    # An OSError from a write or a close carries no file name, so the
+    # error line names the path being written.
+    path = cfg.out
     try:
-        if cfg.out is not None:
-            write_csv(records, cfg.out)
-        if cfg.trace is not None:
-            write_trace(trace_rows(cfg), cfg.trace)
+        if path is not None:
+            write_csv(records, path)
+        path = cfg.trace
+        if path is not None:
+            write_trace(trace_rows(cfg), path)
     except OSError as err:
-        print(f"error: cannot write {err.filename}: {err}", file=sys.stderr)
+        print(f"error: cannot write {path}: {err}", file=sys.stderr)
         return 1
     return 0
 

@@ -209,6 +209,7 @@ def sb_detect(
     params: SBParams,
     anchor: DetectionResult | None = None,
     r: float = 0.5,
+    seed: int = 0,
     trace_hook=None,
 ) -> DetectionResult:
     """Detect by solving the instance Ising model with the SB solver.
@@ -217,10 +218,11 @@ def sb_detect(
     Otherwise ``anchor`` is the instance's MMSE result: the model is
     anchored at its spins with penalty weight r, solved, and the readout
     and the anchor are compared under the unregularized model; the lower
-    energy wins (ties keep the solver readout).
+    energy wins (ties keep the solver readout).  seed draws the solver's
+    initial states.
     """
     model = p.model if anchor is None else regularize(p.model, anchor.spins, r)
-    res = solve(model, params, trace_hook=trace_hook)
+    res = solve(model, params, seed, trace_hook)
     if anchor is None:
         return _result(
             "sb", res.spins, res.energy, p,

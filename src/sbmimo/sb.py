@@ -48,13 +48,13 @@ class SBParams:
     """Solver configuration.
 
     Restarts re-run the evolution from fresh random initial states; the
-    lowest-energy readout wins.
+    lowest-energy readout wins.  The seed of those states is not a
+    setting: solve() takes it per call.
     """
 
     n_steps: int = 100
     dt: float = 0.5
     n_restarts: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         for key in ("n_steps", "n_restarts"):
@@ -66,14 +66,6 @@ class SBParams:
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
 
-    def reseed(self, seed: int) -> SBParams:
-        """A copy with another seed.  It skips __post_init__: the other
-        knobs were checked when self was built, and re-checking them per
-        instance costs more than the copy."""
-        params = object.__new__(SBParams)
-        params.__dict__.update(self.__dict__, seed=seed)
-        return params
-
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -82,7 +74,7 @@ class SolveResult:
     diverged_restarts: int = 0
 
 
-def compute_c0(model: IsingModel, k: int | None = None) -> float:
+def compute_c0(j: np.ndarray, k: int | None = None) -> float:
     """Coupling strength 1 / (2 sqrt(N) lambda), with lambda the rms
     off-diagonal coupling sqrt(sum_{i!=k} J_ik^2 / (N (N-1))).
 
@@ -90,12 +82,12 @@ def compute_c0(model: IsingModel, k: int | None = None) -> float:
     and c0 by the same power of two after.  Both scalings are exact, so
     c0 equals the unscaled formula wherever that formula is finite and
     nonzero.  A caller that has taken max |J| already passes k.  Needs
-    n >= 2 and a nonzero J; solve() handles the rest.
+    n >= 2 and a nonzero (N, N) J; solve() handles the rest.
     """
-    n = model.n
+    n = len(j)
     if k is None:
-        k = math.frexp(float(np.max(np.abs(model.j))))[1]
-    lam = math.sqrt(float(np.sum(np.ldexp(model.j, -k) ** 2)) / (n * (n - 1)))
+        k = math.frexp(float(np.max(np.abs(j))))[1]
+    lam = math.sqrt(float(np.sum(np.ldexp(j, -k) ** 2)) / (n * (n - 1)))
     return math.ldexp(1.0 / (2.0 * math.sqrt(n) * lam), -k)
 
 
@@ -168,15 +160,17 @@ def step(xy, wall, over, a, j, half_h, c0, dt):
     return finite
 
 
-def solve(model: IsingModel, params: SBParams, trace_hook=None) -> SolveResult:
+def solve(
+    model: IsingModel, params: SBParams, seed: int = 0, trace_hook=None
+) -> SolveResult:
     """Run the evolution over all restarts and return the best readout.
 
     Restarts evolve together as the rows of one state, each from its own
-    initial state (see initial_states), for n_steps; each reads out
-    sign(x).  The readout with the lowest Ising energy wins; ties keep the
-    earlier restart, and a NaN energy (inf - inf near the float limit)
-    ranks last.  A restart that diverges is frozen and dropped; solving
-    fails only if every restart does.
+    initial state drawn from seed (see initial_states), for n_steps; each
+    reads out sign(x).  The readout with the lowest Ising energy wins;
+    ties keep the earlier restart, and a NaN energy (inf - inf near the
+    float limit) ranks last.  A restart that diverges is frozen and
+    dropped; solving fails only if every restart does.
 
     A model with all-zero couplings (including n = 1) is solved exactly
     by fields alone.
@@ -194,8 +188,8 @@ def solve(model: IsingModel, params: SBParams, trace_hook=None) -> SolveResult:
     mag = math.frexp(float(np.max(np.abs(model.j))))[1]
     shift = min(mag + 1000, 0)
     j, half_h = np.ldexp(model.j, -shift), np.ldexp(0.5 * model.h, -shift)
-    c0 = np.array(compute_c0(IsingModel(model.n, j, model.h), mag - shift))
-    xy = initial_states(model.n, params.seed, params.n_restarts)
+    c0 = np.array(compute_c0(j, mag - shift))
+    xy = initial_states(model.n, seed, params.n_restarts)
     wall = np.zeros_like(xy)
     np.copysign(1.0, xy[0], out=wall[0])
     over = np.empty(xy.shape[1:], dtype=bool)

@@ -125,9 +125,9 @@ def test_criterion_3_sb_attains_oracle_energy():
         rng = np.random.default_rng([MASTER_SEED, 0, i])
         inst = sample_instance(4, 4, c, 10.0, rng)
         seed = int(rng.integers(0, 1 << 63, dtype=np.uint64))
-        params = SBParams(n_steps=100, dt=0.5, n_restarts=10, seed=seed)
+        params = SBParams(n_steps=100, dt=0.5, n_restarts=10)
         p = prepare(inst, c)
-        sb_energy = sb_detect(p, params).ising_energy
+        sb_energy = sb_detect(p, params, seed=seed).ising_energy
         oracle_energy = ml_oracle(p).ising_energy
         if sb_energy <= oracle_energy + 1e-9:
             hits += 1

@@ -31,7 +31,7 @@ CSV_HEADER = (
 def small_config(**kw):
     base = dict(
         nt=2, nr=2, modulation="qpsk", snr_db=(5.0, 10.0), instances=25,
-        detectors=("mmse", "sb"), sb=SBParams(n_steps=30, dt=0.5, seed=0),
+        detectors=("mmse", "sb"), sb=SBParams(n_steps=30, dt=0.5),
         r=0.5, seed=7, workers=1,
     )
     base.update(kw)
@@ -85,6 +85,7 @@ class TestConfigValidation:
             dict(snr_db=(5.0, 4000.0)),
             dict(snr_db=(-4000.0,)),
             dict(nt=16, nr=16, snr_db=(-3080.0,)),
+            dict(modulation=5),
         ],
     )
     def test_invalid_configs_rejected(self, kw):
@@ -213,7 +214,7 @@ class TestRunSweep:
         path = tmp_path / "trace.csv"
         cfg = small_config(
             snr_db=(8.0,), instances=3, detectors=("mmse", "sb"),
-            sb=SBParams(n_steps=20, dt=0.5, n_restarts=2, seed=0),
+            sb=SBParams(n_steps=20, dt=0.5, n_restarts=2),
         )
         write_trace(trace_rows(cfg), str(path))
         rows = list(csv.reader(path.open()))

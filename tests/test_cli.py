@@ -1,8 +1,10 @@
 import csv
+import errno
 import json
 
 import pytest
 
+from sbmimo import cli
 from sbmimo.bench import BerRecord, snr_range, summary_table
 from sbmimo.cli import ConfigError, build_parser, main, parse_config
 
@@ -58,8 +60,12 @@ class TestFlagParsing:
             parse_config(["--detectors", "zf"])
 
     def test_invalid_modulation_choice_exits(self, capsys):
-        with pytest.raises(SystemExit):
+        # Checked by SweepConfig.validate alone, whose message lists the
+        # valid names; main turns it into exit 2.
+        with pytest.raises(ConfigError, match="qpsk"):
             parse_config(["--mod", "qam64"])
+        assert main(["--mod", "qam64", "--instances", "1"]) == 2
+        assert "qam16" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -187,6 +193,47 @@ class TestMain:
         assert f"error: cannot write {trace}" in captured.err
         assert "snr_db" in captured.out
         assert len(list(csv.DictReader(out.open()))) == 2
+
+    @pytest.mark.parametrize(
+        "flag, writer", [("--out", "write_csv"), ("--trace", "write_trace")]
+    )
+    def test_write_error_names_the_path(
+        self, flag, writer, tmp_path, monkeypatch, capsys
+    ):
+        # A full disk fails the write or the close, whose OSError carries
+        # no file name (as --out /dev/full does).
+        def full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, writer, full)
+        path = tmp_path / "x.csv"
+        code = main([
+            "--nt", "2", "--nr", "2", "--snr-list", "5", "--instances", "2",
+            "--detectors", "mmse,sb", "--steps", "5", flag, str(path),
+        ])
+        assert code == 1
+        assert f"error: cannot write {path}: " in capsys.readouterr().err
+
+    def test_modulation_flag_and_file_spellings_agree(self, tmp_path):
+        # Names are matched case-blind; the CSV holds the canonical name.
+        common = [
+            "--nt", "2", "--nr", "2", "--snr-list", "5", "--instances", "2",
+            "--detectors", "mmse",
+        ]
+        config = write_config(tmp_path, {"mod": "QPSK"})
+        runs = {
+            "lower": ["--mod", "qpsk"],
+            "flag": ["--mod", "QPSK"],
+            "file": ["--config", config],
+        }
+        texts = {}
+        for name, extra in runs.items():
+            out = tmp_path / f"{name}.csv"
+            assert main(common + extra + ["--out", str(out)]) == 0
+            texts[name] = out.read_bytes()
+        assert texts["flag"] == texts["file"] == texts["lower"]
+        rows = list(csv.DictReader(texts["flag"].decode().splitlines()))
+        assert {r["modulation"] for r in rows} == {"qpsk"}
 
     @pytest.mark.parametrize(
         "argv",

@@ -188,13 +188,13 @@ class TestOracle:
             ml_oracle(prepare(inst, QAM16))
 
     def test_dominates_other_detectors(self, rng):
-        params = SBParams(n_steps=60, dt=0.5, seed=1)
+        params = SBParams(n_steps=60, dt=0.5)
         for k in range(20):
             inst = sample_instance(2, 2, QPSK, float(5 + k), rng)
             p = prepare(inst, QPSK)
             ml = ml_oracle(p)
             mmse = mmse_detect(p)
-            sbr = sb_detect(p, params, mmse, r=0.5)
+            sbr = sb_detect(p, params, mmse, r=0.5, seed=1)
             assert ml.ising_energy <= mmse.ising_energy + 1e-9
             assert ml.ising_energy <= sbr.ising_energy + 1e-9
 
@@ -202,14 +202,14 @@ class TestOracle:
 class TestSbDetect:
     def test_plain_readout_is_consistent(self, rng):
         inst = sample_instance(3, 3, QPSK, 10.0, rng)
-        res = sb_detect(prepare(inst, QPSK), SBParams(n_steps=80, seed=2))
+        res = sb_detect(prepare(inst, QPSK), SBParams(n_steps=80), seed=2)
         model = instance_model(inst, QPSK)
         assert res.ising_energy == energy(model, res.spins)
         assert res.detector == "sb"
         assert set(res.extras) == {"diverged_restarts"}
 
     def test_regularized_never_loses_to_anchor(self, rng):
-        params = SBParams(n_steps=50, dt=0.5, seed=0)
+        params = SBParams(n_steps=50, dt=0.5)
         for k in range(40):
             inst = sample_instance(3, 3, QPSK, float(rng.uniform(0, 25)), rng)
             p = prepare(inst, QPSK)
@@ -238,13 +238,13 @@ class TestSbDetect:
             monkeypatch.setattr(module, "energy", counting)
         rng = np.random.default_rng(8)
         inst = sample_instance(3, 3, QPSK, 10.0, rng)
-        params = SBParams(n_steps=40, n_restarts=restarts, seed=3)
+        params = SBParams(n_steps=40, n_restarts=restarts)
         p = prepare(inst, QPSK)
         anchor = mmse_detect(p)
         assert len(calls) == 1
-        sb = sb_detect(p, params)
+        sb = sb_detect(p, params, seed=3)
         assert len(calls) == 1 + restarts
-        reg = sb_detect(p, params, anchor, r=0.5)
+        reg = sb_detect(p, params, anchor, r=0.5, seed=3)
         assert len(calls) == 1 + 2 * restarts + 1
         assert sb.ising_energy == energy(p.model, sb.spins)
         assert reg.ising_energy == energy(p.model, reg.spins)
@@ -256,10 +256,11 @@ class TestSbDetect:
             rng = np.random.default_rng(seed)
             inst = sample_instance(2, 2, QPSK, 28.0, rng)
             p = prepare(inst, QPSK)
-            params = SBParams(n_steps=100, seed=seed)
+            params = SBParams(n_steps=100)
             anchor = mmse_detect(p)
-            res = sb_detect(p, params, anchor, r=0.5)
-            readout = solve(regularize(p.model, anchor.spins, 0.5), params)
+            res = sb_detect(p, params, anchor, r=0.5, seed=seed)
+            model = regularize(p.model, anchor.spins, 0.5)
+            readout = solve(model, params, seed)
             if energy(p.model, readout.spins) == anchor.ising_energy:
                 assert res.extras["selected"] == "sb"
                 assert np.array_equal(res.spins, readout.spins)
@@ -268,14 +269,14 @@ class TestSbDetect:
 
     def test_detector_outputs_are_commensurate(self, rng):
         inst = sample_instance(2, 2, QAM16, 16.0, rng)
-        params = SBParams(n_steps=60, seed=4)
+        params = SBParams(n_steps=60)
         p = prepare(inst, QAM16)
         anchor = mmse_detect(p)
         results = [
             anchor,
             ml_oracle(p),
-            sb_detect(p, params),
-            sb_detect(p, params, anchor, r=0.5),
+            sb_detect(p, params, seed=4),
+            sb_detect(p, params, anchor, r=0.5, seed=4),
         ]
         for res in results:
             assert res.bits.shape == (inst.nt * QAM16.bps,)

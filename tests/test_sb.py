@@ -26,18 +26,18 @@ def model_of(j, h, offset=0.0):
     return IsingModel(n=len(j), j=j, h=np.asarray(h, dtype=float), offset=offset)
 
 
-def reference_runs(model, params, trace=None):
+def reference_runs(model, params, seed=0, trace=None):
     """Evolve each restart alone, one (N,) vector per step.
 
     An independent per-restart loop the batched solver must match bit for
     bit.  Returns each restart's readout, or None where it diverged; with
     ``trace`` a list, appends a row per step as solve's trace_hook gets.
     """
-    c0 = compute_c0(model)
+    c0 = compute_c0(model.j)
     n_steps = params.n_steps
     runs = []
     for restart in range(params.n_restarts):
-        rng = np.random.default_rng([params.seed, restart])
+        rng = np.random.default_rng([seed, restart])
         x = rng.uniform(-0.1, 0.1, model.n)
         y = rng.uniform(-0.1, 0.1, model.n)
         for k in range(n_steps):
@@ -105,25 +105,23 @@ def staggered_divergence_model():
     # Couplings and fields near the float limit: J @ s + h / 2 overflows
     # in row 0 when (s1, s2) = (+, -) and in row 2 when (s0, s1) = (+, +),
     # and stays finite otherwise, energies included.  With the seed
-    # below, restart 0 diverges at step 0, restart 1 at step 1, restart 3
+    # returned, restart 0 diverges at step 0, restart 1 at step 1, restart 3
     # at step 6, and restart 2 finishes.
     j = 2e307 * np.array([[0, 4, -3], [4, 0, -3], [-3, -3, 0]], dtype=float)
     model = IsingModel(n=3, j=j, h=2e307 * np.array([6.0, 0.0, -6.0]))
-    return model, SBParams(n_steps=12, dt=0.5, n_restarts=4, seed=15)
+    return model, SBParams(n_steps=12, dt=0.5, n_restarts=4), 15
 
 
 class TestNormalization:
     # c0 = 1 / (2 sqrt(N) lambda), lambda the rms off-diagonal coupling.
     def test_lambda_two_spin_uniform(self):
         m = model_of([[0, 3], [3, 0]], [0, 0])  # lambda = 3
-        assert compute_c0(m) == pytest.approx(1.0 / (6.0 * math.sqrt(2.0)))
+        assert compute_c0(m.j) == pytest.approx(1.0 / (6.0 * math.sqrt(2.0)))
 
     def test_lambda_three_spin_uniform(self):
         j = np.full((3, 3), 2.0)  # lambda = 2
         np.fill_diagonal(j, 0.0)
-        assert compute_c0(model_of(j, np.zeros(3))) == pytest.approx(
-            1.0 / (4.0 * math.sqrt(3.0))
-        )
+        assert compute_c0(j) == pytest.approx(1.0 / (4.0 * math.sqrt(3.0)))
 
     def test_lambda_matches_scalar_loop(self, rng):
         m = random_model(rng, 8)
@@ -134,16 +132,16 @@ class TestNormalization:
                     total += m.j[i, k] ** 2
         lam = math.sqrt(total / (8 * 7))
         expected = 1.0 / (2.0 * math.sqrt(8) * lam)
-        assert compute_c0(m) == pytest.approx(expected, rel=1e-12)
+        assert compute_c0(m.j) == pytest.approx(expected, rel=1e-12)
 
     def test_c0_two_spin_uniform(self):
         m = model_of([[0, 1], [1, 0]], [0, 0])
-        assert compute_c0(m) == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)))
+        assert compute_c0(m.j) == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)))
 
     def test_c0_four_spin_uniform(self):
         j = np.ones((4, 4))
         np.fill_diagonal(j, 0.0)
-        assert compute_c0(model_of(j, np.zeros(4))) == pytest.approx(0.25)
+        assert compute_c0(j) == pytest.approx(0.25)
 
     @given(
         st.integers(min_value=2, max_value=40),
@@ -157,7 +155,7 @@ class TestNormalization:
         m = random_model(np.random.default_rng(seed), n)
         j = m.j * 10.0**log_scale
         lam = math.sqrt(float(np.sum(j**2)) / (n * (n - 1)))
-        assert compute_c0(model_of(j, m.h)) == 1 / (2 * math.sqrt(n) * lam)
+        assert compute_c0(j) == 1 / (2 * math.sqrt(n) * lam)
 
 
 class TestSchedule:
@@ -261,7 +259,7 @@ class TestStep:
         assert finite.tolist() == [False, True]
         # A lone restart that overflows fails the whole solve.
         lone = overflowing_model()
-        assert 0.0 < compute_c0(lone) < math.inf
+        assert 0.0 < compute_c0(lone.j) < math.inf
         assert reference_runs(lone, SBParams(n_steps=5)) == [None]
         with pytest.raises(SolverDivergenceError):
             solve(lone, SBParams(n_steps=5))
@@ -275,7 +273,7 @@ class TestStep:
         dt = float(rng.uniform(0.1, 1.5))
         xy = initial_states(n, int(rng.integers(2**32)), 3)
         wall, over, half_h = step_buffers(xy, 0.5 * m.h)
-        c0 = compute_c0(m)
+        c0 = compute_c0(m.j)
         for a in pump_schedule(30):
             assert step(xy, wall, over, a, m.j, half_h, c0, dt) is None
             assert np.max(np.abs(xy[0])) <= 1.0
@@ -295,12 +293,12 @@ class TestSign:
 class TestSolve:
     def test_ferromagnetic_pair(self):
         m = model_of([[0, -1], [-1, 0]], [0, 0])
-        res = solve(m, SBParams(n_steps=100, dt=0.5, seed=1))
+        res = solve(m, SBParams(n_steps=100, dt=0.5), seed=1)
         assert res.energy == -2.0
         assert abs(res.spins.sum()) == 2  # aligned
 
     def test_field_only_degenerate_path(self):
-        res = solve(model_of([[0.0]], [3.0]), SBParams(seed=0))
+        res = solve(model_of([[0.0]], [3.0]), SBParams(), seed=0)
         assert res.spins.tolist() == [-1]
         assert res.energy == -3.0
         res = solve(model_of(np.zeros((3, 3)), [1.0, -2.0, 0.0]), SBParams())
@@ -309,17 +307,17 @@ class TestSolve:
 
     def test_pure_function_of_inputs(self, rng):
         m = random_model(rng, 6)
-        params = SBParams(n_steps=80, dt=0.4, n_restarts=3, seed=99)
-        a, b = solve(m, params), solve(m, params)
+        params = SBParams(n_steps=80, dt=0.4, n_restarts=3)
+        a, b = solve(m, params, seed=99), solve(m, params, seed=99)
         assert np.array_equal(a.spins, b.spins)
         assert a.energy == b.energy
 
     def test_best_restart_selected(self, rng):
         # Re-run each restart trajectory alone and compare the pick.
         m = random_model(rng, 7)
-        params = SBParams(n_steps=60, dt=0.5, n_restarts=5, seed=17)
-        res = solve(m, params)
-        runs = reference_runs(m, params)
+        params = SBParams(n_steps=60, dt=0.5, n_restarts=5)
+        res = solve(m, params, seed=17)
+        runs = reference_runs(m, params, seed=17)
         energies = [energy(m, spins) for spins in runs]
         assert res.energy == min(energies)
         assert np.array_equal(res.spins, runs[int(np.argmin(energies))])
@@ -344,17 +342,18 @@ class TestSolve:
         if huge:
             scale = 8e307 / math.sqrt(n)
             m = IsingModel(n=n, j=m.j * scale, h=m.h * scale, offset=m.offset)
-        params = SBParams(n_steps=steps, dt=dt, n_restarts=restarts, seed=seed)
+        params = SBParams(n_steps=steps, dt=dt, n_restarts=restarts)
         rows, ref_rows = [], []
+        hook = lambda *row: rows.append(row)  # noqa: E731
         quiet = "ignore" if huge else "warn"
         with np.errstate(over=quiet, invalid=quiet):
-            runs = reference_runs(m, params, ref_rows)
+            runs = reference_runs(m, params, seed, ref_rows)
             survivors = [s for s in runs if s is not None]
             if not survivors:
                 with pytest.raises(SolverDivergenceError):
-                    solve(m, params, trace_hook=lambda *row: rows.append(row))
+                    solve(m, params, seed, hook)
             else:
-                res = solve(m, params, trace_hook=lambda *row: rows.append(row))
+                res = solve(m, params, seed, hook)
                 spins, e = reference_best(m, runs)
                 assert np.array_equal(res.spins, spins)
                 assert same_energy(res.energy, e)
@@ -367,35 +366,35 @@ class TestSolve:
         # The divergence screen then runs the exact per-row check, which
         # keeps both rows for the wall rule to clamp, as the reference does.
         j = np.ldexp(np.ones((3, 3)) - np.eye(3), -10)
-        c0 = compute_c0(model_of(j, np.zeros(3)))
+        c0 = compute_c0(j)
         m = model_of(j, np.full(3, 2.0 * (1e308 / c0)))
         with np.errstate(over="ignore"):
             push = c0 * (0.5 * m.h)
             assert np.isfinite(push).all() and np.isinf(push.sum())
-        params = SBParams(n_steps=6, dt=1.0, n_restarts=2, seed=5)
+        params = SBParams(n_steps=6, dt=1.0, n_restarts=2)
         rows, ref_rows = [], []
-        res = solve(m, params, trace_hook=lambda *row: rows.append(row))
-        runs = reference_runs(m, params, ref_rows)
+        res = solve(m, params, 5, lambda *row: rows.append(row))
+        runs = reference_runs(m, params, 5, ref_rows)
         assert res.diverged_restarts == 0
         assert res.spins.tolist() == runs[0].tolist() == [-1, -1, -1]
         assert len(rows) == 12
         assert_same_rows(rows, ref_rows)
 
     def test_one_restart_diverging_is_dropped(self):
-        m, params = staggered_divergence_model()
-        runs = reference_runs(m, params)
+        m, params, seed = staggered_divergence_model()
+        runs = reference_runs(m, params, seed)
         assert [r is None for r in runs] == [True, True, False, True]
-        res = solve(m, params)
+        res = solve(m, params, seed)
         assert res.diverged_restarts == 3
         spins, e = reference_best(m, runs)
         assert np.array_equal(res.spins, spins)
         assert res.energy == e
 
     def test_trace_restart_major_and_stops_at_divergence(self):
-        m, params = staggered_divergence_model()
+        m, params, seed = staggered_divergence_model()
         rows, ref_rows = [], []
-        solve(m, params, trace_hook=lambda *row: rows.append(row))
-        reference_runs(m, params, ref_rows)
+        solve(m, params, seed, lambda *row: rows.append(row))
+        reference_runs(m, params, seed, ref_rows)
         restarts = [row[0] for row in rows]
         assert restarts == sorted(restarts)
         # restart 0 diverges at step 0, restart 1 at step 1, restart 3 at 6
@@ -410,11 +409,11 @@ class TestSolve:
         m = random_model(np.random.default_rng(seed), n)
         scale = 8e307 / math.sqrt(n)
         m = IsingModel(n=n, j=m.j * scale, h=m.h * scale, offset=m.offset)
-        params = SBParams(n_steps=1, dt=0.05, n_restarts=5, seed=seed)
+        params = SBParams(n_steps=1, dt=0.05, n_restarts=5)
         with np.errstate(over="ignore", invalid="ignore"):
-            runs = reference_runs(m, params)
+            runs = reference_runs(m, params, seed)
             energies = [energy(m, s) for s in runs]
-            res = solve(m, params)
+            res = solve(m, params, seed)
         assert energies[0] == energies[4] == math.inf
         assert math.isfinite(energies[1]) and energies[2] == -math.inf
         assert math.isnan(energies[3])
@@ -423,11 +422,11 @@ class TestSolve:
 
     def test_all_nan_energies_keep_the_first_readout(self, rng, monkeypatch):
         m = random_model(rng, 6)
-        params = SBParams(n_steps=20, n_restarts=4, seed=2)
-        runs = reference_runs(m, params)
+        params = SBParams(n_steps=20, n_restarts=4)
+        runs = reference_runs(m, params, seed=2)
         assert len({tuple(s) for s in runs}) > 1
         monkeypatch.setattr(sb, "energy", lambda model, s: math.nan)
-        res = solve(m, params)
+        res = solve(m, params, seed=2)
         assert math.isnan(res.energy)
         assert np.array_equal(res.spins, runs[0])
 
@@ -435,11 +434,11 @@ class TestSolve:
         # Ferromagnetic pair: both aligned readouts score -2, so every
         # restart ties; restart 0 wins even where later ones differ.
         m = model_of([[0, -1], [-1, 0]], [0, 0])
-        params = SBParams(n_steps=50, dt=0.5, n_restarts=6, seed=1)
-        runs = reference_runs(m, params)
+        params = SBParams(n_steps=50, dt=0.5, n_restarts=6)
+        runs = reference_runs(m, params, seed=1)
         assert {energy(m, s) for s in runs} == {-2.0}
         assert len({tuple(s) for s in runs}) == 2
-        res = solve(m, params)
+        res = solve(m, params, seed=1)
         assert np.array_equal(res.spins, runs[0])
 
     def test_finds_ground_state_usually(self, rng):
@@ -447,8 +446,8 @@ class TestSolve:
         hits = 0
         for _ in range(200):
             m = random_model(rng, 8)
-            res = solve(m, SBParams(n_steps=100, dt=0.5, n_restarts=10,
-                                    seed=int(rng.integers(2**63))))
+            res = solve(m, SBParams(n_steps=100, dt=0.5, n_restarts=10),
+                        seed=int(rng.integers(2**63)))
             best = min(energy(m, s) for s in all_spin_vectors(8))
             hits += res.energy <= best + 1e-9
         assert hits >= 190  # >= 95% of 200
@@ -465,12 +464,14 @@ class TestSolve:
         x = rng.uniform(-1, 1, 6)
         for kappa in (3.0, 4.0):
             mk = IsingModel(n=6, j=kappa * j, h=np.zeros(6))
-            f1 = compute_c0(m1) * (m1.j @ sign_pm1(x))
-            fk = compute_c0(mk) * (mk.j @ sign_pm1(x))
+            f1 = compute_c0(m1.j) * (m1.j @ sign_pm1(x))
+            fk = compute_c0(mk.j) * (mk.j @ sign_pm1(x))
             assert fk == pytest.approx(f1, rel=1e-12)
         m4 = IsingModel(n=6, j=4.0 * j, h=np.zeros(6))
-        params = SBParams(n_steps=50, dt=0.5, seed=5)
-        assert np.array_equal(solve(m1, params).spins, solve(m4, params).spins)
+        params = SBParams(n_steps=50, dt=0.5)
+        assert np.array_equal(
+            solve(m1, params, seed=5).spins, solve(m4, params, seed=5).spins
+        )
 
     @pytest.mark.parametrize("k", [520, -560])
     @given(seed=st.integers(min_value=0, max_value=2**32))
@@ -486,9 +487,9 @@ class TestSolve:
             n=m.n, j=np.ldexp(m.j, k), h=np.ldexp(m.h, k),
             offset=math.ldexp(m.offset, k),
         )
-        assert compute_c0(scaled) == math.ldexp(compute_c0(m), -k)
-        params = SBParams(n_steps=40, n_restarts=3, seed=seed)
-        res, ref = solve(scaled, params), solve(m, params)
+        assert compute_c0(scaled.j) == math.ldexp(compute_c0(m.j), -k)
+        params = SBParams(n_steps=40, n_restarts=3)
+        res, ref = solve(scaled, params, seed), solve(m, params, seed)
         assert np.array_equal(res.spins, ref.spins)
         assert res.energy == math.ldexp(ref.energy, k)
 
@@ -496,9 +497,13 @@ class TestSolve:
         # At max |J| = 2^-1060 the true c0 is beyond the float range.  The
         # model 2^600 times larger has the same forces, so the same spins.
         j, h = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, -0.25])
-        params = SBParams(n_steps=30, n_restarts=3, seed=4)
-        tiny = solve(model_of(np.ldexp(j, -1060), np.ldexp(h, -1060)), params)
-        ref = solve(model_of(np.ldexp(j, -460), np.ldexp(h, -460)), params)
+        params = SBParams(n_steps=30, n_restarts=3)
+        tiny = solve(
+            model_of(np.ldexp(j, -1060), np.ldexp(h, -1060)), params, seed=4
+        )
+        ref = solve(
+            model_of(np.ldexp(j, -460), np.ldexp(h, -460)), params, seed=4
+        )
         assert np.array_equal(tiny.spins, ref.spins)
         assert tiny.energy == math.ldexp(ref.energy, -600)
 
@@ -509,7 +514,7 @@ class TestSolve:
         j = (a + a.T) / 2.0
         np.fill_diagonal(j, 0.0)
         m = IsingModel(n=5, j=j, h=np.zeros(5))
-        c0 = compute_c0(m)
+        c0 = compute_c0(m.j)
         xy = initial_states(5, seed=3, n_restarts=1)
         xy = np.concatenate([xy, -xy], axis=1)
         x, y = xy
@@ -531,8 +536,8 @@ class TestSolve:
     def test_trace_hook_sees_every_step(self, rng):
         m = random_model(rng, 4)
         rows = []
-        params = SBParams(n_steps=25, dt=0.5, n_restarts=2, seed=8)
-        solve(m, params, trace_hook=lambda *row: rows.append(row))
+        params = SBParams(n_steps=25, dt=0.5, n_restarts=2)
+        solve(m, params, seed=8, trace_hook=lambda *row: rows.append(row))
         assert len(rows) == 25 * 2
         steps = [r[1] for r in rows[:25]]
         assert steps == list(range(25))
@@ -562,15 +567,9 @@ class TestParams:
                 SBParams(**{key: value})
         assert getattr(SBParams(**{key: np.int64(3)}), key) == 3
 
-    def test_reseed_changes_only_the_seed(self):
-        params = SBParams(n_steps=7, dt=0.25, n_restarts=3, seed=1)
-        again = params.reseed(2**62)
-        assert again == dataclasses.replace(params, seed=2**62)
-        assert params.seed == 1
-
     def test_has_only_the_knobs_the_pipeline_sets(self):
         names = [f.name for f in dataclasses.fields(SBParams)]
-        assert names == ["n_steps", "dt", "n_restarts", "seed"]
+        assert names == ["n_steps", "dt", "n_restarts"]
 
     def test_init_state_deterministic_and_bounded(self):
         x, y = initial_states(16, seed=4, n_restarts=3)
