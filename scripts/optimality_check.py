@@ -18,8 +18,7 @@ from sbmimo.sb import SBParams
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--modulation", default="qpsk",
-                    choices=["bpsk", "qpsk", "qam16"])
+    ap.add_argument("--modulation", default="qpsk", type=get_constellation)
     ap.add_argument("--sizes", default="2,4,6,8",
                     help="comma-separated nt values (nr = nt)")
     ap.add_argument("--snr-db", type=float, default=10.0)
@@ -29,7 +28,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
-    c = get_constellation(args.modulation)
+    c = args.modulation
     print(f"{'nt':>4} {'spins':>6} {'optimal':>8} {'mean excess':>12}")
     for nt in [int(v) for v in args.sizes.split(",")]:
         hits = 0

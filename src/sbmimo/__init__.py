@@ -22,7 +22,6 @@ from sbmimo.channel import (
 from sbmimo.reduction import (
     build_ising,
     regularize,
-    spins_to_bits,
     symbols_to_spins,
 )
 from sbmimo.detectors import (
@@ -54,7 +53,6 @@ __all__ = [
     "noise_variance_for_snr",
     "build_ising",
     "regularize",
-    "spins_to_bits",
     "symbols_to_spins",
     "DetectionResult",
     "Problem",

@@ -28,6 +28,7 @@ from sbmimo.detectors import (
     prepare,
     sb_detect,
 )
+from sbmimo.reduction import symbols_to_spins
 from sbmimo.sb import SBParams, SolverDivergenceError, is_int
 
 DETECTOR_NAMES = ("mmse", "sb", "sb-reg", "ml-oracle")
@@ -83,6 +84,11 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
         object.__setattr__(self, "detectors", tuple(self.detectors))
+        try:
+            c = get_constellation(self.modulation)
+            object.__setattr__(self, "modulation", c.name)
+        except ValueError:
+            pass  # validate reports it
         problems = self.validate()
         if problems:
             raise ValueError("; ".join(problems))
@@ -194,21 +200,22 @@ def _eval_chunk(cfg: SweepConfig, snr_idx: int, start: int, stop: int):
 
     Each instance is reduced once and MMSE runs at most once; its result
     is both the `mmse` decision and the `sb-reg` anchor, so an MMSE
-    failure counts against both.
+    failure counts against both.  Bit errors are counted as spin
+    mismatches against the transmitted spins: under the channel's bit
+    labeling each bit is one spin.
     """
     c = get_constellation(cfg.modulation)
     tally = {det: Counter() for det in cfg.detectors}
     for i in range(start, stop):
         p, seed, anchor = _instance(cfg, c, snr_idx, i)
+        tx_spins = symbols_to_spins(p.inst.tx_symbols, c)
         for det in cfg.detectors:
             try:
                 res = _run_detector(det, p, cfg.sb, seed, anchor, cfg.r)
             except (DetectionFailureError, SolverDivergenceError):
                 tally[det]["failures"] += 1
                 continue
-            tally[det]["errors"] += int(
-                np.count_nonzero(res.bits != p.inst.tx_bits)
-            )
+            tally[det]["errors"] += int(np.count_nonzero(res.spins != tx_spins))
             tally[det]["used"] += 1
             if det == "sb-reg":
                 if res.ising_energy > anchor.ising_energy:

@@ -96,18 +96,6 @@ def _axis_weights(bits_per_axis: int) -> np.ndarray:
     return 2.0 ** np.arange(bits_per_axis - 1, -1, -1)
 
 
-def bits_to_spins(bits: np.ndarray) -> np.ndarray:
-    """Bit b in {0, 1} -> spin 1 - 2b in {+1, -1}."""
-    bits = np.asarray(bits)
-    return (1 - 2 * bits).astype(np.int8)
-
-
-def spins_to_bit_values(s: np.ndarray) -> np.ndarray:
-    """Spin s in {+1, -1} -> bit (1 - s) / 2 in {0, 1}."""
-    s = np.asarray(s)
-    return ((1 - s) // 2).astype(np.int8)
-
-
 def modulate(bits: np.ndarray, c: Constellation) -> np.ndarray:
     """Map a bit vector to symbols, bps bits per symbol.
 
@@ -119,7 +107,7 @@ def modulate(bits: np.ndarray, c: Constellation) -> np.ndarray:
         raise ValueError(
             f"bit count {bits.size} is not a multiple of bps = {c.bps}"
         )
-    spins = bits_to_spins(bits).reshape(-1, c.bps).astype(np.float64)
+    spins = 1.0 - 2.0 * bits.reshape(-1, c.bps)
     w = _axis_weights(c.bits_per_axis)
     re = spins[:, : c.bits_per_axis] @ w
     if not c.complex_axes:

@@ -25,7 +25,6 @@ from sbmimo.reduction import (
     instance_model,
     regularize,
     spin_matrix,
-    spins_to_bits,
     symbols_to_spins,
 )
 from sbmimo.sb import SBParams, solve
@@ -60,23 +59,12 @@ def prepare(inst: ChannelInstance, c: Constellation) -> Problem:
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """A detector's decision as spins and bits, with its model energy."""
+    """A detector's decision as spins, with its model energy."""
 
     detector: str
-    bits: np.ndarray
     spins: np.ndarray
     ising_energy: float
     extras: dict
-
-
-def _result(detector, spins, ising_energy, p: Problem, **extras):
-    return DetectionResult(
-        detector=detector,
-        bits=spins_to_bits(spins, p.c),
-        spins=spins,
-        ising_energy=ising_energy,
-        extras=extras,
-    )
 
 
 def mmse_detect(p: Problem) -> DetectionResult:
@@ -95,7 +83,7 @@ def mmse_detect(p: Problem) -> DetectionResult:
     except np.linalg.LinAlgError as err:
         raise DetectionFailureError(f"regularized Gram solve failed: {err}")
     spins = symbols_to_spins(soft, c)
-    return _result("mmse", spins, energy(p.model, spins), p)
+    return DetectionResult("mmse", spins, energy(p.model, spins), {})
 
 
 def _babai_point(sys, c, noise_var):
@@ -201,7 +189,7 @@ def ml_oracle(p: Problem) -> DetectionResult:
     bits = (best[1] >> np.arange(n - 1, -1, -1)) & 1
     spins = (2 * bits - 1).astype(np.int8)
     e = energy(p.model, spins)
-    return _result("ml-oracle", spins, e, p, candidates=candidates)
+    return DetectionResult("ml-oracle", spins, e, {"candidates": candidates})
 
 
 def sb_detect(
@@ -223,18 +211,15 @@ def sb_detect(
     """
     model = p.model if anchor is None else regularize(p.model, anchor.spins, r)
     res = solve(model, params, seed, trace_hook)
+    extras = {"diverged_restarts": res.diverged_restarts}
     if anchor is None:
-        return _result(
-            "sb", res.spins, res.energy, p,
-            diverged_restarts=res.diverged_restarts,
-        )
+        return DetectionResult("sb", res.spins, res.energy, extras)
     sb_energy = energy(p.model, res.spins)
     sb_wins = sb_energy <= anchor.ising_energy
-    return _result(
+    extras["selected"] = "sb" if sb_wins else "mmse"
+    return DetectionResult(
         "sb-reg",
         res.spins if sb_wins else anchor.spins,
         sb_energy if sb_wins else anchor.ising_energy,
-        p,
-        diverged_restarts=res.diverged_restarts,
-        selected="sb" if sb_wins else "mmse",
+        extras,
     )

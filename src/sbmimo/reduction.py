@@ -32,7 +32,6 @@ from sbmimo.channel import (
     _axis_weights,
     realify,
     realify_symbols,
-    spins_to_bit_values,
 )
 from sbmimo.ising import IsingModel
 
@@ -69,17 +68,6 @@ def build_ising(sys: RealizedSystem, c: Constellation) -> IsingModel:
 def instance_model(inst: ChannelInstance, c: Constellation) -> IsingModel:
     """Reduce one channel instance to its detection Ising model."""
     return build_ising(realify(inst.h, inst.y, c), c)
-
-
-def spins_to_bits(s: np.ndarray, c: Constellation) -> np.ndarray:
-    """Recover the transmitted bit vector from a spin assignment."""
-    s = np.asarray(s)
-    if s.ndim != 1 or s.size == 0 or s.size % c.bps:
-        raise ValueError(
-            f"spin vector has shape {s.shape}, expected (nt * {c.bps},)"
-        )
-    blocks = s.reshape(-1, s.size // c.bps)
-    return spins_to_bit_values(blocks.T).ravel()
 
 
 @functools.cache

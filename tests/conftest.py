@@ -9,7 +9,7 @@ import pytest
 
 from sbmimo.channel import modulate
 from sbmimo.ising import IsingModel
-from sbmimo.reduction import spins_to_bits, symbols_to_spins
+from sbmimo.reduction import symbols_to_spins
 
 
 def energy_loop(model: IsingModel, s) -> float:
@@ -59,6 +59,18 @@ def spins_to_symbols(s, c) -> np.ndarray:
     return x_r[:nt] + 1j * x_r[nt:]
 
 
+def spins_to_bits(s, c) -> np.ndarray:
+    # The bit vector of a spin vector, from the layouts' definitions: bit
+    # j of symbol k (the real axis's bits first, MSB first) is spin block
+    # j = (axis, weight), entry k, and spin s is bit (1 - s) / 2.
+    # Independent of the library's spin and bit maps.
+    nt = len(s) // c.bps
+    bits = [
+        (1 - int(s[j * nt + k])) // 2 for k in range(nt) for j in range(c.bps)
+    ]
+    return np.array(bits, dtype=np.int8)
+
+
 def bit_patterns(c) -> list:
     # Every bps-bit pattern, lexicographic.
     patterns = itertools.product((0, 1), repeat=c.bps)
@@ -80,7 +92,8 @@ def nearest_point_bits(symbols, c) -> np.ndarray:
 
 
 def hard_bits(symbols, c) -> np.ndarray:
-    # The library's hard decision, nearest level per axis, as bits.
+    # The library's hard decision, nearest level per axis, as bits
+    # through the reference layout above.
     return spins_to_bits(symbols_to_spins(symbols, c), c)
 
 

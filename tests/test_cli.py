@@ -67,6 +67,16 @@ class TestFlagParsing:
         assert main(["--mod", "qam64", "--instances", "1"]) == 2
         assert "qam16" in capsys.readouterr().err
 
+    def test_modulation_name_is_canonical(self, capsys):
+        # Stored and echoed as the CSV writes it, not as typed.
+        assert parse_config(["--mod", "QPSK"]).modulation == "qpsk"
+        assert parse_config(["--mod", "QaM16"]).modulation == "qam16"
+        assert main([
+            "--nt", "2", "--nr", "2", "--snr-list", "5", "--instances", "1",
+            "--detectors", "mmse", "--mod", "QPSK",
+        ]) == 0
+        assert " mod=qpsk " in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_file_overrides_defaults(self, tmp_path):

@@ -21,7 +21,6 @@ from sbmimo.reduction import (
     instance_model,
     regularize,
     spin_matrix,
-    spins_to_bits,
     symbols_to_spins,
 )
 
@@ -30,6 +29,7 @@ from conftest import (
     constellation_points,
     random_model,
     spin_transform,
+    spins_to_bits,
     spins_to_symbols,
 )
 
@@ -188,14 +188,8 @@ class TestSpinMaps:
             assert np.array_equal(spins_to_bits(s, c), bits)
 
     def test_length_mismatch_rejected(self):
-        # Spin vectors come in whole symbols of bps spins, symbols as a
-        # non-empty vector.
-        with pytest.raises(ValueError):
-            spins_to_bits(np.array([1, -1, 1]), QPSK)
-        with pytest.raises(ValueError):
-            spins_to_bits(np.array([[1, -1], [1, 1]]), QPSK)
-        with pytest.raises(ValueError):
-            spins_to_bits(np.array([], dtype=np.int8), BPSK)
+        # Symbols come as a non-empty vector, a real channel in whole
+        # column blocks.
         with pytest.raises(ValueError):
             symbols_to_spins(np.array([[1 + 1j]]), QPSK)
         with pytest.raises(ValueError):
@@ -297,3 +291,21 @@ def test_bits_survive_modulation_and_spin_layout(seed, name, nt):
     spins = symbols_to_spins(modulate(bits, c), c)
     assert spins.shape == (nt * c.bps,)
     assert np.array_equal(spins_to_bits(spins, c), bits)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.sampled_from(["bpsk", "qpsk", "qam16"]),
+    st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_spin_mismatches_count_bit_errors(seed, name, nt):
+    # The sweep counts bit errors as mismatches with the transmitted
+    # spins; through the reference bit layout they are the bit errors.
+    c = get_constellation(name)
+    rng = np.random.default_rng(seed)
+    inst = sample_instance(nt, nt, c, float(rng.uniform(0, 30)), rng)
+    s = rng.choice([-1, 1], size=nt * c.bps).astype(np.int8)
+    spin_errors = np.count_nonzero(s != symbols_to_spins(inst.tx_symbols, c))
+    bit_errors = np.count_nonzero(spins_to_bits(s, c) != inst.tx_bits)
+    assert spin_errors == bit_errors

@@ -37,16 +37,34 @@ def test_sweep_config_file(name):
     assert parse_config(["--config", str(SCRIPTS / name)]) == SWEEPS[name]
 
 
-def test_optimality_check_runs(capsys):
-    spec = importlib.util.spec_from_file_location(
-        "optimality_check", SCRIPTS / "optimality_check.py"
-    )
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_optimality_check_runs(capsys):
+    module = load_script("optimality_check")
     assert module.main(["--sizes", "2", "--instances", "3"]) == 0
     header, row = capsys.readouterr().out.splitlines()
     assert header.split() == ["nt", "spins", "optimal", "mean", "excess"]
     assert row.split()[:2] == ["2", "4"]
+
+
+def test_optimality_check_modulation_names(capsys):
+    # Names resolve as the library resolves them, case-blind; an unknown
+    # one is a usage error.
+    module = load_script("optimality_check")
+    tables = []
+    for name in ("qpsk", "QPSK"):
+        argv = ["--modulation", name, "--sizes", "2", "--instances", "3"]
+        assert module.main(argv) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
+    with pytest.raises(SystemExit) as exc:
+        module.main(["--modulation", "qam64", "--sizes", "2"])
+    assert exc.value.code == 2
 
 
 def test_readme_library_example_runs(capsys):
