@@ -16,9 +16,18 @@ from sbmimo.detectors import ml_oracle, prepare, sb_detect
 from sbmimo.sb import SBParams
 
 
+def modulation(name: str):
+    """The constellation named, case-blind; an unknown name is a usage
+    error whose message lists the valid ones."""
+    try:
+        return get_constellation(name)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--modulation", default="qpsk", type=get_constellation)
+    ap.add_argument("--modulation", default="qpsk", type=modulation)
     ap.add_argument("--sizes", default="2,4,6,8",
                     help="comma-separated nt values (nr = nt)")
     ap.add_argument("--snr-db", type=float, default=10.0)

@@ -127,6 +127,8 @@ class SweepConfig:
                 )
         if len(set(self.detectors)) != len(self.detectors):
             problems.append(f"duplicate detectors in {self.detectors}")
+        if len(set(self.snr_db)) != len(self.snr_db):
+            problems.append(f"duplicate snr_db values in {self.snr_db}")
         if not (math.isfinite(self.r) and self.r >= 0):
             problems.append(f"r must be finite and >= 0, got {self.r}")
         for key in ("out", "trace"):
@@ -163,15 +165,15 @@ class BerRecord:
     selection_violations: int = 0
 
 
-def _run_detector(name, p, params, seed, anchor, r, trace_hook=None):
+def _run_detector(name, p, params, seed, anchor, r, trace=None):
     if name in ("mmse", "sb-reg") and anchor is None:
         raise DetectionFailureError("MMSE failed on this instance")
     if name == "mmse":
         return anchor
     if name == "sb":
-        return sb_detect(p, params, seed=seed, trace_hook=trace_hook)
+        return sb_detect(p, params, seed=seed, trace=trace)
     if name == "sb-reg":
-        return sb_detect(p, params, anchor, r, seed, trace_hook)
+        return sb_detect(p, params, anchor, r, seed, trace)
     return ml_oracle(p)
 
 
@@ -235,9 +237,8 @@ def trace_rows(cfg: SweepConfig) -> list:
     if family:
         c = get_constellation(cfg.modulation)
         p, seed, anchor = _instance(cfg, c, 0, 0)
-        hook = lambda *row: rows.append(row)  # noqa: E731
         try:
-            _run_detector(family[0], p, cfg.sb, seed, anchor, cfg.r, hook)
+            _run_detector(family[0], p, cfg.sb, seed, anchor, cfg.r, rows)
         except (DetectionFailureError, SolverDivergenceError):
             pass
     return rows
@@ -354,7 +355,7 @@ def summary_table(records: list[BerRecord]) -> str:
     cell = {
         (rec.snr_db, rec.detector): rec.ber for rec in records if rec.instances
     }
-    width = max(12, *(len(det) + 2 for det in detectors))
+    width = max([12, *(len(det) + 2 for det in detectors)])
     lines = [
         f"{'snr_db':>8}"
         + "".join(f"{det:>{width}}" for det in detectors)

@@ -28,20 +28,15 @@ import numpy as np
 class Constellation:
     """Symbol alphabet described per real axis.
 
-    levels are the amplitude values one axis can take, ascending;
-    complex_axes is False for BPSK (real-only symbols).  bps is bits per
-    symbol.
+    levels are the amplitude values one axis can take, ascending; axes
+    is the number of real axes per symbol, 2, or 1 for BPSK (real-only
+    symbols).  bps is bits per symbol.
     """
 
     name: str
     bps: int
     levels: tuple[int, ...]
-    complex_axes: bool = True
-
-    @property
-    def axes(self) -> int:
-        """Real axes per symbol: 2, or 1 for BPSK."""
-        return 2 if self.complex_axes else 1
+    axes: int = 2
 
     @property
     def bits_per_axis(self) -> int:
@@ -53,7 +48,7 @@ class Constellation:
         return self.axes * float(np.mean(np.square(self.levels)))
 
 
-BPSK = Constellation("bpsk", 1, (-1, 1), complex_axes=False)
+BPSK = Constellation("bpsk", 1, (-1, 1), axes=1)
 QPSK = Constellation("qpsk", 2, (-1, 1))
 QAM16 = Constellation("qam16", 4, (-3, -1, 1, 3))
 
@@ -107,13 +102,10 @@ def modulate(bits: np.ndarray, c: Constellation) -> np.ndarray:
         raise ValueError(
             f"bit count {bits.size} is not a multiple of bps = {c.bps}"
         )
-    spins = 1.0 - 2.0 * bits.reshape(-1, c.bps)
-    w = _axis_weights(c.bits_per_axis)
-    re = spins[:, : c.bits_per_axis] @ w
-    if not c.complex_axes:
-        return re.astype(np.complex128)
-    im = spins[:, c.bits_per_axis :] @ w
-    return re + 1j * im
+    spins = 1.0 - 2.0 * bits.reshape(-1, c.axes, c.bits_per_axis)
+    axis = np.zeros((len(spins), 2))  # BPSK leaves the imaginary axis 0
+    axis[:, : c.axes] = spins @ _axis_weights(c.bits_per_axis)
+    return axis[:, 0] + 1j * axis[:, 1]
 
 
 def sample_channel(nt: int, nr: int, rng: np.random.Generator) -> np.ndarray:
@@ -159,7 +151,7 @@ def realify(H: np.ndarray, y: np.ndarray, c: Constellation) -> RealizedSystem:
             f"H has {H.shape[0]} rows but y has length {y.shape[0]}"
         )
     y_r = np.concatenate([y.real, y.imag])
-    if not c.complex_axes:
+    if c.axes == 1:
         return RealizedSystem(h_r=np.vstack([H.real, H.imag]), y_r=y_r)
     # Filled block by block: np.block costs several times as much.
     nr, nt = H.shape
@@ -173,9 +165,7 @@ def realify(H: np.ndarray, y: np.ndarray, c: Constellation) -> RealizedSystem:
 def realify_symbols(x: np.ndarray, c: Constellation) -> np.ndarray:
     """The real symbol vector matching realify()'s column layout."""
     x = np.asarray(x, dtype=np.complex128)
-    if not c.complex_axes:
-        return x.real.copy()
-    return np.concatenate([x.real, x.imag])
+    return np.concatenate([x.real, x.imag][: c.axes])
 
 
 def sample_instance(

@@ -23,6 +23,7 @@ from sbmimo.channel import (
 from sbmimo.ising import IsingModel, energy
 from sbmimo.reduction import (
     instance_model,
+    level_spins,
     regularize,
     spin_matrix,
     symbols_to_spins,
@@ -145,17 +146,17 @@ def ml_oracle(p: Problem) -> DetectionResult:
     than rounding can move it, so the optimum is never dropped.  With
     nr < nt, R has fewer rows than coordinates and the top levels simply
     go unpruned.  Each surviving leaf is scored by the squared residual
-    over spin_matrix, and ties go to the lexicographically smallest spin
-    vector (-1 before +1): the answer of a scan over all 2^n spin vectors
-    in that order.  extras["candidates"] counts the leaves scored.
-    Refuses above ORACLE_SPIN_LIMIT spins.
+    over spin_matrix of its spins (see level_spins), and ties go to the
+    lexicographically smallest spin vector (-1 before +1): the answer of
+    a scan over all 2^n spin vectors in that order.  extras["candidates"]
+    counts the leaves scored.  Refuses above ORACLE_SPIN_LIMIT spins.
     """
     n = p.model.n
     if n > ORACLE_SPIN_LIMIT:
         raise ValueError(
             f"{n} spins exceed the oracle limit of {ORACLE_SPIN_LIMIT}"
         )
-    c, nt = p.c, p.inst.nt
+    c = p.c
     sys = realify(p.inst.h, p.inst.y, c)
     k = sys.h_r.shape[1]
     lv = np.array(c.levels, dtype=np.float64)
@@ -172,22 +173,17 @@ def ml_oracle(p: Problem) -> DetectionResult:
     bound = radius + _MARGIN * float(scale)
 
     a = spin_matrix(sys.h_r, c)
-    shifts = np.arange(c.bits_per_axis - 1, -1, -1)[:, None]
-    weights = 1 << np.arange(n - 1, -1, -1)
-    best = (np.inf, 0)  # (residual, spin bits as an integer, MSB first)
+    best = (np.inf, (-1,) * n)  # (residual, spins as a tuple)
     candidates = 0
     for idx in _leaf_blocks(r, z, lv, bound):
-        # Level index j's binary digits are that coordinate's spin bits
-        # (+1 -> 1), MSB first; spins are laid out (axis, weight, entry).
-        bits = (idx.reshape(len(idx), -1, 1, nt) >> shifts) & 1
-        bits = bits.reshape(len(idx), n)
-        resid = sys.y_r[None, :] - (2.0 * bits - 1.0) @ a.T
+        spins = level_spins(idx, c)
+        resid = sys.y_r[None, :] - spins @ a.T
         values = np.einsum("ij,ij->i", resid, resid)
         v = values.min()
-        best = min(best, (float(v), int((bits[values == v] @ weights).min())))
+        tied = map(tuple, spins[values == v].tolist())
+        best = min(best, (float(v), min(tied)))
         candidates += len(idx)
-    bits = (best[1] >> np.arange(n - 1, -1, -1)) & 1
-    spins = (2 * bits - 1).astype(np.int8)
+    spins = np.array(best[1], dtype=np.int8)
     e = energy(p.model, spins)
     return DetectionResult("ml-oracle", spins, e, {"candidates": candidates})
 
@@ -198,7 +194,7 @@ def sb_detect(
     anchor: DetectionResult | None = None,
     r: float = 0.5,
     seed: int = 0,
-    trace_hook=None,
+    trace: list | None = None,
 ) -> DetectionResult:
     """Detect by solving the instance Ising model with the SB solver.
 
@@ -207,10 +203,10 @@ def sb_detect(
     anchored at its spins with penalty weight r, solved, and the readout
     and the anchor are compared under the unregularized model; the lower
     energy wins (ties keep the solver readout).  seed draws the solver's
-    initial states.
+    initial states; trace, when a list, collects solve's trace rows.
     """
     model = p.model if anchor is None else regularize(p.model, anchor.spins, r)
-    res = solve(model, params, seed, trace_hook)
+    res = solve(model, params, seed, trace)
     extras = {"diverged_restarts": res.diverged_restarts}
     if anchor is None:
         return DetectionResult("sb", res.spins, res.energy, extras)

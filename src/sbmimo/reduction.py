@@ -70,15 +70,28 @@ def instance_model(inst: ChannelInstance, c: Constellation) -> IsingModel:
     return build_ising(realify(inst.h, inst.y, c), c)
 
 
+def level_spins(idx: np.ndarray, c: Constellation) -> np.ndarray:
+    """Spins of rows of level indices, laid out (axis, weight, entry).
+
+    idx is (..., axes * nt): per real coordinate in realify's column
+    layout, the index of its level among c's ascending levels, so level
+    i's spins are the binary digits of i, MSB first, with +1 for a one.
+    Returns int8 spins of shape (..., nt * bps).
+    """
+    idx = np.asarray(idx, dtype=np.int8)
+    lead, nt = idx.shape[:-1], idx.shape[-1] // c.axes
+    shifts = np.arange(c.bits_per_axis - 1, -1, -1, dtype=np.int8)[:, None]
+    bits = (idx.reshape(*lead, c.axes, 1, nt) >> shifts) & 1
+    return (2 * bits - 1).reshape(*lead, nt * c.bps)
+
+
 @functools.cache
 def _decisions(c: Constellation) -> tuple[np.ndarray, np.ndarray]:
     # c's levels in tie order (smaller amplitude first, then the positive
-    # one), and each level's spins, MSB first: levels ascend, so level i's
-    # spins are the binary digits of i with +1 for a one.
+    # one), and each one's index among the ascending levels.
     order = sorted(c.levels, key=lambda v: (abs(v), -v))
-    index = np.array([c.levels.index(v) for v in order])[:, None]
-    bits = (index >> np.arange(c.bits_per_axis - 1, -1, -1)) & 1
-    return np.array(order, dtype=np.float64), (2 * bits - 1).astype(np.int8)
+    index = np.array([c.levels.index(v) for v in order], dtype=np.int8)
+    return np.array(order, dtype=np.float64), index
 
 
 def symbols_to_spins(x: np.ndarray, c: Constellation) -> np.ndarray:
@@ -92,12 +105,9 @@ def symbols_to_spins(x: np.ndarray, c: Constellation) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1 or x.size == 0:
         raise ValueError(f"symbol vector has shape {x.shape}, expected (nt,)")
-    order, level_spins = _decisions(c)
+    order, index = _decisions(c)
     d = np.abs(realify_symbols(x, c)[:, None] - order)
-    spins = level_spins[np.argmin(d, axis=1)]
-    # (axis * nt + k, weight) -> block (axis, weight), entry k.
-    spins = spins.reshape(c.axes, x.size, c.bits_per_axis)
-    return spins.transpose(0, 2, 1).ravel()
+    return level_spins(index[np.argmin(d, axis=1)], c)
 
 
 def regularize(model: IsingModel, s_p: np.ndarray, r: float) -> IsingModel:

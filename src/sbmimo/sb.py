@@ -161,7 +161,7 @@ def step(xy, wall, over, a, j, half_h, c0, dt):
 
 
 def solve(
-    model: IsingModel, params: SBParams, seed: int = 0, trace_hook=None
+    model: IsingModel, params: SBParams, seed: int = 0, trace=None
 ) -> SolveResult:
     """Run the evolution over all restarts and return the best readout.
 
@@ -175,9 +175,9 @@ def solve(
     A model with all-zero couplings (including n = 1) is solved exactly
     by fields alone.
 
-    trace_hook, when given, is called for every step of every restart as
-    ``trace_hook(restart, step, a, x, y, readout_energy)``, restart-major;
-    a diverged restart's rows stop at its last finite step.
+    trace, when a list, is extended by ``(restart, step, a, x, y,
+    readout_energy)`` for every step of every restart, restart-major; a
+    diverged restart's rows stop at its last finite step.
     """
     if model.n < 2 or not model.j.any():
         spins = _field_only_spins(model)
@@ -196,7 +196,7 @@ def solve(
     half_h = np.tile(half_h, (params.n_restarts, 1))
     dt = np.array(params.dt)
     live = np.arange(params.n_restarts)  # restart index of each row
-    traced = [[] for _ in live] if trace_hook is not None else None
+    traced = [[] for _ in live] if trace is not None else None
     # Overflow is handled explicitly by the per-row finiteness mask.
     with np.errstate(over="ignore", invalid="ignore"):
         for k, a in enumerate(pump_schedule(params.n_steps).tolist()):
@@ -214,8 +214,7 @@ def solve(
                 for xr, yr, sr, r in zip(xs, ys, spins, live.tolist()):
                     traced[r].append((r, k, a, xr, yr, energy(model, sr)))
     for rows in traced or ():
-        for row in rows:
-            trace_hook(*row)
+        trace.extend(rows)
     if live.size == 0:
         raise SolverDivergenceError(
             f"all {params.n_restarts} restarts diverged (dt = {params.dt})"

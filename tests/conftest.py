@@ -37,10 +37,9 @@ def spin_transform(c, nt: int) -> np.ndarray:
     # The dense spin transform T with x_r = T s, from its definition: spin
     # block (axis, weight) maps onto that axis's nt real unknowns, scaled
     # by the weight (MSB first).  Independent of reduction.spin_matrix.
-    axes = 2 if c.complex_axes else 1
     bpa = c.bits_per_axis
-    t = np.zeros((axes * nt, axes * bpa * nt))
-    for axis in range(axes):
+    t = np.zeros((c.axes * nt, c.axes * bpa * nt))
+    for axis in range(c.axes):
         for w, weight in enumerate(2 ** np.arange(bpa - 1, -1, -1)):
             block = axis * bpa + w
             rows = slice(axis * nt, (axis + 1) * nt)
@@ -54,7 +53,7 @@ def spins_to_symbols(s, c) -> np.ndarray:
     s = np.asarray(s, dtype=np.float64)
     nt = s.size // c.bps
     x_r = spin_transform(c, nt) @ s
-    if not c.complex_axes:
+    if c.axes == 1:
         return x_r.astype(np.complex128)
     return x_r[:nt] + 1j * x_r[nt:]
 

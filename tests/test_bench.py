@@ -86,6 +86,7 @@ class TestConfigValidation:
             dict(snr_db=(-4000.0,)),
             dict(nt=16, nr=16, snr_db=(-3080.0,)),
             dict(modulation=5),
+            dict(snr_db=(5.0, 5.0)),
         ],
     )
     def test_invalid_configs_rejected(self, kw):
@@ -327,3 +328,6 @@ class TestSummary:
         assert "snr_db" in lines[0]
         assert "mmse" in lines[0] and "sb" in lines[0]
         assert "5" in lines[1] and "10" in lines[2]
+
+    def test_no_records_gives_the_header_line(self):
+        assert summary_table([]) == f"{'snr_db':>8}"

@@ -42,6 +42,9 @@ class TestConstellations:
             1, 1, 2
         )
 
+    def test_real_axes(self):
+        assert (BPSK.axes, QPSK.axes, QAM16.axes) == (1, 2, 2)
+
     def test_axis_levels(self):
         assert set(BPSK.levels) == {-1, 1}
         assert set(QPSK.levels) == {-1, 1}

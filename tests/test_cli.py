@@ -255,9 +255,11 @@ class TestMain:
             ["--snr-list", "-4000"],
             ["--snr-list", "-3080"],
             ["--seed", "-1"],
+            ["--snr-list", "5,5"],
         ],
         ids=["snr-nan", "snr-inf", "snr-grid-inf", "snr-overflow",
-             "snr-underflow", "snr-inf-noise", "negative-seed"],
+             "snr-underflow", "snr-inf-noise", "negative-seed",
+             "snr-duplicate"],
     )
     def test_bad_value_returns_2(self, argv, capsys):
         assert main(argv + ["--instances", "1"]) == 2

@@ -19,6 +19,7 @@ from sbmimo.ising import energy
 from sbmimo.reduction import (
     build_ising,
     instance_model,
+    level_spins,
     regularize,
     spin_matrix,
     symbols_to_spins,
@@ -309,3 +310,24 @@ def test_spin_mismatches_count_bit_errors(seed, name, nt):
     spin_errors = np.count_nonzero(s != symbols_to_spins(inst.tx_symbols, c))
     bit_errors = np.count_nonzero(spins_to_bits(s, c) != inst.tx_bits)
     assert spin_errors == bit_errors
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.sampled_from(["bpsk", "qpsk", "qam16"]),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([np.int8, np.int64]),
+)
+@settings(max_examples=60, deadline=None)
+def test_level_spins_land_on_their_levels(seed, name, nt, batch, dtype):
+    # level_spins' layout against T from its definition: for every row of
+    # a batch, T s puts each real coordinate on the level it indexes.
+    c = get_constellation(name)
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, len(c.levels), (batch, c.axes * nt)).astype(dtype)
+    s = level_spins(idx, c)
+    assert s.shape == (batch, nt * c.bps) and s.dtype == np.int8
+    levels, t = np.array(c.levels), spin_transform(c, nt)
+    for b in range(batch):
+        assert np.array_equal(t @ s[b], levels[idx[b]])

@@ -31,7 +31,7 @@ def reference_runs(model, params, seed=0, trace=None):
 
     An independent per-restart loop the batched solver must match bit for
     bit.  Returns each restart's readout, or None where it diverged; with
-    ``trace`` a list, appends a row per step as solve's trace_hook gets.
+    ``trace`` a list, appends a row per step as solve's trace gets.
     """
     c0 = compute_c0(model.j)
     n_steps = params.n_steps
@@ -344,16 +344,15 @@ class TestSolve:
             m = IsingModel(n=n, j=m.j * scale, h=m.h * scale, offset=m.offset)
         params = SBParams(n_steps=steps, dt=dt, n_restarts=restarts)
         rows, ref_rows = [], []
-        hook = lambda *row: rows.append(row)  # noqa: E731
         quiet = "ignore" if huge else "warn"
         with np.errstate(over=quiet, invalid=quiet):
             runs = reference_runs(m, params, seed, ref_rows)
             survivors = [s for s in runs if s is not None]
             if not survivors:
                 with pytest.raises(SolverDivergenceError):
-                    solve(m, params, seed, hook)
+                    solve(m, params, seed, rows)
             else:
-                res = solve(m, params, seed, hook)
+                res = solve(m, params, seed, rows)
                 spins, e = reference_best(m, runs)
                 assert np.array_equal(res.spins, spins)
                 assert same_energy(res.energy, e)
@@ -373,7 +372,7 @@ class TestSolve:
             assert np.isfinite(push).all() and np.isinf(push.sum())
         params = SBParams(n_steps=6, dt=1.0, n_restarts=2)
         rows, ref_rows = [], []
-        res = solve(m, params, 5, lambda *row: rows.append(row))
+        res = solve(m, params, 5, rows)
         runs = reference_runs(m, params, 5, ref_rows)
         assert res.diverged_restarts == 0
         assert res.spins.tolist() == runs[0].tolist() == [-1, -1, -1]
@@ -393,7 +392,7 @@ class TestSolve:
     def test_trace_restart_major_and_stops_at_divergence(self):
         m, params, seed = staggered_divergence_model()
         rows, ref_rows = [], []
-        solve(m, params, seed, lambda *row: rows.append(row))
+        solve(m, params, seed, rows)
         reference_runs(m, params, seed, ref_rows)
         restarts = [row[0] for row in rows]
         assert restarts == sorted(restarts)
@@ -537,7 +536,7 @@ class TestSolve:
         m = random_model(rng, 4)
         rows = []
         params = SBParams(n_steps=25, dt=0.5, n_restarts=2)
-        solve(m, params, seed=8, trace_hook=lambda *row: rows.append(row))
+        solve(m, params, seed=8, trace=rows)
         assert len(rows) == 25 * 2
         steps = [r[1] for r in rows[:25]]
         assert steps == list(range(25))

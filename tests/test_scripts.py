@@ -54,7 +54,7 @@ def test_optimality_check_runs(capsys):
 
 def test_optimality_check_modulation_names(capsys):
     # Names resolve as the library resolves them, case-blind; an unknown
-    # one is a usage error.
+    # one is a usage error whose message names the valid choices.
     module = load_script("optimality_check")
     tables = []
     for name in ("qpsk", "QPSK"):
@@ -65,6 +65,7 @@ def test_optimality_check_modulation_names(capsys):
     with pytest.raises(SystemExit) as exc:
         module.main(["--modulation", "qam64", "--sizes", "2"])
     assert exc.value.code == 2
+    assert "qam16" in capsys.readouterr().err
 
 
 def test_readme_library_example_runs(capsys):
