@@ -31,6 +31,7 @@ from sbmimo.detectors import (
     mmse_detect,
     prepare,
     sb_detect,
+    sb_solve,
 )
 from sbmimo.bench import SweepConfig, BerRecord, run_sweep, write_csv
 
@@ -59,6 +60,7 @@ __all__ = [
     "prepare",
     "mmse_detect",
     "ml_oracle",
+    "sb_solve",
     "sb_detect",
     "SweepConfig",
     "BerRecord",

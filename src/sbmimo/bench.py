@@ -27,11 +27,13 @@ from sbmimo.detectors import (
     mmse_detect,
     prepare,
     sb_detect,
+    sb_solve,
 )
 from sbmimo.reduction import symbols_to_spins
 from sbmimo.sb import SBParams, SolverDivergenceError, is_int
 
 DETECTOR_NAMES = ("mmse", "sb", "sb-reg", "ml-oracle")
+SB_FAMILY = ("sb", "sb-reg")
 
 # How the snr_db column is defined: receive-side signal power over noise
 # power, E[|Hx|^2] / E[|n|^2], under a unit-variance Rayleigh channel.
@@ -165,16 +167,11 @@ class BerRecord:
     selection_violations: int = 0
 
 
-def _run_detector(name, p, params, seed, anchor, r, trace=None):
-    if name in ("mmse", "sb-reg") and anchor is None:
-        raise DetectionFailureError("MMSE failed on this instance")
-    if name == "mmse":
-        return anchor
-    if name == "sb":
-        return sb_detect(p, params, seed=seed, trace=trace)
-    if name == "sb-reg":
-        return sb_detect(p, params, anchor, r, seed, trace)
-    return ml_oracle(p)
+# Instances per dSB block: _eval_chunk solves a block's instances as one
+# solver state.  The cap bounds the memory a block holds at once: at
+# 16x16 QPSK a block of 32 raises a sweep's peak memory by about 0.8 MiB,
+# and larger blocks save little more time per instance.
+_BLOCK = 32
 
 
 def _instance(cfg: SweepConfig, c, snr_idx: int, i: int):
@@ -197,31 +194,74 @@ def _instance(cfg: SweepConfig, c, snr_idx: int, i: int):
     return p, solver_seed, anchor
 
 
+def _sb_solve(cfg: SweepConfig, det: str, block, trace=None) -> list:
+    """sb_solve outcomes of one SB-family detector over a block of
+    (problem, seed, anchor) triples.
+
+    `sb-reg` solves only the instances whose MMSE anchor exists; the
+    others get None, a failure.
+    """
+    anchored = det == "sb-reg"
+    todo = [k for k, b in enumerate(block) if b[2] is not None or not anchored]
+    out = [None] * len(block)
+    if todo:
+        problems, seeds, anchors = zip(*(block[k] for k in todo))
+        solved = sb_solve(
+            problems, cfg.sb, seeds, anchors if anchored else None, cfg.r,
+            trace and [trace[k] for k in todo],
+        )
+        for k, res in zip(todo, solved):
+            out[k] = res
+    return out
+
+
 def _eval_chunk(cfg: SweepConfig, snr_idx: int, start: int, stop: int):
     """Per-detector tallies of instances [start, stop) at one SNR point.
 
-    Each instance is reduced once and MMSE runs at most once; its result
-    is both the `mmse` decision and the `sb-reg` anchor, so an MMSE
-    failure counts against both.  Bit errors are counted as spin
-    mismatches against the transmitted spins: under the channel's bit
-    labeling each bit is one spin.
+    Instances go in blocks of up to _BLOCK.  Per block: each instance is
+    sampled, reduced once and run through MMSE and the ML oracle; then
+    one solve per SB-family detector covers the whole block; then, per
+    instance in order, the SB decisions are made and everything is
+    tallied.  MMSE runs at most once per instance; its result is both
+    the `mmse` decision and the `sb-reg` anchor, so an MMSE failure
+    counts against both.  Bit errors are counted as spin mismatches
+    against the transmitted spins: under the channel's bit labeling each
+    bit is one spin.
     """
     c = get_constellation(cfg.modulation)
+    family = [det for det in cfg.detectors if det in SB_FAMILY]
     tally = {det: Counter() for det in cfg.detectors}
-    for i in range(start, stop):
-        p, seed, anchor = _instance(cfg, c, snr_idx, i)
-        tx_spins = symbols_to_spins(p.inst.tx_symbols, c)
-        for det in cfg.detectors:
-            try:
-                res = _run_detector(det, p, cfg.sb, seed, anchor, cfg.r)
-            except (DetectionFailureError, SolverDivergenceError):
-                tally[det]["failures"] += 1
-                continue
-            tally[det]["errors"] += int(np.count_nonzero(res.spins != tx_spins))
-            tally[det]["used"] += 1
-            if det == "sb-reg":
-                if res.ising_energy > anchor.ising_energy:
-                    tally[det]["violations"] += 1
+    for lo in range(start, stop, _BLOCK):
+        block, decided = [], []
+        for i in range(lo, min(lo + _BLOCK, stop)):
+            p, seed, anchor = _instance(cfg, c, snr_idx, i)
+            block.append((p, seed, anchor))
+            decided.append({"mmse": anchor})
+            if "ml-oracle" in cfg.detectors:
+                decided[-1]["ml-oracle"] = ml_oracle(p)
+        solved = {det: _sb_solve(cfg, det, block) for det in family}
+        for k, (p, _, anchor) in enumerate(block):
+            for det, outcomes in solved.items():
+                if outcomes[k] is None:
+                    continue
+                try:
+                    decided[k][det] = sb_detect(
+                        p, outcomes[k], anchor if det == "sb-reg" else None
+                    )
+                except SolverDivergenceError:
+                    pass
+            tx_spins = symbols_to_spins(p.inst.tx_symbols, c)
+            for det in cfg.detectors:
+                res = decided[k].get(det)
+                if res is None:
+                    tally[det]["failures"] += 1
+                    continue
+                errors = np.count_nonzero(res.spins != tx_spins)
+                tally[det]["errors"] += int(errors)
+                tally[det]["used"] += 1
+                if det == "sb-reg":
+                    if res.ising_energy > anchor.ising_energy:
+                        tally[det]["violations"] += 1
     return tally
 
 
@@ -233,14 +273,10 @@ def trace_rows(cfg: SweepConfig) -> list:
     Each row is (restart, step, a, x, y, energy), as `solve` reports it.
     """
     rows = []
-    family = [det for det in cfg.detectors if det in ("sb", "sb-reg")]
+    family = [det for det in cfg.detectors if det in SB_FAMILY]
     if family:
         c = get_constellation(cfg.modulation)
-        p, seed, anchor = _instance(cfg, c, 0, 0)
-        try:
-            _run_detector(family[0], p, cfg.sb, seed, anchor, cfg.r, rows)
-        except (DetectionFailureError, SolverDivergenceError):
-            pass
+        _sb_solve(cfg, family[0], [_instance(cfg, c, 0, 0)], [rows])
     return rows
 
 

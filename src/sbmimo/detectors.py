@@ -28,7 +28,7 @@ from sbmimo.reduction import (
     spin_matrix,
     symbols_to_spins,
 )
-from sbmimo.sb import SBParams, solve
+from sbmimo.sb import SBParams, SolverDivergenceError, SolveResult, solve
 
 ORACLE_SPIN_LIMIT = 24
 # Rows one frontier expansion may build in ml_oracle.
@@ -188,34 +188,58 @@ def ml_oracle(p: Problem) -> DetectionResult:
     return DetectionResult("ml-oracle", spins, e, {"candidates": candidates})
 
 
+def sb_solve(
+    problems,
+    params: SBParams,
+    seeds,
+    anchors=None,
+    r: float = 0.5,
+    trace: list | None = None,
+) -> list:
+    """Solve a block of same-size problems' Ising models in one solve call.
+
+    With no anchors each plain model is solved.  Otherwise ``anchors``
+    holds each problem's MMSE result, and each model is anchored at its
+    spins with penalty weight r.  seeds holds one solver seed per
+    problem, which draws its initial states; trace, when given, holds one
+    list per problem for solve's trace rows.  Returns solve's outcome per
+    problem: a SolveResult, or the SolverDivergenceError of a problem
+    whose every restart diverged.  ``sb_detect`` turns one into a
+    decision.
+    """
+    if anchors is None:
+        models = [p.model for p in problems]
+    else:
+        models = [
+            regularize(p.model, a.spins, r) for p, a in zip(problems, anchors)
+        ]
+    return solve(models, params, seeds, trace)
+
+
 def sb_detect(
     p: Problem,
-    params: SBParams,
+    solved: SolveResult | SolverDivergenceError,
     anchor: DetectionResult | None = None,
-    r: float = 0.5,
-    seed: int = 0,
-    trace: list | None = None,
 ) -> DetectionResult:
-    """Detect by solving the instance Ising model with the SB solver.
+    """The SB decision on one problem from its ``sb_solve`` outcome.
 
-    With no anchor the plain model is solved and its readout returned.
-    Otherwise ``anchor`` is the instance's MMSE result: the model is
-    anchored at its spins with penalty weight r, solved, and the readout
-    and the anchor are compared under the unregularized model; the lower
-    energy wins (ties keep the solver readout).  seed draws the solver's
-    initial states; trace, when a list, collects solve's trace rows.
+    Raises the outcome if it is a SolverDivergenceError.  With no anchor
+    the readout of the plain model is the decision.  Otherwise
+    ``anchor`` is the MMSE result the model was anchored at, and the
+    readout and the anchor are compared under the unregularized model;
+    the lower energy wins (ties keep the solver readout).
     """
-    model = p.model if anchor is None else regularize(p.model, anchor.spins, r)
-    res = solve(model, params, seed, trace)
-    extras = {"diverged_restarts": res.diverged_restarts}
+    if isinstance(solved, SolverDivergenceError):
+        raise solved
+    extras = {"diverged_restarts": solved.diverged_restarts}
     if anchor is None:
-        return DetectionResult("sb", res.spins, res.energy, extras)
-    sb_energy = energy(p.model, res.spins)
+        return DetectionResult("sb", solved.spins, solved.energy, extras)
+    sb_energy = energy(p.model, solved.spins)
     sb_wins = sb_energy <= anchor.ising_energy
     extras["selected"] = "sb" if sb_wins else "mmse"
     return DetectionResult(
         "sb-reg",
-        res.spins if sb_wins else anchor.spins,
+        solved.spins if sb_wins else anchor.spins,
         sb_energy if sb_wins else anchor.ising_energy,
         extras,
     )

@@ -80,9 +80,16 @@ def level_spins(idx: np.ndarray, c: Constellation) -> np.ndarray:
     """
     idx = np.asarray(idx, dtype=np.int8)
     lead, nt = idx.shape[:-1], idx.shape[-1] // c.axes
-    shifts = np.arange(c.bits_per_axis - 1, -1, -1, dtype=np.int8)[:, None]
-    bits = (idx.reshape(*lead, c.axes, 1, nt) >> shifts) & 1
+    bits = (idx.reshape(*lead, c.axes, 1, nt) >> _shifts(c)) & 1
     return (2 * bits - 1).reshape(*lead, nt * c.bps)
+
+
+@functools.cache
+def _shifts(c: Constellation) -> np.ndarray:
+    # The bit shifts of one axis's weights, MSB first, as an int8 column.
+    shifts = np.arange(c.bits_per_axis - 1, -1, -1, dtype=np.int8)[:, None]
+    shifts.flags.writeable = False
+    return shifts
 
 
 @functools.cache

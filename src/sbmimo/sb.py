@@ -14,11 +14,14 @@ c0 = 1 / (2 sqrt(N) lambda) with lambda the rms off-diagonal coupling,
 computed on J scaled by a power of two: it is exact under power-of-two
 rescaling of the model, and sum(J**2) can neither overflow nor underflow.
 
-All restarts evolve together as the rows of one (2, R, N) state holding
-positions and momenta, updated in place by np.matvec(J, sign(x)), one
-matrix-vector product per row, and in-place ufuncs.  One dot product of
-x with itself screens for divergence; only a non-finite one runs the
-per-row check that drops diverged restarts.
+solve() takes a block of same-size models, one seed each, and evolves
+every restart of every model as a row of one (2, B, R, N) state of
+positions and momenta, updated in place by np.matvec(J, sign(x)) with J
+stacked (B, 1, N, N), one matrix-vector product per row, and in-place
+ufuncs.  Rows never mix, so each is bit for bit what it would be alone.
+One dot product of x with itself screens for divergence; only a
+non-finite one runs the per-row check that drops diverged restarts.  A
+single model is the block of one.
 
 sign(0) is +1 everywhere (force term and readout), a fixed tie-break.
 """
@@ -125,16 +128,18 @@ _ONE.flags.writeable = False
 
 
 def step(xy, wall, over, a, j, half_h, c0, dt):
-    """One symplectic-Euler update of the (R, N) rows of x = xy[0] and
-    y = xy[1], then the wall rule, all in place.
+    """One symplectic-Euler update of the rows of x = xy[0] and y = xy[1],
+    then the wall rule, all in place.
 
-    ``wall`` is (2, R, N): sign(x) in plane 0, before and after the step,
-    and zeros in plane 1.  ``over`` is an (R, N) bool buffer and ``half_h``
-    is h / 2 tiled to (R, N).  c0 and dt run fastest as 0-d arrays, as
-    solve() passes them.  Returns None when every row stayed finite,
-    else the mask of rows that did; rows outside it hold garbage.  The
-    mask is taken before the wall rule: clamping |x| > 1 to +-1 would
-    otherwise hide an overflow.
+    Rows run along the last axis: (R, N) for one model, (B, R, N) for a
+    block, with j (B, 1, N, N) and c0 (B, 1, 1) stacked per model.
+    ``wall`` is xy's shape: sign(x) in plane 0, before and after the
+    step, and zeros in plane 1.  ``over`` is a bool buffer of x's shape
+    and ``half_h`` is h / 2 tiled to it.  c0 and dt run fastest as
+    arrays, as solve() passes them.  Returns None when every row stayed
+    finite, else the mask of rows that did; rows outside it hold
+    garbage.  The mask is taken before the wall rule: clamping |x| > 1 to
+    +-1 would otherwise hide an overflow.
     """
     x, y, s = xy[0], xy[1], wall[0]
     # matvec runs one matrix-vector multiply per row, so each row matches
@@ -150,7 +155,7 @@ def step(xy, wall, over, a, j, half_h, c0, dt):
     # From a finite x, a non-finite y always makes x non-finite too.
     finite = None
     if not math.isfinite(np.vdot(x, x)):
-        finite = np.isfinite(x).all(axis=1)
+        finite = np.isfinite(x).all(axis=-1)
     # x is never -0.0 (initial_states draws none; x + dt * y is -0.0 only
     # when both terms are), so copysign gives sign(x) with sign(0) = +1.
     # Wall rule: |x| > 1 takes sign(x) from plane 0 and y = 0 from plane 1.
@@ -160,75 +165,114 @@ def step(xy, wall, over, a, j, half_h, c0, dt):
     return finite
 
 
-def solve(
-    model: IsingModel, params: SBParams, seed: int = 0, trace=None
-) -> SolveResult:
-    """Run the evolution over all restarts and return the best readout.
+def _stack(models, seeds, n_restarts):
+    """The block's (2, B, R, N) initial state, J as (B, 1, N, N), h / 2 as
+    (B, R, N) and c0 as (B, 1, 1).
 
-    Restarts evolve together as the rows of one state, each from its own
-    initial state drawn from seed (see initial_states), for n_steps; each
-    reads out sign(x).  The readout with the lowest Ising energy wins;
-    ties keep the earlier restart, and a NaN energy (inf - inf near the
-    float limit) ranks last.  A restart that diverges is frozen and
-    dropped; solving fails only if every restart does.
+    c0 ~ 1 / max |J| leaves the float range only below max |J| ~ 2^-1000.
+    Such a model's J and h are scaled up to that by a power of two, which
+    changes no force among normal floats; every other model runs as given.
+    """
+    b, n = len(models), models[0].n
+    xy = np.empty((2, b, n_restarts, n))
+    j = np.empty((b, 1, n, n))
+    half_h = np.empty((b, n_restarts, n))
+    c0 = np.empty((b, 1, 1))
+    for k, (model, seed) in enumerate(zip(models, seeds)):
+        mag = math.frexp(float(np.max(np.abs(model.j))))[1]
+        shift = min(mag + 1000, 0)
+        np.ldexp(model.j, -shift, out=j[k, 0])
+        half_h[k] = np.ldexp(0.5 * model.h, -shift)
+        c0[k] = compute_c0(j[k, 0], mag - shift)
+        xy[:, k] = initial_states(n, seed, n_restarts)
+    return xy, j, half_h, c0
+
+
+def solve(models, params: SBParams, seeds, trace=None) -> list:
+    """Run the evolution of a block of same-size models together and
+    return one outcome per model, in order.
+
+    Every restart of every model is one row of a single (2, B, R, N)
+    state, started from its own initial state drawn from its model's seed
+    (see initial_states), for n_steps; each reads out sign(x).  Per
+    model, the readout with the lowest Ising energy wins; ties keep the
+    earlier restart, and a NaN energy (inf - inf near the float limit)
+    ranks last.  A restart that diverges is dropped: its row evolves on,
+    unread.  A model whose every restart diverged gets a
+    SolverDivergenceError as its outcome, returned rather than raised, so
+    its block-mates are unaffected; every other outcome is a SolveResult.
+    One model is the block of one.
 
     A model with all-zero couplings (including n = 1) is solved exactly
     by fields alone.
 
-    trace, when a list, is extended by ``(restart, step, a, x, y,
-    readout_energy)`` for every step of every restart, restart-major; a
-    diverged restart's rows stop at its last finite step.
+    trace, when given, holds one list per model, which is extended by
+    ``(restart, step, a, x, y, readout_energy)`` for every step of every
+    restart, restart-major; a diverged restart's rows stop at its last
+    finite step.
     """
-    if model.n < 2 or not model.j.any():
-        spins = _field_only_spins(model)
-        return SolveResult(spins=spins, energy=energy(model, spins))
-    # c0 ~ 1 / max |J| leaves the float range only below max |J| ~ 2^-1000.
-    # Such J, and h, are scaled up to that by a power of two, which changes
-    # no force among normal floats; every other model runs as given.
-    mag = math.frexp(float(np.max(np.abs(model.j))))[1]
-    shift = min(mag + 1000, 0)
-    j, half_h = np.ldexp(model.j, -shift), np.ldexp(0.5 * model.h, -shift)
-    c0 = np.array(compute_c0(j, mag - shift))
-    xy = initial_states(model.n, seed, params.n_restarts)
+    models, seeds = list(models), list(seeds)
+    if len(seeds) != len(models) or len({m.n for m in models}) > 1:
+        raise ValueError("a block needs same-size models and one seed each")
+    out = [None] * len(models)
+    block = []  # indices of the models the kernel evolves
+    for b, model in enumerate(models):
+        if model.n < 2 or not model.j.any():
+            spins = _field_only_spins(model)
+            out[b] = SolveResult(spins=spins, energy=energy(model, spins))
+        else:
+            block.append(b)
+    if not block:
+        return out
+    models = [models[b] for b in block]
+    n_restarts = params.n_restarts
+    xy, j, half_h, c0 = _stack(models, [seeds[b] for b in block], n_restarts)
     wall = np.zeros_like(xy)
     np.copysign(1.0, xy[0], out=wall[0])
     over = np.empty(xy.shape[1:], dtype=bool)
-    half_h = np.tile(half_h, (params.n_restarts, 1))
     dt = np.array(params.dt)
-    live = np.arange(params.n_restarts)  # restart index of each row
-    traced = [[] for _ in live] if trace is not None else None
+    live = np.ones(xy.shape[1:3], dtype=bool)  # per (model, restart)
+    traced = None  # per model, per restart: its trace rows
+    if trace is not None:
+        traced = [[[] for _ in range(n_restarts)] for _ in block]
     # Overflow is handled explicitly by the per-row finiteness mask.
     with np.errstate(over="ignore", invalid="ignore"):
         for k, a in enumerate(pump_schedule(params.n_steps).tolist()):
             finite = step(xy, wall, over, a, j, half_h, c0, dt)
             if finite is not None and not finite.all():
-                live = live[finite]
-                if live.size == 0:
+                live &= finite
+                if not live.any():
                     break
-                xy, wall = xy[:, finite], wall[:, finite]
-                over, half_h = over[finite], half_h[finite]
             if traced is not None:
                 # xy is updated in place, so trace rows are copies.
                 xs, ys = xy[0].copy(), xy[1].copy()
                 spins = wall[0].astype(np.int8)
-                for xr, yr, sr, r in zip(xs, ys, spins, live.tolist()):
-                    traced[r].append((r, k, a, xr, yr, energy(model, sr)))
-    for rows in traced or ():
-        trace.extend(rows)
-    if live.size == 0:
-        raise SolverDivergenceError(
-            f"all {params.n_restarts} restarts diverged (dt = {params.dt})"
-        )
+                for m, model in enumerate(models):
+                    for r in np.flatnonzero(live[m]).tolist():
+                        e = energy(model, spins[m, r])
+                        traced[m][r].append((r, k, a, xs[m, r], ys[m, r], e))
+    for b, rows in zip(block, traced or ()):
+        for restart_rows in rows:
+            trace[b].extend(restart_rows)
     readouts = wall[0].astype(np.int8)
-    energies = [energy(model, spins) for spins in readouts]
-    # Keyed on (isnan, e), NaN ranks last; min moves on only to a strictly
-    # smaller key, so ties and an all-NaN set keep the earlier readout.
-    best = min(
-        range(len(energies)),
-        key=lambda r: (math.isnan(energies[r]), energies[r]),
-    )
-    return SolveResult(
-        spins=readouts[best],
-        energy=energies[best],
-        diverged_restarts=params.n_restarts - live.size,
-    )
+    for m, (b, model) in enumerate(zip(block, models)):
+        kept = np.flatnonzero(live[m]).tolist()
+        if not kept:
+            out[b] = SolverDivergenceError(
+                f"all {n_restarts} restarts diverged (dt = {params.dt})"
+            )
+            continue
+        energies = [energy(model, readouts[m, r]) for r in kept]
+        # Keyed on (isnan, e), NaN ranks last; min moves on only to a
+        # strictly smaller key, so ties and an all-NaN set keep the
+        # earlier readout.
+        best = min(
+            range(len(kept)),
+            key=lambda i: (math.isnan(energies[i]), energies[i]),
+        )
+        out[b] = SolveResult(
+            spins=readouts[m, kept[best]],
+            energy=energies[best],
+            diverged_restarts=n_restarts - len(kept),
+        )
+    return out

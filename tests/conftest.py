@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from sbmimo.channel import modulate
+from sbmimo.detectors import sb_detect, sb_solve
 from sbmimo.ising import IsingModel
 from sbmimo.reduction import symbols_to_spins
+from sbmimo.sb import solve
 
 
 def energy_loop(model: IsingModel, s) -> float:
@@ -100,6 +102,22 @@ def hard_symbols(symbols, c) -> np.ndarray:
     # The library's hard decision as symbols, mapped back through the
     # dense T.
     return spins_to_symbols(symbols_to_spins(symbols, c), c)
+
+
+def solve_one(model, params, seed=0, trace=None):
+    # One model through the block solver, as the block of one: its
+    # SolveResult, or its SolverDivergenceError raised.
+    (out,) = solve([model], params, [seed], None if trace is None else [trace])
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def detect_one(p, params, anchor=None, r=0.5, seed=0):
+    # sb_detect on one problem, solved as the block of one.
+    anchors = None if anchor is None else [anchor]
+    (solved,) = sb_solve([p], params, [seed], anchors, r)
+    return sb_detect(p, solved, anchor)
 
 
 def random_model(rng, n: int, h_scale: float = 1.0) -> IsingModel:

@@ -11,7 +11,7 @@ import pytest
 
 from sbmimo.bench import SweepConfig, run_sweep, write_csv
 from sbmimo.channel import get_constellation, realify, sample_instance
-from sbmimo.detectors import ml_oracle, prepare, sb_detect
+from sbmimo.detectors import ml_oracle, prepare, sb_detect, sb_solve
 from sbmimo.ising import energy
 from sbmimo.reduction import instance_model
 from sbmimo.sb import SBParams
@@ -121,13 +121,16 @@ def test_criterion_3_sb_attains_oracle_energy():
     c = get_constellation("qpsk")
     n_inst = 500
     hits = 0
+    problems, seeds = [], []
     for i in range(n_inst):
         rng = np.random.default_rng([MASTER_SEED, 0, i])
         inst = sample_instance(4, 4, c, 10.0, rng)
-        seed = int(rng.integers(0, 1 << 63, dtype=np.uint64))
-        params = SBParams(n_steps=100, dt=0.5, n_restarts=10)
-        p = prepare(inst, c)
-        sb_energy = sb_detect(p, params, seed=seed).ising_energy
+        seeds.append(int(rng.integers(0, 1 << 63, dtype=np.uint64)))
+        problems.append(prepare(inst, c))
+    params = SBParams(n_steps=100, dt=0.5, n_restarts=10)
+    solved = sb_solve(problems, params, seeds)
+    for p, outcome in zip(problems, solved):
+        sb_energy = sb_detect(p, outcome).ising_energy
         oracle_energy = ml_oracle(p).ising_energy
         if sb_energy <= oracle_energy + 1e-9:
             hits += 1

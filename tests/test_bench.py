@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,65 @@ class TestRunSweep:
         by_det = {rec.detector: rec for rec in records}
         assert by_det["sb-reg"].failures == 3
         assert by_det["sb"].instances == 3
+
+
+ALL_DETECTORS = ("mmse", "sb", "sb-reg", "ml-oracle")
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("block", [1, 3, None])
+    def test_block_size_does_not_change_records(self, monkeypatch, block):
+        # 70 instances per point span several blocks of every size tried,
+        # with a partial last block.
+        import sbmimo.bench
+
+        cfg = small_config(
+            instances=70, detectors=ALL_DETECTORS,
+            sb=SBParams(n_steps=20, dt=0.5, n_restarts=3),
+        )
+        assert cfg.instances > sbmimo.bench._BLOCK
+        expected = run_sweep(cfg)
+        if block is not None:
+            monkeypatch.setattr(sbmimo.bench, "_BLOCK", block)
+        assert run_sweep(cfg) == expected
+        assert run_sweep(replace(cfg, workers=2)) == expected
+
+    @pytest.mark.parametrize(
+        "nt, modulation", [(4, "qpsk"), (2, "qam16")]
+    )
+    def test_oracle_bounds_every_instance(self, monkeypatch, nt, modulation):
+        # Through the sweep's block path, each decision is recorded with
+        # the problem it was made on: per instance, the oracle's energy
+        # is no higher than sb's or sb-reg's, and sb-reg's no higher than
+        # its MMSE anchor's.
+        import sbmimo.bench
+
+        seen = {}  # id(problem) -> (problem, {detector: energy})
+
+        def recording(func):
+            def wrapper(p, *args, **kwargs):
+                res = func(p, *args, **kwargs)
+                seen.setdefault(id(p), (p, {}))[1][res.detector] = (
+                    res.ising_energy
+                )
+                return res
+            return wrapper
+
+        for name in ("mmse_detect", "sb_detect", "ml_oracle"):
+            func = getattr(sbmimo.bench, name)
+            monkeypatch.setattr(sbmimo.bench, name, recording(func))
+        cfg = small_config(
+            nt=nt, nr=nt, modulation=modulation,
+            snr_db=(0.0, 5.0, 10.0, 15.0), instances=12,
+            detectors=ALL_DETECTORS, sb=SBParams(n_steps=60, n_restarts=2),
+        )
+        run_sweep(cfg)
+        assert len(seen) == 48
+        for _, e in seen.values():
+            assert set(e) == set(ALL_DETECTORS)
+            assert e["ml-oracle"] <= e["sb"] + 1e-9 * max(1.0, abs(e["sb"]))
+            assert e["ml-oracle"] <= e["sb-reg"] + 1e-9 * max(1.0, abs(e["sb-reg"]))
+            assert e["sb-reg"] <= e["mmse"]
 
 
 class TestWriteCsv:

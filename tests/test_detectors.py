@@ -19,6 +19,7 @@ from sbmimo.detectors import (
     mmse_detect,
     prepare,
     sb_detect,
+    sb_solve,
 )
 from sbmimo.ising import energy
 from sbmimo.reduction import (
@@ -26,9 +27,15 @@ from sbmimo.reduction import (
     regularize,
     symbols_to_spins,
 )
-from sbmimo.sb import SBParams, solve
+from sbmimo.sb import SBParams, SolverDivergenceError
 
-from conftest import all_spin_vectors, nearest_point_bits, spins_to_bits
+from conftest import (
+    all_spin_vectors,
+    detect_one,
+    nearest_point_bits,
+    solve_one,
+    spins_to_bits,
+)
 
 
 def make_instance(nt, nr, c, noise_var, seed):
@@ -195,7 +202,7 @@ class TestOracle:
             p = prepare(inst, QPSK)
             ml = ml_oracle(p)
             mmse = mmse_detect(p)
-            sbr = sb_detect(p, params, mmse, r=0.5, seed=1)
+            sbr = detect_one(p, params, mmse, r=0.5, seed=1)
             assert ml.ising_energy <= mmse.ising_energy + 1e-9
             assert ml.ising_energy <= sbr.ising_energy + 1e-9
 
@@ -203,7 +210,7 @@ class TestOracle:
 class TestSbDetect:
     def test_plain_readout_is_consistent(self, rng):
         inst = sample_instance(3, 3, QPSK, 10.0, rng)
-        res = sb_detect(prepare(inst, QPSK), SBParams(n_steps=80), seed=2)
+        res = detect_one(prepare(inst, QPSK), SBParams(n_steps=80), seed=2)
         model = instance_model(inst, QPSK)
         assert res.ising_energy == energy(model, res.spins)
         assert res.detector == "sb"
@@ -215,9 +222,9 @@ class TestSbDetect:
             inst = sample_instance(3, 3, QPSK, float(rng.uniform(0, 25)), rng)
             p = prepare(inst, QPSK)
             anchor = mmse_detect(p)
-            res = sb_detect(p, params, anchor, r=0.5)
+            res = detect_one(p, params, anchor, r=0.5)
             assert set(res.extras) == {"diverged_restarts", "selected"}
-            readout = solve(regularize(p.model, anchor.spins, 0.5), params)
+            readout = solve_one(regularize(p.model, anchor.spins, 0.5), params)
             sb_energy = energy(p.model, readout.spins)
             assert res.ising_energy <= anchor.ising_energy
             assert res.ising_energy == min(sb_energy, anchor.ising_energy)
@@ -243,12 +250,34 @@ class TestSbDetect:
         p = prepare(inst, QPSK)
         anchor = mmse_detect(p)
         assert len(calls) == 1
-        sb = sb_detect(p, params, seed=3)
+        sb = detect_one(p, params, seed=3)
         assert len(calls) == 1 + restarts
-        reg = sb_detect(p, params, anchor, r=0.5, seed=3)
+        reg = detect_one(p, params, anchor, r=0.5, seed=3)
         assert len(calls) == 1 + 2 * restarts + 1
         assert sb.ising_energy == energy(p.model, sb.spins)
         assert reg.ising_energy == energy(p.model, reg.spins)
+
+    def test_block_decisions_match_blocks_of_one(self, rng):
+        # sb_solve over a block, then sb_detect per problem, decides each
+        # problem as solving it alone does; a divergence outcome raises.
+        params = SBParams(n_steps=40, n_restarts=2)
+        problems = [
+            prepare(sample_instance(3, 3, QPSK, 10.0, rng), QPSK)
+            for _ in range(5)
+        ]
+        anchors = [mmse_detect(p) for p in problems]
+        seeds = [11, 12, 13, 14, 15]
+        for block_anchors in (None, anchors):
+            solved = sb_solve(problems, params, seeds, block_anchors, 0.5)
+            for k, (p, outcome) in enumerate(zip(problems, solved)):
+                anchor = block_anchors and block_anchors[k]
+                res = sb_detect(p, outcome, anchor)
+                alone = detect_one(p, params, anchor, 0.5, seeds[k])
+                assert np.array_equal(res.spins, alone.spins)
+                assert res.ising_energy == alone.ising_energy
+                assert res.extras == alone.extras
+        with pytest.raises(SolverDivergenceError, match="injected"):
+            sb_detect(problems[0], SolverDivergenceError("injected"))
 
     def test_energy_tie_keeps_solver_readout(self):
         # At high SNR the solver usually lands on the MMSE decision, so
@@ -259,9 +288,9 @@ class TestSbDetect:
             p = prepare(inst, QPSK)
             params = SBParams(n_steps=100)
             anchor = mmse_detect(p)
-            res = sb_detect(p, params, anchor, r=0.5, seed=seed)
+            res = detect_one(p, params, anchor, r=0.5, seed=seed)
             model = regularize(p.model, anchor.spins, 0.5)
-            readout = solve(model, params, seed)
+            readout = solve_one(model, params, seed)
             if energy(p.model, readout.spins) == anchor.ising_energy:
                 assert res.extras["selected"] == "sb"
                 assert np.array_equal(res.spins, readout.spins)
@@ -276,8 +305,8 @@ class TestSbDetect:
         results = [
             anchor,
             ml_oracle(p),
-            sb_detect(p, params, seed=4),
-            sb_detect(p, params, anchor, r=0.5, seed=4),
+            detect_one(p, params, seed=4),
+            detect_one(p, params, anchor, r=0.5, seed=4),
         ]
         for res in results:
             assert res.spins.shape == (inst.nt * QAM16.bps,)

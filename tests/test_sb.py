@@ -10,6 +10,7 @@ from sbmimo import sb
 from sbmimo.ising import IsingModel, energy
 from sbmimo.sb import (
     SBParams,
+    SolveResult,
     SolverDivergenceError,
     compute_c0,
     initial_states,
@@ -18,7 +19,7 @@ from sbmimo.sb import (
     step,
 )
 
-from conftest import all_spin_vectors, random_model, sign_pm1
+from conftest import all_spin_vectors, random_model, sign_pm1, solve_one
 
 
 def model_of(j, h, offset=0.0):
@@ -262,7 +263,7 @@ class TestStep:
         assert 0.0 < compute_c0(lone.j) < math.inf
         assert reference_runs(lone, SBParams(n_steps=5)) == [None]
         with pytest.raises(SolverDivergenceError):
-            solve(lone, SBParams(n_steps=5))
+            solve_one(lone, SBParams(n_steps=5))
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=50, deadline=None)
@@ -293,22 +294,22 @@ class TestSign:
 class TestSolve:
     def test_ferromagnetic_pair(self):
         m = model_of([[0, -1], [-1, 0]], [0, 0])
-        res = solve(m, SBParams(n_steps=100, dt=0.5), seed=1)
+        res = solve_one(m, SBParams(n_steps=100, dt=0.5), seed=1)
         assert res.energy == -2.0
         assert abs(res.spins.sum()) == 2  # aligned
 
     def test_field_only_degenerate_path(self):
-        res = solve(model_of([[0.0]], [3.0]), SBParams(), seed=0)
+        res = solve_one(model_of([[0.0]], [3.0]), SBParams(), seed=0)
         assert res.spins.tolist() == [-1]
         assert res.energy == -3.0
-        res = solve(model_of(np.zeros((3, 3)), [1.0, -2.0, 0.0]), SBParams())
+        res = solve_one(model_of(np.zeros((3, 3)), [1.0, -2.0, 0.0]), SBParams())
         # s = -sgn(h), ties at h = 0 resolve to +1
         assert res.spins.tolist() == [-1, 1, 1]
 
     def test_pure_function_of_inputs(self, rng):
         m = random_model(rng, 6)
         params = SBParams(n_steps=80, dt=0.4, n_restarts=3)
-        a, b = solve(m, params, seed=99), solve(m, params, seed=99)
+        a, b = solve_one(m, params, seed=99), solve_one(m, params, seed=99)
         assert np.array_equal(a.spins, b.spins)
         assert a.energy == b.energy
 
@@ -316,7 +317,7 @@ class TestSolve:
         # Re-run each restart trajectory alone and compare the pick.
         m = random_model(rng, 7)
         params = SBParams(n_steps=60, dt=0.5, n_restarts=5)
-        res = solve(m, params, seed=17)
+        res = solve_one(m, params, seed=17)
         runs = reference_runs(m, params, seed=17)
         energies = [energy(m, spins) for spins in runs]
         assert res.energy == min(energies)
@@ -350,9 +351,9 @@ class TestSolve:
             survivors = [s for s in runs if s is not None]
             if not survivors:
                 with pytest.raises(SolverDivergenceError):
-                    solve(m, params, seed, rows)
+                    solve_one(m, params, seed, rows)
             else:
-                res = solve(m, params, seed, rows)
+                res = solve_one(m, params, seed, rows)
                 spins, e = reference_best(m, runs)
                 assert np.array_equal(res.spins, spins)
                 assert same_energy(res.energy, e)
@@ -372,7 +373,7 @@ class TestSolve:
             assert np.isfinite(push).all() and np.isinf(push.sum())
         params = SBParams(n_steps=6, dt=1.0, n_restarts=2)
         rows, ref_rows = [], []
-        res = solve(m, params, 5, rows)
+        res = solve_one(m, params, 5, rows)
         runs = reference_runs(m, params, 5, ref_rows)
         assert res.diverged_restarts == 0
         assert res.spins.tolist() == runs[0].tolist() == [-1, -1, -1]
@@ -383,7 +384,7 @@ class TestSolve:
         m, params, seed = staggered_divergence_model()
         runs = reference_runs(m, params, seed)
         assert [r is None for r in runs] == [True, True, False, True]
-        res = solve(m, params, seed)
+        res = solve_one(m, params, seed)
         assert res.diverged_restarts == 3
         spins, e = reference_best(m, runs)
         assert np.array_equal(res.spins, spins)
@@ -392,7 +393,7 @@ class TestSolve:
     def test_trace_restart_major_and_stops_at_divergence(self):
         m, params, seed = staggered_divergence_model()
         rows, ref_rows = [], []
-        solve(m, params, seed, rows)
+        solve_one(m, params, seed, rows)
         reference_runs(m, params, seed, ref_rows)
         restarts = [row[0] for row in rows]
         assert restarts == sorted(restarts)
@@ -412,7 +413,7 @@ class TestSolve:
         with np.errstate(over="ignore", invalid="ignore"):
             runs = reference_runs(m, params, seed)
             energies = [energy(m, s) for s in runs]
-            res = solve(m, params, seed)
+            res = solve_one(m, params, seed)
         assert energies[0] == energies[4] == math.inf
         assert math.isfinite(energies[1]) and energies[2] == -math.inf
         assert math.isnan(energies[3])
@@ -425,7 +426,7 @@ class TestSolve:
         runs = reference_runs(m, params, seed=2)
         assert len({tuple(s) for s in runs}) > 1
         monkeypatch.setattr(sb, "energy", lambda model, s: math.nan)
-        res = solve(m, params, seed=2)
+        res = solve_one(m, params, seed=2)
         assert math.isnan(res.energy)
         assert np.array_equal(res.spins, runs[0])
 
@@ -437,7 +438,7 @@ class TestSolve:
         runs = reference_runs(m, params, seed=1)
         assert {energy(m, s) for s in runs} == {-2.0}
         assert len({tuple(s) for s in runs}) == 2
-        res = solve(m, params, seed=1)
+        res = solve_one(m, params, seed=1)
         assert np.array_equal(res.spins, runs[0])
 
     def test_finds_ground_state_usually(self, rng):
@@ -445,7 +446,7 @@ class TestSolve:
         hits = 0
         for _ in range(200):
             m = random_model(rng, 8)
-            res = solve(m, SBParams(n_steps=100, dt=0.5, n_restarts=10),
+            res = solve_one(m, SBParams(n_steps=100, dt=0.5, n_restarts=10),
                         seed=int(rng.integers(2**63)))
             best = min(energy(m, s) for s in all_spin_vectors(8))
             hits += res.energy <= best + 1e-9
@@ -469,7 +470,7 @@ class TestSolve:
         m4 = IsingModel(n=6, j=4.0 * j, h=np.zeros(6))
         params = SBParams(n_steps=50, dt=0.5)
         assert np.array_equal(
-            solve(m1, params, seed=5).spins, solve(m4, params, seed=5).spins
+            solve_one(m1, params, seed=5).spins, solve_one(m4, params, seed=5).spins
         )
 
     @pytest.mark.parametrize("k", [520, -560])
@@ -488,7 +489,7 @@ class TestSolve:
         )
         assert compute_c0(scaled.j) == math.ldexp(compute_c0(m.j), -k)
         params = SBParams(n_steps=40, n_restarts=3)
-        res, ref = solve(scaled, params, seed), solve(m, params, seed)
+        res, ref = solve_one(scaled, params, seed), solve_one(m, params, seed)
         assert np.array_equal(res.spins, ref.spins)
         assert res.energy == math.ldexp(ref.energy, k)
 
@@ -497,10 +498,10 @@ class TestSolve:
         # model 2^600 times larger has the same forces, so the same spins.
         j, h = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, -0.25])
         params = SBParams(n_steps=30, n_restarts=3)
-        tiny = solve(
+        tiny = solve_one(
             model_of(np.ldexp(j, -1060), np.ldexp(h, -1060)), params, seed=4
         )
-        ref = solve(
+        ref = solve_one(
             model_of(np.ldexp(j, -460), np.ldexp(h, -460)), params, seed=4
         )
         assert np.array_equal(tiny.spins, ref.spins)
@@ -530,19 +531,111 @@ class TestSolve:
         m = overflowing_model()
         assert reference_runs(m, params) == [None, None]
         with pytest.raises(SolverDivergenceError):
-            solve(m, params)
+            solve_one(m, params)
 
     def test_trace_hook_sees_every_step(self, rng):
         m = random_model(rng, 4)
         rows = []
         params = SBParams(n_steps=25, dt=0.5, n_restarts=2)
-        solve(m, params, seed=8, trace=rows)
+        solve_one(m, params, seed=8, trace=rows)
         assert len(rows) == 25 * 2
         steps = [r[1] for r in rows[:25]]
         assert steps == list(range(25))
         assert rows[0][2] == 0.0 and rows[24][2] == 1.0  # pump ramp
         for row in rows:
             assert row[5] == energy(m, sign_pm1(row[3]).astype(np.int8))
+
+
+def huge_model(m):
+    # J and h at 8e307 / sqrt(n): J @ s + h / 2 overflows under some sign
+    # patterns, so restarts diverge at various steps, some or all of them.
+    scale = 8e307 / math.sqrt(m.n)
+    return IsingModel(n=m.n, j=m.j * scale, h=m.h * scale, offset=m.offset)
+
+
+def assert_matches_reference(model, params, seed, outcome, rows):
+    # One model's block outcome and trace rows against its own
+    # per-restart reference run.
+    ref_rows = []
+    runs = reference_runs(model, params, seed, ref_rows)
+    survivors = [s for s in runs if s is not None]
+    if not survivors:
+        assert isinstance(outcome, SolverDivergenceError)
+    else:
+        assert isinstance(outcome, SolveResult)
+        spins, e = reference_best(model, runs)
+        assert np.array_equal(outcome.spins, spins)
+        assert same_energy(outcome.energy, e)
+        assert outcome.diverged_restarts == params.n_restarts - len(survivors)
+    assert_same_rows(rows, ref_rows)
+
+
+class TestBlock:
+    @given(
+        st.integers(min_value=2, max_value=40),
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=2**32), st.booleans()),
+            min_size=1, max_size=5,
+        ),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=40),
+        st.floats(min_value=0.05, max_value=1.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_instance_reference(
+        self, n, draws, restarts, steps, dt
+    ):
+        # A block of models of one size, each with its own seed, some of
+        # them huge: every model's outcome and trace rows are bit for bit
+        # those of its reference run alone, whatever its block-mates do.
+        # A model whose every restart diverges fails alone.
+        models = []
+        for seed, huge in draws:
+            m = random_model(np.random.default_rng(seed), n)
+            models.append(huge_model(m) if huge else m)
+        seeds = [seed for seed, _ in draws]
+        params = SBParams(n_steps=steps, dt=dt, n_restarts=restarts)
+        traces = [[] for _ in models]
+        quiet = "ignore" if any(huge for _, huge in draws) else "warn"
+        with np.errstate(over=quiet, invalid=quiet):
+            out = solve(models, params, seeds, traces)
+        assert len(out) == len(models)
+        for (seed, huge), m, outcome, rows in zip(draws, models, out, traces):
+            quiet = "ignore" if huge else "warn"
+            with np.errstate(over=quiet, invalid=quiet):
+                assert_matches_reference(m, params, seed, outcome, rows)
+
+    def test_mixed_block(self):
+        # One block of 3-spin models: staggered divergence, every restart
+        # diverging, zero couplings (solved by fields alone) and a plain
+        # model.  Each outcome is the one the model gets alone.
+        staggered, params, seed = staggered_divergence_model()
+        field_only = model_of(np.zeros((3, 3)), [1.0, -2.0, 0.0])
+        plain = random_model(np.random.default_rng(3), 3)
+        models = [staggered, overflowing_model(), field_only, plain]
+        seeds = [seed, 0, 0, 11]
+        traces = [[] for _ in models]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = solve(models, params, seeds, traces)
+            for m, s, outcome, rows in zip(models, seeds, out, traces):
+                if m is field_only:
+                    alone = solve_one(m, params, s)
+                    assert np.array_equal(outcome.spins, alone.spins)
+                    assert outcome.energy == alone.energy
+                    assert rows == []
+                else:
+                    assert_matches_reference(m, params, s, outcome, rows)
+        assert isinstance(out[1], SolverDivergenceError)
+        assert out[0].diverged_restarts == 3
+        assert out[2].spins.tolist() == [-1, 1, 1]
+
+    def test_block_needs_one_size_and_one_seed_per_model(self, rng):
+        params = SBParams(n_steps=5)
+        a, b = random_model(rng, 3), random_model(rng, 4)
+        with pytest.raises(ValueError, match="same-size models"):
+            solve([a, b], params, [0, 1])
+        with pytest.raises(ValueError, match="one seed each"):
+            solve([a, a], params, [0])
 
 
 class TestParams:
