@@ -2,8 +2,8 @@
 
 Each (snr, instance-index) pair owns a deterministic RNG stream derived
 from (master seed, snr index, instance index), so results are identical
-no matter how instances are chunked across worker processes.  Every
-configured detector runs on the same instance (paired comparison).
+no matter how blocks of instances are spread across worker processes.
+Every configured detector runs on the same instance (paired comparison).
 """
 
 from __future__ import annotations
@@ -79,8 +79,6 @@ class SweepConfig:
     sb: SBParams = field(default_factory=SBParams)
     r: float = 0.5
     seed: int = 0
-    out: str | None = None
-    trace: str | None = None
     workers: int = 1
 
     def __post_init__(self):
@@ -133,10 +131,6 @@ class SweepConfig:
             problems.append(f"duplicate snr_db values in {self.snr_db}")
         if not (math.isfinite(self.r) and self.r >= 0):
             problems.append(f"r must be finite and >= 0, got {self.r}")
-        for key in ("out", "trace"):
-            path = getattr(self, key)
-            if path is not None and not isinstance(path, str):
-                problems.append(f"{key} must be a path string, got {path!r}")
         if c is not None and "ml-oracle" in self.detectors and is_int(self.nt):
             spins = self.nt * c.bps
             if spins > ORACLE_SPIN_LIMIT:
@@ -167,7 +161,7 @@ class BerRecord:
     selection_violations: int = 0
 
 
-# Instances per dSB block: _eval_chunk solves a block's instances as one
+# Instances per dSB block: _eval_block solves a block's instances as one
 # solver state.  The cap bounds the memory a block holds at once: at
 # 16x16 QPSK a block of 32 raises a sweep's peak memory by about 0.8 MiB,
 # and larger blocks save little more time per instance.
@@ -215,53 +209,51 @@ def _sb_solve(cfg: SweepConfig, det: str, block, trace=None) -> list:
     return out
 
 
-def _eval_chunk(cfg: SweepConfig, snr_idx: int, start: int, stop: int):
-    """Per-detector tallies of instances [start, stop) at one SNR point.
+def _eval_block(cfg: SweepConfig, snr_idx: int, start: int, stop: int):
+    """Per-detector tallies of the block [start, stop) at one SNR point.
 
-    Instances go in blocks of up to _BLOCK.  Per block: each instance is
-    sampled, reduced once and run through MMSE and the ML oracle; then
-    one solve per SB-family detector covers the whole block; then, per
-    instance in order, the SB decisions are made and everything is
-    tallied.  MMSE runs at most once per instance; its result is both
-    the `mmse` decision and the `sb-reg` anchor, so an MMSE failure
-    counts against both.  Bit errors are counted as spin mismatches
-    against the transmitted spins: under the channel's bit labeling each
-    bit is one spin.
+    Each instance is sampled, reduced once and run through MMSE and the
+    ML oracle; then one solve per SB-family detector covers the whole
+    block; then, per instance in order, the SB decisions are made and
+    everything is tallied.  MMSE runs at most once per instance; its
+    result is both the `mmse` decision and the `sb-reg` anchor, so an
+    MMSE failure counts against both.  Bit errors are counted as spin
+    mismatches against the transmitted spins: under the channel's bit
+    labeling each bit is one spin.
     """
     c = get_constellation(cfg.modulation)
-    family = [det for det in cfg.detectors if det in SB_FAMILY]
     tally = {det: Counter() for det in cfg.detectors}
-    for lo in range(start, stop, _BLOCK):
-        block, decided = [], []
-        for i in range(lo, min(lo + _BLOCK, stop)):
-            p, seed, anchor = _instance(cfg, c, snr_idx, i)
-            block.append((p, seed, anchor))
-            decided.append({"mmse": anchor})
-            if "ml-oracle" in cfg.detectors:
-                decided[-1]["ml-oracle"] = ml_oracle(p)
-        solved = {det: _sb_solve(cfg, det, block) for det in family}
-        for k, (p, _, anchor) in enumerate(block):
-            for det, outcomes in solved.items():
-                if outcomes[k] is None:
-                    continue
-                try:
-                    decided[k][det] = sb_detect(
-                        p, outcomes[k], anchor if det == "sb-reg" else None
-                    )
-                except SolverDivergenceError:
-                    pass
-            tx_spins = symbols_to_spins(p.inst.tx_symbols, c)
-            for det in cfg.detectors:
-                res = decided[k].get(det)
-                if res is None:
-                    tally[det]["failures"] += 1
-                    continue
-                errors = np.count_nonzero(res.spins != tx_spins)
-                tally[det]["errors"] += int(errors)
-                tally[det]["used"] += 1
-                if det == "sb-reg":
-                    if res.ising_energy > anchor.ising_energy:
-                        tally[det]["violations"] += 1
+    block, decided = [], []
+    for i in range(start, stop):
+        p, seed, anchor = _instance(cfg, c, snr_idx, i)
+        block.append((p, seed, anchor))
+        decided.append({"mmse": anchor})
+        if "ml-oracle" in cfg.detectors:
+            decided[-1]["ml-oracle"] = ml_oracle(p)
+    family = [det for det in cfg.detectors if det in SB_FAMILY]
+    solved = {det: _sb_solve(cfg, det, block) for det in family}
+    for k, (p, _, anchor) in enumerate(block):
+        for det, outcomes in solved.items():
+            if outcomes[k] is None:
+                continue
+            try:
+                decided[k][det] = sb_detect(
+                    p, outcomes[k], anchor if det == "sb-reg" else None
+                )
+            except SolverDivergenceError:
+                pass
+        tx_spins = symbols_to_spins(p.inst.tx_symbols, c)
+        for det in cfg.detectors:
+            res = decided[k].get(det)
+            if res is None:
+                tally[det]["failures"] += 1
+                continue
+            errors = np.count_nonzero(res.spins != tx_spins)
+            tally[det]["errors"] += int(errors)
+            tally[det]["used"] += 1
+            if det == "sb-reg":
+                if res.ising_energy > anchor.ising_energy:
+                    tally[det]["violations"] += 1
     return tally
 
 
@@ -280,35 +272,31 @@ def trace_rows(cfg: SweepConfig) -> list:
     return rows
 
 
-def _chunks(instances: int, workers: int):
-    size = instances if workers == 1 else max(1, -(-instances // (workers * 4)))
-    return [(s, min(s + size, instances)) for s in range(0, instances, size)]
-
-
 def run_sweep(cfg: SweepConfig) -> list[BerRecord]:
     """Run the configured sweep and return one record per (detector, snr).
 
     Per-instance detector failures are counted on the record and the
     instance is skipped for that detector only, so `instances` on a
-    record is the number actually counted.  Nothing is written: `out`
-    and `trace` name files for the caller (see `write_csv`, `trace_rows`
+    record is the number actually counted.  The jobs, run in turn or
+    spread over the worker processes, are the solver blocks of up to
+    _BLOCK instances.  Nothing is written (see `write_csv`, `trace_rows`
     and `write_trace`).
     """
     c = get_constellation(cfg.modulation)
     jobs = [
-        (snr_idx, start, stop)
+        (snr_idx, start, min(start + _BLOCK, cfg.instances))
         for snr_idx in range(len(cfg.snr_db))
-        for start, stop in _chunks(cfg.instances, cfg.workers)
+        for start in range(0, cfg.instances, _BLOCK)
     ]
     if cfg.workers == 1:
-        tallies = [_eval_chunk(cfg, *job) for job in jobs]
+        tallies = [_eval_block(cfg, *job) for job in jobs]
     else:
         # Imported here: it pulls in multiprocessing, which a one-worker
         # sweep and a plain `import sbmimo` never need.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_eval_chunk, cfg, *job) for job in jobs]
+            futures = [pool.submit(_eval_block, cfg, *job) for job in jobs]
             tallies = [f.result() for f in futures]
     totals = defaultdict(Counter)
     for (snr_idx, _, _), tally in zip(jobs, tallies):

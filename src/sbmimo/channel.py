@@ -66,12 +66,9 @@ def get_constellation(name: str) -> Constellation:
 
 @dataclass(frozen=True)
 class ChannelInstance:
-    """One transmission: channel, transmitted bits/symbols, noisy receive."""
+    """One transmission: nr x nt channel h, sent symbols, noisy receive y."""
 
-    nt: int
-    nr: int
     h: np.ndarray
-    tx_bits: np.ndarray
     tx_symbols: np.ndarray
     noise_var: float
     y: np.ndarray
@@ -176,17 +173,8 @@ def sample_instance(
     rng: np.random.Generator,
 ) -> ChannelInstance:
     """Draw one transmission: bits, channel, then noise, in that order."""
-    tx_bits = rng.integers(0, 2, nt * c.bps).astype(np.int8)
-    tx_symbols = modulate(tx_bits, c)
+    tx_symbols = modulate(rng.integers(0, 2, nt * c.bps).astype(np.int8), c)
     h = sample_channel(nt, nr, rng)
     noise_var = noise_variance_for_snr(snr_db, nt, c)
     y = add_awgn(h @ tx_symbols, noise_var, rng)
-    return ChannelInstance(
-        nt=nt,
-        nr=nr,
-        h=h,
-        tx_bits=tx_bits,
-        tx_symbols=tx_symbols,
-        noise_var=noise_var,
-        y=y,
-    )
+    return ChannelInstance(h, tx_symbols, noise_var, y)

@@ -119,8 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv: list[str] | None = None) -> SweepConfig:
-    """Resolve flags, optional config file, and defaults into a SweepConfig.
+def parse_command(argv: list[str] | None = None) -> tuple:
+    """Resolve flags, optional config file, and defaults into a SweepConfig
+    and the --out and --trace paths (None when unset).
 
     The defaults are those of SweepConfig and SBParams.
     """
@@ -137,6 +138,10 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
         raise ConfigError("config file sets both snr and snr_list")
     values.update(flags)
     defaults = SweepConfig()
+    paths = values.get("out"), values.get("trace")
+    for key, path in zip(("out", "trace"), paths):
+        if path is not None and not isinstance(path, str):
+            raise ConfigError(f"{key} must be a path string, got {path!r}")
 
     def count(key, default):
         value = values.get(key, default)
@@ -157,7 +162,7 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
             dt=float(values.get("dt", defaults.sb.dt)),
             n_restarts=count("restarts", defaults.sb.n_restarts),
         )
-        return SweepConfig(
+        cfg = SweepConfig(
             nt=count("nt", defaults.nt),
             nr=count("nr", defaults.nr),
             modulation=str(values.get("mod", defaults.modulation)),
@@ -169,15 +174,19 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
             sb=sb,
             r=float(values.get("r", defaults.r)),
             seed=count("seed", defaults.seed),
-            out=values.get("out", defaults.out),
-            trace=values.get("trace", defaults.trace),
             workers=count("workers", defaults.workers),
         )
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(str(err))
+    return (cfg, *paths)
 
 
-def _echo_config(cfg: SweepConfig) -> None:
+def parse_config(argv: list[str] | None = None) -> SweepConfig:
+    """The SweepConfig of a command line (see parse_command)."""
+    return parse_command(argv)[0]
+
+
+def _echo_config(cfg: SweepConfig, out: str | None, trace: str | None):
     pairs = [
         f"nt={cfg.nt}",
         f"nr={cfg.nr}",
@@ -191,8 +200,8 @@ def _echo_config(cfg: SweepConfig) -> None:
         f"r={cfg.r:g}",
         f"seed={cfg.seed}",
         f"workers={cfg.workers}",
-        f"out={cfg.out}",
-        f"trace={cfg.trace}",
+        f"out={out}",
+        f"trace={trace}",
         f"snr_definition={SNR_DEFINITION}",
     ]
     print("config: " + " ".join(pairs), file=sys.stderr)
@@ -200,20 +209,20 @@ def _echo_config(cfg: SweepConfig) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = parse_config(argv)
+        cfg, out, trace = parse_command(argv)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    _echo_config(cfg)
+    _echo_config(cfg, out, trace)
     records = run_sweep(cfg)
     print(summary_table(records))
     # An OSError from a write or a close carries no file name, so the
     # error line names the path being written.
-    path = cfg.out
+    path = out
     try:
         if path is not None:
             write_csv(records, path)
-        path = cfg.trace
+        path = trace
         if path is not None:
             write_trace(trace_rows(cfg), path)
     except OSError as err:

@@ -22,6 +22,7 @@ from sbmimo.channel import (
 )
 from sbmimo.ising import IsingModel, energy
 from sbmimo.reduction import (
+    _decisions,
     instance_model,
     level_spins,
     regularize,
@@ -78,7 +79,8 @@ def mmse_detect(p: Problem) -> DetectionResult:
     if not inst.noise_var > 0:
         raise ValueError(f"noise_var must be > 0, got {inst.noise_var}")
     hh = inst.h.conj().T
-    gram = hh @ inst.h + (inst.noise_var / c.symbol_energy) * np.eye(inst.nt)
+    delta = inst.noise_var / c.symbol_energy
+    gram = hh @ inst.h + delta * np.eye(inst.h.shape[1])
     try:
         soft = np.linalg.solve(gram, hh @ inst.y)
     except np.linalg.LinAlgError as err:
@@ -89,9 +91,11 @@ def mmse_detect(p: Problem) -> DetectionResult:
 
 def _babai_point(sys, c, noise_var):
     """The MMSE-SIC lattice point: on the QR of [h_r; lam I] with
-    lam^2 = noise_var / Es, the nearest level per real coordinate, last
-    coordinate first, each given the ones already decided."""
+    lam^2 = noise_var / Es, the nearest level per real coordinate (ties as
+    in symbols_to_spins), last coordinate first, each given the ones
+    already decided."""
     m, k = sys.h_r.shape
+    levels = _decisions(c)[0].tolist()
     lam = (max(0.0, noise_var) / c.symbol_energy) ** 0.5
     q, r = np.linalg.qr(np.vstack([sys.h_r, lam * np.eye(k)]))
     z = (q[:m].T @ sys.y_r).tolist()
@@ -100,7 +104,7 @@ def _babai_point(sys, c, noise_var):
     for i in range(k - 1, -1, -1):
         rest = z[i] - sum(r[i][j] * x[j] for j in range(i + 1, k))
         centre = rest / r[i][i] if r[i][i] else 0.0
-        x[i] = min(c.levels, key=lambda v: abs(v - centre))
+        x[i] = min(levels, key=lambda v: abs(v - centre))
     return np.array(x, dtype=np.float64)
 
 

@@ -21,17 +21,26 @@ import numpy as np
 
 @dataclass(frozen=True)
 class IsingModel:
-    """Immutable coupling matrix / field vector pair with an energy offset."""
+    """Couplings j (n x n) and fields h (n,), n spins, with an offset."""
 
-    n: int
     j: np.ndarray
     h: np.ndarray
     offset: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "j", np.asarray(self.j, dtype=np.float64))
-        object.__setattr__(self, "h", np.asarray(self.h, dtype=np.float64))
+        j = np.asarray(self.j, dtype=np.float64)
+        h = np.asarray(self.h, dtype=np.float64)
+        if h.ndim != 1 or j.shape != (len(h), len(h)):
+            raise ValueError(
+                f"need j (n, n) and h (n,), got j {j.shape} and h {h.shape}"
+            )
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "h", h)
         object.__setattr__(self, "offset", float(self.offset))
+
+    @property
+    def n(self) -> int:
+        return len(self.h)
 
 
 def energy(model: IsingModel, s: np.ndarray) -> float:

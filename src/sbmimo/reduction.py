@@ -62,7 +62,7 @@ def build_ising(sys: RealizedSystem, c: Constellation) -> IsingModel:
     j = g - np.diag(np.diagonal(g))
     h = -2.0 * (a.T @ sys.y_r)
     offset = float(np.trace(g) + sys.y_r @ sys.y_r)
-    return IsingModel(n=a.shape[1], j=j, h=h, offset=offset)
+    return IsingModel(j=j, h=h, offset=offset)
 
 
 def instance_model(inst: ChannelInstance, c: Constellation) -> IsingModel:

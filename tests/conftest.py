@@ -125,7 +125,7 @@ def random_model(rng, n: int, h_scale: float = 1.0) -> IsingModel:
     j = (a + a.T) / 2.0
     np.fill_diagonal(j, 0.0)
     h = rng.normal(size=n) * h_scale
-    return IsingModel(n=n, j=j, h=h, offset=float(rng.normal()))
+    return IsingModel(j=j, h=h, offset=float(rng.normal()))
 
 
 @pytest.fixture

@@ -205,13 +205,6 @@ class TestRunSweep:
         b = run_sweep(small_config(detectors=("sb-reg", "mmse")))
         assert a == b
 
-    def test_writes_no_file(self, tmp_path):
-        out, trace = tmp_path / "out.csv", tmp_path / "trace.csv"
-        run_sweep(small_config(
-            instances=2, detectors=("sb",), out=str(out), trace=str(trace),
-        ))
-        assert list(tmp_path.iterdir()) == []
-
     def test_trace_dump(self, tmp_path):
         path = tmp_path / "trace.csv"
         cfg = small_config(

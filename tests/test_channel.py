@@ -19,7 +19,12 @@ from sbmimo.channel import (
     sample_instance,
 )
 
-from conftest import constellation_points, hard_bits, hard_symbols
+from conftest import (
+    constellation_points,
+    hard_bits,
+    hard_symbols,
+    nearest_point_bits,
+)
 
 
 class TestConstellations:
@@ -210,15 +215,17 @@ class TestSampleInstance:
         a = sample_instance(4, 5, QPSK, 12.0, np.random.default_rng([1, 2]))
         b = sample_instance(4, 5, QPSK, 12.0, np.random.default_rng([1, 2]))
         assert np.array_equal(a.h, b.h)
-        assert np.array_equal(a.tx_bits, b.tx_bits)
+        assert np.array_equal(a.tx_symbols, b.tx_symbols)
         assert np.array_equal(a.y, b.y)
         assert a.noise_var == b.noise_var
 
-    def test_fields_are_linked(self, rng):
-        inst = sample_instance(3, 4, QAM16, 15.0, rng)
+    def test_fields_are_linked(self):
+        # The payload bits are the stream's first draw, then modulated.
+        inst = sample_instance(3, 4, QAM16, 15.0, np.random.default_rng(8))
+        bits = np.random.default_rng(8).integers(0, 2, 12)
         assert inst.h.shape == (4, 3)
-        assert inst.tx_bits.shape == (12,)
-        assert np.array_equal(modulate(inst.tx_bits, QAM16), inst.tx_symbols)
+        assert np.array_equal(modulate(bits, QAM16), inst.tx_symbols)
+        assert np.array_equal(nearest_point_bits(inst.tx_symbols, QAM16), bits)
         assert inst.noise_var == noise_variance_for_snr(15.0, 3, QAM16)
         assert inst.y.shape == (4,)
         assert inst.noise_var > 0

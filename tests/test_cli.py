@@ -6,7 +6,13 @@ import pytest
 
 from sbmimo import cli
 from sbmimo.bench import BerRecord, snr_range, summary_table
-from sbmimo.cli import ConfigError, build_parser, main, parse_config
+from sbmimo.cli import (
+    ConfigError,
+    build_parser,
+    main,
+    parse_command,
+    parse_config,
+)
 
 
 def write_config(tmp_path, payload):
@@ -23,8 +29,8 @@ class TestDefaults:
         assert cfg.instances == 10_000
         assert cfg.detectors == ("mmse", "sb-reg")
         assert (cfg.sb.n_steps, cfg.sb.dt, cfg.sb.n_restarts) == (100, 0.5, 1)
-        assert cfg.r == 0.5 and cfg.seed == 0
-        assert cfg.out is None and cfg.trace is None and cfg.workers == 1
+        assert cfg.r == 0.5 and cfg.seed == 0 and cfg.workers == 1
+        assert parse_command([]) == (cfg, None, None)
 
 
 class TestFlagParsing:
@@ -109,6 +115,8 @@ class TestConfigFile:
     @pytest.mark.parametrize("sep", ["_", "-"])
     def test_every_flag_is_a_config_key(self, tmp_path, sep):
         # A non-default value per flag; a new flag needs an entry here.
+        # The sweep settings resolve into the SweepConfig, --out and
+        # --trace into the paths beside it.
         values = {
             "nt": "3", "nr": "5", "mod": "bpsk", "snr": "0:4:2",
             "snr_list": "1,2", "instances": "3", "detectors": "mmse",
@@ -124,9 +132,9 @@ class TestConfigFile:
         for flag in flags:
             value = values[flag[2:].replace("-", "_")]
             path = write_config(tmp_path, {flag[2:].replace("-", sep): value})
-            cfg = parse_config(["--config", path])
-            assert cfg == parse_config([flag, value])
-            assert cfg != parse_config([])
+            resolved = parse_command(["--config", path])
+            assert resolved == parse_command([flag, value])
+            assert resolved != parse_command([])
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, {"snr_start": 0})
@@ -166,6 +174,18 @@ class TestMain:
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 4
         assert {r["detector"] for r in rows} == {"mmse", "sb"}
+
+    def test_config_file_paths_are_written(self, tmp_path, capsys):
+        out, trace = tmp_path / "x.csv", tmp_path / "t.csv"
+        path = write_config(tmp_path, {
+            "nt": 2, "nr": 2, "snr_list": [5], "instances": 2,
+            "detectors": "mmse,sb", "steps": 5,
+            "out": str(out), "trace": str(trace),
+        })
+        assert main(["--config", path]) == 0
+        assert f" out={out} trace={trace} " in capsys.readouterr().err
+        assert len(list(csv.DictReader(out.open()))) == 2
+        assert len(list(csv.reader(trace.open()))) == 1 + 5
 
     def test_infeasible_oracle_returns_2(self, capsys):
         code = main([

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from sbmimo.channel import (
 )
 from sbmimo.detectors import (
     ORACLE_SPIN_LIMIT,
+    DetectionFailureError,
     ml_oracle,
     mmse_detect,
     prepare,
@@ -41,14 +44,10 @@ from conftest import (
 def make_instance(nt, nr, c, noise_var, seed):
     """Instance with an explicit noise variance instead of an SNR."""
     rng = np.random.default_rng(seed)
-    tx_bits = rng.integers(0, 2, nt * c.bps).astype(np.int8)
-    tx_symbols = modulate(tx_bits, c)
+    tx_symbols = modulate(rng.integers(0, 2, nt * c.bps), c)
     h = sample_channel(nt, nr, rng)
     y = add_awgn(h @ tx_symbols, noise_var, rng)
-    return ChannelInstance(
-        nt=nt, nr=nr, h=h, tx_bits=tx_bits, tx_symbols=tx_symbols,
-        noise_var=noise_var, y=y,
-    )
+    return ChannelInstance(h=h, tx_symbols=tx_symbols, noise_var=noise_var, y=y)
 
 
 def exhaustive_ml(model):
@@ -61,10 +60,9 @@ def exhaustive_ml(model):
 
 def zero_channel(nt, nr, c):
     """y = 0 through H = 0: every spin vector has residual zero."""
-    bits = np.zeros(nt * c.bps, dtype=np.int8)
     return ChannelInstance(
-        nt=nt, nr=nr, h=np.zeros((nr, nt), dtype=complex),
-        tx_bits=bits, tx_symbols=modulate(bits, c),
+        h=np.zeros((nr, nt), dtype=complex),
+        tx_symbols=modulate(np.zeros(nt * c.bps, dtype=np.int8), c),
         noise_var=1.0, y=np.zeros(nr, dtype=complex),
     )
 
@@ -85,7 +83,10 @@ class TestMmse:
         inst = make_instance(2, 2, QPSK, 1e-12, seed=11)
         assert np.linalg.cond(inst.h) < 100  # invertible, well-behaved
         res = mmse_detect(prepare(inst, QPSK))
-        assert np.array_equal(spins_to_bits(res.spins, QPSK), inst.tx_bits)
+        assert np.array_equal(
+            spins_to_bits(res.spins, QPSK),
+            nearest_point_bits(inst.tx_symbols, QPSK),
+        )
         assert np.array_equal(
             res.spins, symbols_to_spins(inst.tx_symbols, QPSK)
         )
@@ -106,12 +107,22 @@ class TestMmse:
         model = instance_model(inst, QAM16)
         assert res.ising_energy == energy(model, res.spins)
 
+    @pytest.mark.parametrize("c", [QPSK, BPSK], ids=["qpsk", "bpsk"])
+    def test_singular_gram_at_tiny_noise_fails(self, c):
+        # nt 2, nr 1: H^H H is exactly [[1, 1], [1, 1]], and sigma^2 / Es
+        # is far below its rounding, so the regularized Gram matrix is
+        # exactly singular in floating point.
+        inst = ChannelInstance(
+            h=np.array([[1.0, 1.0]], dtype=complex),
+            tx_symbols=modulate(np.zeros(2 * c.bps, dtype=np.int8), c),
+            noise_var=1e-300, y=np.array([2.0], dtype=complex),
+        )
+        with pytest.raises(DetectionFailureError):
+            mmse_detect(prepare(inst, c))
+
     def test_rejects_nonpositive_noise(self):
         inst = make_instance(2, 2, QPSK, 1e-6, seed=3)
-        bad = ChannelInstance(
-            nt=inst.nt, nr=inst.nr, h=inst.h, tx_bits=inst.tx_bits,
-            tx_symbols=inst.tx_symbols, noise_var=0.0, y=inst.y,
-        )
+        bad = replace(inst, noise_var=0.0)
         with pytest.raises(ValueError):
             mmse_detect(prepare(bad, QPSK))
 
@@ -123,7 +134,10 @@ class TestOracle:
         assert np.array_equal(
             res.spins, symbols_to_spins(inst.tx_symbols, QPSK)
         )
-        assert np.array_equal(spins_to_bits(res.spins, QPSK), inst.tx_bits)
+        assert np.array_equal(
+            spins_to_bits(res.spins, QPSK),
+            nearest_point_bits(inst.tx_symbols, QPSK),
+        )
 
     def test_beats_every_candidate_by_full_scan(self, rng):
         inst = sample_instance(2, 2, QPSK, 4.0, rng)
@@ -139,9 +153,8 @@ class TestOracle:
         # ties; the oracle must return the all-minus-one vector.
         h = np.eye(2) + 0j
         inst = ChannelInstance(
-            nt=2, nr=2, h=h,
-            tx_bits=np.zeros(2, dtype=np.int8),
-            tx_symbols=modulate(np.zeros(2, dtype=np.int8), QPSK),
+            h=h,
+            tx_symbols=modulate(np.zeros(4, dtype=np.int8), QPSK),
             noise_var=1.0, y=np.zeros(2, dtype=complex),
         )
         res = ml_oracle(prepare(inst, QPSK))
@@ -309,7 +322,7 @@ class TestSbDetect:
             detect_one(p, params, anchor, r=0.5, seed=4),
         ]
         for res in results:
-            assert res.spins.shape == (inst.nt * QAM16.bps,)
+            assert res.spins.shape == (2 * QAM16.bps,)
         assert [r.detector for r in results] == [
             "mmse", "ml-oracle", "sb", "sb-reg"
         ]

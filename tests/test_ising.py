@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,31 @@ from conftest import all_spin_vectors, energy_loop, random_model
 
 
 def model_of(j, h, offset=0.0):
-    j = np.asarray(j, dtype=float)
-    return IsingModel(n=len(j), j=j, h=np.asarray(h, dtype=float), offset=offset)
+    return IsingModel(j=j, h=h, offset=offset)
+
+
+class TestModelShape:
+    def test_spin_count_is_the_field_length(self):
+        m = model_of(np.zeros((3, 3)), [1, 2, 3])
+        assert m.n == 3
+        assert replace(m, h=np.zeros(3)).n == 3
+
+    @pytest.mark.parametrize(
+        "j_shape, h_shape",
+        [((3, 3), (2,)), ((2, 3), (2,)), ((2, 2), (2, 1)), ((), ())],
+    )
+    def test_mismatch_rejected_at_construction(self, j_shape, h_shape):
+        # Before, IsingModel(n=2, j=<3x3>, h=<3>) was accepted and solve
+        # failed later with numpy's broadcast error.
+        with pytest.raises(ValueError) as exc:
+            model_of(np.zeros(j_shape), np.zeros(h_shape))
+        assert str(j_shape) in str(exc.value)
+        assert str(h_shape) in str(exc.value)
+
+    def test_replace_checks_the_new_shapes(self):
+        m = model_of(np.zeros((2, 2)), [0, 0])
+        with pytest.raises(ValueError):
+            replace(m, h=np.zeros(3))
 
 
 class TestEnergy:
@@ -55,7 +80,7 @@ class TestEnergyProperties:
         m, s, rng = ms
         perm = rng.permutation(m.n)
         mp = IsingModel(
-            n=m.n, j=m.j[np.ix_(perm, perm)], h=m.h[perm], offset=m.offset
+            j=m.j[np.ix_(perm, perm)], h=m.h[perm], offset=m.offset
         )
         assert energy(mp, s[perm]) == pytest.approx(
             energy(m, s), rel=1e-10, abs=1e-10
@@ -65,7 +90,7 @@ class TestEnergyProperties:
     @settings(max_examples=60, deadline=None)
     def test_offset_shifts_energy(self, ms, c):
         m, s, _ = ms
-        shifted = IsingModel(n=m.n, j=m.j, h=m.h, offset=m.offset + c)
+        shifted = IsingModel(j=m.j, h=m.h, offset=m.offset + c)
         assert energy(shifted, s) == pytest.approx(
             energy(m, s) + c, rel=1e-12, abs=1e-9
         )

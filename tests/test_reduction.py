@@ -28,6 +28,7 @@ from sbmimo.reduction import (
 from conftest import (
     all_spin_vectors,
     constellation_points,
+    nearest_point_bits,
     random_model,
     spin_transform,
     spins_to_bits,
@@ -308,7 +309,8 @@ def test_spin_mismatches_count_bit_errors(seed, name, nt):
     inst = sample_instance(nt, nt, c, float(rng.uniform(0, 30)), rng)
     s = rng.choice([-1, 1], size=nt * c.bps).astype(np.int8)
     spin_errors = np.count_nonzero(s != symbols_to_spins(inst.tx_symbols, c))
-    bit_errors = np.count_nonzero(spins_to_bits(s, c) != inst.tx_bits)
+    tx_bits = nearest_point_bits(inst.tx_symbols, c)
+    bit_errors = np.count_nonzero(spins_to_bits(s, c) != tx_bits)
     assert spin_errors == bit_errors
 
 

@@ -23,8 +23,7 @@ from conftest import all_spin_vectors, random_model, sign_pm1, solve_one
 
 
 def model_of(j, h, offset=0.0):
-    j = np.asarray(j, dtype=float)
-    return IsingModel(n=len(j), j=j, h=np.asarray(h, dtype=float), offset=offset)
+    return IsingModel(j=j, h=h, offset=offset)
 
 
 def reference_runs(model, params, seed=0, trace=None):
@@ -99,7 +98,7 @@ def overflowing_model():
     # step although c0 is finite and > 0.
     j = np.full((3, 3), 1e308)
     np.fill_diagonal(j, 0.0)
-    return IsingModel(n=3, j=j, h=np.zeros(3))
+    return IsingModel(j=j, h=np.zeros(3))
 
 
 def staggered_divergence_model():
@@ -109,7 +108,7 @@ def staggered_divergence_model():
     # returned, restart 0 diverges at step 0, restart 1 at step 1, restart 3
     # at step 6, and restart 2 finishes.
     j = 2e307 * np.array([[0, 4, -3], [4, 0, -3], [-3, -3, 0]], dtype=float)
-    model = IsingModel(n=3, j=j, h=2e307 * np.array([6.0, 0.0, -6.0]))
+    model = IsingModel(j=j, h=2e307 * np.array([6.0, 0.0, -6.0]))
     return model, SBParams(n_steps=12, dt=0.5, n_restarts=4), 15
 
 
@@ -342,7 +341,7 @@ class TestSolve:
         m = random_model(rng, n)
         if huge:
             scale = 8e307 / math.sqrt(n)
-            m = IsingModel(n=n, j=m.j * scale, h=m.h * scale, offset=m.offset)
+            m = IsingModel(j=m.j * scale, h=m.h * scale, offset=m.offset)
         params = SBParams(n_steps=steps, dt=dt, n_restarts=restarts)
         rows, ref_rows = [], []
         quiet = "ignore" if huge else "warn"
@@ -408,7 +407,7 @@ class TestSolve:
         n, seed = 21, 239
         m = random_model(np.random.default_rng(seed), n)
         scale = 8e307 / math.sqrt(n)
-        m = IsingModel(n=n, j=m.j * scale, h=m.h * scale, offset=m.offset)
+        m = IsingModel(j=m.j * scale, h=m.h * scale, offset=m.offset)
         params = SBParams(n_steps=1, dt=0.05, n_restarts=5)
         with np.errstate(over="ignore", invalid="ignore"):
             runs = reference_runs(m, params, seed)
@@ -460,14 +459,14 @@ class TestSolve:
         a = rng.normal(size=(6, 6))
         j = (a + a.T) / 2.0
         np.fill_diagonal(j, 0.0)
-        m1 = IsingModel(n=6, j=j, h=np.zeros(6))
+        m1 = IsingModel(j=j, h=np.zeros(6))
         x = rng.uniform(-1, 1, 6)
         for kappa in (3.0, 4.0):
-            mk = IsingModel(n=6, j=kappa * j, h=np.zeros(6))
+            mk = IsingModel(j=kappa * j, h=np.zeros(6))
             f1 = compute_c0(m1.j) * (m1.j @ sign_pm1(x))
             fk = compute_c0(mk.j) * (mk.j @ sign_pm1(x))
             assert fk == pytest.approx(f1, rel=1e-12)
-        m4 = IsingModel(n=6, j=4.0 * j, h=np.zeros(6))
+        m4 = IsingModel(j=4.0 * j, h=np.zeros(6))
         params = SBParams(n_steps=50, dt=0.5)
         assert np.array_equal(
             solve_one(m1, params, seed=5).spins, solve_one(m4, params, seed=5).spins
@@ -484,7 +483,7 @@ class TestSolve:
         rng = np.random.default_rng(seed)
         m = random_model(rng, int(rng.integers(2, 13)))
         scaled = IsingModel(
-            n=m.n, j=np.ldexp(m.j, k), h=np.ldexp(m.h, k),
+            j=np.ldexp(m.j, k), h=np.ldexp(m.h, k),
             offset=math.ldexp(m.offset, k),
         )
         assert compute_c0(scaled.j) == math.ldexp(compute_c0(m.j), -k)
@@ -513,7 +512,7 @@ class TestSolve:
         a = rng.normal(size=(5, 5))
         j = (a + a.T) / 2.0
         np.fill_diagonal(j, 0.0)
-        m = IsingModel(n=5, j=j, h=np.zeros(5))
+        m = IsingModel(j=j, h=np.zeros(5))
         c0 = compute_c0(m.j)
         xy = initial_states(5, seed=3, n_restarts=1)
         xy = np.concatenate([xy, -xy], axis=1)
@@ -550,7 +549,7 @@ def huge_model(m):
     # J and h at 8e307 / sqrt(n): J @ s + h / 2 overflows under some sign
     # patterns, so restarts diverge at various steps, some or all of them.
     scale = 8e307 / math.sqrt(m.n)
-    return IsingModel(n=m.n, j=m.j * scale, h=m.h * scale, offset=m.offset)
+    return IsingModel(j=m.j * scale, h=m.h * scale, offset=m.offset)
 
 
 def assert_matches_reference(model, params, seed, outcome, rows):

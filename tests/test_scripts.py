@@ -8,33 +8,43 @@ from pathlib import Path
 import pytest
 
 from sbmimo.bench import SweepConfig, snr_range
-from sbmimo.cli import parse_config
+from sbmimo.cli import parse_command
 from sbmimo.sb import SBParams
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
 # The paper's two BER experiments, pinned: 16x16 QPSK with plain and
-# regularized SB, and 8x8 16-QAM with a longer, finer anneal.
+# regularized SB, and 8x8 16-QAM with a longer, finer anneal; each as the
+# command line resolves it, with its --out and --trace paths.
 SWEEPS = {
-    "qpsk16x16.json": SweepConfig(
-        nt=16, nr=16, modulation="qpsk", snr_db=snr_range(0.0, 25.0, 2.5),
-        instances=2_000, detectors=("mmse", "sb", "sb-reg"),
-        sb=SBParams(n_steps=100, dt=0.5), r=0.5, seed=0, workers=1,
-        out="qpsk16x16.csv",
+    "qpsk16x16.json": (
+        SweepConfig(
+            nt=16, nr=16, modulation="qpsk",
+            snr_db=snr_range(0.0, 25.0, 2.5), instances=2_000,
+            detectors=("mmse", "sb", "sb-reg"),
+            sb=SBParams(n_steps=100, dt=0.5), r=0.5, seed=0, workers=1,
+        ),
+        "qpsk16x16.csv",
+        None,
     ),
-    "qam16_8x8.json": SweepConfig(
-        nt=8, nr=8, modulation="qam16", snr_db=snr_range(10.0, 20.0, 2.0),
-        instances=1_000, detectors=("mmse", "sb-reg"),
-        sb=SBParams(n_steps=400, dt=0.25, n_restarts=10), r=0.5, seed=0,
-        workers=1, out="qam16_8x8.csv",
+    "qam16_8x8.json": (
+        SweepConfig(
+            nt=8, nr=8, modulation="qam16",
+            snr_db=snr_range(10.0, 20.0, 2.0), instances=1_000,
+            detectors=("mmse", "sb-reg"),
+            sb=SBParams(n_steps=400, dt=0.25, n_restarts=10), r=0.5, seed=0,
+            workers=1,
+        ),
+        "qam16_8x8.csv",
+        None,
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_config_file(name):
-    assert parse_config(["--config", str(SCRIPTS / name)]) == SWEEPS[name]
+    assert parse_command(["--config", str(SCRIPTS / name)]) == SWEEPS[name]
 
 
 def load_script(name):
