@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -159,6 +160,7 @@ class BerRecord:
     seed: int
     failures: int = 0
     selection_violations: int = 0
+    ml_optimal: int = 0
 
 
 # Instances per dSB block: _eval_block solves a block's instances as one
@@ -219,7 +221,8 @@ def _eval_block(cfg: SweepConfig, snr_idx: int, start: int, stop: int):
     result is both the `mmse` decision and the `sb-reg` anchor, so an
     MMSE failure counts against both.  Bit errors are counted as spin
     mismatches against the transmitted spins: under the channel's bit
-    labeling each bit is one spin.
+    labeling each bit is one spin.  With `ml-oracle` configured, a decision
+    is ML-optimal if its energy is at most the oracle's e + 1e-9 max(1, |e|).
     """
     c = get_constellation(cfg.modulation)
     tally = {det: Counter() for det in cfg.detectors}
@@ -243,6 +246,7 @@ def _eval_block(cfg: SweepConfig, snr_idx: int, start: int, stop: int):
             except SolverDivergenceError:
                 pass
         tx_spins = symbols_to_spins(p.inst.tx_symbols, c)
+        oracle = decided[k].get("ml-oracle")
         for det in cfg.detectors:
             res = decided[k].get(det)
             if res is None:
@@ -254,14 +258,19 @@ def _eval_block(cfg: SweepConfig, snr_idx: int, start: int, stop: int):
             if det == "sb-reg":
                 if res.ising_energy > anchor.ising_energy:
                     tally[det]["violations"] += 1
+            if oracle is not None:
+                e_ml = oracle.ising_energy
+                if res.ising_energy <= e_ml + 1e-9 * max(1.0, abs(e_ml)):
+                    tally[det]["optimal"] += 1
     return tally
 
 
 def trace_rows(cfg: SweepConfig) -> list:
     """Solver trajectory of the sweep's first instance (SNR index 0).
 
-    It runs under the first SB-family detector configured; there are no
-    rows when there is none, or when that detector fails before solving.
+    It runs under the first SB-family detector configured.  There are no
+    rows when there is none, when it fails before solving, or when the
+    model has no couplings (one spin, say): `solve` settles it by fields.
     Each row is (restart, step, a, x, y, energy), as `solve` reports it.
     """
     rows = []
@@ -279,7 +288,8 @@ def run_sweep(cfg: SweepConfig) -> list[BerRecord]:
     instance is skipped for that detector only, so `instances` on a
     record is the number actually counted.  The jobs, run in turn or
     spread over the worker processes, are the solver blocks of up to
-    _BLOCK instances.  Nothing is written (see `write_csv`, `trace_rows`
+    _BLOCK instances; no more processes start than there are jobs or
+    usable CPUs.  Nothing is written (see `write_csv`, `trace_rows`
     and `write_trace`).
     """
     c = get_constellation(cfg.modulation)
@@ -288,14 +298,18 @@ def run_sweep(cfg: SweepConfig) -> list[BerRecord]:
         for snr_idx in range(len(cfg.snr_db))
         for start in range(0, cfg.instances, _BLOCK)
     ]
-    if cfg.workers == 1:
+    # A pool may start all of its processes at its first submit.
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every OS
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(cfg.workers, len(jobs), cpus)
+    if workers == 1:
         tallies = [_eval_block(cfg, *job) for job in jobs]
     else:
         # Imported here: it pulls in multiprocessing, which a one-worker
         # sweep and a plain `import sbmimo` never need.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_eval_block, cfg, *job) for job in jobs]
             tallies = [f.result() for f in futures]
     totals = defaultdict(Counter)
@@ -327,6 +341,7 @@ def run_sweep(cfg: SweepConfig) -> list[BerRecord]:
                     seed=cfg.seed,
                     failures=cell["failures"],
                     selection_violations=cell["violations"],
+                    ml_optimal=cell["optimal"],
                 )
             )
     records.sort(key=lambda rec: (rec.detector, rec.snr_db))

@@ -72,19 +72,26 @@ class DetectionResult:
 def mmse_detect(p: Problem) -> DetectionResult:
     """Regularized linear estimate, hard-quantized onto the lattice.
 
-    Soft estimate (H^H H + (sigma^2 / Es) I)^-1 H^H y; the regularizer
-    scaling reflects the unnormalized constellation energy Es.
+    Soft estimate (H^H H + d I)^-1 H^H y with d = sigma^2 / Es; the
+    regularizer scaling reflects the unnormalized constellation energy
+    Es.  Where that solve fails (d below the rounding of a rank-deficient
+    H^H H, as at nr < nt and very high SNR), lstsq of [H; sqrt(d) I] gives it.
     """
     inst, c = p.inst, p.c
     if not inst.noise_var > 0:
         raise ValueError(f"noise_var must be > 0, got {inst.noise_var}")
+    nt = inst.h.shape[1]
     hh = inst.h.conj().T
     delta = inst.noise_var / c.symbol_energy
-    gram = hh @ inst.h + delta * np.eye(inst.h.shape[1])
+    gram = hh @ inst.h + delta * np.eye(nt)
     try:
         soft = np.linalg.solve(gram, hh @ inst.y)
-    except np.linalg.LinAlgError as err:
-        raise DetectionFailureError(f"regularized Gram solve failed: {err}")
+    except np.linalg.LinAlgError:
+        a = np.vstack([inst.h, np.sqrt(delta) * np.eye(nt)])
+        try:
+            soft = np.linalg.lstsq(a, np.r_[inst.y, np.zeros(nt)])[0]
+        except np.linalg.LinAlgError as err:
+            raise DetectionFailureError(f"regularized solve failed: {err}")
     spins = symbols_to_spins(soft, c)
     return DetectionResult("mmse", spins, energy(p.model, spins), {})
 

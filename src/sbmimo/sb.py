@@ -209,7 +209,7 @@ def solve(models, params: SBParams, seeds, trace=None) -> list:
     trace, when given, holds one list per model, which is extended by
     ``(restart, step, a, x, y, readout_energy)`` for every step of every
     restart, restart-major; a diverged restart's rows stop at its last
-    finite step.
+    finite step, and a model solved by fields alone adds none.
     """
     models, seeds = list(models), list(seeds)
     if len(seeds) != len(models) or len({m.n for m in models}) > 1:

@@ -11,7 +11,7 @@ import pytest
 
 from sbmimo.bench import SweepConfig, run_sweep, write_csv
 from sbmimo.channel import get_constellation, realify, sample_instance
-from sbmimo.detectors import ml_oracle, prepare, sb_detect, sb_solve
+from sbmimo.detectors import ml_oracle, prepare
 from sbmimo.ising import energy
 from sbmimo.reduction import instance_model
 from sbmimo.sb import SBParams
@@ -118,27 +118,17 @@ def test_criterion_2_exhaustive_argmin_matches_oracle():
 
 
 def test_criterion_3_sb_attains_oracle_energy():
-    c = get_constellation("qpsk")
-    n_inst = 500
-    hits = 0
-    problems, seeds = [], []
-    for i in range(n_inst):
-        rng = np.random.default_rng([MASTER_SEED, 0, i])
-        inst = sample_instance(4, 4, c, 10.0, rng)
-        seeds.append(int(rng.integers(0, 1 << 63, dtype=np.uint64)))
-        problems.append(prepare(inst, c))
-    params = SBParams(n_steps=100, dt=0.5, n_restarts=10)
-    solved = sb_solve(problems, params, seeds)
-    for p, outcome in zip(problems, solved):
-        sb_energy = sb_detect(p, outcome).ising_energy
-        oracle_energy = ml_oracle(p).ising_energy
-        if sb_energy <= oracle_energy + 1e-9:
-            hits += 1
-    rate = hits / n_inst
+    cfg = SweepConfig(
+        nt=4, nr=4, modulation="qpsk", snr_db=(10.0,), instances=500,
+        detectors=("sb", "ml-oracle"), sb=SBParams(100, 0.5, 10),
+        seed=MASTER_SEED,
+    )
+    (rec,) = [rec for rec in run_sweep(cfg) if rec.detector == "sb"]
+    rate = rec.ml_optimal / cfg.instances
     report(
         "criterion 3: SB reaches the optimal energy on >= 95% of instances",
         rate >= 0.95,
-        f"optimality rate {rate:.1%} ({hits}/{n_inst})",
+        f"optimality rate {rate:.1%} ({rec.ml_optimal}/{cfg.instances})",
     )
 
 

@@ -245,6 +245,71 @@ class TestRunSweep:
         assert by_det["sb-reg"].failures == 3
         assert by_det["sb"].instances == 3
 
+    def test_trace_header_only_for_a_model_without_couplings(self, tmp_path):
+        # One BPSK spin has no couplings: solve settles it by its field
+        # alone, so there is no trajectory to trace.
+        path = tmp_path / "trace.csv"
+        cfg = small_config(
+            nt=1, nr=1, modulation="bpsk", snr_db=(5.0,), instances=3,
+            detectors=("sb",),
+        )
+        write_trace(trace_rows(cfg), str(path))
+        assert list(csv.reader(path.open())) == [
+            ["restart", "step", "a", "energy"]
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_singular_gram_at_very_high_snr_is_no_failure(self, workers):
+        # With nr < nt at 200 dB, sigma^2 / Es is below the rounding of
+        # the rank-deficient H^H H, so MMSE's Gram solve fails on some
+        # instances (10 of these 60) and takes the least-squares path.
+        cfg = SweepConfig(
+            nt=2, nr=1, modulation="qpsk", snr_db=(200.0,), instances=60,
+            detectors=("mmse", "sb", "sb-reg"), sb=SBParams(n_steps=20),
+            seed=0, workers=workers,
+        )
+        for rec in run_sweep(cfg):
+            assert (rec.instances, rec.failures) == (60, 0)
+
+    @pytest.mark.parametrize(
+        "workers, instances, expected",
+        [(5000, 25, 2), (5000, 100, 4), (3, 100, 3), (2, 25, 2)],
+    )
+    def test_pool_gets_at_most_one_process_per_job_and_cpu(
+        self, monkeypatch, workers, instances, expected
+    ):
+        # The pool is replaced by one that runs each job in this process,
+        # so no process starts, and the host is said to have 4 CPUs.
+        import concurrent.futures
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, func, *args):
+                future = concurrent.futures.Future()
+                future.set_result(func(*args))
+                return future
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", InProcessPool
+        )
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(4)), raising=False
+        )
+        cfg = small_config(instances=instances, sb=SBParams(n_steps=5))
+        records = run_sweep(replace(cfg, workers=workers))
+        assert sizes == [expected]
+        assert records == run_sweep(cfg)
+
 
 ALL_DETECTORS = ("mmse", "sb", "sb-reg", "ml-oracle")
 
@@ -296,13 +361,24 @@ class TestBlocks:
             snr_db=(0.0, 5.0, 10.0, 15.0), instances=12,
             detectors=ALL_DETECTORS, sb=SBParams(n_steps=60, n_restarts=2),
         )
-        run_sweep(cfg)
+        records = run_sweep(cfg)
         assert len(seen) == 48
+        optimal = dict.fromkeys(ALL_DETECTORS, 0)
         for _, e in seen.values():
             assert set(e) == set(ALL_DETECTORS)
             assert e["ml-oracle"] <= e["sb"] + 1e-9 * max(1.0, abs(e["sb"]))
             assert e["ml-oracle"] <= e["sb-reg"] + 1e-9 * max(1.0, abs(e["sb-reg"]))
             assert e["sb-reg"] <= e["mmse"]
+            e_ml = e["ml-oracle"]
+            for det in ALL_DETECTORS:
+                optimal[det] += e[det] <= e_ml + 1e-9 * max(1.0, abs(e_ml))
+        # Each record's ml_optimal counts its decisions that reach the
+        # oracle's energy on the same instance.
+        for det in ALL_DETECTORS:
+            assert optimal[det] == sum(
+                rec.ml_optimal for rec in records if rec.detector == det
+            )
+        assert optimal["ml-oracle"] == 48
 
 
 class TestWriteCsv:

@@ -3,6 +3,7 @@ library example, run against the library."""
 
 import importlib.util
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,17 @@ SWEEPS = {
         "qam16_8x8.csv",
         None,
     ),
+    # optimality_check.py's defaults; the script sets nt and nr per size
+    # and adds ml-oracle.
+    "optimality.json": (
+        SweepConfig(
+            modulation="qpsk", snr_db=(10.0,), instances=200,
+            detectors=("sb",),
+            sb=SBParams(n_steps=100, dt=0.5, n_restarts=10), seed=0,
+        ),
+        None,
+        None,
+    ),
 }
 
 
@@ -58,8 +70,10 @@ def test_optimality_check_runs(capsys):
     module = load_script("optimality_check")
     assert module.main(["--sizes", "2", "--instances", "3"]) == 0
     header, row = capsys.readouterr().out.splitlines()
-    assert header.split() == ["nt", "spins", "optimal", "mean", "excess"]
-    assert row.split()[:2] == ["2", "4"]
+    assert header.split() == [
+        "nt", "spins", "optimal", "snr_db", "detector", "ber", "ml_ber"
+    ]
+    assert row.split()[:2] == ["2", "4"] and row.split()[3:5] == ["10", "sb"]
 
 
 def test_optimality_check_modulation_names(capsys):
@@ -68,14 +82,55 @@ def test_optimality_check_modulation_names(capsys):
     module = load_script("optimality_check")
     tables = []
     for name in ("qpsk", "QPSK"):
-        argv = ["--modulation", name, "--sizes", "2", "--instances", "3"]
+        argv = ["--mod", name, "--sizes", "2", "--instances", "3"]
         assert module.main(argv) == 0
         tables.append(capsys.readouterr().out)
     assert tables[0] == tables[1]
     with pytest.raises(SystemExit) as exc:
-        module.main(["--modulation", "qam64", "--sizes", "2"])
+        module.main(["--mod", "qam64", "--sizes", "2"])
     assert exc.value.code == 2
     assert "qam16" in capsys.readouterr().err
+
+
+def test_optimality_check_sweeps_a_config_file(monkeypatch):
+    # A --config replaces the defaults and flags override it: the 16-QAM
+    # file gives its dt 0.25 sweep at each size, with the oracle added.
+    module = load_script("optimality_check")
+    sweeps = []
+    monkeypatch.setattr(module, "run_sweep", lambda cfg: sweeps.append(cfg) or [])
+    argv = ["--config", str(SCRIPTS / "qam16_8x8.json"), "--sizes", "2,4,6",
+            "--instances", "5"]
+    assert module.main(argv) == 0
+    base = SWEEPS["qam16_8x8.json"][0]
+    assert sweeps == [
+        replace(base, nt=n, nr=n, instances=5,
+                detectors=("mmse", "sb-reg", "ml-oracle"))
+        for n in (2, 4, 6)
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--instances", "0"],
+    ["--sizes", "abc"],
+    ["--snr-list", "nan"],
+    ["--snr-db", "10"],
+    ["--sizes", "2,13"],  # 26 spins, above the oracle's limit
+    ["--sizes", "0"],
+])
+def test_optimality_check_bad_input_exits_2_before_sweeping(
+    capsys, monkeypatch, argv
+):
+    module = load_script("optimality_check")
+
+    def refuse(cfg):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(module, "run_sweep", refuse)
+    with pytest.raises(SystemExit) as exc:
+        module.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
 
 
 def test_readme_library_example_runs(capsys):
