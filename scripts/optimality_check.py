@@ -2,6 +2,8 @@
 """How often each detector reaches the exact ML optimum, by size nt = nr:
 one sweep per size with the ML oracle added (up to 24 spins).  Any other
 option is an sbmimo-bench flag over optimality.json or a --config file.
+It writes no file: an out or trace path, from a flag or the file, is
+ignored with a note on stderr.
 """
 
 import argparse
@@ -11,7 +13,7 @@ from pathlib import Path
 
 from sbmimo.bench import run_sweep
 from sbmimo.channel import get_constellation
-from sbmimo.cli import parse_config
+from sbmimo.cli import parse_command
 
 
 def sizes(text: str) -> list[int]:
@@ -25,12 +27,16 @@ def main(argv=None) -> int:
     defaults = Path(__file__).with_name("optimality.json")
     try:
         # --sizes sets nt and nr; 1 lets a configured ml-oracle parse.
-        cfg = parse_config(["--config", str(defaults), *rest, "--nt", "1",
-                            "--nr", "1"])
+        cfg, *paths = parse_command(["--config", str(defaults), *rest,
+                                     "--nt", "1", "--nr", "1"])
         dets = (*(d for d in cfg.detectors if d != "ml-oracle"), "ml-oracle")
         sweeps = [replace(cfg, nt=n, nr=n, detectors=dets) for n in args.sizes]
     except ValueError as err:  # a ConfigError, or a size SweepConfig refuses
         ap.error(str(err))
+    for key, path in zip(("out", "trace"), paths):
+        if path is not None:
+            print(f"note: {Path(__file__).name} writes no file; ignoring "
+                  f"{key}={path}", file=sys.stderr)
     bps = get_constellation(cfg.modulation).bps
     print("  nt  spins  optimal  snr_db  detector        ber     ml_ber")
     for sweep in sweeps:

@@ -31,7 +31,7 @@ from sbmimo.detectors import (
     sb_solve,
 )
 from sbmimo.reduction import symbols_to_spins
-from sbmimo.sb import SBParams, SolverDivergenceError, is_int
+from sbmimo.sb import SBParams, SolveResult, is_int
 
 DETECTOR_NAMES = ("mmse", "sb", "sb-reg", "ml-oracle")
 SB_FAMILY = ("sb", "sb-reg")
@@ -190,27 +190,6 @@ def _instance(cfg: SweepConfig, c, snr_idx: int, i: int):
     return p, solver_seed, anchor
 
 
-def _sb_solve(cfg: SweepConfig, det: str, block, trace=None) -> list:
-    """sb_solve outcomes of one SB-family detector over a block of
-    (problem, seed, anchor) triples.
-
-    `sb-reg` solves only the instances whose MMSE anchor exists; the
-    others get None, a failure.
-    """
-    anchored = det == "sb-reg"
-    todo = [k for k, b in enumerate(block) if b[2] is not None or not anchored]
-    out = [None] * len(block)
-    if todo:
-        problems, seeds, anchors = zip(*(block[k] for k in todo))
-        solved = sb_solve(
-            problems, cfg.sb, seeds, anchors if anchored else None, cfg.r,
-            trace and [trace[k] for k in todo],
-        )
-        for k, res in zip(todo, solved):
-            out[k] = res
-    return out
-
-
 def _eval_block(cfg: SweepConfig, snr_idx: int, start: int, stop: int):
     """Per-detector tallies of the block [start, stop) at one SNR point.
 
@@ -226,25 +205,27 @@ def _eval_block(cfg: SweepConfig, snr_idx: int, start: int, stop: int):
     """
     c = get_constellation(cfg.modulation)
     tally = {det: Counter() for det in cfg.detectors}
-    block, decided = [], []
+    problems, seeds, decided = [], [], []
     for i in range(start, stop):
         p, seed, anchor = _instance(cfg, c, snr_idx, i)
-        block.append((p, seed, anchor))
+        problems.append(p)
+        seeds.append(seed)
         decided.append({"mmse": anchor})
         if "ml-oracle" in cfg.detectors:
             decided[-1]["ml-oracle"] = ml_oracle(p)
-    family = [det for det in cfg.detectors if det in SB_FAMILY]
-    solved = {det: _sb_solve(cfg, det, block) for det in family}
-    for k, (p, _, anchor) in enumerate(block):
+    anchors = [d["mmse"] for d in decided]
+    solved = {
+        det: sb_solve(problems, cfg.sb, seeds,
+                      anchors if det == "sb-reg" else None, cfg.r)
+        for det in cfg.detectors if det in SB_FAMILY
+    }
+    for k, p in enumerate(problems):
+        anchor = anchors[k]
         for det, outcomes in solved.items():
-            if outcomes[k] is None:
-                continue
-            try:
+            if isinstance(outcomes[k], SolveResult):
                 decided[k][det] = sb_detect(
                     p, outcomes[k], anchor if det == "sb-reg" else None
                 )
-            except SolverDivergenceError:
-                pass
         tx_spins = symbols_to_spins(p.inst.tx_symbols, c)
         oracle = decided[k].get("ml-oracle")
         for det in cfg.detectors:
@@ -277,7 +258,9 @@ def trace_rows(cfg: SweepConfig) -> list:
     family = [det for det in cfg.detectors if det in SB_FAMILY]
     if family:
         c = get_constellation(cfg.modulation)
-        _sb_solve(cfg, family[0], [_instance(cfg, c, 0, 0)], [rows])
+        p, seed, anchor = _instance(cfg, c, 0, 0)
+        anchors = [anchor] if family[0] == "sb-reg" else None
+        sb_solve([p], cfg.sb, [seed], anchors, cfg.r, [rows])
     return rows
 
 

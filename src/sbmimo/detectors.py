@@ -211,20 +211,27 @@ def sb_solve(
 
     With no anchors each plain model is solved.  Otherwise ``anchors``
     holds each problem's MMSE result, and each model is anchored at its
-    spins with penalty weight r.  seeds holds one solver seed per
-    problem, which draws its initial states; trace, when given, holds one
-    list per problem for solve's trace rows.  Returns solve's outcome per
-    problem: a SolveResult, or the SolverDivergenceError of a problem
-    whose every restart diverged.  ``sb_detect`` turns one into a
-    decision.
+    spins with penalty weight r; a problem whose anchor is None is not
+    solved.  seeds holds one solver seed per problem, which draws its
+    initial states; trace, when given, holds one list per problem for
+    solve's trace rows.  Returns one outcome per problem: None for an
+    unsolved one, else solve's SolveResult, or the SolverDivergenceError
+    of a problem whose every restart diverged.  ``sb_detect`` turns one
+    into a decision.
     """
-    if anchors is None:
-        models = [p.model for p in problems]
-    else:
-        models = [
-            regularize(p.model, a.spins, r) for p, a in zip(problems, anchors)
-        ]
-    return solve(models, params, seeds, trace)
+    plain = anchors is None
+    todo = [k for k in range(len(problems)) if plain or anchors[k] is not None]
+    models = [
+        problems[k].model if plain
+        else regularize(problems[k].model, anchors[k].spins, r)
+        for k in todo
+    ]
+    solved = solve(models, params, [seeds[k] for k in todo],
+                   trace and [trace[k] for k in todo])
+    out = [None] * len(problems)
+    for k, res in zip(todo, solved):
+        out[k] = res
+    return out
 
 
 def sb_detect(

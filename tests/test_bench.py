@@ -332,6 +332,75 @@ class TestBlocks:
         assert run_sweep(cfg) == expected
         assert run_sweep(replace(cfg, workers=2)) == expected
 
+    def test_block_with_some_anchors_missing(self, monkeypatch):
+        # MMSE fails on every other call, so each block mixes instances
+        # with and without an sb-reg anchor.  Each failure must land on
+        # its own instance, as it does in blocks of one.
+        import sbmimo.bench
+
+        detect = sbmimo.bench.mmse_detect
+        calls = []
+
+        def alternating(p):
+            calls.append(p)
+            if len(calls) % 2:
+                raise DetectionFailureError("injected")
+            return detect(p)
+
+        monkeypatch.setattr(sbmimo.bench, "mmse_detect", alternating)
+        cfg = small_config(
+            instances=40, detectors=("mmse", "sb-reg"),
+            sb=SBParams(n_steps=20, dt=0.5, n_restarts=2),
+        )
+        records = run_sweep(cfg)
+        assert len(calls) == 80  # 40 of them failed
+        for det in ("mmse", "sb-reg"):
+            assert sum(r.failures for r in records if r.detector == det) == 40
+        calls.clear()
+        monkeypatch.setattr(sbmimo.bench, "_BLOCK", 1)
+        assert run_sweep(cfg) == records
+
+    def test_call_order_within_blocks(self, monkeypatch):
+        # A span tracer charges each call to the instance sampled last.
+        # So per instance the sweep samples, runs MMSE, then the oracle;
+        # after the block's solves, sb_detect runs in ascending instance
+        # order, so each detector's last sb_detect in a block is on the
+        # block's last instance.
+        import sbmimo.bench
+
+        insts, events = [], []
+
+        def recording(name, func):
+            def wrapper(*args, **kwargs):
+                out = func(*args, **kwargs)
+                if name == "sample_instance":
+                    insts.append(out)
+                inst = out if name == "sample_instance" else args[0].inst
+                k = next(k for k, x in enumerate(insts) if x is inst)
+                events.append((name, k))
+                return out
+            return wrapper
+
+        for name in ("sample_instance", "mmse_detect", "ml_oracle", "sb_detect"):
+            func = getattr(sbmimo.bench, name)
+            monkeypatch.setattr(sbmimo.bench, name, recording(name, func))
+        cfg = small_config(
+            instances=70, detectors=ALL_DETECTORS, sb=SBParams(n_steps=20),
+        )
+        run_sweep(cfg)
+        block = sbmimo.bench._BLOCK
+        assert cfg.instances > 2 * block
+        expected = []
+        for first in range(0, len(cfg.snr_db) * cfg.instances, cfg.instances):
+            for start in range(first, first + cfg.instances, block):
+                ks = range(start, min(start + block, first + cfg.instances))
+                for k in ks:
+                    expected += [("sample_instance", k), ("mmse_detect", k),
+                                 ("ml_oracle", k)]
+                for k in ks:
+                    expected += [("sb_detect", k)] * 2
+        assert events == expected
+
     @pytest.mark.parametrize(
         "nt, modulation", [(4, "qpsk"), (2, "qam16")]
     )
@@ -437,10 +506,11 @@ class TestWriteCsv:
 
 
 def test_import_leaves_out_the_process_pool():
-    # run_sweep imports the process pool only for workers > 1, so a plain
-    # import does not pay for multiprocessing.
+    # run_sweep imports the process pool only for workers > 1, so
+    # importing the CLI, and with it the sweep, does not pay for
+    # multiprocessing.
     code = (
-        "import sys, sbmimo; "
+        "import sys, sbmimo.cli; "
         "assert 'concurrent.futures.process' not in sys.modules"
     )
     src = str(Path(sbmimo.__file__).resolve().parent.parent)

@@ -298,6 +298,26 @@ class TestSbDetect:
         with pytest.raises(SolverDivergenceError, match="injected"):
             sb_detect(problems[0], SolverDivergenceError("injected"))
 
+    def test_problem_without_an_anchor_is_not_solved(self, rng):
+        # An anchored block may have gaps: a None anchor's outcome is
+        # None, and every other problem is decided as in a block of one.
+        params = SBParams(n_steps=40, n_restarts=2)
+        problems = [
+            prepare(sample_instance(3, 3, QPSK, 10.0, rng), QPSK)
+            for _ in range(5)
+        ]
+        anchors = [mmse_detect(p) if k % 2 else None
+                   for k, p in enumerate(problems)]
+        seeds = [21, 22, 23, 24, 25]
+        solved = sb_solve(problems, params, seeds, anchors, 0.5)
+        assert [s is None for s in solved] == [a is None for a in anchors]
+        for k in (1, 3):
+            res = sb_detect(problems[k], solved[k], anchors[k])
+            alone = detect_one(problems[k], params, anchors[k], 0.5, seeds[k])
+            assert np.array_equal(res.spins, alone.spins)
+            assert res.ising_energy == alone.ising_energy
+        assert sb_solve(problems[:1], params, [1], [None], 0.5) == [None]
+
     def test_energy_tie_keeps_solver_readout(self):
         # At high SNR the solver usually lands on the MMSE decision, so
         # the two candidate energies tie and the SB readout must win.

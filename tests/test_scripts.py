@@ -109,6 +109,31 @@ def test_optimality_check_sweeps_a_config_file(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_optimality_check_ignores_output_paths(
+    capsys, monkeypatch, tmp_path, source
+):
+    # out and trace, set by a flag or by a config file, are reported as
+    # ignored on stderr; the table still prints and no file is written.
+    module = load_script("optimality_check")
+    monkeypatch.chdir(tmp_path)
+    argv = ["--sizes", "2", "--instances", "3"]
+    if source == "flags":
+        argv += ["--out", "sweep.csv", "--trace", "trace.csv"]
+        notes = ["out=sweep.csv", "trace=trace.csv"]
+    else:
+        argv += ["--config", str(SCRIPTS / "qam16_8x8.json"), "--steps", "20"]
+        notes = ["out=qam16_8x8.csv"]
+    assert module.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) > 1  # the header and the rows
+    assert err.splitlines() == [
+        f"note: optimality_check.py writes no file; ignoring {note}"
+        for note in notes
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["--instances", "0"],
     ["--sizes", "abc"],
