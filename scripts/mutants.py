@@ -85,12 +85,30 @@ MUTANTS = (
     Mutant(
         "the oracle's ties go to the largest spin vector",
         "detectors.py",
-        "        best = min(best, (float(v), min(tied)))",
-        "        best = min(best, (float(v), max(tied)))",
+        "    return min(tied, key=lambda at: spins[at].tolist())",
+        "    return max(tied, key=lambda at: spins[at].tolist())",
         (
             DETECTORS + "TestOracle::test_tie_break_is_first_lexicographic",
             DETECTORS + "TestOracle::test_zero_channel_tie_is_all_minus_one[qam16]",
             DETECTORS + "TestOracle::test_zero_channel_tie_is_all_minus_one[bpsk]",
+        ),
+    ),
+    Mutant(
+        "the oracle's bound shrinks to the best leaf without the slack",
+        "detectors.py",
+        "            bound = min(bound, d.min() + slack)",
+        "            bound = min(bound, d.min())",
+        (
+            DETECTORS + "TestOracle::test_exact_ties_survive_the_shrinking_bound",
+        ),
+    ),
+    Mutant(
+        "the oracle expands waiting blocks without filtering them again",
+        "detectors.py",
+        "        if bound < pushed:",
+        "        if False:",
+        (
+            DETECTORS + "TestOracle::test_shrinking_bound_pins_the_search_work",
         ),
     ),
     Mutant(

@@ -11,6 +11,9 @@ result never scores worse than MMSE's.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +25,6 @@ from sbmimo.channel import (
 )
 from sbmimo.ising import IsingModel, energy
 from sbmimo.reduction import (
-    _decisions,
     instance_model,
     level_spins,
     regularize,
@@ -32,8 +34,10 @@ from sbmimo.reduction import (
 from sbmimo.sb import SBParams, SolverDivergenceError, SolveResult, solve
 
 ORACLE_SPIN_LIMIT = 24
-# Rows one frontier expansion may build in ml_oracle.
+# Rows one frontier expansion may build in ml_oracle, and the most one
+# round that expands several coordinates at once may build (no more).
 _BLOCK_ROWS = 1 << 16
+_ROUND_ROWS = 256
 # Pruning slack, relative to the largest distance an instance can reach.
 _MARGIN = 1e-9
 
@@ -96,71 +100,170 @@ def mmse_detect(p: Problem) -> DetectionResult:
     return DetectionResult("mmse", spins, energy(p.model, spins), {})
 
 
-def _babai_point(sys, c, noise_var):
-    """The MMSE-SIC lattice point: on the QR of [h_r; lam I] with
-    lam^2 = noise_var / Es, the nearest level per real coordinate (ties as
-    in symbols_to_spins), last coordinate first, each given the ones
-    already decided."""
+def _triangles(sys, lam):
+    """[R z] of h_r = Q R with z = Q^T y_r, and the same for [h_r; lam I]
+    with y_r padded by zeros, from one stacked QR of the two systems
+    with y_r as an extra column (h_r's padded by zero rows, which leaves
+    its factor as it is).  Each is k x (k + 1) and upper trapezoidal;
+    with fewer rows than coordinates, h_r's rows past its own are zero.
+    """
     m, k = sys.h_r.shape
-    levels = _decisions(c)[0].tolist()
-    lam = (max(0.0, noise_var) / c.symbol_energy) ** 0.5
-    q, r = np.linalg.qr(np.vstack([sys.h_r, lam * np.eye(k)]))
-    z = (q[:m].T @ sys.y_r).tolist()
-    r = r.tolist()
-    x = [0] * k
+    a = np.zeros((2, m + k, k + 1))
+    a[:, :m, :k] = sys.h_r
+    a[:, :m, k] = sys.y_r
+    np.fill_diagonal(a[1, m:], lam)
+    # Mode "raw" leaves each factor transposed in its lower triangle,
+    # below the reflectors it skips forming.
+    raw = np.linalg.qr(a, mode="raw")[0][:, :, :k]
+    return raw.swapaxes(1, 2) * _upper(k)
+
+
+@functools.cache
+def _upper(k):
+    # The upper-trapezoid mask of a k x (k + 1) factor.
+    mask = np.triu(np.ones((k, k + 1)))
+    mask.flags.writeable = False
+    return mask
+
+
+def _babai_point(rz, c):
+    """The MMSE-SIC lattice point from [R z] of [h_r; lam I] with
+    lam^2 = noise_var / Es: the nearest level per real coordinate (ties
+    as in symbols_to_spins), last coordinate first, each given the ones
+    already decided."""
+    k = len(rz)
+    lv = c.levels
+    # A centre on a midpoint goes to the level nearer zero: the upper one
+    # at or below zero, the lower one above it.
+    mid = [(a + b) / 2 for a, b in zip(lv, lv[1:])]
+    rows = rz.tolist()
+    x = [0.0] * k
     for i in range(k - 1, -1, -1):
-        rest = z[i] - sum(r[i][j] * x[j] for j in range(i + 1, k))
-        centre = rest / r[i][i] if r[i][i] else 0.0
-        x[i] = min(levels, key=lambda v: abs(v - centre))
+        row = rows[i]
+        centre = row[k] - sum(map(operator.mul, row[i + 1:k], x[i + 1:]))
+        centre = centre / row[i] if row[i] else 0.0
+        x[i] = lv[
+            bisect.bisect_left(mid, centre) if centre > 0
+            else bisect.bisect_right(mid, centre)
+        ]
     return np.array(x, dtype=np.float64)
 
 
-def _leaf_blocks(r, z, lv, bound):
-    """Level-index rows x whose distance ||z - r lv[x]||^2 is within
-    bound, in blocks.
+@functools.cache
+def _combos(levels, w):
+    # Every level-index combination of w coordinates, one int8 row each,
+    # and their levels transposed, one column each.
+    grid = np.indices((len(levels),) * w, dtype=np.int8).reshape(w, -1)
+    values = np.array(levels, dtype=np.float64)[grid]
+    grid = grid.T
+    grid.flags.writeable = values.flags.writeable = False
+    return grid, values
 
-    Breadth-first down the triangle from the last coordinate: each step
-    extends every surviving prefix by every level and keeps the
-    extensions whose partial distance is still within bound.  A frontier
-    wider than one block expands a block's worth of prefixes and keeps
-    the rest for later, so one step builds at most _BLOCK_ROWS rows and
-    at most one block per level waits.
+
+def _search(r, z, bound, slack, sys, c):
+    """The answer among the leaves x whose distance ||z - r lv[x]||^2 is
+    within the final bound, as a level-index row, with the number of
+    leaves it was chosen from and the number of prefix distances
+    computed.
+
+    Breadth-first down the triangle from the last coordinate: each round
+    extends every surviving prefix by every level combination of the next
+    w coordinates and keeps the extensions whose distance at the end of
+    them is still within bound (partial distances never decrease, so this
+    drops no leaf within it).  w is the largest with rows * levels^w at
+    most _ROUND_ROWS, at least 1 and at most the coordinates left.  A
+    frontier wider than one block expands a block's worth of prefixes and
+    keeps the rest for later, so one round builds at most _BLOCK_ROWS rows
+    and at most one block per level waits.  Each leaf block lowers the
+    bound to its best distance plus slack, and a block waiting since
+    before that is filtered against the new bound when it is taken up.
+    The answer among held leaves is _best_leaf's; they are cut down to
+    it whenever they outgrow a block.
     """
-    k = len(z)
-    cut = max(1, _BLOCK_ROWS // len(lv))
-    stack = [(k, np.zeros((1, k), dtype=np.int8), np.zeros(1))]
+    levels = c.levels
+    k, n_lv = len(z), len(levels)
+    lv = np.array(levels, dtype=np.float64)
+    cut = max(1, _BLOCK_ROWS // n_lv)
+    stack = [(k, np.zeros((1, k), dtype=np.int8), np.zeros(1), bound)]
+    held, candidates, nodes = [], 0, 0
     while stack:
-        i, idx, d = stack.pop()
+        i, idx, d, pushed = stack.pop()
+        if bound < pushed:
+            keep = d <= bound
+            idx, d = idx[keep], d[keep]
+            if not len(d):
+                continue
         if i == 0:
-            yield idx
+            bound = min(bound, d.min() + slack)
+            held.append((idx, d))
+            if sum(len(h[1]) for h in held) > _BLOCK_ROWS:
+                idx, d = _within(held, bound)
+                candidates += len(d) - 1  # the one kept is counted last
+                at = _best_leaf(idx, sys, c)
+                held = [(idx[at:at + 1], d[at:at + 1])]
             continue
         if len(d) > cut:
-            stack.append((i, idx[cut:], d[cut:]))
+            stack.append((i, idx[cut:], d[cut:], bound))
             idx, d = idx[:cut], d[:cut]
-        i -= 1
-        t = z[i] - lv[idx[:, i + 1:]] @ r[i, i + 1:]
-        e = t[:, None] - r[i, i] * lv
-        d = d[:, None] + e * e
-        rows, cols = np.nonzero(d <= bound)
+        w = 1
+        while w < i and len(d) * n_lv ** (w + 1) <= _ROUND_ROWS:
+            w += 1
+        j = i - w
+        combos, values = _combos(levels, w)
+        t = z[j:i] - lv[idx[:, i:]] @ r[j:i, i:].T
+        e = t[:, :, None] - r[j:i, j:i] @ values
+        e *= e
+        dd = e.sum(1)
+        dd += d[:, None]
+        nodes += dd.size
+        rows, cols = np.nonzero(dd <= bound)
         if rows.size:
             idx = idx[rows]
-            idx[:, i] = cols
-            stack.append((i, idx, d[rows, cols]))
+            idx[:, j:i] = combos[cols]
+            stack.append((j, idx, dd[rows, cols], bound))
+    if not held:  # a non-finite input: no distance is within bound
+        return np.zeros(k, dtype=np.int8), 0, nodes
+    idx, d = _within(held, bound)
+    return idx[_best_leaf(idx, sys, c)], candidates + len(d), nodes
+
+
+def _within(held, bound):
+    # The held leaf rows and distances within bound, as one block.
+    idx, d = (np.concatenate(b) for b in zip(*held))
+    keep = d <= bound
+    return idx[keep], d[keep]
+
+
+def _best_leaf(idx, sys, c):
+    """Position of the level-index row whose spins (see level_spins) have
+    the smallest squared residual over spin_matrix, ties to the
+    lexicographically smallest spin vector (-1 before +1)."""
+    if len(idx) == 1:
+        return 0
+    spins = level_spins(idx, c)
+    resid = sys.y_r[None, :] - spins @ spin_matrix(sys.h_r, c).T
+    values = np.einsum("ij,ij->i", resid, resid)
+    tied = np.flatnonzero(values == values.min()).tolist()
+    return min(tied, key=lambda at: spins[at].tolist())
 
 
 def ml_oracle(p: Problem) -> DetectionResult:
     """Global minimizer of the squared residual by exact pruned search.
 
     The search runs over the real coordinates of realify's system, with
-    h_r = Q R: a prefix (last coordinate first) is dropped once its
-    partial distance exceeds that of the MMSE-SIC lattice point by more
-    than rounding can move it, so the optimum is never dropped.  With
-    nr < nt, R has fewer rows than coordinates and the top levels simply
-    go unpruned.  Each surviving leaf is scored by the squared residual
-    over spin_matrix of its spins (see level_spins), and ties go to the
-    lexicographically smallest spin vector (-1 before +1): the answer of
-    a scan over all 2^n spin vectors in that order.  extras["candidates"]
-    counts the leaves scored.  Refuses above ORACLE_SPIN_LIMIT spins.
+    h_r = Q R, down the triangle from the last coordinate, several
+    coordinates per numpy round while few prefixes survive.  A prefix is
+    dropped once its partial distance exceeds the bound: first that of
+    the MMSE-SIC lattice point, then the best leaf found so far, each
+    plus the most rounding can move a distance, so the optimum is never
+    dropped.  With nr < nt, R has fewer rows than coordinates and the
+    top levels simply go unpruned.  The leaves within the final bound are
+    scored by the squared residual over spin_matrix of their spins (see
+    level_spins), and ties go to the lexicographically smallest spin
+    vector (-1 before +1): the answer of a scan over all 2^n spin
+    vectors in that order.  extras["candidates"] counts the leaves the
+    answer was chosen from and extras["nodes"] the prefix distances
+    computed.  Refuses above ORACLE_SPIN_LIMIT spins.
     """
     n = p.model.n
     if n > ORACLE_SPIN_LIMIT:
@@ -170,33 +273,23 @@ def ml_oracle(p: Problem) -> DetectionResult:
     c = p.c
     sys = realify(p.inst.h, p.inst.y, c)
     k = sys.h_r.shape[1]
-    lv = np.array(c.levels, dtype=np.float64)
-    q, r = np.linalg.qr(sys.h_r)
-    z = q.T @ sys.y_r
-    # With fewer rows than coordinates, the missing rows of R are zero.
-    r = np.vstack([r, np.zeros((k - len(r), k))])
-    z = np.concatenate([z, np.zeros(k - len(z))])
-    xb = _babai_point(sys, c, p.inst.noise_var)
-    radius = float(np.sum((z - r @ xb) ** 2))
+    lam = (max(0.0, p.inst.noise_var) / c.symbol_energy) ** 0.5
+    rz, rz_reg = _triangles(sys, lam)
+    r, z = rz[:, :k], rz[:, k]
+    resid = z - r @ _babai_point(rz_reg, c)
     # No distance exceeds 2 * scale, and rounding in the QR and the sums
     # moves one by a small multiple of (rows * k * eps) * scale.
-    scale = sys.y_r @ sys.y_r + np.sum(sys.h_r**2) * k * lv.max() ** 2
-    bound = radius + _MARGIN * float(scale)
-
-    a = spin_matrix(sys.h_r, c)
-    best = (np.inf, (-1,) * n)  # (residual, spins as a tuple)
-    candidates = 0
-    for idx in _leaf_blocks(r, z, lv, bound):
-        spins = level_spins(idx, c)
-        resid = sys.y_r[None, :] - spins @ a.T
-        values = np.einsum("ij,ij->i", resid, resid)
-        v = values.min()
-        tied = map(tuple, spins[values == v].tolist())
-        best = min(best, (float(v), min(tied)))
-        candidates += len(idx)
-    spins = np.array(best[1], dtype=np.int8)
+    scale = (sys.y_r @ sys.y_r
+             + np.vdot(sys.h_r, sys.h_r) * k * max(c.levels) ** 2)
+    slack = _MARGIN * float(scale)
+    idx, candidates, nodes = _search(
+        r, z, float(resid @ resid) + slack, slack, sys, c
+    )
+    spins = level_spins(idx, c)
     e = energy(p.model, spins)
-    return DetectionResult("ml-oracle", spins, e, {"candidates": candidates})
+    return DetectionResult(
+        "ml-oracle", spins, e, {"candidates": candidates, "nodes": nodes}
+    )
 
 
 def sb_solve(

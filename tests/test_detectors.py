@@ -209,6 +209,54 @@ class TestOracle:
             assert np.array_equal(res.spins, spins)
             assert res.ising_energy == e
 
+    @pytest.mark.parametrize("snr", [5.0, 10.0, 15.0])
+    def test_benchmark_shape_matches_exhaustive_reference(self, snr):
+        # 8x8 QPSK, 16 spins: the shape the benchmark's oracle workload
+        # runs, above the 12 spins of the property above.
+        rng = np.random.default_rng(int(snr))
+        for _ in range(2):
+            inst = sample_instance(8, 8, QPSK, snr, rng)
+            res = ml_oracle(prepare(inst, QPSK))
+            spins, e = exhaustive_ml(instance_model(inst, QPSK))
+            assert np.array_equal(res.spins, spins)
+            assert res.ising_energy == e
+
+    def test_shrinking_bound_pins_the_search_work(self, monkeypatch):
+        # 4x2 16-QAM at -10 dB: the top four levels go unpruned, and
+        # 9,392 leaves lie within the MMSE-SIC point's distance.  Only
+        # those within slack of the best leaf are scored.
+        inst = sample_instance(4, 2, QAM16, -10.0, np.random.default_rng(3))
+        spins, e = exhaustive_ml(instance_model(inst, QAM16))
+        res = ml_oracle(prepare(inst, QAM16))
+        assert np.array_equal(res.spins, spins)
+        assert res.ising_energy == e
+        assert res.extras["candidates"] <= 1
+        assert res.extras["nodes"] <= 26_000  # 23,716 measured
+        # 64-row blocks split the frontier, so blocks wait on the stack
+        # while leaves lower the bound; filtering them against it when
+        # they are taken up halves the work (11,136 prefix distances
+        # without that filter).
+        monkeypatch.setattr("sbmimo.detectors._BLOCK_ROWS", 64)
+        res = ml_oracle(prepare(inst, QAM16))
+        assert np.array_equal(res.spins, spins)
+        assert res.extras["nodes"] <= 6_000  # 5,376 measured
+
+    def test_exact_ties_survive_the_shrinking_bound(self):
+        # Integer channel and received vector: three spin vectors tie
+        # exactly at residual 9, while their distances over the QR
+        # factor differ in the last bits.  The bound keeps its slack as
+        # it shrinks, so every tie is scored and the first one wins.
+        inst = ChannelInstance(
+            h=np.array([[1j, -1 - 1j], [2, -1 + 2j]]),
+            tx_symbols=modulate(np.zeros(4, dtype=np.int8), QPSK),
+            noise_var=1.0, y=np.array([-3 - 1j, 1 + 2j]),
+        )
+        res = ml_oracle(prepare(inst, QPSK))
+        spins, e = exhaustive_ml(instance_model(inst, QPSK))
+        assert np.array_equal(res.spins, spins)
+        assert res.ising_energy == e == 9.0
+        assert res.extras["candidates"] == 3
+
     def test_guard_refuses_large_search(self, rng):
         inst = sample_instance(7, 2, QAM16, 10.0, rng)  # 28 spins
         with pytest.raises(ValueError, match=str(ORACLE_SPIN_LIMIT)):
