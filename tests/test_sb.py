@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from sbmimo import sb
@@ -548,8 +548,14 @@ class TestSolve:
 def huge_model(m):
     # J and h at 8e307 / sqrt(n): J @ s + h / 2 overflows under some sign
     # patterns, so restarts diverge at various steps, some or all of them.
+    # Entries are clipped to [-2, 2] first, so that each scaled entry stays
+    # finite (2 * 8e307 / sqrt(2) < float max) whatever the normal draw.
     scale = 8e307 / math.sqrt(m.n)
-    return IsingModel(j=m.j * scale, h=m.h * scale, offset=m.offset)
+    return IsingModel(
+        j=np.clip(m.j, -2.0, 2.0) * scale,
+        h=np.clip(m.h, -2.0, 2.0) * scale,
+        offset=m.offset,
+    )
 
 
 def assert_matches_reference(model, params, seed, outcome, rows):
@@ -579,6 +585,12 @@ class TestBlock:
         st.integers(min_value=1, max_value=6),
         st.integers(min_value=1, max_value=40),
         st.floats(min_value=0.05, max_value=1.5),
+    )
+    # A draw whose field entry exceeds 3.18 at n = 2 once overflowed
+    # in huge_model itself, before the solver ran.
+    @example(
+        n=2, draws=[(468335, True), (10064063, True)],
+        restarts=1, steps=1, dt=0.05,
     )
     # No shrink phase: shrinking a failing block here can run for
     # minutes, and the first failing example already names the fault.
