@@ -332,8 +332,11 @@ def run_sweep(cfg: SweepConfig) -> list[BerRecord]:
 
 
 def _fmt(value) -> str:
+    """A float as its "g" text when that reads back as the same float,
+    else as its repr; anything else as str."""
     if isinstance(value, float):
-        return format(value, "g")
+        text = format(value, "g")
+        return text if float(text) == value else repr(value)
     return str(value)
 
 
@@ -371,21 +374,29 @@ def summary_table(records: list[BerRecord]) -> str:
     """Aligned text table: one row per SNR, one BER column per detector.
 
     A record that counted no instance (every detection failed) shows "-".
+    When `ml-oracle` ran beside another detector, a second table in the
+    same layout follows, with each other detector's ML-optimal decisions
+    as `ml_optimal/instances`.
     """
     detectors = sorted({rec.detector for rec in records})
     snrs = sorted({rec.snr_db for rec in records})
-    cell = {
-        (rec.snr_db, rec.detector): rec.ber for rec in records if rec.instances
-    }
-    width = max([12, *(len(det) + 2 for det in detectors)])
-    lines = [
-        f"{'snr_db':>8}"
-        + "".join(f"{det:>{width}}" for det in detectors)
-    ]
-    for snr in snrs:
-        row = f"{snr:>8g}"
-        for det in detectors:
-            ber = cell.get((snr, det))
-            row += f"{'-':>{width}}" if ber is None else f"{ber:>{width}.3e}"
-        lines.append(row)
+    cell = {(rec.snr_db, rec.detector): rec for rec in records}
+
+    def table(dets, text):
+        width = max([12, *(len(det) + 2 for det in dets)])
+        lines = [f"{'snr_db':>8}" + "".join(f"{det:>{width}}" for det in dets)]
+        for snr in snrs:
+            row = f"{_fmt(snr):>8}"
+            for det in dets:
+                row += f"{text(cell.get((snr, det))):>{width}}"
+            lines.append(row)
+        return lines
+
+    lines = table(detectors, lambda rec: f"{rec.ber:.3e}"
+                  if rec is not None and rec.instances else "-")
+    others = [det for det in detectors if det != "ml-oracle"]
+    if "ml-oracle" in detectors and others:
+        lines.append("ML-optimal decisions (of instances counted):")
+        lines += table(others, lambda rec: "-" if rec is None
+                       else f"{rec.ml_optimal}/{rec.instances}")
     return "\n".join(lines)

@@ -17,6 +17,7 @@ from sbmimo.bench import (
     DETECTOR_NAMES,
     SNR_DEFINITION,
     SweepConfig,
+    _fmt,
     run_sweep,
     snr_range,
     summary_table,
@@ -191,13 +192,13 @@ def _echo_config(cfg: SweepConfig, out: str | None, trace: str | None):
         f"nt={cfg.nt}",
         f"nr={cfg.nr}",
         f"mod={cfg.modulation}",
-        f"snr_db={','.join(format(s, 'g') for s in cfg.snr_db)}",
+        f"snr_db={','.join(_fmt(s) for s in cfg.snr_db)}",
         f"instances={cfg.instances}",
         f"detectors={','.join(cfg.detectors)}",
         f"steps={cfg.sb.n_steps}",
-        f"dt={cfg.sb.dt:g}",
+        f"dt={_fmt(cfg.sb.dt)}",
         f"restarts={cfg.sb.n_restarts}",
-        f"r={cfg.r:g}",
+        f"r={_fmt(cfg.r)}",
         f"seed={cfg.seed}",
         f"workers={cfg.workers}",
         f"out={out}",

@@ -471,6 +471,14 @@ class TestWriteCsv:
         assert float(row["ber"]) == rec.ber
         assert row["snr_db"] == "7.5" and row["detector"] == "mmse"
         assert int(row["total_bits"]) == 800
+        # Floats that six significant digits would merge or round read
+        # back as configured.
+        snrs = (5.0, 5.0000001)
+        write_csv([replace(rec, snr_db=s, dt=0.123456789) for s in snrs],
+                  str(path))
+        rows = list(csv.DictReader(io.StringIO(path.read_text())))
+        assert tuple(float(r["snr_db"]) for r in rows) == snrs
+        assert {float(r["dt"]) for r in rows} == {0.123456789}
 
     def test_rows_sorted_by_detector_then_snr(self, tmp_path):
         cfg = small_config(detectors=("sb", "mmse"), snr_db=(10.0, 5.0),
@@ -530,3 +538,40 @@ class TestSummary:
 
     def test_no_records_gives_the_header_line(self):
         assert summary_table([]) == f"{'snr_db':>8}"
+
+    def test_ml_optimal_table(self):
+        records = run_sweep(small_config(
+            detectors=("mmse", "sb", "ml-oracle"), instances=6
+        ))
+        lines = summary_table(records).splitlines()
+        k = lines.index("ML-optimal decisions (of instances counted):")
+        assert k == 3  # after the BER table's header and two SNR rows
+        header, *rows = lines[k + 1:]
+        assert header.split() == ["snr_db", "mmse", "sb"]
+        assert [row.split()[0] for row in rows] == ["5", "10"]
+        for row, snr in zip(rows, (5.0, 10.0)):
+            for det, text in zip(("mmse", "sb"), row.split()[1:]):
+                (rec,) = [r for r in records
+                          if (r.detector, r.snr_db) == (det, snr)]
+                assert text == f"{rec.ml_optimal}/{rec.instances}"
+        # The oracle alone has nothing to compare.
+        oracle = [r for r in records if r.detector == "ml-oracle"]
+        assert len(summary_table(oracle).splitlines()) == 3
+
+    def test_oracle_free_table_is_unchanged(self):
+        rec = BerRecord(
+            nt=2, nr=2, modulation="qpsk", snr_db=5.0, detector="mmse",
+            instances=4, total_bits=16, bit_errors=3, ber=3 / 16,
+            steps=100, dt=0.5, restarts=1, r=0.5, seed=0, ml_optimal=2,
+        )
+        records = [
+            rec,
+            replace(rec, snr_db=12.5, bit_errors=0, ber=0.0),
+            replace(rec, detector="sb-reg", bit_errors=1, ber=1 / 16),
+            replace(rec, detector="sb-reg", snr_db=12.5, instances=0),
+        ]
+        assert summary_table(records) == (
+            "  snr_db        mmse      sb-reg\n"
+            "       5   1.875e-01   6.250e-02\n"
+            "    12.5   0.000e+00           -"
+        )

@@ -175,6 +175,18 @@ class TestMain:
         assert len(rows) == 4
         assert {r["detector"] for r in rows} == {"mmse", "sb"}
 
+    def test_floats_are_echoed_and_summarized_exactly(self, capsys):
+        # Six significant digits would show 5 twice and dt as 0.123457.
+        assert main([
+            "--nt", "2", "--nr", "2", "--snr-list", "5,5.0000001",
+            "--instances", "1", "--detectors", "mmse", "--dt", "0.123456789",
+        ]) == 0
+        out, err = capsys.readouterr()
+        assert " snr_db=5,5.0000001 " in err and " dt=0.123456789 " in err
+        assert [row.split()[0] for row in out.splitlines()[1:]] == [
+            "5", "5.0000001"
+        ]
+
     def test_config_file_paths_are_written(self, tmp_path, capsys):
         out, trace = tmp_path / "x.csv", tmp_path / "t.csv"
         path = write_config(tmp_path, {
@@ -195,6 +207,13 @@ class TestMain:
         ])
         assert code == 2
         assert "24" in capsys.readouterr().err
+
+    def test_unknown_flag_exits_2_before_sweeping(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--snr-db", "10"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
 
     def test_config_error_returns_2(self, capsys):
         assert main(["--snr", "oops"]) == 2
