@@ -68,12 +68,12 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "modulate reads each symbol's bits transposed",
+        "the payload draw reads each symbol's bits as (weight, axis)",
         "channel.py",
-        "    spins = 1.0 - 2.0 * bits.reshape(-1, c.axes, c.bits_per_axis)",
-        "    spins = 1.0 - 2.0 * bits.reshape(-1, c.bits_per_axis, c.axes)"
+        "    digits = 1 - bits.reshape(nt, c.axes, c.bits_per_axis)",
+        "    digits = 1 - bits.reshape(nt, c.bits_per_axis, c.axes)"
         ".swapaxes(1, 2)",
-        ("tests/test_reduction.py::test_spin_mismatches_count_bit_errors",),
+        ("tests/test_channel.py::test_sent_levels_replay_the_payload_draw",),
     ),
     Mutant(
         "a NaN readout energy ranks first, as under np.argmin",

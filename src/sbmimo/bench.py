@@ -30,7 +30,7 @@ from sbmimo.detectors import (
     sb_detect,
     sb_solve,
 )
-from sbmimo.reduction import symbols_to_spins
+from sbmimo.reduction import level_spins
 from sbmimo.sb import SBParams, SolveResult, is_int
 
 DETECTOR_NAMES = ("mmse", "sb", "sb-reg", "ml-oracle")
@@ -199,8 +199,8 @@ def _eval_block(cfg: SweepConfig, snr_idx: int, start: int, stop: int):
     everything is tallied.  MMSE runs at most once per instance; its
     result is both the `mmse` decision and the `sb-reg` anchor, so an
     MMSE failure counts against both.  Bit errors are counted as spin
-    mismatches against the transmitted spins: under the channel's bit
-    labeling each bit is one spin.  With `ml-oracle` configured, a decision
+    mismatches against the spins of the sent levels: under the channel's
+    bit labeling each bit is one spin.  With `ml-oracle` configured, a decision
     is ML-optimal if its energy is at most the oracle's e + 1e-9 max(1, |e|).
     """
     c = get_constellation(cfg.modulation)
@@ -219,6 +219,7 @@ def _eval_block(cfg: SweepConfig, snr_idx: int, start: int, stop: int):
                       anchors if det == "sb-reg" else None, cfg.r)
         for det in cfg.detectors if det in SB_FAMILY
     }
+    sent = level_spins(np.stack([p.inst.tx_levels for p in problems]), c)
     for k, p in enumerate(problems):
         anchor = anchors[k]
         for det, outcomes in solved.items():
@@ -226,14 +227,13 @@ def _eval_block(cfg: SweepConfig, snr_idx: int, start: int, stop: int):
                 decided[k][det] = sb_detect(
                     p, outcomes[k], anchor if det == "sb-reg" else None
                 )
-        tx_spins = symbols_to_spins(p.inst.tx_symbols, c)
         oracle = decided[k].get("ml-oracle")
         for det in cfg.detectors:
             res = decided[k].get(det)
             if res is None:
                 tally[det]["failures"] += 1
                 continue
-            errors = np.count_nonzero(res.spins != tx_spins)
+            errors = np.count_nonzero(res.spins != sent[k])
             tally[det]["errors"] += int(errors)
             tally[det]["used"] += 1
             if det == "sb-reg":

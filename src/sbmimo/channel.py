@@ -66,10 +66,13 @@ def get_constellation(name: str) -> Constellation:
 
 @dataclass(frozen=True)
 class ChannelInstance:
-    """One transmission: nr x nt channel h, sent symbols, noisy receive y."""
+    """One transmission: nr x nt channel h, sent levels, noisy receive y.
+
+    tx_levels are int8 indices into c.levels in realify's column layout.
+    """
 
     h: np.ndarray
-    tx_symbols: np.ndarray
+    tx_levels: np.ndarray
     noise_var: float
     y: np.ndarray
 
@@ -81,28 +84,6 @@ class RealizedSystem:
 
     h_r: np.ndarray
     y_r: np.ndarray
-
-
-def _axis_weights(bits_per_axis: int) -> np.ndarray:
-    # MSB-first binary weights, e.g. (2, 1) for two bits per axis.
-    return 2.0 ** np.arange(bits_per_axis - 1, -1, -1)
-
-
-def modulate(bits: np.ndarray, c: Constellation) -> np.ndarray:
-    """Map a bit vector to symbols, bps bits per symbol.
-
-    Within one symbol the first bits_per_axis bits set the real axis
-    (MSB first) and the remaining ones the imaginary axis.
-    """
-    bits = np.asarray(bits)
-    if bits.size % c.bps != 0:
-        raise ValueError(
-            f"bit count {bits.size} is not a multiple of bps = {c.bps}"
-        )
-    spins = 1.0 - 2.0 * bits.reshape(-1, c.axes, c.bits_per_axis)
-    axis = np.zeros((len(spins), 2))  # BPSK leaves the imaginary axis 0
-    axis[:, : c.axes] = spins @ _axis_weights(c.bits_per_axis)
-    return axis[:, 0] + 1j * axis[:, 1]
 
 
 def sample_channel(nt: int, nr: int, rng: np.random.Generator) -> np.ndarray:
@@ -172,9 +153,18 @@ def sample_instance(
     snr_db: float,
     rng: np.random.Generator,
 ) -> ChannelInstance:
-    """Draw one transmission: bits, channel, then noise, in that order."""
-    tx_symbols = modulate(rng.integers(0, 2, nt * c.bps).astype(np.int8), c)
+    """Draw one transmission: bits, channel, then noise, in that order.
+
+    Bit j of a symbol is a digit (MSB first) of its level index on axis
+    j // bits_per_axis: bit b is the digit 1 - b, as bit b is spin 1 - 2b.
+    """
+    bits = rng.integers(0, 2, nt * c.bps).astype(np.int8)
+    digits = 1 - bits.reshape(nt, c.axes, c.bits_per_axis)
+    weights = 1 << np.arange(c.bits_per_axis - 1, -1, -1)
+    tx_levels = (digits @ weights).T.reshape(-1).astype(np.int8)
+    x = np.zeros((2, nt))  # BPSK leaves the imaginary axis 0
+    x[: c.axes] = np.take(c.levels, tx_levels).reshape(c.axes, nt)
     h = sample_channel(nt, nr, rng)
     noise_var = noise_variance_for_snr(snr_db, nt, c)
-    y = add_awgn(h @ tx_symbols, noise_var, rng)
-    return ChannelInstance(h, tx_symbols, noise_var, y)
+    y = add_awgn(h @ (x[0] + 1j * x[1]), noise_var, rng)
+    return ChannelInstance(h, tx_levels, noise_var, y)

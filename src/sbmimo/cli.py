@@ -74,6 +74,10 @@ def _load_config_file(path: str, keys: set[str]) -> dict:
         norm = key.replace("-", "_")
         if norm not in keys:
             raise ConfigError(f"unknown config key {key!r}")
+        # No setting takes true or false, though int() and float() would.
+        items = value if isinstance(value, list) else [value]
+        if any(isinstance(v, bool) for v in items):
+            raise ConfigError(f"{key} must not be true or false, got {value!r}")
         data[norm] = value
     return data
 
@@ -146,9 +150,7 @@ def parse_command(argv: list[str] | None = None) -> tuple:
 
     def count(key, default):
         value = values.get(key, default)
-        if isinstance(value, bool) or (
-            isinstance(value, float) and not value.is_integer()
-        ):
+        if isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"{key} must be an integer, got {value!r}")
         return int(value)
 

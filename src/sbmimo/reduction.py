@@ -29,11 +29,15 @@ from sbmimo.channel import (
     ChannelInstance,
     Constellation,
     RealizedSystem,
-    _axis_weights,
     realify,
     realify_symbols,
 )
 from sbmimo.ising import IsingModel
+
+
+def _axis_weights(bits_per_axis: int) -> np.ndarray:
+    # MSB-first binary weights, e.g. (2, 1) for two bits per axis.
+    return 2.0 ** np.arange(bits_per_axis - 1, -1, -1)
 
 
 def spin_matrix(h_r: np.ndarray, c: Constellation) -> np.ndarray:

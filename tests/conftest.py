@@ -7,7 +7,6 @@ import itertools
 import numpy as np
 import pytest
 
-from sbmimo.channel import modulate
 from sbmimo.detectors import sb_detect, sb_solve
 from sbmimo.ising import IsingModel
 from sbmimo.reduction import symbols_to_spins
@@ -70,6 +69,38 @@ def spins_to_bits(s, c) -> np.ndarray:
         (1 - int(s[j * nt + k])) // 2 for k in range(nt) for j in range(c.bps)
     ]
     return np.array(bits, dtype=np.int8)
+
+
+def bits_to_spins(bits, c) -> np.ndarray:
+    # The inverse of spins_to_bits, from the same definitions.
+    nt = len(bits) // c.bps
+    spins = [
+        1 - 2 * int(bits[k * c.bps + j]) for j in range(c.bps) for k in range(nt)
+    ]
+    return np.array(spins, dtype=np.int8)
+
+
+def modulate(bits, c) -> np.ndarray:
+    # Reference modulation from the layouts' definitions: bits to spins,
+    # then x_r = T s.  Independent of the library, which keeps the
+    # payload as level indices and has no modulator.
+    return spins_to_symbols(bits_to_spins(bits, c), c)
+
+
+def sent_symbols(inst, c) -> np.ndarray:
+    # The complex symbols of an instance's level indices (real axis
+    # block, then imaginary).
+    x_r = np.array(c.levels, dtype=np.float64)[inst.tx_levels]
+    nt = x_r.size // c.axes
+    return x_r[:nt] + 1j * x_r[nt:] if c.axes == 2 else x_r + 0j
+
+
+def symbol_levels(symbols, c) -> np.ndarray:
+    # Level indices of lattice symbols in realify's column layout, the
+    # tx_levels of an instance that sent them.
+    x = np.asarray(symbols, dtype=np.complex128)
+    coords = np.concatenate([x.real, x.imag][: c.axes])
+    return np.array([c.levels.index(v) for v in coords], dtype=np.int8)
 
 
 def bit_patterns(c) -> list:

@@ -368,9 +368,13 @@ class TestMain:
             {"nt": 1e400},
             {"out": 5},
             {"trace": True},
+            {"dt": True},
+            {"r": False},
+            {"snr_list": [True, 5]},
         ],
         ids=["snr-list-text", "snr-list-nested", "nt-overflow",
-             "out-not-path", "trace-not-path"],
+             "out-not-path", "trace-not-path", "dt-bool", "r-bool",
+             "snr-list-bool"],
     )
     def test_bad_config_value_returns_2(self, payload, tmp_path, capsys):
         path = write_config(tmp_path, payload)

@@ -11,7 +11,6 @@ from sbmimo.channel import (
     QPSK,
     ChannelInstance,
     add_awgn,
-    modulate,
     sample_channel,
     sample_instance,
 )
@@ -26,27 +25,32 @@ from sbmimo.detectors import (
 from sbmimo.ising import energy
 from sbmimo.reduction import (
     instance_model,
+    level_spins,
     regularize,
-    symbols_to_spins,
 )
 from sbmimo.sb import SBParams, SolverDivergenceError
 
 from conftest import (
     all_spin_vectors,
     detect_one,
+    modulate,
     nearest_point_bits,
+    sent_symbols,
     solve_one,
     spins_to_bits,
+    symbol_levels,
 )
 
 
 def make_instance(nt, nr, c, noise_var, seed):
     """Instance with an explicit noise variance instead of an SNR."""
     rng = np.random.default_rng(seed)
-    tx_symbols = modulate(rng.integers(0, 2, nt * c.bps), c)
+    x = modulate(rng.integers(0, 2, nt * c.bps), c)
     h = sample_channel(nt, nr, rng)
-    y = add_awgn(h @ tx_symbols, noise_var, rng)
-    return ChannelInstance(h=h, tx_symbols=tx_symbols, noise_var=noise_var, y=y)
+    y = add_awgn(h @ x, noise_var, rng)
+    return ChannelInstance(
+        h=h, tx_levels=symbol_levels(x, c), noise_var=noise_var, y=y
+    )
 
 
 def exhaustive_ml(model):
@@ -61,7 +65,7 @@ def zero_channel(nt, nr, c):
     """y = 0 through H = 0: every spin vector has residual zero."""
     return ChannelInstance(
         h=np.zeros((nr, nt), dtype=complex),
-        tx_symbols=modulate(np.zeros(nt * c.bps, dtype=np.int8), c),
+        tx_levels=np.zeros(c.axes * nt, dtype=np.int8),
         noise_var=1.0, y=np.zeros(nr, dtype=complex),
     )
 
@@ -84,10 +88,10 @@ class TestMmse:
         res = mmse_detect(prepare(inst, QPSK))
         assert np.array_equal(
             spins_to_bits(res.spins, QPSK),
-            nearest_point_bits(inst.tx_symbols, QPSK),
+            nearest_point_bits(sent_symbols(inst, QPSK), QPSK),
         )
         assert np.array_equal(
-            res.spins, symbols_to_spins(inst.tx_symbols, QPSK)
+            res.spins, level_spins(inst.tx_levels, QPSK)
         )
 
     def test_matches_independent_pseudo_inverse(self):
@@ -114,7 +118,7 @@ class TestMmse:
         # still gives a decision.
         inst = ChannelInstance(
             h=np.array([[1.0, 1.0]], dtype=complex),
-            tx_symbols=modulate(np.zeros(2 * c.bps, dtype=np.int8), c),
+            tx_levels=np.zeros(2 * c.axes, dtype=np.int8),
             noise_var=1e-300, y=np.array([2.0], dtype=complex),
         )
         gram = inst.h.conj().T @ inst.h + 1e-300 / c.symbol_energy * np.eye(2)
@@ -138,11 +142,11 @@ class TestOracle:
         inst = make_instance(2, 2, QPSK, 1e-12, seed=5)
         res = ml_oracle(prepare(inst, QPSK))
         assert np.array_equal(
-            res.spins, symbols_to_spins(inst.tx_symbols, QPSK)
+            res.spins, level_spins(inst.tx_levels, QPSK)
         )
         assert np.array_equal(
             spins_to_bits(res.spins, QPSK),
-            nearest_point_bits(inst.tx_symbols, QPSK),
+            nearest_point_bits(sent_symbols(inst, QPSK), QPSK),
         )
 
     def test_beats_every_candidate_by_full_scan(self, rng):
@@ -160,7 +164,7 @@ class TestOracle:
         h = np.eye(2) + 0j
         inst = ChannelInstance(
             h=h,
-            tx_symbols=modulate(np.zeros(4, dtype=np.int8), QPSK),
+            tx_levels=np.zeros(4, dtype=np.int8),
             noise_var=1.0, y=np.zeros(2, dtype=complex),
         )
         res = ml_oracle(prepare(inst, QPSK))
@@ -248,7 +252,7 @@ class TestOracle:
         # it shrinks, so every tie is scored and the first one wins.
         inst = ChannelInstance(
             h=np.array([[1j, -1 - 1j], [2, -1 + 2j]]),
-            tx_symbols=modulate(np.zeros(4, dtype=np.int8), QPSK),
+            tx_levels=np.zeros(4, dtype=np.int8),
             noise_var=1.0, y=np.array([-3 - 1j, 1 + 2j]),
         )
         res = ml_oracle(prepare(inst, QPSK))

@@ -10,7 +10,6 @@ from sbmimo.channel import (
     QAM16,
     QPSK,
     get_constellation,
-    modulate,
     realify,
     sample_channel,
     sample_instance,
@@ -28,8 +27,10 @@ from sbmimo.reduction import (
 from conftest import (
     all_spin_vectors,
     constellation_points,
+    modulate,
     nearest_point_bits,
     random_model,
+    sent_symbols,
     spin_transform,
     spins_to_bits,
     spins_to_symbols,
@@ -64,7 +65,8 @@ class TestContext:
         assert np.array_equal(spin_matrix(h_r, QAM16), h_r @ expected)
 
     def test_qam16_image_is_the_lattice(self):
-        # The 16 bit patterns modulate onto the 16 lattice points, and
+        # The 16 bit patterns modulate onto the 16 lattice points under
+        # the reference labeling, and
         # symbols_to_spins maps those onto all 16 spin vectors.
         symbols = {
             modulate(np.array(bits), QAM16)[0]
@@ -83,9 +85,9 @@ class TestBuildIsing:
     def test_zero_residual_at_transmitted_spins(self, rng):
         for c in (BPSK, QPSK, QAM16):
             inst = sample_instance(3, 3, c, 10.0, rng)
-            clean = realify(inst.h, inst.h @ inst.tx_symbols, c)
+            clean = realify(inst.h, inst.h @ sent_symbols(inst, c), c)
             model = build_ising(clean, c)
-            s_true = symbols_to_spins(inst.tx_symbols, c)
+            s_true = level_spins(inst.tx_levels, c)
             assert energy(model, s_true) == pytest.approx(0.0, abs=1e-9)
 
     def test_energy_equals_residual(self, rng):
@@ -308,8 +310,8 @@ def test_spin_mismatches_count_bit_errors(seed, name, nt):
     rng = np.random.default_rng(seed)
     inst = sample_instance(nt, nt, c, float(rng.uniform(0, 30)), rng)
     s = rng.choice([-1, 1], size=nt * c.bps).astype(np.int8)
-    spin_errors = np.count_nonzero(s != symbols_to_spins(inst.tx_symbols, c))
-    tx_bits = nearest_point_bits(inst.tx_symbols, c)
+    spin_errors = np.count_nonzero(s != level_spins(inst.tx_levels, c))
+    tx_bits = nearest_point_bits(sent_symbols(inst, c), c)
     bit_errors = np.count_nonzero(spins_to_bits(s, c) != tx_bits)
     assert spin_errors == bit_errors
 
