@@ -78,9 +78,27 @@ MUTANTS = (
     Mutant(
         "a NaN readout energy ranks first, as under np.argmin",
         "sb.py",
-        "            key=lambda i: (math.isnan(energies[i]), energies[i]),",
-        "            key=lambda i: (not math.isnan(energies[i]), energies[i]),",
+        "    best = np.lexsort((e, np.isnan(e), ~live))[:, 0].tolist()",
+        "    best = np.lexsort((e, ~np.isnan(e), ~live))[:, 0].tolist()",
         (SB + "TestSolve::test_nan_energy_ranks_last",),
+    ),
+    Mutant(
+        "tied readout energies go to the later restart",
+        "sb.py",
+        "    best = np.lexsort((e, np.isnan(e), ~live))[:, 0].tolist()",
+        "    best = (n_restarts - 1 - np.lexsort(np.stack("
+        "(e, np.isnan(e), ~live))[..., ::-1])[:, 0]).tolist()",
+        (SB + "TestSolve::test_tie_keeps_earlier_restart",),
+    ),
+    Mutant(
+        "the energy kernel adds the fields before its dot with s",
+        "ising.py",
+        "    return quad + np.vecdot(h[..., None, :], s)"
+        " + np.asarray(offset)[..., None]",
+        "    return np.vecdot(np.vecmat(s, j[..., None, :, :])"
+        " + h[..., None, :], s) + np.asarray(offset)[..., None]",
+        ("tests/test_ising.py::TestStackedEnergies::"
+         "test_stack_matches_single_row_expression",),
     ),
     Mutant(
         "the oracle's ties go to the largest spin vector",

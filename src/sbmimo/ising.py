@@ -43,6 +43,17 @@ class IsingModel:
         return len(self.h)
 
 
+def energies(j, h, offset, s) -> np.ndarray:
+    """Energies of stacked spin rows s (..., R, n) under stacked models:
+    j (..., n, n), h (..., n) and offset (...).  Returns (..., R).
+
+    Each row is summed as ``(s @ J) @ s + h @ s + offset``, in that order,
+    so a row scores bit for bit as it would alone.  Nothing is checked.
+    """
+    quad = np.vecdot(np.vecmat(s, j[..., None, :, :]), s)
+    return quad + np.vecdot(h[..., None, :], s) + np.asarray(offset)[..., None]
+
+
 def energy(model: IsingModel, s: np.ndarray) -> float:
     """Evaluate ``s^T J s + h . s + offset`` for a spin vector ``s``.
 
@@ -54,4 +65,4 @@ def energy(model: IsingModel, s: np.ndarray) -> float:
         raise ValueError(
             f"spin vector has shape {s.shape}, expected ({model.n},)"
         )
-    return float(s @ model.j @ s + model.h @ s + model.offset)
+    return float(energies(model.j, model.h, model.offset, s[None])[0])

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sbmimo.ising import IsingModel, energy
+from sbmimo.ising import IsingModel, energies, energy
 
 
 class SolverDivergenceError(RuntimeError):
@@ -114,12 +114,9 @@ def initial_states(n: int, seed: int, n_restarts: int) -> np.ndarray:
     Row r draws x then y from its own stream default_rng([seed, r]), so a
     restart starts from the same state however many restarts run.
     """
-    xy = np.empty((2, n_restarts, n))
-    for r in range(n_restarts):
-        rng = np.random.default_rng([seed, r])
-        xy[0, r] = rng.uniform(-0.1, 0.1, n)
-        xy[1, r] = rng.uniform(-0.1, 0.1, n)
-    return xy
+    # One (2, n) draw is x's n values, then y's, from one stream.
+    rows = [np.random.default_rng([seed, r]) for r in range(n_restarts)]
+    return np.stack([rng.uniform(-0.1, 0.1, (2, n)) for rng in rows], axis=1)
 
 
 # ufuncs take a 0-d array faster than a Python float, with the same bits.
@@ -167,25 +164,24 @@ def step(xy, wall, over, a, j, half_h, c0, dt):
 
 def _stack(models, seeds, n_restarts):
     """The block's (2, B, R, N) initial state, J as (B, 1, N, N), h / 2 as
-    (B, R, N) and c0 as (B, 1, 1).
+    (B, R, N) and c0 as (B, 1, 1), then the unscaled models' J (B, N, N),
+    h (B, N) and offsets (B,), which score the readouts.
 
     c0 ~ 1 / max |J| leaves the float range only below max |J| ~ 2^-1000.
     Such a model's J and h are scaled up to that by a power of two, which
     changes no force among normal floats; every other model runs as given.
     """
-    b, n = len(models), models[0].n
-    xy = np.empty((2, b, n_restarts, n))
-    j = np.empty((b, 1, n, n))
-    half_h = np.empty((b, n_restarts, n))
-    c0 = np.empty((b, 1, 1))
-    for k, (model, seed) in enumerate(zip(models, seeds)):
-        mag = math.frexp(float(np.max(np.abs(model.j))))[1]
-        shift = min(mag + 1000, 0)
-        np.ldexp(model.j, -shift, out=j[k, 0])
-        half_h[k] = np.ldexp(0.5 * model.h, -shift)
-        c0[k] = compute_c0(j[k, 0], mag - shift)
-        xy[:, k] = initial_states(n, seed, n_restarts)
-    return xy, j, half_h, c0
+    jj = np.stack([m.j for m in models])
+    hh = np.stack([m.h for m in models])
+    mag = np.frexp(np.maximum(jj.max(axis=(1, 2)), -jj.min(axis=(1, 2))))[1]
+    shift = np.minimum(mag + 1000, 0)
+    j = (np.ldexp(jj, -shift[:, None, None]) if shift.any() else jj)[:, None]
+    half_h = np.ldexp(0.5 * hh, -shift[:, None])[:, None].repeat(n_restarts, 1)
+    c0 = [compute_c0(jk[0], k) for jk, k in zip(j, (mag - shift).tolist())]
+    n = hh.shape[1]
+    xy = np.stack([initial_states(n, s, n_restarts) for s in seeds], axis=1)
+    scored = (jj, hh, np.array([m.offset for m in models]))
+    return xy, j, half_h, np.reshape(c0, (-1, 1, 1)), scored
 
 
 def solve(models, params: SBParams, seeds, trace=None) -> list:
@@ -194,14 +190,14 @@ def solve(models, params: SBParams, seeds, trace=None) -> list:
 
     Every restart of every model is one row of a single (2, B, R, N)
     state, started from its own initial state drawn from its model's seed
-    (see initial_states), for n_steps; each reads out sign(x).  Per
-    model, the readout with the lowest Ising energy wins; ties keep the
-    earlier restart, and a NaN energy (inf - inf near the float limit)
-    ranks last.  A restart that diverges is dropped: its row evolves on,
-    unread.  A model whose every restart diverged gets a
-    SolverDivergenceError as its outcome, returned rather than raised, so
-    its block-mates are unaffected; every other outcome is a SolveResult.
-    One model is the block of one.
+    (see initial_states), for n_steps; each reads out sign(x), and one
+    ising.energies call scores them all.  Per model, the readout with the
+    lowest energy wins; ties keep the earlier restart, and a NaN energy
+    (inf - inf near the float limit) ranks last.  A restart that diverges
+    is dropped: its row evolves on, unread.  A model whose every restart
+    diverged gets a SolverDivergenceError as its outcome, returned rather
+    than raised, so its block-mates are unaffected; every other outcome
+    is a SolveResult.  One model is the block of one.
 
     A model with all-zero couplings (including n = 1) is solved exactly
     by fields alone.
@@ -225,17 +221,17 @@ def solve(models, params: SBParams, seeds, trace=None) -> list:
     if not block:
         return out
     models = [models[b] for b in block]
+    seeds = [seeds[b] for b in block]
     n_restarts = params.n_restarts
-    xy, j, half_h, c0 = _stack(models, [seeds[b] for b in block], n_restarts)
+    xy, j, half_h, c0, scored = _stack(models, seeds, n_restarts)
     wall = np.zeros_like(xy)
     np.copysign(1.0, xy[0], out=wall[0])
     over = np.empty(xy.shape[1:], dtype=bool)
     dt = np.array(params.dt)
     live = np.ones(xy.shape[1:3], dtype=bool)  # per (model, restart)
-    traced = None  # per model, per restart: its trace rows
-    if trace is not None:
-        traced = [[[] for _ in range(n_restarts)] for _ in block]
-    # Overflow is handled explicitly by the per-row finiteness mask.
+    steps = []  # per traced step: (k, a, x, y, energies, live)
+    # Overflow is handled explicitly by the per-row finiteness mask, and a
+    # diverged row's readout, scored with the rest, may overflow too.
     with np.errstate(over="ignore", invalid="ignore"):
         for k, a in enumerate(pump_schedule(params.n_steps).tolist()):
             finite = step(xy, wall, over, a, j, half_h, c0, dt)
@@ -243,36 +239,28 @@ def solve(models, params: SBParams, seeds, trace=None) -> list:
                 live &= finite
                 if not live.any():
                     break
-            if traced is not None:
+            if trace is not None:
                 # xy is updated in place, so trace rows are copies.
-                xs, ys = xy[0].copy(), xy[1].copy()
-                spins = wall[0].astype(np.int8)
-                for m, model in enumerate(models):
-                    for r in np.flatnonzero(live[m]).tolist():
-                        e = energy(model, spins[m, r])
-                        traced[m][r].append((r, k, a, xs[m, r], ys[m, r], e))
-    for b, rows in zip(block, traced or ()):
-        for restart_rows in rows:
-            trace[b].extend(restart_rows)
-    readouts = wall[0].astype(np.int8)
-    for m, (b, model) in enumerate(zip(block, models)):
-        kept = np.flatnonzero(live[m]).tolist()
-        if not kept:
+                e = energies(*scored, wall[0]).tolist()
+                steps.append((k, a, xy[0].copy(), xy[1].copy(), e, live.copy()))
+        e = energies(*scored, wall[0])
+    # Dead rows rank last, then NaN energies (inf - inf near the float
+    # limit); the sort is stable, so ties and an all-NaN set keep the
+    # earlier restart.
+    best = np.lexsort((e, np.isnan(e), ~live))[:, 0].tolist()
+    readouts, e = wall[0].astype(np.int8), e.tolist()
+    for m, (b, r) in enumerate(zip(block, best)):
+        if trace is not None:
+            trace[b].extend(
+                (q, k, a, x[m, q], y[m, q], e_k[m][q])
+                for q in range(n_restarts)
+                for k, a, x, y, e_k, alive in steps if alive[m, q]
+            )
+        kept = int(live[m].sum())
+        if kept:
+            out[b] = SolveResult(readouts[m, r], e[m][r], n_restarts - kept)
+        else:
             out[b] = SolverDivergenceError(
                 f"all {n_restarts} restarts diverged (dt = {params.dt})"
             )
-            continue
-        energies = [energy(model, readouts[m, r]) for r in kept]
-        # Keyed on (isnan, e), NaN ranks last; min moves on only to a
-        # strictly smaller key, so ties and an all-NaN set keep the
-        # earlier readout.
-        best = min(
-            range(len(kept)),
-            key=lambda i: (math.isnan(energies[i]), energies[i]),
-        )
-        out[b] = SolveResult(
-            spins=readouts[m, kept[best]],
-            energy=energies[best],
-            diverged_restarts=n_restarts - len(kept),
-        )
     return out

@@ -3,6 +3,7 @@ must agree with, and small deterministic model/instance factories.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,13 @@ def energy_loop(model: IsingModel, s) -> float:
         for k in range(model.n):
             total += model.j[i, k] * s[i] * s[k]
     return total
+
+
+def energy_ref(model: IsingModel, s) -> float:
+    # The single-row energy expression ising.energies must reproduce bit
+    # for bit: s @ J @ s + h @ s + offset, summed in that order.
+    s = np.asarray(s, dtype=np.float64)
+    return float(s @ model.j @ s + model.h @ s + model.offset)
 
 
 def sign_pm1(x) -> np.ndarray:
@@ -157,6 +165,19 @@ def random_model(rng, n: int, h_scale: float = 1.0) -> IsingModel:
     np.fill_diagonal(j, 0.0)
     h = rng.normal(size=n) * h_scale
     return IsingModel(j=j, h=h, offset=float(rng.normal()))
+
+
+def huge_model(m):
+    # J and h at 8e307 / sqrt(n): J @ s + h / 2 overflows under some sign
+    # patterns, so restarts diverge at various steps, some or all of them.
+    # Entries are clipped to [-2, 2] first, so that each scaled entry stays
+    # finite (2 * 8e307 / sqrt(2) < float max) whatever the normal draw.
+    scale = 8e307 / math.sqrt(m.n)
+    return IsingModel(
+        j=np.clip(m.j, -2.0, 2.0) * scale,
+        h=np.clip(m.h, -2.0, 2.0) * scale,
+        offset=m.offset,
+    )
 
 
 @pytest.fixture

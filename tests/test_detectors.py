@@ -304,27 +304,38 @@ class TestSbDetect:
 
     @pytest.mark.parametrize("restarts", [1, 4])
     def test_each_decision_energy_evaluated_once(self, monkeypatch, restarts):
-        # solve scores each restart's readout once; sb reuses the winner's
-        # energy and sb-reg scores only its readout under the plain model.
+        # solve scores every restart's readout in one energies call; sb
+        # reuses the winner's energy and sb-reg scores only its readout
+        # under the plain model.
         import sbmimo.detectors
         import sbmimo.sb
 
         calls = []
-        for module in (sbmimo.detectors, sbmimo.sb):
-            def counting(model, s, _energy=module.energy):
-                calls.append(module.__name__)
-                return _energy(model, s)
-            monkeypatch.setattr(module, "energy", counting)
+
+        def counting(module, name):
+            func = getattr(module, name)
+
+            def counted(*args):
+                calls.append(f"{module.__name__}.{name}")
+                return func(*args)
+            return counted
+
+        for module, name in (
+            (sbmimo.detectors, "energy"),
+            (sbmimo.sb, "energy"),
+            (sbmimo.sb, "energies"),
+        ):
+            monkeypatch.setattr(module, name, counting(module, name))
         rng = np.random.default_rng(8)
         inst = sample_instance(3, 3, QPSK, 10.0, rng)
         params = SBParams(n_steps=40, n_restarts=restarts)
         p = prepare(inst, QPSK)
         anchor = mmse_detect(p)
-        assert len(calls) == 1
+        assert calls == ["sbmimo.detectors.energy"]
         sb = detect_one(p, params, seed=3)
-        assert len(calls) == 1 + restarts
+        assert calls[1:] == ["sbmimo.sb.energies"]
         reg = detect_one(p, params, anchor, r=0.5, seed=3)
-        assert len(calls) == 1 + 2 * restarts + 1
+        assert calls[2:] == ["sbmimo.sb.energies", "sbmimo.detectors.energy"]
         assert sb.ising_energy == energy(p.model, sb.spins)
         assert reg.ising_energy == energy(p.model, reg.spins)
 

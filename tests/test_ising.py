@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbmimo.ising import IsingModel, energy
+from sbmimo.ising import IsingModel, energies, energy
 
-from conftest import all_spin_vectors, energy_loop, random_model
+from conftest import (
+    all_spin_vectors,
+    energy_loop,
+    energy_ref,
+    huge_model,
+    random_model,
+)
 
 
 def model_of(j, h, offset=0.0):
@@ -61,6 +67,56 @@ class TestEnergy:
         m = model_of([[0, 1], [1, 0]], [0, 0])
         with pytest.raises(ValueError):
             energy(m, np.array([1, -1, 1]))
+
+
+def stacked_draw(seed, n, huge, restarts):
+    # One model per entry of huge (huge_model-scaled where True) and
+    # restarts random +-1 rows per model, from one seed.
+    rng = np.random.default_rng(seed)
+    models = [random_model(rng, n) for _ in huge]
+    models = [huge_model(m) if big else m for m, big in zip(models, huge)]
+    s = rng.choice([-1.0, 1.0], size=(len(models), restarts, n))
+    return models, s
+
+
+def assert_matches_single_rows(models, s):
+    # energies over the stack equals the single-row expression bit for
+    # bit (NaN as NaN, whatever its payload); returns the energies.
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = energies(
+            np.stack([m.j for m in models]),
+            np.stack([m.h for m in models]),
+            np.array([m.offset for m in models]),
+            s,
+        )
+        want = np.array(
+            [[energy_ref(m, row) for row in rows] for m, rows in zip(models, s)]
+        )
+        one = energy(models[0], s[0, 0])
+    same = got.view(np.int64) == want.view(np.int64)
+    assert (same | np.isnan(got) & np.isnan(want)).all()
+    assert one == want[0, 0] or np.isnan(one) and np.isnan(want[0, 0])
+    return want
+
+
+class TestStackedEnergies:
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.lists(st.booleans(), min_size=1, max_size=4),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_stack_matches_single_row_expression(self, n, huge, restarts, seed):
+        # A stack of models of one size, some near the float limit, where
+        # energies overflow to inf and inf - inf gives NaN.
+        assert_matches_single_rows(*stacked_draw(seed, n, huge, restarts))
+
+    def test_huge_draw_reaches_inf_and_nan(self):
+        # A pinned draw that scores finite, inf, -inf and NaN rows.
+        e = assert_matches_single_rows(*stacked_draw(10, 12, [True] * 2, 6))
+        assert np.isnan(e).any() and np.isfinite(e).any()
+        assert (e == np.inf).any() and (e == -np.inf).any()
 
 
 @st.composite

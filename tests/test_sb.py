@@ -19,7 +19,13 @@ from sbmimo.sb import (
     step,
 )
 
-from conftest import all_spin_vectors, random_model, sign_pm1, solve_one
+from conftest import (
+    all_spin_vectors,
+    huge_model,
+    random_model,
+    sign_pm1,
+    solve_one,
+)
 
 
 def model_of(j, h, offset=0.0):
@@ -424,21 +430,31 @@ class TestSolve:
         params = SBParams(n_steps=20, n_restarts=4)
         runs = reference_runs(m, params, seed=2)
         assert len({tuple(s) for s in runs}) > 1
-        monkeypatch.setattr(sb, "energy", lambda model, s: math.nan)
+        calls = []
+
+        def nan_energies(j, h, offset, s):
+            calls.append(s.shape)
+            return np.full(s.shape[:-1], math.nan)
+
+        monkeypatch.setattr(sb, "energies", nan_energies)
         res = solve_one(m, params, seed=2)
+        assert calls == [(1, 4, 6)]  # one call ranks every restart
         assert math.isnan(res.energy)
         assert np.array_equal(res.spins, runs[0])
 
     def test_tie_keeps_earlier_restart(self):
         # Ferromagnetic pair: both aligned readouts score -2, so every
-        # restart ties; restart 0 wins even where later ones differ.
+        # restart ties; restart 0 wins even where later ones differ,
+        # whichever of them runs last.
         m = model_of([[0, -1], [-1, 0]], [0, 0])
         params = SBParams(n_steps=50, dt=0.5, n_restarts=6)
         runs = reference_runs(m, params, seed=1)
         assert {energy(m, s) for s in runs} == {-2.0}
         assert len({tuple(s) for s in runs}) == 2
-        res = solve_one(m, params, seed=1)
-        assert np.array_equal(res.spins, runs[0])
+        for restarts in range(1, 7):
+            fewer = dataclasses.replace(params, n_restarts=restarts)
+            res = solve_one(m, fewer, seed=1)
+            assert np.array_equal(res.spins, runs[0])
 
     def test_finds_ground_state_usually(self, rng):
         # Statistical: 200 random 8-spin models, 10 restarts each.
@@ -545,19 +561,6 @@ class TestSolve:
             assert row[5] == energy(m, sign_pm1(row[3]).astype(np.int8))
 
 
-def huge_model(m):
-    # J and h at 8e307 / sqrt(n): J @ s + h / 2 overflows under some sign
-    # patterns, so restarts diverge at various steps, some or all of them.
-    # Entries are clipped to [-2, 2] first, so that each scaled entry stays
-    # finite (2 * 8e307 / sqrt(2) < float max) whatever the normal draw.
-    scale = 8e307 / math.sqrt(m.n)
-    return IsingModel(
-        j=np.clip(m.j, -2.0, 2.0) * scale,
-        h=np.clip(m.h, -2.0, 2.0) * scale,
-        offset=m.offset,
-    )
-
-
 def assert_matches_reference(model, params, seed, outcome, rows):
     # One model's block outcome and trace rows against its own
     # per-restart reference run.
@@ -644,6 +647,30 @@ class TestBlock:
         assert isinstance(out[1], SolverDivergenceError)
         assert out[0].diverged_restarts == 3
         assert out[2].spins.tolist() == [-1, 1, 1]
+
+    def test_one_energies_call_per_ranking_and_traced_step(
+        self, rng, monkeypatch
+    ):
+        # The block's readouts are scored by one stacked energies call,
+        # and a traced solve adds one per step; no row is scored alone.
+        calls = []
+
+        def counting(j, h, offset, s, _energies=sb.energies):
+            calls.append(s.shape)
+            return _energies(j, h, offset, s)
+
+        def no_energy(model, s):
+            raise AssertionError("solve scored a readout alone")
+
+        monkeypatch.setattr(sb, "energies", counting)
+        monkeypatch.setattr(sb, "energy", no_energy)
+        models = [random_model(rng, 5) for _ in range(3)]
+        params = SBParams(n_steps=7, n_restarts=4)
+        solve(models, params, [0, 1, 2])
+        assert calls == [(3, 4, 5)]
+        calls.clear()
+        solve(models, params, [0, 1, 2], [[], [], []])
+        assert calls == [(3, 4, 5)] * 8
 
     def test_block_needs_one_size_and_one_seed_per_model(self, rng):
         params = SBParams(n_steps=5)
