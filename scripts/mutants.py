@@ -60,8 +60,9 @@ MUTANTS = (
     Mutant(
         "sb-reg anchored at the previous problem's MMSE spins",
         "detectors.py",
-        "        else regularize(problems[k].model, anchors[k].spins, r)",
-        "        else regularize(problems[k].model, anchors[k - 1].spins, r)",
+        "                  for m, a in zip(models, anchors, strict=True)]",
+        "                  for m, a in zip(models, anchors[-1:] + anchors[:-1],"
+        " strict=True)]",
         (
             DETECTORS + "TestSbDetect::test_block_decisions_match_blocks_of_one",
             BLOCKS + "test_block_size_does_not_change_records[1]",
@@ -73,6 +74,14 @@ MUTANTS = (
         "    digits = 1 - bits.reshape(nt, c.axes, c.bits_per_axis)",
         "    digits = 1 - bits.reshape(nt, c.bits_per_axis, c.axes)"
         ".swapaxes(1, 2)",
+        ("tests/test_channel.py::test_sent_levels_replay_the_payload_draw",),
+    ),
+    Mutant(
+        "LSB-first Constellation.weights",
+        "channel.py",
+        "        w = 2 ** np.arange(self.bits_per_axis - 1, -1, -1,"
+        " dtype=np.int8)",
+        "        w = 2 ** np.arange(self.bits_per_axis, dtype=np.int8)",
         ("tests/test_channel.py::test_sent_levels_replay_the_payload_draw",),
     ),
     Mutant(
@@ -130,10 +139,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "sb_solve fills its outcomes in order, ignoring the gaps",
+        "sb_solve solves an anchorless problem's plain model",
         "detectors.py",
-        "    for k, res in zip(todo, solved):",
-        "    for k, res in enumerate(solved):",
+        "        models = [None if a is None else regularize(m, a.spins, r)",
+        "        models = [m if a is None else regularize(m, a.spins, r)",
         (
             DETECTORS + "TestSbDetect::test_problem_without_an_anchor_is_not_solved",
             BLOCKS + "test_block_with_some_anchors_missing",

@@ -43,6 +43,14 @@ class Constellation:
         return self.bps // self.axes
 
     @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """One axis's bit weights, MSB first, as read-only int8: the axis
+        value is the sum of weight * spin over its bits ((2, 1) for 16-QAM)."""
+        w = 2 ** np.arange(self.bits_per_axis - 1, -1, -1, dtype=np.int8)
+        w.flags.writeable = False
+        return w
+
+    @functools.cached_property
     def symbol_energy(self) -> float:
         """Average symbol energy E_s over the alphabet."""
         return self.axes * float(np.mean(np.square(self.levels)))
@@ -160,8 +168,7 @@ def sample_instance(
     """
     bits = rng.integers(0, 2, nt * c.bps).astype(np.int8)
     digits = 1 - bits.reshape(nt, c.axes, c.bits_per_axis)
-    weights = 1 << np.arange(c.bits_per_axis - 1, -1, -1)
-    tx_levels = (digits @ weights).T.reshape(-1).astype(np.int8)
+    tx_levels = (digits @ c.weights).T.reshape(-1)
     x = np.zeros((2, nt))  # BPSK leaves the imaginary axis 0
     x[: c.axes] = np.take(c.levels, tx_levels).reshape(c.axes, nt)
     h = sample_channel(nt, nr, rng)

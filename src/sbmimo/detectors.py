@@ -312,19 +312,11 @@ def sb_solve(
     of a problem whose every restart diverged.  ``sb_detect`` turns one
     into a decision.
     """
-    plain = anchors is None
-    todo = [k for k in range(len(problems)) if plain or anchors[k] is not None]
-    models = [
-        problems[k].model if plain
-        else regularize(problems[k].model, anchors[k].spins, r)
-        for k in todo
-    ]
-    solved = solve(models, params, [seeds[k] for k in todo],
-                   trace and [trace[k] for k in todo])
-    out = [None] * len(problems)
-    for k, res in zip(todo, solved):
-        out[k] = res
-    return out
+    models = [p.model for p in problems]
+    if anchors is not None:
+        models = [None if a is None else regularize(m, a.spins, r)
+                  for m, a in zip(models, anchors, strict=True)]
+    return solve(models, params, seeds, trace)
 
 
 def sb_detect(

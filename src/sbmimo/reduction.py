@@ -28,16 +28,10 @@ import numpy as np
 from sbmimo.channel import (
     ChannelInstance,
     Constellation,
-    RealizedSystem,
     realify,
     realify_symbols,
 )
 from sbmimo.ising import IsingModel
-
-
-def _axis_weights(bits_per_axis: int) -> np.ndarray:
-    # MSB-first binary weights, e.g. (2, 1) for two bits per axis.
-    return 2.0 ** np.arange(bits_per_axis - 1, -1, -1)
 
 
 def spin_matrix(h_r: np.ndarray, c: Constellation) -> np.ndarray:
@@ -49,18 +43,15 @@ def spin_matrix(h_r: np.ndarray, c: Constellation) -> np.ndarray:
             f"column block(s) of nt >= 1 columns for {c.name}"
         )
     m, nt = h_r.shape[0], h_r.shape[1] // c.axes
-    w = _axis_weights(c.bits_per_axis)
-    blocks = h_r.reshape(m, c.axes, 1, nt) * w[None, None, :, None]
+    blocks = h_r.reshape(m, c.axes, 1, nt) * c.weights[:, None]
     return blocks.reshape(m, nt * c.bps)
 
 
-def build_ising(sys: RealizedSystem, c: Constellation) -> IsingModel:
-    """Ising model whose energy equals ||y_r - H_r T s||^2 for every s."""
+def instance_model(inst: ChannelInstance, c: Constellation) -> IsingModel:
+    """Reduce one channel instance to its detection Ising model, whose
+    energy equals ||y_r - H_r T s||^2 for every s."""
+    sys = realify(inst.h, inst.y, c)
     a = spin_matrix(sys.h_r, c)
-    if sys.y_r.shape != (a.shape[0],):
-        raise ValueError(
-            f"y_r has shape {sys.y_r.shape} but h_r has {a.shape[0]} rows"
-        )
     g = a.T @ a
     g = 0.5 * (g + g.T)
     j = g - np.diag(np.diagonal(g))
@@ -69,31 +60,19 @@ def build_ising(sys: RealizedSystem, c: Constellation) -> IsingModel:
     return IsingModel(j=j, h=h, offset=offset)
 
 
-def instance_model(inst: ChannelInstance, c: Constellation) -> IsingModel:
-    """Reduce one channel instance to its detection Ising model."""
-    return build_ising(realify(inst.h, inst.y, c), c)
-
-
 def level_spins(idx: np.ndarray, c: Constellation) -> np.ndarray:
     """Spins of rows of level indices, laid out (axis, weight, entry).
 
     idx is (..., axes * nt): per real coordinate in realify's column
     layout, the index of its level among c's ascending levels, so level
-    i's spins are the binary digits of i, MSB first, with +1 for a one.
-    Returns int8 spins of shape (..., nt * bps).
+    i's spins are the binary digits of i, one per weight in c.weights
+    (MSB first), with +1 for a one.  Returns int8 spins of shape
+    (..., nt * bps).
     """
     idx = np.asarray(idx, dtype=np.int8)
     lead, nt = idx.shape[:-1], idx.shape[-1] // c.axes
-    bits = (idx.reshape(*lead, c.axes, 1, nt) >> _shifts(c)) & 1
-    return (2 * bits - 1).reshape(*lead, nt * c.bps)
-
-
-@functools.cache
-def _shifts(c: Constellation) -> np.ndarray:
-    # The bit shifts of one axis's weights, MSB first, as an int8 column.
-    shifts = np.arange(c.bits_per_axis - 1, -1, -1, dtype=np.int8)[:, None]
-    shifts.flags.writeable = False
-    return shifts
+    ones = idx.reshape(*lead, c.axes, 1, nt) & c.weights[:, None]
+    return np.where(ones, 1, -1).astype(np.int8).reshape(*lead, nt * c.bps)
 
 
 @functools.cache

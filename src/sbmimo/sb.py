@@ -200,19 +200,23 @@ def solve(models, params: SBParams, seeds, trace=None) -> list:
     is a SolveResult.  One model is the block of one.
 
     A model with all-zero couplings (including n = 1) is solved exactly
-    by fields alone.
+    by fields alone.  None in place of a model leaves it unsolved: its
+    outcome is None.
 
     trace, when given, holds one list per model, which is extended by
     ``(restart, step, a, x, y, readout_energy)`` for every step of every
     restart, restart-major; a diverged restart's rows stop at its last
-    finite step, and a model solved by fields alone adds none.
+    finite step, and a model solved by fields alone, or None, adds none.
     """
     models, seeds = list(models), list(seeds)
-    if len(seeds) != len(models) or len({m.n for m in models}) > 1:
+    sizes = {m.n for m in models if m is not None}
+    if len(seeds) != len(models) or len(sizes) > 1:
         raise ValueError("a block needs same-size models and one seed each")
     out = [None] * len(models)
     block = []  # indices of the models the kernel evolves
     for b, model in enumerate(models):
+        if model is None:
+            continue
         if model.n < 2 or not model.j.any():
             spins = _field_only_spins(model)
             out[b] = SolveResult(spins=spins, energy=energy(model, spins))

@@ -50,6 +50,15 @@ class TestConstellations:
             1, 1, 2
         )
 
+    def test_bit_weights_are_msb_first_and_read_only(self):
+        # An axis value is the sum over its bits of weight * spin, MSB first.
+        for c, weights in ((BPSK, [1]), (QPSK, [1]), (QAM16, [2, 1])):
+            assert c.weights.dtype == np.int8
+            assert c.weights.tolist() == weights
+            assert c.weights is c.weights  # built once per constellation
+            with pytest.raises(ValueError, match="read-only"):
+                c.weights[0] = 0
+
     def test_real_axes(self):
         assert (BPSK.axes, QPSK.axes, QAM16.axes) == (1, 2, 2)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,6 +10,7 @@ from sbmimo.channel import (
     BPSK,
     QAM16,
     QPSK,
+    ChannelInstance,
     get_constellation,
     realify,
     sample_channel,
@@ -16,7 +18,6 @@ from sbmimo.channel import (
 )
 from sbmimo.ising import energy
 from sbmimo.reduction import (
-    build_ising,
     instance_model,
     level_spins,
     regularize,
@@ -85,8 +86,8 @@ class TestBuildIsing:
     def test_zero_residual_at_transmitted_spins(self, rng):
         for c in (BPSK, QPSK, QAM16):
             inst = sample_instance(3, 3, c, 10.0, rng)
-            clean = realify(inst.h, inst.h @ sent_symbols(inst, c), c)
-            model = build_ising(clean, c)
+            clean = dataclasses.replace(inst, y=inst.h @ sent_symbols(inst, c))
+            model = instance_model(clean, c)
             s_true = level_spins(inst.tx_levels, c)
             assert energy(model, s_true) == pytest.approx(0.0, abs=1e-9)
 
@@ -132,10 +133,13 @@ class TestBuildIsing:
         # A BPSK system has nt real unknowns, not the 2 nt QPSK needs.
         inst = sample_instance(3, 3, BPSK, 8.0, rng)
         sys = realify(inst.h, inst.y, BPSK)
-        with pytest.raises(ValueError):
-            build_ising(sys, QPSK)
-        with pytest.raises(ValueError):
-            build_ising(type(sys)(h_r=sys.h_r, y_r=sys.y_r[:-1]), BPSK)
+        with pytest.raises(ValueError, match="column block"):
+            spin_matrix(sys.h_r, QPSK)
+        # A receive vector one entry short of h's rows: realify refuses it.
+        short = ChannelInstance(inst.h, inst.tx_levels, inst.noise_var,
+                                inst.y[:-1])
+        with pytest.raises(ValueError, match="rows but y has length"):
+            instance_model(short, BPSK)
 
 
 class TestSpinMaps:

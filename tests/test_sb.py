@@ -647,6 +647,26 @@ class TestBlock:
         assert isinstance(out[1], SolverDivergenceError)
         assert out[0].diverged_restarts == 3
         assert out[2].spins.tolist() == [-1, 1, 1]
+        # None entries, of no size and with seeds of their own, are left
+        # unsolved with their trace lists untouched, and every other
+        # outcome and trace is the one the block gets without them.
+        gaps = [None, *models[:2], None, *models[2:], None]
+        gap_seeds = [5, *seeds[:2], 6, *seeds[2:], 7]
+        gap_traces = [["kept"] if m is None else [] for m in gaps]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = solve(gaps, params, gap_seeds, gap_traces)
+        for k in (0, 3, 6):
+            assert got[k] is None and gap_traces[k] == ["kept"]
+        kept = [k for k, m in enumerate(gaps) if m is not None]
+        for k, want, rows in zip(kept, out, traces):
+            assert type(got[k]) is type(want)
+            if isinstance(want, SolverDivergenceError):
+                assert str(got[k]) == str(want)
+            else:
+                assert np.array_equal(got[k].spins, want.spins)
+                assert same_energy(got[k].energy, want.energy)
+                assert got[k].diverged_restarts == want.diverged_restarts
+            assert_same_rows(gap_traces[k], rows)
 
     def test_one_energies_call_per_ranking_and_traced_step(
         self, rng, monkeypatch
