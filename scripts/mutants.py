@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 SB = "tests/test_sb.py::"
 DETECTORS = "tests/test_detectors.py::"
 BLOCKS = "tests/test_bench.py::TestBlocks::"
+GOLDEN = "tests/test_golden.py::test_sweep_reproduces_golden_files"
 
 MUTANTS = (
     Mutant(
@@ -149,11 +150,30 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "a block's sb_detect calls run in descending instance order",
+        "a block's sb_detect calls run in descending point order",
         "bench.py",
-        "    for k, p in enumerate(problems):",
-        "    for k, p in reversed(list(enumerate(problems))):",
+        "    for k, (snr_idx, _) in enumerate(points):",
+        "    for k, (snr_idx, _) in reversed(list(enumerate(points))):",
         (BLOCKS + "test_call_order_within_blocks",),
+    ),
+    Mutant(
+        "a block's points are tallied under its first point's SNR index",
+        "bench.py",
+        "    for k, (snr_idx, _) in enumerate(points):",
+        "    for k, (snr_idx, _) in enumerate(points[:1] * len(points)):",
+        (
+            BLOCKS + "test_block_size_does_not_change_records[1]",
+            BLOCKS + "test_block_size_does_not_change_records[3]",
+            GOLDEN + "[qpsk-4x4-1]",
+            GOLDEN + "[qpsk-2x2-sbreg-2]",
+        ),
+    ),
+    Mutant(
+        "_eval_block hands the trace to every SB-family detector",
+        "bench.py",
+        "                               None if solved else trace)",
+        "                               trace)",
+        (GOLDEN + "[qpsk-2x2-sbreg-1]", GOLDEN + "[qpsk-2x2-sbreg-2]"),
     ),
 )
 

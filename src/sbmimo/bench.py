@@ -83,7 +83,11 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
+        # A string would be swept per character, and float(True) is 1.0.
+        snr = tuple(self.snr_db)
+        if isinstance(self.snr_db, str) or any(type(s) is bool for s in snr):
+            raise ValueError(f"snr_db must hold numbers, got {self.snr_db!r}")
+        object.__setattr__(self, "snr_db", tuple(float(s) for s in snr))
         object.__setattr__(self, "detectors", tuple(self.detectors))
         try:
             c = get_constellation(self.modulation)
@@ -130,8 +134,8 @@ class SweepConfig:
             problems.append(f"duplicate detectors in {self.detectors}")
         if len(set(self.snr_db)) != len(self.snr_db):
             problems.append(f"duplicate snr_db values in {self.snr_db}")
-        if not (math.isfinite(self.r) and self.r >= 0):
-            problems.append(f"r must be finite and >= 0, got {self.r}")
+        if type(self.r) is bool or not (math.isfinite(self.r) and self.r >= 0):
+            problems.append(f"r must be a finite number >= 0, got {self.r}")
         if c is not None and "ml-oracle" in self.detectors and is_int(self.nt):
             spins = self.nt * c.bps
             if spins > ORACLE_SPIN_LIMIT:
@@ -163,65 +167,55 @@ class BerRecord:
     ml_optimal: int = 0
 
 
-# Instances per dSB block: _eval_block solves a block's instances as one
+# Sweep points per dSB block, of any SNR: _eval_block solves a block as one
 # solver state.  The cap bounds a block's memory: at 16x16 QPSK, 32 raise
 # a sweep's peak by about 0.8 MiB, and a solve took 174 us per instance at
 # 32, 157 at 64 and 133 at 128, so larger blocks trade memory for time.
 _BLOCK = 32
 
 
-def _instance(cfg: SweepConfig, c, snr_idx: int, i: int):
-    """Sample and reduce instance i at one SNR point, and run MMSE on it.
+def _eval_block(cfg: SweepConfig, points, trace=None):
+    """Tallies of one block of sweep points, keyed by (snr_idx, detector).
 
-    Returns the problem, the solver seed drawn for this instance, and the
-    MMSE result, which is None when MMSE failed or no configured
-    detector uses it.
-    """
-    rng = np.random.default_rng([cfg.seed, snr_idx, i])
-    inst = sample_instance(cfg.nt, cfg.nr, c, cfg.snr_db[snr_idx], rng)
-    solver_seed = int(rng.integers(0, 1 << 63, dtype=np.uint64))
-    p = prepare(inst, c)
-    anchor = None
-    if "mmse" in cfg.detectors or "sb-reg" in cfg.detectors:
-        try:
-            anchor = mmse_detect(p)
-        except DetectionFailureError:
-            pass
-    return p, solver_seed, anchor
-
-
-def _eval_block(cfg: SweepConfig, snr_idx: int, start: int, stop: int):
-    """Per-detector tallies of the block [start, stop) at one SNR point.
-
-    Each instance is sampled, reduced once and run through MMSE and the
-    ML oracle; then one solve per SB-family detector covers the whole
-    block; then, per instance in order, the SB decisions are made and
-    everything is tallied.  MMSE runs at most once per instance; its
+    points lists (snr_idx, i) pairs, which may span several SNR points.
+    Each point is sampled from its own RNG stream, reduced once and run
+    through MMSE and the ML oracle; then one solve per SB-family detector
+    covers the whole block; then, per point in order, the SB decisions are
+    made and everything is tallied.  MMSE runs at most once per point; its
     result is both the `mmse` decision and the `sb-reg` anchor, so an
     MMSE failure counts against both.  Bit errors are counted as spin
     mismatches against the spins of the sent levels: under the channel's
     bit labeling each bit is one spin.  With `ml-oracle` configured, a decision
     is ML-optimal if its energy is at most the oracle's e + 1e-9 max(1, |e|).
+    trace, when given, holds one list per point, and only the first
+    SB-family detector's solve extends it (see `trace_rows`).
     """
     c = get_constellation(cfg.modulation)
-    tally = {det: Counter() for det in cfg.detectors}
+    tally = defaultdict(Counter)
     problems, seeds, decided = [], [], []
-    for i in range(start, stop):
-        p, seed, anchor = _instance(cfg, c, snr_idx, i)
+    for snr_idx, i in points:
+        rng = np.random.default_rng([cfg.seed, snr_idx, i])
+        inst = sample_instance(cfg.nt, cfg.nr, c, cfg.snr_db[snr_idx], rng)
+        seeds.append(int(rng.integers(0, 1 << 63, dtype=np.uint64)))
+        p = prepare(inst, c)
         problems.append(p)
-        seeds.append(seed)
-        decided.append({"mmse": anchor})
+        decided.append({"mmse": None})
+        if "mmse" in cfg.detectors or "sb-reg" in cfg.detectors:
+            try:
+                decided[-1]["mmse"] = mmse_detect(p)
+            except DetectionFailureError:
+                pass
         if "ml-oracle" in cfg.detectors:
             decided[-1]["ml-oracle"] = ml_oracle(p)
     anchors = [d["mmse"] for d in decided]
-    solved = {
-        det: sb_solve(problems, cfg.sb, seeds,
-                      anchors if det == "sb-reg" else None, cfg.r)
-        for det in cfg.detectors if det in SB_FAMILY
-    }
+    solved = {}
+    for det in [d for d in cfg.detectors if d in SB_FAMILY]:
+        solved[det] = sb_solve(problems, cfg.sb, seeds,
+                               anchors if det == "sb-reg" else None, cfg.r,
+                               None if solved else trace)
     sent = level_spins(np.stack([p.inst.tx_levels for p in problems]), c)
-    for k, p in enumerate(problems):
-        anchor = anchors[k]
+    for k, (snr_idx, _) in enumerate(points):
+        p, anchor = problems[k], anchors[k]
         for det, outcomes in solved.items():
             if isinstance(outcomes[k], SolveResult):
                 decided[k][det] = sb_detect(
@@ -231,36 +225,32 @@ def _eval_block(cfg: SweepConfig, snr_idx: int, start: int, stop: int):
         for det in cfg.detectors:
             res = decided[k].get(det)
             if res is None:
-                tally[det]["failures"] += 1
+                tally[snr_idx, det]["failures"] += 1
                 continue
             errors = np.count_nonzero(res.spins != sent[k])
-            tally[det]["errors"] += int(errors)
-            tally[det]["used"] += 1
+            tally[snr_idx, det]["errors"] += int(errors)
+            tally[snr_idx, det]["used"] += 1
             if det == "sb-reg":
                 if res.ising_energy > anchor.ising_energy:
-                    tally[det]["violations"] += 1
+                    tally[snr_idx, det]["violations"] += 1
             if oracle is not None:
                 e_ml = oracle.ising_energy
                 if res.ising_energy <= e_ml + 1e-9 * max(1.0, abs(e_ml)):
-                    tally[det]["optimal"] += 1
+                    tally[snr_idx, det]["optimal"] += 1
     return tally
 
 
 def trace_rows(cfg: SweepConfig) -> list:
     """Solver trajectory of the sweep's first instance (SNR index 0).
 
-    It runs under the first SB-family detector configured.  There are no
-    rows when there is none, when it fails before solving, or when the
-    model has no couplings (one spin, say): `solve` settles it by fields.
-    Each row is (restart, step, a, x, y, energy), as `solve` reports it.
+    It is taken from that instance's own block of one, under the first
+    SB-family detector configured.  There are no rows when there is
+    none, when it fails before solving, or when the model has no
+    couplings (one spin, say): `solve` settles it by fields.  Each row is
+    (restart, step, a, x, y, energy), as `solve` reports it.
     """
     rows = []
-    family = [det for det in cfg.detectors if det in SB_FAMILY]
-    if family:
-        c = get_constellation(cfg.modulation)
-        p, seed, anchor = _instance(cfg, c, 0, 0)
-        anchors = [anchor] if family[0] == "sb-reg" else None
-        sb_solve([p], cfg.sb, [seed], anchors, cfg.r, [rows])
+    _eval_block(cfg, [(0, 0)], [rows])
     return rows
 
 
@@ -269,36 +259,35 @@ def run_sweep(cfg: SweepConfig) -> list[BerRecord]:
 
     Per-instance detector failures are counted on the record and the
     instance is skipped for that detector only, so `instances` on a
-    record is the number actually counted.  The jobs, run in turn or
-    spread over the worker processes, are the solver blocks of up to
-    _BLOCK instances; no more processes start than there are jobs or
-    usable CPUs.  Nothing is written (see `write_csv`, `trace_rows`
-    and `write_trace`).
+    record is the number actually counted.  The sweep's points, (snr
+    index, instance) in SNR-major order, are cut into solver blocks of up
+    to _BLOCK consecutive points, whatever their SNR.  The jobs, run in
+    turn or spread over the worker processes, are those blocks; no more
+    processes start than there are jobs or usable CPUs.  Nothing is
+    written (see `write_csv`, `trace_rows` and `write_trace`).
     """
     c = get_constellation(cfg.modulation)
-    jobs = [
-        (snr_idx, start, min(start + _BLOCK, cfg.instances))
-        for snr_idx in range(len(cfg.snr_db))
-        for start in range(0, cfg.instances, _BLOCK)
-    ]
+    points = [(snr_idx, i) for snr_idx in range(len(cfg.snr_db))
+              for i in range(cfg.instances)]
+    jobs = [points[k:k + _BLOCK] for k in range(0, len(points), _BLOCK)]
     # A pool may start all of its processes at its first submit.
     affinity = getattr(os, "sched_getaffinity", None)  # not on every OS
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     workers = min(cfg.workers, len(jobs), cpus)
     if workers == 1:
-        tallies = [_eval_block(cfg, *job) for job in jobs]
+        tallies = [_eval_block(cfg, job) for job in jobs]
     else:
         # Imported here: it pulls in multiprocessing, which a one-worker
         # sweep and a plain `import sbmimo` never need.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_eval_block, cfg, *job) for job in jobs]
+            futures = [pool.submit(_eval_block, cfg, job) for job in jobs]
             tallies = [f.result() for f in futures]
     totals = defaultdict(Counter)
-    for (snr_idx, _, _), tally in zip(jobs, tallies):
-        for det, cell in tally.items():
-            totals[(snr_idx, det)].update(cell)
+    for tally in tallies:
+        for key, cell in tally.items():
+            totals[key].update(cell)
     bits_per_instance = cfg.nt * c.bps
     records = []
     for det in cfg.detectors:

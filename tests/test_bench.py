@@ -88,6 +88,12 @@ class TestConfigValidation:
             dict(nt=16, nr=16, snr_db=(-3080.0,)),
             dict(modulation=5),
             dict(snr_db=(5.0, 5.0)),
+            # A string was swept per character ("25" gave 2 and 5 dB), and
+            # a bool passed as 1.0 or 0.0.
+            dict(snr_db="10"),
+            dict(snr_db="25"),
+            dict(snr_db=(5.0, True)),
+            dict(r=True),
         ],
     )
     def test_invalid_configs_rejected(self, kw):
@@ -365,7 +371,8 @@ class TestBlocks:
         # So per instance the sweep samples, runs MMSE, then the oracle;
         # after the block's solves, sb_detect runs in ascending instance
         # order, so each detector's last sb_detect in a block is on the
-        # block's last instance.
+        # block's last instance.  The blocks are cut from the sweep's
+        # points in SNR-major order, so one of them spans both SNR points.
         import sbmimo.bench
 
         insts, events = [], []
@@ -389,17 +396,35 @@ class TestBlocks:
         )
         run_sweep(cfg)
         block = sbmimo.bench._BLOCK
-        assert cfg.instances > 2 * block
+        points = len(cfg.snr_db) * cfg.instances
+        assert cfg.instances > 2 * block and cfg.instances % block
         expected = []
-        for first in range(0, len(cfg.snr_db) * cfg.instances, cfg.instances):
-            for start in range(first, first + cfg.instances, block):
-                ks = range(start, min(start + block, first + cfg.instances))
-                for k in ks:
-                    expected += [("sample_instance", k), ("mmse_detect", k),
-                                 ("ml_oracle", k)]
-                for k in ks:
-                    expected += [("sb_detect", k)] * 2
+        for start in range(0, points, block):
+            ks = range(start, min(start + block, points))
+            for k in ks:
+                expected += [("sample_instance", k), ("mmse_detect", k),
+                             ("ml_oracle", k)]
+            for k in ks:
+                expected += [("sb_detect", k)] * 2
         assert events == expected
+
+    def test_one_solve_per_detector_spans_the_snr_points(self, monkeypatch):
+        # 2 SNR points x 8 instances fit in one block, so each SB-family
+        # detector solves all 16 problems in one call, not 8 per point.
+        import sbmimo.bench
+
+        sizes = []
+        solve = sbmimo.bench.sb_solve
+
+        def recording(problems, *args, **kwargs):
+            sizes.append(len(problems))
+            return solve(problems, *args, **kwargs)
+
+        monkeypatch.setattr(sbmimo.bench, "sb_solve", recording)
+        cfg = small_config(instances=8, detectors=("sb", "sb-reg"))
+        records = run_sweep(cfg)
+        assert sizes == [16, 16]
+        assert sum(rec.instances for rec in records) == 32
 
     @pytest.mark.parametrize(
         "nt, modulation", [(4, "qpsk"), (2, "qam16")]
