@@ -39,6 +39,12 @@ SB = "tests/test_sb.py::"
 DETECTORS = "tests/test_detectors.py::"
 BLOCKS = "tests/test_bench.py::TestBlocks::"
 GOLDEN = "tests/test_golden.py::test_sweep_reproduces_golden_files"
+REDUCTION = "tests/test_reduction.py::"
+EDGES = tuple(
+    f"{REDUCTION}TestSpinMaps::test_nearest_level_rule_at_its_edges[{c}]"
+    for c in ("bpsk", "qpsk", "qam16")
+)
+EXACT = REDUCTION + "test_nearest_level_rule_is_exact"
 
 MUTANTS = (
     Mutant(
@@ -167,6 +173,44 @@ MUTANTS = (
             GOLDEN + "[qpsk-4x4-1]",
             GOLDEN + "[qpsk-2x2-sbreg-2]",
         ),
+    ),
+    Mutant(
+        "symbols_to_spins swaps the nearest-level rule's midpoint sides",
+        "reduction.py",
+        "np.where(v > 0, left, right)",
+        "np.where(v > 0, right, left)",
+        (*EDGES, EXACT),
+    ),
+    Mutant(
+        "symbols_to_spins rounds a non-finite value like a finite one",
+        "reduction.py",
+        "    v = np.nan_to_num(realify_symbols(x, c), posinf=0.0, neginf=0.0)",
+        "    v = realify_symbols(x, c)",
+        (
+            *EDGES, EXACT,
+            REDUCTION + "TestSpinMaps::test_off_lattice_symbol_takes_nearest_point",
+        ),
+    ),
+    Mutant(
+        "nearest_level swaps its bisection sides",
+        "reduction.py",
+        "bisect.bisect_left if value > 0 else bisect.bisect_right",
+        "bisect.bisect_right if value > 0 else bisect.bisect_left",
+        (*EDGES, EXACT),
+    ),
+    Mutant(
+        "nearest_level bisects a non-finite value",
+        "reduction.py",
+        "    value = value if math.isfinite(value) else 0.0",
+        "    pass",
+        (*EDGES, EXACT),
+    ),
+    Mutant(
+        "compute_c0 sums each matrix's squares over its last axis only",
+        "sb.py",
+        "np.sum(np.square(jk, out=jk), axis=(-2, -1))",
+        "np.sum(np.square(jk, out=jk), axis=-1)",
+        (SB + "TestNormalization::test_block_c0_matches_each_matrix",),
     ),
     Mutant(
         "_eval_block hands the trace to every SB-family detector",

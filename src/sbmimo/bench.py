@@ -167,10 +167,14 @@ class BerRecord:
     ml_optimal: int = 0
 
 
+# The BerRecord fields a block tallies per (snr_idx, detector).
+_COUNTS = ("instances", "bit_errors", "failures", "selection_violations",
+           "ml_optimal")
+
 # Sweep points per dSB block, of any SNR: _eval_block solves a block as one
-# solver state.  The cap bounds a block's memory: at 16x16 QPSK, 32 raise
-# a sweep's peak by about 0.8 MiB, and a solve took 174 us per instance at
-# 32, 157 at 64 and 133 at 128, so larger blocks trade memory for time.
+# solver state.  It stays 32 for memory: larger blocks solve faster (174 us
+# per instance at 16x16 QPSK, 133 at 128) but three qpsk16-mmse-sbreg sweeps
+# peaked at 38.5 MiB RSS at 32, 39.5 at 64 and 41.7 (+8 %) at 128.
 _BLOCK = 32
 
 
@@ -224,19 +228,19 @@ def _eval_block(cfg: SweepConfig, points, trace=None):
         oracle = decided[k].get("ml-oracle")
         for det in cfg.detectors:
             res = decided[k].get(det)
+            cell = tally[snr_idx, det]
             if res is None:
-                tally[snr_idx, det]["failures"] += 1
+                cell["failures"] += 1
                 continue
-            errors = np.count_nonzero(res.spins != sent[k])
-            tally[snr_idx, det]["errors"] += int(errors)
-            tally[snr_idx, det]["used"] += 1
+            cell["bit_errors"] += int(np.count_nonzero(res.spins != sent[k]))
+            cell["instances"] += 1
             if det == "sb-reg":
                 if res.ising_energy > anchor.ising_energy:
-                    tally[snr_idx, det]["violations"] += 1
+                    cell["selection_violations"] += 1
             if oracle is not None:
                 e_ml = oracle.ising_energy
                 if res.ising_energy <= e_ml + 1e-9 * max(1.0, abs(e_ml)):
-                    tally[snr_idx, det]["optimal"] += 1
+                    cell["ml_optimal"] += 1
     return tally
 
 
@@ -292,30 +296,15 @@ def run_sweep(cfg: SweepConfig) -> list[BerRecord]:
     records = []
     for det in cfg.detectors:
         for snr_idx, snr in enumerate(cfg.snr_db):
-            cell = totals[(snr_idx, det)]
-            total_bits = cell["used"] * bits_per_instance
-            ber = cell["errors"] / total_bits if total_bits else 0.0
-            records.append(
-                BerRecord(
-                    nt=cfg.nt,
-                    nr=cfg.nr,
-                    modulation=c.name,
-                    snr_db=snr,
-                    detector=det,
-                    instances=cell["used"],
-                    total_bits=total_bits,
-                    bit_errors=cell["errors"],
-                    ber=ber,
-                    steps=cfg.sb.n_steps,
-                    dt=cfg.sb.dt,
-                    restarts=cfg.sb.n_restarts,
-                    r=cfg.r,
-                    seed=cfg.seed,
-                    failures=cell["failures"],
-                    selection_violations=cell["violations"],
-                    ml_optimal=cell["optimal"],
-                )
-            )
+            counts = {key: totals[snr_idx, det][key] for key in _COUNTS}
+            total_bits = counts["instances"] * bits_per_instance
+            ber = counts["bit_errors"] / total_bits if total_bits else 0.0
+            records.append(BerRecord(
+                nt=cfg.nt, nr=cfg.nr, modulation=c.name, snr_db=snr,
+                detector=det, total_bits=total_bits, ber=ber,
+                steps=cfg.sb.n_steps, dt=cfg.sb.dt, restarts=cfg.sb.n_restarts,
+                r=cfg.r, seed=cfg.seed, **counts,
+            ))
     records.sort(key=lambda rec: (rec.detector, rec.snr_db))
     return records
 

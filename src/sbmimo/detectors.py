@@ -11,7 +11,6 @@ result never scores worse than MMSE's.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import operator
 from dataclasses import dataclass
@@ -27,6 +26,8 @@ from sbmimo.ising import IsingModel, energy
 from sbmimo.reduction import (
     instance_model,
     level_spins,
+    midpoints,
+    nearest_level,
     regularize,
     spin_matrix,
     symbols_to_spins,
@@ -128,24 +129,18 @@ def _upper(k):
 
 def _babai_point(rz, c):
     """The MMSE-SIC lattice point from [R z] of [h_r; lam I] with
-    lam^2 = noise_var / Es: the nearest level per real coordinate (ties
-    as in symbols_to_spins), last coordinate first, each given the ones
-    already decided."""
+    lam^2 = noise_var / Es: the nearest level per real coordinate (see
+    nearest_level), last coordinate first, each given the ones already
+    decided."""
     k = len(rz)
-    lv = c.levels
-    # A centre on a midpoint goes to the level nearer zero: the upper one
-    # at or below zero, the lower one above it.
-    mid = [(a + b) / 2 for a, b in zip(lv, lv[1:])]
+    lv, mid = c.levels, midpoints(c).tolist()
     rows = rz.tolist()
     x = [0.0] * k
     for i in range(k - 1, -1, -1):
         row = rows[i]
         centre = row[k] - sum(map(operator.mul, row[i + 1:k], x[i + 1:]))
         centre = centre / row[i] if row[i] else 0.0
-        x[i] = lv[
-            bisect.bisect_left(mid, centre) if centre > 0
-            else bisect.bisect_right(mid, centre)
-        ]
+        x[i] = lv[nearest_level(centre, mid)]
     return np.array(x, dtype=np.float64)
 
 

@@ -19,6 +19,7 @@ scaling H_r's column blocks (see spin_matrix).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import replace
@@ -76,28 +77,40 @@ def level_spins(idx: np.ndarray, c: Constellation) -> np.ndarray:
 
 
 @functools.cache
-def _decisions(c: Constellation) -> tuple[np.ndarray, np.ndarray]:
-    # c's levels in tie order (smaller amplitude first, then the positive
-    # one), and each one's index among the ascending levels.
-    order = sorted(c.levels, key=lambda v: (abs(v), -v))
-    index = np.array([c.levels.index(v) for v in order], dtype=np.int8)
-    return np.array(order, dtype=np.float64), index
+def midpoints(c: Constellation) -> np.ndarray:
+    """The midpoints of c's adjacent levels, ascending, read-only."""
+    mid = np.add(c.levels[:-1], c.levels[1:]) / 2
+    mid.flags.writeable = False
+    return mid
+
+
+def nearest_level(value: float, mid) -> int:
+    """Index of the level nearest to value among ascending levels with
+    the midpoints mid (midpoints(c) as a list, for speed).
+
+    A value on a midpoint goes to the level of smaller amplitude: the
+    lower one above zero, the upper one at or below it, so 0 goes to +1
+    as sign(0) does elsewhere.  A non-finite value goes where 0 does.
+    The comparisons are exact, so the level is the nearest to any finite
+    value.  symbols_to_spins applies the same rule to arrays.
+    """
+    value = value if math.isfinite(value) else 0.0
+    side = bisect.bisect_left if value > 0 else bisect.bisect_right
+    return side(mid, value)
 
 
 def symbols_to_spins(x: np.ndarray, c: Constellation) -> np.ndarray:
-    """Spins of the lattice point nearest to x on each real axis.
-
-    On a lattice point this inverts x_r = T s; elsewhere it is the hard
-    decision.  Distance ties prefer the smaller amplitude, then the
-    positive level, so 0 goes to +1 as sign(0) does elsewhere; a
-    non-finite coordinate goes to +1 too.
-    """
+    """Spins of the lattice point nearest to x on each real axis, by
+    nearest_level's rule: the hard decision, which inverts x_r = T s on
+    the lattice."""
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1 or x.size == 0:
         raise ValueError(f"symbol vector has shape {x.shape}, expected (nt,)")
-    order, index = _decisions(c)
-    d = np.abs(realify_symbols(x, c)[:, None] - order)
-    return level_spins(index[np.argmin(d, axis=1)], c)
+    v = np.nan_to_num(realify_symbols(x, c), posinf=0.0, neginf=0.0)
+    mid = midpoints(c)
+    # searchsorted's sides are nearest_level's bisections.
+    left, right = mid.searchsorted(v, "left"), mid.searchsorted(v, "right")
+    return level_spins(np.where(v > 0, left, right), c)
 
 
 def regularize(model: IsingModel, s_p: np.ndarray, r: float) -> IsingModel:
@@ -108,7 +121,7 @@ def regularize(model: IsingModel, s_p: np.ndarray, r: float) -> IsingModel:
     are untouched and the identity
     energy(new, s) == energy(old, s) + r * ||s - s_p||^2 holds exactly.
     """
-    if not (math.isfinite(r) and r >= 0):
+    if type(r) is bool or not (math.isfinite(r) and r >= 0):
         raise ValueError(f"penalty weight r must be finite and >= 0, got {r}")
     s_p = np.asarray(s_p, dtype=np.float64)
     if s_p.shape != (model.n,):

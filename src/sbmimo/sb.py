@@ -66,7 +66,8 @@ class SBParams:
                 raise ValueError(
                     f"{key} must be an integer >= 1, got {value!r}"
                 )
-        if not (math.isfinite(self.dt) and self.dt > 0):
+        # True would run as dt = 1 and reach the CSV as "True".
+        if type(self.dt) is bool or not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
 
 
@@ -77,21 +78,22 @@ class SolveResult:
     diverged_restarts: int = 0
 
 
-def compute_c0(j: np.ndarray, k: int | None = None) -> float:
-    """Coupling strength 1 / (2 sqrt(N) lambda), with lambda the rms
-    off-diagonal coupling sqrt(sum_{i!=k} J_ik^2 / (N (N-1))).
+def compute_c0(j: np.ndarray) -> np.ndarray | float:
+    """Coupling strength 1 / (2 sqrt(N) lambda) of each (N, N) matrix of
+    a stack j (..., N, N), with lambda its rms off-diagonal coupling
+    sqrt(sum_{i!=k} J_ik^2 / (N (N-1))); one c0 per matrix.
 
-    J is scaled by 2^-k, where 2^(k-1) <= max |J| < 2^k, before squaring,
-    and c0 by the same power of two after.  Both scalings are exact, so
-    c0 equals the unscaled formula wherever that formula is finite and
-    nonzero.  A caller that has taken max |J| already passes k.  Needs
-    n >= 2 and a nonzero (N, N) J; solve() handles the rest.
+    Each J is scaled by 2^-k, where 2^(k-1) <= max |J| < 2^k, before
+    squaring, and its c0 by the same power of two after.  Both scalings
+    are exact, so c0 equals the unscaled formula wherever that formula is
+    finite and nonzero.  Needs n >= 2 and nonzero matrices; solve()
+    handles the rest.
     """
-    n = len(j)
-    if k is None:
-        k = math.frexp(float(np.max(np.abs(j))))[1]
-    lam = math.sqrt(float(np.sum(np.ldexp(j, -k) ** 2)) / (n * (n - 1)))
-    return math.ldexp(1.0 / (2.0 * math.sqrt(n) * lam), -k)
+    n = j.shape[-1]
+    k = np.frexp(np.maximum(j.max(axis=(-2, -1)), -j.min(axis=(-2, -1))))[1]
+    jk = np.ldexp(j, -k[..., None, None])
+    lam = np.sqrt(np.sum(np.square(jk, out=jk), axis=(-2, -1)) / (n * (n - 1)))
+    return np.ldexp(1.0 / (2.0 * math.sqrt(n) * lam), -k)
 
 
 def _field_only_spins(model: IsingModel) -> np.ndarray:
@@ -177,11 +179,11 @@ def _stack(models, seeds, n_restarts):
     shift = np.minimum(mag + 1000, 0)
     j = (np.ldexp(jj, -shift[:, None, None]) if shift.any() else jj)[:, None]
     half_h = np.ldexp(0.5 * hh, -shift[:, None])[:, None].repeat(n_restarts, 1)
-    c0 = [compute_c0(jk[0], k) for jk, k in zip(j, (mag - shift).tolist())]
+    c0 = compute_c0(j[:, 0])[:, None, None]
     n = hh.shape[1]
     xy = np.stack([initial_states(n, s, n_restarts) for s in seeds], axis=1)
     scored = (jj, hh, np.array([m.offset for m in models]))
-    return xy, j, half_h, np.reshape(c0, (-1, 1, 1)), scored
+    return xy, j, half_h, c0, scored
 
 
 def solve(models, params: SBParams, seeds, trace=None) -> list:

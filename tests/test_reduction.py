@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from sbmimo.ising import energy
 from sbmimo.reduction import (
     instance_model,
     level_spins,
+    midpoints,
+    nearest_level,
     regularize,
     spin_matrix,
     symbols_to_spins,
@@ -171,6 +175,20 @@ class TestSpinMaps:
                 1 + 1j
             ]
 
+    def test_huge_values_take_the_nearest_level(self):
+        # A distance rounded to 1e16 cannot tell -1 from +1 apart, nor
+        # one of 4e16 -3 from +1; exact comparisons can.
+        for c, x, level in [(BPSK, -1e16, -1), (QPSK, -1e16, -1),
+                            (QAM16, -4e16, -3), (QAM16, 4e16, 3)]:
+            spins = symbols_to_spins(np.array([complex(x, x)]), c)
+            assert spins_to_symbols(spins, c).tolist() == [
+                complex(level, level if c.axes == 2 else 0)
+            ]
+
+    @pytest.mark.parametrize("c", [BPSK, QPSK, QAM16], ids=lambda c: c.name)
+    def test_nearest_level_rule_at_its_edges(self, c):
+        assert_nearest_level_rule(rule_edges(c), c)
+
     @pytest.mark.parametrize("c", [BPSK, QPSK, QAM16], ids=lambda c: c.name)
     def test_bit_spin_symbol_round_trips(self, c):
         for bits in itertools.product((0, 1), repeat=c.bps):
@@ -204,6 +222,59 @@ class TestSpinMaps:
             symbols_to_spins(np.array([], dtype=complex), QPSK)
         with pytest.raises(ValueError):
             spin_matrix(np.ones((4, 3)), QPSK)
+
+
+def exact_nearest(value, levels):
+    """Index of the level nearest to value by exact rational distance,
+    ties to the smaller amplitude, then to the positive level; a
+    non-finite value goes to +1."""
+    if not math.isfinite(value):
+        return levels.index(1)
+    v = Fraction(value)
+    return min(range(len(levels)),
+               key=lambda i: (abs(v - levels[i]), abs(levels[i]), -levels[i]))
+
+
+def rule_edges(c):
+    # Every midpoint of adjacent levels and its float neighbours, +-0, the
+    # smallest subnormals, values whose rounded distances to two levels
+    # tie, the largest floats and the non-finite values.
+    lv = c.levels
+    mids = [(a + b) / 2 for a, b in zip(lv, lv[1:])]
+    near = [math.nextafter(m, to) for m in mids for to in (-math.inf, math.inf)]
+    huge = [1e16, 4e16, 1e300, 1.7976931348623157e308]
+    return [*mids, *near, 0.0, -0.0, 5e-324, -5e-324,
+            *huge, *(-v for v in huge), math.inf, -math.inf, math.nan]
+
+
+def assert_nearest_level_rule(values, c):
+    # nearest_level on each value and symbols_to_spins on all of them at
+    # once (each value on every real axis) give the exact nearest level.
+    want = [exact_nearest(v, c.levels) for v in values]
+    mid = midpoints(c).tolist()
+    assert [nearest_level(v, mid) for v in values] == want
+    x = np.zeros(len(values), dtype=np.complex128)
+    x.real = values
+    x.imag = values[::-1]
+    idx = np.array(want + want[::-1] if c.axes == 2 else want)
+    assert np.array_equal(symbols_to_spins(x, c), level_spins(idx, c))
+
+
+@given(
+    st.sampled_from([BPSK, QPSK, QAM16]).flatmap(
+        lambda c: st.tuples(st.just(c), st.lists(
+            st.one_of(st.floats(), st.floats(-5, 5),
+                      st.sampled_from(rule_edges(c))),
+            min_size=1, max_size=8,
+        ))
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_nearest_level_rule_is_exact(case):
+    # Random values, the edges above and huge and tiny floats: both forms
+    # of the rule pick the level at the least exact distance.
+    c, values = case
+    assert_nearest_level_rule(values, c)
 
 
 class TestRegularize:
@@ -248,6 +319,12 @@ class TestRegularize:
                 regularize(m, np.ones(4), r)
         with pytest.raises(ValueError):
             regularize(m, np.ones(3), 0.5)
+
+    def test_bool_weight_rejected(self, rng):
+        # True would penalise with r = 1.
+        m = random_model(rng, 4)
+        with pytest.raises(ValueError, match="r must be finite and >= 0"):
+            regularize(m, np.ones(4), True)
 
 
 @given(

@@ -163,6 +163,30 @@ class TestNormalization:
         lam = math.sqrt(float(np.sum(j**2)) / (n * (n - 1)))
         assert compute_c0(j) == 1 / (2 * math.sqrt(n) * lam)
 
+    @given(
+        st.integers(min_value=2, max_value=64),
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=2**32),
+                      st.integers(min_value=-1050, max_value=1000)),
+            min_size=1, max_size=5,
+        ),
+    )
+    # The first model is below max |J| ~ 2^-1000 and is scaled up.
+    @example(n=3, draws=[(1, -1050), (2, 0), (3, 1000)])
+    @settings(max_examples=60, deadline=None)
+    def test_block_c0_matches_each_matrix(self, n, draws):
+        # compute_c0 on a block's stack of couplings, some scaled up,
+        # gives bit for bit each matrix's c0 alone, and that is finite at
+        # either end of the float range.
+        models = []
+        for seed, e in draws:
+            m = random_model(np.random.default_rng(seed), n)
+            models.append(model_of(np.ldexp(m.j, e), np.ldexp(m.h, e)))
+        _, j, _, c0, _ = sb._stack(models, range(len(models)), 1)
+        assert c0.shape == (len(models), 1, 1)
+        for jb, c in zip(j[:, 0], c0.ravel().tolist()):
+            assert c == compute_c0(jb) and 0.0 < c < math.inf
+
 
 class TestSchedule:
     def test_endpoints_and_midpoint(self):
@@ -712,6 +736,11 @@ class TestParams:
         for value in (math.inf, math.nan):
             with pytest.raises(ValueError, match="dt"):
                 SBParams(dt=value)
+
+    def test_dt_must_not_be_a_bool(self):
+        # True would run as dt = 1, and write_csv would write "True".
+        with pytest.raises(ValueError, match="dt"):
+            SBParams(dt=True)
 
     @pytest.mark.parametrize("key", ["n_steps", "n_restarts"])
     def test_counts_must_be_integers(self, key):
