@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Mutation check: the test suite must catch each of a fixed list of
-one-line source edits.
+small source edits.
 
-Each mutant replaces one line of a module under src/sbmimo and names the
-tests that must fail once it does.  The script first runs every named
+Each mutant replaces one line of a module under src/sbmimo, or swaps two
+adjacent ones, and names the tests that must fail once it does.  The script first runs every named
 test on an unedited copy of src/, where all must pass.  Then, per
 mutant, it copies src/ into a temporary directory, applies the edit
 there and runs the mutant's tests with the copy first on PYTHONPATH.
@@ -119,8 +119,8 @@ MUTANTS = (
     Mutant(
         "the oracle's ties go to the largest spin vector",
         "detectors.py",
-        "    return min(tied, key=lambda at: spins[at].tolist())",
-        "    return max(tied, key=lambda at: spins[at].tolist())",
+        "            leaf = (float(low), min(spins[e == low].tolist()))",
+        "            leaf = (float(low), max(spins[e == low].tolist()))",
         (
             DETECTORS + "TestOracle::test_tie_break_is_first_lexicographic",
             DETECTORS + "TestOracle::test_zero_channel_tie_is_all_minus_one[qam16]",
@@ -134,6 +134,26 @@ MUTANTS = (
         "            bound = min(bound, d.min())",
         (
             DETECTORS + "TestOracle::test_exact_ties_survive_the_shrinking_bound",
+        ),
+    ),
+    Mutant(
+        "a later leaf block replaces the oracle's incumbent unscored",
+        "detectors.py",
+        "            if best is None or leaf < best:",
+        "            if True:",
+        (
+            DETECTORS + "TestOracle::test_first_leaf_block_keeps_its_optimum",
+        ),
+    ),
+    Mutant(
+        "the oracle scores a leaf block before lowering the bound",
+        "detectors.py",
+        "            bound = min(bound, d.min() + slack)\n"
+        "            spins = level_spins(idx[d <= bound], c)\n",
+        "            spins = level_spins(idx[d <= bound], c)\n"
+        "            bound = min(bound, d.min() + slack)\n",
+        (
+            DETECTORS + "TestOracle::test_shrinking_bound_pins_the_search_work",
         ),
     ),
     Mutant(

@@ -31,7 +31,7 @@ from sbmimo.detectors import (
     sb_solve,
 )
 from sbmimo.reduction import level_spins
-from sbmimo.sb import SBParams, SolveResult, is_int
+from sbmimo.sb import SBParams, SolveResult, is_int, is_real
 
 DETECTOR_NAMES = ("mmse", "sb", "sb-reg", "ml-oracle")
 SB_FAMILY = ("sb", "sb-reg")
@@ -134,8 +134,8 @@ class SweepConfig:
             problems.append(f"duplicate detectors in {self.detectors}")
         if len(set(self.snr_db)) != len(self.snr_db):
             problems.append(f"duplicate snr_db values in {self.snr_db}")
-        if type(self.r) is bool or not (math.isfinite(self.r) and self.r >= 0):
-            problems.append(f"r must be a finite number >= 0, got {self.r}")
+        if not (is_real(self.r) and math.isfinite(self.r) and self.r >= 0):
+            problems.append(f"r must be a finite number >= 0, got {self.r!r}")
         if c is not None and "ml-oracle" in self.detectors and is_int(self.nt):
             spins = self.nt * c.bps
             if spins > ORACLE_SPIN_LIMIT:

@@ -94,11 +94,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--nr", type=int, help="receive antennas")
     parser.add_argument("--mod", help="modulation")
     snr = parser.add_mutually_exclusive_group()
+    # argparse takes "-10,10" after a space for a flag, so a negative
+    # first value needs the "=" form.
     snr.add_argument(
-        "--snr", metavar="START:STOP:STEP", help="inclusive SNR grid in dB"
+        "--snr", metavar="START:STOP:STEP",
+        help="inclusive SNR grid in dB (a negative start: --snr=-10:0:5)",
     )
     snr.add_argument(
-        "--snr-list", metavar="A,B,C", help="explicit SNR points in dB"
+        "--snr-list", metavar="A,B,C",
+        help="explicit SNR points in dB (a negative first point: "
+        "--snr-list=-10,10)",
     )
     parser.add_argument("--instances", type=int, help="instances per point")
     parser.add_argument(

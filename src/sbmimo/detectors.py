@@ -22,14 +22,13 @@ from sbmimo.channel import (
     Constellation,
     realify,
 )
-from sbmimo.ising import IsingModel, energy
+from sbmimo.ising import IsingModel, energies, energy
 from sbmimo.reduction import (
     instance_model,
     level_spins,
     midpoints,
     nearest_level,
     regularize,
-    spin_matrix,
     symbols_to_spins,
 )
 from sbmimo.sb import SBParams, SolverDivergenceError, SolveResult, solve
@@ -155,11 +154,10 @@ def _combos(levels, w):
     return grid, values
 
 
-def _search(r, z, bound, slack, sys, c):
-    """The answer among the leaves x whose distance ||z - r lv[x]||^2 is
-    within the final bound, as a level-index row, with the number of
-    leaves it was chosen from and the number of prefix distances
-    computed.
+def _search(r, z, bound, slack, model, c):
+    """The leaf of least energy among those whose distance
+    ||z - r lv[x]||^2 is within the final bound, as its spins and energy,
+    with the number of leaves scored and of prefix distances computed.
 
     Breadth-first down the triangle from the last coordinate: each round
     extends every surviving prefix by every level combination of the next
@@ -172,15 +170,16 @@ def _search(r, z, bound, slack, sys, c):
     and at most one block per level waits.  Each leaf block lowers the
     bound to its best distance plus slack, and a block waiting since
     before that is filtered against the new bound when it is taken up.
-    The answer among held leaves is _best_leaf's; they are cut down to
-    it whenever they outgrow a block.
+    The leaves of a block within the lowered bound are scored by one
+    ising.energies call, and one incumbent is kept: the lowest energy,
+    ties to the lexicographically smallest spin vector (-1 before +1).
     """
     levels = c.levels
     k, n_lv = len(z), len(levels)
     lv = np.array(levels, dtype=np.float64)
     cut = max(1, _BLOCK_ROWS // n_lv)
     stack = [(k, np.zeros((1, k), dtype=np.int8), np.zeros(1), bound)]
-    held, candidates, nodes = [], 0, 0
+    best, candidates, nodes = None, 0, 0
     while stack:
         i, idx, d, pushed = stack.pop()
         if bound < pushed:
@@ -190,12 +189,13 @@ def _search(r, z, bound, slack, sys, c):
                 continue
         if i == 0:
             bound = min(bound, d.min() + slack)
-            held.append((idx, d))
-            if sum(len(h[1]) for h in held) > _BLOCK_ROWS:
-                idx, d = _within(held, bound)
-                candidates += len(d) - 1  # the one kept is counted last
-                at = _best_leaf(idx, sys, c)
-                held = [(idx[at:at + 1], d[at:at + 1])]
+            spins = level_spins(idx[d <= bound], c)
+            e = energies(model.j, model.h, model.offset, spins)
+            candidates += len(e)
+            low = e.min()
+            leaf = (float(low), min(spins[e == low].tolist()))
+            if best is None or leaf < best:
+                best = leaf
             continue
         if len(d) > cut:
             stack.append((i, idx[cut:], d[cut:], bound))
@@ -216,30 +216,10 @@ def _search(r, z, bound, slack, sys, c):
             idx = idx[rows]
             idx[:, j:i] = combos[cols]
             stack.append((j, idx, dd[rows, cols], bound))
-    if not held:  # a non-finite input: no distance is within bound
-        return np.zeros(k, dtype=np.int8), 0, nodes
-    idx, d = _within(held, bound)
-    return idx[_best_leaf(idx, sys, c)], candidates + len(d), nodes
-
-
-def _within(held, bound):
-    # The held leaf rows and distances within bound, as one block.
-    idx, d = (np.concatenate(b) for b in zip(*held))
-    keep = d <= bound
-    return idx[keep], d[keep]
-
-
-def _best_leaf(idx, sys, c):
-    """Position of the level-index row whose spins (see level_spins) have
-    the smallest squared residual over spin_matrix, ties to the
-    lexicographically smallest spin vector (-1 before +1)."""
-    if len(idx) == 1:
-        return 0
-    spins = level_spins(idx, c)
-    resid = sys.y_r[None, :] - spins @ spin_matrix(sys.h_r, c).T
-    values = np.einsum("ij,ij->i", resid, resid)
-    tied = np.flatnonzero(values == values.min()).tolist()
-    return min(tied, key=lambda at: spins[at].tolist())
+    if best is None:  # a non-finite input: no distance is within bound
+        spins = level_spins(np.zeros(k, dtype=np.int8), c)
+        return spins, energy(model, spins), 0, nodes
+    return np.array(best[1], dtype=np.int8), best[0], candidates, nodes
 
 
 def ml_oracle(p: Problem) -> DetectionResult:
@@ -252,13 +232,14 @@ def ml_oracle(p: Problem) -> DetectionResult:
     the MMSE-SIC lattice point, then the best leaf found so far, each
     plus the most rounding can move a distance, so the optimum is never
     dropped.  With nr < nt, R has fewer rows than coordinates and the
-    top levels simply go unpruned.  The leaves within the final bound are
-    scored by the squared residual over spin_matrix of their spins (see
-    level_spins), and ties go to the lexicographically smallest spin
-    vector (-1 before +1): the answer of a scan over all 2^n spin
-    vectors in that order.  extras["candidates"] counts the leaves the
-    answer was chosen from and extras["nodes"] the prefix distances
-    computed.  Refuses above ORACLE_SPIN_LIMIT spins.
+    top levels simply go unpruned.  Each block of leaves is scored, within
+    the bound it lowered, by p.model's energy of their spins (see
+    level_spins) in one ising.energies call; the lowest energy wins, and
+    ties go to the lexicographically smallest spin vector (-1 before
+    +1): the answer of a scan over all 2^n spin vectors in that order.
+    extras["candidates"] counts the leaves scored, summed over the leaf
+    blocks, and extras["nodes"] the prefix distances computed.  Refuses
+    above ORACLE_SPIN_LIMIT spins.
     """
     n = p.model.n
     if n > ORACLE_SPIN_LIMIT:
@@ -277,11 +258,9 @@ def ml_oracle(p: Problem) -> DetectionResult:
     scale = (sys.y_r @ sys.y_r
              + np.vdot(sys.h_r, sys.h_r) * k * max(c.levels) ** 2)
     slack = _MARGIN * float(scale)
-    idx, candidates, nodes = _search(
-        r, z, float(resid @ resid) + slack, slack, sys, c
+    spins, e, candidates, nodes = _search(
+        r, z, float(resid @ resid) + slack, slack, p.model, c
     )
-    spins = level_spins(idx, c)
-    e = energy(p.model, spins)
     return DetectionResult(
         "ml-oracle", spins, e, {"candidates": candidates, "nodes": nodes}
     )

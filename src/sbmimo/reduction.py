@@ -14,7 +14,7 @@ The spin vector is laid out in nt-sized blocks ordered (axis, weight):
 nt * bps spins.  T maps block (axis, weight) onto that axis's nt real
 unknowns scaled by the weight, so x_r = T s lands every entry on the
 constellation lattice; H_r T is never formed by a product with T but by
-scaling H_r's column blocks (see spin_matrix).
+scaling H_r's column blocks (see instance_model).
 """
 
 from __future__ import annotations
@@ -35,24 +35,14 @@ from sbmimo.channel import (
 from sbmimo.ising import IsingModel
 
 
-def spin_matrix(h_r: np.ndarray, c: Constellation) -> np.ndarray:
-    """H_r T: each axis's column block of H_r once per weight, scaled by it."""
-    h_r = np.asarray(h_r, dtype=np.float64)
-    if h_r.ndim != 2 or h_r.shape[1] == 0 or h_r.shape[1] % c.axes:
-        raise ValueError(
-            f"real channel of shape {h_r.shape} does not have {c.axes} "
-            f"column block(s) of nt >= 1 columns for {c.name}"
-        )
-    m, nt = h_r.shape[0], h_r.shape[1] // c.axes
-    blocks = h_r.reshape(m, c.axes, 1, nt) * c.weights[:, None]
-    return blocks.reshape(m, nt * c.bps)
-
-
 def instance_model(inst: ChannelInstance, c: Constellation) -> IsingModel:
     """Reduce one channel instance to its detection Ising model, whose
-    energy equals ||y_r - H_r T s||^2 for every s."""
+    energy equals ||y_r - H_r T s||^2 for every s.  H_r T is each axis's
+    column block of H_r once per weight, scaled by it."""
     sys = realify(inst.h, inst.y, c)
-    a = spin_matrix(sys.h_r, c)
+    m, nt = sys.h_r.shape[0], sys.h_r.shape[1] // c.axes
+    blocks = sys.h_r.reshape(m, c.axes, 1, nt) * c.weights[:, None]
+    a = blocks.reshape(m, nt * c.bps)
     g = a.T @ a
     g = 0.5 * (g + g.T)
     j = g - np.diag(np.diagonal(g))

@@ -46,6 +46,11 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for a real number (numpy's too), False for a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SBParams:
     """Solver configuration.
@@ -67,8 +72,8 @@ class SBParams:
                     f"{key} must be an integer >= 1, got {value!r}"
                 )
         # True would run as dt = 1 and reach the CSV as "True".
-        if type(self.dt) is bool or not 0 < self.dt < math.inf:
-            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        if not (is_real(self.dt) and 0 < self.dt < math.inf):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +94,17 @@ def compute_c0(j: np.ndarray) -> np.ndarray | float:
     finite and nonzero.  Needs n >= 2 and nonzero matrices; solve()
     handles the rest.
     """
+    return _c0(j, _exponents(j))
+
+
+def _exponents(j):
+    # Per matrix of a stack j (..., N, N), the k with 2^(k-1) <= max |J| < 2^k.
+    return np.frexp(np.maximum(j.max(axis=(-2, -1)), -j.min(axis=(-2, -1))))[1]
+
+
+def _c0(j, k):
+    # compute_c0 of the stack j, given its matrices' _exponents k.
     n = j.shape[-1]
-    k = np.frexp(np.maximum(j.max(axis=(-2, -1)), -j.min(axis=(-2, -1))))[1]
     jk = np.ldexp(j, -k[..., None, None])
     lam = np.sqrt(np.sum(np.square(jk, out=jk), axis=(-2, -1)) / (n * (n - 1)))
     return np.ldexp(1.0 / (2.0 * math.sqrt(n) * lam), -k)
@@ -175,11 +189,12 @@ def _stack(models, seeds, n_restarts):
     """
     jj = np.stack([m.j for m in models])
     hh = np.stack([m.h for m in models])
-    mag = np.frexp(np.maximum(jj.max(axis=(1, 2)), -jj.min(axis=(1, 2))))[1]
+    mag = _exponents(jj)
     shift = np.minimum(mag + 1000, 0)
     j = (np.ldexp(jj, -shift[:, None, None]) if shift.any() else jj)[:, None]
     half_h = np.ldexp(0.5 * hh, -shift[:, None])[:, None].repeat(n_restarts, 1)
-    c0 = compute_c0(j[:, 0])[:, None, None]
+    # Scaling by 2^-shift moves each exponent by -shift exactly.
+    c0 = _c0(j[:, 0], mag - shift)[:, None, None]
     n = hh.shape[1]
     xy = np.stack([initial_states(n, s, n_restarts) for s in seeds], axis=1)
     scored = (jj, hh, np.array([m.offset for m in models]))

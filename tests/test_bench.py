@@ -100,6 +100,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(**kw)
 
+    @pytest.mark.parametrize("value", ["0.5", None], ids=["str", "none"])
+    def test_r_must_be_a_number(self, value):
+        # A value the CLI did not convert fails as a bad setting, not as
+        # a TypeError from math.isfinite.
+        with pytest.raises(ValueError, match="r must be"):
+            small_config(r=value)
+
     def test_extreme_snr_within_float_range_accepted(self):
         # Near the ends of the float range: at nt = 2 QPSK, 3080 dB gives
         # a noise variance of 4e-308 and -3000 dB one of 4e300.

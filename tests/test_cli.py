@@ -42,6 +42,20 @@ class TestFlagParsing:
         cfg = parse_config(["--snr-list", "3,1.5,8", "--instances", "1"])
         assert cfg.snr_db == (3.0, 1.5, 8.0)
 
+    def test_negative_first_snr_needs_the_equals_form(self, capsys):
+        # argparse reads "-10,10" after a space as a flag, so the help text
+        # gives the "=" form, which parses.
+        cfg = parse_config(["--snr-list=-10,10", "--instances", "1"])
+        assert cfg.snr_db == (-10.0, 10.0)
+        cfg = parse_config(["--snr=-10:0:5", "--instances", "1"])
+        assert cfg.snr_db == (-10.0, -5.0, 0.0)
+        with pytest.raises(SystemExit):
+            parse_config(["--snr-list", "-10,10"])
+        assert "expected one argument" in capsys.readouterr().err
+        help_text = build_parser().format_help()
+        assert "--snr-list=-10,10" in help_text
+        assert "--snr=-10:0:5" in help_text
+
     def test_detectors_csv(self):
         cfg = parse_config(
             ["--detectors", "mmse,sb,sb-reg", "--instances", "1"]

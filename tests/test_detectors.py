@@ -22,7 +22,7 @@ from sbmimo.detectors import (
     sb_detect,
     sb_solve,
 )
-from sbmimo.ising import energy
+from sbmimo.ising import energies, energy
 from sbmimo.reduction import (
     instance_model,
     level_spins,
@@ -260,6 +260,37 @@ class TestOracle:
         assert np.array_equal(res.spins, spins)
         assert res.ising_energy == e == 9.0
         assert res.extras["candidates"] == 3
+
+    def test_first_leaf_block_keeps_its_optimum(self, monkeypatch):
+        # One coordinate per round and one prefix per expansion make each
+        # leaf block hold at most two leaves, and a slack as wide as the
+        # distances keeps worse leaves within the bound, so later blocks
+        # are scored too.  Sent at level 0 without noise, the optimum is
+        # the first leaf of the search (all -1): no later block with a
+        # higher energy may replace it.
+        monkeypatch.setattr("sbmimo.detectors._BLOCK_ROWS", 3)
+        monkeypatch.setattr("sbmimo.detectors._ROUND_ROWS", 2)
+        monkeypatch.setattr("sbmimo.detectors._MARGIN", 1.0)
+        scored = []
+
+        def recording(*args):
+            scored.append(energies(*args))
+            return scored[-1]
+
+        monkeypatch.setattr("sbmimo.detectors.energies", recording)
+        h = sample_channel(4, 4, np.random.default_rng(4))
+        inst = ChannelInstance(
+            h=h, tx_levels=np.zeros(8, dtype=np.int8),
+            noise_var=1.0, y=h @ np.full(4, -1 - 1j),
+        )
+        res = ml_oracle(prepare(inst, QPSK))
+        spins, e = exhaustive_ml(instance_model(inst, QPSK))
+        assert np.array_equal(res.spins, spins)
+        assert np.array_equal(spins, -np.ones(8))
+        assert res.ising_energy == e
+        assert len(scored) >= 2
+        assert scored[0].min() == e < min(b.min() for b in scored[1:])
+        assert res.extras["candidates"] == sum(map(len, scored))
 
     def test_guard_refuses_large_search(self, rng):
         inst = sample_instance(7, 2, QAM16, 10.0, rng)  # 28 spins

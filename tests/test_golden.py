@@ -11,8 +11,15 @@ first SB-family detector configured) by the code as it stood before
 
     sbmimo-bench --config tests/golden/NAME.json --out tests/golden/NAME.csv
 
-(plus ``--trace tests/golden/NAME-trace.csv``).  A mismatch means results
-changed: explain it, do not regenerate the files to make it pass.
+(plus ``--trace tests/golden/NAME-trace.csv``).  The four configs at the
+paper's size and beyond nr = nt (16x16 QPSK over four solver blocks, two
+of them spanning two SNR points; 8x8 16-QAM at 400 steps x 10 restarts
+and dt 0.25; 6x3 16-QAM and 6x8 QPSK with every detector) were written
+by the code as it stood at 112624c, before the ML oracle kept one best
+leaf, with the summary table the command prints as
+``NAME-summary.txt``, which pins the ML-optimal counts the CSV does not
+carry.  A mismatch means results changed: explain it, do not regenerate
+the files to make it pass.
 """
 
 from pathlib import Path
@@ -28,6 +35,10 @@ CASES = (
     "qam16-2x2",
     "qam16-2x2-restarts5",
     "qpsk-2x2-sbreg",
+    "qpsk-16x16",
+    "qam16-8x8-restarts10",
+    "qam16-6x3",
+    "qpsk-6x8",
 )
 
 
@@ -36,6 +47,7 @@ CASES = (
 def test_sweep_reproduces_golden_files(name, workers, tmp_path, capsys):
     out, trace = tmp_path / "out.csv", tmp_path / "trace.csv"
     golden_trace = GOLDEN / f"{name}-trace.csv"
+    golden_summary = GOLDEN / f"{name}-summary.txt"
     argv = [
         "--config", str(GOLDEN / f"{name}.json"),
         "--out", str(out),
@@ -43,8 +55,12 @@ def test_sweep_reproduces_golden_files(name, workers, tmp_path, capsys):
     ]
     if golden_trace.exists():
         argv += ["--trace", str(trace)]
+    capsys.readouterr()
     assert main(argv) == 0
+    printed = capsys.readouterr().out
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
     if golden_trace.exists():
         assert trace.read_bytes() == golden_trace.read_bytes()
+    if golden_summary.exists():
+        assert printed.encode() == golden_summary.read_bytes()
 

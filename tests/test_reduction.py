@@ -15,17 +15,15 @@ from sbmimo.channel import (
     ChannelInstance,
     get_constellation,
     realify,
-    sample_channel,
     sample_instance,
 )
-from sbmimo.ising import energy
+from sbmimo.ising import IsingModel, energy
 from sbmimo.reduction import (
     instance_model,
     level_spins,
     midpoints,
     nearest_level,
     regularize,
-    spin_matrix,
     symbols_to_spins,
 )
 
@@ -42,32 +40,53 @@ from conftest import (
 )
 
 
-def real_channel(rng, c, nt, nr=None):
-    h = sample_channel(nt, nt if nr is None else nr, rng)
-    return realify(h, np.zeros(h.shape[0]), c).h_r
+def model_from(a, y_r):
+    """The Ising model of ||y_r - a s||^2 from the spin matrix a = H_r T,
+    by the module's formulas in instance_model's order of operations."""
+    g = a.T @ a
+    g = 0.5 * (g + g.T)
+    return IsingModel(
+        j=g - np.diag(np.diagonal(g)),
+        h=-2.0 * (a.T @ y_r),
+        offset=float(np.trace(g) + y_r @ y_r),
+    )
+
+
+def assert_same_model(model, ref):
+    assert model.j.tobytes() == ref.j.tobytes()
+    assert model.h.tobytes() == ref.h.tobytes()
+    assert model.offset == ref.offset
+
+
+def realified(rng, c, nt, nr=None):
+    inst = sample_instance(nt, nt if nr is None else nr, c, 10.0, rng)
+    return inst, realify(inst.h, inst.y, c)
 
 
 class TestContext:
     def test_qpsk_transform_is_identity(self, rng):
-        h_r = real_channel(rng, QPSK, 3)
-        assert spin_matrix(h_r, QPSK).shape == (6, 6)
-        assert np.array_equal(spin_matrix(h_r, QPSK), h_r)
+        inst, sys = realified(rng, QPSK, 3)
+        assert sys.h_r.shape == (6, 6)
+        assert_same_model(instance_model(inst, QPSK),
+                          model_from(sys.h_r, sys.y_r))
 
     def test_bpsk_transform_is_identity(self, rng):
-        h_r = real_channel(rng, BPSK, 4)
-        assert spin_matrix(h_r, BPSK).shape == (8, 4)
-        assert np.array_equal(spin_matrix(h_r, BPSK), h_r)
+        inst, sys = realified(rng, BPSK, 4)
+        assert sys.h_r.shape == (8, 4)
+        assert_same_model(instance_model(inst, BPSK),
+                          model_from(sys.h_r, sys.y_r))
 
     def test_qam16_block_structure(self, rng):
         nt = 2
-        h_r = real_channel(rng, QAM16, nt)
+        inst, sys = realified(rng, QAM16, nt)
         eye = np.eye(nt)
         zero = np.zeros((nt, nt))
         expected = np.block(
             [[2 * eye, eye, zero, zero], [zero, zero, 2 * eye, eye]]
         )
-        assert spin_matrix(h_r, QAM16).shape == (4, 8)
-        assert np.array_equal(spin_matrix(h_r, QAM16), h_r @ expected)
+        model = instance_model(inst, QAM16)
+        assert model.n == 8
+        assert_same_model(model, model_from(sys.h_r @ expected, sys.y_r))
 
     def test_qam16_image_is_the_lattice(self):
         # The 16 bit patterns modulate onto the 16 lattice points under
@@ -134,12 +153,8 @@ class TestBuildIsing:
             assert np.array_equal(model.j, model.j.T)
 
     def test_dimension_mismatch_rejected(self, rng):
-        # A BPSK system has nt real unknowns, not the 2 nt QPSK needs.
-        inst = sample_instance(3, 3, BPSK, 8.0, rng)
-        sys = realify(inst.h, inst.y, BPSK)
-        with pytest.raises(ValueError, match="column block"):
-            spin_matrix(sys.h_r, QPSK)
         # A receive vector one entry short of h's rows: realify refuses it.
+        inst = sample_instance(3, 3, BPSK, 8.0, rng)
         short = ChannelInstance(inst.h, inst.tx_levels, inst.noise_var,
                                 inst.y[:-1])
         with pytest.raises(ValueError, match="rows but y has length"):
@@ -214,14 +229,11 @@ class TestSpinMaps:
             assert np.array_equal(spins_to_bits(s, c), bits)
 
     def test_length_mismatch_rejected(self):
-        # Symbols come as a non-empty vector, a real channel in whole
-        # column blocks.
+        # Symbols come as a non-empty vector.
         with pytest.raises(ValueError):
             symbols_to_spins(np.array([[1 + 1j]]), QPSK)
         with pytest.raises(ValueError):
             symbols_to_spins(np.array([], dtype=complex), QPSK)
-        with pytest.raises(ValueError):
-            spin_matrix(np.ones((4, 3)), QPSK)
 
 
 def exact_nearest(value, levels):
@@ -353,14 +365,17 @@ def test_objective_embedding_property(seed, name, nt):
     st.integers(min_value=0, max_value=3),
 )
 @settings(max_examples=60, deadline=None)
-def test_spin_matrix_equals_product_with_transform(seed, name, nt, extra_rx):
-    # Block scaling reproduces h_r @ T bit for bit, T from its definition.
+def test_instance_model_equals_product_with_transform(
+    seed, name, nt, extra_rx
+):
+    # Block scaling reproduces the model of h_r @ T bit for bit, T from
+    # its definition.
     c = get_constellation(name)
-    h_r = real_channel(np.random.default_rng(seed), c, nt, nt + extra_rx)
-    a = spin_matrix(h_r, c)
-    ref = h_r @ spin_transform(c, nt)
-    assert a.shape == ref.shape and a.dtype == ref.dtype
-    assert a.tobytes() == ref.tobytes()
+    inst, sys = realified(np.random.default_rng(seed), c, nt, nt + extra_rx)
+    model = instance_model(inst, c)
+    assert model.n == nt * c.bps
+    assert_same_model(model, model_from(sys.h_r @ spin_transform(c, nt),
+                                        sys.y_r))
 
 
 @given(

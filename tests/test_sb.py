@@ -360,6 +360,9 @@ class TestSolve:
         st.integers(min_value=0, max_value=2**32),
         st.booleans(),
     )
+    # A draw whose coupling exceeds 2.25 at n = 2 once overflowed in the
+    # test's own scaling, before the solver ran.
+    @example(n=2, restarts=1, steps=1, dt=1.0, seed=158, huge=True)
     @settings(max_examples=60, deadline=None)
     def test_matches_per_restart_reference(
         self, n, restarts, steps, dt, seed, huge
@@ -370,8 +373,7 @@ class TestSolve:
         rng = np.random.default_rng(seed)
         m = random_model(rng, n)
         if huge:
-            scale = 8e307 / math.sqrt(n)
-            m = IsingModel(j=m.j * scale, h=m.h * scale, offset=m.offset)
+            m = huge_model(m)
         params = SBParams(n_steps=steps, dt=dt, n_restarts=restarts)
         rows, ref_rows = [], []
         quiet = "ignore" if huge else "warn"
@@ -733,8 +735,10 @@ class TestParams:
             SBParams(dt=0.0)
         with pytest.raises(ValueError):
             SBParams(n_restarts=0)
-        for value in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="dt"):
+        # A string or None, which the CLI never passes, fails as a bad
+        # setting too, not as a TypeError from the range check.
+        for value in (math.inf, math.nan, "0.5", None):
+            with pytest.raises(ValueError, match="dt must be"):
                 SBParams(dt=value)
 
     def test_dt_must_not_be_a_bool(self):
