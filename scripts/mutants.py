@@ -45,6 +45,10 @@ EDGES = tuple(
     for c in ("bpsk", "qpsk", "qam16")
 )
 EXACT = REDUCTION + "test_nearest_level_rule_is_exact"
+ONE_REDUCTION = (
+    "tests/test_bench.py::TestRunSweep::"
+    "test_one_reduction_and_one_mmse_per_instance"
+)
 
 MUTANTS = (
     Mutant(
@@ -231,6 +235,23 @@ MUTANTS = (
         "np.sum(np.square(jk, out=jk), axis=(-2, -1))",
         "np.sum(np.square(jk, out=jk), axis=-1)",
         (SB + "TestNormalization::test_block_c0_matches_each_matrix",),
+    ),
+    Mutant(
+        "ml_oracle realifies the instance again",
+        "detectors.py",
+        "    c, sys = p.c, p.sys",
+        "    c, sys = p.c, realify(p.inst.h, p.inst.y, p.c)",
+        (ONE_REDUCTION + "[detectors2-0]", ONE_REDUCTION + "[detectors3-1]"),
+    ),
+    Mutant(
+        "regularize takes a penalty weight that is not a number",
+        "reduction.py",
+        "    if not (is_real(r) and math.isfinite(r) and r >= 0):",
+        "    if not (math.isfinite(r) and r >= 0):",
+        (
+            REDUCTION + "TestRegularize::test_bad_inputs_rejected",
+            REDUCTION + "TestRegularize::test_bool_weight_rejected",
+        ),
     ),
     Mutant(
         "_eval_block hands the trace to every SB-family detector",

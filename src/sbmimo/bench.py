@@ -87,6 +87,10 @@ class SweepConfig:
         snr = tuple(self.snr_db)
         if isinstance(self.snr_db, str) or any(type(s) is bool for s in snr):
             raise ValueError(f"snr_db must hold numbers, got {self.snr_db!r}")
+        if isinstance(self.detectors, str):
+            raise ValueError(
+                f"detectors must hold names, got {self.detectors!r}"
+            )
         object.__setattr__(self, "snr_db", tuple(float(s) for s in snr))
         object.__setattr__(self, "detectors", tuple(self.detectors))
         try:

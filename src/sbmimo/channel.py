@@ -149,7 +149,7 @@ def realify(H: np.ndarray, y: np.ndarray, c: Constellation) -> RealizedSystem:
 
 
 def realify_symbols(x: np.ndarray, c: Constellation) -> np.ndarray:
-    """The real symbol vector matching realify()'s column layout."""
+    """The real symbol vector matching realify's column layout."""
     x = np.asarray(x, dtype=np.complex128)
     return np.concatenate([x.real, x.imag][: c.axes])
 

@@ -26,20 +26,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from sbmimo.channel import (
-    ChannelInstance,
-    Constellation,
-    realify,
-    realify_symbols,
-)
+from sbmimo.channel import Constellation, RealizedSystem, realify_symbols
 from sbmimo.ising import IsingModel
+from sbmimo.sb import is_real
 
 
-def instance_model(inst: ChannelInstance, c: Constellation) -> IsingModel:
-    """Reduce one channel instance to its detection Ising model, whose
-    energy equals ||y_r - H_r T s||^2 for every s.  H_r T is each axis's
-    column block of H_r once per weight, scaled by it."""
-    sys = realify(inst.h, inst.y, c)
+def instance_model(sys: RealizedSystem, c: Constellation) -> IsingModel:
+    """Reduce one instance's realify system to its detection Ising model,
+    whose energy equals ||y_r - H_r T s||^2 for every s.  H_r T is each
+    axis's column block of H_r once per weight, scaled by it."""
     m, nt = sys.h_r.shape[0], sys.h_r.shape[1] // c.axes
     blocks = sys.h_r.reshape(m, c.axes, 1, nt) * c.weights[:, None]
     a = blocks.reshape(m, nt * c.bps)
@@ -111,8 +106,8 @@ def regularize(model: IsingModel, s_p: np.ndarray, r: float) -> IsingModel:
     are untouched and the identity
     energy(new, s) == energy(old, s) + r * ||s - s_p||^2 holds exactly.
     """
-    if type(r) is bool or not (math.isfinite(r) and r >= 0):
-        raise ValueError(f"penalty weight r must be finite and >= 0, got {r}")
+    if not (is_real(r) and math.isfinite(r) and r >= 0):
+        raise ValueError(f"penalty weight r must be finite and >= 0, got {r!r}")
     s_p = np.asarray(s_p, dtype=np.float64)
     if s_p.shape != (model.n,):
         raise ValueError(

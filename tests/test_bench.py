@@ -107,6 +107,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="r must be"):
             small_config(r=value)
 
+    def test_detectors_must_not_be_a_string(self):
+        # A string would be swept per character: "unknown detector 'm'".
+        with pytest.raises(ValueError, match="detectors must hold names"):
+            small_config(detectors="mmse")
+
     def test_extreme_snr_within_float_range_accepted(self):
         # Near the ends of the float range: at nt = 2 QPSK, 3080 dB gives
         # a noise variance of 4e-308 and -3000 dB one of 4e300.
@@ -185,7 +190,12 @@ class TestRunSweep:
 
     @pytest.mark.parametrize(
         "detectors, mmse_calls",
-        [(("mmse", "sb-reg"), 1), (("sb-reg", "mmse"), 1), (("sb", "ml-oracle"), 0)],
+        [
+            (("mmse", "sb-reg"), 1),
+            (("sb-reg", "mmse"), 1),
+            (("sb", "ml-oracle"), 0),
+            (("mmse", "sb", "sb-reg", "ml-oracle"), 1),
+        ],
     )
     def test_one_reduction_and_one_mmse_per_instance(
         self, monkeypatch, detectors, mmse_calls
@@ -193,7 +203,7 @@ class TestRunSweep:
         import sbmimo.bench
         import sbmimo.detectors
 
-        calls = {"build": 0, "mmse": 0}
+        calls = {"realify": 0, "build": 0, "mmse": 0}
 
         def counting(key, func):
             def wrapper(*args, **kwargs):
@@ -201,6 +211,10 @@ class TestRunSweep:
                 return func(*args, **kwargs)
             return wrapper
 
+        monkeypatch.setattr(
+            "sbmimo.detectors.realify",
+            counting("realify", sbmimo.detectors.realify),
+        )
         monkeypatch.setattr(
             "sbmimo.detectors.instance_model",
             counting("build", sbmimo.detectors.instance_model),
@@ -211,7 +225,11 @@ class TestRunSweep:
         cfg = small_config(detectors=detectors, instances=6)
         run_sweep(cfg)
         instances = len(cfg.snr_db) * cfg.instances
-        assert calls == {"build": instances, "mmse": mmse_calls * instances}
+        assert calls == {
+            "realify": instances,
+            "build": instances,
+            "mmse": mmse_calls * instances,
+        }
 
     def test_detector_order_does_not_change_records(self):
         a = run_sweep(small_config(detectors=("mmse", "sb-reg")))

@@ -23,11 +23,7 @@ from sbmimo.detectors import (
     sb_solve,
 )
 from sbmimo.ising import energies, energy
-from sbmimo.reduction import (
-    instance_model,
-    level_spins,
-    regularize,
-)
+from sbmimo.reduction import level_spins, regularize
 from sbmimo.sb import SBParams, SolverDivergenceError
 
 from conftest import (
@@ -107,7 +103,7 @@ class TestMmse:
     def test_energy_is_definitionally_consistent(self, rng):
         inst = sample_instance(3, 3, QAM16, 14.0, rng)
         res = mmse_detect(prepare(inst, QAM16))
-        model = instance_model(inst, QAM16)
+        model = prepare(inst, QAM16).model
         assert res.ising_energy == energy(model, res.spins)
 
     @pytest.mark.parametrize("c", [QPSK, BPSK], ids=["qpsk", "bpsk"])
@@ -152,7 +148,7 @@ class TestOracle:
     def test_beats_every_candidate_by_full_scan(self, rng):
         inst = sample_instance(2, 2, QPSK, 4.0, rng)
         res = ml_oracle(prepare(inst, QPSK))
-        model = instance_model(inst, QPSK)
+        model = prepare(inst, QPSK).model
         table = np.array(list(all_spin_vectors(model.n)))
         energies = np.array([energy(model, s) for s in table])
         assert res.ising_energy == energies.min()
@@ -181,7 +177,7 @@ class TestOracle:
     def test_matches_exhaustive_reference(self, case):
         inst, c = case
         res = ml_oracle(prepare(inst, c))
-        spins, e = exhaustive_ml(instance_model(inst, c))
+        spins, e = exhaustive_ml(prepare(inst, c).model)
         assert np.array_equal(res.spins, spins)
         assert res.ising_energy == e
 
@@ -197,7 +193,7 @@ class TestOracle:
         for c, nt, nr, snr in [(QAM16, 3, 2, 0.0), (QPSK, 5, 3, -10.0)]:
             inst = sample_instance(nt, nr, c, snr, rng)
             res = ml_oracle(prepare(inst, c))
-            spins, e = exhaustive_ml(instance_model(inst, c))
+            spins, e = exhaustive_ml(prepare(inst, c).model)
             assert np.array_equal(res.spins, spins)
             assert res.ising_energy == e
 
@@ -208,7 +204,7 @@ class TestOracle:
         for snr in (-10.0, 10.0, 40.0):
             inst = sample_instance(3, 1, QAM16, snr, rng)
             res = ml_oracle(prepare(inst, QAM16))
-            spins, e = exhaustive_ml(instance_model(inst, QAM16))
+            spins, e = exhaustive_ml(prepare(inst, QAM16).model)
             assert isinstance(res.extras["candidates"], int)
             assert np.array_equal(res.spins, spins)
             assert res.ising_energy == e
@@ -221,7 +217,7 @@ class TestOracle:
         for _ in range(2):
             inst = sample_instance(8, 8, QPSK, snr, rng)
             res = ml_oracle(prepare(inst, QPSK))
-            spins, e = exhaustive_ml(instance_model(inst, QPSK))
+            spins, e = exhaustive_ml(prepare(inst, QPSK).model)
             assert np.array_equal(res.spins, spins)
             assert res.ising_energy == e
 
@@ -230,7 +226,7 @@ class TestOracle:
         # 9,392 leaves lie within the MMSE-SIC point's distance.  Only
         # those within slack of the best leaf are scored.
         inst = sample_instance(4, 2, QAM16, -10.0, np.random.default_rng(3))
-        spins, e = exhaustive_ml(instance_model(inst, QAM16))
+        spins, e = exhaustive_ml(prepare(inst, QAM16).model)
         res = ml_oracle(prepare(inst, QAM16))
         assert np.array_equal(res.spins, spins)
         assert res.ising_energy == e
@@ -256,7 +252,7 @@ class TestOracle:
             noise_var=1.0, y=np.array([-3 - 1j, 1 + 2j]),
         )
         res = ml_oracle(prepare(inst, QPSK))
-        spins, e = exhaustive_ml(instance_model(inst, QPSK))
+        spins, e = exhaustive_ml(prepare(inst, QPSK).model)
         assert np.array_equal(res.spins, spins)
         assert res.ising_energy == e == 9.0
         assert res.extras["candidates"] == 3
@@ -284,7 +280,7 @@ class TestOracle:
             noise_var=1.0, y=h @ np.full(4, -1 - 1j),
         )
         res = ml_oracle(prepare(inst, QPSK))
-        spins, e = exhaustive_ml(instance_model(inst, QPSK))
+        spins, e = exhaustive_ml(prepare(inst, QPSK).model)
         assert np.array_equal(res.spins, spins)
         assert np.array_equal(spins, -np.ones(8))
         assert res.ising_energy == e
@@ -313,7 +309,7 @@ class TestSbDetect:
     def test_plain_readout_is_consistent(self, rng):
         inst = sample_instance(3, 3, QPSK, 10.0, rng)
         res = detect_one(prepare(inst, QPSK), SBParams(n_steps=80), seed=2)
-        model = instance_model(inst, QPSK)
+        model = prepare(inst, QPSK).model
         assert res.ising_energy == energy(model, res.spins)
         assert res.detector == "sb"
         assert set(res.extras) == {"diverged_restarts"}

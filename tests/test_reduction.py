@@ -60,31 +60,31 @@ def assert_same_model(model, ref):
 
 def realified(rng, c, nt, nr=None):
     inst = sample_instance(nt, nt if nr is None else nr, c, 10.0, rng)
-    return inst, realify(inst.h, inst.y, c)
+    return realify(inst.h, inst.y, c)
 
 
 class TestContext:
     def test_qpsk_transform_is_identity(self, rng):
-        inst, sys = realified(rng, QPSK, 3)
+        sys = realified(rng, QPSK, 3)
         assert sys.h_r.shape == (6, 6)
-        assert_same_model(instance_model(inst, QPSK),
+        assert_same_model(instance_model(sys, QPSK),
                           model_from(sys.h_r, sys.y_r))
 
     def test_bpsk_transform_is_identity(self, rng):
-        inst, sys = realified(rng, BPSK, 4)
+        sys = realified(rng, BPSK, 4)
         assert sys.h_r.shape == (8, 4)
-        assert_same_model(instance_model(inst, BPSK),
+        assert_same_model(instance_model(sys, BPSK),
                           model_from(sys.h_r, sys.y_r))
 
     def test_qam16_block_structure(self, rng):
         nt = 2
-        inst, sys = realified(rng, QAM16, nt)
+        sys = realified(rng, QAM16, nt)
         eye = np.eye(nt)
         zero = np.zeros((nt, nt))
         expected = np.block(
             [[2 * eye, eye, zero, zero], [zero, zero, 2 * eye, eye]]
         )
-        model = instance_model(inst, QAM16)
+        model = instance_model(sys, QAM16)
         assert model.n == 8
         assert_same_model(model, model_from(sys.h_r @ expected, sys.y_r))
 
@@ -110,14 +110,14 @@ class TestBuildIsing:
         for c in (BPSK, QPSK, QAM16):
             inst = sample_instance(3, 3, c, 10.0, rng)
             clean = dataclasses.replace(inst, y=inst.h @ sent_symbols(inst, c))
-            model = instance_model(clean, c)
+            model = instance_model(realify(clean.h, clean.y, c), c)
             s_true = level_spins(inst.tx_levels, c)
             assert energy(model, s_true) == pytest.approx(0.0, abs=1e-9)
 
     def test_energy_equals_residual(self, rng):
         inst = sample_instance(2, 2, QPSK, 8.0, rng)
-        model = instance_model(inst, QPSK)
         sys = realify(inst.h, inst.y, QPSK)
+        model = instance_model(sys, QPSK)
         a = sys.h_r @ spin_transform(QPSK, 2)
         for _ in range(50):
             s = rng.choice([-1, 1], size=4)
@@ -129,7 +129,7 @@ class TestBuildIsing:
     def test_argmin_matches_symbol_domain_search(self, rng):
         # Exhaustive scan over all 4^3 QPSK symbol vectors.
         inst = sample_instance(3, 3, QPSK, 6.0, rng)
-        model = instance_model(inst, QPSK)
+        model = instance_model(realify(inst.h, inst.y, QPSK), QPSK)
         best_spins = min(
             all_spin_vectors(6), key=lambda s: energy(model, s)
         )
@@ -146,7 +146,7 @@ class TestBuildIsing:
     def test_built_model_satisfies_ising_invariants(self, rng):
         for c in (BPSK, QPSK, QAM16):
             inst = sample_instance(2, 3, c, 12.0, rng)
-            model = instance_model(inst, c)
+            model = instance_model(realify(inst.h, inst.y, c), c)
             assert model.n == 2 * c.bps
             assert model.j.shape == (model.n, model.n)
             assert np.all(np.diagonal(model.j) == 0.0)
@@ -158,7 +158,7 @@ class TestBuildIsing:
         short = ChannelInstance(inst.h, inst.tx_levels, inst.noise_var,
                                 inst.y[:-1])
         with pytest.raises(ValueError, match="rows but y has length"):
-            instance_model(short, BPSK)
+            instance_model(realify(short.h, short.y, BPSK), BPSK)
 
 
 class TestSpinMaps:
@@ -325,8 +325,9 @@ class TestRegularize:
     def test_bad_inputs_rejected(self, rng):
         m = random_model(rng, 4)
         # A non-finite r would otherwise reach the solver as a nan or inf
-        # field and surface as a divergence blamed on dt.
-        for r in (-0.1, float("nan"), float("inf")):
+        # field and surface as a divergence blamed on dt; a non-number
+        # would raise a TypeError from math.isfinite.
+        for r in (-0.1, float("nan"), float("inf"), "0.5", None):
             with pytest.raises(ValueError, match="r must be finite and >= 0"):
                 regularize(m, np.ones(4), r)
         with pytest.raises(ValueError):
@@ -350,8 +351,8 @@ def test_objective_embedding_property(seed, name, nt):
     c = get_constellation(name)
     rng = np.random.default_rng(seed)
     inst = sample_instance(nt, nt, c, float(rng.uniform(0, 30)), rng)
-    model = instance_model(inst, c)
     sys = realify(inst.h, inst.y, c)
+    model = instance_model(sys, c)
     a = sys.h_r @ spin_transform(c, nt)
     s = rng.choice([-1, 1], size=nt * c.bps)
     resid = sys.y_r - a @ s
@@ -371,8 +372,8 @@ def test_instance_model_equals_product_with_transform(
     # Block scaling reproduces the model of h_r @ T bit for bit, T from
     # its definition.
     c = get_constellation(name)
-    inst, sys = realified(np.random.default_rng(seed), c, nt, nt + extra_rx)
-    model = instance_model(inst, c)
+    sys = realified(np.random.default_rng(seed), c, nt, nt + extra_rx)
+    model = instance_model(sys, c)
     assert model.n == nt * c.bps
     assert_same_model(model, model_from(sys.h_r @ spin_transform(c, nt),
                                         sys.y_r))
