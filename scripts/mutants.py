@@ -69,6 +69,18 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "solve reports a model whose every restart diverged as solved",
+        "sb.py",
+        "        if kept:",
+        "        if True:",
+        (
+            SB + "TestSolve::test_all_restarts_diverging_gives_no_readout",
+            SB + "TestBlock::test_mixed_block",
+            "tests/test_bench.py::TestRunSweep::"
+            "test_every_restart_diverging_is_a_failure",
+        ),
+    ),
+    Mutant(
         "sb-reg anchored at the previous problem's MMSE spins",
         "detectors.py",
         "                  for m, a in zip(models, anchors, strict=True)]",

@@ -31,7 +31,7 @@ from sbmimo.detectors import (
     sb_solve,
 )
 from sbmimo.reduction import level_spins
-from sbmimo.sb import SBParams, SolveResult, is_int, is_real
+from sbmimo.sb import SBParams, is_int, is_real
 
 DETECTOR_NAMES = ("mmse", "sb", "sb-reg", "ml-oracle")
 SB_FAMILY = ("sb", "sb-reg")
@@ -69,6 +69,18 @@ def _noise_ok(snr_db: float, nt: int, c) -> bool:
     return math.isfinite(v) and v > 0
 
 
+def _items(value, ok):
+    # The items of an iterable other than a string as a tuple, when ok
+    # accepts each of them; else None.
+    if isinstance(value, str):
+        return None
+    try:
+        items = tuple(value)
+    except TypeError:  # not iterable
+        return None
+    return items if all(map(ok, items)) else None
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     nt: int = 16
@@ -84,25 +96,18 @@ class SweepConfig:
 
     def __post_init__(self):
         # A string would be swept per character, and float(True) is 1.0.
-        snr = tuple(self.snr_db)
-        if isinstance(self.snr_db, str) or any(type(s) is bool for s in snr):
+        snr = _items(self.snr_db, is_real)
+        if snr is None:
             raise ValueError(f"snr_db must hold numbers, got {self.snr_db!r}")
-        if isinstance(self.detectors, str):
+        detectors = _items(self.detectors, lambda d: isinstance(d, str))
+        if detectors is None:
             raise ValueError(
                 f"detectors must hold names, got {self.detectors!r}"
             )
+        if not isinstance(self.sb, SBParams):
+            raise ValueError(f"sb must be an SBParams, got {self.sb!r}")
         object.__setattr__(self, "snr_db", tuple(float(s) for s in snr))
-        object.__setattr__(self, "detectors", tuple(self.detectors))
-        try:
-            c = get_constellation(self.modulation)
-            object.__setattr__(self, "modulation", c.name)
-        except ValueError:
-            pass  # validate reports it
-        problems = self.validate()
-        if problems:
-            raise ValueError("; ".join(problems))
-
-    def validate(self) -> list[str]:
+        object.__setattr__(self, "detectors", detectors)
         problems = []
         counts = {"nt": 1, "nr": 1, "instances": 1, "seed": 0, "workers": 1}
         for key, least in counts.items():
@@ -113,6 +118,7 @@ class SweepConfig:
                 )
         try:
             c = get_constellation(self.modulation)
+            object.__setattr__(self, "modulation", c.name)
         except ValueError as err:
             problems.append(str(err))
             c = None
@@ -132,7 +138,8 @@ class SweepConfig:
         for det in self.detectors:
             if det not in DETECTOR_NAMES:
                 problems.append(
-                    f"unknown detector {det!r}; choose from {DETECTOR_NAMES}"
+                    f"unknown detector {det!r} in detectors; choose from "
+                    f"{DETECTOR_NAMES}"
                 )
         if len(set(self.detectors)) != len(self.detectors):
             problems.append(f"duplicate detectors in {self.detectors}")
@@ -144,10 +151,11 @@ class SweepConfig:
             spins = self.nt * c.bps
             if spins > ORACLE_SPIN_LIMIT:
                 problems.append(
-                    f"ml-oracle with {self.nt}x{c.name} needs {spins} spins, "
+                    f"ml-oracle at nt={self.nt} {c.name} needs {spins} spins, "
                     f"above the oracle's {ORACLE_SPIN_LIMIT}-spin limit"
                 )
-        return problems
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -225,7 +233,7 @@ def _eval_block(cfg: SweepConfig, points, trace=None):
     for k, (snr_idx, _) in enumerate(points):
         p, anchor = problems[k], anchors[k]
         for det, outcomes in solved.items():
-            if isinstance(outcomes[k], SolveResult):
+            if outcomes[k] is not None:
                 decided[k][det] = sb_detect(
                     p, outcomes[k], anchor if det == "sb-reg" else None
                 )

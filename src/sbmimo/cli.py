@@ -53,7 +53,7 @@ def _parse_float_list(value) -> tuple[float, ...]:
 
 
 def _parse_detectors(value) -> tuple[str, ...]:
-    # Names are checked by SweepConfig.validate.
+    # Names are checked by SweepConfig.
     if isinstance(value, (list, tuple)):
         return tuple(str(v) for v in value)
     return tuple(p.strip() for p in str(value).split(","))

@@ -32,7 +32,7 @@ from sbmimo.reduction import (
     regularize,
     symbols_to_spins,
 )
-from sbmimo.sb import SBParams, SolverDivergenceError, SolveResult, solve
+from sbmimo.sb import SBParams, SolveResult, solve
 
 ORACLE_SPIN_LIMIT = 24
 # Rows one frontier expansion may build in ml_oracle, and the most one
@@ -44,7 +44,7 @@ _MARGIN = 1e-9
 
 
 class DetectionFailureError(RuntimeError):
-    """Linear detection could not produce an estimate."""
+    """A detector could not produce a decision."""
 
 
 @dataclass(frozen=True)
@@ -275,10 +275,9 @@ def sb_solve(
     spins with penalty weight r; a problem whose anchor is None is not
     solved.  seeds holds one solver seed per problem, which draws its
     initial states; trace, when given, holds one list per problem for
-    solve's trace rows.  Returns one outcome per problem: None for an
-    unsolved one, else solve's SolveResult, or the SolverDivergenceError
-    of a problem whose every restart diverged.  ``sb_detect`` turns one
-    into a decision.
+    solve's trace rows.  Returns solve's outcome per problem: a
+    SolveResult, or None for one not solved or whose every restart
+    diverged.  ``sb_detect`` turns one into a decision.
     """
     models = [p.model for p in problems]
     if anchors is not None:
@@ -289,19 +288,19 @@ def sb_solve(
 
 def sb_detect(
     p: Problem,
-    solved: SolveResult | SolverDivergenceError,
+    solved: SolveResult | None,
     anchor: DetectionResult | None = None,
 ) -> DetectionResult:
     """The SB decision on one problem from its ``sb_solve`` outcome.
 
-    Raises the outcome if it is a SolverDivergenceError.  With no anchor
+    Raises DetectionFailureError for a None outcome.  With no anchor
     the readout of the plain model is the decision.  Otherwise
     ``anchor`` is the MMSE result the model was anchored at, and the
     readout and the anchor are compared under the unregularized model;
     the lower energy wins (ties keep the solver readout).
     """
-    if isinstance(solved, SolverDivergenceError):
-        raise solved
+    if solved is None:
+        raise DetectionFailureError("the solver gave no readout")
     extras = {"diverged_restarts": solved.diverged_restarts}
     if anchor is None:
         return DetectionResult("sb", solved.spins, solved.energy, extras)

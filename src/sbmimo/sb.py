@@ -37,10 +37,6 @@ import numpy as np
 from sbmimo.ising import IsingModel, energies, energy
 
 
-class SolverDivergenceError(RuntimeError):
-    """State became non-finite during evolution."""
-
-
 def is_int(value) -> bool:
     """True for an integer (numpy integers too), False for a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -212,9 +208,9 @@ def solve(models, params: SBParams, seeds, trace=None) -> list:
     lowest energy wins; ties keep the earlier restart, and a NaN energy
     (inf - inf near the float limit) ranks last.  A restart that diverges
     is dropped: its row evolves on, unread.  A model whose every restart
-    diverged gets a SolverDivergenceError as its outcome, returned rather
-    than raised, so its block-mates are unaffected; every other outcome
-    is a SolveResult.  One model is the block of one.
+    diverged has no readout: its outcome is None, and its block-mates are
+    unaffected; every other outcome is a SolveResult.  One model is the
+    block of one.
 
     A model with all-zero couplings (including n = 1) is solved exactly
     by fields alone.  None in place of a model leaves it unsolved: its
@@ -280,8 +276,4 @@ def solve(models, params: SBParams, seeds, trace=None) -> list:
         kept = int(live[m].sum())
         if kept:
             out[b] = SolveResult(readouts[m, r], e[m][r], n_restarts - kept)
-        else:
-            out[b] = SolverDivergenceError(
-                f"all {n_restarts} restarts diverged (dt = {params.dt})"
-            )
     return out

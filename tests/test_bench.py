@@ -94,10 +94,22 @@ class TestConfigValidation:
             dict(snr_db="25"),
             dict(snr_db=(5.0, True)),
             dict(r=True),
+            # Each was accepted and failed in run_sweep, or raised a
+            # TypeError or a ValueError that did not name the setting.
+            dict(sb=None),
+            dict(sb=None, detectors=("mmse",)),
+            dict(sb={"n_steps": 30}),
+            dict(sb="default"),
+            dict(snr_db=5.0),
+            dict(snr_db=(None,)),
+            dict(snr_db=("5",)),
+            dict(snr_db=("abc",)),
+            dict(detectors=None),
         ],
     )
     def test_invalid_configs_rejected(self, kw):
-        with pytest.raises(ValueError):
+        # The message names a setting that was given.
+        with pytest.raises(ValueError, match=rf"\b({'|'.join(kw)})\b"):
             small_config(**kw)
 
     @pytest.mark.parametrize("value", ["0.5", None], ids=["str", "none"])
@@ -187,6 +199,24 @@ class TestRunSweep:
         assert by_det["sb-reg"].failures == 10
         assert by_det["sb-reg"].instances == 0
         assert by_det["sb-reg"].total_bits == 0
+
+    def test_every_restart_diverging_is_a_failure(self):
+        # At dt = 1e300 every restart overflows, so no SB-family solve
+        # has a readout: each such instance is a failure, and MMSE, which
+        # does not solve, is unaffected.
+        cfg = small_config(
+            snr_db=(0.0, 10.0), instances=40,
+            detectors=("mmse", "sb", "sb-reg"),
+            sb=SBParams(n_steps=20, dt=1e300, n_restarts=3),
+        )
+        records = run_sweep(cfg)
+        assert run_sweep(replace(cfg, workers=2)) == records
+        for rec in records:
+            if rec.detector == "mmse":
+                assert (rec.failures, rec.instances) == (0, 40)
+            else:
+                assert (rec.failures, rec.instances) == (40, 0)
+                assert rec.total_bits == 0 and rec.ber == 0.0
 
     @pytest.mark.parametrize(
         "detectors, mmse_calls",

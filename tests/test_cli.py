@@ -80,7 +80,7 @@ class TestFlagParsing:
             parse_config(["--detectors", "zf"])
 
     def test_invalid_modulation_choice_exits(self, capsys):
-        # Checked by SweepConfig.validate alone, whose message lists the
+        # Checked by SweepConfig alone, whose message lists the
         # valid names; main turns it into exit 2.
         with pytest.raises(ConfigError, match="qpsk"):
             parse_config(["--mod", "qam64"])

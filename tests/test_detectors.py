@@ -16,6 +16,7 @@ from sbmimo.channel import (
 )
 from sbmimo.detectors import (
     ORACLE_SPIN_LIMIT,
+    DetectionFailureError,
     ml_oracle,
     mmse_detect,
     prepare,
@@ -24,7 +25,7 @@ from sbmimo.detectors import (
 )
 from sbmimo.ising import energies, energy
 from sbmimo.reduction import level_spins, regularize
-from sbmimo.sb import SBParams, SolverDivergenceError
+from sbmimo.sb import SBParams
 
 from conftest import (
     all_spin_vectors,
@@ -368,7 +369,8 @@ class TestSbDetect:
 
     def test_block_decisions_match_blocks_of_one(self, rng):
         # sb_solve over a block, then sb_detect per problem, decides each
-        # problem as solving it alone does; a divergence outcome raises.
+        # problem as solving it alone does; an outcome of None (no
+        # readout: every restart diverged) is a detection failure.
         params = SBParams(n_steps=40, n_restarts=2)
         problems = [
             prepare(sample_instance(3, 3, QPSK, 10.0, rng), QPSK)
@@ -385,8 +387,9 @@ class TestSbDetect:
                 assert np.array_equal(res.spins, alone.spins)
                 assert res.ising_energy == alone.ising_energy
                 assert res.extras == alone.extras
-        with pytest.raises(SolverDivergenceError, match="injected"):
-            sb_detect(problems[0], SolverDivergenceError("injected"))
+        for anchor in (None, anchors[0]):
+            with pytest.raises(DetectionFailureError, match="no readout"):
+                sb_detect(problems[0], None, anchor)
 
     def test_problem_without_an_anchor_is_not_solved(self, rng):
         # An anchored block may have gaps: a None anchor's outcome is
