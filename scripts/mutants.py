@@ -81,6 +81,30 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the wall rule keeps a clamped position's momentum",
+        "sb.py",
+        "    np.putmask(y, over, 0.0)",
+        "    pass",
+        (SB + "TestStep::test_wall_rule_clamps_and_zeroes_momentum",),
+    ),
+    Mutant(
+        "the wall rule also clamps |x| == 1",
+        "sb.py",
+        "np.greater(",
+        "np.greater_equal(",
+        (SB + "TestStep::test_wall_rule_clamps_and_zeroes_momentum",),
+    ),
+    Mutant(
+        "the wall rule leaves x unclamped",
+        "sb.py",
+        "    np.minimum(np.maximum(x, _MINUS_ONE, out=x), _ONE, out=x)",
+        "    pass",
+        (
+            SB + "TestStep::test_positions_stay_walled",
+            SB + "TestStep::test_wall_rule_clamps_and_zeroes_momentum",
+        ),
+    ),
+    Mutant(
         "sb-reg anchored at the previous problem's MMSE spins",
         "detectors.py",
         "                  for m, a in zip(models, anchors, strict=True)]",

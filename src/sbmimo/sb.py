@@ -16,12 +16,12 @@ rescaling of the model, and sum(J**2) can neither overflow nor underflow.
 
 solve() takes a block of same-size models, one seed each, and evolves
 every restart of every model as a row of one (2, B, R, N) state of
-positions and momenta, updated in place by np.matvec(J, sign(x)) with J
-stacked (B, 1, N, N), one matrix-vector product per row, and in-place
-ufuncs.  Rows never mix, so each is bit for bit what it would be alone.
-One dot product of x with itself screens for divergence; only a
-non-finite one runs the per-row check that drops diverged restarts.  A
-single model is the block of one.
+positions and momenta and one (B, R, N) array of their signs s, updated
+in place by np.matvec(J, s) with J stacked (B, 1, N, N), one product per
+row, and in-place ufuncs.  Rows never mix, so each is bit for bit what
+it would be alone.  One dot product of x with itself screens for
+divergence; only a non-finite one runs the per-row check that drops
+diverged restarts.  A single model is the block of one.
 
 sign(0) is +1 everywhere (force term and readout), a fixed tie-break.
 """
@@ -43,8 +43,15 @@ def is_int(value) -> bool:
 
 
 def is_real(value) -> bool:
-    """True for a real number (numpy's too), False for a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """True for a real number (numpy's too) that a float can hold, False
+    for a bool or an integer beyond the float range."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -132,25 +139,24 @@ def initial_states(n: int, seed: int, n_restarts: int) -> np.ndarray:
 
 
 # ufuncs take a 0-d array faster than a Python float, with the same bits.
-_ONE = np.array(1.0)
-_ONE.flags.writeable = False
+_ONE, _MINUS_ONE = np.array(1.0), np.array(-1.0)
+_ONE.flags.writeable = _MINUS_ONE.flags.writeable = False
 
 
-def step(xy, wall, over, a, j, half_h, c0, dt):
+def step(xy, s, over, a, j, half_h, c0, dt):
     """One symplectic-Euler update of the rows of x = xy[0] and y = xy[1],
     then the wall rule, all in place.
 
     Rows run along the last axis: (R, N) for one model, (B, R, N) for a
-    block, with j (B, 1, N, N) and c0 (B, 1, 1) stacked per model.
-    ``wall`` is xy's shape: sign(x) in plane 0, before and after the
-    step, and zeros in plane 1.  ``over`` is a bool buffer of x's shape
-    and ``half_h`` is h / 2 tiled to it.  c0 and dt run fastest as
-    arrays, as solve() passes them.  Returns None when every row stayed
-    finite, else the mask of rows that did; rows outside it hold
-    garbage.  The mask is taken before the wall rule: clamping |x| > 1 to
-    +-1 would otherwise hide an overflow.
+    block, with j (B, 1, N, N) stacked per model.  ``s`` holds sign(x)
+    before and after the step, ``over`` is a bool buffer of x's shape,
+    and ``half_h`` and ``c0`` are h / 2 and c0 tiled to it.  dt runs
+    fastest as an array.  Returns None when every row stayed finite, else
+    the mask of rows that did; rows outside it hold garbage.  The mask is
+    taken before the wall rule: clamping |x| > 1 to +-1 would otherwise
+    hide an overflow.
     """
-    x, y, s = xy[0], xy[1], wall[0]
+    x, y = xy
     # matvec runs one matrix-vector multiply per row, so each row matches
     # J @ s bit for bit; a plain (R, N) @ (N, N) gemm sums in another order.
     force = np.matvec(j, s)
@@ -167,16 +173,17 @@ def step(xy, wall, over, a, j, half_h, c0, dt):
         finite = np.isfinite(x).all(axis=-1)
     # x is never -0.0 (initial_states draws none; x + dt * y is -0.0 only
     # when both terms are), so copysign gives sign(x) with sign(0) = +1.
-    # Wall rule: |x| > 1 takes sign(x) from plane 0 and y = 0 from plane 1.
+    # Wall rule: |x| > 1 is clamped to sign(x) and its momentum zeroed.
     np.copysign(_ONE, x, out=s)
     np.greater(np.abs(x, out=force), _ONE, out=over)
-    np.copyto(xy, wall, where=over)
+    np.minimum(np.maximum(x, _MINUS_ONE, out=x), _ONE, out=x)
+    np.putmask(y, over, 0.0)
     return finite
 
 
 def _stack(models, seeds, n_restarts):
-    """The block's (2, B, R, N) initial state, J as (B, 1, N, N), h / 2 as
-    (B, R, N) and c0 as (B, 1, 1), then the unscaled models' J (B, N, N),
+    """The block's (2, B, R, N) initial state, J as (B, 1, N, N), h / 2 and
+    c0 tiled to (B, R, N), then the unscaled models' J (B, N, N),
     h (B, N) and offsets (B,), which score the readouts.
 
     c0 ~ 1 / max |J| leaves the float range only below max |J| ~ 2^-1000.
@@ -190,7 +197,7 @@ def _stack(models, seeds, n_restarts):
     j = (np.ldexp(jj, -shift[:, None, None]) if shift.any() else jj)[:, None]
     half_h = np.ldexp(0.5 * hh, -shift[:, None])[:, None].repeat(n_restarts, 1)
     # Scaling by 2^-shift moves each exponent by -shift exactly.
-    c0 = _c0(j[:, 0], mag - shift)[:, None, None]
+    c0 = np.full_like(half_h, _c0(j[:, 0], mag - shift)[:, None, None])
     n = hh.shape[1]
     xy = np.stack([initial_states(n, s, n_restarts) for s in seeds], axis=1)
     scored = (jj, hh, np.array([m.offset for m in models]))
@@ -241,8 +248,7 @@ def solve(models, params: SBParams, seeds, trace=None) -> list:
     seeds = [seeds[b] for b in block]
     n_restarts = params.n_restarts
     xy, j, half_h, c0, scored = _stack(models, seeds, n_restarts)
-    wall = np.zeros_like(xy)
-    np.copysign(1.0, xy[0], out=wall[0])
+    s = np.copysign(1.0, xy[0])
     over = np.empty(xy.shape[1:], dtype=bool)
     dt = np.array(params.dt)
     live = np.ones(xy.shape[1:3], dtype=bool)  # per (model, restart)
@@ -251,21 +257,21 @@ def solve(models, params: SBParams, seeds, trace=None) -> list:
     # diverged row's readout, scored with the rest, may overflow too.
     with np.errstate(over="ignore", invalid="ignore"):
         for k, a in enumerate(pump_schedule(params.n_steps).tolist()):
-            finite = step(xy, wall, over, a, j, half_h, c0, dt)
+            finite = step(xy, s, over, a, j, half_h, c0, dt)
             if finite is not None and not finite.all():
                 live &= finite
                 if not live.any():
                     break
             if trace is not None:
                 # xy is updated in place, so trace rows are copies.
-                e = energies(*scored, wall[0]).tolist()
+                e = energies(*scored, s).tolist()
                 steps.append((k, a, xy[0].copy(), xy[1].copy(), e, live.copy()))
-        e = energies(*scored, wall[0])
+        e = energies(*scored, s)
     # Dead rows rank last, then NaN energies (inf - inf near the float
     # limit); the sort is stable, so ties and an all-NaN set keep the
     # earlier restart.
     best = np.lexsort((e, np.isnan(e), ~live))[:, 0].tolist()
-    readouts, e = wall[0].astype(np.int8), e.tolist()
+    readouts, e = s.astype(np.int8), e.tolist()
     for m, (b, r) in enumerate(zip(block, best)):
         if trace is not None:
             trace[b].extend(

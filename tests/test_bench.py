@@ -105,6 +105,9 @@ class TestConfigValidation:
             dict(snr_db=("5",)),
             dict(snr_db=("abc",)),
             dict(detectors=None),
+            # An integer beyond the float range raised an OverflowError.
+            dict(snr_db=(10**400,)),
+            dict(r=10**400),
         ],
     )
     def test_invalid_configs_rejected(self, kw):

@@ -326,8 +326,9 @@ class TestRegularize:
         m = random_model(rng, 4)
         # A non-finite r would otherwise reach the solver as a nan or inf
         # field and surface as a divergence blamed on dt; a non-number
-        # would raise a TypeError from math.isfinite.
-        for r in (-0.1, float("nan"), float("inf"), "0.5", None):
+        # would raise a TypeError from math.isfinite, and an integer
+        # beyond the float range an OverflowError.
+        for r in (-0.1, float("nan"), float("inf"), "0.5", None, 10**400):
             with pytest.raises(ValueError, match="r must be finite and >= 0"):
                 regularize(m, np.ones(4), r)
         with pytest.raises(ValueError):

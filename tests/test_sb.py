@@ -181,10 +181,11 @@ class TestNormalization:
         for seed, e in draws:
             m = random_model(np.random.default_rng(seed), n)
             models.append(model_of(np.ldexp(m.j, e), np.ldexp(m.h, e)))
-        _, j, _, c0, _ = sb._stack(models, range(len(models)), 1)
-        assert c0.shape == (len(models), 1, 1)
-        for jb, c in zip(j[:, 0], c0.ravel().tolist()):
-            assert c == compute_c0(jb) and 0.0 < c < math.inf
+        # Each model's c0 is tiled to its rows, every entry the same.
+        _, j, _, c0, _ = sb._stack(models, range(len(models)), 3)
+        for jb, tile in zip(j[:, 0], c0):
+            c = compute_c0(jb)
+            assert (tile == c).all() and 0.0 < c < math.inf
 
 
 class TestSchedule:
@@ -211,12 +212,10 @@ class TestSchedule:
 
 
 def step_buffers(xy, half_h):
-    # The buffers step takes besides the state: the wall source (sign(x),
-    # then zeros), the |x| > 1 mask and h / 2 tiled to one row per restart.
-    wall = np.zeros_like(xy)
-    wall[0] = sign_pm1(xy[0])
+    # The buffers step takes besides the state: the signs sign(x), the
+    # |x| > 1 mask and h / 2 tiled to one row per restart.
     over = np.empty(xy.shape[1:], dtype=bool)
-    return wall, over, np.tile(half_h, (xy.shape[1], 1))
+    return sign_pm1(xy[0]), over, np.tile(half_h, (xy.shape[1], 1))
 
 
 def step_rows(x, y, a, j, half_h, c0, dt=0.5):
@@ -224,10 +223,9 @@ def step_rows(x, y, a, j, half_h, c0, dt=0.5):
     # returns the new x and y, the per-row mask (None when every row
     # stayed finite) and s.
     xy = np.array([x, y], dtype=float)
-    wall, over, half_h = step_buffers(xy, half_h)
-    finite = step(xy, wall, over, a, j, half_h, c0, dt)
-    assert not wall[1].any()
-    return xy[0], xy[1], finite, wall[0]
+    s, over, half_h = step_buffers(xy, half_h)
+    finite = step(xy, s, over, a, j, half_h, c0, dt)
+    return xy[0], xy[1], finite, s
 
 
 def step_model(m, x, y, a, c0, dt=0.5):
@@ -256,13 +254,16 @@ class TestStep:
 
     def test_wall_rule_clamps_and_zeroes_momentum(self):
         m = model_of(np.zeros((1, 1)), np.zeros(1))
-        x, y, _, _ = step_model(
-            m, [[0.7], [0.1]], [[1.0], [1.0]], a=1.0, c0=1.0
+        x, y, _, s = step_model(
+            m, [[0.7], [-0.7], [0.1], [0.5], [-0.5]],
+            [[1.0], [-1.0], [1.0], [1.0], [-1.0]], a=1.0, c0=1.0,
         )
-        # position update would give 1.2 -> clamped to the wall; the
-        # second row (0.6) is inside and keeps its momentum
-        assert x[:, 0].tolist() == [1.0, 0.6]
-        assert y[:, 0].tolist() == [0.0, 1.0]
+        # The position updates give +-1.2, clamped to the wall with their
+        # momentum zeroed; 0.6 is inside.  The rule is strict: rows that
+        # land exactly on +-1.0 stay there and keep their momentum.
+        assert x[:, 0].tolist() == [1.0, -1.0, 0.6, 1.0, -1.0]
+        assert y[:, 0].tolist() == [0.0, 0.0, 1.0, 1.0, -1.0]
+        assert s[:, 0].tolist() == [1.0, -1.0, 1.0, 1.0, -1.0]
 
     def test_finite_rows_with_overflowing_sum_are_kept(self):
         # Free drift to 1e308 in every entry: the sum over x overflows, so
@@ -300,14 +301,13 @@ class TestStep:
         m = random_model(rng, n)
         dt = float(rng.uniform(0.1, 1.5))
         xy = initial_states(n, int(rng.integers(2**32)), 3)
-        wall, over, half_h = step_buffers(xy, 0.5 * m.h)
+        s, over, half_h = step_buffers(xy, 0.5 * m.h)
         c0 = compute_c0(m.j)
         for a in pump_schedule(30):
-            assert step(xy, wall, over, a, m.j, half_h, c0, dt) is None
+            assert step(xy, s, over, a, m.j, half_h, c0, dt) is None
             assert np.max(np.abs(xy[0])) <= 1.0
             # The signs step hands on are sign(x) with sign(0) = +1.
-            assert np.array_equal(wall[0], sign_pm1(xy[0]))
-            assert not wall[1].any()
+            assert np.array_equal(s, sign_pm1(xy[0]))
 
 
 class TestSign:
@@ -556,12 +556,12 @@ class TestSolve:
         xy = initial_states(5, seed=3, n_restarts=1)
         xy = np.concatenate([xy, -xy], axis=1)
         x, y = xy
-        wall, over, half_h = step_buffers(xy, 0.5 * m.h)
+        s, over, half_h = step_buffers(xy, 0.5 * m.h)
         for a in pump_schedule(40):
-            step(xy, wall, over, a, m.j, half_h, c0, 0.5)
+            step(xy, s, over, a, m.j, half_h, c0, 0.5)
             assert np.array_equal(x[1], -x[0])
             assert np.array_equal(y[1], -y[0])
-        assert np.array_equal(wall[0, 1], -wall[0, 0])
+        assert np.array_equal(s[1], -s[0])
 
     def test_all_restarts_diverging_gives_no_readout(self):
         # J @ s overflows in every restart, so the outcome is None.
@@ -731,7 +731,9 @@ class TestParams:
             SBParams(n_restarts=0)
         # A string or None, which the CLI never passes, fails as a bad
         # setting too, not as a TypeError from the range check.
-        for value in (math.inf, math.nan, "0.5", None):
+        # An integer beyond the float range was accepted and failed in
+        # the solver's first step.
+        for value in (math.inf, math.nan, "0.5", None, 10**400):
             with pytest.raises(ValueError, match="dt must be"):
                 SBParams(dt=value)
 
