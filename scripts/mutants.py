@@ -282,12 +282,36 @@ MUTANTS = (
     Mutant(
         "regularize takes a penalty weight that is not a number",
         "reduction.py",
-        "    if not (is_real(r) and math.isfinite(r) and r >= 0):",
-        "    if not (math.isfinite(r) and r >= 0):",
+        '    r = setting("r", r, 0.0)',
+        "    pass",
         (
             REDUCTION + "TestRegularize::test_bad_inputs_rejected",
             REDUCTION + "TestRegularize::test_bool_weight_rejected",
+            REDUCTION + "TestRegularize::test_weight_runs_as_its_float",
         ),
+    ),
+    Mutant(
+        "a setting is stored as given, not as the number that runs",
+        "sb.py",
+        '        raise ValueError(f"{name} must be {rule}, got {value!r}")\n'
+        "    return out\n",
+        '        raise ValueError(f"{name} must be {rule}, got {value!r}")\n'
+        "    return value\n",
+        (
+            "tests/test_bench.py::TestWriteCsv::"
+            "test_float32_settings_are_written_as_the_float_that_ran",
+            "tests/test_bench.py::TestRunSweep::"
+            "test_small_numpy_integer_sizes_do_not_wrap",
+            "tests/test_bench.py::TestConfigValidation::"
+            "test_invalid_configs_rejected[kw30]",
+        ),
+    ),
+    Mutant(
+        "a setting's finiteness is checked before it is converted",
+        "sb.py",
+        "and out < math.inf):",
+        "and value < math.inf):",
+        (SB + "TestParams::test_rejects_bad_values",),
     ),
     Mutant(
         "_eval_block hands the trace to every SB-family detector",

@@ -31,7 +31,7 @@ from sbmimo.detectors import (
     sb_solve,
 )
 from sbmimo.reduction import level_spins
-from sbmimo.sb import SBParams, is_int, is_real
+from sbmimo.sb import SBParams, setting
 
 DETECTOR_NAMES = ("mmse", "sb", "sb-reg", "ml-oracle")
 SB_FAMILY = ("sb", "sb-reg")
@@ -69,16 +69,14 @@ def _noise_ok(snr_db: float, nt: int, c) -> bool:
     return math.isfinite(v) and v > 0
 
 
-def _items(value, ok):
-    # The items of an iterable other than a string as a tuple, when ok
-    # accepts each of them; else None.
+def _items(value):
+    # The items of an iterable other than a string as a tuple, else None.
     if isinstance(value, str):
         return None
     try:
-        items = tuple(value)
+        return tuple(value)
     except TypeError:  # not iterable
         return None
-    return items if all(map(ok, items)) else None
 
 
 @dataclass(frozen=True)
@@ -95,43 +93,54 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        # A string would be swept per character, and float(True) is 1.0.
-        snr = _items(self.snr_db, is_real)
+        # A string would be swept per character.
+        snr = _items(self.snr_db)
         if snr is None:
             raise ValueError(f"snr_db must hold numbers, got {self.snr_db!r}")
-        detectors = _items(self.detectors, lambda d: isinstance(d, str))
-        if detectors is None:
+        detectors = _items(self.detectors)
+        if detectors is None or not all(isinstance(d, str) for d in detectors):
             raise ValueError(
                 f"detectors must hold names, got {self.detectors!r}"
             )
         if not isinstance(self.sb, SBParams):
             raise ValueError(f"sb must be an SBParams, got {self.sb!r}")
-        object.__setattr__(self, "snr_db", tuple(float(s) for s in snr))
         object.__setattr__(self, "detectors", detectors)
         problems = []
-        counts = {"nt": 1, "nr": 1, "instances": 1, "seed": 0, "workers": 1}
-        for key, least in counts.items():
-            value = getattr(self, key)
-            if not (is_int(value) and value >= least):
-                problems.append(
-                    f"{key} must be an integer >= {least}, got {value!r}"
-                )
+        # Each number is stored as the Python int or float that runs, or
+        # as None when it is bad.  An int bound makes a setting a count.
+        least = {"nt": 1, "nr": 1, "instances": 1, "seed": 0, "workers": 1,
+                 "r": 0.0, "snr_db": -math.inf}
+        for key, low in least.items():
+            many = key == "snr_db"  # the one setting of several numbers
+            values = []
+            for value in snr if many else [getattr(self, key)]:
+                try:
+                    values.append(setting(key, value, low))
+                except ValueError as err:
+                    problems.append(str(err))
+                    values.append(None)
+            object.__setattr__(self, key, tuple(values) if many else values[0])
+        points = [s for s in self.snr_db if s is not None]
         try:
             c = get_constellation(self.modulation)
             object.__setattr__(self, "modulation", c.name)
         except ValueError as err:
             problems.append(str(err))
             c = None
-        if not self.snr_db:
+        if not snr:
             problems.append("snr_db grid is empty")
-        if not all(math.isfinite(s) for s in self.snr_db):
-            problems.append(f"snr_db values must be finite, got {self.snr_db}")
-        elif c is not None and is_int(self.nt) and self.nt >= 1:
-            bad = [s for s in self.snr_db if not _noise_ok(s, self.nt, c)]
+        if c is not None and self.nt is not None:
+            bad = [s for s in points if not _noise_ok(s, self.nt, c)]
             if bad:
                 problems.append(
                     f"snr_db {bad} out of range: the noise variance must be "
                     f"a finite positive number"
+                )
+            spins = self.nt * c.bps
+            if "ml-oracle" in self.detectors and spins > ORACLE_SPIN_LIMIT:
+                problems.append(
+                    f"ml-oracle at nt={self.nt} {c.name} needs {spins} spins, "
+                    f"above the oracle's {ORACLE_SPIN_LIMIT}-spin limit"
                 )
         if not self.detectors:
             problems.append("no detectors configured")
@@ -143,17 +152,8 @@ class SweepConfig:
                 )
         if len(set(self.detectors)) != len(self.detectors):
             problems.append(f"duplicate detectors in {self.detectors}")
-        if len(set(self.snr_db)) != len(self.snr_db):
+        if len(set(points)) != len(points):
             problems.append(f"duplicate snr_db values in {self.snr_db}")
-        if not (is_real(self.r) and math.isfinite(self.r) and self.r >= 0):
-            problems.append(f"r must be a finite number >= 0, got {self.r!r}")
-        if c is not None and "ml-oracle" in self.detectors and is_int(self.nt):
-            spins = self.nt * c.bps
-            if spins > ORACLE_SPIN_LIMIT:
-                problems.append(
-                    f"ml-oracle at nt={self.nt} {c.name} needs {spins} spins, "
-                    f"above the oracle's {ORACLE_SPIN_LIMIT}-spin limit"
-                )
         if problems:
             raise ValueError("; ".join(problems))
 

@@ -155,7 +155,7 @@ def parse_command(argv: list[str] | None = None) -> tuple:
 
     def count(key, default):
         value = values.get(key, default)
-        if isinstance(value, float) and not value.is_integer():
+        if isinstance(value, float) and value % 1:  # inf % 1 is nan
             raise ConfigError(f"{key} must be an integer, got {value!r}")
         return int(value)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from sbmimo.channel import Constellation, RealizedSystem, realify_symbols
 from sbmimo.ising import IsingModel
-from sbmimo.sb import is_real
+from sbmimo.sb import setting
 
 
 def instance_model(sys: RealizedSystem, c: Constellation) -> IsingModel:
@@ -106,8 +106,7 @@ def regularize(model: IsingModel, s_p: np.ndarray, r: float) -> IsingModel:
     are untouched and the identity
     energy(new, s) == energy(old, s) + r * ||s - s_p||^2 holds exactly.
     """
-    if not (is_real(r) and math.isfinite(r) and r >= 0):
-        raise ValueError(f"penalty weight r must be finite and >= 0, got {r!r}")
+    r = setting("r", r, 0.0)
     s_p = np.asarray(s_p, dtype=np.float64)
     if s_p.shape != (model.n,):
         raise ValueError(

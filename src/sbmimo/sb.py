@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,21 +38,27 @@ import numpy as np
 from sbmimo.ising import IsingModel, energies, energy
 
 
-def is_int(value) -> bool:
-    """True for an integer (numpy integers too), False for a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def is_real(value) -> bool:
-    """True for a real number (numpy's too) that a float can hold, False
-    for a bool or an integer beyond the float range."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        return False
-    try:
-        float(value)
-    except OverflowError:
-        return False
-    return True
+def setting(name: str, value, least: int | float, strict: bool = False):
+    """The setting ``name`` as the Python int or float that runs: a count
+    by operator.index when ``least`` is an int, else a real by float().
+    The converted value must be finite and >= least, or > least when
+    strict.  A bool, a string, None, a value that does not convert and
+    one out of range are each a ValueError that names the setting."""
+    count = isinstance(least, int)
+    out = math.nan  # what does not convert fails every bound
+    # float() would read a string, and True would run as 1.
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            out = operator.index(value) if count else float(value)
+        except (TypeError, OverflowError):  # a float count; an int past floats
+            pass
+    # Bounds are checked on the converted value: longdouble 1e400 runs as inf.
+    if not ((least < out if strict else least <= out) and out < math.inf):
+        op = ">" if strict else ">="
+        bound = "" if least == -math.inf else f" and {op} {least:g}"
+        rule = f"an integer {op} {least}" if count else f"finite{bound}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -68,15 +75,9 @@ class SBParams:
     n_restarts: int = 1
 
     def __post_init__(self):
-        for key in ("n_steps", "n_restarts"):
-            value = getattr(self, key)
-            if not (is_int(value) and value >= 1):
-                raise ValueError(
-                    f"{key} must be an integer >= 1, got {value!r}"
-                )
-        # True would run as dt = 1 and reach the CSV as "True".
-        if not (is_real(self.dt) and 0 < self.dt < math.inf):
-            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
+        for key, least in {"n_steps": 1, "dt": 0.0, "n_restarts": 1}.items():
+            value = setting(key, getattr(self, key), least, strict=key == "dt")
+            object.__setattr__(self, key, value)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,17 @@
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sbmimo
 from sbmimo.bench import (
@@ -22,6 +26,12 @@ from sbmimo.bench import (
 )
 from sbmimo.detectors import DetectionFailureError
 from sbmimo.sb import SBParams
+
+# The kinds of number a count or a real setting accepts.
+INT_KINDS = (int, np.int8, np.int16, np.int32, np.int64,
+             np.uint8, np.uint16, np.uint32, np.uint64)
+REAL_KINDS = (*INT_KINDS, np.float16, np.float32, np.float64, np.longdouble,
+              Fraction)
 
 CSV_HEADER = (
     "nt,nr,modulation,snr_db,detector,instances,total_bits,bit_errors,"
@@ -108,6 +118,10 @@ class TestConfigValidation:
             # An integer beyond the float range raised an OverflowError.
             dict(snr_db=(10**400,)),
             dict(r=10**400),
+            # nt * bps wrapped to 0 in uint8 arithmetic, so the oracle's
+            # spin limit never applied.
+            dict(nt=np.uint8(128), nr=np.uint8(128), modulation="qam16",
+                 detectors=("ml-oracle",)),
         ],
     )
     def test_invalid_configs_rejected(self, kw):
@@ -143,6 +157,50 @@ class TestConfigValidation:
                 small_config(**{key: value})
         assert getattr(small_config(**{key: np.int64(2)}), key) == 2
 
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_numbers_are_stored_as_the_python_value_that_runs(self, data):
+        # Every accepted kind of number is stored as the exact int or
+        # float it converts to, so what was checked is what runs and
+        # what write_csv writes.
+        def number(kinds, low, high):
+            # A number of one of kinds in [low, high].
+            kind = data.draw(st.sampled_from(kinds))
+            if kind in INT_KINDS:
+                lo, hi = math.ceil(low), math.floor(high)
+                if kind is not int:
+                    lo = max(lo, np.iinfo(kind).min)
+                    hi = min(hi, np.iinfo(kind).max)
+                return kind(data.draw(st.integers(lo, hi)))
+            value = kind(data.draw(st.floats(low, high)))
+            assume(low <= float(value) <= high)  # float16 may round out
+            return value
+
+        def count(least):
+            return number(INT_KINDS, least, 100)
+
+        def real(low, high):
+            return number(REAL_KINDS, low, high)
+
+        sweep = dict(
+            nt=count(1), nr=count(1), instances=count(1), seed=count(0),
+            workers=count(1), r=real(0.0, 100.0),
+            snr_db=tuple(real(-50.0, 50.0) for _ in range(2)),
+        )
+        assume(float(sweep["snr_db"][0]) != float(sweep["snr_db"][1]))
+        sb = dict(n_steps=count(1), dt=real(1e-3, 10.0), n_restarts=count(1))
+        cfg = SweepConfig(**sweep, sb=SBParams(**sb), detectors=("mmse",))
+        for obj, values in ((cfg, sweep), (cfg.sb, sb)):
+            for key, value in values.items():
+                ran = getattr(obj, key)
+                if key == "snr_db":
+                    assert ran == tuple(float(v) for v in value)
+                    assert {type(v) for v in ran} == {float}
+                elif key in ("r", "dt"):
+                    assert type(ran) is float and ran == float(value)
+                else:
+                    assert type(ran) is int and ran == int(value)
+
     def test_oracle_guard_boundary(self):
         # 6 users QAM16 = 24 spins: allowed; 7 = 28: refused.
         small_config(modulation="qam16", nt=6, detectors=("ml-oracle",),
@@ -153,6 +211,14 @@ class TestConfigValidation:
 
 
 class TestRunSweep:
+    def test_small_numpy_integer_sizes_do_not_wrap(self):
+        # 130 * 2 spins wrapped to 4 in uint8 arithmetic, and the sweep
+        # failed in sample_instance's reshape.
+        cfg = SweepConfig(nt=np.uint8(130), nr=np.uint8(130),
+                          detectors=("mmse",), snr_db=(10.0,), instances=2)
+        (rec,) = run_sweep(cfg)
+        assert rec.instances == 2 and rec.total_bits == 520
+
     def test_noise_free_mmse_is_error_free(self):
         cfg = SweepConfig(
             nt=2, nr=2, modulation="qpsk", snr_db=(60.0,), instances=100,
@@ -562,6 +628,19 @@ class TestWriteCsv:
         rows = list(csv.DictReader(io.StringIO(path.read_text())))
         assert tuple(float(r["snr_db"]) for r in rows) == snrs
         assert {float(r["dt"]) for r in rows} == {0.123456789}
+
+    def test_float32_settings_are_written_as_the_float_that_ran(
+        self, tmp_path
+    ):
+        # The CSV read "0.1" for dt and r while the solver stepped with
+        # float32's 0.10000000149011612.
+        cfg = small_config(sb=SBParams(n_steps=5, dt=np.float32(0.1)),
+                           r=np.float32(0.1), detectors=("sb-reg",),
+                           snr_db=(10.0,), instances=2)
+        path = tmp_path / "float32.csv"
+        write_csv(run_sweep(cfg), str(path))
+        (row,) = csv.DictReader(path.open())
+        assert row["dt"] == row["r"] == "0.10000000149011612"
 
     def test_rows_sorted_by_detector_then_snr(self, tmp_path):
         cfg = small_config(detectors=("sb", "mmse"), snr_db=(10.0, 5.0),

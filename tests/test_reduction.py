@@ -334,6 +334,24 @@ class TestRegularize:
         with pytest.raises(ValueError):
             regularize(m, np.ones(3), 0.5)
 
+    @given(
+        x=st.floats(0.0, 1e6, width=32),
+        kind=st.sampled_from([np.float16, np.float32, np.longdouble,
+                              Fraction, np.int32, np.uint8]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_weight_runs_as_its_float(self, x, kind):
+        # A numpy weight used to enter the arithmetic as itself: float32
+        # 0.1 moved the offset by a float32 product.
+        if kind in (np.int32, np.uint8):
+            x = min(int(x), np.iinfo(kind).max)
+        r = kind(min(x, 65504.0) if kind is np.float16 else x)
+        m = random_model(np.random.default_rng(1), 5)
+        s_p = np.array([1, -1, -1, 1, 1])
+        got, want = regularize(m, s_p, r), regularize(m, s_p, float(r))
+        assert got.h.tobytes() == want.h.tobytes()
+        assert type(got.offset) is float and got.offset == want.offset
+
     def test_bool_weight_rejected(self, rng):
         # True would penalise with r = 1.
         m = random_model(rng, 4)

@@ -732,8 +732,10 @@ class TestParams:
         # A string or None, which the CLI never passes, fails as a bad
         # setting too, not as a TypeError from the range check.
         # An integer beyond the float range was accepted and failed in
-        # the solver's first step.
-        for value in (math.inf, math.nan, "0.5", None, 10**400):
+        # the solver's first step.  An extended-precision 1e400 is finite
+        # but runs as float("inf"), so the bound holds for float(dt).
+        for value in (math.inf, math.nan, "0.5", None, 10**400,
+                      np.longdouble("1e400")):
             with pytest.raises(ValueError, match="dt must be"):
                 SBParams(dt=value)
 
