@@ -40,6 +40,7 @@ DETECTORS = "tests/test_detectors.py::"
 BLOCKS = "tests/test_bench.py::TestBlocks::"
 GOLDEN = "tests/test_golden.py::test_sweep_reproduces_golden_files"
 REDUCTION = "tests/test_reduction.py::"
+CLI = "tests/test_cli.py::"
 EDGES = tuple(
     f"{REDUCTION}TestSpinMaps::test_nearest_level_rule_at_its_edges[{c}]"
     for c in ("bpsk", "qpsk", "qam16")
@@ -319,6 +320,23 @@ MUTANTS = (
         "                               None if solved else trace)",
         "                               trace)",
         (GOLDEN + "[qpsk-2x2-sbreg-1]", GOLDEN + "[qpsk-2x2-sbreg-2]"),
+    ),
+    Mutant(
+        "the CLI passes setting text on unread",
+        "cli.py",
+        "        return kind(value)",
+        "        return value",
+        (
+            CLI + "TestConfigFile::test_every_flag_is_a_config_key[_]",
+            CLI + "TestConfigFile::test_every_flag_is_a_config_key[-]",
+        ),
+    ),
+    Mutant(
+        "the CLI passes a whole float count on as a float",
+        "cli.py",
+        "        return int(value) if whole else value",
+        "        return value",
+        (CLI + "TestMain::test_integral_float_count_is_accepted",),
     ),
 )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from operator import attrgetter
 
 from sbmimo.bench import (
     DETECTOR_NAMES,
@@ -25,13 +25,14 @@ from sbmimo.bench import (
     write_csv,
     write_trace,
 )
+from sbmimo.sb import SBParams
 
 class ConfigError(ValueError):
     pass
 
 
-def _parse_snr_spec(text: str) -> tuple[float, ...]:
-    parts = text.split(":")
+def _parse_snr_spec(text) -> tuple[float, ...]:
+    parts = text.split(":") if isinstance(text, str) else ()
     if len(parts) != 3:
         raise ConfigError(f"--snr wants start:stop:step, got {text!r}")
     try:
@@ -44,22 +45,50 @@ def _parse_snr_spec(text: str) -> tuple[float, ...]:
         raise ConfigError(f"bad --snr range {text!r}: {err}")
 
 
-def _parse_float_list(value) -> tuple[float, ...]:
-    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
+# Each flag key, in the order the configuration is echoed: the field it
+# sets ("sb." + an SBParams field; out and trace are the paths beside the
+# SweepConfig) and the kind its text reads as, [kind] for a comma list.
+_SETTINGS = {
+    "nt": ("nt", int),
+    "nr": ("nr", int),
+    "mod": ("modulation", str),
+    "snr": ("snr_db", _parse_snr_spec),
+    "snr_list": ("snr_db", [float]),
+    "instances": ("instances", int),
+    "detectors": ("detectors", [str]),
+    "steps": ("sb.n_steps", int),
+    "dt": ("sb.dt", float),
+    "restarts": ("sb.n_restarts", int),
+    "r": ("r", float),
+    "seed": ("seed", int),
+    "workers": ("workers", int),
+    "out": ("out", str),
+    "trace": ("trace", str),
+}
+_NOUNS = {int: "an integer", float: "a number"}
+
+
+def _read(key: str, value, kind):
+    """Setting ``key`` with its text (a flag's, or a config-file string,
+    which mirrors flag text) read as ``kind``, and a whole float count as
+    its int; any other value goes on for SweepConfig and SBParams to check."""
+    if isinstance(kind, list):
+        if isinstance(value, str):
+            value = [item.strip() for item in value.split(",")]
+        items = value if isinstance(value, list) else [value]
+        return tuple(_read(key, item, kind[0]) for item in items)
+    if kind is _parse_snr_spec:  # refuses all but start:stop:step text
+        return _parse_snr_spec(value)
+    if not isinstance(value, str):
+        whole = kind is int and isinstance(value, float) and value.is_integer()
+        return int(value) if whole else value
     try:
-        return tuple(float(v) for v in items)
-    except (TypeError, ValueError):
-        raise ConfigError(f"non-numeric SNR list {value!r}")
+        return kind(value)
+    except ValueError:
+        raise ConfigError(f"{key} must be {_NOUNS[kind]}, got {value!r}")
 
 
-def _parse_detectors(value) -> tuple[str, ...]:
-    # Names are checked by SweepConfig.
-    if isinstance(value, (list, tuple)):
-        return tuple(str(v) for v in value)
-    return tuple(p.strip() for p in str(value).split(","))
-
-
-def _load_config_file(path: str, keys: set[str]) -> dict:
+def _load_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -69,17 +98,10 @@ def _load_config_file(path: str, keys: set[str]) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {err}")
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    data = {}
-    for key, value in raw.items():
-        norm = key.replace("-", "_")
-        if norm not in keys:
+    for key in raw:
+        if key.replace("-", "_") not in _SETTINGS:
             raise ConfigError(f"unknown config key {key!r}")
-        # No setting takes true or false, though int() and float() would.
-        items = value if isinstance(value, list) else [value]
-        if any(isinstance(v, bool) for v in items):
-            raise ConfigError(f"{key} must not be true or false, got {value!r}")
-        data[norm] = value
-    return data
+    return {key.replace("-", "_"): value for key, value in raw.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
             "bifurcation Ising solver, against MMSE and ML baselines."
         ),
     )
-    parser.add_argument("--nt", type=int, help="transmit antennas")
-    parser.add_argument("--nr", type=int, help="receive antennas")
+    parser.add_argument("--nt", help="transmit antennas")
+    parser.add_argument("--nr", help="receive antennas")
     parser.add_argument("--mod", help="modulation")
     snr = parser.add_mutually_exclusive_group()
     # argparse takes "-10,10" after a space for a flag, so a negative
@@ -105,17 +127,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="explicit SNR points in dB (a negative first point: "
         "--snr-list=-10,10)",
     )
-    parser.add_argument("--instances", type=int, help="instances per point")
+    parser.add_argument("--instances", help="instances per point")
     parser.add_argument(
         "--detectors",
         metavar="NAME[,NAME...]",
         help=f"comma list from {{{','.join(DETECTOR_NAMES)}}}",
     )
-    parser.add_argument("--steps", type=int, help="solver evolution steps")
-    parser.add_argument("--dt", type=float, help="solver time step")
-    parser.add_argument("--restarts", type=int, help="solver restarts")
-    parser.add_argument("--r", type=float, help="regularization weight")
-    parser.add_argument("--seed", type=int, help="master seed")
+    parser.add_argument("--steps", help="solver evolution steps")
+    parser.add_argument("--dt", help="solver time step")
+    parser.add_argument("--restarts", help="solver restarts")
+    parser.add_argument("--r", help="regularization weight")
+    parser.add_argument("--seed", help="master seed")
     parser.add_argument("--out", metavar="PATH", help="write results CSV here")
     parser.add_argument(
         "--config", metavar="FILE", help="JSON config file mirroring flags"
@@ -125,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="dump the first instance's solver trajectory as CSV",
     )
-    parser.add_argument("--workers", type=int, help="worker processes")
+    parser.add_argument("--workers", help="worker processes")
     return parser
 
 
@@ -136,10 +158,9 @@ def parse_command(argv: list[str] | None = None) -> tuple:
     The defaults are those of SweepConfig and SBParams.
     """
     args = build_parser().parse_args(argv)
-    # The file takes a key for every flag but --config itself.
-    keys = set(vars(args)) - {"config"}
-    values = _load_config_file(args.config, keys) if args.config else {}
-    flags = {k: v for k, v in vars(args).items() if k in keys and v is not None}
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    config = flags.pop("config", None)
+    values = _load_config_file(config) if config else {}
     if "snr" in flags or "snr_list" in flags:
         # A command-line grid replaces any grid in the file.
         values.pop("snr", None)
@@ -147,44 +168,18 @@ def parse_command(argv: list[str] | None = None) -> tuple:
     elif "snr" in values and "snr_list" in values:
         raise ConfigError("config file sets both snr and snr_list")
     values.update(flags)
-    defaults = SweepConfig()
-    paths = values.get("out"), values.get("trace")
+    fields = {}
+    for key, value in values.items():
+        field, kind = _SETTINGS[key]
+        fields[field] = _read(key, value, kind)
+    paths = fields.pop("out", None), fields.pop("trace", None)
     for key, path in zip(("out", "trace"), paths):
         if path is not None and not isinstance(path, str):
             raise ConfigError(f"{key} must be a path string, got {path!r}")
-
-    def count(key, default):
-        value = values.get(key, default)
-        if isinstance(value, float) and value % 1:  # inf % 1 is nan
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
-        return int(value)
-
-    if "snr" in values:
-        grid = _parse_snr_spec(str(values["snr"]))
-    else:
-        grid = _parse_float_list(values.get("snr_list", defaults.snr_db))
+    sb = {f[3:]: fields.pop(f) for f in list(fields) if f.startswith("sb.")}
     try:
-        sb = replace(
-            defaults.sb,
-            n_steps=count("steps", defaults.sb.n_steps),
-            dt=float(values.get("dt", defaults.sb.dt)),
-            n_restarts=count("restarts", defaults.sb.n_restarts),
-        )
-        cfg = SweepConfig(
-            nt=count("nt", defaults.nt),
-            nr=count("nr", defaults.nr),
-            modulation=str(values.get("mod", defaults.modulation)),
-            snr_db=grid,
-            instances=count("instances", defaults.instances),
-            detectors=_parse_detectors(
-                values.get("detectors", defaults.detectors)
-            ),
-            sb=sb,
-            r=float(values.get("r", defaults.r)),
-            seed=count("seed", defaults.seed),
-            workers=count("workers", defaults.workers),
-        )
-    except (TypeError, ValueError, OverflowError) as err:
+        cfg = SweepConfig(**fields, sb=SBParams(**sb))
+    except ValueError as err:
         raise ConfigError(str(err))
     return (cfg, *paths)
 
@@ -195,24 +190,16 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
 
 
 def _echo_config(cfg: SweepConfig, out: str | None, trace: str | None):
-    pairs = [
-        f"nt={cfg.nt}",
-        f"nr={cfg.nr}",
-        f"mod={cfg.modulation}",
-        f"snr_db={','.join(_fmt(s) for s in cfg.snr_db)}",
-        f"instances={cfg.instances}",
-        f"detectors={','.join(cfg.detectors)}",
-        f"steps={cfg.sb.n_steps}",
-        f"dt={_fmt(cfg.sb.dt)}",
-        f"restarts={cfg.sb.n_restarts}",
-        f"r={_fmt(cfg.r)}",
-        f"seed={cfg.seed}",
-        f"workers={cfg.workers}",
-        f"out={out}",
-        f"trace={trace}",
-        f"snr_definition={SNR_DEFINITION}",
-    ]
-    print("config: " + " ".join(pairs), file=sys.stderr)
+    paths = {"out": out, "trace": trace}
+    pairs = {}
+    for key, (field, _) in _SETTINGS.items():
+        if field == "snr_db":  # snr and snr_list set the one grid
+            key = field
+        value = paths[field] if field in paths else attrgetter(field)(cfg)
+        items = value if isinstance(value, tuple) else [value]
+        pairs[key] = ",".join(_fmt(v) for v in items)
+    pairs["snr_definition"] = SNR_DEFINITION
+    print("config:", *(f"{k}={v}" for k, v in pairs.items()), file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:

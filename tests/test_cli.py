@@ -1,6 +1,8 @@
 import csv
 import errno
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,9 @@ from sbmimo.cli import (
     parse_command,
     parse_config,
 )
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_config(tmp_path, payload):
@@ -126,6 +131,18 @@ class TestConfigFile:
         cfg = parse_config(["--config", path])
         assert cfg.snr_db == (4.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "value, text", [(10, "10"), (["1", "2"], "1,2")],
+        ids=["bare-number", "numeric-strings"],
+    )
+    def test_snr_list_file_forms_match_the_flag(self, value, text, tmp_path):
+        # A bare number is a one-point list, and a list item that is a
+        # string reads as flag text does.
+        path = write_config(tmp_path, {"snr_list": value})
+        assert parse_config(["--config", path]) == parse_config(
+            ["--snr-list", text]
+        )
+
     @pytest.mark.parametrize("sep", ["_", "-"])
     def test_every_flag_is_a_config_key(self, tmp_path, sep):
         # A non-default value per flag; a new flag needs an entry here.
@@ -200,6 +217,20 @@ class TestMain:
         assert [row.split()[0] for row in out.splitlines()[1:]] == [
             "5", "5.0000001"
         ]
+
+    def test_echo_line_of_a_golden_config(self, capsys):
+        # The whole line as the hand-kept echo wrote it.
+        resolved = parse_command([
+            "--config", str(GOLDEN / "qam16-2x2-restarts5.json"),
+            "--out", "o.csv", "--trace", "t.csv",
+        ])
+        cli._echo_config(*resolved)
+        assert capsys.readouterr().err == (
+            "config: nt=2 nr=2 mod=qam16 snr_db=5,15,25 instances=50 "
+            "detectors=mmse,sb,sb-reg,ml-oracle steps=60 dt=0.25 restarts=5 "
+            "r=0.5 seed=13 workers=1 out=o.csv trace=t.csv "
+            "snr_definition=rx:E[|Hx|^2]/E[|n|^2]\n"
+        )
 
     def test_config_file_paths_are_written(self, tmp_path, capsys):
         out, trace = tmp_path / "x.csv", tmp_path / "t.csv"
@@ -353,7 +384,10 @@ class TestMain:
     @pytest.mark.parametrize(
         "key", ["nt", "nr", "instances", "steps", "restarts", "seed", "workers"]
     )
-    @pytest.mark.parametrize("value", [2.7, True, False], ids=["2.7", "true", "false"])
+    @pytest.mark.parametrize(
+        "value", [2.7, True, False, "abc", None, [1, 2]],
+        ids=["2.7", "true", "false", "text", "null", "list"],
+    )
     def test_non_integral_count_returns_2(self, key, value, tmp_path, capsys):
         # Before, {"nt": 2.7} ran as nt=2 and {"instances": true} as 1.
         path = write_config(tmp_path, {key: value})
@@ -362,6 +396,30 @@ class TestMain:
         assert captured.err.startswith("error:")
         assert key in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "key, source",
+        [
+            ("nt", {"nt": "abc"}),
+            ("dt", {"dt": "fast"}),
+            ("nt", {"nt": None}),
+            ("r", {"r": None}),
+            ("seed", {"seed": [1, 2]}),
+            ("nt", ["--nt", "abc"]),
+        ],
+        ids=["nt-text", "dt-text", "nt-null", "r-null", "seed-list",
+             "nt-flag-text"],
+    )
+    def test_unreadable_setting_is_named(self, key, source, tmp_path, capsys):
+        # Before, int() and float() refused these file values with messages
+        # that named no setting, and argparse refused --nt abc itself.
+        argv = source if isinstance(source, list) else [
+            "--config", write_config(tmp_path, source)
+        ]
+        assert main(argv + ["--instances", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(rf"\b{key}\b", captured.err)
 
     def test_integral_float_count_is_accepted(self, tmp_path):
         path = write_config(tmp_path, {"nt": 2.0, "instances": 3.0})
@@ -385,10 +443,16 @@ class TestMain:
             {"dt": True},
             {"r": False},
             {"snr_list": [True, 5]},
+            {"mod": True},
+            {"snr": True},
+            {"snr_list": True},
+            {"detectors": True},
+            {"out": True},
         ],
         ids=["snr-list-text", "snr-list-nested", "nt-overflow",
              "out-not-path", "trace-not-path", "dt-bool", "r-bool",
-             "snr-list-bool"],
+             "snr-list-bool", "mod-bool", "snr-bool", "snr-list-true",
+             "detectors-bool", "out-bool"],
     )
     def test_bad_config_value_returns_2(self, payload, tmp_path, capsys):
         path = write_config(tmp_path, payload)
