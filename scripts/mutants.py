@@ -338,6 +338,30 @@ MUTANTS = (
         "        return value",
         (CLI + "TestMain::test_integral_float_count_is_accepted",),
     ),
+    Mutant(
+        "the SNR flags are added outside their exclusive group",
+        "cli.py",
+        '        group = snr if key.startswith("snr") else parser',
+        "        group = parser",
+        (
+            CLI + "TestFlagParsing::"
+            "test_snr_and_snr_list_flags_exclude_each_other",
+        ),
+    ),
+    Mutant(
+        "a refusal names the field, not the key the user set",
+        "cli.py",
+        "        raise ConfigError(text)",
+        "        raise ConfigError(str(err))",
+        tuple(
+            f"{CLI}TestMain::test_refusal_names_the_key_not_the_field[{i}]"
+            for i in ("restarts-file", "steps-flag", "snr-list-file",
+                      "mod-flag")
+        ) + (
+            CLI + "TestMain::test_non_integral_count_returns_2[2.7-steps]",
+            CLI + "TestMain::test_non_integral_count_returns_2[null-restarts]",
+        ),
+    ),
 )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from operator import attrgetter
 
@@ -45,25 +46,31 @@ def _parse_snr_spec(text) -> tuple[float, ...]:
         raise ConfigError(f"bad --snr range {text!r}: {err}")
 
 
-# Each flag key, in the order the configuration is echoed: the field it
-# sets ("sb." + an SBParams field; out and trace are the paths beside the
-# SweepConfig) and the kind its text reads as, [kind] for a comma list.
+# Each flag key, in the order the configuration is echoed and --help lists
+# it: the field it sets ("sb." + an SBParams field; out and trace are the
+# paths beside the SweepConfig), the kind its text reads as ([kind] for a
+# comma list), and the flag's metavar and help.  argparse takes "-10,10"
+# after a space for a flag, so a negative first SNR value needs "=".
 _SETTINGS = {
-    "nt": ("nt", int),
-    "nr": ("nr", int),
-    "mod": ("modulation", str),
-    "snr": ("snr_db", _parse_snr_spec),
-    "snr_list": ("snr_db", [float]),
-    "instances": ("instances", int),
-    "detectors": ("detectors", [str]),
-    "steps": ("sb.n_steps", int),
-    "dt": ("sb.dt", float),
-    "restarts": ("sb.n_restarts", int),
-    "r": ("r", float),
-    "seed": ("seed", int),
-    "workers": ("workers", int),
-    "out": ("out", str),
-    "trace": ("trace", str),
+    "nt": ("nt", int, None, "transmit antennas"),
+    "nr": ("nr", int, None, "receive antennas"),
+    "mod": ("modulation", str, None, "modulation"),
+    "snr": ("snr_db", _parse_snr_spec, "START:STOP:STEP",
+            "inclusive SNR grid in dB (a negative start: --snr=-10:0:5)"),
+    "snr_list": ("snr_db", [float], "A,B,C", "explicit SNR points in dB "
+                 "(a negative first point: --snr-list=-10,10)"),
+    "instances": ("instances", int, None, "instances per point"),
+    "detectors": ("detectors", [str], "NAME[,NAME...]",
+                  f"comma list from {{{','.join(DETECTOR_NAMES)}}}"),
+    "steps": ("sb.n_steps", int, None, "solver evolution steps"),
+    "dt": ("sb.dt", float, None, "solver time step"),
+    "restarts": ("sb.n_restarts", int, None, "solver restarts"),
+    "r": ("r", float, None, "regularization weight"),
+    "seed": ("seed", int, None, "master seed"),
+    "workers": ("workers", int, None, "worker processes"),
+    "out": ("out", str, "PATH", "write results CSV here"),
+    "trace": ("trace", str, "PATH",
+              "dump the first instance's solver trajectory as CSV"),
 }
 _NOUNS = {int: "an integer", float: "a number"}
 
@@ -112,42 +119,14 @@ def build_parser() -> argparse.ArgumentParser:
             "bifurcation Ising solver, against MMSE and ML baselines."
         ),
     )
-    parser.add_argument("--nt", help="transmit antennas")
-    parser.add_argument("--nr", help="receive antennas")
-    parser.add_argument("--mod", help="modulation")
     snr = parser.add_mutually_exclusive_group()
-    # argparse takes "-10,10" after a space for a flag, so a negative
-    # first value needs the "=" form.
-    snr.add_argument(
-        "--snr", metavar="START:STOP:STEP",
-        help="inclusive SNR grid in dB (a negative start: --snr=-10:0:5)",
-    )
-    snr.add_argument(
-        "--snr-list", metavar="A,B,C",
-        help="explicit SNR points in dB (a negative first point: "
-        "--snr-list=-10,10)",
-    )
-    parser.add_argument("--instances", help="instances per point")
-    parser.add_argument(
-        "--detectors",
-        metavar="NAME[,NAME...]",
-        help=f"comma list from {{{','.join(DETECTOR_NAMES)}}}",
-    )
-    parser.add_argument("--steps", help="solver evolution steps")
-    parser.add_argument("--dt", help="solver time step")
-    parser.add_argument("--restarts", help="solver restarts")
-    parser.add_argument("--r", help="regularization weight")
-    parser.add_argument("--seed", help="master seed")
-    parser.add_argument("--out", metavar="PATH", help="write results CSV here")
+    for key, (_, _, metavar, text) in _SETTINGS.items():
+        group = snr if key.startswith("snr") else parser
+        group.add_argument("--" + key.replace("_", "-"), metavar=metavar,
+                           help=text)
     parser.add_argument(
         "--config", metavar="FILE", help="JSON config file mirroring flags"
     )
-    parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="dump the first instance's solver trajectory as CSV",
-    )
-    parser.add_argument("--workers", help="worker processes")
     return parser
 
 
@@ -170,7 +149,7 @@ def parse_command(argv: list[str] | None = None) -> tuple:
     values.update(flags)
     fields = {}
     for key, value in values.items():
-        field, kind = _SETTINGS[key]
+        field, kind = _SETTINGS[key][:2]
         fields[field] = _read(key, value, kind)
     paths = fields.pop("out", None), fields.pop("trace", None)
     for key, path in zip(("out", "trace"), paths):
@@ -180,7 +159,11 @@ def parse_command(argv: list[str] | None = None) -> tuple:
     try:
         cfg = SweepConfig(**fields, sb=SBParams(**sb))
     except ValueError as err:
-        raise ConfigError(str(err))
+        # A refusal names each setting by the key that set it, not by its
+        # field; a quoted word is a value and is left as written.
+        keys = {_SETTINGS[k][0].removeprefix("sb."): k for k in values}
+        text = re.sub(r"(?<!')\b\w+", lambda m: keys.get(m[0], m[0]), str(err))
+        raise ConfigError(text)
     return (cfg, *paths)
 
 
@@ -192,7 +175,7 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
 def _echo_config(cfg: SweepConfig, out: str | None, trace: str | None):
     paths = {"out": out, "trace": trace}
     pairs = {}
-    for key, (field, _) in _SETTINGS.items():
+    for key, (field, *_) in _SETTINGS.items():
         if field == "snr_db":  # snr and snr_list set the one grid
             key = field
         value = paths[field] if field in paths else attrgetter(field)(cfg)

@@ -61,6 +61,12 @@ class TestFlagParsing:
         assert "--snr-list=-10,10" in help_text
         assert "--snr=-10:0:5" in help_text
 
+    def test_snr_and_snr_list_flags_exclude_each_other(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            parse_command(["--snr", "0:10:5", "--snr-list", "5"])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_detectors_csv(self):
         cfg = parse_config(
             ["--detectors", "mmse,sb,sb-reg", "--instances", "1"]
@@ -394,7 +400,7 @@ class TestMain:
         assert main(["--config", path, "--snr-list", "5"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
-        assert key in captured.err
+        assert re.search(rf"\b{key}\b", captured.err)
         assert captured.out == ""
 
     @pytest.mark.parametrize(
@@ -420,6 +426,32 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.search(rf"\b{key}\b", captured.err)
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ({"restarts": 0}, "restarts must be an integer >= 1, got 0"),
+            (["--steps", "0"], "steps must be an integer >= 1, got 0"),
+            ({"snr_list": [True]}, "snr_list must be finite, got True"),
+            (["--mod", "foo"], "unknown mod 'foo'; choose from "),
+            # A quoted value is the user's text and keeps its words.
+            (["--mod", "modulation"], "unknown mod 'modulation'; choose "),
+        ],
+        ids=["restarts-file", "steps-flag", "snr-list-file", "mod-flag",
+             "mod-value-kept"],
+    )
+    def test_refusal_names_the_key_not_the_field(
+        self, source, message, tmp_path, capsys
+    ):
+        # SBParams and SweepConfig name their fields (n_restarts, n_steps,
+        # snr_db, modulation); the command line names the key the user set.
+        argv = source if isinstance(source, list) else [
+            "--config", write_config(tmp_path, source)
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
 
     def test_integral_float_count_is_accepted(self, tmp_path):
         path = write_config(tmp_path, {"nt": 2.0, "instances": 3.0})
