@@ -53,11 +53,14 @@ ONE_REDUCTION = (
 
 MUTANTS = (
     Mutant(
-        "per-model gemm in place of np.matvec in sb.step",
+        "per-row np.matvec in place of the per-model gemm in sb.step",
         "sb.py",
-        "    force = np.matvec(j, s)",
-        "    force = s @ (j[:, 0] if j.ndim == 4 else j)",
-        (SB + "TestBlock::test_matches_per_instance_reference",),
+        "    np.matmul(s, j, out=force)",
+        "    np.copyto(force, np.matvec(j[..., None, :, :], s))",
+        (
+            SB + "TestSolve::test_matches_per_restart_reference",
+            SB + "TestBlock::test_matches_per_instance_reference",
+        ),
     ),
     Mutant(
         "one diverged restart fails every model of its block",
@@ -84,15 +87,22 @@ MUTANTS = (
     Mutant(
         "the wall rule keeps a clamped position's momentum",
         "sb.py",
-        "    np.putmask(y, over, 0.0)",
+        "    y *= keep",
         "    pass",
         (SB + "TestStep::test_wall_rule_clamps_and_zeroes_momentum",),
     ),
     Mutant(
         "the wall rule also clamps |x| == 1",
         "sb.py",
-        "np.greater(",
-        "np.greater_equal(",
+        "np.less_equal(",
+        "np.less(",
+        (SB + "TestStep::test_wall_rule_clamps_and_zeroes_momentum",),
+    ),
+    Mutant(
+        "clamped momenta keep a negative zero",
+        "sb.py",
+        "    y += _ZERO",
+        "    pass",
         (SB + "TestStep::test_wall_rule_clamps_and_zeroes_momentum",),
     ),
     Mutant(

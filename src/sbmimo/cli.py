@@ -156,13 +156,22 @@ def parse_command(argv: list[str] | None = None) -> tuple:
         if path is not None and not isinstance(path, str):
             raise ConfigError(f"{key} must be a path string, got {path!r}")
     sb = {f[3:]: fields.pop(f) for f in list(fields) if f.startswith("sb.")}
+    # The sweep is checked with default solver settings when SBParams
+    # refuses one, so a refusal names every bad setting at once.
     try:
-        cfg = SweepConfig(**fields, sb=SBParams(**sb))
+        params, problems = SBParams(**sb), []
     except ValueError as err:
+        params, problems = SBParams(), [str(err)]
+    try:
+        cfg = SweepConfig(**fields, sb=params)
+    except ValueError as err:
+        problems.insert(0, str(err))
+    if problems:
         # A refusal names each setting by the key that set it, not by its
         # field; a quoted word is a value and is left as written.
         keys = {_SETTINGS[k][0].removeprefix("sb."): k for k in values}
-        text = re.sub(r"(?<!')\b\w+", lambda m: keys.get(m[0], m[0]), str(err))
+        text = re.sub(r"(?<!')\b\w+", lambda m: keys.get(m[0], m[0]),
+                      "; ".join(problems))
         raise ConfigError(text)
     return (cfg, *paths)
 

@@ -17,11 +17,14 @@ rescaling of the model, and sum(J**2) can neither overflow nor underflow.
 solve() takes a block of same-size models, one seed each, and evolves
 every restart of every model as a row of one (2, B, R, N) state of
 positions and momenta and one (B, R, N) array of their signs s, updated
-in place by np.matvec(J, s) with J stacked (B, 1, N, N), one product per
-row, and in-place ufuncs.  Rows never mix, so each is bit for bit what
-it would be alone.  One dot product of x with itself screens for
-divergence; only a non-finite one runs the per-row check that drops
-diverged restarts.  A single model is the block of one.
+in place by ufuncs and one np.matmul(s, J) with J stacked (B, N, N):
+one (R, N) @ (N, N) product per model (J is symmetric, so s @ J is
+J @ s).  Models never mix, so each is bit for bit what it would
+be alone; its rows depend on its own restart count, since a product of
+R rows may sum in another order than one of a single row.  One dot
+product of x with itself screens for divergence; only a non-finite one
+runs the per-row check that drops diverged restarts.  A single model is
+the block of one.
 
 sign(0) is +1 everywhere (force term and readout), a fixed tie-break.
 """
@@ -75,9 +78,16 @@ class SBParams:
     n_restarts: int = 1
 
     def __post_init__(self):
+        problems = []
         for key, least in {"n_steps": 1, "dt": 0.0, "n_restarts": 1}.items():
-            value = setting(key, getattr(self, key), least, strict=key == "dt")
-            object.__setattr__(self, key, value)
+            try:
+                value = setting(key, getattr(self, key), least,
+                                strict=key == "dt")
+                object.__setattr__(self, key, value)
+            except ValueError as err:
+                problems.append(str(err))
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -140,27 +150,28 @@ def initial_states(n: int, seed: int, n_restarts: int) -> np.ndarray:
 
 
 # ufuncs take a 0-d array faster than a Python float, with the same bits.
-_ONE, _MINUS_ONE = np.array(1.0), np.array(-1.0)
+_ONE, _MINUS_ONE, _ZERO = np.array(1.0), np.array(-1.0), np.array(0.0)
 _ONE.flags.writeable = _MINUS_ONE.flags.writeable = False
+_ZERO.flags.writeable = False
 
 
-def step(xy, s, over, a, j, half_h, c0, dt):
+def step(xy, s, force, keep, a, j, half_h, c0, dt):
     """One symplectic-Euler update of the rows of x = xy[0] and y = xy[1],
-    then the wall rule, all in place.
+    then the wall rule, all in place; allocates no array unless a row
+    may have diverged.
 
-    Rows run along the last axis: (R, N) for one model, (B, R, N) for a
-    block, with j (B, 1, N, N) stacked per model.  ``s`` holds sign(x)
-    before and after the step, ``over`` is a bool buffer of x's shape,
-    and ``half_h`` and ``c0`` are h / 2 and c0 tiled to it.  dt runs
-    fastest as an array.  Returns None when every row stayed finite, else
-    the mask of rows that did; rows outside it hold garbage.  The mask is
-    taken before the wall rule: clamping |x| > 1 to +-1 would otherwise
-    hide an overflow.
+    Rows run along the last axis: (R, N) for one model with j (N, N), or
+    (B, R, N) for a block with j (B, N, N) stacked per model; the forces
+    of a model's rows are one s @ j product.  ``s`` holds sign(x) before
+    and after the step, ``force`` and ``keep`` are float buffers of x's
+    shape (keep ends as 1.0 where |x| <= 1, else 0.0), and ``half_h`` and
+    ``c0`` are h / 2 and c0 tiled to it.  dt runs fastest as an array.
+    Returns None when every row stayed finite, else the mask of rows that
+    did; rows outside it hold garbage.  The mask is taken before the wall
+    rule: clamping |x| > 1 to +-1 would otherwise hide an overflow.
     """
     x, y = xy
-    # matvec runs one matrix-vector multiply per row, so each row matches
-    # J @ s bit for bit; a plain (R, N) @ (N, N) gemm sums in another order.
-    force = np.matvec(j, s)
+    np.matmul(s, j, out=force)
     np.add(force, half_h, out=force)
     np.multiply(force, c0, out=force)
     np.subtract(np.multiply(x, -(1.0 - a), out=s), force, out=force)
@@ -175,15 +186,19 @@ def step(xy, s, over, a, j, half_h, c0, dt):
     # x is never -0.0 (initial_states draws none; x + dt * y is -0.0 only
     # when both terms are), so copysign gives sign(x) with sign(0) = +1.
     # Wall rule: |x| > 1 is clamped to sign(x) and its momentum zeroed.
+    # A negative momentum times 0 is -0.0; adding +0.0 makes it +0.0 and
+    # leaves every other y as it is (no initial state draws a -0.0, and
+    # y + dt * force is -0.0 only when y is).
     np.copysign(_ONE, x, out=s)
-    np.greater(np.abs(x, out=force), _ONE, out=over)
+    np.less_equal(np.abs(x, out=force), _ONE, out=keep, casting="unsafe")
     np.minimum(np.maximum(x, _MINUS_ONE, out=x), _ONE, out=x)
-    np.putmask(y, over, 0.0)
+    y *= keep
+    y += _ZERO
     return finite
 
 
 def _stack(models, seeds, n_restarts):
-    """The block's (2, B, R, N) initial state, J as (B, 1, N, N), h / 2 and
+    """The block's (2, B, R, N) initial state, J as (B, N, N), h / 2 and
     c0 tiled to (B, R, N), then the unscaled models' J (B, N, N),
     h (B, N) and offsets (B,), which score the readouts.
 
@@ -195,10 +210,10 @@ def _stack(models, seeds, n_restarts):
     hh = np.stack([m.h for m in models])
     mag = _exponents(jj)
     shift = np.minimum(mag + 1000, 0)
-    j = (np.ldexp(jj, -shift[:, None, None]) if shift.any() else jj)[:, None]
+    j = np.ldexp(jj, -shift[:, None, None]) if shift.any() else jj
     half_h = np.ldexp(0.5 * hh, -shift[:, None])[:, None].repeat(n_restarts, 1)
     # Scaling by 2^-shift moves each exponent by -shift exactly.
-    c0 = np.full_like(half_h, _c0(j[:, 0], mag - shift)[:, None, None])
+    c0 = np.full_like(half_h, _c0(j, mag - shift)[:, None, None])
     n = hh.shape[1]
     xy = np.stack([initial_states(n, s, n_restarts) for s in seeds], axis=1)
     scored = (jj, hh, np.array([m.offset for m in models]))
@@ -250,7 +265,7 @@ def solve(models, params: SBParams, seeds, trace=None) -> list:
     n_restarts = params.n_restarts
     xy, j, half_h, c0, scored = _stack(models, seeds, n_restarts)
     s = np.copysign(1.0, xy[0])
-    over = np.empty(xy.shape[1:], dtype=bool)
+    force, keep = np.empty_like(s), np.empty_like(s)
     dt = np.array(params.dt)
     live = np.ones(xy.shape[1:3], dtype=bool)  # per (model, restart)
     steps = []  # per traced step: (k, a, x, y, energies, live)
@@ -258,7 +273,7 @@ def solve(models, params: SBParams, seeds, trace=None) -> list:
     # diverged row's readout, scored with the rest, may overflow too.
     with np.errstate(over="ignore", invalid="ignore"):
         for k, a in enumerate(pump_schedule(params.n_steps).tolist()):
-            finite = step(xy, s, over, a, j, half_h, c0, dt)
+            finite = step(xy, s, force, keep, a, j, half_h, c0, dt)
             if finite is not None and not finite.all():
                 live &= finite
                 if not live.any():

@@ -453,6 +453,19 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
 
+    def test_refusal_names_every_bad_setting(self, capsys):
+        # One error line names the sweep's and the solver's bad settings
+        # together; before, a refused solver setting hid every other.
+        argv = ["--dt", "0", "--restarts", "0", "--nt", "0", "--instances", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: nt must be an integer >= 1, got 0; "
+            "dt must be finite and > 0, got 0.0; "
+            "restarts must be an integer >= 1, got 0\n"
+        )
+
     def test_integral_float_count_is_accepted(self, tmp_path):
         path = write_config(tmp_path, {"nt": 2.0, "instances": 3.0})
         cfg = parse_config(["--config", path])

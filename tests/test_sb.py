@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,39 +33,45 @@ def model_of(j, h, offset=0.0):
 
 
 def reference_runs(model, params, seed=0, trace=None):
-    """Evolve each restart alone, one (N,) vector per step.
+    """Evolve one model's restarts together, an (R, N) array per step.
 
-    An independent per-restart loop the batched solver must match bit for
-    bit.  Returns each restart's readout, or None where it diverged; with
-    ``trace`` a list, appends a row per step as solve's trace gets.
+    An independent per-model loop the batched solver must match bit for
+    bit.  The forces are the one per-model product signs (R, N) @ J that
+    solve takes, so a model's rows depend on its restart count; the rest
+    is written apart from solve.  Returns each restart's readout, or None
+    where it diverged; with ``trace`` a list, appends a row per step of
+    each restart, restart-major, as solve's trace gets.
     """
     c0 = compute_c0(model.j)
     n_steps = params.n_steps
-    runs = []
+    starts = []
     for restart in range(params.n_restarts):
         rng = np.random.default_rng([seed, restart])
-        x = rng.uniform(-0.1, 0.1, model.n)
-        y = rng.uniform(-0.1, 0.1, model.n)
-        for k in range(n_steps):
-            a = 1.0 if n_steps == 1 else k / (n_steps - 1)
-            with np.errstate(over="ignore", invalid="ignore"):
-                force = -(1.0 - a) * x - c0 * (
-                    model.j @ sign_pm1(x) + 0.5 * model.h
-                )
-                y = y + params.dt * force
-                x = x + params.dt * y
-            if not (np.isfinite(x).all() and np.isfinite(y).all()):
-                runs.append(None)
-                break
-            over = np.abs(x) > 1.0
-            x = np.where(over, sign_pm1(x), x)
-            y = np.where(over, 0.0, y)
-            if trace is not None:
-                spins = sign_pm1(x).astype(np.int8)
-                trace.append((restart, k, a, x, y, energy(model, spins)))
-        else:
-            runs.append(sign_pm1(x).astype(np.int8))
-    return runs
+        starts.append((rng.uniform(-0.1, 0.1, model.n),
+                       rng.uniform(-0.1, 0.1, model.n)))
+    x, y = (np.array(v) for v in zip(*starts))
+    alive = np.ones(params.n_restarts, dtype=bool)
+    rows = [[] for _ in alive]
+    for k in range(n_steps):
+        a = 1.0 if n_steps == 1 else k / (n_steps - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            force = -(1.0 - a) * x - c0 * (
+                sign_pm1(x) @ model.j + 0.5 * model.h
+            )
+            y = y + params.dt * force
+            x = x + params.dt * y
+        alive &= np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
+        over = np.abs(x) > 1.0
+        x = np.where(over, sign_pm1(x), x)
+        y = np.where(over, 0.0, y)
+        if trace is not None:
+            for r in np.flatnonzero(alive).tolist():
+                spins = sign_pm1(x[r]).astype(np.int8)
+                rows[r].append((r, k, a, x[r], y[r], energy(model, spins)))
+    if trace is not None:
+        trace.extend(row for run in rows for row in run)
+    return [sign_pm1(xr).astype(np.int8) if ok else None
+            for xr, ok in zip(x, alive)]
 
 
 def reference_best(model, runs):
@@ -183,7 +190,7 @@ class TestNormalization:
             models.append(model_of(np.ldexp(m.j, e), np.ldexp(m.h, e)))
         # Each model's c0 is tiled to its rows, every entry the same.
         _, j, _, c0, _ = sb._stack(models, range(len(models)), 3)
-        for jb, tile in zip(j[:, 0], c0):
+        for jb, tile in zip(j, c0):
             c = compute_c0(jb)
             assert (tile == c).all() and 0.0 < c < math.inf
 
@@ -213,18 +220,19 @@ class TestSchedule:
 
 def step_buffers(xy, half_h):
     # The buffers step takes besides the state: the signs sign(x), the
-    # |x| > 1 mask and h / 2 tiled to one row per restart.
-    over = np.empty(xy.shape[1:], dtype=bool)
-    return sign_pm1(xy[0]), over, np.tile(half_h, (xy.shape[1], 1))
+    # force and keep scratch arrays and h / 2 tiled to one row per restart.
+    s = sign_pm1(xy[0])
+    return s, np.empty_like(s), np.empty_like(s), np.tile(half_h, (len(s), 1))
 
 
 def step_rows(x, y, a, j, half_h, c0, dt=0.5):
-    # step on a fresh (2, R, N) state from x and y, with s = sign(x);
-    # returns the new x and y, the per-row mask (None when every row
-    # stayed finite) and s.
+    # step on a fresh (2, R, N) state from x and y, with s = sign(x) and
+    # j (N, N); returns the new x and y, the per-row mask (None when every
+    # row stayed finite) and s.
     xy = np.array([x, y], dtype=float)
-    s, over, half_h = step_buffers(xy, half_h)
-    finite = step(xy, s, over, a, j, half_h, c0, dt)
+    s, force, keep, half_h = step_buffers(xy, half_h)
+    finite = step(xy, s, force, keep, a, np.asarray(j, dtype=float),
+                  half_h, c0, dt)
     return xy[0], xy[1], finite, s
 
 
@@ -264,6 +272,9 @@ class TestStep:
         assert x[:, 0].tolist() == [1.0, -1.0, 0.6, 1.0, -1.0]
         assert y[:, 0].tolist() == [0.0, 0.0, 1.0, 1.0, -1.0]
         assert s[:, 0].tolist() == [1.0, -1.0, 1.0, 1.0, -1.0]
+        # A zeroed negative momentum (-0.7 moved to -1.2) is +0.0, not
+        # -0.0, which the trace would print as "-0".
+        assert not np.signbit(y[:2]).any()
 
     def test_finite_rows_with_overflowing_sum_are_kept(self):
         # Free drift to 1e308 in every entry: the sum over x overflows, so
@@ -293,6 +304,23 @@ class TestStep:
         assert reference_runs(lone, SBParams(n_steps=5)) == [None]
         assert solve_one(lone, SBParams(n_steps=5)) is None
 
+    def test_allocates_no_array(self, rng):
+        # A step runs in the buffers solve allocates once: at 128 x 32 its
+        # peak traced allocation stays far below one array of x's shape,
+        # which a fresh force array would take.
+        m = random_model(rng, 32)
+        xy = initial_states(32, seed=1, n_restarts=128)
+        s, force, keep, half_h = step_buffers(xy, 0.5 * m.h)
+        c0 = compute_c0(m.j)
+        step(xy, s, force, keep, 0.5, m.j, half_h, c0, 0.5)
+        tracemalloc.start()
+        try:
+            assert step(xy, s, force, keep, 1.0, m.j, half_h, c0, 0.5) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < s.nbytes // 4
+
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=50, deadline=None)
     def test_positions_stay_walled(self, seed):
@@ -301,10 +329,10 @@ class TestStep:
         m = random_model(rng, n)
         dt = float(rng.uniform(0.1, 1.5))
         xy = initial_states(n, int(rng.integers(2**32)), 3)
-        s, over, half_h = step_buffers(xy, 0.5 * m.h)
+        s, force, keep, half_h = step_buffers(xy, 0.5 * m.h)
         c0 = compute_c0(m.j)
         for a in pump_schedule(30):
-            assert step(xy, s, over, a, m.j, half_h, c0, dt) is None
+            assert step(xy, s, force, keep, a, m.j, half_h, c0, dt) is None
             assert np.max(np.abs(xy[0])) <= 1.0
             # The signs step hands on are sign(x) with sign(0) = +1.
             assert np.array_equal(s, sign_pm1(xy[0]))
@@ -556,9 +584,9 @@ class TestSolve:
         xy = initial_states(5, seed=3, n_restarts=1)
         xy = np.concatenate([xy, -xy], axis=1)
         x, y = xy
-        s, over, half_h = step_buffers(xy, 0.5 * m.h)
+        s, force, keep, half_h = step_buffers(xy, 0.5 * m.h)
         for a in pump_schedule(40):
-            step(xy, s, over, a, m.j, half_h, c0, 0.5)
+            step(xy, s, force, keep, a, m.j, half_h, c0, 0.5)
             assert np.array_equal(x[1], -x[0])
             assert np.array_equal(y[1], -y[0])
         assert np.array_equal(s[1], -s[0])
