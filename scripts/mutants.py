@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 
 SB = "tests/test_sb.py::"
 DETECTORS = "tests/test_detectors.py::"
+PREPARE = DETECTORS + "TestPrepare::"
 BLOCKS = "tests/test_bench.py::TestBlocks::"
 GOLDEN = "tests/test_golden.py::test_sweep_reproduces_golden_files"
 REDUCTION = "tests/test_reduction.py::"
@@ -229,21 +230,45 @@ MUTANTS = (
     Mutant(
         "a block's sb_detect calls run in descending point order",
         "bench.py",
-        "    for k, (snr_idx, _) in enumerate(points):",
-        "    for k, (snr_idx, _) in reversed(list(enumerate(points))):",
+        "    for k, p in enumerate(problems):",
+        "    for k, p in reversed(list(enumerate(problems))):",
         (BLOCKS + "test_call_order_within_blocks",),
     ),
     Mutant(
         "a block's points are tallied under its first point's SNR index",
         "bench.py",
-        "    for k, (snr_idx, _) in enumerate(points):",
-        "    for k, (snr_idx, _) in enumerate(points[:1] * len(points)):",
+        "            tally[points[k][0], det].update(dict(zip(counts, run)))",
+        "            tally[points[0][0], det].update(dict(zip(counts, run)))",
         (
             BLOCKS + "test_block_size_does_not_change_records[1]",
             BLOCKS + "test_block_size_does_not_change_records[3]",
             GOLDEN + "[qpsk-4x4-1]",
             GOLDEN + "[qpsk-2x2-sbreg-2]",
         ),
+    ),
+    Mutant(
+        "the stacked reduction sums y_r . y_r by einsum",
+        "reduction.py",
+        "np.vecdot(sys.y_r, sys.y_r)",
+        'np.einsum("...i,...i->...", sys.y_r, sys.y_r)',
+        (PREPARE + "test_block_matches_each_instance_alone",),
+    ),
+    Mutant(
+        "a block whose stacked MMSE solve fails solves its first instance only",
+        "detectors.py",
+        "        for b in range(len(soft)):",
+        "        for b in range(1):",
+        (
+            PREPARE + "test_block_mixes_singular_and_regular_gram",
+            PREPARE + "test_block_matches_each_instance_alone",
+        ),
+    ),
+    Mutant(
+        "a block's initial states are written into the wrong model's rows",
+        "sb.py",
+        "        initial_states(hh.shape[1], seed, n_restarts, out=xy[:, b])",
+        "        initial_states(hh.shape[1], seed, n_restarts, out=xy[:, -1 - b])",
+        (SB + "TestBlock::test_matches_per_instance_reference",),
     ),
     Mutant(
         "symbols_to_spins swaps the nearest-level rule's midpoint sides",

@@ -194,27 +194,31 @@ def _eval_block(cfg: SweepConfig, points, trace=None):
     """Tallies of one block of sweep points, keyed by (snr_idx, detector).
 
     points lists (snr_idx, i) pairs, which may span several SNR points.
-    Each point is sampled from its own RNG stream, reduced once and run
+    Each point is sampled from its own RNG stream; the block is reduced,
+    with every MMSE decision, in one `prepare` call; each point is run
     through MMSE and the ML oracle; then one solve per SB-family detector
     covers the whole block; then, per point in order, the SB decisions are
-    made and everything is tallied.  MMSE runs at most once per point; its
-    result is both the `mmse` decision and the `sb-reg` anchor, so an
-    MMSE failure counts against both.  Bit errors are counted as spin
-    mismatches against the spins of the sent levels: under the channel's
-    bit labeling each bit is one spin.  With `ml-oracle` configured, a decision
-    is ML-optimal if its energy is at most the oracle's e + 1e-9 max(1, |e|).
-    trace, when given, holds one list per point, and only the first
-    SB-family detector's solve extends it (see `trace_rows`).
+    made; then each detector's decisions are tallied together.  MMSE runs
+    at most once per point; its result is both the `mmse` decision and the
+    `sb-reg` anchor, so an MMSE failure counts against both.  Bit errors
+    are counted as spin mismatches against the spins of the sent levels:
+    under the channel's bit labeling each bit is one spin.  With
+    `ml-oracle` configured, a decision is ML-optimal if its energy is at
+    most the oracle's e + 1e-9 max(1, |e|).  trace, when given, holds one
+    list per point, and only the first SB-family detector's solve extends
+    it (see `trace_rows`).
     """
     c = get_constellation(cfg.modulation)
-    tally = defaultdict(Counter)
-    problems, seeds, decided = [], [], []
+    insts, seeds = [], []
     for snr_idx, i in points:
         rng = np.random.default_rng([cfg.seed, snr_idx, i])
-        inst = sample_instance(cfg.nt, cfg.nr, c, cfg.snr_db[snr_idx], rng)
+        insts.append(
+            sample_instance(cfg.nt, cfg.nr, c, cfg.snr_db[snr_idx], rng)
+        )
         seeds.append(int(rng.integers(0, 1 << 63, dtype=np.uint64)))
-        p = prepare(inst, c)
-        problems.append(p)
+    problems = prepare(insts, c)
+    decided = []
+    for p in problems:
         decided.append({"mmse": None})
         if "mmse" in cfg.detectors or "sb-reg" in cfg.detectors:
             try:
@@ -229,30 +233,45 @@ def _eval_block(cfg: SweepConfig, points, trace=None):
         solved[det] = sb_solve(problems, cfg.sb, seeds,
                                anchors if det == "sb-reg" else None, cfg.r,
                                None if solved else trace)
-    sent = level_spins(np.stack([p.inst.tx_levels for p in problems]), c)
-    for k, (snr_idx, _) in enumerate(points):
-        p, anchor = problems[k], anchors[k]
+    for k, p in enumerate(problems):
         for det, outcomes in solved.items():
             if outcomes[k] is not None:
                 decided[k][det] = sb_detect(
-                    p, outcomes[k], anchor if det == "sb-reg" else None
+                    p, outcomes[k], anchors[k] if det == "sb-reg" else None
                 )
-        oracle = decided[k].get("ml-oracle")
-        for det in cfg.detectors:
-            res = decided[k].get(det)
-            cell = tally[snr_idx, det]
-            if res is None:
-                cell["failures"] += 1
-                continue
-            cell["bit_errors"] += int(np.count_nonzero(res.spins != sent[k]))
-            cell["instances"] += 1
-            if det == "sb-reg":
-                if res.ising_energy > anchor.ising_energy:
-                    cell["selection_violations"] += 1
-            if oracle is not None:
-                e_ml = oracle.ising_energy
-                if res.ising_energy <= e_ml + 1e-9 * max(1.0, abs(e_ml)):
-                    cell["ml_optimal"] += 1
+    sent = level_spins(np.array([inst.tx_levels for inst in insts]), c)
+    return _tally(cfg, points, decided, sent)
+
+
+def _tally(cfg, points, decided, sent):
+    # The block's counts per (snr_idx, detector): one pass per detector
+    # over the stacked decisions (a failed one stands in as the sent spins
+    # with a NaN energy, so it counts no error and meets no energy test),
+    # summed over each run of points of one SNR index.
+    starts = [k for k, (snr_idx, _) in enumerate(points)
+              if not k or snr_idx != points[k - 1][0]]
+    tally = defaultdict(Counter)
+    for det in cfg.detectors:
+        res = [d.get(det) for d in decided]
+        done = np.array([r is not None for r in res])
+        spins = np.array([s if r is None else r.spins
+                          for r, s in zip(res, sent)])
+        e = np.array([math.nan if r is None else r.ising_energy for r in res])
+        counts = {
+            "instances": done,
+            "failures": ~done,
+            "bit_errors": np.count_nonzero(spins != sent, axis=1),
+        }
+        if det == "sb-reg":
+            anchor = np.array([math.nan if d["mmse"] is None
+                               else d["mmse"].ising_energy for d in decided])
+            counts["selection_violations"] = e > anchor
+        if "ml-oracle" in cfg.detectors:
+            e_ml = np.array([d["ml-oracle"].ising_energy for d in decided])
+            counts["ml_optimal"] = e <= e_ml + 1e-9 * np.maximum(1.0, abs(e_ml))
+        sums = np.add.reduceat(np.array(list(counts.values())), starts, axis=1)
+        for k, run in zip(starts, sums.T.tolist()):
+            tally[points[k][0], det].update(dict(zip(counts, run)))
     return tally
 
 

@@ -124,7 +124,8 @@ def add_awgn(
 
 
 def realify(H: np.ndarray, y: np.ndarray, c: Constellation) -> RealizedSystem:
-    """Real-valued system preserving the residual norm.
+    """Real-valued system preserving the residual norm, of one system or
+    of a stack: H (..., nr, nt) and y (..., nr).
 
     Complex constellations use the doubled block form
     [[Re H, -Im H], [Im H, Re H]]; BPSK stacks [Re H; Im H] and keeps the
@@ -132,26 +133,28 @@ def realify(H: np.ndarray, y: np.ndarray, c: Constellation) -> RealizedSystem:
     """
     H = np.asarray(H, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
-    if H.shape[0] != y.shape[0]:
+    if H.shape[:-1] != y.shape:
         raise ValueError(
-            f"H has {H.shape[0]} rows but y has length {y.shape[0]}"
+            f"H has {H.shape[:-1]} rows but y has length {y.shape}"
         )
-    y_r = np.concatenate([y.real, y.imag])
+    y_r = np.concatenate([y.real, y.imag], axis=-1)
     if c.axes == 1:
-        return RealizedSystem(h_r=np.vstack([H.real, H.imag]), y_r=y_r)
+        return RealizedSystem(h_r=np.concatenate([H.real, H.imag], axis=-2),
+                              y_r=y_r)
     # Filled block by block: np.block costs several times as much.
-    nr, nt = H.shape
-    h_r = np.empty((2 * nr, 2 * nt))
-    h_r[:nr, :nt] = h_r[nr:, nt:] = H.real
-    h_r[nr:, :nt] = H.imag
-    np.negative(H.imag, out=h_r[:nr, nt:])
+    *lead, nr, nt = H.shape
+    h_r = np.empty((*lead, 2 * nr, 2 * nt))
+    h_r[..., :nr, :nt] = h_r[..., nr:, nt:] = H.real
+    h_r[..., nr:, :nt] = H.imag
+    np.negative(H.imag, out=h_r[..., :nr, nt:])
     return RealizedSystem(h_r=h_r, y_r=y_r)
 
 
 def realify_symbols(x: np.ndarray, c: Constellation) -> np.ndarray:
-    """The real symbol vector matching realify's column layout."""
+    """The real symbol vector matching realify's column layout, of each
+    row of a stack x (..., nt)."""
     x = np.asarray(x, dtype=np.complex128)
-    return np.concatenate([x.real, x.imag][: c.axes])
+    return np.concatenate([x.real, x.imag][: c.axes], axis=-1)
 
 
 def sample_instance(

@@ -50,7 +50,8 @@ class DetectionFailureError(RuntimeError):
 @dataclass(frozen=True)
 class Problem:
     """One channel instance with its realify system, that system's Ising
-    model and the constellation.
+    model, the constellation and the spins of its MMSE decision (None
+    where the MMSE solve failed; see ``prepare``).
 
     Built once per instance by ``prepare`` and shared by every detector.
     """
@@ -59,13 +60,63 @@ class Problem:
     sys: RealizedSystem
     model: IsingModel
     c: Constellation
+    mmse: np.ndarray | None
 
 
-def prepare(inst: ChannelInstance, c: Constellation) -> Problem:
-    """Realify one channel instance and reduce it to the problem every
-    detector takes."""
-    sys = realify(inst.h, inst.y, c)
-    return Problem(inst=inst, sys=sys, model=instance_model(sys, c), c=c)
+def _mmse_spins(h, y, noise_var, c) -> list:
+    """The MMSE decision's spins per instance of a stack: h (B, nr, nt),
+    y (B, nr) and noise_var (B,).
+
+    Soft estimate (H^H H + d I)^-1 H^H y with d = sigma^2 / Es; the
+    regularizer scaling reflects the unnormalized constellation energy
+    Es.  One solve covers the stack; it raises if one matrix is singular,
+    and then each instance is solved alone.  Where that solve fails (d
+    below the rounding of a rank-deficient H^H H, as at nr < nt and very
+    high SNR), lstsq of [H; sqrt(d) I] gives it, and where that fails too,
+    or d is not a finite positive number, the spins are None.
+    """
+    nt = h.shape[-1]
+    delta = noise_var / c.symbol_energy
+    ok = np.isfinite(delta) & (delta > 0)
+    d = np.where(ok, delta, 1.0)  # stands in where no decision is taken
+    hh = h.conj().mT
+    rhs = (hh @ y[..., None])[..., 0]
+    gram = hh @ h
+    gram += d[:, None, None] * np.eye(nt)
+    try:
+        soft = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        soft = np.zeros_like(rhs)
+        for b in range(len(soft)):
+            try:
+                soft[b] = np.linalg.solve(gram[b], rhs[b])
+            except np.linalg.LinAlgError:
+                a = np.vstack([h[b], np.sqrt(d[b]) * np.eye(nt)])
+                try:
+                    soft[b] = np.linalg.lstsq(a, np.r_[y[b], np.zeros(nt)])[0]
+                except np.linalg.LinAlgError:
+                    ok[b] = False
+    spins = symbols_to_spins(soft, c)
+    return [s if keep else None for s, keep in zip(spins, ok.tolist())]
+
+
+def prepare(insts, c: Constellation) -> list[Problem]:
+    """Realify a block of same-size channel instances, reduce them and take
+    their MMSE decisions, each in one stacked pass: the problems every
+    detector takes, one per instance, in order.  Each problem is bit for
+    bit what it would be in a block of one."""
+    insts = list(insts)
+    h = np.array([inst.h for inst in insts], dtype=np.complex128)
+    y = np.array([inst.y for inst in insts], dtype=np.complex128)
+    noise_var = np.array([inst.noise_var for inst in insts], dtype=np.float64)
+    sys = realify(h, y, c)
+    models = instance_model(sys, c)
+    mmse = _mmse_spins(h, y, noise_var, c)
+    return [
+        Problem(inst, RealizedSystem(h_r, y_r), model, c, spins)
+        for inst, h_r, y_r, model, spins
+        in zip(insts, sys.h_r, sys.y_r, models, mmse, strict=True)
+    ]
 
 
 @dataclass(frozen=True)
@@ -79,30 +130,18 @@ class DetectionResult:
 
 
 def mmse_detect(p: Problem) -> DetectionResult:
-    """Regularized linear estimate, hard-quantized onto the lattice.
+    """Regularized linear estimate, hard-quantized onto the lattice: the
+    decision ``prepare`` took for p (see _mmse_spins), with its energy.
 
-    Soft estimate (H^H H + d I)^-1 H^H y with d = sigma^2 / Es; the
-    regularizer scaling reflects the unnormalized constellation energy
-    Es.  Where that solve fails (d below the rounding of a rank-deficient
-    H^H H, as at nr < nt and very high SNR), lstsq of [H; sqrt(d) I] gives it.
+    Raises ValueError for a noise variance that is not positive, and
+    DetectionFailureError where the regularized solve and its lstsq
+    fallback both failed.
     """
-    inst, c = p.inst, p.c
-    if not inst.noise_var > 0:
-        raise ValueError(f"noise_var must be > 0, got {inst.noise_var}")
-    nt = inst.h.shape[1]
-    hh = inst.h.conj().T
-    delta = inst.noise_var / c.symbol_energy
-    gram = hh @ inst.h + delta * np.eye(nt)
-    try:
-        soft = np.linalg.solve(gram, hh @ inst.y)
-    except np.linalg.LinAlgError:
-        a = np.vstack([inst.h, np.sqrt(delta) * np.eye(nt)])
-        try:
-            soft = np.linalg.lstsq(a, np.r_[inst.y, np.zeros(nt)])[0]
-        except np.linalg.LinAlgError as err:
-            raise DetectionFailureError(f"regularized solve failed: {err}")
-    spins = symbols_to_spins(soft, c)
-    return DetectionResult("mmse", spins, energy(p.model, spins), {})
+    if not p.inst.noise_var > 0:
+        raise ValueError(f"noise_var must be > 0, got {p.inst.noise_var}")
+    if p.mmse is None:
+        raise DetectionFailureError("regularized solve failed")
+    return DetectionResult("mmse", p.mmse, energy(p.model, p.mmse), {})
 
 
 def _triangles(sys, lam):

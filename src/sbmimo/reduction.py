@@ -31,19 +31,29 @@ from sbmimo.ising import IsingModel
 from sbmimo.sb import setting
 
 
-def instance_model(sys: RealizedSystem, c: Constellation) -> IsingModel:
+def instance_model(sys: RealizedSystem, c: Constellation):
     """Reduce one instance's realify system to its detection Ising model,
     whose energy equals ||y_r - H_r T s||^2 for every s.  H_r T is each
-    axis's column block of H_r once per weight, scaled by it."""
-    m, nt = sys.h_r.shape[0], sys.h_r.shape[1] // c.axes
-    blocks = sys.h_r.reshape(m, c.axes, 1, nt) * c.weights[:, None]
-    a = blocks.reshape(m, nt * c.bps)
-    g = a.T @ a
-    g = 0.5 * (g + g.T)
-    j = g - np.diag(np.diagonal(g))
-    h = -2.0 * (a.T @ sys.y_r)
-    offset = float(np.trace(g) + sys.y_r @ sys.y_r)
-    return IsingModel(j=j, h=h, offset=offset)
+    axis's column block of H_r once per weight, scaled by it.
+
+    A stacked system (h_r (B, m, k), y_r (B, m)) is reduced in one pass
+    to a list of B models, each bit for bit the model of its system alone.
+    """
+    *lead, m, k = sys.h_r.shape
+    nt = k // c.axes
+    blocks = sys.h_r.reshape(*lead, m, c.axes, 1, nt) * c.weights[:, None]
+    a = blocks.reshape(*lead, m, nt * c.bps)
+    h = -2.0 * (a.mT @ sys.y_r[..., None])[..., 0]
+    g = a.mT @ a
+    del blocks, a  # a stack's temporaries are large: free each when done
+    g = g + g.mT
+    g *= 0.5
+    # vecdot sums y_r . y_r as a lone dot does (einsum may not).
+    offset = np.trace(g, axis1=-2, axis2=-1) + np.vecdot(sys.y_r, sys.y_r)
+    np.einsum("...ii->...i", g)[...] = 0.0  # g is now J
+    if not lead:
+        return IsingModel(j=g, h=h, offset=offset)
+    return list(map(IsingModel, g, h, offset))
 
 
 def level_spins(idx: np.ndarray, c: Constellation) -> np.ndarray:
@@ -87,9 +97,9 @@ def nearest_level(value: float, mid) -> int:
 def symbols_to_spins(x: np.ndarray, c: Constellation) -> np.ndarray:
     """Spins of the lattice point nearest to x on each real axis, by
     nearest_level's rule: the hard decision, which inverts x_r = T s on
-    the lattice."""
+    the lattice.  x is one symbol vector (nt,) or a stack (..., nt)."""
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1 or x.size == 0:
+    if x.ndim == 0 or x.size == 0:
         raise ValueError(f"symbol vector has shape {x.shape}, expected (nt,)")
     v = np.nan_to_num(realify_symbols(x, c), posinf=0.0, neginf=0.0)
     mid = midpoints(c)

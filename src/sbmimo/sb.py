@@ -138,15 +138,19 @@ def pump_schedule(n_steps: int) -> np.ndarray:
     return np.arange(n_steps) / (n_steps - 1)
 
 
-def initial_states(n: int, seed: int, n_restarts: int) -> np.ndarray:
-    """(2, n_restarts, n) positions then momenta, i.i.d. uniform [-0.1, 0.1].
+def initial_states(n: int, seed: int, n_restarts: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """(2, n_restarts, n) positions then momenta, i.i.d. uniform [-0.1, 0.1],
+    written into out when given.
 
     Row r draws x then y from its own stream default_rng([seed, r]), so a
     restart starts from the same state however many restarts run.
     """
-    # One (2, n) draw is x's n values, then y's, from one stream.
-    rows = [np.random.default_rng([seed, r]) for r in range(n_restarts)]
-    return np.stack([rng.uniform(-0.1, 0.1, (2, n)) for rng in rows], axis=1)
+    out = np.empty((2, n_restarts, n)) if out is None else out
+    for r in range(n_restarts):
+        # One (2, n) draw is x's n values, then y's, from one stream.
+        out[:, r] = np.random.default_rng([seed, r]).uniform(-0.1, 0.1, (2, n))
+    return out
 
 
 # ufuncs take a 0-d array faster than a Python float, with the same bits.
@@ -214,8 +218,9 @@ def _stack(models, seeds, n_restarts):
     half_h = np.ldexp(0.5 * hh, -shift[:, None])[:, None].repeat(n_restarts, 1)
     # Scaling by 2^-shift moves each exponent by -shift exactly.
     c0 = np.full_like(half_h, _c0(j, mag - shift)[:, None, None])
-    n = hh.shape[1]
-    xy = np.stack([initial_states(n, s, n_restarts) for s in seeds], axis=1)
+    xy = np.empty((2, *half_h.shape))
+    for b, seed in enumerate(seeds):
+        initial_states(hh.shape[1], seed, n_restarts, out=xy[:, b])
     scored = (jj, hh, np.array([m.offset for m in models]))
     return xy, j, half_h, c0, scored
 

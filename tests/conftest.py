@@ -31,6 +31,26 @@ def energy_ref(model: IsingModel, s) -> float:
     return float(s @ model.j @ s + model.h @ s + model.offset)
 
 
+def model_from(a, y_r):
+    # The Ising model of ||y_r - a s||^2 from one instance's spin matrix
+    # a = H_r T, by the reduction's formulas in instance_model's order of
+    # operations: the per-instance reference of the stacked reduction.
+    g = a.T @ a
+    g = 0.5 * (g + g.T)
+    return IsingModel(
+        j=g - np.diag(np.diagonal(g)),
+        h=-2.0 * (a.T @ y_r),
+        offset=float(np.trace(g) + y_r @ y_r),
+    )
+
+
+def assert_same_model(model, ref):
+    # Bit for bit.
+    assert model.j.tobytes() == ref.j.tobytes()
+    assert model.h.tobytes() == ref.h.tobytes()
+    assert model.offset == ref.offset
+
+
 def sign_pm1(x) -> np.ndarray:
     # Sign with sign(0) = +1, as float64: the solver's readout rule.
     return np.where(np.asarray(x) >= 0.0, 1.0, -1.0)

@@ -103,7 +103,7 @@ def test_criterion_2_exhaustive_argmin_matches_oracle():
     n_inst = 500
     for i in range(n_inst):
         rng = np.random.default_rng([41, i])
-        p = prepare(sample_instance(3, 3, c, 8.0, rng), c)
+        p = prepare([sample_instance(3, 3, c, 8.0, rng)], c)[0]
         model = p.model
         table = np.array(list(all_spin_vectors(model.n)))
         energies = np.array([energy(model, s) for s in table])

@@ -302,31 +302,41 @@ class TestRunSweep:
         import sbmimo.bench
         import sbmimo.detectors
 
-        calls = {"realify": 0, "build": 0, "mmse": 0}
+        # prepare reduces each block in one stacked pass: one realify and
+        # one instance_model call per block, on the stack of its points.
+        calls = {"realify": [], "build": [], "mmse": 0}
 
-        def counting(key, func):
+        def sizing(key, func, size):
             def wrapper(*args, **kwargs):
-                calls[key] += 1
+                calls[key].append(size(args[0]))
+                return func(*args, **kwargs)
+            return wrapper
+
+        def counting(func):
+            def wrapper(*args, **kwargs):
+                calls["mmse"] += 1
                 return func(*args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(
             "sbmimo.detectors.realify",
-            counting("realify", sbmimo.detectors.realify),
+            sizing("realify", sbmimo.detectors.realify, len),
         )
         monkeypatch.setattr(
             "sbmimo.detectors.instance_model",
-            counting("build", sbmimo.detectors.instance_model),
+            sizing("build", sbmimo.detectors.instance_model,
+                   lambda sys: len(sys.h_r)),
         )
         monkeypatch.setattr(
-            "sbmimo.bench.mmse_detect", counting("mmse", sbmimo.bench.mmse_detect)
+            "sbmimo.bench.mmse_detect", counting(sbmimo.bench.mmse_detect)
         )
-        cfg = small_config(detectors=detectors, instances=6)
+        cfg = small_config(detectors=detectors, instances=20)
         run_sweep(cfg)
         instances = len(cfg.snr_db) * cfg.instances
+        blocks = [sbmimo.bench._BLOCK, instances - sbmimo.bench._BLOCK]
         assert calls == {
-            "realify": instances,
-            "build": instances,
+            "realify": blocks,
+            "build": blocks,
             "mmse": mmse_calls * instances,
         }
 
@@ -492,10 +502,11 @@ class TestBlocks:
 
     def test_call_order_within_blocks(self, monkeypatch):
         # A span tracer charges each call to the instance sampled last.
-        # So per instance the sweep samples, runs MMSE, then the oracle;
-        # after the block's solves, sb_detect runs in ascending instance
-        # order, so each detector's last sb_detect in a block is on the
-        # block's last instance.  The blocks are cut from the sweep's
+        # So the sweep samples a block's every point, then (after one
+        # stacked prepare) runs MMSE then the oracle per point, and after
+        # the block's solves sb_detect in ascending instance order: each
+        # detector's last call in a block is on the block's last instance,
+        # the one sampled last.  The blocks are cut from the sweep's
         # points in SNR-major order, so one of them spans both SNR points.
         import sbmimo.bench
 
@@ -525,11 +536,14 @@ class TestBlocks:
         expected = []
         for start in range(0, points, block):
             ks = range(start, min(start + block, points))
+            expected += [("sample_instance", k) for k in ks]
             for k in ks:
-                expected += [("sample_instance", k), ("mmse_detect", k),
-                             ("ml_oracle", k)]
+                expected += [("mmse_detect", k), ("ml_oracle", k)]
             for k in ks:
                 expected += [("sb_detect", k)] * 2
+            # Every detector's last call is on the block's last point.
+            last = {name: k for name, k in expected}
+            assert set(last.values()) == {ks[-1]}
         assert events == expected
 
     def test_one_solve_per_detector_spans_the_snr_points(self, monkeypatch):

@@ -11,6 +11,7 @@ from sbmimo.channel import (
     QPSK,
     ChannelInstance,
     add_awgn,
+    realify,
     sample_channel,
     sample_instance,
 )
@@ -24,16 +25,20 @@ from sbmimo.detectors import (
     sb_solve,
 )
 from sbmimo.ising import energies, energy
-from sbmimo.reduction import level_spins, regularize
+from sbmimo.reduction import level_spins, regularize, symbols_to_spins
 from sbmimo.sb import SBParams
 
 from conftest import (
     all_spin_vectors,
+    assert_same_model,
     detect_one,
+    energy_ref,
+    model_from,
     modulate,
     nearest_point_bits,
     sent_symbols,
     solve_one,
+    spin_transform,
     spins_to_bits,
     symbol_levels,
 )
@@ -78,11 +83,102 @@ def oracle_instances(draw):
     return sample_instance(nt, nr, c, snr, np.random.default_rng(seed)), c
 
 
+def mmse_reference(inst, c):
+    """One instance's MMSE decision taken alone, by the per-instance
+    solve and lstsq fallback the stacked one must reproduce bit for bit:
+    its spins, or None where both fail."""
+    nt = inst.h.shape[1]
+    hh = inst.h.conj().T
+    delta = inst.noise_var / c.symbol_energy
+    gram = hh @ inst.h + delta * np.eye(nt)
+    try:
+        soft = np.linalg.solve(gram, hh @ inst.y)
+    except np.linalg.LinAlgError:
+        a = np.vstack([inst.h, np.sqrt(delta) * np.eye(nt)])
+        try:
+            soft = np.linalg.lstsq(a, np.r_[inst.y, np.zeros(nt)])[0]
+        except np.linalg.LinAlgError:
+            return None
+    return symbols_to_spins(soft, c)
+
+
+def singular_instance(nt, nr, c, rng):
+    """Equal columns and noise far below their Gram's rounding: for nt >= 2
+    the regularized Gram matrix is exactly singular, so its solve fails
+    and MMSE takes the least-squares path."""
+    y = rng.standard_normal(nr) + 1j * rng.standard_normal(nr)
+    return ChannelInstance(
+        h=np.ones((nr, nt), dtype=complex),
+        tx_levels=np.zeros(c.axes * nt, dtype=np.int8),
+        noise_var=1e-300, y=y,
+    )
+
+
+@st.composite
+def instance_blocks(draw):
+    # A block of up to 6 same-size instances, nr from 1 to nt + 3 (wide
+    # and tall), each regular or with an exactly singular Gram matrix.
+    c = draw(st.sampled_from([BPSK, QPSK, QAM16]))
+    nt = draw(st.integers(1, 6))
+    nr = draw(st.integers(1, nt + 3))
+    singular = draw(st.lists(st.booleans(), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    insts = [
+        singular_instance(nt, nr, c, rng) if bad
+        else sample_instance(nt, nr, c, float(rng.uniform(-10, 60)), rng)
+        for bad in singular
+    ]
+    return insts, c
+
+
+class TestPrepare:
+    @given(instance_blocks())
+    @settings(max_examples=150, deadline=None)
+    def test_block_matches_each_instance_alone(self, block):
+        # The stacked reduction and MMSE solve give each problem the
+        # system, model and MMSE decision of its instance alone, bit for
+        # bit, including where one singular Gram matrix in the block
+        # makes the stacked solve fall back to per-instance solves.
+        insts, c = block
+        problems = prepare(insts, c)
+        assert len(problems) == len(insts)
+        for p, inst in zip(problems, insts):
+            sys = realify(inst.h, inst.y, c)
+            assert p.inst is inst and p.c is c
+            assert p.sys.h_r.tobytes() == sys.h_r.tobytes()
+            assert p.sys.y_r.tobytes() == sys.y_r.tobytes()
+            nt = inst.h.shape[1]
+            model = model_from(sys.h_r @ spin_transform(c, nt), sys.y_r)
+            assert_same_model(p.model, model)
+            spins = mmse_reference(inst, c)
+            assert spins is not None
+            res = mmse_detect(p)
+            assert np.array_equal(res.spins, spins)
+            assert res.ising_energy == energy_ref(model, spins)
+
+    def test_block_mixes_singular_and_regular_gram(self, rng):
+        # One pinned block of each kind: the stacked solve raises, so the
+        # regular instances are solved one by one.
+        insts = [sample_instance(2, 1, QPSK, 10.0, rng),
+                 singular_instance(2, 1, QPSK, rng),
+                 sample_instance(2, 1, QPSK, 20.0, rng)]
+        gram = np.ones((2, 2)) + 1e-300 / QPSK.symbol_energy * np.eye(2)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(gram, np.ones(2))
+        for p, inst in zip(prepare(insts, QPSK), insts):
+            assert np.array_equal(p.mmse, mmse_reference(inst, QPSK))
+
+    def test_no_decision_is_a_detection_failure(self, rng):
+        (p,) = prepare([sample_instance(2, 2, QPSK, 10.0, rng)], QPSK)
+        with pytest.raises(DetectionFailureError):
+            mmse_detect(replace(p, mmse=None))
+
+
 class TestMmse:
     def test_noiseless_limit_recovers_bits(self):
         inst = make_instance(2, 2, QPSK, 1e-12, seed=11)
         assert np.linalg.cond(inst.h) < 100  # invertible, well-behaved
-        res = mmse_detect(prepare(inst, QPSK))
+        res = mmse_detect(prepare([inst], QPSK)[0])
         assert np.array_equal(
             spins_to_bits(res.spins, QPSK),
             nearest_point_bits(sent_symbols(inst, QPSK), QPSK),
@@ -93,7 +189,7 @@ class TestMmse:
 
     def test_matches_independent_pseudo_inverse(self):
         inst = make_instance(2, 2, QPSK, 0.8, seed=21)
-        res = mmse_detect(prepare(inst, QPSK))
+        res = mmse_detect(prepare([inst], QPSK)[0])
         hh = inst.h.conj().T
         gram = hh @ inst.h + (inst.noise_var / QPSK.symbol_energy) * np.eye(2)
         soft = np.linalg.pinv(gram) @ (hh @ inst.y)
@@ -103,8 +199,8 @@ class TestMmse:
 
     def test_energy_is_definitionally_consistent(self, rng):
         inst = sample_instance(3, 3, QAM16, 14.0, rng)
-        res = mmse_detect(prepare(inst, QAM16))
-        model = prepare(inst, QAM16).model
+        res = mmse_detect(prepare([inst], QAM16)[0])
+        model = prepare([inst], QAM16)[0].model
         assert res.ising_energy == energy(model, res.spins)
 
     @pytest.mark.parametrize("c", [QPSK, BPSK], ids=["qpsk", "bpsk"])
@@ -121,23 +217,28 @@ class TestMmse:
         gram = inst.h.conj().T @ inst.h + 1e-300 / c.symbol_energy * np.eye(2)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(gram, np.ones(2))
-        p = prepare(inst, c)
+        p = prepare([inst], c)[0]
         res = mmse_detect(p)
         assert res.spins.shape == (p.model.n,)
         assert np.isfinite(res.ising_energy)
         assert res.ising_energy == energy(p.model, res.spins)
 
     def test_rejects_nonpositive_noise(self):
+        # A block-mate with a bad noise variance leaves a good instance's
+        # decision as it is alone.
         inst = make_instance(2, 2, QPSK, 1e-6, seed=3)
-        bad = replace(inst, noise_var=0.0)
-        with pytest.raises(ValueError):
-            mmse_detect(prepare(bad, QPSK))
+        for noise_var in (0.0, -1.0, float("nan")):
+            bad = replace(inst, noise_var=noise_var)
+            p, good = prepare([bad, inst], QPSK)
+            with pytest.raises(ValueError):
+                mmse_detect(p)
+            assert np.array_equal(good.mmse, mmse_reference(inst, QPSK))
 
 
 class TestOracle:
     def test_noiseless_recovers_transmitted(self):
         inst = make_instance(2, 2, QPSK, 1e-12, seed=5)
-        res = ml_oracle(prepare(inst, QPSK))
+        res = ml_oracle(prepare([inst], QPSK)[0])
         assert np.array_equal(
             res.spins, level_spins(inst.tx_levels, QPSK)
         )
@@ -148,8 +249,8 @@ class TestOracle:
 
     def test_beats_every_candidate_by_full_scan(self, rng):
         inst = sample_instance(2, 2, QPSK, 4.0, rng)
-        res = ml_oracle(prepare(inst, QPSK))
-        model = prepare(inst, QPSK).model
+        res = ml_oracle(prepare([inst], QPSK)[0])
+        model = prepare([inst], QPSK)[0].model
         table = np.array(list(all_spin_vectors(model.n)))
         energies = np.array([energy(model, s) for s in table])
         assert res.ising_energy == energies.min()
@@ -164,12 +265,12 @@ class TestOracle:
             tx_levels=np.zeros(4, dtype=np.int8),
             noise_var=1.0, y=np.zeros(2, dtype=complex),
         )
-        res = ml_oracle(prepare(inst, QPSK))
+        res = ml_oracle(prepare([inst], QPSK)[0])
         assert np.array_equal(res.spins, -np.ones(4))
 
     @pytest.mark.parametrize("c", [QAM16, BPSK], ids=["qam16", "bpsk"])
     def test_zero_channel_tie_is_all_minus_one(self, c):
-        res = ml_oracle(prepare(zero_channel(2, 2, c), c))
+        res = ml_oracle(prepare([zero_channel(2, 2, c)], c)[0])
         assert np.array_equal(res.spins, -np.ones(2 * c.bps))
         assert res.ising_energy == 0.0
 
@@ -177,8 +278,8 @@ class TestOracle:
     @settings(max_examples=40, deadline=None)
     def test_matches_exhaustive_reference(self, case):
         inst, c = case
-        res = ml_oracle(prepare(inst, c))
-        spins, e = exhaustive_ml(prepare(inst, c).model)
+        res = ml_oracle(prepare([inst], c)[0])
+        spins, e = exhaustive_ml(prepare([inst], c)[0].model)
         assert np.array_equal(res.spins, spins)
         assert res.ising_energy == e
 
@@ -187,14 +288,14 @@ class TestOracle:
         # zero channel prunes nothing, so all 2^8 leaves come in blocks;
         # with nr < nt the unpruned top levels split the random cases.
         monkeypatch.setattr("sbmimo.detectors._BLOCK_ROWS", 3)
-        res = ml_oracle(prepare(zero_channel(2, 2, QAM16), QAM16))
+        res = ml_oracle(prepare([zero_channel(2, 2, QAM16)], QAM16)[0])
         assert res.extras["candidates"] == 256
         assert np.array_equal(res.spins, -np.ones(8))
         rng = np.random.default_rng(8)
         for c, nt, nr, snr in [(QAM16, 3, 2, 0.0), (QPSK, 5, 3, -10.0)]:
             inst = sample_instance(nt, nr, c, snr, rng)
-            res = ml_oracle(prepare(inst, c))
-            spins, e = exhaustive_ml(prepare(inst, c).model)
+            res = ml_oracle(prepare([inst], c)[0])
+            spins, e = exhaustive_ml(prepare([inst], c)[0].model)
             assert np.array_equal(res.spins, spins)
             assert res.ising_energy == e
 
@@ -204,8 +305,8 @@ class TestOracle:
         rng = np.random.default_rng(63)
         for snr in (-10.0, 10.0, 40.0):
             inst = sample_instance(3, 1, QAM16, snr, rng)
-            res = ml_oracle(prepare(inst, QAM16))
-            spins, e = exhaustive_ml(prepare(inst, QAM16).model)
+            res = ml_oracle(prepare([inst], QAM16)[0])
+            spins, e = exhaustive_ml(prepare([inst], QAM16)[0].model)
             assert isinstance(res.extras["candidates"], int)
             assert np.array_equal(res.spins, spins)
             assert res.ising_energy == e
@@ -217,8 +318,8 @@ class TestOracle:
         rng = np.random.default_rng(int(snr))
         for _ in range(2):
             inst = sample_instance(8, 8, QPSK, snr, rng)
-            res = ml_oracle(prepare(inst, QPSK))
-            spins, e = exhaustive_ml(prepare(inst, QPSK).model)
+            res = ml_oracle(prepare([inst], QPSK)[0])
+            spins, e = exhaustive_ml(prepare([inst], QPSK)[0].model)
             assert np.array_equal(res.spins, spins)
             assert res.ising_energy == e
 
@@ -227,8 +328,8 @@ class TestOracle:
         # 9,392 leaves lie within the MMSE-SIC point's distance.  Only
         # those within slack of the best leaf are scored.
         inst = sample_instance(4, 2, QAM16, -10.0, np.random.default_rng(3))
-        spins, e = exhaustive_ml(prepare(inst, QAM16).model)
-        res = ml_oracle(prepare(inst, QAM16))
+        spins, e = exhaustive_ml(prepare([inst], QAM16)[0].model)
+        res = ml_oracle(prepare([inst], QAM16)[0])
         assert np.array_equal(res.spins, spins)
         assert res.ising_energy == e
         assert res.extras["candidates"] <= 1
@@ -238,7 +339,7 @@ class TestOracle:
         # they are taken up halves the work (11,136 prefix distances
         # without that filter).
         monkeypatch.setattr("sbmimo.detectors._BLOCK_ROWS", 64)
-        res = ml_oracle(prepare(inst, QAM16))
+        res = ml_oracle(prepare([inst], QAM16)[0])
         assert np.array_equal(res.spins, spins)
         assert res.extras["nodes"] <= 6_000  # 5,376 measured
 
@@ -252,8 +353,8 @@ class TestOracle:
             tx_levels=np.zeros(4, dtype=np.int8),
             noise_var=1.0, y=np.array([-3 - 1j, 1 + 2j]),
         )
-        res = ml_oracle(prepare(inst, QPSK))
-        spins, e = exhaustive_ml(prepare(inst, QPSK).model)
+        res = ml_oracle(prepare([inst], QPSK)[0])
+        spins, e = exhaustive_ml(prepare([inst], QPSK)[0].model)
         assert np.array_equal(res.spins, spins)
         assert res.ising_energy == e == 9.0
         assert res.extras["candidates"] == 3
@@ -280,8 +381,8 @@ class TestOracle:
             h=h, tx_levels=np.zeros(8, dtype=np.int8),
             noise_var=1.0, y=h @ np.full(4, -1 - 1j),
         )
-        res = ml_oracle(prepare(inst, QPSK))
-        spins, e = exhaustive_ml(prepare(inst, QPSK).model)
+        res = ml_oracle(prepare([inst], QPSK)[0])
+        spins, e = exhaustive_ml(prepare([inst], QPSK)[0].model)
         assert np.array_equal(res.spins, spins)
         assert np.array_equal(spins, -np.ones(8))
         assert res.ising_energy == e
@@ -292,13 +393,13 @@ class TestOracle:
     def test_guard_refuses_large_search(self, rng):
         inst = sample_instance(7, 2, QAM16, 10.0, rng)  # 28 spins
         with pytest.raises(ValueError, match=str(ORACLE_SPIN_LIMIT)):
-            ml_oracle(prepare(inst, QAM16))
+            ml_oracle(prepare([inst], QAM16)[0])
 
     def test_dominates_other_detectors(self, rng):
         params = SBParams(n_steps=60, dt=0.5)
         for k in range(20):
             inst = sample_instance(2, 2, QPSK, float(5 + k), rng)
-            p = prepare(inst, QPSK)
+            p = prepare([inst], QPSK)[0]
             ml = ml_oracle(p)
             mmse = mmse_detect(p)
             sbr = detect_one(p, params, mmse, r=0.5, seed=1)
@@ -309,8 +410,8 @@ class TestOracle:
 class TestSbDetect:
     def test_plain_readout_is_consistent(self, rng):
         inst = sample_instance(3, 3, QPSK, 10.0, rng)
-        res = detect_one(prepare(inst, QPSK), SBParams(n_steps=80), seed=2)
-        model = prepare(inst, QPSK).model
+        res = detect_one(prepare([inst], QPSK)[0], SBParams(n_steps=80), seed=2)
+        model = prepare([inst], QPSK)[0].model
         assert res.ising_energy == energy(model, res.spins)
         assert res.detector == "sb"
         assert set(res.extras) == {"diverged_restarts"}
@@ -319,7 +420,7 @@ class TestSbDetect:
         params = SBParams(n_steps=50, dt=0.5)
         for k in range(40):
             inst = sample_instance(3, 3, QPSK, float(rng.uniform(0, 25)), rng)
-            p = prepare(inst, QPSK)
+            p = prepare([inst], QPSK)[0]
             anchor = mmse_detect(p)
             res = detect_one(p, params, anchor, r=0.5)
             assert set(res.extras) == {"diverged_restarts", "selected"}
@@ -357,7 +458,7 @@ class TestSbDetect:
         rng = np.random.default_rng(8)
         inst = sample_instance(3, 3, QPSK, 10.0, rng)
         params = SBParams(n_steps=40, n_restarts=restarts)
-        p = prepare(inst, QPSK)
+        p = prepare([inst], QPSK)[0]
         anchor = mmse_detect(p)
         assert calls == ["sbmimo.detectors.energy"]
         sb = detect_one(p, params, seed=3)
@@ -373,7 +474,7 @@ class TestSbDetect:
         # readout: every restart diverged) is a detection failure.
         params = SBParams(n_steps=40, n_restarts=2)
         problems = [
-            prepare(sample_instance(3, 3, QPSK, 10.0, rng), QPSK)
+            prepare([sample_instance(3, 3, QPSK, 10.0, rng)], QPSK)[0]
             for _ in range(5)
         ]
         anchors = [mmse_detect(p) for p in problems]
@@ -396,7 +497,7 @@ class TestSbDetect:
         # None, and every other problem is decided as in a block of one.
         params = SBParams(n_steps=40, n_restarts=2)
         problems = [
-            prepare(sample_instance(3, 3, QPSK, 10.0, rng), QPSK)
+            prepare([sample_instance(3, 3, QPSK, 10.0, rng)], QPSK)[0]
             for _ in range(5)
         ]
         anchors = [mmse_detect(p) if k % 2 else None
@@ -417,7 +518,7 @@ class TestSbDetect:
         for seed in range(30):
             rng = np.random.default_rng(seed)
             inst = sample_instance(2, 2, QPSK, 28.0, rng)
-            p = prepare(inst, QPSK)
+            p = prepare([inst], QPSK)[0]
             params = SBParams(n_steps=100)
             anchor = mmse_detect(p)
             res = detect_one(p, params, anchor, r=0.5, seed=seed)
@@ -432,7 +533,7 @@ class TestSbDetect:
     def test_detector_outputs_are_commensurate(self, rng):
         inst = sample_instance(2, 2, QAM16, 16.0, rng)
         params = SBParams(n_steps=60)
-        p = prepare(inst, QAM16)
+        p = prepare([inst], QAM16)[0]
         anchor = mmse_detect(p)
         results = [
             anchor,

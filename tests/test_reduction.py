@@ -17,7 +17,7 @@ from sbmimo.channel import (
     realify,
     sample_instance,
 )
-from sbmimo.ising import IsingModel, energy
+from sbmimo.ising import energy
 from sbmimo.reduction import (
     instance_model,
     level_spins,
@@ -29,7 +29,9 @@ from sbmimo.reduction import (
 
 from conftest import (
     all_spin_vectors,
+    assert_same_model,
     constellation_points,
+    model_from,
     modulate,
     nearest_point_bits,
     random_model,
@@ -38,24 +40,6 @@ from conftest import (
     spins_to_bits,
     spins_to_symbols,
 )
-
-
-def model_from(a, y_r):
-    """The Ising model of ||y_r - a s||^2 from the spin matrix a = H_r T,
-    by the module's formulas in instance_model's order of operations."""
-    g = a.T @ a
-    g = 0.5 * (g + g.T)
-    return IsingModel(
-        j=g - np.diag(np.diagonal(g)),
-        h=-2.0 * (a.T @ y_r),
-        offset=float(np.trace(g) + y_r @ y_r),
-    )
-
-
-def assert_same_model(model, ref):
-    assert model.j.tobytes() == ref.j.tobytes()
-    assert model.h.tobytes() == ref.h.tobytes()
-    assert model.offset == ref.offset
 
 
 def realified(rng, c, nt, nr=None):
@@ -229,9 +213,11 @@ class TestSpinMaps:
             assert np.array_equal(spins_to_bits(s, c), bits)
 
     def test_length_mismatch_rejected(self):
-        # Symbols come as a non-empty vector.
+        # Symbols come as a non-empty vector, or a stack of them.
         with pytest.raises(ValueError):
-            symbols_to_spins(np.array([[1 + 1j]]), QPSK)
+            symbols_to_spins(np.array(1 + 1j), QPSK)
+        with pytest.raises(ValueError):
+            symbols_to_spins(np.zeros((2, 0), dtype=complex), QPSK)
         with pytest.raises(ValueError):
             symbols_to_spins(np.array([], dtype=complex), QPSK)
 

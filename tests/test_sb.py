@@ -457,22 +457,22 @@ class TestSolve:
         assert [restarts.count(r) for r in range(4)] == [0, 1, 12, 6]
         assert_same_rows(rows, ref_rows)
 
-    def test_nan_energy_ranks_last(self):
-        # Near the float limit a readout's energy can be NaN (inf - inf).
-        # Here the five readouts score [inf, 4.05e307, -inf, nan, inf];
-        # np.argmin would return the NaN one, and restart 2 must win.
-        n, seed = 21, 239
-        m = random_model(np.random.default_rng(seed), n)
-        scale = 8e307 / math.sqrt(n)
-        m = IsingModel(j=m.j * scale, h=m.h * scale, offset=m.offset)
-        params = SBParams(n_steps=1, dt=0.05, n_restarts=5)
-        with np.errstate(over="ignore", invalid="ignore"):
-            runs = reference_runs(m, params, seed)
-            energies = [energy(m, s) for s in runs]
-            res = solve_one(m, params, seed)
-        assert energies[0] == energies[4] == math.inf
-        assert math.isfinite(energies[1]) and energies[2] == -math.inf
-        assert math.isnan(energies[3])
+    def test_nan_energy_ranks_last(self, monkeypatch):
+        # Near the float limit a readout's energy can be NaN (inf - inf;
+        # see test_ising.py's huge draws), but which readouts overflow
+        # depends on the BLAS kernel's summation order, so the energies
+        # are pinned here: the five readouts score [inf, 4.05e307, -inf,
+        # nan, inf].  np.argmin would return the NaN one, and restart 2,
+        # whose readout differs from every other, must win.
+        m = random_model(np.random.default_rng(239), 8)
+        params = SBParams(n_steps=20, n_restarts=5)
+        runs = reference_runs(m, params, seed=4)
+        assert len({tuple(s) for s in runs}) == 5
+        pinned = [math.inf, 4.05e307, -math.inf, math.nan, math.inf]
+        monkeypatch.setattr(
+            sb, "energies", lambda j, h, offset, s: np.array([pinned])
+        )
+        res = solve_one(m, params, seed=4)
         assert res.energy == -math.inf and res.diverged_restarts == 0
         assert np.array_equal(res.spins, runs[2])
 
