@@ -230,20 +230,52 @@ MUTANTS = (
     Mutant(
         "a block's sb_detect calls run in descending point order",
         "bench.py",
-        "    for k, p in enumerate(problems):",
-        "    for k, p in reversed(list(enumerate(problems))):",
+        "            for p, s, a in zip(problems, solved,\n"
+        "                               anchors or [None] * len(problems))\n"
+        "        ]\n",
+        "            for p, s, a in reversed(list(zip(problems, solved,\n"
+        "                               anchors or [None] * len(problems))))\n"
+        "        ][::-1]\n",
         (BLOCKS + "test_call_order_within_blocks",),
     ),
     Mutant(
-        "a block's points are tallied under its first point's SNR index",
+        "the sweep sums its counts over an (instance, SNR) split",
         "bench.py",
-        "            tally[points[k][0], det].update(dict(zip(counts, run)))",
-        "            tally[points[0][0], det].update(dict(zip(counts, run)))",
+        "    shape = (len(cfg.detectors), len(_COUNTS), len(cfg.snr_db),"
+        " cfg.instances)",
+        "    shape = (len(cfg.detectors), len(_COUNTS), cfg.instances,"
+        " len(cfg.snr_db))",
         (
-            BLOCKS + "test_block_size_does_not_change_records[1]",
-            BLOCKS + "test_block_size_does_not_change_records[3]",
             GOLDEN + "[qpsk-4x4-1]",
             GOLDEN + "[qpsk-2x2-sbreg-2]",
+            GOLDEN + "[qpsk-16x16-1]",
+        ),
+    ),
+    Mutant(
+        "the sweep joins its blocks' counts in reverse order",
+        "bench.py",
+        "    counts = np.concatenate(blocks, axis=-1)",
+        "    counts = np.concatenate(blocks[::-1], axis=-1)",
+        (GOLDEN + "[qpsk-4x4-1]", GOLDEN + "[qpsk-16x16-2]"),
+    ),
+    Mutant(
+        "the noise is drawn before the channel",
+        "channel.py",
+        "    re, im = rng.standard_normal((2, nr, nt))\n"
+        "    h = np.sqrt(0.5) * (re + 1j * im)\n"
+        "    noise_var = noise_variance_for_snr(snr_db, nt, c)\n"
+        "    re, im = rng.standard_normal((2, nr))\n",
+        "    noise = rng.standard_normal((2, nr))\n"
+        "    re, im = rng.standard_normal((2, nr, nt))\n"
+        "    h = np.sqrt(0.5) * (re + 1j * im)\n"
+        "    noise_var = noise_variance_for_snr(snr_db, nt, c)\n"
+        "    re, im = noise\n",
+        (
+            "tests/test_channel.py::TestSampleInstance::"
+            "test_matches_the_two_draw_reference[qpsk-6-3]",
+            "tests/test_channel.py::TestSampleInstance::"
+            "test_matches_the_two_draw_reference[qam16-3-8]",
+            GOLDEN + "[bpsk-4x4-1]",
         ),
     ),
     Mutant(
@@ -352,8 +384,8 @@ MUTANTS = (
     Mutant(
         "_eval_block hands the trace to every SB-family detector",
         "bench.py",
-        "                               None if solved else trace)",
-        "                               trace)",
+        "        trace = None  # the first SB-family solve alone is traced",
+        "        pass",
         (GOLDEN + "[qpsk-2x2-sbreg-1]", GOLDEN + "[qpsk-2x2-sbreg-2]"),
     ),
     Mutant(

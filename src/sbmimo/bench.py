@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,7 +178,8 @@ class BerRecord:
     ml_optimal: int = 0
 
 
-# The BerRecord fields a block tallies per (snr_idx, detector).
+# The BerRecord fields a block counts per detector and point, in the order
+# of _eval_block's count axis.
 _COUNTS = ("instances", "bit_errors", "failures", "selection_violations",
            "ml_optimal")
 
@@ -191,22 +191,24 @@ _BLOCK = 32
 
 
 def _eval_block(cfg: SweepConfig, points, trace=None):
-    """Tallies of one block of sweep points, keyed by (snr_idx, detector).
+    """The counts of one block of sweep points, as an int array of shape
+    (detector, count, point) in cfg.detectors and _COUNTS order.
 
     points lists (snr_idx, i) pairs, which may span several SNR points.
     Each point is sampled from its own RNG stream; the block is reduced,
-    with every MMSE decision, in one `prepare` call; each point is run
-    through MMSE and the ML oracle; then one solve per SB-family detector
-    covers the whole block; then, per point in order, the SB decisions are
-    made; then each detector's decisions are tallied together.  MMSE runs
-    at most once per point; its result is both the `mmse` decision and the
-    `sb-reg` anchor, so an MMSE failure counts against both.  Bit errors
-    are counted as spin mismatches against the spins of the sent levels:
-    under the channel's bit labeling each bit is one spin.  With
-    `ml-oracle` configured, a decision is ML-optimal if its energy is at
-    most the oracle's e + 1e-9 max(1, |e|).  trace, when given, holds one
-    list per point, and only the first SB-family detector's solve extends
-    it (see `trace_rows`).
+    with every MMSE decision, in one `prepare` call; then MMSE and the ML
+    oracle each take one pass over the block; then each SB-family
+    detector takes one solve of the whole block and one pass of
+    `sb_detect` in point order.  Each detector keeps one decision list,
+    None where it failed.  MMSE runs at most once per point; its list is
+    both the `mmse` decisions and the `sb-reg` anchors, so an MMSE
+    failure counts against both.  Bit errors are counted as spin
+    mismatches against the spins of the sent levels: under the channel's
+    bit labeling each bit is one spin.  With `ml-oracle` configured, a
+    decision is ML-optimal if its energy is at most the oracle's
+    e + 1e-9 max(1, |e|).  trace, when given, holds one list per point,
+    and only the first SB-family detector's solve extends it (see
+    `trace_rows`).
     """
     c = get_constellation(cfg.modulation)
     insts, seeds = [], []
@@ -217,62 +219,52 @@ def _eval_block(cfg: SweepConfig, points, trace=None):
         )
         seeds.append(int(rng.integers(0, 1 << 63, dtype=np.uint64)))
     problems = prepare(insts, c)
-    decided = []
-    for p in problems:
-        decided.append({"mmse": None})
-        if "mmse" in cfg.detectors or "sb-reg" in cfg.detectors:
+    mmse = [None] * len(problems)
+    if "mmse" in cfg.detectors or "sb-reg" in cfg.detectors:
+        for k, p in enumerate(problems):
             try:
-                decided[-1]["mmse"] = mmse_detect(p)
+                mmse[k] = mmse_detect(p)
             except DetectionFailureError:
                 pass
-        if "ml-oracle" in cfg.detectors:
-            decided[-1]["ml-oracle"] = ml_oracle(p)
-    anchors = [d["mmse"] for d in decided]
-    solved = {}
+    decided = {"mmse": mmse}
+    if "ml-oracle" in cfg.detectors:
+        decided["ml-oracle"] = [ml_oracle(p) for p in problems]
     for det in [d for d in cfg.detectors if d in SB_FAMILY]:
-        solved[det] = sb_solve(problems, cfg.sb, seeds,
-                               anchors if det == "sb-reg" else None, cfg.r,
-                               None if solved else trace)
-    for k, p in enumerate(problems):
-        for det, outcomes in solved.items():
-            if outcomes[k] is not None:
-                decided[k][det] = sb_detect(
-                    p, outcomes[k], anchors[k] if det == "sb-reg" else None
-                )
+        anchors = mmse if det == "sb-reg" else None
+        solved = sb_solve(problems, cfg.sb, seeds, anchors, cfg.r, trace)
+        trace = None  # the first SB-family solve alone is traced
+        decided[det] = [
+            None if s is None else sb_detect(p, s, a)
+            for p, s, a in zip(problems, solved,
+                               anchors or [None] * len(problems))
+        ]
+    # A failed decision stands in as the sent spins with a NaN energy, so
+    # it counts no error and meets no energy test.
     sent = level_spins(np.array([inst.tx_levels for inst in insts]), c)
-    return _tally(cfg, points, decided, sent)
-
-
-def _tally(cfg, points, decided, sent):
-    # The block's counts per (snr_idx, detector): one pass per detector
-    # over the stacked decisions (a failed one stands in as the sent spins
-    # with a NaN energy, so it counts no error and meets no energy test),
-    # summed over each run of points of one SNR index.
-    starts = [k for k, (snr_idx, _) in enumerate(points)
-              if not k or snr_idx != points[k - 1][0]]
-    tally = defaultdict(Counter)
+    zero = np.zeros(len(points), dtype=bool)
+    e_ml = _energies(decided["ml-oracle"]) if "ml-oracle" in decided else None
+    counts = []
     for det in cfg.detectors:
-        res = [d.get(det) for d in decided]
+        res = decided[det]
         done = np.array([r is not None for r in res])
         spins = np.array([s if r is None else r.spins
                           for r, s in zip(res, sent)])
-        e = np.array([math.nan if r is None else r.ising_energy for r in res])
-        counts = {
-            "instances": done,
-            "failures": ~done,
-            "bit_errors": np.count_nonzero(spins != sent, axis=1),
-        }
-        if det == "sb-reg":
-            anchor = np.array([math.nan if d["mmse"] is None
-                               else d["mmse"].ising_energy for d in decided])
-            counts["selection_violations"] = e > anchor
-        if "ml-oracle" in cfg.detectors:
-            e_ml = np.array([d["ml-oracle"].ising_energy for d in decided])
-            counts["ml_optimal"] = e <= e_ml + 1e-9 * np.maximum(1.0, abs(e_ml))
-        sums = np.add.reduceat(np.array(list(counts.values())), starts, axis=1)
-        for k, run in zip(starts, sums.T.tolist()):
-            tally[points[k][0], det].update(dict(zip(counts, run)))
-    return tally
+        e = _energies(res)
+        counts.append([  # in _COUNTS order
+            done,
+            np.count_nonzero(spins != sent, axis=1),
+            ~done,
+            e > _energies(mmse) if det == "sb-reg" else zero,
+            zero if e_ml is None
+            else e <= e_ml + 1e-9 * np.maximum(1.0, abs(e_ml)),
+        ])
+    return np.array(counts, dtype=np.int64)
+
+
+def _energies(results):
+    # The decisions' energies, NaN for a failed one.
+    return np.array([math.nan if r is None else r.ising_energy
+                     for r in results])
 
 
 def trace_rows(cfg: SweepConfig) -> list:
@@ -310,7 +302,7 @@ def run_sweep(cfg: SweepConfig) -> list[BerRecord]:
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     workers = min(cfg.workers, len(jobs), cpus)
     if workers == 1:
-        tallies = [_eval_block(cfg, job) for job in jobs]
+        blocks = [_eval_block(cfg, job) for job in jobs]
     else:
         # Imported here: it pulls in multiprocessing, which a one-worker
         # sweep and a plain `import sbmimo` never need.
@@ -318,23 +310,24 @@ def run_sweep(cfg: SweepConfig) -> list[BerRecord]:
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_eval_block, cfg, job) for job in jobs]
-            tallies = [f.result() for f in futures]
-    totals = defaultdict(Counter)
-    for tally in tallies:
-        for key, cell in tally.items():
-            totals[key].update(cell)
+            blocks = [f.result() for f in futures]
+    # The blocks' counts are (detector, count, point) and the points run
+    # SNR-major: one sum per (detector, SNR point), as a list of counts.
+    counts = np.concatenate(blocks, axis=-1)
+    shape = (len(cfg.detectors), len(_COUNTS), len(cfg.snr_db), cfg.instances)
+    totals = counts.reshape(shape).sum(axis=-1).transpose(0, 2, 1).tolist()
     bits_per_instance = cfg.nt * c.bps
     records = []
-    for det in cfg.detectors:
-        for snr_idx, snr in enumerate(cfg.snr_db):
-            counts = {key: totals[snr_idx, det][key] for key in _COUNTS}
-            total_bits = counts["instances"] * bits_per_instance
-            ber = counts["bit_errors"] / total_bits if total_bits else 0.0
+    for det, cells in zip(cfg.detectors, totals):
+        for snr, cell in zip(cfg.snr_db, cells):
+            tally = dict(zip(_COUNTS, cell))
+            total_bits = tally["instances"] * bits_per_instance
+            ber = tally["bit_errors"] / total_bits if total_bits else 0.0
             records.append(BerRecord(
                 nt=cfg.nt, nr=cfg.nr, modulation=c.name, snr_db=snr,
                 detector=det, total_bits=total_bits, ber=ber,
                 steps=cfg.sb.n_steps, dt=cfg.sb.dt, restarts=cfg.sb.n_restarts,
-                r=cfg.r, seed=cfg.seed, **counts,
+                r=cfg.r, seed=cfg.seed, **tally,
             ))
     records.sort(key=lambda rec: (rec.detector, rec.snr_db))
     return records

@@ -94,33 +94,11 @@ class RealizedSystem:
     y_r: np.ndarray
 
 
-def sample_channel(nt: int, nr: int, rng: np.random.Generator) -> np.ndarray:
-    """nr x nt i.i.d. circularly-symmetric complex Gaussian, unit variance."""
-    if nt < 1 or nr < 1:
-        raise ValueError(f"need nt, nr >= 1, got nt = {nt}, nr = {nr}")
-    re = rng.standard_normal((nr, nt))
-    im = rng.standard_normal((nr, nt))
-    return np.sqrt(0.5) * (re + 1j * im)
-
-
 def noise_variance_for_snr(snr_db: float, nt: int, c: Constellation) -> float:
     """Total complex noise variance per receive antenna for a target SNR."""
     if nt < 1:
         raise ValueError(f"need nt >= 1, got {nt}")
     return nt * c.symbol_energy / 10.0 ** (snr_db / 10.0)
-
-
-def add_awgn(
-    clean: np.ndarray, noise_var: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Add complex white Gaussian noise, noise_var per entry (half per axis)."""
-    if noise_var < 0:
-        raise ValueError(f"noise_var must be >= 0, got {noise_var}")
-    clean = np.asarray(clean, dtype=np.complex128)
-    scale = np.sqrt(noise_var / 2.0)
-    re = rng.standard_normal(clean.shape)
-    im = rng.standard_normal(clean.shape)
-    return clean + scale * (re + 1j * im)
 
 
 def realify(H: np.ndarray, y: np.ndarray, c: Constellation) -> RealizedSystem:
@@ -168,13 +146,21 @@ def sample_instance(
 
     Bit j of a symbol is a digit (MSB first) of its level index on axis
     j // bits_per_axis: bit b is the digit 1 - b, as bit b is spin 1 - 2b.
+    The channel is nr x nt i.i.d. circularly-symmetric complex Gaussian
+    with unit variance, and the noise complex white Gaussian with
+    noise_var per receive antenna (half per axis); each is one
+    standard_normal draw, its real parts first.
     """
+    if nt < 1 or nr < 1:
+        raise ValueError(f"need nt, nr >= 1, got nt = {nt}, nr = {nr}")
     bits = rng.integers(0, 2, nt * c.bps).astype(np.int8)
     digits = 1 - bits.reshape(nt, c.axes, c.bits_per_axis)
     tx_levels = (digits @ c.weights).T.reshape(-1)
     x = np.zeros((2, nt))  # BPSK leaves the imaginary axis 0
     x[: c.axes] = np.take(c.levels, tx_levels).reshape(c.axes, nt)
-    h = sample_channel(nt, nr, rng)
+    re, im = rng.standard_normal((2, nr, nt))
+    h = np.sqrt(0.5) * (re + 1j * im)
     noise_var = noise_variance_for_snr(snr_db, nt, c)
-    y = add_awgn(h @ (x[0] + 1j * x[1]), noise_var, rng)
+    re, im = rng.standard_normal((2, nr))
+    y = h @ (x[0] + 1j * x[1]) + np.sqrt(noise_var / 2.0) * (re + 1j * im)
     return ChannelInstance(h, tx_levels, noise_var, y)

@@ -2,8 +2,9 @@
 
 Precedence: command-line flags override config-file values override
 defaults.  The config file is a flat JSON object whose keys mirror the
-flags (hyphens may be written as underscores); unknown keys are
-rejected.  The effective configuration is echoed to standard error.
+flags (hyphens may be written as underscores); unknown keys, and a key
+given under both spellings, are rejected.  The effective configuration
+is echoed to standard error.
 """
 
 from __future__ import annotations
@@ -105,10 +106,16 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {err}")
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    for key in raw:
-        if key.replace("-", "_") not in _SETTINGS:
+    values = {}
+    for key, value in raw.items():
+        name = key.replace("-", "_")
+        if name not in _SETTINGS:
             raise ConfigError(f"unknown config key {key!r}")
-    return {key.replace("-", "_"): value for key, value in raw.items()}
+        if name in values:
+            raise ConfigError(f"config file sets {name} twice, with hyphens "
+                              "and with underscores")
+        values[name] = value
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

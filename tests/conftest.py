@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from sbmimo.channel import ChannelInstance
 from sbmimo.detectors import sb_detect, sb_solve
 from sbmimo.ising import IsingModel
 from sbmimo.reduction import symbols_to_spins
@@ -129,6 +130,22 @@ def symbol_levels(symbols, c) -> np.ndarray:
     x = np.asarray(symbols, dtype=np.complex128)
     coords = np.concatenate([x.real, x.imag][: c.axes])
     return np.array([c.levels.index(v) for v in coords], dtype=np.int8)
+
+
+def draw_instance(nt, nr, c, noise_var, rng) -> ChannelInstance:
+    # The two-draw sampling that sample_instance must match bit for bit,
+    # at an explicit noise variance: the payload bits through the
+    # reference modulation, then the unit-variance channel's real and
+    # imaginary parts as two standard_normal draws, then the noise's
+    # (noise_var per receive antenna, half per axis).
+    x = modulate(rng.integers(0, 2, nt * c.bps), c)
+    re = rng.standard_normal((nr, nt))
+    im = rng.standard_normal((nr, nt))
+    h = np.sqrt(0.5) * (re + 1j * im)
+    re = rng.standard_normal(nr)
+    im = rng.standard_normal(nr)
+    y = h @ x + np.sqrt(noise_var / 2.0) * (re + 1j * im)
+    return ChannelInstance(h, symbol_levels(x, c), noise_var, y)
 
 
 def bit_patterns(c) -> list:

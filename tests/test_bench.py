@@ -503,11 +503,13 @@ class TestBlocks:
     def test_call_order_within_blocks(self, monkeypatch):
         # A span tracer charges each call to the instance sampled last.
         # So the sweep samples a block's every point, then (after one
-        # stacked prepare) runs MMSE then the oracle per point, and after
-        # the block's solves sb_detect in ascending instance order: each
-        # detector's last call in a block is on the block's last instance,
-        # the one sampled last.  The blocks are cut from the sweep's
-        # points in SNR-major order, so one of them spans both SNR points.
+        # stacked prepare) runs MMSE over the block, then the oracle over
+        # the block, then per SB-family detector, after its solve,
+        # sb_detect in ascending instance order: each detector's last call
+        # in a block is on the block's last instance, the one sampled
+        # last.  The blocks are cut from the sweep's points in SNR-major
+        # order, so one of them spans both SNR points.  An sb_detect call
+        # is named by the detector whose decision it makes.
         import sbmimo.bench
 
         insts, events = [], []
@@ -519,7 +521,8 @@ class TestBlocks:
                     insts.append(out)
                 inst = out if name == "sample_instance" else args[0].inst
                 k = next(k for k, x in enumerate(insts) if x is inst)
-                events.append((name, k))
+                events.append((name, k) if name != "sb_detect"
+                              else (f"sb_detect:{out.detector}", k))
                 return out
             return wrapper
 
@@ -536,11 +539,9 @@ class TestBlocks:
         expected = []
         for start in range(0, points, block):
             ks = range(start, min(start + block, points))
-            expected += [("sample_instance", k) for k in ks]
-            for k in ks:
-                expected += [("mmse_detect", k), ("ml_oracle", k)]
-            for k in ks:
-                expected += [("sb_detect", k)] * 2
+            for name in ("sample_instance", "mmse_detect", "ml_oracle",
+                         "sb_detect:sb", "sb_detect:sb-reg"):
+                expected += [(name, k) for k in ks]
             # Every detector's last call is on the block's last point.
             last = {name: k for name, k in expected}
             assert set(last.values()) == {ks[-1]}

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,12 +10,10 @@ from sbmimo.channel import (
     BPSK,
     QAM16,
     QPSK,
-    add_awgn,
     get_constellation,
     noise_variance_for_snr,
     realify,
     realify_symbols,
-    sample_channel,
     sample_instance,
 )
 from sbmimo.reduction import level_spins
@@ -22,6 +21,7 @@ from sbmimo.reduction import level_spins
 from conftest import (
     bits_to_spins,
     constellation_points,
+    draw_instance,
     hard_bits,
     hard_symbols,
     modulate,
@@ -131,18 +131,27 @@ class TestDemodulate:
         assert sym[0] == -1
 
 
+def channel(nt, nr, rng):
+    return sample_instance(nt, nr, QPSK, 10.0, rng).h
+
+
+def noise(inst, c):
+    # The noise an instance's receive vector carries.
+    return inst.y - inst.h @ sent_symbols(inst, c)
+
+
 class TestChannelSampling:
     def test_deterministic_given_stream(self):
-        a = sample_channel(3, 4, np.random.default_rng(7))
-        b = sample_channel(3, 4, np.random.default_rng(7))
+        a = channel(3, 4, np.random.default_rng(7))
+        b = channel(3, 4, np.random.default_rng(7))
         assert np.array_equal(a, b)
         assert a.shape == (4, 3) and a.dtype == complex
 
     def test_single_entry_shape(self):
-        assert sample_channel(1, 1, np.random.default_rng(0)).shape == (1, 1)
+        assert channel(1, 1, np.random.default_rng(0)).shape == (1, 1)
 
     def test_unit_variance_monte_carlo(self):
-        h = sample_channel(100, 100, np.random.default_rng(42))
+        h = channel(100, 100, np.random.default_rng(42))
         assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, abs=0.05)
 
 
@@ -155,34 +164,31 @@ class TestNoise:
         # Receive-side SNR: ratio of summed signal and noise powers over
         # 1000 instances of a 16x16 QPSK system at 10 dB.
         rng = np.random.default_rng(2024)
-        var = noise_variance_for_snr(10.0, 16, QPSK)
         sig = nse = 0.0
         for _ in range(1000):
-            h = sample_channel(16, 16, rng)
-            bits = rng.integers(0, 2, 32)
-            x = modulate(bits, QPSK)
-            clean = h @ x
-            noisy = add_awgn(clean, var, rng)
-            sig += np.sum(np.abs(clean) ** 2)
-            nse += np.sum(np.abs(noisy - clean) ** 2)
+            inst = sample_instance(16, 16, QPSK, 10.0, rng)
+            sig += np.sum(np.abs(inst.h @ sent_symbols(inst, QPSK)) ** 2)
+            nse += np.sum(np.abs(noise(inst, QPSK)) ** 2)
         assert sig / nse == pytest.approx(10.0, abs=0.5)
 
     def test_zero_variance_passthrough(self):
-        clean = np.array([1 + 2j, -3j])
-        out = add_awgn(clean, 0.0, np.random.default_rng(1))
-        assert np.array_equal(out, clean)
+        # An infinite SNR leaves the receive vector noiseless.
+        inst = sample_instance(2, 3, QAM16, math.inf, np.random.default_rng(1))
+        assert inst.noise_var == 0.0
+        assert np.array_equal(inst.y, inst.h @ sent_symbols(inst, QAM16))
 
     def test_deterministic(self):
-        clean = np.zeros(4, dtype=complex)
-        a = add_awgn(clean, 2.0, np.random.default_rng(5))
-        b = add_awgn(clean, 2.0, np.random.default_rng(5))
-        assert np.array_equal(a, b)
+        a = sample_instance(1, 4, QPSK, 0.0, np.random.default_rng(5))
+        b = sample_instance(1, 4, QPSK, 0.0, np.random.default_rng(5))
+        assert np.array_equal(noise(a, QPSK), noise(b, QPSK))
 
     def test_empirical_variance(self):
-        noise = add_awgn(
-            np.zeros(10_000, dtype=complex), 2.0, np.random.default_rng(8)
+        # 0 dB at one QPSK user is noise variance 2 per receive antenna.
+        inst = sample_instance(1, 10_000, QPSK, 0.0, np.random.default_rng(8))
+        assert inst.noise_var == 2.0
+        assert np.mean(np.abs(noise(inst, QPSK)) ** 2) == pytest.approx(
+            2.0, abs=0.1
         )
-        assert np.mean(np.abs(noise) ** 2) == pytest.approx(2.0, abs=0.1)
 
 
 def random_symbols(rng, c, nt):
@@ -201,7 +207,7 @@ class TestRealify:
         assert np.all(sys.h_r[:3, 2:] == 0) and np.all(sys.h_r[3:, :2] == 0)
 
     def test_bpsk_stacked_shape(self, rng):
-        h = sample_channel(2, 3, rng)
+        h = channel(2, 3, rng)
         y = rng.normal(size=3) + 1j * rng.normal(size=3)
         sys = realify(h, y, BPSK)
         assert sys.h_r.shape == (6, 2)
@@ -210,9 +216,8 @@ class TestRealify:
     @pytest.mark.parametrize("c", [BPSK, QPSK, QAM16], ids=lambda c: c.name)
     def test_residual_identity(self, c, rng):
         for _ in range(10):
-            h = sample_channel(3, 3, rng)
-            x = random_symbols(rng, c, 3)
-            y = add_awgn(h @ x, 1.5, rng)
+            inst = sample_instance(3, 3, c, 5.0, rng)
+            h, x, y = inst.h, random_symbols(rng, c, 3), inst.y
             sys = realify(h, y, c)
             x_r = realify_symbols(x, c)
             complex_res = np.sum(np.abs(y - h @ x) ** 2)
@@ -241,6 +246,35 @@ class TestSampleInstance:
         assert inst.noise_var == noise_variance_for_snr(15.0, 3, QAM16)
         assert inst.y.shape == (4,)
         assert inst.noise_var > 0
+
+    @pytest.mark.parametrize("nt, nr", [(0, 1), (1, 0), (0, 0)])
+    def test_refuses_no_antennas(self, nt, nr):
+        with pytest.raises(ValueError, match="need nt, nr >= 1"):
+            sample_instance(nt, nr, QPSK, 10.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("nt, nr", [(1, 1), (4, 4), (6, 3), (3, 8),
+                                        (16, 16)])
+    @pytest.mark.parametrize("c", [BPSK, QPSK, QAM16], ids=lambda c: c.name)
+    def test_matches_the_two_draw_reference(self, c, nt, nr):
+        # One standard_normal draw each for the channel and the noise
+        # gives the values, bit for bit, of two draws each (real parts,
+        # then imaginary), and leaves the stream where they leave it, so
+        # the solver seed drawn next is the same.
+        for seed in range(20):
+            snr_db = -10.0 + 2.5 * seed
+            var = nt * c.symbol_energy / 10.0 ** (snr_db / 10.0)
+            rng = np.random.default_rng([seed, nt, nr])
+            ref_rng = np.random.default_rng([seed, nt, nr])
+            inst = sample_instance(nt, nr, c, snr_db, rng)
+            ref = draw_instance(nt, nr, c, var, ref_rng)
+            assert inst.h.tobytes() == ref.h.tobytes()
+            assert inst.y.tobytes() == ref.y.tobytes()
+            assert inst.noise_var == ref.noise_var
+            assert inst.tx_levels.dtype == np.int8
+            assert inst.tx_levels.tobytes() == ref.tx_levels.tobytes()
+            assert rng.integers(0, 1 << 63, dtype=np.uint64) == (
+                ref_rng.integers(0, 1 << 63, dtype=np.uint64)
+            )
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.sampled_from(["bpsk", "qpsk", "qam16"]))

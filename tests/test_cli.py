@@ -183,6 +183,15 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_config(["--config", path])
 
+    def test_key_under_both_spellings_returns_2(self, tmp_path, capsys):
+        # A hyphen and an underscore spell one key, so neither value wins
+        # (the later one used to, silently).
+        path = write_config(tmp_path, {"snr-list": [5], "snr_list": [7]})
+        assert main(["--config", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: config file sets snr_list twice" in err
+
     def test_non_object_json_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("[1, 2]")

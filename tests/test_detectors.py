@@ -10,9 +10,7 @@ from sbmimo.channel import (
     QAM16,
     QPSK,
     ChannelInstance,
-    add_awgn,
     realify,
-    sample_channel,
     sample_instance,
 )
 from sbmimo.detectors import (
@@ -32,27 +30,20 @@ from conftest import (
     all_spin_vectors,
     assert_same_model,
     detect_one,
+    draw_instance,
     energy_ref,
     model_from,
-    modulate,
     nearest_point_bits,
     sent_symbols,
     solve_one,
     spin_transform,
     spins_to_bits,
-    symbol_levels,
 )
 
 
 def make_instance(nt, nr, c, noise_var, seed):
     """Instance with an explicit noise variance instead of an SNR."""
-    rng = np.random.default_rng(seed)
-    x = modulate(rng.integers(0, 2, nt * c.bps), c)
-    h = sample_channel(nt, nr, rng)
-    y = add_awgn(h @ x, noise_var, rng)
-    return ChannelInstance(
-        h=h, tx_levels=symbol_levels(x, c), noise_var=noise_var, y=y
-    )
+    return draw_instance(nt, nr, c, noise_var, np.random.default_rng(seed))
 
 
 def exhaustive_ml(model):
@@ -376,7 +367,7 @@ class TestOracle:
             return scored[-1]
 
         monkeypatch.setattr("sbmimo.detectors.energies", recording)
-        h = sample_channel(4, 4, np.random.default_rng(4))
+        h = sample_instance(4, 4, QPSK, 10.0, np.random.default_rng(4)).h
         inst = ChannelInstance(
             h=h, tx_levels=np.zeros(8, dtype=np.int8),
             noise_var=1.0, y=h @ np.full(4, -1 - 1j),
