@@ -429,6 +429,23 @@ MUTANTS = (
             CLI + "TestMain::test_non_integral_count_returns_2[null-restarts]",
         ),
     ),
+    Mutant(
+        "the config loader lets a repeated key win",
+        "cli.py",
+        '            raise ConfigError(f"config file repeats the key {key!r}")',
+        "            pass",
+        (
+            CLI + "TestConfigFile::test_repeated_key_returns_2[top-level]",
+            CLI + "TestConfigFile::test_repeated_key_returns_2[nested]",
+        ),
+    ),
+    Mutant(
+        "snr_range lets an infinite point count through",
+        "bench.py",
+        "    if not math.isfinite(span):",
+        "    if False:",
+        (CLI + "TestMain::test_bad_value_returns_2[snr-grid-inf-count]",),
+    ),
 )
 
 

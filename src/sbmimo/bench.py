@@ -53,7 +53,10 @@ def snr_range(start: float, stop: float, step: float) -> tuple[float, ...]:
         raise ValueError(f"step must be > 0, got {step}")
     if stop < start:
         raise ValueError(f"stop {stop} below start {start}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise ValueError(f"(stop - start) / step must be finite, got {span}")
+    count = int(math.floor(span + 1e-9)) + 1
     return tuple(round(start + k * step, 10) for k in range(count))
 
 

@@ -3,8 +3,8 @@
 Precedence: command-line flags override config-file values override
 defaults.  The config file is a flat JSON object whose keys mirror the
 flags (hyphens may be written as underscores); unknown keys, and a key
-given under both spellings, are rejected.  The effective configuration
-is echoed to standard error.
+given twice, under one spelling or under both, are rejected.  The
+effective configuration is echoed to standard error.
 """
 
 from __future__ import annotations
@@ -96,10 +96,20 @@ def _read(key: str, value, kind):
         raise ConfigError(f"{key} must be {_NOUNS[kind]}, got {value!r}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    # JSON lets an object repeat a name, and json.load keeps the last value.
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config file repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as err:
         raise ConfigError(f"cannot read config file: {err}")
     except json.JSONDecodeError as err:

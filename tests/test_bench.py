@@ -548,8 +548,10 @@ class TestBlocks:
         assert events == expected
 
     def test_one_solve_per_detector_spans_the_snr_points(self, monkeypatch):
-        # 2 SNR points x 8 instances fit in one block, so each SB-family
-        # detector solves all 16 problems in one call, not 8 per point.
+        # 5 SNR points x 7 instances fill one block and start a second, so
+        # each SB-family detector solves the first block's problems, from
+        # all five points, in one call, not 7 per point.  Two workers, one
+        # block each, give the same records.
         import sbmimo.bench
 
         sizes = []
@@ -560,10 +562,17 @@ class TestBlocks:
             return solve(problems, *args, **kwargs)
 
         monkeypatch.setattr(sbmimo.bench, "sb_solve", recording)
-        cfg = small_config(instances=8, detectors=("sb", "sb-reg"))
+        cfg = small_config(
+            snr_db=(0.0, 5.0, 10.0, 15.0, 20.0), instances=7,
+            detectors=ALL_DETECTORS,
+        )
+        block = sbmimo.bench._BLOCK
+        points = len(cfg.snr_db) * cfg.instances
+        assert cfg.instances < block < points
         records = run_sweep(cfg)
-        assert sizes == [16, 16]
-        assert sum(rec.instances for rec in records) == 32
+        assert sizes == [block, block, points - block, points - block]
+        assert sum(rec.instances for rec in records) == len(cfg.detectors) * points
+        assert run_sweep(replace(cfg, workers=2)) == records
 
     @pytest.mark.parametrize(
         "nt, modulation", [(4, "qpsk"), (2, "qam16")]

@@ -1,7 +1,10 @@
 import csv
 import errno
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -192,6 +195,25 @@ class TestConfigFile:
         assert out == ""
         assert "error: config file sets snr_list twice" in err
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"nt": 2, "nt": 3, "nr": 2, "snr_list": [5], '
+             '"detectors": "mmse"}', "nt"),
+            ('{"nt": {"a": 1, "a": 2}}', "a"),
+        ],
+        ids=["top-level", "nested"],
+    )
+    def test_repeated_key_returns_2(self, text, key, tmp_path, capsys):
+        # json.load keeps a repeated name's last value, so the first file
+        # used to run at nt=3, silently.
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["--config", str(path), "--instances", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: config file repeats the key {key!r}\n"
+
     def test_non_object_json_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("[1, 2]")
@@ -266,7 +288,8 @@ class TestMain:
             "--snr-list", "10",
         ])
         assert code == 2
-        assert "24" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and "24" in err
 
     def test_unknown_flag_exits_2_before_sweeping(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -355,10 +378,11 @@ class TestMain:
             ["--snr-list", "-3080"],
             ["--seed", "-1"],
             ["--snr-list", "5,5"],
+            ["--snr", "0:1e308:1e-300"],
         ],
         ids=["snr-nan", "snr-inf", "snr-grid-inf", "snr-overflow",
              "snr-underflow", "snr-inf-noise", "negative-seed",
-             "snr-duplicate"],
+             "snr-duplicate", "snr-grid-inf-count"],
     )
     def test_bad_value_returns_2(self, argv, capsys):
         assert main(argv + ["--instances", "1"]) == 2
@@ -514,3 +538,24 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+
+def test_command_runs_as_a_module():
+    # The other tests call main in-process; this runs the entry point that
+    # the installed sbmimo-bench script also calls, in its own process.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "sbmimo", *argv],
+            env=env, capture_output=True, text=True,
+        )
+
+    assert run("--help").returncode == 0
+    refused = run("--restarts", "0", "--instances", "1")
+    assert refused.returncode == 2
+    assert refused.stdout == ""
+    assert "Traceback" not in refused.stderr
+    [line] = refused.stderr.splitlines()
+    assert line.startswith("error: restarts ")

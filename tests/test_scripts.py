@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from sbmimo.bench import SweepConfig, snr_range
-from sbmimo.cli import parse_command
+from sbmimo.cli import main, parse_command
 from sbmimo.sb import SBParams
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +55,17 @@ SWEEPS = {
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_config_file(name):
     assert parse_command(["--config", str(SCRIPTS / name)]) == SWEEPS[name]
+
+
+def test_optimality_config_prints_the_ml_optimal_table(capsys):
+    # The README loop's smallest size: the summary's second table counts,
+    # per SNR point, SB's decisions that reach the ML optimum.
+    argv = ["--config", str(SCRIPTS / "optimality.json"),
+            "--nt", "2", "--nr", "2", "--instances", "5"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "ML-optimal decisions (of instances counted):" in out
+    assert re.search(r"^ +10 +\d+/5$", out, re.M)
 
 
 def test_readme_library_example_runs(capsys):
