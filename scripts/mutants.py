@@ -119,9 +119,8 @@ MUTANTS = (
     Mutant(
         "sb-reg anchored at the previous problem's MMSE spins",
         "detectors.py",
-        "                  for m, a in zip(models, anchors, strict=True)]",
-        "                  for m, a in zip(models, anchors[-1:] + anchors[:-1],"
-        " strict=True)]",
+        "                  for m, p in zip(models, problems)]",
+        "                  for m, p in zip(models, problems[-1:] + problems[:-1])]",
         (
             DETECTORS + "TestSbDetect::test_block_decisions_match_blocks_of_one",
             BLOCKS + "test_block_size_does_not_change_records[1]",
@@ -220,8 +219,8 @@ MUTANTS = (
     Mutant(
         "sb_solve solves an anchorless problem's plain model",
         "detectors.py",
-        "        models = [None if a is None else regularize(m, a.spins, r)",
-        "        models = [m if a is None else regularize(m, a.spins, r)",
+        "        models = [None if p.mmse is None else regularize(m, p.mmse.spins, r)",
+        "        models = [m if p.mmse is None else regularize(m, p.mmse.spins, r)",
         (
             DETECTORS + "TestSbDetect::test_problem_without_an_anchor_is_not_solved",
             BLOCKS + "test_block_with_some_anchors_missing",
@@ -230,13 +229,21 @@ MUTANTS = (
     Mutant(
         "a block's sb_detect calls run in descending point order",
         "bench.py",
-        "            for p, s, a in zip(problems, solved,\n"
-        "                               anchors or [None] * len(problems))\n"
-        "        ]\n",
-        "            for p, s, a in reversed(list(zip(problems, solved,\n"
-        "                               anchors or [None] * len(problems))))\n"
-        "        ][::-1]\n",
+        "                        for p, s in zip(problems, solved)]",
+        "                        for p, s in reversed(list(zip(problems, solved)))]"
+        "[::-1]",
         (BLOCKS + "test_call_order_within_blocks",),
+    ),
+    Mutant(
+        "prepare scores each MMSE decision under a neighbouring problem's model",
+        "detectors.py",
+        "    e = energies(j, fields, offset, spins[:, None].astype(np.float64))",
+        "    e = energies(*(np.roll(a, 1, 0) for a in (j, fields, offset)),"
+        " spins[:, None].astype(np.float64))",
+        (
+            PREPARE + "test_one_energies_call_scores_the_block",
+            PREPARE + "test_block_matches_each_instance_alone",
+        ),
     ),
     Mutant(
         "the sweep sums its counts over an (instance, SNR) split",
@@ -442,9 +449,18 @@ MUTANTS = (
     Mutant(
         "snr_range lets an infinite point count through",
         "bench.py",
-        "    if not math.isfinite(span):",
-        "    if False:",
+        " if span < math.inf else span",
+        " if True else span",
         (CLI + "TestMain::test_bad_value_returns_2[snr-grid-inf-count]",),
+    ),
+    Mutant(
+        # Killed just above the limit: the 1e8-point grid that the CLI
+        # test refuses would take gigabytes without the check.
+        "snr_range builds a grid of any finite point count",
+        "bench.py",
+        "    if count > SNR_POINT_LIMIT:",
+        "    if False:",
+        ("tests/test_bench.py::TestSnrRange::test_point_count_is_bounded",),
     ),
 )
 

@@ -45,18 +45,24 @@ CSV_COLUMNS = (
 ).split(",")
 
 
+# snr_range's most points, far above any real sweep's (at most 11 here).
+SNR_POINT_LIMIT = 10_000
+
+
 def snr_range(start: float, stop: float, step: float) -> tuple[float, ...]:
-    """Inclusive arithmetic SNR grid, robust to float step accumulation."""
+    """Inclusive arithmetic SNR grid, robust to float step accumulation;
+    a grid above SNR_POINT_LIMIT points is refused unbuilt."""
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValueError(f"bounds must be finite, got {start}:{stop}:{step}")
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
     if stop < start:
         raise ValueError(f"stop {stop} below start {start}")
-    span = (stop - start) / step
-    if not math.isfinite(span):
-        raise ValueError(f"(stop - start) / step must be finite, got {span}")
-    count = int(math.floor(span + 1e-9)) + 1
+    span = (stop - start) / step  # inf where it overflows; floor refuses inf
+    count = math.floor(span + 1e-9) + 1 if span < math.inf else span
+    if count > SNR_POINT_LIMIT:
+        raise ValueError(f"the grid has {count} points, above the limit "
+                         f"of {SNR_POINT_LIMIT}")
     return tuple(round(start + k * step, 10) for k in range(count))
 
 
@@ -199,19 +205,18 @@ def _eval_block(cfg: SweepConfig, points, trace=None):
 
     points lists (snr_idx, i) pairs, which may span several SNR points.
     Each point is sampled from its own RNG stream; the block is reduced,
-    with every MMSE decision, in one `prepare` call; then MMSE and the ML
-    oracle each take one pass over the block; then each SB-family
-    detector takes one solve of the whole block and one pass of
-    `sb_detect` in point order.  Each detector keeps one decision list,
-    None where it failed.  MMSE runs at most once per point; its list is
-    both the `mmse` decisions and the `sb-reg` anchors, so an MMSE
-    failure counts against both.  Bit errors are counted as spin
-    mismatches against the spins of the sent levels: under the channel's
-    bit labeling each bit is one spin.  With `ml-oracle` configured, a
-    decision is ML-optimal if its energy is at most the oracle's
-    e + 1e-9 max(1, |e|).  trace, when given, holds one list per point,
-    and only the first SB-family detector's solve extends it (see
-    `trace_rows`).
+    with every MMSE decision taken and scored, in one `prepare` call;
+    then MMSE and the ML oracle each take one pass over the block; then
+    each SB-family detector takes one solve of the whole block and one
+    pass of `sb_detect` in point order.  Each detector keeps one decision
+    list, None where it failed.  `sb-reg` is anchored at each problem's
+    MMSE decision, p.mmse, so an MMSE failure counts against both.  Bit
+    errors are counted as spin mismatches against the spins of the sent
+    levels: under the channel's bit labeling each bit is one spin.  With
+    `ml-oracle` configured, a decision is ML-optimal if its energy is at
+    most the oracle's e + 1e-9 max(1, |e|).  trace, when given, holds one
+    list per point, and only the first SB-family detector's solve extends
+    it (see `trace_rows`).
     """
     c = get_constellation(cfg.modulation)
     insts, seeds = [], []
@@ -222,25 +227,23 @@ def _eval_block(cfg: SweepConfig, points, trace=None):
         )
         seeds.append(int(rng.integers(0, 1 << 63, dtype=np.uint64)))
     problems = prepare(insts, c)
-    mmse = [None] * len(problems)
-    if "mmse" in cfg.detectors or "sb-reg" in cfg.detectors:
+    decided = {}
+    if "mmse" in cfg.detectors:
+        mmse = decided["mmse"] = [None] * len(problems)
         for k, p in enumerate(problems):
             try:
                 mmse[k] = mmse_detect(p)
             except DetectionFailureError:
                 pass
-    decided = {"mmse": mmse}
     if "ml-oracle" in cfg.detectors:
         decided["ml-oracle"] = [ml_oracle(p) for p in problems]
     for det in [d for d in cfg.detectors if d in SB_FAMILY]:
-        anchors = mmse if det == "sb-reg" else None
-        solved = sb_solve(problems, cfg.sb, seeds, anchors, cfg.r, trace)
+        anchored = det == "sb-reg"
+        r = cfg.r if anchored else None
+        solved = sb_solve(problems, cfg.sb, seeds, r, trace)
         trace = None  # the first SB-family solve alone is traced
-        decided[det] = [
-            None if s is None else sb_detect(p, s, a)
-            for p, s, a in zip(problems, solved,
-                               anchors or [None] * len(problems))
-        ]
+        decided[det] = [None if s is None else sb_detect(p, s, anchored)
+                        for p, s in zip(problems, solved)]
     # A failed decision stands in as the sent spins with a NaN energy, so
     # it counts no error and meets no energy test.
     sent = level_spins(np.array([inst.tx_levels for inst in insts]), c)
@@ -257,7 +260,8 @@ def _eval_block(cfg: SweepConfig, points, trace=None):
             done,
             np.count_nonzero(spins != sent, axis=1),
             ~done,
-            e > _energies(mmse) if det == "sb-reg" else zero,
+            e > _energies(p.mmse for p in problems) if det == "sb-reg"
+            else zero,
             zero if e_ml is None
             else e <= e_ml + 1e-9 * np.maximum(1.0, abs(e_ml)),
         ])

@@ -1,12 +1,12 @@
 """Detectors: linear MMSE, exact ML oracle, and the bifurcation
 solver composed with the reduction (plain and MMSE-anchored regularized).
 
-Every detector takes a ``Problem``: the instance reduced once by
-``prepare`` and shared by every detector run on it.  Each reports the
-Ising energy of its decision under the unregularized instance model,
-which equals the squared ML residual; the regularized path selects
-between the solver readout and the MMSE anchor by that energy, so its
-result never scores worse than MMSE's.
+Every detector takes a ``Problem``: the instance reduced, and its MMSE
+decision taken and scored, once by ``prepare``.  Each reports the Ising
+energy of its decision under the unregularized instance model, which
+equals the squared ML residual; the regularized path selects between
+the solver readout and the MMSE anchor by that energy, so its result
+never scores worse than MMSE's.
 """
 
 from __future__ import annotations
@@ -48,24 +48,32 @@ class DetectionFailureError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class DetectionResult:
+    """A detector's decision as spins, with its model energy."""
+
+    detector: str
+    spins: np.ndarray
+    ising_energy: float
+    extras: dict
+
+
+@dataclass(frozen=True)
 class Problem:
     """One channel instance with its realify system, that system's Ising
-    model, the constellation and the spins of its MMSE decision (None
-    where the MMSE solve failed; see ``prepare``).
-
-    Built once per instance by ``prepare`` and shared by every detector.
-    """
+    model, the constellation and its MMSE decision, also ``sb-reg``'s
+    anchor (None where the MMSE solves failed).  ``prepare`` builds one
+    per instance, shared by every detector."""
 
     inst: ChannelInstance
     sys: RealizedSystem
     model: IsingModel
     c: Constellation
-    mmse: np.ndarray | None
+    mmse: DetectionResult | None
 
 
-def _mmse_spins(h, y, noise_var, c) -> list:
-    """The MMSE decision's spins per instance of a stack: h (B, nr, nt),
-    y (B, nr) and noise_var (B,).
+def _mmse_spins(h, y, noise_var, c):
+    """The MMSE decisions' spins of a stack, (B, n), and a mask of the
+    instances that have one: h (B, nr, nt), y (B, nr) and noise_var (B,).
 
     Soft estimate (H^H H + d I)^-1 H^H y with d = sigma^2 / Es; the
     regularizer scaling reflects the unnormalized constellation energy
@@ -73,7 +81,7 @@ def _mmse_spins(h, y, noise_var, c) -> list:
     and then each instance is solved alone.  Where that solve fails (d
     below the rounding of a rank-deficient H^H H, as at nr < nt and very
     high SNR), lstsq of [H; sqrt(d) I] gives it, and where that fails too,
-    or d is not a finite positive number, the spins are None.
+    or d is not a finite positive number, the mask is False.
     """
     nt = h.shape[-1]
     delta = noise_var / c.symbol_energy
@@ -96,42 +104,36 @@ def _mmse_spins(h, y, noise_var, c) -> list:
                     soft[b] = np.linalg.lstsq(a, np.r_[y[b], np.zeros(nt)])[0]
                 except np.linalg.LinAlgError:
                     ok[b] = False
-    spins = symbols_to_spins(soft, c)
-    return [s if keep else None for s, keep in zip(spins, ok.tolist())]
+    return symbols_to_spins(soft, c), ok
 
 
 def prepare(insts, c: Constellation) -> list[Problem]:
-    """Realify a block of same-size channel instances, reduce them and take
-    their MMSE decisions, each in one stacked pass: the problems every
-    detector takes, one per instance, in order.  Each problem is bit for
-    bit what it would be in a block of one."""
+    """Realify a block of same-size channel instances, reduce them, and
+    take and score their MMSE decisions, each in one stacked pass: the
+    problems every detector takes, one per instance, in order.  Each
+    problem is bit for bit what it would be in a block of one."""
     insts = list(insts)
     h = np.array([inst.h for inst in insts], dtype=np.complex128)
     y = np.array([inst.y for inst in insts], dtype=np.complex128)
     noise_var = np.array([inst.noise_var for inst in insts], dtype=np.float64)
     sys = realify(h, y, c)
-    models = instance_model(sys, c)
-    mmse = _mmse_spins(h, y, noise_var, c)
+    j, fields, offset = instance_model(sys, c)
+    spins, ok = _mmse_spins(h, y, noise_var, c)
+    # Float64 rows, as energy takes one: each scores as energy scores it.
+    e = energies(j, fields, offset, spins[:, None].astype(np.float64))
+    mmse = [DetectionResult("mmse", s, float(ei), {}) if keep else None
+            for s, (ei,), keep in zip(spins, e, ok.tolist())]
+    models = map(IsingModel, j, fields, offset)
     return [
-        Problem(inst, RealizedSystem(h_r, y_r), model, c, spins)
-        for inst, h_r, y_r, model, spins
+        Problem(inst, RealizedSystem(h_r, y_r), model, c, res)
+        for inst, h_r, y_r, model, res
         in zip(insts, sys.h_r, sys.y_r, models, mmse, strict=True)
     ]
 
 
-@dataclass(frozen=True)
-class DetectionResult:
-    """A detector's decision as spins, with its model energy."""
-
-    detector: str
-    spins: np.ndarray
-    ising_energy: float
-    extras: dict
-
-
 def mmse_detect(p: Problem) -> DetectionResult:
     """Regularized linear estimate, hard-quantized onto the lattice: the
-    decision ``prepare`` took for p (see _mmse_spins), with its energy.
+    decision ``prepare`` took and scored for p (see _mmse_spins).
 
     Raises ValueError for a noise variance that is not positive, and
     DetectionFailureError where the regularized solve and its lstsq
@@ -141,7 +143,7 @@ def mmse_detect(p: Problem) -> DetectionResult:
         raise ValueError(f"noise_var must be > 0, got {p.inst.noise_var}")
     if p.mmse is None:
         raise DetectionFailureError("regularized solve failed")
-    return DetectionResult("mmse", p.mmse, energy(p.model, p.mmse), {})
+    return p.mmse
 
 
 def _triangles(sys, lam):
@@ -303,52 +305,43 @@ def sb_solve(
     problems,
     params: SBParams,
     seeds,
-    anchors=None,
-    r: float = 0.5,
+    r: float | None = None,
     trace: list | None = None,
 ) -> list:
     """Solve a block of same-size problems' Ising models in one solve call.
 
-    With no anchors each plain model is solved.  Otherwise ``anchors``
-    holds each problem's MMSE result, and each model is anchored at its
-    spins with penalty weight r; a problem whose anchor is None is not
-    solved.  seeds holds one solver seed per problem, which draws its
-    initial states; trace, when given, holds one list per problem for
-    solve's trace rows.  Returns solve's outcome per problem: a
-    SolveResult, or None for one not solved or whose every restart
-    diverged.  ``sb_detect`` turns one into a decision.
+    With r None each plain model is solved, else each is anchored at its
+    MMSE decision, p.mmse, with penalty weight r, and a problem with no
+    MMSE decision is not solved.  seeds holds one solver seed per
+    problem, which draws its initial states; trace, when given, holds
+    one list per problem for solve's trace rows.  Returns solve's outcome
+    per problem: a SolveResult, or None for one not solved or whose
+    every restart diverged.  ``sb_detect`` turns one into a decision.
     """
     models = [p.model for p in problems]
-    if anchors is not None:
-        models = [None if a is None else regularize(m, a.spins, r)
-                  for m, a in zip(models, anchors, strict=True)]
+    if r is not None:
+        models = [None if p.mmse is None else regularize(m, p.mmse.spins, r)
+                  for m, p in zip(models, problems)]
     return solve(models, params, seeds, trace)
 
 
-def sb_detect(
-    p: Problem,
-    solved: SolveResult | None,
-    anchor: DetectionResult | None = None,
-) -> DetectionResult:
+def sb_detect(p: Problem, solved: SolveResult | None,
+              anchored: bool = False) -> DetectionResult:
     """The SB decision on one problem from its ``sb_solve`` outcome.
 
-    Raises DetectionFailureError for a None outcome.  With no anchor
-    the readout of the plain model is the decision.  Otherwise
-    ``anchor`` is the MMSE result the model was anchored at, and the
-    readout and the anchor are compared under the unregularized model;
+    Raises DetectionFailureError for a None outcome.  Unanchored, the
+    readout of the plain model is the decision.  Anchored, the readout
+    and the anchor, p.mmse, are compared under the unregularized model;
     the lower energy wins (ties keep the solver readout).
     """
     if solved is None:
         raise DetectionFailureError("the solver gave no readout")
     extras = {"diverged_restarts": solved.diverged_restarts}
-    if anchor is None:
+    if not anchored:
         return DetectionResult("sb", solved.spins, solved.energy, extras)
     sb_energy = energy(p.model, solved.spins)
-    sb_wins = sb_energy <= anchor.ising_energy
-    extras["selected"] = "sb" if sb_wins else "mmse"
-    return DetectionResult(
-        "sb-reg",
-        solved.spins if sb_wins else anchor.spins,
-        sb_energy if sb_wins else anchor.ising_energy,
-        extras,
-    )
+    if sb_energy <= p.mmse.ising_energy:
+        extras["selected"] = "sb"
+        return DetectionResult("sb-reg", solved.spins, sb_energy, extras)
+    extras["selected"] = "mmse"
+    return DetectionResult("sb-reg", p.mmse.spins, p.mmse.ising_energy, extras)

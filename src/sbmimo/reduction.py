@@ -32,12 +32,14 @@ from sbmimo.sb import setting
 
 
 def instance_model(sys: RealizedSystem, c: Constellation):
-    """Reduce one instance's realify system to its detection Ising model,
-    whose energy equals ||y_r - H_r T s||^2 for every s.  H_r T is each
-    axis's column block of H_r once per weight, scaled by it.
+    """Reduce realify systems to their detection Ising models, whose
+    energy equals ||y_r - H_r T s||^2 for every s.  H_r T is each axis's
+    column block of H_r once per weight, scaled by it.
 
-    A stacked system (h_r (B, m, k), y_r (B, m)) is reduced in one pass
-    to a list of B models, each bit for bit the model of its system alone.
+    sys holds h_r (..., m, k) and y_r (..., m), one system or a stack;
+    returns the models' j (..., n, n), h (..., n) and offset (...), each
+    system's bit for bit what it would be alone (IsingModel(*out) for
+    one system).
     """
     *lead, m, k = sys.h_r.shape
     nt = k // c.axes
@@ -51,9 +53,7 @@ def instance_model(sys: RealizedSystem, c: Constellation):
     # vecdot sums y_r . y_r as a lone dot does (einsum may not).
     offset = np.trace(g, axis1=-2, axis2=-1) + np.vecdot(sys.y_r, sys.y_r)
     np.einsum("...ii->...i", g)[...] = 0.0  # g is now J
-    if not lead:
-        return IsingModel(j=g, h=h, offset=offset)
-    return list(map(IsingModel, g, h, offset))
+    return g, h, offset
 
 
 def level_spins(idx: np.ndarray, c: Constellation) -> np.ndarray:

@@ -187,11 +187,11 @@ def solve_one(model, params, seed=0, trace=None):
     return out
 
 
-def detect_one(p, params, anchor=None, r=0.5, seed=0):
-    # sb_detect on one problem, solved as the block of one.
-    anchors = None if anchor is None else [anchor]
-    (solved,) = sb_solve([p], params, [seed], anchors, r)
-    return sb_detect(p, solved, anchor)
+def detect_one(p, params, anchored=False, r=0.5, seed=0):
+    # sb_detect on one problem, solved as the block of one, anchored at
+    # p.mmse or not.
+    (solved,) = sb_solve([p], params, [seed], r if anchored else None)
+    return sb_detect(p, solved, anchored)
 
 
 def random_model(rng, n: int, h_scale: float = 1.0) -> IsingModel:

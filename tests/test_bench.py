@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import sbmimo
 from sbmimo.bench import (
+    SNR_POINT_LIMIT,
     BerRecord,
     SweepConfig,
     run_sweep,
@@ -24,7 +25,6 @@ from sbmimo.bench import (
     write_csv,
     write_trace,
 )
-from sbmimo.detectors import DetectionFailureError
 from sbmimo.sb import SBParams
 
 # The kinds of number a count or a real setting accepts.
@@ -49,6 +49,20 @@ def small_config(**kw):
     return SweepConfig(**base)
 
 
+def fail_mmse(monkeypatch, where=lambda h: np.full(len(h), True)):
+    # MMSE takes no decision on the instances of a block, h (B, nr, nt),
+    # that `where` picks: the solve that feeds prepare reports none.
+    import sbmimo.detectors
+
+    spins = sbmimo.detectors._mmse_spins
+
+    def failing(h, *args):
+        s, ok = spins(h, *args)
+        return s, ok & ~where(h)
+
+    monkeypatch.setattr(sbmimo.detectors, "_mmse_spins", failing)
+
+
 class TestSnrRange:
     def test_inclusive_grid(self):
         assert snr_range(0.0, 25.0, 2.5) == (
@@ -60,6 +74,13 @@ class TestSnrRange:
 
     def test_uneven_step_stops_below(self):
         assert snr_range(0.0, 10.0, 4.0) == (0.0, 4.0, 8.0)
+
+    def test_point_count_is_bounded(self):
+        # Refused before the grid is built, with the count named.
+        limit = SNR_POINT_LIMIT
+        assert len(snr_range(1.0, float(limit), 1.0)) == limit
+        with pytest.raises(ValueError, match=f"has {limit + 1} points"):
+            snr_range(0.0, float(limit), 1.0)
 
     def test_bad_ranges_rejected(self):
         with pytest.raises(ValueError):
@@ -252,10 +273,7 @@ class TestRunSweep:
     def test_failed_detections_skip_instance_for_that_detector(
         self, monkeypatch
     ):
-        def broken(p):
-            raise DetectionFailureError("injected")
-
-        monkeypatch.setattr("sbmimo.bench.mmse_detect", broken)
+        fail_mmse(monkeypatch)
         records = run_sweep(small_config(
             snr_db=(5.0,), instances=10, detectors=("mmse", "sb", "sb-reg"),
         ))
@@ -294,6 +312,7 @@ class TestRunSweep:
             (("sb-reg", "mmse"), 1),
             (("sb", "ml-oracle"), 0),
             (("mmse", "sb", "sb-reg", "ml-oracle"), 1),
+            (("sb-reg",), 0),
         ],
     )
     def test_one_reduction_and_one_mmse_per_instance(
@@ -368,10 +387,7 @@ class TestRunSweep:
         # sb-reg is the first SB-family detector configured, so it is the
         # one traced; with MMSE failing it never runs, and sb is not traced
         # in its place.
-        def broken(p):
-            raise DetectionFailureError("injected")
-
-        monkeypatch.setattr("sbmimo.bench.mmse_detect", broken)
+        fail_mmse(monkeypatch)
         path = tmp_path / "trace.csv"
         cfg = small_config(
             snr_db=(8.0,), instances=3, detectors=("sb-reg", "mmse", "sb"),
@@ -473,30 +489,31 @@ class TestBlocks:
         assert run_sweep(replace(cfg, workers=2)) == expected
 
     def test_block_with_some_anchors_missing(self, monkeypatch):
-        # MMSE fails on every other call, so each block mixes instances
-        # with and without an sb-reg anchor.  Each failure must land on
-        # its own instance, as it does in blocks of one.
+        # MMSE takes no decision where the channel's first entry has a
+        # positive real part, so each block mixes instances with and
+        # without an sb-reg anchor.  Each failure must land on its own
+        # instance, as it does in blocks of one.
         import sbmimo.bench
 
-        detect = sbmimo.bench.mmse_detect
-        calls = []
+        dropped = []
 
-        def alternating(p):
-            calls.append(p)
-            if len(calls) % 2:
-                raise DetectionFailureError("injected")
-            return detect(p)
+        def positive(h):
+            drop = h[:, 0, 0].real > 0
+            dropped.append(int(drop.sum()))
+            return drop
 
-        monkeypatch.setattr(sbmimo.bench, "mmse_detect", alternating)
+        fail_mmse(monkeypatch, positive)
         cfg = small_config(
             instances=40, detectors=("mmse", "sb-reg"),
             sb=SBParams(n_steps=20, dt=0.5, n_restarts=2),
         )
         records = run_sweep(cfg)
-        assert len(calls) == 80  # 40 of them failed
+        failed = sum(dropped)
+        assert 0 < failed < 80
         for det in ("mmse", "sb-reg"):
-            assert sum(r.failures for r in records if r.detector == det) == 40
-        calls.clear()
+            assert sum(r.failures for r in records if r.detector == det) == (
+                failed
+            )
         monkeypatch.setattr(sbmimo.bench, "_BLOCK", 1)
         assert run_sweep(cfg) == records
 

@@ -379,10 +379,11 @@ class TestMain:
             ["--seed", "-1"],
             ["--snr-list", "5,5"],
             ["--snr", "0:1e308:1e-300"],
+            ["--snr", "0:1e308:1e300"],
         ],
         ids=["snr-nan", "snr-inf", "snr-grid-inf", "snr-overflow",
              "snr-underflow", "snr-inf-noise", "negative-seed",
-             "snr-duplicate", "snr-grid-inf-count"],
+             "snr-duplicate", "snr-grid-inf-count", "snr-grid-huge-count"],
     )
     def test_bad_value_returns_2(self, argv, capsys):
         assert main(argv + ["--instances", "1"]) == 2

@@ -157,7 +157,32 @@ class TestPrepare:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(gram, np.ones(2))
         for p, inst in zip(prepare(insts, QPSK), insts):
-            assert np.array_equal(p.mmse, mmse_reference(inst, QPSK))
+            assert np.array_equal(p.mmse.spins, mmse_reference(inst, QPSK))
+
+    def test_one_energies_call_scores_the_block(self, monkeypatch, rng):
+        # prepare scores every MMSE decision of a block in one energies
+        # call, each under its own problem's model as energy scores it
+        # alone; mmse_detect hands back the stored decision.
+        import sbmimo.detectors
+
+        shapes = []
+        score = sbmimo.detectors.energies
+
+        def counting(j, *args):
+            shapes.append(j.shape)
+            return score(j, *args)
+
+        monkeypatch.setattr(sbmimo.detectors, "energies", counting)
+        insts = [sample_instance(3, 2, QAM16, snr, rng)
+                 for snr in (0.0, 10.0, 20.0, 30.0)]
+        problems = prepare(insts, QAM16)
+        assert shapes == [(4, 12, 12)]
+        for p in problems:
+            res = mmse_detect(p)
+            assert res is p.mmse
+            assert (res.detector, res.extras) == ("mmse", {})
+            assert res.ising_energy == energy(p.model, res.spins)
+        assert len(shapes) == 1
 
     def test_no_decision_is_a_detection_failure(self, rng):
         (p,) = prepare([sample_instance(2, 2, QPSK, 10.0, rng)], QPSK)
@@ -223,7 +248,8 @@ class TestMmse:
             p, good = prepare([bad, inst], QPSK)
             with pytest.raises(ValueError):
                 mmse_detect(p)
-            assert np.array_equal(good.mmse, mmse_reference(inst, QPSK))
+            assert np.array_equal(good.mmse.spins,
+                                  mmse_reference(inst, QPSK))
 
 
 class TestOracle:
@@ -360,20 +386,21 @@ class TestOracle:
         monkeypatch.setattr("sbmimo.detectors._BLOCK_ROWS", 3)
         monkeypatch.setattr("sbmimo.detectors._ROUND_ROWS", 2)
         monkeypatch.setattr("sbmimo.detectors._MARGIN", 1.0)
-        scored = []
+        h = sample_instance(4, 4, QPSK, 10.0, np.random.default_rng(4)).h
+        inst = ChannelInstance(
+            h=h, tx_levels=np.zeros(8, dtype=np.int8),
+            noise_var=1.0, y=h @ np.full(4, -1 - 1j),
+        )
+        (p,) = prepare([inst], QPSK)
+        spins, e = exhaustive_ml(p.model)
+        scored = []  # the oracle's energies calls alone
 
         def recording(*args):
             scored.append(energies(*args))
             return scored[-1]
 
         monkeypatch.setattr("sbmimo.detectors.energies", recording)
-        h = sample_instance(4, 4, QPSK, 10.0, np.random.default_rng(4)).h
-        inst = ChannelInstance(
-            h=h, tx_levels=np.zeros(8, dtype=np.int8),
-            noise_var=1.0, y=h @ np.full(4, -1 - 1j),
-        )
-        res = ml_oracle(prepare([inst], QPSK)[0])
-        spins, e = exhaustive_ml(prepare([inst], QPSK)[0].model)
+        res = ml_oracle(p)
         assert np.array_equal(res.spins, spins)
         assert np.array_equal(spins, -np.ones(8))
         assert res.ising_energy == e
@@ -393,7 +420,7 @@ class TestOracle:
             p = prepare([inst], QPSK)[0]
             ml = ml_oracle(p)
             mmse = mmse_detect(p)
-            sbr = detect_one(p, params, mmse, r=0.5, seed=1)
+            sbr = detect_one(p, params, True, r=0.5, seed=1)
             assert ml.ising_energy <= mmse.ising_energy + 1e-9
             assert ml.ising_energy <= sbr.ising_energy + 1e-9
 
@@ -413,7 +440,7 @@ class TestSbDetect:
             inst = sample_instance(3, 3, QPSK, float(rng.uniform(0, 25)), rng)
             p = prepare([inst], QPSK)[0]
             anchor = mmse_detect(p)
-            res = detect_one(p, params, anchor, r=0.5)
+            res = detect_one(p, params, True, r=0.5)
             assert set(res.extras) == {"diverged_restarts", "selected"}
             readout = solve_one(regularize(p.model, anchor.spins, 0.5), params)
             sb_energy = energy(p.model, readout.spins)
@@ -424,7 +451,8 @@ class TestSbDetect:
 
     @pytest.mark.parametrize("restarts", [1, 4])
     def test_each_decision_energy_evaluated_once(self, monkeypatch, restarts):
-        # solve scores every restart's readout in one energies call; sb
+        # prepare scores the MMSE decision, and mmse_detect nothing; solve
+        # scores every restart's readout in one energies call; sb
         # reuses the winner's energy and sb-reg scores only its readout
         # under the plain model.
         import sbmimo.detectors
@@ -442,6 +470,7 @@ class TestSbDetect:
 
         for module, name in (
             (sbmimo.detectors, "energy"),
+            (sbmimo.detectors, "energies"),
             (sbmimo.sb, "energy"),
             (sbmimo.sb, "energies"),
         ):
@@ -450,11 +479,11 @@ class TestSbDetect:
         inst = sample_instance(3, 3, QPSK, 10.0, rng)
         params = SBParams(n_steps=40, n_restarts=restarts)
         p = prepare([inst], QPSK)[0]
-        anchor = mmse_detect(p)
-        assert calls == ["sbmimo.detectors.energy"]
+        assert mmse_detect(p) is p.mmse
+        assert calls == ["sbmimo.detectors.energies"]
         sb = detect_one(p, params, seed=3)
         assert calls[1:] == ["sbmimo.sb.energies"]
-        reg = detect_one(p, params, anchor, r=0.5, seed=3)
+        reg = detect_one(p, params, True, r=0.5, seed=3)
         assert calls[2:] == ["sbmimo.sb.energies", "sbmimo.detectors.energy"]
         assert sb.ising_energy == energy(p.model, sb.spins)
         assert reg.ising_energy == energy(p.model, reg.spins)
@@ -468,40 +497,39 @@ class TestSbDetect:
             prepare([sample_instance(3, 3, QPSK, 10.0, rng)], QPSK)[0]
             for _ in range(5)
         ]
-        anchors = [mmse_detect(p) for p in problems]
         seeds = [11, 12, 13, 14, 15]
-        for block_anchors in (None, anchors):
-            solved = sb_solve(problems, params, seeds, block_anchors, 0.5)
+        for anchored in (False, True):
+            r = 0.5 if anchored else None
+            solved = sb_solve(problems, params, seeds, r)
             for k, (p, outcome) in enumerate(zip(problems, solved)):
-                anchor = block_anchors and block_anchors[k]
-                res = sb_detect(p, outcome, anchor)
-                alone = detect_one(p, params, anchor, 0.5, seeds[k])
+                res = sb_detect(p, outcome, anchored)
+                alone = detect_one(p, params, anchored, 0.5, seeds[k])
                 assert np.array_equal(res.spins, alone.spins)
                 assert res.ising_energy == alone.ising_energy
                 assert res.extras == alone.extras
-        for anchor in (None, anchors[0]):
             with pytest.raises(DetectionFailureError, match="no readout"):
-                sb_detect(problems[0], None, anchor)
+                sb_detect(problems[0], None, anchored)
 
     def test_problem_without_an_anchor_is_not_solved(self, rng):
-        # An anchored block may have gaps: a None anchor's outcome is
-        # None, and every other problem is decided as in a block of one.
+        # An anchored block may have gaps: a problem with no MMSE decision
+        # is not solved, and every other problem is decided as in a block
+        # of one.
         params = SBParams(n_steps=40, n_restarts=2)
         problems = [
             prepare([sample_instance(3, 3, QPSK, 10.0, rng)], QPSK)[0]
             for _ in range(5)
         ]
-        anchors = [mmse_detect(p) if k % 2 else None
-                   for k, p in enumerate(problems)]
+        problems = [p if k % 2 else replace(p, mmse=None)
+                    for k, p in enumerate(problems)]
         seeds = [21, 22, 23, 24, 25]
-        solved = sb_solve(problems, params, seeds, anchors, 0.5)
-        assert [s is None for s in solved] == [a is None for a in anchors]
+        solved = sb_solve(problems, params, seeds, 0.5)
+        assert [s is None for s in solved] == [p.mmse is None for p in problems]
         for k in (1, 3):
-            res = sb_detect(problems[k], solved[k], anchors[k])
-            alone = detect_one(problems[k], params, anchors[k], 0.5, seeds[k])
+            res = sb_detect(problems[k], solved[k], True)
+            alone = detect_one(problems[k], params, True, 0.5, seeds[k])
             assert np.array_equal(res.spins, alone.spins)
             assert res.ising_energy == alone.ising_energy
-        assert sb_solve(problems[:1], params, [1], [None], 0.5) == [None]
+        assert sb_solve(problems[:1], params, [1], 0.5) == [None]
 
     def test_energy_tie_keeps_solver_readout(self):
         # At high SNR the solver usually lands on the MMSE decision, so
@@ -512,7 +540,7 @@ class TestSbDetect:
             p = prepare([inst], QPSK)[0]
             params = SBParams(n_steps=100)
             anchor = mmse_detect(p)
-            res = detect_one(p, params, anchor, r=0.5, seed=seed)
+            res = detect_one(p, params, True, r=0.5, seed=seed)
             model = regularize(p.model, anchor.spins, 0.5)
             readout = solve_one(model, params, seed)
             if energy(p.model, readout.spins) == anchor.ising_energy:
@@ -530,7 +558,7 @@ class TestSbDetect:
             anchor,
             ml_oracle(p),
             detect_one(p, params, seed=4),
-            detect_one(p, params, anchor, r=0.5, seed=4),
+            detect_one(p, params, True, r=0.5, seed=4),
         ]
         for res in results:
             assert res.spins.shape == (2 * QAM16.bps,)
