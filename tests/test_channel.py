@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -92,6 +93,19 @@ class TestModulate:
     def test_bpsk_sign_flip(self):
         out = modulate(np.array([0, 1]), BPSK)
         assert out.tolist() == [1, -1]
+
+    def test_round_trip_exhaustive_qpsk_four_users(self):
+        for bits in itertools.product((0, 1), repeat=8):
+            b = np.array(bits)
+            assert np.array_equal(hard_bits(modulate(b, QPSK), QPSK), b)
+
+    @pytest.mark.parametrize("c", [BPSK, QPSK, QAM16], ids=lambda c: c.name)
+    def test_round_trip_exhaustive_per_symbol(self, c):
+        for bits in itertools.product((0, 1), repeat=c.bps):
+            b = np.array(bits)
+            sym = modulate(b, c)
+            assert sym[0] in constellation_points(c)
+            assert np.array_equal(hard_bits(sym, c), b)
 
 
 class TestDemodulate:
@@ -261,6 +275,16 @@ class TestSampleInstance:
             assert rng.integers(0, 1 << 63, dtype=np.uint64) == (
                 ref_rng.integers(0, 1 << 63, dtype=np.uint64)
             )
+
+
+@given(st.integers(min_value=0, max_value=2**31), st.sampled_from(["bpsk", "qpsk", "qam16"]))
+@settings(max_examples=40, deadline=None)
+def test_modulation_round_trip_property(seed, name):
+    c = get_constellation(name)
+    rng = np.random.default_rng(seed)
+    nt = int(rng.integers(1, 6))
+    bits = rng.integers(0, 2, nt * c.bps)
+    assert np.array_equal(hard_bits(modulate(bits, c), c), bits)
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.sampled_from(["bpsk", "qpsk", "qam16"]))

@@ -213,6 +213,13 @@ class TestSpinMaps:
                 sym = spins_to_symbols(s, c)
                 assert np.array_equal(symbols_to_spins(sym, c), s)
 
+    def test_multiuser_layout_matches_modulate(self, rng):
+        for c in (QPSK, QAM16):
+            bits = rng.integers(0, 2, 3 * c.bps)
+            sym = modulate(bits, c)
+            s = symbols_to_spins(sym, c)
+            assert np.array_equal(spins_to_bits(s, c), bits)
+
     def test_length_mismatch_rejected(self):
         # Symbols come as a non-empty vector, or a stack of them.
         with pytest.raises(ValueError):
