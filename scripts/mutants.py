@@ -119,11 +119,21 @@ MUTANTS = (
     Mutant(
         "sb-reg anchored at the previous problem's MMSE spins",
         "detectors.py",
-        "                  for m, p in zip(models, problems)]",
-        "                  for m, p in zip(models, problems[-1:] + problems[:-1])]",
+        "        anchors = np.array([p.mmse[b].spins for b in keep])",
+        "        anchors = np.array([p.mmse[b - 1].spins for b in keep])",
         (
             DETECTORS + "TestSbDetect::test_block_decisions_match_blocks_of_one",
             BLOCKS + "test_block_size_does_not_change_records[1]",
+        ),
+    ),
+    Mutant(
+        "the stacked regularize anchors each row at the next row's MMSE spins",
+        "reduction.py",
+        "        h=model.h - 2.0 * r * s_p,",
+        "        h=model.h - 2.0 * r * np.roll(s_p, -1, tuple(range(s_p.ndim - 1))),",
+        (
+            DETECTORS + "TestSbDetect::test_block_decisions_match_blocks_of_one",
+            REDUCTION + "TestRegularize::test_weight_runs_as_its_float",
         ),
     ),
     Mutant(
@@ -160,10 +170,9 @@ MUTANTS = (
     Mutant(
         "the energy kernel adds the fields before its dot with s",
         "ising.py",
-        "    return quad + np.vecdot(h[..., None, :], s)"
-        " + np.asarray(offset)[..., None]",
+        "    return quad + np.vecdot(h[..., None, :], s) + offset[..., None]",
         "    return np.vecdot(np.vecmat(s, j[..., None, :, :])"
-        " + h[..., None, :], s) + np.asarray(offset)[..., None]",
+        " + h[..., None, :], s) + offset[..., None]",
         ("tests/test_ising.py::TestStackedEnergies::"
          "test_stack_matches_single_row_expression",),
     ),
@@ -219,8 +228,13 @@ MUTANTS = (
     Mutant(
         "sb_solve solves an anchorless problem's plain model",
         "detectors.py",
-        "        models = [None if p.mmse is None else regularize(m, p.mmse.spins, r)",
-        "        models = [m if p.mmse is None else regularize(m, p.mmse.spins, r)",
+        "        keep = [b for b, res in enumerate(p.mmse) if res is not None]\n"
+        "        if not keep:\n"
+        "            return out\n"
+        "        anchors = np.array([p.mmse[b].spins for b in keep])\n",
+        "        keep = range(len(out))\n"
+        "        anchors = np.array([0 * p.model.h[b] if p.mmse[b] is None"
+        " else p.mmse[b].spins for b in keep])\n",
         (
             DETECTORS + "TestSbDetect::test_problem_without_an_anchor_is_not_solved",
             BLOCKS + "test_block_with_some_anchors_missing",
@@ -229,16 +243,16 @@ MUTANTS = (
     Mutant(
         "a block's sb_detect calls run in descending point order",
         "bench.py",
-        "                        for p, s in zip(problems, solved)]",
-        "                        for p, s in reversed(list(zip(problems, solved)))]"
+        "                        for b, s in enumerate(solved)]",
+        "                        for b, s in reversed(list(enumerate(solved)))]"
         "[::-1]",
         (BLOCKS + "test_call_order_within_blocks",),
     ),
     Mutant(
         "prepare scores each MMSE decision under a neighbouring problem's model",
         "detectors.py",
-        "    e = energies(j, fields, offset, spins[:, None].astype(np.float64))",
-        "    e = energies(*(np.roll(a, 1, 0) for a in (j, fields, offset)),"
+        "    e = energies(model, spins[:, None].astype(np.float64))",
+        "    e = energies(model[np.roll(np.arange(len(insts)), 1)],"
         " spins[:, None].astype(np.float64))",
         (
             PREPARE + "test_one_energies_call_scores_the_block",
@@ -305,8 +319,8 @@ MUTANTS = (
     Mutant(
         "a block's initial states are written into the wrong model's rows",
         "sb.py",
-        "        initial_states(hh.shape[1], seed, n_restarts, out=xy[:, b])",
-        "        initial_states(hh.shape[1], seed, n_restarts, out=xy[:, -1 - b])",
+        "        initial_states(model.n, seed, n_restarts, out=xy[:, b])",
+        "        initial_states(model.n, seed, n_restarts, out=xy[:, -1 - b])",
         (SB + "TestBlock::test_matches_per_instance_reference",),
     ),
     Mutant(
@@ -350,8 +364,9 @@ MUTANTS = (
     Mutant(
         "ml_oracle realifies the instance again",
         "detectors.py",
-        "    c, sys = p.c, p.sys",
-        "    c, sys = p.c, realify(p.inst.h, p.inst.y, p.c)",
+        "    c, h_r, y_r = p.c, p.sys.h_r[b], p.sys.y_r[b]",
+        "    sys = realify(p.insts[b].h, p.insts[b].y, p.c);"
+        " c, h_r, y_r = p.c, sys.h_r, sys.y_r",
         (ONE_REDUCTION + "[detectors2-0]", ONE_REDUCTION + "[detectors3-1]"),
     ),
     Mutant(

@@ -205,18 +205,19 @@ def _eval_block(cfg: SweepConfig, points, trace=None):
 
     points lists (snr_idx, i) pairs, which may span several SNR points.
     Each point is sampled from its own RNG stream; the block is reduced,
-    with every MMSE decision taken and scored, in one `prepare` call;
-    then MMSE and the ML oracle each take one pass over the block; then
-    each SB-family detector takes one solve of the whole block and one
-    pass of `sb_detect` in point order.  Each detector keeps one decision
-    list, None where it failed.  `sb-reg` is anchored at each problem's
-    MMSE decision, p.mmse, so an MMSE failure counts against both.  Bit
-    errors are counted as spin mismatches against the spins of the sent
-    levels: under the channel's bit labeling each bit is one spin.  With
-    `ml-oracle` configured, a decision is ML-optimal if its energy is at
-    most the oracle's e + 1e-9 max(1, |e|).  trace, when given, holds one
-    list per point, and only the first SB-family detector's solve extends
-    it (see `trace_rows`).
+    with every MMSE decision taken and scored, by one `prepare` call into
+    one `Problem`; then MMSE and the ML oracle each take one pass over
+    its points, by index b; then each SB-family detector takes one solve
+    of the whole block and one pass of `sb_detect` in point order.  Each
+    detector keeps one decision list, None where it failed.  `sb-reg` is
+    anchored at each point's MMSE decision, p.mmse[b], so an MMSE failure
+    counts against both.  Bit errors are counted as spin mismatches
+    against the spins of the sent levels: under the channel's bit
+    labeling each bit is one spin.  With `ml-oracle` configured, a
+    decision is ML-optimal if its energy is at most the oracle's
+    e + 1e-9 max(1, |e|).  trace, when given, holds one list per point,
+    and only the first SB-family detector's solve extends it (see
+    `trace_rows`).
     """
     c = get_constellation(cfg.modulation)
     insts, seeds = [], []
@@ -226,24 +227,24 @@ def _eval_block(cfg: SweepConfig, points, trace=None):
             sample_instance(cfg.nt, cfg.nr, c, cfg.snr_db[snr_idx], rng)
         )
         seeds.append(int(rng.integers(0, 1 << 63, dtype=np.uint64)))
-    problems = prepare(insts, c)
+    p = prepare(insts, c)
     decided = {}
     if "mmse" in cfg.detectors:
-        mmse = decided["mmse"] = [None] * len(problems)
-        for k, p in enumerate(problems):
+        mmse = decided["mmse"] = [None] * len(points)
+        for b in range(len(points)):
             try:
-                mmse[k] = mmse_detect(p)
+                mmse[b] = mmse_detect(p, b)
             except DetectionFailureError:
                 pass
     if "ml-oracle" in cfg.detectors:
-        decided["ml-oracle"] = [ml_oracle(p) for p in problems]
+        decided["ml-oracle"] = [ml_oracle(p, b) for b in range(len(points))]
     for det in [d for d in cfg.detectors if d in SB_FAMILY]:
         anchored = det == "sb-reg"
         r = cfg.r if anchored else None
-        solved = sb_solve(problems, cfg.sb, seeds, r, trace)
+        solved = sb_solve(p, cfg.sb, seeds, r, trace)
         trace = None  # the first SB-family solve alone is traced
-        decided[det] = [None if s is None else sb_detect(p, s, anchored)
-                        for p, s in zip(problems, solved)]
+        decided[det] = [None if s is None else sb_detect(p, b, s, anchored)
+                        for b, s in enumerate(solved)]
     # A failed decision stands in as the sent spins with a NaN energy, so
     # it counts no error and meets no energy test.
     sent = level_spins(np.array([inst.tx_levels for inst in insts]), c)
@@ -260,7 +261,7 @@ def _eval_block(cfg: SweepConfig, points, trace=None):
             done,
             np.count_nonzero(spins != sent, axis=1),
             ~done,
-            e > _energies(p.mmse for p in problems) if det == "sb-reg"
+            e > _energies(p.mmse) if det == "sb-reg"
             else zero,
             zero if e_ml is None
             else e <= e_ml + 1e-9 * np.maximum(1.0, abs(e_ml)),

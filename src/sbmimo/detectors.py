@@ -1,12 +1,12 @@
 """Detectors: linear MMSE, exact ML oracle, and the bifurcation
 solver composed with the reduction (plain and MMSE-anchored regularized).
 
-Every detector takes a ``Problem``: the instance reduced, and its MMSE
-decision taken and scored, once by ``prepare``.  Each reports the Ising
-energy of its decision under the unregularized instance model, which
-equals the squared ML residual; the regularized path selects between
-the solver readout and the MMSE anchor by that energy, so its result
-never scores worse than MMSE's.
+Every detector takes a ``Problem``, a block of instances reduced, their
+MMSE decisions taken and scored, once by ``prepare``, and the index of
+its instance there.  Each reports the Ising energy of its decision under
+the unregularized instance model, which equals the squared ML residual;
+the regularized path selects between the solver readout and the MMSE
+anchor by that energy, so its result never scores worse than MMSE's.
 """
 
 from __future__ import annotations
@@ -59,16 +59,16 @@ class DetectionResult:
 
 @dataclass(frozen=True)
 class Problem:
-    """One channel instance with its realify system, that system's Ising
-    model, the constellation and its MMSE decision, also ``sb-reg``'s
-    anchor (None where the MMSE solves failed).  ``prepare`` builds one
-    per instance, shared by every detector."""
+    """A solver block of same-size channel instances, built once by
+    ``prepare`` for every detector: the instances, their stacked realify
+    system and Ising model, the constellation, and per instance its MMSE
+    decision, also ``sb-reg``'s anchor (None where the solves failed)."""
 
-    inst: ChannelInstance
+    insts: list[ChannelInstance]
     sys: RealizedSystem
     model: IsingModel
     c: Constellation
-    mmse: DetectionResult | None
+    mmse: list[DetectionResult | None]
 
 
 def _mmse_spins(h, y, noise_var, c):
@@ -107,56 +107,51 @@ def _mmse_spins(h, y, noise_var, c):
     return symbols_to_spins(soft, c), ok
 
 
-def prepare(insts, c: Constellation) -> list[Problem]:
+def prepare(insts, c: Constellation) -> Problem:
     """Realify a block of same-size channel instances, reduce them, and
     take and score their MMSE decisions, each in one stacked pass: the
-    problems every detector takes, one per instance, in order.  Each
-    problem is bit for bit what it would be in a block of one."""
+    block every detector takes.  Each instance's row is bit for bit what
+    it would be in a block of one."""
     insts = list(insts)
     h = np.array([inst.h for inst in insts], dtype=np.complex128)
     y = np.array([inst.y for inst in insts], dtype=np.complex128)
     noise_var = np.array([inst.noise_var for inst in insts], dtype=np.float64)
     sys = realify(h, y, c)
-    j, fields, offset = instance_model(sys, c)
+    model = instance_model(sys, c)
     spins, ok = _mmse_spins(h, y, noise_var, c)
     # Float64 rows, as energy takes one: each scores as energy scores it.
-    e = energies(j, fields, offset, spins[:, None].astype(np.float64))
+    e = energies(model, spins[:, None].astype(np.float64))
     mmse = [DetectionResult("mmse", s, float(ei), {}) if keep else None
             for s, (ei,), keep in zip(spins, e, ok.tolist())]
-    models = map(IsingModel, j, fields, offset)
-    return [
-        Problem(inst, RealizedSystem(h_r, y_r), model, c, res)
-        for inst, h_r, y_r, model, res
-        in zip(insts, sys.h_r, sys.y_r, models, mmse, strict=True)
-    ]
+    return Problem(insts, sys, model, c, mmse)
 
 
-def mmse_detect(p: Problem) -> DetectionResult:
+def mmse_detect(p: Problem, b: int) -> DetectionResult:
     """Regularized linear estimate, hard-quantized onto the lattice: the
-    decision ``prepare`` took and scored for p (see _mmse_spins).
+    decision ``prepare`` took and scored for instance b (see _mmse_spins).
 
     Raises ValueError for a noise variance that is not positive, and
     DetectionFailureError where the regularized solve and its lstsq
     fallback both failed.
     """
-    if not p.inst.noise_var > 0:
-        raise ValueError(f"noise_var must be > 0, got {p.inst.noise_var}")
-    if p.mmse is None:
+    if not p.insts[b].noise_var > 0:
+        raise ValueError(f"noise_var must be > 0, got {p.insts[b].noise_var}")
+    if p.mmse[b] is None:
         raise DetectionFailureError("regularized solve failed")
-    return p.mmse
+    return p.mmse[b]
 
 
-def _triangles(sys, lam):
+def _triangles(h_r, y_r, lam):
     """[R z] of h_r = Q R with z = Q^T y_r, and the same for [h_r; lam I]
     with y_r padded by zeros, from one stacked QR of the two systems
     with y_r as an extra column (h_r's padded by zero rows, which leaves
     its factor as it is).  Each is k x (k + 1) and upper trapezoidal;
     with fewer rows than coordinates, h_r's rows past its own are zero.
     """
-    m, k = sys.h_r.shape
+    m, k = h_r.shape
     a = np.zeros((2, m + k, k + 1))
-    a[:, :m, :k] = sys.h_r
-    a[:, :m, k] = sys.y_r
+    a[:, :m, :k] = h_r
+    a[:, :m, k] = y_r
     np.fill_diagonal(a[1, m:], lam)
     return np.linalg.qr(a, mode="r")[:, :k]
 
@@ -226,7 +221,7 @@ def _search(r, z, bound, slack, model, c):
         if i == 0:
             bound = min(bound, d.min() + slack)
             spins = level_spins(idx[d <= bound], c)
-            e = energies(model.j, model.h, model.offset, spins)
+            e = energies(model, spins)
             candidates += len(e)
             low = e.min()
             leaf = (float(low), min(spins[e == low].tolist()))
@@ -258,7 +253,7 @@ def _search(r, z, bound, slack, model, c):
     return np.array(best[1], dtype=np.int8), best[0], candidates, nodes
 
 
-def ml_oracle(p: Problem) -> DetectionResult:
+def ml_oracle(p: Problem, b: int) -> DetectionResult:
     """Global minimizer of the squared residual by exact pruned search.
 
     The search runs over the real coordinates of realify's system, with
@@ -269,7 +264,7 @@ def ml_oracle(p: Problem) -> DetectionResult:
     plus the most rounding can move a distance, so the optimum is never
     dropped.  With nr < nt, R has fewer rows than coordinates and the
     top levels simply go unpruned.  Each block of leaves is scored, within
-    the bound it lowered, by p.model's energy of their spins (see
+    the bound it lowered, by p.model[b]'s energy of their spins (see
     level_spins) in one ising.energies call; the lowest energy wins, and
     ties go to the lexicographically smallest spin vector (-1 before
     +1): the answer of a scan over all 2^n spin vectors in that order.
@@ -282,19 +277,18 @@ def ml_oracle(p: Problem) -> DetectionResult:
         raise ValueError(
             f"{n} spins exceed the oracle limit of {ORACLE_SPIN_LIMIT}"
         )
-    c, sys = p.c, p.sys
-    k = sys.h_r.shape[1]
-    lam = (max(0.0, p.inst.noise_var) / c.symbol_energy) ** 0.5
-    rz, rz_reg = _triangles(sys, lam)
+    c, h_r, y_r = p.c, p.sys.h_r[b], p.sys.y_r[b]
+    k = h_r.shape[1]
+    lam = (max(0.0, p.insts[b].noise_var) / c.symbol_energy) ** 0.5
+    rz, rz_reg = _triangles(h_r, y_r, lam)
     r, z = rz[:, :k], rz[:, k]
     resid = z - r @ _babai_point(rz_reg, c)
     # No distance exceeds 2 * scale, and rounding in the QR and the sums
     # moves one by a small multiple of (rows * k * eps) * scale.
-    scale = (sys.y_r @ sys.y_r
-             + np.vdot(sys.h_r, sys.h_r) * k * max(c.levels) ** 2)
+    scale = y_r @ y_r + np.vdot(h_r, h_r) * k * max(c.levels) ** 2
     slack = _MARGIN * float(scale)
     spins, e, candidates, nodes = _search(
-        r, z, float(resid @ resid) + slack, slack, p.model, c
+        r, z, float(resid @ resid) + slack, slack, p.model[b], c
     )
     return DetectionResult(
         "ml-oracle", spins, e, {"candidates": candidates, "nodes": nodes}
@@ -302,46 +296,55 @@ def ml_oracle(p: Problem) -> DetectionResult:
 
 
 def sb_solve(
-    problems,
+    p: Problem,
     params: SBParams,
     seeds,
     r: float | None = None,
     trace: list | None = None,
 ) -> list:
-    """Solve a block of same-size problems' Ising models in one solve call.
-
-    With r None each plain model is solved, else each is anchored at its
-    MMSE decision, p.mmse, with penalty weight r, and a problem with no
-    MMSE decision is not solved.  seeds holds one solver seed per
-    problem, which draws its initial states; trace, when given, holds
-    one list per problem for solve's trace rows.  Returns solve's outcome
-    per problem: a SolveResult, or None for one not solved or whose
-    every restart diverged.  ``sb_detect`` turns one into a decision.
-    """
-    models = [p.model for p in problems]
+    """Solve a block's models in one solve call on its stacked model:
+    plain with r None, else anchored by one regularize call, each model
+    at its MMSE decision, p.mmse[b], with weight r.  A problem with no
+    MMSE decision is left out (with none, solve is not called).  seeds
+    holds one solver seed per problem and trace, when given, one list
+    per problem for solve's trace rows.  Returns one outcome per problem
+    for ``sb_detect``: a SolveResult, or None where unsolved or where
+    every restart diverged."""
+    out = [None] * len(p.insts)
+    model, keep = p.model, range(len(out))
     if r is not None:
-        models = [None if p.mmse is None else regularize(m, p.mmse.spins, r)
-                  for m, p in zip(models, problems)]
-    return solve(models, params, seeds, trace)
+        keep = [b for b, res in enumerate(p.mmse) if res is not None]
+        if not keep:
+            return out
+        anchors = np.array([p.mmse[b].spins for b in keep])
+        # Only a block with gaps takes a subset (a copy) of its models.
+        model = model if len(keep) == len(out) else model[keep]
+        model = regularize(model, anchors, r)
+    traces = None if trace is None else [trace[b] for b in keep]
+    solved = solve(model, params, [seeds[b] for b in keep], traces)
+    for b, res in zip(keep, solved):
+        out[b] = res
+    return out
 
 
-def sb_detect(p: Problem, solved: SolveResult | None,
+def sb_detect(p: Problem, b: int, solved: SolveResult | None,
               anchored: bool = False) -> DetectionResult:
-    """The SB decision on one problem from its ``sb_solve`` outcome.
+    """The SB decision on instance b from its ``sb_solve`` outcome.
 
     Raises DetectionFailureError for a None outcome.  Unanchored, the
     readout of the plain model is the decision.  Anchored, the readout
-    and the anchor, p.mmse, are compared under the unregularized model;
-    the lower energy wins (ties keep the solver readout).
+    and the anchor, p.mmse[b], are compared under the unregularized
+    model; the lower energy wins (ties keep the solver readout).
     """
     if solved is None:
         raise DetectionFailureError("the solver gave no readout")
     extras = {"diverged_restarts": solved.diverged_restarts}
     if not anchored:
         return DetectionResult("sb", solved.spins, solved.energy, extras)
-    sb_energy = energy(p.model, solved.spins)
-    if sb_energy <= p.mmse.ising_energy:
+    anchor = p.mmse[b]
+    sb_energy = energy(p.model[b], solved.spins)
+    if sb_energy <= anchor.ising_energy:
         extras["selected"] = "sb"
         return DetectionResult("sb-reg", solved.spins, sb_energy, extras)
     extras["selected"] = "mmse"
-    return DetectionResult("sb-reg", p.mmse.spins, p.mmse.ising_energy, extras)
+    return DetectionResult("sb-reg", anchor.spins, anchor.ising_energy, extras)

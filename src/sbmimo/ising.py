@@ -21,48 +21,57 @@ import numpy as np
 
 @dataclass(frozen=True)
 class IsingModel:
-    """Couplings j (n x n) and fields h (n,), n spins, with an offset."""
+    """Couplings j (..., n, n), fields h (..., n) and offsets (...): one
+    model of n spins, or a stack of same-size models along the leading
+    axes, which model[idx] selects.  One model's offset is a float."""
 
     j: np.ndarray
     h: np.ndarray
-    offset: float = 0.0
+    offset: float | np.ndarray = 0.0
 
     def __post_init__(self):
         j = np.asarray(self.j, dtype=np.float64)
         h = np.asarray(self.h, dtype=np.float64)
-        if h.ndim != 1 or j.shape != (len(h), len(h)):
+        offset = np.asarray(self.offset, dtype=np.float64)
+        if (h.ndim == 0 or j.shape != (*h.shape, h.shape[-1])
+                or offset.shape != h.shape[:-1]):
             raise ValueError(
-                f"need j (n, n) and h (n,), got j {j.shape} and h {h.shape}"
+                f"need j (..., n, n), h (..., n) and offset (...), got "
+                f"j {j.shape}, h {h.shape} and offset {offset.shape}"
             )
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset",
+                           offset if offset.ndim else float(offset))
 
     @property
     def n(self) -> int:
-        return len(self.h)
+        return self.h.shape[-1]
+
+    def __getitem__(self, idx) -> IsingModel:
+        return IsingModel(self.j[idx], self.h[idx], self.offset[idx])
 
 
-def energies(j, h, offset, s) -> np.ndarray:
-    """Energies of stacked spin rows s (..., R, n) under stacked models:
-    j (..., n, n), h (..., n) and offset (...).  Returns (..., R).
+def energies(model: IsingModel, s) -> np.ndarray:
+    """Energies of stacked spin rows s (..., R, n) under a model or a
+    stack of models (...).  Returns (..., R).
 
     Each row is summed as ``(s @ J) @ s + h @ s + offset``, in that order,
     so a row scores bit for bit as it would alone.  Nothing is checked.
     """
+    j, h, offset = model.j, model.h, np.asarray(model.offset)
     quad = np.vecdot(np.vecmat(s, j[..., None, :, :]), s)
-    return quad + np.vecdot(h[..., None, :], s) + np.asarray(offset)[..., None]
+    return quad + np.vecdot(h[..., None, :], s) + offset[..., None]
 
 
 def energy(model: IsingModel, s: np.ndarray) -> float:
-    """Evaluate ``s^T J s + h . s + offset`` for a spin vector ``s``.
+    """Evaluate ``s^T J s + h . s + offset`` for one model and spins s.
 
-    Raises ValueError on a length mismatch.  Spin values are not checked;
-    callers own the {-1, +1} contract.
+    Raises ValueError on a stack of models or a length mismatch.  Spin
+    values are not checked; callers own the {-1, +1} contract.
     """
     s = np.asarray(s, dtype=np.float64)
-    if s.shape != (model.n,):
-        raise ValueError(
-            f"spin vector has shape {s.shape}, expected ({model.n},)"
-        )
-    return float(energies(model.j, model.h, model.offset, s[None])[0])
+    if model.h.ndim != 1 or s.shape != (model.n,):
+        raise ValueError(f"spin vector has shape {s.shape}, expected one "
+                         f"model's {model.h.shape}")
+    return float(energies(model, s[None])[0])

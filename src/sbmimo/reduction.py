@@ -31,15 +31,14 @@ from sbmimo.ising import IsingModel
 from sbmimo.sb import setting
 
 
-def instance_model(sys: RealizedSystem, c: Constellation):
+def instance_model(sys: RealizedSystem, c: Constellation) -> IsingModel:
     """Reduce realify systems to their detection Ising models, whose
     energy equals ||y_r - H_r T s||^2 for every s.  H_r T is each axis's
     column block of H_r once per weight, scaled by it.
 
     sys holds h_r (..., m, k) and y_r (..., m), one system or a stack;
-    returns the models' j (..., n, n), h (..., n) and offset (...), each
-    system's bit for bit what it would be alone (IsingModel(*out) for
-    one system).
+    returns one model or the stack of them, each system's bit for bit
+    what it would be alone.
     """
     *lead, m, k = sys.h_r.shape
     nt = k // c.axes
@@ -53,7 +52,7 @@ def instance_model(sys: RealizedSystem, c: Constellation):
     # vecdot sums y_r . y_r as a lone dot does (einsum may not).
     offset = np.trace(g, axis1=-2, axis2=-1) + np.vecdot(sys.y_r, sys.y_r)
     np.einsum("...ii->...i", g)[...] = 0.0  # g is now J
-    return g, h, offset
+    return IsingModel(g, h, offset)
 
 
 def level_spins(idx: np.ndarray, c: Constellation) -> np.ndarray:
@@ -109,18 +108,19 @@ def symbols_to_spins(x: np.ndarray, c: Constellation) -> np.ndarray:
 
 
 def regularize(model: IsingModel, s_p: np.ndarray, r: float) -> IsingModel:
-    """Add the anchor penalty r * ||s - s_p||^2 in closed form.
+    """Add the anchor penalty r * ||s - s_p||^2 in closed form, to one
+    model or to each model of a stack, anchored at its own row of s_p.
 
     Over spins, ||s - s_p||^2 = 2n - 2 s . s_p, so only the fields and the
     offset move: h -> h - 2 r s_p, offset -> offset + 2 r n.  Couplings
-    are untouched and the identity
+    are untouched (the same array) and the identity
     energy(new, s) == energy(old, s) + r * ||s - s_p||^2 holds exactly.
     """
     r = setting("r", r, 0.0)
     s_p = np.asarray(s_p, dtype=np.float64)
-    if s_p.shape != (model.n,):
+    if s_p.shape != model.h.shape:
         raise ValueError(
-            f"anchor has shape {s_p.shape}, expected ({model.n},)"
+            f"anchor has shape {s_p.shape}, expected {model.h.shape}"
         )
     return replace(
         model,

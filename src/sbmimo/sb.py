@@ -14,17 +14,17 @@ c0 = 1 / (2 sqrt(N) lambda) with lambda the rms off-diagonal coupling,
 computed on J scaled by a power of two: it is exact under power-of-two
 rescaling of the model, and sum(J**2) can neither overflow nor underflow.
 
-solve() takes a block of same-size models, one seed each, and evolves
-every restart of every model as a row of one (2, B, R, N) state of
-positions and momenta and one (B, R, N) array of their signs s, updated
-in place by ufuncs and one np.matmul(s, J) with J stacked (B, N, N):
-one (R, N) @ (N, N) product per model (J is symmetric, so s @ J is
-J @ s).  Models never mix, so each is bit for bit what it would
-be alone; its rows depend on its own restart count, since a product of
-R rows may sum in another order than one of a single row.  One dot
-product of x with itself screens for divergence; only a non-finite one
-runs the per-row check that drops diverged restarts.  A single model is
-the block of one.
+solve() takes a stacked IsingModel of B same-size models, one seed
+each, and evolves every restart of every model as a row of one
+(2, B, R, N) state of positions and momenta and one (B, R, N) array of
+their signs s, updated in place by ufuncs and one np.matmul(s, J) with
+the stack's own J (B, N, N): one (R, N) @ (N, N) product per model (J
+is symmetric, so s @ J is J @ s).  Models never mix, so each is bit for
+bit what it would be alone; its rows depend on its own restart count,
+since a product of R rows may sum in another order than one of a single
+row.  One dot product of x with itself screens for divergence; only a
+non-finite one runs the per-row check that drops diverged restarts.  A
+single model is the stack of one.
 
 sign(0) is +1 everywhere (force term and readout), a fixed tie-break.
 """
@@ -108,25 +108,15 @@ def compute_c0(j: np.ndarray) -> np.ndarray | float:
     finite and nonzero.  Needs n >= 2 and nonzero matrices; solve()
     handles the rest.
     """
-    return _c0(j, _exponents(j))
-
-
-def _exponents(j):
-    # Per matrix of a stack j (..., N, N), the k with 2^(k-1) <= max |J| < 2^k.
-    return np.frexp(np.maximum(j.max(axis=(-2, -1)), -j.min(axis=(-2, -1))))[1]
-
-
-def _c0(j, k):
-    # compute_c0 of the stack j, given its matrices' _exponents k.
-    n = j.shape[-1]
+    n, k = j.shape[-1], _exponents(j)
     jk = np.ldexp(j, -k[..., None, None])
     lam = np.sqrt(np.sum(np.square(jk, out=jk), axis=(-2, -1)) / (n * (n - 1)))
     return np.ldexp(1.0 / (2.0 * math.sqrt(n) * lam), -k)
 
 
-def _field_only_spins(model: IsingModel) -> np.ndarray:
-    # Exact minimizer of h . s for zero coupling; h_i == 0 breaks to +1.
-    return np.where(model.h > 0.0, -1, 1).astype(np.int8)
+def _exponents(j):
+    # Per matrix of a stack j (..., N, N), the k with 2^(k-1) <= max |J| < 2^k.
+    return np.frexp(np.maximum(j.max(axis=(-2, -1)), -j.min(axis=(-2, -1))))[1]
 
 
 def pump_schedule(n_steps: int) -> np.ndarray:
@@ -201,32 +191,29 @@ def step(xy, s, force, keep, a, j, half_h, c0, dt):
     return finite
 
 
-def _stack(models, seeds, n_restarts):
-    """The block's (2, B, R, N) initial state, J as (B, N, N), h / 2 and
-    c0 tiled to (B, R, N), then the unscaled models' J (B, N, N),
-    h (B, N) and offsets (B,), which score the readouts.
+def _stack(model: IsingModel, seeds, n_restarts):
+    """The block's (2, B, R, N) initial state, the J (B, N, N) it evolves
+    under, and h / 2 and c0 tiled to (B, R, N), for a stack of B models.
 
     c0 ~ 1 / max |J| leaves the float range only below max |J| ~ 2^-1000.
     Such a model's J and h are scaled up to that by a power of two, which
-    changes no force among normal floats; every other model runs as given.
+    changes no force among normal floats (c0, taken on the scaled J,
+    scales down by that power exactly); every other model runs as given,
+    on the stack's own J.
     """
-    jj = np.stack([m.j for m in models])
-    hh = np.stack([m.h for m in models])
-    mag = _exponents(jj)
-    shift = np.minimum(mag + 1000, 0)
-    j = np.ldexp(jj, -shift[:, None, None]) if shift.any() else jj
-    half_h = np.ldexp(0.5 * hh, -shift[:, None])[:, None].repeat(n_restarts, 1)
-    # Scaling by 2^-shift moves each exponent by -shift exactly.
-    c0 = np.full_like(half_h, _c0(j, mag - shift)[:, None, None])
+    shift = np.minimum(_exponents(model.j) + 1000, 0)
+    j = np.ldexp(model.j, -shift[:, None, None]) if shift.any() else model.j
+    half_h = np.ldexp(0.5 * model.h, -shift[:, None])[:, None]
+    half_h = half_h.repeat(n_restarts, 1)
+    c0 = np.full_like(half_h, compute_c0(j)[:, None, None])
     xy = np.empty((2, *half_h.shape))
     for b, seed in enumerate(seeds):
-        initial_states(hh.shape[1], seed, n_restarts, out=xy[:, b])
-    scored = (jj, hh, np.array([m.offset for m in models]))
-    return xy, j, half_h, c0, scored
+        initial_states(model.n, seed, n_restarts, out=xy[:, b])
+    return xy, j, half_h, c0
 
 
-def solve(models, params: SBParams, seeds, trace=None) -> list:
-    """Run the evolution of a block of same-size models together and
+def solve(model: IsingModel, params: SBParams, seeds, trace=None) -> list:
+    """Run the evolution of a stack of B same-size models together and
     return one outcome per model, in order.
 
     Every restart of every model is one row of a single (2, B, R, N)
@@ -238,37 +225,32 @@ def solve(models, params: SBParams, seeds, trace=None) -> list:
     is dropped: its row evolves on, unread.  A model whose every restart
     diverged has no readout: its outcome is None, and its block-mates are
     unaffected; every other outcome is a SolveResult.  One model is the
-    block of one.
+    stack of one.
 
     A model with all-zero couplings (including n = 1) is solved exactly
-    by fields alone.  None in place of a model leaves it unsolved: its
-    outcome is None.
+    by fields alone; only then does the kernel take a subset of the stack.
 
     trace, when given, holds one list per model, which is extended by
     ``(restart, step, a, x, y, readout_energy)`` for every step of every
     restart, restart-major; a diverged restart's rows stop at its last
-    finite step, and a model solved by fields alone, or None, adds none.
+    finite step, and a model solved by fields alone adds none.
     """
-    models, seeds = list(models), list(seeds)
-    sizes = {m.n for m in models if m is not None}
-    if len(seeds) != len(models) or len(sizes) > 1:
-        raise ValueError("a block needs same-size models and one seed each")
-    out = [None] * len(models)
-    block = []  # indices of the models the kernel evolves
-    for b, model in enumerate(models):
-        if model is None:
-            continue
-        if model.n < 2 or not model.j.any():
-            spins = _field_only_spins(model)
-            out[b] = SolveResult(spins=spins, energy=energy(model, spins))
-        else:
-            block.append(b)
+    if model.h.ndim != 2 or len(seeds) != len(model.h):
+        raise ValueError("a block needs a stack of same-size models and one "
+                         "seed each")
+    out = [None] * len(seeds)
+    coupled = model.j.any(axis=(1, 2)) & (model.n > 1)
+    block = np.flatnonzero(coupled).tolist()  # the models the kernel evolves
+    for b in np.flatnonzero(~coupled).tolist():
+        # The exact minimizer of h . s; h_i == 0 breaks to +1.
+        spins = np.where(model.h[b] > 0.0, -1, 1).astype(np.int8)
+        out[b] = SolveResult(spins=spins, energy=energy(model[b], spins))
     if not block:
         return out
-    models = [models[b] for b in block]
-    seeds = [seeds[b] for b in block]
+    if len(block) < len(out):
+        model, seeds = model[block], [seeds[b] for b in block]
     n_restarts = params.n_restarts
-    xy, j, half_h, c0, scored = _stack(models, seeds, n_restarts)
+    xy, j, half_h, c0 = _stack(model, seeds, n_restarts)
     s = np.copysign(1.0, xy[0])
     force, keep = np.empty_like(s), np.empty_like(s)
     dt = np.array(params.dt)
@@ -285,9 +267,9 @@ def solve(models, params: SBParams, seeds, trace=None) -> list:
                     break
             if trace is not None:
                 # xy is updated in place, so trace rows are copies.
-                e = energies(*scored, s).tolist()
+                e = energies(model, s).tolist()
                 steps.append((k, a, xy[0].copy(), xy[1].copy(), e, live.copy()))
-        e = energies(*scored, s)
+        e = energies(model, s)
     # Dead rows rank last, then NaN energies (inf - inf near the float
     # limit); the sort is stable, so ties and an all-NaN set keep the
     # earlier restart.

@@ -180,18 +180,26 @@ def hard_symbols(symbols, c) -> np.ndarray:
     return spins_to_symbols(symbols_to_spins(symbols, c), c)
 
 
+def stack(models) -> IsingModel:
+    # Same-size models as one stacked model, the form solve takes.
+    return IsingModel(np.stack([m.j for m in models]),
+                      np.stack([m.h for m in models]),
+                      np.array([m.offset for m in models]))
+
+
 def solve_one(model, params, seed=0, trace=None):
-    # One model through the block solver, as the block of one: its
+    # One model through the block solver, as the stack of one: its
     # SolveResult, or None if every restart diverged.
-    (out,) = solve([model], params, [seed], None if trace is None else [trace])
+    (out,) = solve(stack([model]), params, [seed],
+                   None if trace is None else [trace])
     return out
 
 
 def detect_one(p, params, anchored=False, r=0.5, seed=0):
-    # sb_detect on one problem, solved as the block of one, anchored at
-    # p.mmse or not.
-    (solved,) = sb_solve([p], params, [seed], r if anchored else None)
-    return sb_detect(p, solved, anchored)
+    # sb_detect on the block of one p, solved alone, anchored at its
+    # MMSE decision or not.
+    (solved,) = sb_solve(p, params, [seed], r if anchored else None)
+    return sb_detect(p, 0, solved, anchored)
 
 
 def random_model(rng, n: int, h_scale: float = 1.0) -> IsingModel:

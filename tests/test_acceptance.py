@@ -12,7 +12,7 @@ import pytest
 from sbmimo.bench import SweepConfig, run_sweep, write_csv
 from sbmimo.channel import get_constellation, realify, sample_instance
 from sbmimo.detectors import ml_oracle, prepare
-from sbmimo.ising import IsingModel, energy
+from sbmimo.ising import energy
 from sbmimo.reduction import instance_model
 from sbmimo.sb import SBParams
 
@@ -82,7 +82,7 @@ def test_criterion_1_energy_equals_ml_residual():
         snr_db = float(rng.uniform(0.0, 30.0))
         inst = sample_instance(nt, nr, c, snr_db, rng)
         sys_r = realify(inst.h, inst.y, c)
-        model = IsingModel(*instance_model(sys_r, c))
+        model = instance_model(sys_r, c)
         a = sys_r.h_r @ spin_transform(c, nt)
         spins = rng.choice([-1.0, 1.0], size=(100, nt * c.bps))
         for s in spins:
@@ -103,12 +103,12 @@ def test_criterion_2_exhaustive_argmin_matches_oracle():
     n_inst = 500
     for i in range(n_inst):
         rng = np.random.default_rng([41, i])
-        p = prepare([sample_instance(3, 3, c, 8.0, rng)], c)[0]
-        model = p.model
+        p = prepare([sample_instance(3, 3, c, 8.0, rng)], c)
+        model = p.model[0]
         table = np.array(list(all_spin_vectors(model.n)))
         energies = np.array([energy(model, s) for s in table])
         best = table[int(np.argmin(energies))]
-        if np.array_equal(best, ml_oracle(p).spins):
+        if np.array_equal(best, ml_oracle(p, 0).spins):
             agree += 1
     report(
         "criterion 2: exhaustive Ising argmin matches ML oracle",

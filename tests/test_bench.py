@@ -536,7 +536,8 @@ class TestBlocks:
                 out = func(*args, **kwargs)
                 if name == "sample_instance":
                     insts.append(out)
-                inst = out if name == "sample_instance" else args[0].inst
+                inst = (out if name == "sample_instance"
+                        else args[0].insts[args[1]])
                 k = next(k for k, x in enumerate(insts) if x is inst)
                 events.append((name, k) if name != "sb_detect"
                               else (f"sb_detect:{out.detector}", k))
@@ -567,18 +568,26 @@ class TestBlocks:
     def test_one_solve_per_detector_spans_the_snr_points(self, monkeypatch):
         # 5 SNR points x 7 instances fill one block and start a second, so
         # each SB-family detector solves the first block's problems, from
-        # all five points, in one call, not 7 per point.  Two workers, one
-        # block each, give the same records.
+        # all five points, in one call, not 7 per point, and sb-reg's
+        # solve anchors its whole block in one regularize call.  Two
+        # workers, one block each, give the same records.
         import sbmimo.bench
+        import sbmimo.detectors
 
         sizes = []
         solve = sbmimo.bench.sb_solve
+        regularize = sbmimo.detectors.regularize
 
-        def recording(problems, *args, **kwargs):
-            sizes.append(len(problems))
-            return solve(problems, *args, **kwargs)
+        def recording(p, *args, **kwargs):
+            sizes.append(len(p.insts))
+            return solve(p, *args, **kwargs)
+
+        def anchoring(model, *args):
+            sizes.append(("regularize", len(model.h)))
+            return regularize(model, *args)
 
         monkeypatch.setattr(sbmimo.bench, "sb_solve", recording)
+        monkeypatch.setattr(sbmimo.detectors, "regularize", anchoring)
         cfg = small_config(
             snr_db=(0.0, 5.0, 10.0, 15.0, 20.0), instances=7,
             detectors=ALL_DETECTORS,
@@ -587,7 +596,9 @@ class TestBlocks:
         points = len(cfg.snr_db) * cfg.instances
         assert cfg.instances < block < points
         records = run_sweep(cfg)
-        assert sizes == [block, block, points - block, points - block]
+        rest = points - block
+        assert sizes == [block, block, ("regularize", block),
+                         rest, rest, ("regularize", rest)]
         assert sum(rec.instances for rec in records) == len(cfg.detectors) * points
         assert run_sweep(replace(cfg, workers=2)) == records
 
@@ -601,12 +612,13 @@ class TestBlocks:
         # its MMSE anchor's.
         import sbmimo.bench
 
-        seen = {}  # id(problem) -> (problem, {detector: energy})
+        seen = {}  # id(instance) -> (instance, {detector: energy})
 
         def recording(func):
-            def wrapper(p, *args, **kwargs):
-                res = func(p, *args, **kwargs)
-                seen.setdefault(id(p), (p, {}))[1][res.detector] = (
+            def wrapper(p, b, *args, **kwargs):
+                res = func(p, b, *args, **kwargs)
+                inst = p.insts[b]
+                seen.setdefault(id(inst), (inst, {}))[1][res.detector] = (
                     res.ising_energy
                 )
                 return res

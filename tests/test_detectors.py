@@ -126,24 +126,25 @@ class TestPrepare:
     @given(instance_blocks())
     @settings(max_examples=150, deadline=None)
     def test_block_matches_each_instance_alone(self, block):
-        # The stacked reduction and MMSE solve give each problem the
-        # system, model and MMSE decision of its instance alone, bit for
-        # bit, including where one singular Gram matrix in the block
+        # The stacked reduction and MMSE solve give each row of the block
+        # the system, model and MMSE decision of its instance alone, bit
+        # for bit, including where one singular Gram matrix in the block
         # makes the stacked solve fall back to per-instance solves.
         insts, c = block
-        problems = prepare(insts, c)
-        assert len(problems) == len(insts)
-        for p, inst in zip(problems, insts):
+        p = prepare(insts, c)
+        assert len(p.insts) == len(p.mmse) == len(p.model.h) == len(insts)
+        assert p.c is c
+        for b, inst in enumerate(insts):
             sys = realify(inst.h, inst.y, c)
-            assert p.inst is inst and p.c is c
-            assert p.sys.h_r.tobytes() == sys.h_r.tobytes()
-            assert p.sys.y_r.tobytes() == sys.y_r.tobytes()
+            assert p.insts[b] is inst
+            assert p.sys.h_r[b].tobytes() == sys.h_r.tobytes()
+            assert p.sys.y_r[b].tobytes() == sys.y_r.tobytes()
             nt = inst.h.shape[1]
             model = model_from(sys.h_r @ spin_transform(c, nt), sys.y_r)
-            assert_same_model(p.model, model)
+            assert_same_model(p.model[b], model)
             spins = mmse_reference(inst, c)
             assert spins is not None
-            res = mmse_detect(p)
+            res = mmse_detect(p, b)
             assert np.array_equal(res.spins, spins)
             assert res.ising_energy == energy_ref(model, spins)
 
@@ -156,8 +157,8 @@ class TestPrepare:
         gram = np.ones((2, 2)) + 1e-300 / QPSK.symbol_energy * np.eye(2)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(gram, np.ones(2))
-        for p, inst in zip(prepare(insts, QPSK), insts):
-            assert np.array_equal(p.mmse.spins, mmse_reference(inst, QPSK))
+        for res, inst in zip(prepare(insts, QPSK).mmse, insts):
+            assert np.array_equal(res.spins, mmse_reference(inst, QPSK))
 
     def test_one_energies_call_scores_the_block(self, monkeypatch, rng):
         # prepare scores every MMSE decision of a block in one energies
@@ -168,33 +169,33 @@ class TestPrepare:
         shapes = []
         score = sbmimo.detectors.energies
 
-        def counting(j, *args):
-            shapes.append(j.shape)
-            return score(j, *args)
+        def counting(model, s):
+            shapes.append(model.j.shape)
+            return score(model, s)
 
         monkeypatch.setattr(sbmimo.detectors, "energies", counting)
         insts = [sample_instance(3, 2, QAM16, snr, rng)
                  for snr in (0.0, 10.0, 20.0, 30.0)]
-        problems = prepare(insts, QAM16)
+        p = prepare(insts, QAM16)
         assert shapes == [(4, 12, 12)]
-        for p in problems:
-            res = mmse_detect(p)
-            assert res is p.mmse
+        for b in range(len(insts)):
+            res = mmse_detect(p, b)
+            assert res is p.mmse[b]
             assert (res.detector, res.extras) == ("mmse", {})
-            assert res.ising_energy == energy(p.model, res.spins)
+            assert res.ising_energy == energy(p.model[b], res.spins)
         assert len(shapes) == 1
 
     def test_no_decision_is_a_detection_failure(self, rng):
-        (p,) = prepare([sample_instance(2, 2, QPSK, 10.0, rng)], QPSK)
+        p = prepare([sample_instance(2, 2, QPSK, 10.0, rng)], QPSK)
         with pytest.raises(DetectionFailureError):
-            mmse_detect(replace(p, mmse=None))
+            mmse_detect(replace(p, mmse=[None]), 0)
 
 
 class TestMmse:
     def test_noiseless_limit_recovers_bits(self):
         inst = make_instance(2, 2, QPSK, 1e-12, seed=11)
         assert np.linalg.cond(inst.h) < 100  # invertible, well-behaved
-        res = mmse_detect(prepare([inst], QPSK)[0])
+        res = mmse_detect(prepare([inst], QPSK), 0)
         assert np.array_equal(
             spins_to_bits(res.spins, QPSK),
             nearest_point_bits(sent_symbols(inst, QPSK), QPSK),
@@ -205,7 +206,7 @@ class TestMmse:
 
     def test_matches_independent_pseudo_inverse(self):
         inst = make_instance(2, 2, QPSK, 0.8, seed=21)
-        res = mmse_detect(prepare([inst], QPSK)[0])
+        res = mmse_detect(prepare([inst], QPSK), 0)
         hh = inst.h.conj().T
         gram = hh @ inst.h + (inst.noise_var / QPSK.symbol_energy) * np.eye(2)
         soft = np.linalg.pinv(gram) @ (hh @ inst.y)
@@ -215,8 +216,8 @@ class TestMmse:
 
     def test_energy_is_definitionally_consistent(self, rng):
         inst = sample_instance(3, 3, QAM16, 14.0, rng)
-        res = mmse_detect(prepare([inst], QAM16)[0])
-        model = prepare([inst], QAM16)[0].model
+        res = mmse_detect(prepare([inst], QAM16), 0)
+        model = prepare([inst], QAM16).model[0]
         assert res.ising_energy == energy(model, res.spins)
 
     @pytest.mark.parametrize("c", [QPSK, BPSK], ids=["qpsk", "bpsk"])
@@ -233,11 +234,11 @@ class TestMmse:
         gram = inst.h.conj().T @ inst.h + 1e-300 / c.symbol_energy * np.eye(2)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(gram, np.ones(2))
-        p = prepare([inst], c)[0]
-        res = mmse_detect(p)
-        assert res.spins.shape == (p.model.n,)
+        p = prepare([inst], c)
+        res = mmse_detect(p, 0)
+        assert res.spins.shape == (p.model[0].n,)
         assert np.isfinite(res.ising_energy)
-        assert res.ising_energy == energy(p.model, res.spins)
+        assert res.ising_energy == energy(p.model[0], res.spins)
 
     def test_rejects_nonpositive_noise(self):
         # A block-mate with a bad noise variance leaves a good instance's
@@ -245,17 +246,17 @@ class TestMmse:
         inst = make_instance(2, 2, QPSK, 1e-6, seed=3)
         for noise_var in (0.0, -1.0, float("nan")):
             bad = replace(inst, noise_var=noise_var)
-            p, good = prepare([bad, inst], QPSK)
+            p = prepare([bad, inst], QPSK)
             with pytest.raises(ValueError):
-                mmse_detect(p)
-            assert np.array_equal(good.mmse.spins,
+                mmse_detect(p, 0)
+            assert np.array_equal(mmse_detect(p, 1).spins,
                                   mmse_reference(inst, QPSK))
 
 
 class TestOracle:
     def test_noiseless_recovers_transmitted(self):
         inst = make_instance(2, 2, QPSK, 1e-12, seed=5)
-        res = ml_oracle(prepare([inst], QPSK)[0])
+        res = ml_oracle(prepare([inst], QPSK), 0)
         assert np.array_equal(
             res.spins, level_spins(inst.tx_levels, QPSK)
         )
@@ -266,8 +267,8 @@ class TestOracle:
 
     def test_beats_every_candidate_by_full_scan(self, rng):
         inst = sample_instance(2, 2, QPSK, 4.0, rng)
-        res = ml_oracle(prepare([inst], QPSK)[0])
-        model = prepare([inst], QPSK)[0].model
+        res = ml_oracle(prepare([inst], QPSK), 0)
+        model = prepare([inst], QPSK).model[0]
         table = np.array(list(all_spin_vectors(model.n)))
         energies = np.array([energy(model, s) for s in table])
         assert res.ising_energy == energies.min()
@@ -282,12 +283,12 @@ class TestOracle:
             tx_levels=np.zeros(4, dtype=np.int8),
             noise_var=1.0, y=np.zeros(2, dtype=complex),
         )
-        res = ml_oracle(prepare([inst], QPSK)[0])
+        res = ml_oracle(prepare([inst], QPSK), 0)
         assert np.array_equal(res.spins, -np.ones(4))
 
     @pytest.mark.parametrize("c", [QAM16, BPSK], ids=["qam16", "bpsk"])
     def test_zero_channel_tie_is_all_minus_one(self, c):
-        res = ml_oracle(prepare([zero_channel(2, 2, c)], c)[0])
+        res = ml_oracle(prepare([zero_channel(2, 2, c)], c), 0)
         assert np.array_equal(res.spins, -np.ones(2 * c.bps))
         assert res.ising_energy == 0.0
 
@@ -295,8 +296,8 @@ class TestOracle:
     @settings(max_examples=40, deadline=None)
     def test_matches_exhaustive_reference(self, case):
         inst, c = case
-        res = ml_oracle(prepare([inst], c)[0])
-        spins, e = exhaustive_ml(prepare([inst], c)[0].model)
+        res = ml_oracle(prepare([inst], c), 0)
+        spins, e = exhaustive_ml(prepare([inst], c).model[0])
         assert np.array_equal(res.spins, spins)
         assert res.ising_energy == e
 
@@ -305,14 +306,14 @@ class TestOracle:
         # zero channel prunes nothing, so all 2^8 leaves come in blocks;
         # with nr < nt the unpruned top levels split the random cases.
         monkeypatch.setattr("sbmimo.detectors._BLOCK_ROWS", 3)
-        res = ml_oracle(prepare([zero_channel(2, 2, QAM16)], QAM16)[0])
+        res = ml_oracle(prepare([zero_channel(2, 2, QAM16)], QAM16), 0)
         assert res.extras["candidates"] == 256
         assert np.array_equal(res.spins, -np.ones(8))
         rng = np.random.default_rng(8)
         for c, nt, nr, snr in [(QAM16, 3, 2, 0.0), (QPSK, 5, 3, -10.0)]:
             inst = sample_instance(nt, nr, c, snr, rng)
-            res = ml_oracle(prepare([inst], c)[0])
-            spins, e = exhaustive_ml(prepare([inst], c)[0].model)
+            res = ml_oracle(prepare([inst], c), 0)
+            spins, e = exhaustive_ml(prepare([inst], c).model[0])
             assert np.array_equal(res.spins, spins)
             assert res.ising_energy == e
 
@@ -322,8 +323,8 @@ class TestOracle:
         rng = np.random.default_rng(63)
         for snr in (-10.0, 10.0, 40.0):
             inst = sample_instance(3, 1, QAM16, snr, rng)
-            res = ml_oracle(prepare([inst], QAM16)[0])
-            spins, e = exhaustive_ml(prepare([inst], QAM16)[0].model)
+            res = ml_oracle(prepare([inst], QAM16), 0)
+            spins, e = exhaustive_ml(prepare([inst], QAM16).model[0])
             assert isinstance(res.extras["candidates"], int)
             assert np.array_equal(res.spins, spins)
             assert res.ising_energy == e
@@ -335,8 +336,8 @@ class TestOracle:
         rng = np.random.default_rng(int(snr))
         for _ in range(2):
             inst = sample_instance(8, 8, QPSK, snr, rng)
-            res = ml_oracle(prepare([inst], QPSK)[0])
-            spins, e = exhaustive_ml(prepare([inst], QPSK)[0].model)
+            res = ml_oracle(prepare([inst], QPSK), 0)
+            spins, e = exhaustive_ml(prepare([inst], QPSK).model[0])
             assert np.array_equal(res.spins, spins)
             assert res.ising_energy == e
 
@@ -345,8 +346,8 @@ class TestOracle:
         # 9,392 leaves lie within the MMSE-SIC point's distance.  Only
         # those within slack of the best leaf are scored.
         inst = sample_instance(4, 2, QAM16, -10.0, np.random.default_rng(3))
-        spins, e = exhaustive_ml(prepare([inst], QAM16)[0].model)
-        res = ml_oracle(prepare([inst], QAM16)[0])
+        spins, e = exhaustive_ml(prepare([inst], QAM16).model[0])
+        res = ml_oracle(prepare([inst], QAM16), 0)
         assert np.array_equal(res.spins, spins)
         assert res.ising_energy == e
         assert res.extras["candidates"] <= 1
@@ -356,7 +357,7 @@ class TestOracle:
         # they are taken up halves the work (11,136 prefix distances
         # without that filter).
         monkeypatch.setattr("sbmimo.detectors._BLOCK_ROWS", 64)
-        res = ml_oracle(prepare([inst], QAM16)[0])
+        res = ml_oracle(prepare([inst], QAM16), 0)
         assert np.array_equal(res.spins, spins)
         assert res.extras["nodes"] <= 6_000  # 5,376 measured
 
@@ -370,8 +371,8 @@ class TestOracle:
             tx_levels=np.zeros(4, dtype=np.int8),
             noise_var=1.0, y=np.array([-3 - 1j, 1 + 2j]),
         )
-        res = ml_oracle(prepare([inst], QPSK)[0])
-        spins, e = exhaustive_ml(prepare([inst], QPSK)[0].model)
+        res = ml_oracle(prepare([inst], QPSK), 0)
+        spins, e = exhaustive_ml(prepare([inst], QPSK).model[0])
         assert np.array_equal(res.spins, spins)
         assert res.ising_energy == e == 9.0
         assert res.extras["candidates"] == 3
@@ -391,8 +392,8 @@ class TestOracle:
             h=h, tx_levels=np.zeros(8, dtype=np.int8),
             noise_var=1.0, y=h @ np.full(4, -1 - 1j),
         )
-        (p,) = prepare([inst], QPSK)
-        spins, e = exhaustive_ml(p.model)
+        p = prepare([inst], QPSK)
+        spins, e = exhaustive_ml(p.model[0])
         scored = []  # the oracle's energies calls alone
 
         def recording(*args):
@@ -400,7 +401,7 @@ class TestOracle:
             return scored[-1]
 
         monkeypatch.setattr("sbmimo.detectors.energies", recording)
-        res = ml_oracle(p)
+        res = ml_oracle(p, 0)
         assert np.array_equal(res.spins, spins)
         assert np.array_equal(spins, -np.ones(8))
         assert res.ising_energy == e
@@ -411,15 +412,15 @@ class TestOracle:
     def test_guard_refuses_large_search(self, rng):
         inst = sample_instance(7, 2, QAM16, 10.0, rng)  # 28 spins
         with pytest.raises(ValueError, match=str(ORACLE_SPIN_LIMIT)):
-            ml_oracle(prepare([inst], QAM16)[0])
+            ml_oracle(prepare([inst], QAM16), 0)
 
     def test_dominates_other_detectors(self, rng):
         params = SBParams(n_steps=60, dt=0.5)
         for k in range(20):
             inst = sample_instance(2, 2, QPSK, float(5 + k), rng)
-            p = prepare([inst], QPSK)[0]
-            ml = ml_oracle(p)
-            mmse = mmse_detect(p)
+            p = prepare([inst], QPSK)
+            ml = ml_oracle(p, 0)
+            mmse = mmse_detect(p, 0)
             sbr = detect_one(p, params, True, r=0.5, seed=1)
             assert ml.ising_energy <= mmse.ising_energy + 1e-9
             assert ml.ising_energy <= sbr.ising_energy + 1e-9
@@ -428,8 +429,8 @@ class TestOracle:
 class TestSbDetect:
     def test_plain_readout_is_consistent(self, rng):
         inst = sample_instance(3, 3, QPSK, 10.0, rng)
-        res = detect_one(prepare([inst], QPSK)[0], SBParams(n_steps=80), seed=2)
-        model = prepare([inst], QPSK)[0].model
+        res = detect_one(prepare([inst], QPSK), SBParams(n_steps=80), seed=2)
+        model = prepare([inst], QPSK).model[0]
         assert res.ising_energy == energy(model, res.spins)
         assert res.detector == "sb"
         assert set(res.extras) == {"diverged_restarts"}
@@ -438,12 +439,13 @@ class TestSbDetect:
         params = SBParams(n_steps=50, dt=0.5)
         for k in range(40):
             inst = sample_instance(3, 3, QPSK, float(rng.uniform(0, 25)), rng)
-            p = prepare([inst], QPSK)[0]
-            anchor = mmse_detect(p)
+            p = prepare([inst], QPSK)
+            anchor = mmse_detect(p, 0)
             res = detect_one(p, params, True, r=0.5)
             assert set(res.extras) == {"diverged_restarts", "selected"}
-            readout = solve_one(regularize(p.model, anchor.spins, 0.5), params)
-            sb_energy = energy(p.model, readout.spins)
+            readout = solve_one(regularize(p.model[0], anchor.spins, 0.5),
+                                params)
+            sb_energy = energy(p.model[0], readout.spins)
             assert res.ising_energy <= anchor.ising_energy
             assert res.ising_energy == min(sb_energy, anchor.ising_energy)
             winner = readout if res.extras["selected"] == "sb" else anchor
@@ -478,58 +480,89 @@ class TestSbDetect:
         rng = np.random.default_rng(8)
         inst = sample_instance(3, 3, QPSK, 10.0, rng)
         params = SBParams(n_steps=40, n_restarts=restarts)
-        p = prepare([inst], QPSK)[0]
-        assert mmse_detect(p) is p.mmse
+        p = prepare([inst], QPSK)
+        assert mmse_detect(p, 0) is p.mmse[0]
         assert calls == ["sbmimo.detectors.energies"]
         sb = detect_one(p, params, seed=3)
         assert calls[1:] == ["sbmimo.sb.energies"]
         reg = detect_one(p, params, True, r=0.5, seed=3)
         assert calls[2:] == ["sbmimo.sb.energies", "sbmimo.detectors.energy"]
-        assert sb.ising_energy == energy(p.model, sb.spins)
-        assert reg.ising_energy == energy(p.model, reg.spins)
+        assert sb.ising_energy == energy(p.model[0], sb.spins)
+        assert reg.ising_energy == energy(p.model[0], reg.spins)
 
-    def test_block_decisions_match_blocks_of_one(self, rng):
+    def test_block_decisions_match_blocks_of_one(self, rng, monkeypatch):
         # sb_solve over a block, then sb_detect per problem, decides each
         # problem as solving it alone does; an outcome of None (no
-        # readout: every restart diverged) is a detection failure.
+        # readout: every restart diverged) is a detection failure.  No
+        # model of the block needs rescaling, so every step evolves the
+        # stacked J that prepare built, anchored or not: not a copy.
+        import sbmimo.sb
+
         params = SBParams(n_steps=40, n_restarts=2)
-        problems = [
-            prepare([sample_instance(3, 3, QPSK, 10.0, rng)], QPSK)[0]
-            for _ in range(5)
-        ]
+        insts = [sample_instance(3, 3, QPSK, 10.0, rng) for _ in range(5)]
+        p = prepare(insts, QPSK)
         seeds = [11, 12, 13, 14, 15]
+        stepped = []
+        step = sbmimo.sb.step
+
+        def recording(xy, s, force, keep, a, j, *args):
+            stepped.append(j)
+            return step(xy, s, force, keep, a, j, *args)
+
+        monkeypatch.setattr(sbmimo.sb, "step", recording)
         for anchored in (False, True):
             r = 0.5 if anchored else None
-            solved = sb_solve(problems, params, seeds, r)
-            for k, (p, outcome) in enumerate(zip(problems, solved)):
-                res = sb_detect(p, outcome, anchored)
-                alone = detect_one(p, params, anchored, 0.5, seeds[k])
+            stepped.clear()
+            solved = sb_solve(p, params, seeds, r)
+            assert len(stepped) == params.n_steps
+            assert all(j is p.model.j for j in stepped)
+            for b, outcome in enumerate(solved):
+                res = sb_detect(p, b, outcome, anchored)
+                alone = detect_one(prepare([insts[b]], QPSK), params,
+                                   anchored, 0.5, seeds[b])
                 assert np.array_equal(res.spins, alone.spins)
                 assert res.ising_energy == alone.ising_energy
                 assert res.extras == alone.extras
             with pytest.raises(DetectionFailureError, match="no readout"):
-                sb_detect(problems[0], None, anchored)
+                sb_detect(p, 0, None, anchored)
 
-    def test_problem_without_an_anchor_is_not_solved(self, rng):
+    def test_problem_without_an_anchor_is_not_solved(self, rng, monkeypatch):
         # An anchored block may have gaps: a problem with no MMSE decision
-        # is not solved, and every other problem is decided as in a block
-        # of one.
+        # is not solved and its trace list is left as it is, and every
+        # other problem is decided and traced as in a block of one.  With
+        # no decision at all, nothing is solved.
+        import sbmimo.detectors
+
         params = SBParams(n_steps=40, n_restarts=2)
-        problems = [
-            prepare([sample_instance(3, 3, QPSK, 10.0, rng)], QPSK)[0]
-            for _ in range(5)
-        ]
-        problems = [p if k % 2 else replace(p, mmse=None)
-                    for k, p in enumerate(problems)]
+        insts = [sample_instance(3, 3, QPSK, 10.0, rng) for _ in range(5)]
+        p = prepare(insts, QPSK)
+        p = replace(p, mmse=[res if b % 2 else None
+                             for b, res in enumerate(p.mmse)])
         seeds = [21, 22, 23, 24, 25]
-        solved = sb_solve(problems, params, seeds, 0.5)
-        assert [s is None for s in solved] == [p.mmse is None for p in problems]
-        for k in (1, 3):
-            res = sb_detect(problems[k], solved[k], True)
-            alone = detect_one(problems[k], params, True, 0.5, seeds[k])
+        traces = [[] if b % 2 else ["kept"] for b in range(5)]
+        solved = sb_solve(p, params, seeds, 0.5, traces)
+        assert [s is None for s in solved] == [res is None for res in p.mmse]
+        assert traces[0] == traces[2] == traces[4] == ["kept"]
+        for b in (1, 3):
+            res = sb_detect(p, b, solved[b], True)
+            one = prepare([insts[b]], QPSK)
+            alone = detect_one(one, params, True, 0.5, seeds[b])
             assert np.array_equal(res.spins, alone.spins)
             assert res.ising_energy == alone.ising_energy
-        assert sb_solve(problems[:1], params, [1], 0.5) == [None]
+            rows = []
+            sb_solve(one, params, [seeds[b]], 0.5, [rows])
+            assert len(traces[b]) == len(rows) > 0
+            for got, want in zip(traces[b], rows):
+                assert got[:3] == want[:3] and got[5] == want[5]
+                assert np.array_equal(got[3], want[3])
+                assert np.array_equal(got[4], want[4])
+
+        def no_solve(*args):
+            raise AssertionError("solve called on a block with no anchor")
+
+        monkeypatch.setattr(sbmimo.detectors, "solve", no_solve)
+        none = replace(p, mmse=[None] * 5)
+        assert sb_solve(none, params, seeds, 0.5) == [None] * 5
 
     def test_energy_tie_keeps_solver_readout(self):
         # At high SNR the solver usually lands on the MMSE decision, so
@@ -537,13 +570,13 @@ class TestSbDetect:
         for seed in range(30):
             rng = np.random.default_rng(seed)
             inst = sample_instance(2, 2, QPSK, 28.0, rng)
-            p = prepare([inst], QPSK)[0]
+            p = prepare([inst], QPSK)
             params = SBParams(n_steps=100)
-            anchor = mmse_detect(p)
+            anchor = mmse_detect(p, 0)
             res = detect_one(p, params, True, r=0.5, seed=seed)
-            model = regularize(p.model, anchor.spins, 0.5)
+            model = regularize(p.model[0], anchor.spins, 0.5)
             readout = solve_one(model, params, seed)
-            if energy(p.model, readout.spins) == anchor.ising_energy:
+            if energy(p.model[0], readout.spins) == anchor.ising_energy:
                 assert res.extras["selected"] == "sb"
                 assert np.array_equal(res.spins, readout.spins)
                 return
@@ -552,11 +585,11 @@ class TestSbDetect:
     def test_detector_outputs_are_commensurate(self, rng):
         inst = sample_instance(2, 2, QAM16, 16.0, rng)
         params = SBParams(n_steps=60)
-        p = prepare([inst], QAM16)[0]
-        anchor = mmse_detect(p)
+        p = prepare([inst], QAM16)
+        anchor = mmse_detect(p, 0)
         results = [
             anchor,
-            ml_oracle(p),
+            ml_oracle(p, 0),
             detect_one(p, params, seed=4),
             detect_one(p, params, True, r=0.5, seed=4),
         ]

@@ -13,6 +13,7 @@ from conftest import (
     energy_ref,
     huge_model,
     random_model,
+    stack,
 )
 
 
@@ -28,7 +29,10 @@ class TestModelShape:
 
     @pytest.mark.parametrize(
         "j_shape, h_shape",
-        [((3, 3), (2,)), ((2, 3), (2,)), ((2, 2), (2, 1)), ((), ())],
+        [((3, 3), (2,)), ((2, 3), (2,)), ((2, 2), (2, 1)), ((), ()),
+         # Stacks: of 2 couplings and 3 fields, and of 2 models whose
+         # offset is one number, not one per model.
+         ((2, 3, 3), (3, 3)), ((2, 3, 3), (2, 3))],
     )
     def test_mismatch_rejected_at_construction(self, j_shape, h_shape):
         # Before, IsingModel(n=2, j=<3x3>, h=<3>) was accepted and solve
@@ -42,6 +46,11 @@ class TestModelShape:
         m = model_of(np.zeros((2, 2)), [0, 0])
         with pytest.raises(ValueError):
             replace(m, h=np.zeros(3))
+        # A stack of two models takes one offset per model.
+        pair = model_of(np.zeros((2, 2, 2)), np.zeros((2, 2)), np.zeros(2))
+        assert pair.n == 2 and pair.offset.shape == (2,)
+        with pytest.raises(ValueError, match=r"offset \(3,\)"):
+            replace(pair, offset=np.zeros(3))
 
 
 class TestEnergy:
@@ -67,6 +76,10 @@ class TestEnergy:
         m = model_of([[0, 1], [1, 0]], [0, 0])
         with pytest.raises(ValueError):
             energy(m, np.array([1, -1, 1]))
+        # energy scores one model: a stack is refused, not read as its
+        # first model.
+        with pytest.raises(ValueError, match=r"\(1, 2\)"):
+            energy(stack([m]), np.array([1, -1]))
 
 
 def stacked_draw(seed, n, huge, restarts):
@@ -81,21 +94,20 @@ def stacked_draw(seed, n, huge, restarts):
 
 def assert_matches_single_rows(models, s):
     # energies over the stack equals the single-row expression bit for
-    # bit (NaN as NaN, whatever its payload); returns the energies.
+    # bit (NaN as NaN, whatever its payload), and so does energy under
+    # each model taken from the stack; returns the energies.
+    block = stack(models)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = energies(
-            np.stack([m.j for m in models]),
-            np.stack([m.h for m in models]),
-            np.array([m.offset for m in models]),
-            s,
-        )
+        got = energies(block, s)
         want = np.array(
             [[energy_ref(m, row) for row in rows] for m, rows in zip(models, s)]
         )
-        one = energy(models[0], s[0, 0])
+        one = np.array([energy(block[b], s[b, 0]) for b in range(len(s))])
     same = got.view(np.int64) == want.view(np.int64)
     assert (same | np.isnan(got) & np.isnan(want)).all()
-    assert one == want[0, 0] or np.isnan(one) and np.isnan(want[0, 0])
+    same = one.view(np.int64) == want[:, 0].view(np.int64)
+    assert (same | np.isnan(one) & np.isnan(want[:, 0])).all()
+    assert type(block[0].offset) is float
     return want
 
 

@@ -17,7 +17,7 @@ from sbmimo.channel import (
     realify,
     sample_instance,
 )
-from sbmimo.ising import IsingModel, energy
+from sbmimo.ising import energy
 from sbmimo.reduction import (
     instance_model,
     level_spins,
@@ -39,12 +39,8 @@ from conftest import (
     spin_transform,
     spins_to_bits,
     spins_to_symbols,
+    stack,
 )
-
-
-def reduce_one(sys, c):
-    # One system's model, from the arrays instance_model returns.
-    return IsingModel(*instance_model(sys, c))
 
 
 def realified(rng, c, nt, nr=None):
@@ -56,13 +52,13 @@ class TestContext:
     def test_qpsk_transform_is_identity(self, rng):
         sys = realified(rng, QPSK, 3)
         assert sys.h_r.shape == (6, 6)
-        assert_same_model(reduce_one(sys, QPSK),
+        assert_same_model(instance_model(sys, QPSK),
                           model_from(sys.h_r, sys.y_r))
 
     def test_bpsk_transform_is_identity(self, rng):
         sys = realified(rng, BPSK, 4)
         assert sys.h_r.shape == (8, 4)
-        assert_same_model(reduce_one(sys, BPSK),
+        assert_same_model(instance_model(sys, BPSK),
                           model_from(sys.h_r, sys.y_r))
 
     def test_qam16_block_structure(self, rng):
@@ -73,7 +69,7 @@ class TestContext:
         expected = np.block(
             [[2 * eye, eye, zero, zero], [zero, zero, 2 * eye, eye]]
         )
-        model = reduce_one(sys, QAM16)
+        model = instance_model(sys, QAM16)
         assert model.n == 8
         assert_same_model(model, model_from(sys.h_r @ expected, sys.y_r))
 
@@ -99,14 +95,14 @@ class TestBuildIsing:
         for c in (BPSK, QPSK, QAM16):
             inst = sample_instance(3, 3, c, 10.0, rng)
             clean = dataclasses.replace(inst, y=inst.h @ sent_symbols(inst, c))
-            model = reduce_one(realify(clean.h, clean.y, c), c)
+            model = instance_model(realify(clean.h, clean.y, c), c)
             s_true = level_spins(inst.tx_levels, c)
             assert energy(model, s_true) == pytest.approx(0.0, abs=1e-9)
 
     def test_energy_equals_residual(self, rng):
         inst = sample_instance(2, 2, QPSK, 8.0, rng)
         sys = realify(inst.h, inst.y, QPSK)
-        model = reduce_one(sys, QPSK)
+        model = instance_model(sys, QPSK)
         a = sys.h_r @ spin_transform(QPSK, 2)
         for _ in range(50):
             s = rng.choice([-1, 1], size=4)
@@ -118,7 +114,7 @@ class TestBuildIsing:
     def test_argmin_matches_symbol_domain_search(self, rng):
         # Exhaustive scan over all 4^3 QPSK symbol vectors.
         inst = sample_instance(3, 3, QPSK, 6.0, rng)
-        model = reduce_one(realify(inst.h, inst.y, QPSK), QPSK)
+        model = instance_model(realify(inst.h, inst.y, QPSK), QPSK)
         best_spins = min(
             all_spin_vectors(6), key=lambda s: energy(model, s)
         )
@@ -135,7 +131,7 @@ class TestBuildIsing:
     def test_built_model_satisfies_ising_invariants(self, rng):
         for c in (BPSK, QPSK, QAM16):
             inst = sample_instance(2, 3, c, 12.0, rng)
-            model = reduce_one(realify(inst.h, inst.y, c), c)
+            model = instance_model(realify(inst.h, inst.y, c), c)
             assert model.n == 2 * c.bps
             assert model.j.shape == (model.n, model.n)
             assert np.all(np.diagonal(model.j) == 0.0)
@@ -327,6 +323,9 @@ class TestRegularize:
                 regularize(m, np.ones(4), r)
         with pytest.raises(ValueError):
             regularize(m, np.ones(3), 0.5)
+        # A stack takes one anchor row per model.
+        with pytest.raises(ValueError, match=r"\(2, 4\)"):
+            regularize(stack([m, m]), np.ones((1, 4)), 0.5)
 
     @given(
         x=st.floats(0.0, 1e6, width=32),
@@ -340,11 +339,23 @@ class TestRegularize:
         if kind in (np.int32, np.uint8):
             x = min(int(x), np.iinfo(kind).max)
         r = kind(min(x, 65504.0) if kind is np.float16 else x)
-        m = random_model(np.random.default_rng(1), 5)
+        rng = np.random.default_rng(1)
+        m = random_model(rng, 5)
         s_p = np.array([1, -1, -1, 1, 1])
         got, want = regularize(m, s_p, r), regularize(m, s_p, float(r))
         assert got.h.tobytes() == want.h.tobytes()
         assert type(got.offset) is float and got.offset == want.offset
+        # A stack anchored in one call: each row is bit for bit its model
+        # anchored alone at its own row of anchors.
+        models = [m, *(random_model(rng, 5) for _ in range(2))]
+        anchors = rng.choice([-1, 1], size=(3, 5))
+        stacked = stack(models)
+        block = regularize(stacked, anchors, r)
+        assert block.j is stacked.j  # the couplings are not copied
+        for b, (model, row) in enumerate(zip(models, anchors)):
+            alone = regularize(model, row, float(r))
+            assert block[b].h.tobytes() == alone.h.tobytes()
+            assert block[b].offset == alone.offset
 
     def test_bool_weight_rejected(self, rng):
         # True would penalise with r = 1.
@@ -365,7 +376,7 @@ def test_objective_embedding_property(seed, name, nt):
     rng = np.random.default_rng(seed)
     inst = sample_instance(nt, nt, c, float(rng.uniform(0, 30)), rng)
     sys = realify(inst.h, inst.y, c)
-    model = reduce_one(sys, c)
+    model = instance_model(sys, c)
     a = sys.h_r @ spin_transform(c, nt)
     s = rng.choice([-1, 1], size=nt * c.bps)
     resid = sys.y_r - a @ s
@@ -386,7 +397,7 @@ def test_instance_model_equals_product_with_transform(
     # its definition.
     c = get_constellation(name)
     sys = realified(np.random.default_rng(seed), c, nt, nt + extra_rx)
-    model = reduce_one(sys, c)
+    model = instance_model(sys, c)
     assert model.n == nt * c.bps
     assert_same_model(model, model_from(sys.h_r @ spin_transform(c, nt),
                                         sys.y_r))

@@ -25,6 +25,7 @@ from conftest import (
     random_model,
     sign_pm1,
     solve_one,
+    stack,
 )
 
 
@@ -189,7 +190,7 @@ class TestNormalization:
             m = random_model(np.random.default_rng(seed), n)
             models.append(model_of(np.ldexp(m.j, e), np.ldexp(m.h, e)))
         # Each model's c0 is tiled to its rows, every entry the same.
-        _, j, _, c0, _ = sb._stack(models, range(len(models)), 3)
+        _, j, _, c0 = sb._stack(stack(models), range(len(models)), 3)
         for jb, tile in zip(j, c0):
             c = compute_c0(jb)
             assert (tile == c).all() and 0.0 < c < math.inf
@@ -470,7 +471,7 @@ class TestSolve:
         assert len({tuple(s) for s in runs}) == 5
         pinned = [math.inf, 4.05e307, -math.inf, math.nan, math.inf]
         monkeypatch.setattr(
-            sb, "energies", lambda j, h, offset, s: np.array([pinned])
+            sb, "energies", lambda model, s: np.array([pinned])
         )
         res = solve_one(m, params, seed=4)
         assert res.energy == -math.inf and res.diverged_restarts == 0
@@ -483,7 +484,7 @@ class TestSolve:
         assert len({tuple(s) for s in runs}) > 1
         calls = []
 
-        def nan_energies(j, h, offset, s):
+        def nan_energies(model, s):
             calls.append(s.shape)
             return np.full(s.shape[:-1], math.nan)
 
@@ -667,7 +668,7 @@ class TestBlock:
         traces = [[] for _ in models]
         quiet = "ignore" if any(huge for _, huge in draws) else "warn"
         with np.errstate(over=quiet, invalid=quiet):
-            out = solve(models, params, seeds, traces)
+            out = solve(stack(models), params, seeds, traces)
         assert len(out) == len(models)
         for (seed, huge), m, outcome, rows in zip(draws, models, out, traces):
             quiet = "ignore" if huge else "warn"
@@ -685,7 +686,7 @@ class TestBlock:
         seeds = [seed, 0, 0, 11]
         traces = [[] for _ in models]
         with np.errstate(over="ignore", invalid="ignore"):
-            out = solve(models, params, seeds, traces)
+            out = solve(stack(models), params, seeds, traces)
             for m, s, outcome, rows in zip(models, seeds, out, traces):
                 if m is field_only:
                     alone = solve_one(m, params, s)
@@ -697,24 +698,23 @@ class TestBlock:
         assert out[1] is None
         assert out[0].diverged_restarts == 3
         assert out[2].spins.tolist() == [-1, 1, 1]
-        # None entries, of no size and with seeds of their own, are left
-        # unsolved with their trace lists untouched, and every other
-        # outcome and trace is the one the block gets without them.
-        gaps = [None, *models[:2], None, *models[2:], None]
-        gap_seeds = [5, *seeds[:2], 6, *seeds[2:], 7]
-        gap_traces = [["kept"] if m is None else [] for m in gaps]
+        # The kernel evolves the subset of coupled models, and each of
+        # their outcomes and traces is the one the block gets without the
+        # field-only model.  (sb_solve's unsolved problems are tested in
+        # test_detectors.py.)
+        coupled = [0, 1, 3]
+        sub_traces = [[] for _ in coupled]
         with np.errstate(over="ignore", invalid="ignore"):
-            got = solve(gaps, params, gap_seeds, gap_traces)
-        for k in (0, 3, 6):
-            assert got[k] is None and gap_traces[k] == ["kept"]
-        kept = [k for k, m in enumerate(gaps) if m is not None]
-        for k, want, rows in zip(kept, out, traces):
-            assert type(got[k]) is type(want)
+            got = solve(stack([models[k] for k in coupled]), params,
+                        [seeds[k] for k in coupled], sub_traces)
+        for k, outcome, rows in zip(coupled, got, sub_traces):
+            want = out[k]
+            assert type(outcome) is type(want)
             if want is not None:
-                assert np.array_equal(got[k].spins, want.spins)
-                assert same_energy(got[k].energy, want.energy)
-                assert got[k].diverged_restarts == want.diverged_restarts
-            assert_same_rows(gap_traces[k], rows)
+                assert np.array_equal(outcome.spins, want.spins)
+                assert same_energy(outcome.energy, want.energy)
+                assert outcome.diverged_restarts == want.diverged_restarts
+            assert_same_rows(rows, traces[k])
 
     def test_one_energies_call_per_ranking_and_traced_step(
         self, rng, monkeypatch
@@ -723,16 +723,16 @@ class TestBlock:
         # and a traced solve adds one per step; no row is scored alone.
         calls = []
 
-        def counting(j, h, offset, s, _energies=sb.energies):
+        def counting(model, s, _energies=sb.energies):
             calls.append(s.shape)
-            return _energies(j, h, offset, s)
+            return _energies(model, s)
 
         def no_energy(model, s):
             raise AssertionError("solve scored a readout alone")
 
         monkeypatch.setattr(sb, "energies", counting)
         monkeypatch.setattr(sb, "energy", no_energy)
-        models = [random_model(rng, 5) for _ in range(3)]
+        models = stack([random_model(rng, 5) for _ in range(3)])
         params = SBParams(n_steps=7, n_restarts=4)
         solve(models, params, [0, 1, 2])
         assert calls == [(3, 4, 5)]
@@ -741,12 +741,16 @@ class TestBlock:
         assert calls == [(3, 4, 5)] * 8
 
     def test_block_needs_one_size_and_one_seed_per_model(self, rng):
+        # Models of two sizes make no stack, and one model unstacked is
+        # not a block.
         params = SBParams(n_steps=5)
         a, b = random_model(rng, 3), random_model(rng, 4)
+        with pytest.raises(ValueError, match=r"h \(2, 4\)"):
+            IsingModel(np.stack([a.j, a.j]), np.stack([b.h, b.h]), np.zeros(2))
         with pytest.raises(ValueError, match="same-size models"):
-            solve([a, b], params, [0, 1])
+            solve(a, params, [0])
         with pytest.raises(ValueError, match="one seed each"):
-            solve([a, a], params, [0])
+            solve(stack([a, a]), params, [0])
 
 
 class TestParams:

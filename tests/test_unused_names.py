@@ -17,10 +17,7 @@ SRC = ROOT / "src" / "sbmimo"
 READERS = (SRC, ROOT / "scripts", ROOT / "perfbench")
 
 # Names kept though no program code reads them, with the reason.
-EXCEPTIONS = {
-    "compute_c0": "the documented c0 formula, which the tests' reference "
-                  "solver calls",
-}
+EXCEPTIONS = {}
 
 
 def reads(tree) -> Counter:
