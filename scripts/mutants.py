@@ -38,6 +38,8 @@ class Mutant(NamedTuple):
 SB = "tests/test_sb.py::"
 DETECTORS = "tests/test_detectors.py::"
 PREPARE = DETECTORS + "TestPrepare::"
+FRONT = DETECTORS + "TestOracleFront::"
+PIN = FRONT + "test_block_matches_per_instance_reference"
 BLOCKS = "tests/test_bench.py::TestBlocks::"
 GOLDEN = "tests/test_golden.py::test_sweep_reproduces_golden_files"
 REDUCTION = "tests/test_reduction.py::"
@@ -324,35 +326,21 @@ MUTANTS = (
         (SB + "TestBlock::test_matches_per_instance_reference",),
     ),
     Mutant(
-        "symbols_to_spins swaps the nearest-level rule's midpoint sides",
+        "nearest_index swaps the nearest-level rule's midpoint sides",
         "reduction.py",
         "np.where(v > 0, left, right)",
         "np.where(v > 0, right, left)",
         (*EDGES, EXACT),
     ),
     Mutant(
-        "symbols_to_spins rounds a non-finite value like a finite one",
+        "nearest_index rounds a non-finite value like a finite one",
         "reduction.py",
-        "    v = np.nan_to_num(realify_symbols(x, c), posinf=0.0, neginf=0.0)",
-        "    v = realify_symbols(x, c)",
+        "    v = np.nan_to_num(v, posinf=0.0, neginf=0.0)",
+        "    pass",
         (
             *EDGES, EXACT,
             REDUCTION + "TestSpinMaps::test_off_lattice_symbol_takes_nearest_point",
         ),
-    ),
-    Mutant(
-        "nearest_level swaps its bisection sides",
-        "reduction.py",
-        "bisect.bisect_left if value > 0 else bisect.bisect_right",
-        "bisect.bisect_right if value > 0 else bisect.bisect_left",
-        (*EDGES, EXACT),
-    ),
-    Mutant(
-        "nearest_level bisects a non-finite value",
-        "reduction.py",
-        "    value = value if math.isfinite(value) else 0.0",
-        "    pass",
-        (*EDGES, EXACT),
     ),
     Mutant(
         "compute_c0 sums each matrix's squares over its last axis only",
@@ -362,12 +350,34 @@ MUTANTS = (
         (SB + "TestNormalization::test_block_c0_matches_each_matrix",),
     ),
     Mutant(
-        "ml_oracle realifies the instance again",
+        "the oracle's front end realifies the block again",
         "detectors.py",
-        "    c, h_r, y_r = p.c, p.sys.h_r[b], p.sys.y_r[b]",
-        "    sys = realify(p.insts[b].h, p.insts[b].y, p.c);"
-        " c, h_r, y_r = p.c, sys.h_r, sys.y_r",
+        "        h_r, y_r, c = self.sys.h_r, self.sys.y_r, self.c",
+        "        c = self.c; sys = realify(np.array([i.h for i in self.insts]),"
+        " np.array([i.y for i in self.insts]), c)"
+        "; h_r, y_r = sys.h_r, sys.y_r",
         (ONE_REDUCTION + "[detectors2-0]", ONE_REDUCTION + "[detectors3-1]"),
+    ),
+    Mutant(
+        "the MMSE-SIC start reads the plain triangle, not the regularized one",
+        "detectors.py",
+        "            row = reg[:, i]",
+        "            row = rz[:, i]",
+        (
+            PIN + "[qpsk-nt4-nr2--10dB]",
+            PIN + "[qam16-nt3-nr5-5dB]",
+            FRONT + "test_random_blocks_match_per_instance_reference",
+        ),
+    ),
+    Mutant(
+        "the regularizer diagonal takes another instance's lam",
+        "detectors.py",
+        "= lam[:, None]",
+        "= lam[::-1, None]",
+        (
+            PIN + "[bpsk-nt3-nr5-mixed]",
+            PIN + "[qam16-nt4-nr2-mixed]",
+        ),
     ),
     Mutant(
         "regularize takes a penalty weight that is not a number",

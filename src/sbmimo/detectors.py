@@ -12,7 +12,6 @@ anchor by that energy, so its result never scores worse than MMSE's.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +26,7 @@ from sbmimo.ising import IsingModel, energies, energy
 from sbmimo.reduction import (
     instance_model,
     level_spins,
-    midpoints,
-    nearest_level,
+    nearest_index,
     regularize,
     symbols_to_spins,
 )
@@ -69,6 +67,38 @@ class Problem:
     model: IsingModel
     c: Constellation
     mmse: list[DetectionResult | None]
+
+    @functools.cached_property
+    def oracle_front(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ML oracle's front end, built for the block on first use:
+        [R z] (B, k, k + 1) of each h_r = Q R with z = Q^T y_r (upper
+        trapezoidal; with fewer rows than coordinates, the rows past h_r's
+        are zero), and each MMSE-SIC lattice point (B, k), the search's
+        start (of those tried, it searched least: linear MMSE 1.4x, ZF-SIC
+        4.5x).  One stacked QR factors each [h_r | y_r] and [h_r; lam I |
+        y_r; 0], lam^2 = noise_var / Es.  The start is the Babai point of
+        the latter: per coordinate, last first, the nearest level (see
+        nearest_index) to its centre given the ones decided, each row
+        summed left to right; a zero pivot's centre is 0.
+        """
+        h_r, y_r, c = self.sys.h_r, self.sys.y_r, self.c
+        n_b, m, k = h_r.shape
+        a = np.zeros((n_b, 2, m + k, k + 1))
+        a[:, :, :m, :k] = h_r[:, None]
+        a[:, :, :m, k] = y_r[:, None]
+        lam = np.array([(max(0.0, inst.noise_var) / c.symbol_energy) ** 0.5
+                        for inst in self.insts])
+        np.einsum("bii->bi", a[:, 1, m:, :k])[...] = lam[:, None]
+        rz, reg = np.linalg.qr(a, mode="r")[:, :, :k].swapaxes(0, 1)
+        x = np.zeros((n_b, k))
+        for i in range(k - 1, -1, -1):
+            row = reg[:, i]
+            done = np.add.accumulate(row[:, i + 1:k] * x[:, i + 1:], axis=1)
+            centre = row[:, k] - done[:, -1] if i < k - 1 else row[:, k]
+            centre = np.divide(centre, row[:, i], out=np.zeros(n_b),
+                               where=row[:, i] != 0)
+            x[:, i] = np.take(c.levels, nearest_index(centre, c))
+        return rz, x
 
 
 def _mmse_spins(h, y, noise_var, c):
@@ -139,39 +169,6 @@ def mmse_detect(p: Problem, b: int) -> DetectionResult:
     if p.mmse[b] is None:
         raise DetectionFailureError("regularized solve failed")
     return p.mmse[b]
-
-
-def _triangles(h_r, y_r, lam):
-    """[R z] of h_r = Q R with z = Q^T y_r, and the same for [h_r; lam I]
-    with y_r padded by zeros, from one stacked QR of the two systems
-    with y_r as an extra column (h_r's padded by zero rows, which leaves
-    its factor as it is).  Each is k x (k + 1) and upper trapezoidal;
-    with fewer rows than coordinates, h_r's rows past its own are zero.
-    """
-    m, k = h_r.shape
-    a = np.zeros((2, m + k, k + 1))
-    a[:, :m, :k] = h_r
-    a[:, :m, k] = y_r
-    np.fill_diagonal(a[1, m:], lam)
-    return np.linalg.qr(a, mode="r")[:, :k]
-
-
-# Of the starts tried, MMSE-SIC searched least (linear MMSE 1.4x, ZF-SIC 4.5x).
-def _babai_point(rz, c):
-    """The MMSE-SIC lattice point from [R z] of [h_r; lam I] with
-    lam^2 = noise_var / Es: the nearest level per real coordinate (see
-    nearest_level), last coordinate first, each given the ones already
-    decided."""
-    k = len(rz)
-    lv, mid = c.levels, midpoints(c).tolist()
-    rows = rz.tolist()
-    x = [0.0] * k
-    for i in range(k - 1, -1, -1):
-        row = rows[i]
-        centre = row[k] - sum(map(operator.mul, row[i + 1:k], x[i + 1:]))
-        centre = centre / row[i] if row[i] else 0.0
-        x[i] = lv[nearest_level(centre, mid)]
-    return np.array(x, dtype=np.float64)
 
 
 @functools.cache
@@ -257,17 +254,18 @@ def ml_oracle(p: Problem, b: int) -> DetectionResult:
     """Global minimizer of the squared residual by exact pruned search.
 
     The search runs over the real coordinates of realify's system, with
-    h_r = Q R, down the triangle from the last coordinate, several
-    coordinates per numpy round while few prefixes survive.  A prefix is
-    dropped once its partial distance exceeds the bound: first that of
-    the MMSE-SIC lattice point, then the best leaf found so far, each
-    plus the most rounding can move a distance, so the optimum is never
-    dropped.  With nr < nt, R has fewer rows than coordinates and the
-    top levels simply go unpruned.  Each block of leaves is scored, within
-    the bound it lowered, by p.model[b]'s energy of their spins (see
-    level_spins) in one ising.energies call; the lowest energy wins, and
-    ties go to the lexicographically smallest spin vector (-1 before
-    +1): the answer of a scan over all 2^n spin vectors in that order.
+    h_r = Q R from p.oracle_front (built once for the block), down the
+    triangle from the last coordinate, several coordinates per numpy
+    round while few prefixes survive.  A prefix is dropped once its
+    partial distance exceeds the bound: first that of the MMSE-SIC
+    start, then the best leaf found so far, each plus the most rounding
+    can move a distance, so the optimum is never dropped.  With nr < nt,
+    R has fewer rows than coordinates and the top levels simply go
+    unpruned.  Each block of leaves is scored, within the bound it
+    lowered, by p.model[b]'s energy of their spins (see level_spins) in
+    one ising.energies call; the lowest energy wins, and ties go to the
+    lexicographically smallest spin vector (-1 before +1): the answer of
+    a scan over all 2^n spin vectors in that order.
     extras["candidates"] counts the leaves scored, summed over the leaf
     blocks, and extras["nodes"] the prefix distances computed.  Refuses
     above ORACLE_SPIN_LIMIT spins.
@@ -279,10 +277,9 @@ def ml_oracle(p: Problem, b: int) -> DetectionResult:
         )
     c, h_r, y_r = p.c, p.sys.h_r[b], p.sys.y_r[b]
     k = h_r.shape[1]
-    lam = (max(0.0, p.insts[b].noise_var) / c.symbol_energy) ** 0.5
-    rz, rz_reg = _triangles(h_r, y_r, lam)
-    r, z = rz[:, :k], rz[:, k]
-    resid = z - r @ _babai_point(rz_reg, c)
+    rz, start = p.oracle_front
+    r, z = rz[b, :, :k], rz[b, :, k]
+    resid = z - r @ start[b]
     # No distance exceeds 2 * scale, and rounding in the QR and the sums
     # moves one by a small multiple of (rows * k * eps) * scale.
     scale = y_r @ y_r + np.vdot(h_r, h_r) * k * max(c.levels) ** 2

@@ -23,7 +23,8 @@ import numpy as np
 class IsingModel:
     """Couplings j (..., n, n), fields h (..., n) and offsets (...): one
     model of n spins, or a stack of same-size models along the leading
-    axes, which model[idx] selects.  One model's offset is a float."""
+    axes, which model[idx] selects and iteration yields (a single model
+    refuses both).  One model's offset is a float."""
 
     j: np.ndarray
     h: np.ndarray
@@ -49,7 +50,13 @@ class IsingModel:
         return self.h.shape[-1]
 
     def __getitem__(self, idx) -> IsingModel:
+        if self.h.ndim == 1:
+            raise TypeError("only a stack of models can be iterated or "
+                            "indexed")
         return IsingModel(self.j[idx], self.h[idx], self.offset[idx])
+
+    def __iter__(self):
+        return iter([self[b] for b in range(len(self.h))])
 
 
 def energies(model: IsingModel, s) -> np.ndarray:

@@ -19,9 +19,6 @@ scaling H_r's column blocks (see instance_model).
 
 from __future__ import annotations
 
-import bisect
-import functools
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -70,41 +67,31 @@ def level_spins(idx: np.ndarray, c: Constellation) -> np.ndarray:
     return np.where(ones, 1, -1).astype(np.int8).reshape(*lead, nt * c.bps)
 
 
-@functools.cache
-def midpoints(c: Constellation) -> np.ndarray:
-    """The midpoints of c's adjacent levels, ascending, read-only."""
-    mid = np.add(c.levels[:-1], c.levels[1:]) / 2
-    mid.flags.writeable = False
-    return mid
-
-
-def nearest_level(value: float, mid) -> int:
-    """Index of the level nearest to value among ascending levels with
-    the midpoints mid (midpoints(c) as a list, for speed).
+def nearest_index(v, c: Constellation) -> np.ndarray:
+    """Index of the level nearest to each value of the array v among c's
+    ascending levels: the one nearest-level rule, which symbols_to_spins
+    and the ML oracle's MMSE-SIC start both round by.
 
     A value on a midpoint goes to the level of smaller amplitude: the
     lower one above zero, the upper one at or below it, so 0 goes to +1
     as sign(0) does elsewhere.  A non-finite value goes where 0 does.
-    The comparisons are exact, so the level is the nearest to any finite
-    value.  symbols_to_spins applies the same rule to arrays.
+    The comparisons against the midpoints of adjacent levels are exact,
+    so the level is the nearest to any finite value.
     """
-    value = value if math.isfinite(value) else 0.0
-    side = bisect.bisect_left if value > 0 else bisect.bisect_right
-    return side(mid, value)
+    v = np.nan_to_num(v, posinf=0.0, neginf=0.0)
+    mid = np.add(c.levels[:-1], c.levels[1:]) / 2
+    left, right = mid.searchsorted(v, "left"), mid.searchsorted(v, "right")
+    return np.where(v > 0, left, right)
 
 
 def symbols_to_spins(x: np.ndarray, c: Constellation) -> np.ndarray:
-    """Spins of the lattice point nearest to x on each real axis, by
-    nearest_level's rule: the hard decision, which inverts x_r = T s on
-    the lattice.  x is one symbol vector (nt,) or a stack (..., nt)."""
+    """Spins of the lattice point nearest to x on each real axis (see
+    nearest_index): the hard decision, which inverts x_r = T s on the
+    lattice.  x is one symbol vector (nt,) or a stack (..., nt)."""
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim == 0 or x.size == 0:
         raise ValueError(f"symbol vector has shape {x.shape}, expected (nt,)")
-    v = np.nan_to_num(realify_symbols(x, c), posinf=0.0, neginf=0.0)
-    mid = midpoints(c)
-    # searchsorted's sides are nearest_level's bisections.
-    left, right = mid.searchsorted(v, "left"), mid.searchsorted(v, "right")
-    return level_spins(np.where(v > 0, left, right), c)
+    return level_spins(nearest_index(realify_symbols(x, c), c), c)
 
 
 def regularize(model: IsingModel, s_p: np.ndarray, r: float) -> IsingModel:

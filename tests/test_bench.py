@@ -359,6 +359,37 @@ class TestRunSweep:
             "mmse": mmse_calls * instances,
         }
 
+    @pytest.mark.parametrize(
+        "detectors, fronts_per_block",
+        [
+            (("mmse", "ml-oracle"), 1),
+            (("ml-oracle", "sb", "sb-reg"), 1),
+            (("mmse", "sb-reg"), 0),
+            (("sb",), 0),
+        ],
+    )
+    def test_oracle_front_end_built_once_per_block(
+        self, monkeypatch, detectors, fronts_per_block
+    ):
+        import sbmimo.bench
+
+        # Every ml_oracle call of a block reads the block's front end,
+        # built by one stacked QR; a sweep without the oracle builds none.
+        callers = []
+        qr = np.linalg.qr
+
+        def counting(*args, **kwargs):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        cfg = small_config(detectors=detectors, instances=20)
+        run_sweep(cfg)
+        instances = len(cfg.snr_db) * cfg.instances
+        blocks = math.ceil(instances / sbmimo.bench._BLOCK)
+        assert blocks == 2
+        assert callers == ["sbmimo.detectors"] * (fronts_per_block * blocks)
+
     def test_detector_order_does_not_change_records(self):
         a = run_sweep(small_config(detectors=("mmse", "sb-reg")))
         b = run_sweep(small_config(detectors=("sb-reg", "mmse")))

@@ -1,3 +1,5 @@
+import bisect
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +25,11 @@ from sbmimo.detectors import (
     sb_solve,
 )
 from sbmimo.ising import energies, energy
-from sbmimo.reduction import level_spins, regularize, symbols_to_spins
+from sbmimo.reduction import (
+    level_spins,
+    regularize,
+    symbols_to_spins,
+)
 from sbmimo.sb import SBParams
 
 from conftest import (
@@ -251,6 +257,97 @@ class TestMmse:
                 mmse_detect(p, 0)
             assert np.array_equal(mmse_detect(p, 1).spins,
                                   mmse_reference(inst, QPSK))
+
+
+def triangles_reference(h_r, y_r, lam):
+    """One instance's [R z] of h_r = Q R with z = Q^T y_r, and the same for
+    [h_r; lam I] with y_r padded by zeros, from its own QR of the two
+    systems: the per-instance front end the block's must reproduce."""
+    m, k = h_r.shape
+    a = np.zeros((2, m + k, k + 1))
+    a[:, :m, :k] = h_r
+    a[:, :m, k] = y_r
+    np.fill_diagonal(a[1, m:], lam)
+    return np.linalg.qr(a, mode="r")[:, :k]
+
+
+def babai_reference(rz, c):
+    """The MMSE-SIC lattice point from one regularized [R z], by scalar
+    Python floats: last coordinate first, each centre summed left to
+    right and rounded by a bisection of the midpoints (ties to the
+    smaller amplitude, a non-finite centre as 0)."""
+    k = len(rz)
+    lv = c.levels
+    mid = [(a + b) / 2 for a, b in zip(lv, lv[1:])]
+    rows = rz.tolist()
+    x = [0.0] * k
+    for i in range(k - 1, -1, -1):
+        row = rows[i]
+        centre = row[k] - sum(map(operator.mul, row[i + 1:k], x[i + 1:]))
+        centre = centre / row[i] if row[i] else 0.0
+        centre = centre if np.isfinite(centre) else 0.0
+        side = bisect.bisect_left if centre > 0 else bisect.bisect_right
+        x[i] = lv[side(mid, centre)]
+    return np.array(x, dtype=np.float64)
+
+
+def assert_front_matches_reference(insts, c):
+    # Bit for bit: each instance's R, z and start are its own front end's.
+    p = prepare(insts, c)
+    rz, start = p.oracle_front
+    k = p.sys.h_r.shape[-1]
+    assert rz.shape == (len(insts), k, k + 1) and start.shape == rz.shape[:2]
+    for b, inst in enumerate(insts):
+        lam = (max(0.0, inst.noise_var) / c.symbol_energy) ** 0.5
+        plain, reg = triangles_reference(p.sys.h_r[b], p.sys.y_r[b], lam)
+        assert rz[b].tobytes() == plain.tobytes()
+        assert start[b].tobytes() == babai_reference(reg, c).tobytes()
+
+
+def front_blocks():
+    # Per constellation, wide (nr < nt) and tall blocks at each of three
+    # SNRs and one block mixing them; then a zero pivot (noise_var 0 with
+    # nr < nt) and a non-finite centre (a NaN in y) beside a regular row.
+    rng = np.random.default_rng(41)
+    snrs = (-10.0, 5.0, 25.0)
+    for c in (BPSK, QPSK, QAM16):
+        for nt, nr in ((4, 2), (3, 5)):
+            shape = f"{c.name}-nt{nt}-nr{nr}"
+            for snr in snrs:
+                insts = [sample_instance(nt, nr, c, snr, rng)
+                         for _ in range(3)]
+                yield pytest.param(c, insts, id=f"{shape}-{snr:g}dB")
+            insts = [sample_instance(nt, nr, c, snr, rng) for snr in snrs]
+            yield pytest.param(c, insts, id=f"{shape}-mixed")
+        inst = sample_instance(4, 2, c, 5.0, rng)
+        y = inst.y.copy()
+        y[0] = np.nan
+        insts = [inst, replace(inst, noise_var=0.0), replace(inst, y=y)]
+        yield pytest.param(c, insts, id=f"{c.name}-edges")
+
+
+class TestOracleFront:
+    @pytest.mark.parametrize("c, insts", front_blocks())
+    def test_block_matches_per_instance_reference(self, c, insts):
+        assert_front_matches_reference(insts, c)
+
+    @given(instance_blocks())
+    @settings(max_examples=60, deadline=None)
+    def test_random_blocks_match_per_instance_reference(self, block):
+        insts, c = block
+        assert_front_matches_reference(insts, c)
+
+    def test_zero_pivot_and_nan_centre_round_from_zero(self):
+        # noise_var 0 with nr < nt leaves the regularized triangle's last
+        # rows zero, and a NaN in y makes every centre NaN: each such
+        # coordinate goes where 0 does, to the level +1.
+        c, insts = list(front_blocks())[-1].values
+        p = prepare(insts, c)
+        start = p.oracle_front[1]
+        m = p.sys.h_r.shape[1]
+        assert np.all(start[1, m:] == 1)
+        assert np.all(start[2] == 1)
+        assert not np.all(start[0] == 1)
 
 
 class TestOracle:

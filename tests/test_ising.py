@@ -52,6 +52,18 @@ class TestModelShape:
         with pytest.raises(ValueError, match=r"offset \(3,\)"):
             replace(pair, offset=np.zeros(3))
 
+    def test_only_a_stack_iterates_or_indexes(self):
+        # A single model is neither a sequence of models nor indexable:
+        # unpacking or indexing it names stacks, not a float subscript.
+        single = model_of(np.zeros((2, 2)), [1, 2], 3.0)
+        for use in (lambda: IsingModel(*single), lambda: single[0]):
+            with pytest.raises(TypeError, match="only a stack of models"):
+                use()
+        pair = model_of(np.zeros((2, 2, 2)), [[1, 2], [3, 4]], [5.0, 6.0])
+        first, second = pair
+        assert second.h.tolist() == [3, 4] and second.offset == 6.0
+        assert pair[0].offset == first.offset == 5.0
+
 
 class TestEnergy:
     def test_null_model_is_zero(self):

@@ -21,8 +21,7 @@ from sbmimo.ising import energy
 from sbmimo.reduction import (
     instance_model,
     level_spins,
-    midpoints,
-    nearest_level,
+    nearest_index,
     regularize,
     symbols_to_spins,
 )
@@ -250,11 +249,10 @@ def rule_edges(c):
 
 
 def assert_nearest_level_rule(values, c):
-    # nearest_level on each value and symbols_to_spins on all of them at
+    # nearest_index on the values and symbols_to_spins on all of them at
     # once (each value on every real axis) give the exact nearest level.
     want = [exact_nearest(v, c.levels) for v in values]
-    mid = midpoints(c).tolist()
-    assert [nearest_level(v, mid) for v in values] == want
+    assert nearest_index(np.array(values), c).tolist() == want
     x = np.zeros(len(values), dtype=np.complex128)
     x.real = values
     x.imag = values[::-1]
