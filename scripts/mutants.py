@@ -243,6 +243,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "sb-reg's ties go to the anchor",
+        "detectors.py",
+        "        if e[m] <= pick.ising_energy:",
+        "        if e[m] < pick.ising_energy:",
+        (DETECTORS + "TestSbDetect::test_energy_tie_keeps_solver_readout",),
+    ),
+    Mutant(
+        "sb-reg scores its readouts under the regularized models",
+        "detectors.py",
+        "        e = energies(plain, ",
+        "        e = energies(model, ",
+        (DETECTORS + "TestSbDetect::test_regularized_never_loses_to_anchor",),
+    ),
+    Mutant(
         "a block's sb_detect calls run in descending point order",
         "bench.py",
         "                        for b, s in enumerate(solved)]",
@@ -321,8 +335,8 @@ MUTANTS = (
     Mutant(
         "a block's initial states are written into the wrong model's rows",
         "sb.py",
-        "        initial_states(model.n, seed, n_restarts, out=xy[:, b])",
-        "        initial_states(model.n, seed, n_restarts, out=xy[:, -1 - b])",
+        "        xy[:, b] = initial_states(model.n, seed, n_restarts)",
+        "        xy[:, -1 - b] = initial_states(model.n, seed, n_restarts)",
         (SB + "TestBlock::test_matches_per_instance_reference",),
     ),
     Mutant(

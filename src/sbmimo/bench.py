@@ -207,8 +207,9 @@ def _eval_block(cfg: SweepConfig, points, trace=None):
     Each point is sampled from its own RNG stream; the block is reduced,
     with every MMSE decision taken and scored, by one `prepare` call into
     one `Problem`; then MMSE and the ML oracle each take one pass over
-    its points, by index b; then each SB-family detector takes one solve
-    of the whole block and one pass of `sb_detect` in point order.  Each
+    its points, by index b; then each SB-family detector takes one
+    `sb_solve` of the whole block, which decides every point, and one
+    pass of `sb_detect` that reads the decisions in point order.  Each
     detector keeps one decision list, None where it failed.  `sb-reg` is
     anchored at each point's MMSE decision, p.mmse[b], so an MMSE failure
     counts against both.  Bit errors are counted as spin mismatches
@@ -239,11 +240,10 @@ def _eval_block(cfg: SweepConfig, points, trace=None):
     if "ml-oracle" in cfg.detectors:
         decided["ml-oracle"] = [ml_oracle(p, b) for b in range(len(points))]
     for det in [d for d in cfg.detectors if d in SB_FAMILY]:
-        anchored = det == "sb-reg"
-        r = cfg.r if anchored else None
+        r = cfg.r if det == "sb-reg" else None
         solved = sb_solve(p, cfg.sb, seeds, r, trace)
         trace = None  # the first SB-family solve alone is traced
-        decided[det] = [None if s is None else sb_detect(p, b, s, anchored)
+        decided[det] = [None if s is None else sb_detect(solved, b)
                         for b, s in enumerate(solved)]
     # A failed decision stands in as the sent spins with a NaN energy, so
     # it counts no error and meets no energy test.

@@ -1,18 +1,19 @@
 """Detectors: linear MMSE, exact ML oracle, and the bifurcation
 solver composed with the reduction (plain and MMSE-anchored regularized).
 
-Every detector takes a ``Problem``, a block of instances reduced, their
-MMSE decisions taken and scored, once by ``prepare``, and the index of
-its instance there.  Each reports the Ising energy of its decision under
-the unregularized instance model, which equals the squared ML residual;
-the regularized path selects between the solver readout and the MMSE
-anchor by that energy, so its result never scores worse than MMSE's.
+Every detector reads a ``Problem``, a block of instances reduced, their
+MMSE decisions taken and scored, once by ``prepare``, at the index of
+its instance there; ``sb_solve`` decides the whole block.  Each reports
+the Ising energy of its decision under the unregularized instance
+model, which equals the squared ML residual; the regularized path
+selects between the solver readout and the MMSE anchor by that energy,
+so its result never scores worse than MMSE's.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from sbmimo.reduction import (
     regularize,
     symbols_to_spins,
 )
-from sbmimo.sb import SBParams, SolveResult, solve
+from sbmimo.sb import SBParams, solve
 
 ORACLE_SPIN_LIMIT = 24
 # Rows one frontier expansion may build in ml_oracle, and the most one
@@ -299,49 +300,48 @@ def sb_solve(
     r: float | None = None,
     trace: list | None = None,
 ) -> list:
-    """Solve a block's models in one solve call on its stacked model:
-    plain with r None, else anchored by one regularize call, each model
-    at its MMSE decision, p.mmse[b], with weight r.  A problem with no
+    """Decide a block by one solve call on its stacked model: plain with r
+    None ("sb": the readout), else anchored by one regularize call at each
+    MMSE decision, p.mmse[b], with weight r ("sb-reg": the lower-energy,
+    under the unregularized model, of readout and anchor, ties to the
+    readout; one energies call scores every readout).  A problem with no
     MMSE decision is left out (with none, solve is not called).  seeds
-    holds one solver seed per problem and trace, when given, one list
-    per problem for solve's trace rows.  Returns one outcome per problem
-    for ``sb_detect``: a SolveResult, or None where unsolved or where
-    every restart diverged."""
+    holds a solver seed and trace, when given, a list for solve's trace
+    rows per problem.  Returns per problem for ``sb_detect`` a
+    DetectionResult, or None where unsolved or every restart diverged."""
     out = [None] * len(p.insts)
-    model, keep = p.model, range(len(out))
+    plain, keep = p.model, range(len(out))
     if r is not None:
         keep = [b for b, res in enumerate(p.mmse) if res is not None]
         if not keep:
             return out
         anchors = np.array([p.mmse[b].spins for b in keep])
         # Only a block with gaps takes a subset (a copy) of its models.
-        model = model if len(keep) == len(out) else model[keep]
-        model = regularize(model, anchors, r)
+        plain = plain if len(keep) == len(out) else plain[keep]
+    model = plain if r is None else regularize(plain, anchors, r)
     traces = None if trace is None else [trace[b] for b in keep]
     solved = solve(model, params, [seeds[b] for b in keep], traces)
-    for b, res in zip(keep, solved):
-        out[b] = res
+    if r is not None:  # float64 rows; a missing readout scores its anchor
+        rows = [(res or p.mmse[b]).spins for b, res in zip(keep, solved)]
+        e = energies(plain, np.array(rows, np.float64)[:, None])[:, 0].tolist()
+    for m, (b, res) in enumerate(zip(keep, solved)):
+        if res is None:
+            continue
+        extras = {"diverged_restarts": res.diverged_restarts}
+        if r is None:
+            out[b] = DetectionResult("sb", res.spins, res.energy, extras)
+            continue
+        pick = p.mmse[b]  # the anchor, unless the readout scores no higher
+        if e[m] <= pick.ising_energy:
+            pick = DetectionResult("sb", res.spins, e[m], {})
+        extras["selected"] = pick.detector
+        out[b] = replace(pick, detector="sb-reg", extras=extras)
     return out
 
 
-def sb_detect(p: Problem, b: int, solved: SolveResult | None,
-              anchored: bool = False) -> DetectionResult:
-    """The SB decision on instance b from its ``sb_solve`` outcome.
-
-    Raises DetectionFailureError for a None outcome.  Unanchored, the
-    readout of the plain model is the decision.  Anchored, the readout
-    and the anchor, p.mmse[b], are compared under the unregularized
-    model; the lower energy wins (ties keep the solver readout).
-    """
-    if solved is None:
+def sb_detect(solved: list, b: int) -> DetectionResult:
+    """The SB decision ``sb_solve`` made on problem b of its block,
+    solved[b].  Raises DetectionFailureError where it made none."""
+    if solved[b] is None:
         raise DetectionFailureError("the solver gave no readout")
-    extras = {"diverged_restarts": solved.diverged_restarts}
-    if not anchored:
-        return DetectionResult("sb", solved.spins, solved.energy, extras)
-    anchor = p.mmse[b]
-    sb_energy = energy(p.model[b], solved.spins)
-    if sb_energy <= anchor.ising_energy:
-        extras["selected"] = "sb"
-        return DetectionResult("sb-reg", solved.spins, sb_energy, extras)
-    extras["selected"] = "mmse"
-    return DetectionResult("sb-reg", anchor.spins, anchor.ising_energy, extras)
+    return solved[b]

@@ -55,9 +55,6 @@ class IsingModel:
                             "indexed")
         return IsingModel(self.j[idx], self.h[idx], self.offset[idx])
 
-    def __iter__(self):
-        return iter([self[b] for b in range(len(self.h))])
-
 
 def energies(model: IsingModel, s) -> np.ndarray:
     """Energies of stacked spin rows s (..., R, n) under a model or a

@@ -128,15 +128,13 @@ def pump_schedule(n_steps: int) -> np.ndarray:
     return np.arange(n_steps) / (n_steps - 1)
 
 
-def initial_states(n: int, seed: int, n_restarts: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """(2, n_restarts, n) positions then momenta, i.i.d. uniform [-0.1, 0.1],
-    written into out when given.
+def initial_states(n: int, seed: int, n_restarts: int) -> np.ndarray:
+    """(2, n_restarts, n) positions then momenta, i.i.d. uniform [-0.1, 0.1].
 
     Row r draws x then y from its own stream default_rng([seed, r]), so a
     restart starts from the same state however many restarts run.
     """
-    out = np.empty((2, n_restarts, n)) if out is None else out
+    out = np.empty((2, n_restarts, n))
     for r in range(n_restarts):
         # One (2, n) draw is x's n values, then y's, from one stream.
         out[:, r] = np.random.default_rng([seed, r]).uniform(-0.1, 0.1, (2, n))
@@ -208,7 +206,7 @@ def _stack(model: IsingModel, seeds, n_restarts):
     c0 = np.full_like(half_h, compute_c0(j)[:, None, None])
     xy = np.empty((2, *half_h.shape))
     for b, seed in enumerate(seeds):
-        initial_states(model.n, seed, n_restarts, out=xy[:, b])
+        xy[:, b] = initial_states(model.n, seed, n_restarts)
     return xy, j, half_h, c0
 
 

@@ -198,8 +198,7 @@ def solve_one(model, params, seed=0, trace=None):
 def detect_one(p, params, anchored=False, r=0.5, seed=0):
     # sb_detect on the block of one p, solved alone, anchored at its
     # MMSE decision or not.
-    (solved,) = sb_solve(p, params, [seed], r if anchored else None)
-    return sb_detect(p, 0, solved, anchored)
+    return sb_detect(sb_solve(p, params, [seed], r if anchored else None), 0)
 
 
 def random_model(rng, n: int, h_scale: float = 1.0) -> IsingModel:

@@ -553,25 +553,28 @@ class TestBlocks:
         # So the sweep samples a block's every point, then (after one
         # stacked prepare) runs MMSE over the block, then the oracle over
         # the block, then per SB-family detector, after its solve,
-        # sb_detect in ascending instance order: each detector's last call
-        # in a block is on the block's last instance, the one sampled
-        # last.  The blocks are cut from the sweep's points in SNR-major
-        # order, so one of them spans both SNR points.  An sb_detect call
-        # is named by the detector whose decision it makes.
+        # sb_detect in ascending point order: each detector's last call
+        # in a block is on the block's last point, the one sampled last.
+        # Each call is keyed by its point's index in the block: a sample
+        # by its count in the block, a detector call by its index b.  The
+        # blocks are cut from the sweep's points in SNR-major order, so
+        # one of them spans both SNR points.  An sb_detect call is named
+        # by the detector whose decision it makes.
         import sbmimo.bench
 
-        insts, events = [], []
+        block = sbmimo.bench._BLOCK
+        events = []
 
         def recording(name, func):
             def wrapper(*args, **kwargs):
                 out = func(*args, **kwargs)
                 if name == "sample_instance":
-                    insts.append(out)
-                inst = (out if name == "sample_instance"
-                        else args[0].insts[args[1]])
-                k = next(k for k, x in enumerate(insts) if x is inst)
-                events.append((name, k) if name != "sb_detect"
-                              else (f"sb_detect:{out.detector}", k))
+                    sampled = sum(e[0] == name for e in events)
+                    events.append((name, sampled % block))
+                elif name == "sb_detect":
+                    events.append((f"sb_detect:{out.detector}", args[1]))
+                else:
+                    events.append((name, args[1]))
                 return out
             return wrapper
 
@@ -582,18 +585,17 @@ class TestBlocks:
             instances=70, detectors=ALL_DETECTORS, sb=SBParams(n_steps=20),
         )
         run_sweep(cfg)
-        block = sbmimo.bench._BLOCK
         points = len(cfg.snr_db) * cfg.instances
         assert cfg.instances > 2 * block and cfg.instances % block
         expected = []
         for start in range(0, points, block):
-            ks = range(start, min(start + block, points))
+            bs = range(min(block, points - start))
             for name in ("sample_instance", "mmse_detect", "ml_oracle",
                          "sb_detect:sb", "sb_detect:sb-reg"):
-                expected += [(name, k) for k in ks]
+                expected += [(name, b) for b in bs]
             # Every detector's last call is on the block's last point.
-            last = {name: k for name, k in expected}
-            assert set(last.values()) == {ks[-1]}
+            last = {name: b for name, b in expected}
+            assert set(last.values()) == {bs[-1]}
         assert events == expected
 
     def test_one_solve_per_detector_spans_the_snr_points(self, monkeypatch):
@@ -638,23 +640,31 @@ class TestBlocks:
     )
     def test_oracle_bounds_every_instance(self, monkeypatch, nt, modulation):
         # Through the sweep's block path, each decision is recorded with
-        # the problem it was made on: per instance, the oracle's energy
-        # is no higher than sb's or sb-reg's, and sb-reg's no higher than
-        # its MMSE anchor's.
+        # the point it was made on, keyed by its block (the prepare calls
+        # so far) and its index b there: per instance, the oracle's
+        # energy is no higher than sb's or sb-reg's, and sb-reg's no
+        # higher than its MMSE anchor's.
         import sbmimo.bench
 
-        seen = {}  # id(instance) -> (instance, {detector: energy})
+        blocks = []  # one entry per prepare call
+        seen = {}  # (block, b) -> {detector: energy}
 
         def recording(func):
-            def wrapper(p, b, *args, **kwargs):
-                res = func(p, b, *args, **kwargs)
-                inst = p.insts[b]
-                seen.setdefault(id(inst), (inst, {}))[1][res.detector] = (
+            def wrapper(block, b, *args, **kwargs):
+                res = func(block, b, *args, **kwargs)
+                seen.setdefault((len(blocks), b), {})[res.detector] = (
                     res.ising_energy
                 )
                 return res
             return wrapper
 
+        prepare = sbmimo.bench.prepare
+
+        def preparing(*args):
+            blocks.append(None)
+            return prepare(*args)
+
+        monkeypatch.setattr(sbmimo.bench, "prepare", preparing)
         for name in ("mmse_detect", "sb_detect", "ml_oracle"):
             func = getattr(sbmimo.bench, name)
             monkeypatch.setattr(sbmimo.bench, name, recording(func))
@@ -666,7 +676,7 @@ class TestBlocks:
         records = run_sweep(cfg)
         assert len(seen) == 48
         optimal = dict.fromkeys(ALL_DETECTORS, 0)
-        for _, e in seen.values():
+        for e in seen.values():
             assert set(e) == set(ALL_DETECTORS)
             assert e["ml-oracle"] <= e["sb"] + 1e-9 * max(1.0, abs(e["sb"]))
             assert e["ml-oracle"] <= e["sb-reg"] + 1e-9 * max(1.0, abs(e["sb-reg"]))

@@ -550,10 +550,12 @@ class TestSbDetect:
 
     @pytest.mark.parametrize("restarts", [1, 4])
     def test_each_decision_energy_evaluated_once(self, monkeypatch, restarts):
-        # prepare scores the MMSE decision, and mmse_detect nothing; solve
-        # scores every restart's readout in one energies call; sb
-        # reuses the winner's energy and sb-reg scores only its readout
-        # under the plain model.
+        # On a block of several problems, prepare scores the MMSE
+        # decisions in one energies call, and mmse_detect nothing; solve
+        # scores every restart's readout in one energies call; sb reuses
+        # each winner's energy, sb-reg scores the block's readouts under
+        # the plain models in one more energies call, and sb_detect
+        # scores nothing.  No energy call is made.
         import sbmimo.detectors
         import sbmimo.sb
 
@@ -575,17 +577,21 @@ class TestSbDetect:
         ):
             monkeypatch.setattr(module, name, counting(module, name))
         rng = np.random.default_rng(8)
-        inst = sample_instance(3, 3, QPSK, 10.0, rng)
+        insts = [sample_instance(3, 3, QPSK, 10.0, rng) for _ in range(4)]
         params = SBParams(n_steps=40, n_restarts=restarts)
-        p = prepare([inst], QPSK)
-        assert mmse_detect(p, 0) is p.mmse[0]
+        seeds = [3, 4, 5, 6]
+        p = prepare(insts, QPSK)
+        assert all(mmse_detect(p, b) is p.mmse[b] for b in range(4))
         assert calls == ["sbmimo.detectors.energies"]
-        sb = detect_one(p, params, seed=3)
+        sb = sb_solve(p, params, seeds)
         assert calls[1:] == ["sbmimo.sb.energies"]
-        reg = detect_one(p, params, True, r=0.5, seed=3)
-        assert calls[2:] == ["sbmimo.sb.energies", "sbmimo.detectors.energy"]
-        assert sb.ising_energy == energy(p.model[0], sb.spins)
-        assert reg.ising_energy == energy(p.model[0], reg.spins)
+        reg = sb_solve(p, params, seeds, 0.5)
+        assert calls[2:] == ["sbmimo.sb.energies", "sbmimo.detectors.energies"]
+        for b in range(4):
+            for solved in (sb, reg):
+                res = sb_detect(solved, b)
+                assert res.ising_energy == energy(p.model[b], res.spins)
+        assert len(calls) == 4
 
     def test_block_decisions_match_blocks_of_one(self, rng, monkeypatch):
         # sb_solve over a block, then sb_detect per problem, decides each
@@ -613,15 +619,16 @@ class TestSbDetect:
             solved = sb_solve(p, params, seeds, r)
             assert len(stepped) == params.n_steps
             assert all(j is p.model.j for j in stepped)
-            for b, outcome in enumerate(solved):
-                res = sb_detect(p, b, outcome, anchored)
+            for b in range(len(insts)):
+                res = sb_detect(solved, b)
                 alone = detect_one(prepare([insts[b]], QPSK), params,
                                    anchored, 0.5, seeds[b])
+                assert res.detector == alone.detector
                 assert np.array_equal(res.spins, alone.spins)
                 assert res.ising_energy == alone.ising_energy
                 assert res.extras == alone.extras
-            with pytest.raises(DetectionFailureError, match="no readout"):
-                sb_detect(p, 0, None, anchored)
+        with pytest.raises(DetectionFailureError, match="no readout"):
+            sb_detect([*solved[:2], None], 2)
 
     def test_problem_without_an_anchor_is_not_solved(self, rng, monkeypatch):
         # An anchored block may have gaps: a problem with no MMSE decision
@@ -640,8 +647,11 @@ class TestSbDetect:
         solved = sb_solve(p, params, seeds, 0.5, traces)
         assert [s is None for s in solved] == [res is None for res in p.mmse]
         assert traces[0] == traces[2] == traces[4] == ["kept"]
+        for b in (0, 2, 4):
+            with pytest.raises(DetectionFailureError, match="no readout"):
+                sb_detect(solved, b)
         for b in (1, 3):
-            res = sb_detect(p, b, solved[b], True)
+            res = sb_detect(solved, b)
             one = prepare([insts[b]], QPSK)
             alone = detect_one(one, params, True, 0.5, seeds[b])
             assert np.array_equal(res.spins, alone.spins)
@@ -660,6 +670,44 @@ class TestSbDetect:
         monkeypatch.setattr(sbmimo.detectors, "solve", no_solve)
         none = replace(p, mmse=[None] * 5)
         assert sb_solve(none, params, seeds, 0.5) == [None] * 5
+
+    def test_decisions_are_labelled_by_r(self, rng):
+        # Without r, each decision is its problem's readout, "sb", with
+        # the readout's own energy.  With r, each is "sb-reg": of the
+        # readout of its regularized model solved alone, scored under
+        # the unregularized model, and its anchor, the lower energy, the
+        # readout on a tie.  The short anneal loses to some anchors and
+        # the long one beats some; both tie others.
+        snrs = (0.0, 0.0, 5.0, 5.0, 10.0, 15.0, 20.0, 25.0)
+        insts = [sample_instance(3, 3, QPSK, snr, rng) for snr in snrs]
+        p = prepare(insts, QPSK)
+        seeds = list(range(31, 31 + len(insts)))
+        kinds = set()
+        for params in (SBParams(n_steps=3, n_restarts=2),
+                       SBParams(n_steps=40, n_restarts=2)):
+            plain = sb_solve(p, params, seeds)
+            reg = sb_solve(p, params, seeds, 0.5)
+            for b, seed in enumerate(seeds):
+                model, anchor = p.model[b], p.mmse[b]
+                readout = solve_one(model, params, seed)
+                res = plain[b]
+                assert res.detector == "sb"
+                assert res.extras == {"diverged_restarts": 0}
+                assert np.array_equal(res.spins, readout.spins)
+                assert res.ising_energy == energy(model, readout.spins)
+                readout = solve_one(regularize(model, anchor.spins, 0.5),
+                                    params, seed)
+                sb_energy = energy(model, readout.spins)
+                keep = sb_energy <= anchor.ising_energy
+                res = reg[b]
+                assert res.detector == "sb-reg"
+                assert res.extras == {"diverged_restarts": 0,
+                                      "selected": "sb" if keep else "mmse"}
+                want = readout.spins if keep else anchor.spins
+                assert np.array_equal(res.spins, want)
+                assert res.ising_energy == min(sb_energy, anchor.ising_energy)
+                kinds.add(np.sign(sb_energy - anchor.ising_energy))
+        assert kinds == {-1.0, 0.0, 1.0}
 
     def test_energy_tie_keeps_solver_readout(self):
         # At high SNR the solver usually lands on the MMSE decision, so
