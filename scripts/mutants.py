@@ -49,10 +49,6 @@ EDGES = tuple(
     for c in ("bpsk", "qpsk", "qam16")
 )
 EXACT = REDUCTION + "test_nearest_level_rule_is_exact"
-ONE_REDUCTION = (
-    "tests/test_bench.py::TestRunSweep::"
-    "test_one_reduction_and_one_mmse_per_instance"
-)
 
 MUTANTS = (
     Mutant(
@@ -76,15 +72,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "solve reports a model whose every restart diverged as solved",
+        "sb_solve takes a model whose every restart diverged as solved",
+        "detectors.py",
+        "    done = diverged < params.n_restarts",
+        "    done = diverged <= params.n_restarts",
+        (
+            "tests/test_bench.py::TestRunSweep::"
+            "test_every_restart_diverging_is_a_failure",
+        ),
+    ),
+    Mutant(
+        "solve counts no diverged restart of a model whose every one diverged",
         "sb.py",
-        "        if kept:",
-        "        if True:",
+        "    diverged[block] = n_restarts - live.sum(axis=1)",
+        "    diverged[block] = n_restarts - live.sum(axis=1).clip(1)",
         (
             SB + "TestSolve::test_all_restarts_diverging_gives_no_readout",
             SB + "TestBlock::test_mixed_block",
-            "tests/test_bench.py::TestRunSweep::"
-            "test_every_restart_diverging_is_a_failure",
         ),
     ),
     Mutant(
@@ -157,16 +161,16 @@ MUTANTS = (
     Mutant(
         "a NaN readout energy ranks first, as under np.argmin",
         "sb.py",
-        "    best = np.lexsort((e, np.isnan(e), ~live))[:, 0].tolist()",
-        "    best = np.lexsort((e, ~np.isnan(e), ~live))[:, 0].tolist()",
+        "    best = np.lexsort((e, np.isnan(e), ~live))[:, 0]",
+        "    best = np.lexsort((e, ~np.isnan(e), ~live))[:, 0]",
         (SB + "TestSolve::test_nan_energy_ranks_last",),
     ),
     Mutant(
         "tied readout energies go to the later restart",
         "sb.py",
-        "    best = np.lexsort((e, np.isnan(e), ~live))[:, 0].tolist()",
-        "    best = (n_restarts - 1 - np.lexsort(np.stack("
-        "(e, np.isnan(e), ~live))[..., ::-1])[:, 0]).tolist()",
+        "    best = np.lexsort((e, np.isnan(e), ~live))[:, 0]",
+        "    best = n_restarts - 1 - np.lexsort(np.stack("
+        "(e, np.isnan(e), ~live))[..., ::-1])[:, 0]",
         (SB + "TestSolve::test_tie_keeps_earlier_restart",),
     ),
     Mutant(
@@ -245,15 +249,15 @@ MUTANTS = (
     Mutant(
         "sb-reg's ties go to the anchor",
         "detectors.py",
-        "        if e[m] <= pick.ising_energy:",
-        "        if e[m] < pick.ising_energy:",
+        "        sb = e <= anchor_e  # ties keep the readout",
+        "        sb = e < anchor_e",
         (DETECTORS + "TestSbDetect::test_energy_tie_keeps_solver_readout",),
     ),
     Mutant(
         "sb-reg scores its readouts under the regularized models",
         "detectors.py",
-        "        e = energies(plain, ",
-        "        e = energies(model, ",
+        "        e = energies(plain, spins[:, None].astype(np.float64))",
+        "        e = energies(model, spins[:, None].astype(np.float64))",
         (DETECTORS + "TestSbDetect::test_regularized_never_loses_to_anchor",),
     ),
     Mutant(
@@ -364,15 +368,6 @@ MUTANTS = (
         (SB + "TestNormalization::test_block_c0_matches_each_matrix",),
     ),
     Mutant(
-        "the oracle's front end realifies the block again",
-        "detectors.py",
-        "        h_r, y_r, c = self.sys.h_r, self.sys.y_r, self.c",
-        "        c = self.c; sys = realify(np.array([i.h for i in self.insts]),"
-        " np.array([i.y for i in self.insts]), c)"
-        "; h_r, y_r = sys.h_r, sys.y_r",
-        (ONE_REDUCTION + "[detectors2-0]", ONE_REDUCTION + "[detectors3-1]"),
-    ),
-    Mutant(
         "the MMSE-SIC start reads the plain triangle, not the regularized one",
         "detectors.py",
         "            row = reg[:, i]",
@@ -423,9 +418,36 @@ MUTANTS = (
     Mutant(
         "a setting's finiteness is checked before it is converted",
         "sb.py",
-        "and out < math.inf):",
-        "and value < math.inf):",
+        "-math.inf < out < math.inf",
+        "-math.inf < value < math.inf",
         (SB + "TestParams::test_rejects_bad_values",),
+    ),
+    Mutant(
+        "a setting with no lower bound takes -inf",
+        "sb.py",
+        "-math.inf < out < math.inf",
+        "out < math.inf",
+        (
+            SB + "TestParams::test_setting_with_no_lower_bound_is_still_finite",
+            CLI + "TestMain::test_bad_value_returns_2[snr-neg-inf]",
+        ),
+    ),
+    Mutant(
+        "the oracle counts its prefix distances down",
+        "detectors.py",
+        "        nodes += dd.size",
+        "        nodes -= dd.size",
+        (
+            DETECTORS + "TestOracle::test_exact_ties_survive_the_shrinking_bound",
+            DETECTORS + "TestOracle::test_beats_every_candidate_by_full_scan",
+        ),
+    ),
+    Mutant(
+        "MMSE takes a decision at zero noise",
+        "detectors.py",
+        "    ok = np.isfinite(delta) & (delta > 0)",
+        "    ok = np.isfinite(delta) & (delta >= 0)",
+        (DETECTORS + "TestMmse::test_zero_noise_has_no_decision",),
     ),
     Mutant(
         "_eval_block hands the trace to every SB-family detector",

@@ -22,7 +22,6 @@ from sbmimo.channel import (
 )
 from sbmimo.detectors import (
     ORACLE_SPIN_LIMIT,
-    DetectionFailureError,
     ml_oracle,
     mmse_detect,
     prepare,
@@ -231,12 +230,8 @@ def _eval_block(cfg: SweepConfig, points, trace=None):
     p = prepare(insts, c)
     decided = {}
     if "mmse" in cfg.detectors:
-        mmse = decided["mmse"] = [None] * len(points)
-        for b in range(len(points)):
-            try:
-                mmse[b] = mmse_detect(p, b)
-            except DetectionFailureError:
-                pass
+        decided["mmse"] = [None if m is None else mmse_detect(p, b)
+                           for b, m in enumerate(p.mmse)]
     if "ml-oracle" in cfg.detectors:
         decided["ml-oracle"] = [ml_oracle(p, b) for b in range(len(points))]
     for det in [d for d in cfg.detectors if d in SB_FAMILY]:

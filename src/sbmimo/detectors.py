@@ -13,16 +13,11 @@ so its result never scores worse than MMSE's.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from sbmimo.channel import (
-    ChannelInstance,
-    Constellation,
-    RealizedSystem,
-    realify,
-)
+from sbmimo.channel import Constellation, RealizedSystem, realify
 from sbmimo.ising import IsingModel, energies, energy
 from sbmimo.reduction import (
     instance_model,
@@ -59,11 +54,12 @@ class DetectionResult:
 @dataclass(frozen=True)
 class Problem:
     """A solver block of same-size channel instances, built once by
-    ``prepare`` for every detector: the instances, their stacked realify
-    system and Ising model, the constellation, and per instance its MMSE
-    decision, also ``sb-reg``'s anchor (None where the solves failed)."""
+    ``prepare`` for every detector: their noise variances (B,), stacked
+    realify system and Ising model, the constellation, and per instance
+    its MMSE decision, also ``sb-reg``'s anchor (None where the solves
+    failed)."""
 
-    insts: list[ChannelInstance]
+    noise_var: np.ndarray
     sys: RealizedSystem
     model: IsingModel
     c: Constellation
@@ -87,8 +83,8 @@ class Problem:
         a = np.zeros((n_b, 2, m + k, k + 1))
         a[:, :, :m, :k] = h_r[:, None]
         a[:, :, :m, k] = y_r[:, None]
-        lam = np.array([(max(0.0, inst.noise_var) / c.symbol_energy) ** 0.5
-                        for inst in self.insts])
+        lam = np.array([(max(0.0, v) / c.symbol_energy) ** 0.5
+                        for v in self.noise_var.tolist()])
         np.einsum("bii->bi", a[:, 1, m:, :k])[...] = lam[:, None]
         rz, reg = np.linalg.qr(a, mode="r")[:, :, :k].swapaxes(0, 1)
         x = np.zeros((n_b, k))
@@ -154,7 +150,7 @@ def prepare(insts, c: Constellation) -> Problem:
     e = energies(model, spins[:, None].astype(np.float64))
     mmse = [DetectionResult("mmse", s, float(ei), {}) if keep else None
             for s, (ei,), keep in zip(spins, e, ok.tolist())]
-    return Problem(insts, sys, model, c, mmse)
+    return Problem(noise_var, sys, model, c, mmse)
 
 
 def mmse_detect(p: Problem, b: int) -> DetectionResult:
@@ -165,8 +161,8 @@ def mmse_detect(p: Problem, b: int) -> DetectionResult:
     DetectionFailureError where the regularized solve and its lstsq
     fallback both failed.
     """
-    if not p.insts[b].noise_var > 0:
-        raise ValueError(f"noise_var must be > 0, got {p.insts[b].noise_var}")
+    if not p.noise_var[b] > 0:
+        raise ValueError(f"noise_var must be > 0, got {p.noise_var[b]}")
     if p.mmse[b] is None:
         raise DetectionFailureError("regularized solve failed")
     return p.mmse[b]
@@ -304,12 +300,14 @@ def sb_solve(
     None ("sb": the readout), else anchored by one regularize call at each
     MMSE decision, p.mmse[b], with weight r ("sb-reg": the lower-energy,
     under the unregularized model, of readout and anchor, ties to the
-    readout; one energies call scores every readout).  A problem with no
-    MMSE decision is left out (with none, solve is not called).  seeds
-    holds a solver seed and trace, when given, a list for solve's trace
-    rows per problem.  Returns per problem for ``sb_detect`` a
-    DetectionResult, or None where unsolved or every restart diverged."""
-    out = [None] * len(p.insts)
+    readout).  The anchored pick is one energies call on the block's
+    readouts, each diverged one replaced by its anchor, and one np.where.
+    A problem with no MMSE decision is left out (with none, solve is not
+    called).  seeds holds a solver seed and trace, when given, a list for
+    solve's trace rows per problem.  Returns per problem for
+    ``sb_detect`` a DetectionResult, or None where unsolved or every
+    restart diverged."""
+    out = [None] * len(p.noise_var)
     plain, keep = p.model, range(len(out))
     if r is not None:
         keep = [b for b, res in enumerate(p.mmse) if res is not None]
@@ -320,22 +318,21 @@ def sb_solve(
         plain = plain if len(keep) == len(out) else plain[keep]
     model = plain if r is None else regularize(plain, anchors, r)
     traces = None if trace is None else [trace[b] for b in keep]
-    solved = solve(model, params, [seeds[b] for b in keep], traces)
-    if r is not None:  # float64 rows; a missing readout scores its anchor
-        rows = [(res or p.mmse[b]).spins for b, res in zip(keep, solved)]
-        e = energies(plain, np.array(rows, np.float64)[:, None])[:, 0].tolist()
-    for m, (b, res) in enumerate(zip(keep, solved)):
-        if res is None:
-            continue
-        extras = {"diverged_restarts": res.diverged_restarts}
-        if r is None:
-            out[b] = DetectionResult("sb", res.spins, res.energy, extras)
-            continue
-        pick = p.mmse[b]  # the anchor, unless the readout scores no higher
-        if e[m] <= pick.ising_energy:
-            pick = DetectionResult("sb", res.spins, e[m], {})
-        extras["selected"] = pick.detector
-        out[b] = replace(pick, detector="sb-reg", extras=extras)
+    spins, e, diverged = solve(model, params, [seeds[b] for b in keep], traces)
+    done = diverged < params.n_restarts
+    if r is not None:  # each diverged readout scores its anchor, as float64
+        spins = np.where(done[:, None], spins, anchors)
+        e = energies(plain, spins[:, None].astype(np.float64))[:, 0]
+        anchor_e = np.array([p.mmse[b].ising_energy for b in keep])
+        sb = e <= anchor_e  # ties keep the readout
+        spins = np.where(sb[:, None], spins, anchors)
+        e = np.where(sb, e, anchor_e)
+    name = "sb" if r is None else "sb-reg"
+    for m in np.flatnonzero(done).tolist():
+        extras = {"diverged_restarts": int(diverged[m])}
+        if r is not None:
+            extras["selected"] = "sb" if sb[m] else "mmse"
+        out[keep[m]] = DetectionResult(name, spins[m], float(e[m]), extras)
     return out
 
 

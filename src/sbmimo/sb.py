@@ -56,7 +56,8 @@ def setting(name: str, value, least: int | float, strict: bool = False):
         except (TypeError, OverflowError):  # a float count; an int past floats
             pass
     # Bounds are checked on the converted value: longdouble 1e400 runs as inf.
-    if not ((least < out if strict else least <= out) and out < math.inf):
+    low = least < out if strict else least <= out
+    if not (low and -math.inf < out < math.inf):
         op = ">" if strict else ">="
         bound = "" if least == -math.inf else f" and {op} {least:g}"
         rule = f"an integer {op} {least}" if count else f"finite{bound}"
@@ -88,13 +89,6 @@ class SBParams:
                 problems.append(str(err))
         if problems:
             raise ValueError("; ".join(problems))
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    spins: np.ndarray
-    energy: float
-    diverged_restarts: int = 0
 
 
 def compute_c0(j: np.ndarray) -> np.ndarray | float:
@@ -210,9 +204,11 @@ def _stack(model: IsingModel, seeds, n_restarts):
     return xy, j, half_h, c0
 
 
-def solve(model: IsingModel, params: SBParams, seeds, trace=None) -> list:
+def solve(model: IsingModel, params: SBParams, seeds, trace=None):
     """Run the evolution of a stack of B same-size models together and
-    return one outcome per model, in order.
+    return, per model, its winning readout, that readout's energy and
+    its number of diverged restarts: spins (B, n) int8, energy (B,) and
+    diverged (B,) int.
 
     Every restart of every model is one row of a single (2, B, R, N)
     state, started from its own initial state drawn from its model's seed
@@ -221,9 +217,9 @@ def solve(model: IsingModel, params: SBParams, seeds, trace=None) -> list:
     lowest energy wins; ties keep the earlier restart, and a NaN energy
     (inf - inf near the float limit) ranks last.  A restart that diverges
     is dropped: its row evolves on, unread.  A model whose every restart
-    diverged has no readout: its outcome is None, and its block-mates are
-    unaffected; every other outcome is a SolveResult.  One model is the
-    stack of one.
+    diverged has no readout: its diverged count is n_restarts, its spins
+    and energy are not to be read, and its block-mates are unaffected.
+    One model is the stack of one.
 
     A model with all-zero couplings (including n = 1) is solved exactly
     by fields alone; only then does the kernel take a subset of the stack.
@@ -236,16 +232,17 @@ def solve(model: IsingModel, params: SBParams, seeds, trace=None) -> list:
     if model.h.ndim != 2 or len(seeds) != len(model.h):
         raise ValueError("a block needs a stack of same-size models and one "
                          "seed each")
-    out = [None] * len(seeds)
+    # The exact minimizer of h . s; h_i == 0 breaks to +1.
+    spins = np.where(model.h > 0.0, -1, 1).astype(np.int8)
+    out_e = np.empty(len(seeds))
+    diverged = np.zeros(len(seeds), dtype=int)
     coupled = model.j.any(axis=(1, 2)) & (model.n > 1)
     block = np.flatnonzero(coupled).tolist()  # the models the kernel evolves
     for b in np.flatnonzero(~coupled).tolist():
-        # The exact minimizer of h . s; h_i == 0 breaks to +1.
-        spins = np.where(model.h[b] > 0.0, -1, 1).astype(np.int8)
-        out[b] = SolveResult(spins=spins, energy=energy(model[b], spins))
+        out_e[b] = energy(model[b], spins[b])
     if not block:
-        return out
-    if len(block) < len(out):
+        return spins, out_e, diverged
+    if len(block) < len(seeds):
         model, seeds = model[block], [seeds[b] for b in block]
     n_restarts = params.n_restarts
     xy, j, half_h, c0 = _stack(model, seeds, n_restarts)
@@ -271,16 +268,15 @@ def solve(model: IsingModel, params: SBParams, seeds, trace=None) -> list:
     # Dead rows rank last, then NaN energies (inf - inf near the float
     # limit); the sort is stable, so ties and an all-NaN set keep the
     # earlier restart.
-    best = np.lexsort((e, np.isnan(e), ~live))[:, 0].tolist()
-    readouts, e = s.astype(np.int8), e.tolist()
-    for m, (b, r) in enumerate(zip(block, best)):
+    best = np.lexsort((e, np.isnan(e), ~live))[:, 0]
+    rows = np.arange(len(block))
+    spins[block], out_e[block] = s[rows, best], e[rows, best]
+    diverged[block] = n_restarts - live.sum(axis=1)
+    for m, b in enumerate(block):
         if trace is not None:
             trace[b].extend(
                 (q, k, a, x[m, q], y[m, q], e_k[m][q])
                 for q in range(n_restarts)
                 for k, a, x, y, e_k, alive in steps if alive[m, q]
             )
-        kept = int(live[m].sum())
-        if kept:
-            out[b] = SolveResult(readouts[m, r], e[m][r], n_restarts - kept)
-    return out
+    return spins, out_e, diverged

@@ -4,6 +4,7 @@ must agree with, and small deterministic model/instance factories.
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -188,11 +189,15 @@ def stack(models) -> IsingModel:
 
 
 def solve_one(model, params, seed=0, trace=None):
-    # One model through the block solver, as the stack of one: its
-    # SolveResult, or None if every restart diverged.
-    (out,) = solve(stack([model]), params, [seed],
-                   None if trace is None else [trace])
-    return out
+    # One model through the block solver, as the stack of one: its row
+    # of solve's arrays as spins, energy and diverged_restarts, or None
+    # if every restart diverged.
+    (spins,), (e,), (diverged,) = solve(stack([model]), params, [seed],
+                                        None if trace is None else [trace])
+    if diverged == params.n_restarts:
+        return None
+    return SimpleNamespace(spins=spins, energy=float(e),
+                           diverged_restarts=int(diverged))
 
 
 def detect_one(p, params, anchored=False, r=0.5, seed=0):

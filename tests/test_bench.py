@@ -612,7 +612,7 @@ class TestBlocks:
         regularize = sbmimo.detectors.regularize
 
         def recording(p, *args, **kwargs):
-            sizes.append(len(p.insts))
+            sizes.append(len(p.noise_var))
             return solve(p, *args, **kwargs)
 
         def anchoring(model, *args):

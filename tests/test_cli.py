@@ -368,26 +368,30 @@ class TestMain:
         assert {r["modulation"] for r in rows} == {"qpsk"}
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["--snr-list", "nan"],
-            ["--snr-list", "inf"],
-            ["--snr", "0:inf:1"],
-            ["--snr-list", "4000"],
-            ["--snr-list", "-4000"],
-            ["--snr-list", "-3080"],
-            ["--seed", "-1"],
-            ["--snr-list", "5,5"],
-            ["--snr", "0:1e308:1e-300"],
-            ["--snr", "0:1e308:1e300"],
+            (["--snr-list", "nan"], "snr_list must be finite, got nan"),
+            (["--snr-list", "inf"], "snr_list must be finite, got inf"),
+            # -inf was refused only by the noise check, as out of range.
+            (["--snr-list=-inf"], "snr_list must be finite, got -inf"),
+            (["--snr", "0:inf:1"], "bounds must be finite"),
+            (["--snr-list", "4000"], "[4000.0] out of range"),
+            (["--snr-list", "-4000"], "[-4000.0] out of range"),
+            (["--snr-list", "-3080"], "[-3080.0] out of range"),
+            (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+            (["--snr-list", "5,5"], "duplicate snr_list values"),
+            (["--snr", "0:1e308:1e-300"], "the grid has inf points"),
+            (["--snr", "0:1e308:1e300"], "the grid has 100000001 points"),
         ],
-        ids=["snr-nan", "snr-inf", "snr-grid-inf", "snr-overflow",
-             "snr-underflow", "snr-inf-noise", "negative-seed",
-             "snr-duplicate", "snr-grid-inf-count", "snr-grid-huge-count"],
+        ids=["snr-nan", "snr-inf", "snr-neg-inf", "snr-grid-inf",
+             "snr-overflow", "snr-underflow", "snr-inf-noise",
+             "negative-seed", "snr-duplicate", "snr-grid-inf-count",
+             "snr-grid-huge-count"],
     )
-    def test_bad_value_returns_2(self, argv, capsys):
+    def test_bad_value_returns_2(self, argv, message, capsys):
         assert main(argv + ["--instances", "1"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
     @pytest.mark.parametrize(
         "flag, value",

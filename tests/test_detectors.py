@@ -60,6 +60,15 @@ def exhaustive_ml(model):
     return table[k], energies[k]
 
 
+def oracle(p, b):
+    """ml_oracle's decision on problem b, with its work counts checked:
+    every leaf scored is a prefix distance computed, and at least one
+    leaf is scored."""
+    res = ml_oracle(p, b)
+    assert res.extras["nodes"] >= res.extras["candidates"] >= 1
+    return res
+
+
 def zero_channel(nt, nr, c):
     """y = 0 through H = 0: every spin vector has residual zero."""
     return ChannelInstance(
@@ -138,11 +147,11 @@ class TestPrepare:
         # makes the stacked solve fall back to per-instance solves.
         insts, c = block
         p = prepare(insts, c)
-        assert len(p.insts) == len(p.mmse) == len(p.model.h) == len(insts)
+        assert len(p.noise_var) == len(p.mmse) == len(p.model.h) == len(insts)
         assert p.c is c
         for b, inst in enumerate(insts):
             sys = realify(inst.h, inst.y, c)
-            assert p.insts[b] is inst
+            assert p.noise_var[b] == inst.noise_var
             assert p.sys.h_r[b].tobytes() == sys.h_r.tobytes()
             assert p.sys.y_r[b].tobytes() == sys.y_r.tobytes()
             nt = inst.h.shape[1]
@@ -245,6 +254,17 @@ class TestMmse:
         assert res.spins.shape == (p.model[0].n,)
         assert np.isfinite(res.ising_energy)
         assert res.ising_energy == energy(p.model[0], res.spins)
+
+    def test_zero_noise_has_no_decision(self):
+        # At noise_var 0 the regularizer is 0, and this H^H H alone is
+        # invertible, yet no decision is taken, as for any variance that
+        # is not positive: p.mmse holds None and mmse_detect refuses.
+        inst = replace(make_instance(2, 2, QPSK, 1e-6, seed=3), noise_var=0.0)
+        p = prepare([inst], QPSK)
+        assert np.linalg.cond(inst.h) < 100
+        assert p.mmse[0] is None
+        with pytest.raises(ValueError, match="noise_var must be > 0, got 0.0"):
+            mmse_detect(p, 0)
 
     def test_rejects_nonpositive_noise(self):
         # A block-mate with a bad noise variance leaves a good instance's
@@ -353,7 +373,7 @@ class TestOracleFront:
 class TestOracle:
     def test_noiseless_recovers_transmitted(self):
         inst = make_instance(2, 2, QPSK, 1e-12, seed=5)
-        res = ml_oracle(prepare([inst], QPSK), 0)
+        res = oracle(prepare([inst], QPSK), 0)
         assert np.array_equal(
             res.spins, level_spins(inst.tx_levels, QPSK)
         )
@@ -364,7 +384,7 @@ class TestOracle:
 
     def test_beats_every_candidate_by_full_scan(self, rng):
         inst = sample_instance(2, 2, QPSK, 4.0, rng)
-        res = ml_oracle(prepare([inst], QPSK), 0)
+        res = oracle(prepare([inst], QPSK), 0)
         model = prepare([inst], QPSK).model[0]
         table = np.array(list(all_spin_vectors(model.n)))
         energies = np.array([energy(model, s) for s in table])
@@ -380,12 +400,12 @@ class TestOracle:
             tx_levels=np.zeros(4, dtype=np.int8),
             noise_var=1.0, y=np.zeros(2, dtype=complex),
         )
-        res = ml_oracle(prepare([inst], QPSK), 0)
+        res = oracle(prepare([inst], QPSK), 0)
         assert np.array_equal(res.spins, -np.ones(4))
 
     @pytest.mark.parametrize("c", [QAM16, BPSK], ids=["qam16", "bpsk"])
     def test_zero_channel_tie_is_all_minus_one(self, c):
-        res = ml_oracle(prepare([zero_channel(2, 2, c)], c), 0)
+        res = oracle(prepare([zero_channel(2, 2, c)], c), 0)
         assert np.array_equal(res.spins, -np.ones(2 * c.bps))
         assert res.ising_energy == 0.0
 
@@ -393,7 +413,7 @@ class TestOracle:
     @settings(max_examples=40, deadline=None)
     def test_matches_exhaustive_reference(self, case):
         inst, c = case
-        res = ml_oracle(prepare([inst], c), 0)
+        res = oracle(prepare([inst], c), 0)
         spins, e = exhaustive_ml(prepare([inst], c).model[0])
         assert np.array_equal(res.spins, spins)
         assert res.ising_energy == e
@@ -403,13 +423,13 @@ class TestOracle:
         # zero channel prunes nothing, so all 2^8 leaves come in blocks;
         # with nr < nt the unpruned top levels split the random cases.
         monkeypatch.setattr("sbmimo.detectors._BLOCK_ROWS", 3)
-        res = ml_oracle(prepare([zero_channel(2, 2, QAM16)], QAM16), 0)
+        res = oracle(prepare([zero_channel(2, 2, QAM16)], QAM16), 0)
         assert res.extras["candidates"] == 256
         assert np.array_equal(res.spins, -np.ones(8))
         rng = np.random.default_rng(8)
         for c, nt, nr, snr in [(QAM16, 3, 2, 0.0), (QPSK, 5, 3, -10.0)]:
             inst = sample_instance(nt, nr, c, snr, rng)
-            res = ml_oracle(prepare([inst], c), 0)
+            res = oracle(prepare([inst], c), 0)
             spins, e = exhaustive_ml(prepare([inst], c).model[0])
             assert np.array_equal(res.spins, spins)
             assert res.ising_energy == e
@@ -420,7 +440,7 @@ class TestOracle:
         rng = np.random.default_rng(63)
         for snr in (-10.0, 10.0, 40.0):
             inst = sample_instance(3, 1, QAM16, snr, rng)
-            res = ml_oracle(prepare([inst], QAM16), 0)
+            res = oracle(prepare([inst], QAM16), 0)
             spins, e = exhaustive_ml(prepare([inst], QAM16).model[0])
             assert isinstance(res.extras["candidates"], int)
             assert np.array_equal(res.spins, spins)
@@ -433,7 +453,7 @@ class TestOracle:
         rng = np.random.default_rng(int(snr))
         for _ in range(2):
             inst = sample_instance(8, 8, QPSK, snr, rng)
-            res = ml_oracle(prepare([inst], QPSK), 0)
+            res = oracle(prepare([inst], QPSK), 0)
             spins, e = exhaustive_ml(prepare([inst], QPSK).model[0])
             assert np.array_equal(res.spins, spins)
             assert res.ising_energy == e
@@ -444,7 +464,7 @@ class TestOracle:
         # those within slack of the best leaf are scored.
         inst = sample_instance(4, 2, QAM16, -10.0, np.random.default_rng(3))
         spins, e = exhaustive_ml(prepare([inst], QAM16).model[0])
-        res = ml_oracle(prepare([inst], QAM16), 0)
+        res = oracle(prepare([inst], QAM16), 0)
         assert np.array_equal(res.spins, spins)
         assert res.ising_energy == e
         assert res.extras["candidates"] <= 1
@@ -454,7 +474,7 @@ class TestOracle:
         # they are taken up halves the work (11,136 prefix distances
         # without that filter).
         monkeypatch.setattr("sbmimo.detectors._BLOCK_ROWS", 64)
-        res = ml_oracle(prepare([inst], QAM16), 0)
+        res = oracle(prepare([inst], QAM16), 0)
         assert np.array_equal(res.spins, spins)
         assert res.extras["nodes"] <= 6_000  # 5,376 measured
 
@@ -468,7 +488,7 @@ class TestOracle:
             tx_levels=np.zeros(4, dtype=np.int8),
             noise_var=1.0, y=np.array([-3 - 1j, 1 + 2j]),
         )
-        res = ml_oracle(prepare([inst], QPSK), 0)
+        res = oracle(prepare([inst], QPSK), 0)
         spins, e = exhaustive_ml(prepare([inst], QPSK).model[0])
         assert np.array_equal(res.spins, spins)
         assert res.ising_energy == e == 9.0
@@ -498,7 +518,7 @@ class TestOracle:
             return scored[-1]
 
         monkeypatch.setattr("sbmimo.detectors.energies", recording)
-        res = ml_oracle(p, 0)
+        res = oracle(p, 0)
         assert np.array_equal(res.spins, spins)
         assert np.array_equal(spins, -np.ones(8))
         assert res.ising_energy == e
@@ -509,14 +529,14 @@ class TestOracle:
     def test_guard_refuses_large_search(self, rng):
         inst = sample_instance(7, 2, QAM16, 10.0, rng)  # 28 spins
         with pytest.raises(ValueError, match=str(ORACLE_SPIN_LIMIT)):
-            ml_oracle(prepare([inst], QAM16), 0)
+            oracle(prepare([inst], QAM16), 0)
 
     def test_dominates_other_detectors(self, rng):
         params = SBParams(n_steps=60, dt=0.5)
         for k in range(20):
             inst = sample_instance(2, 2, QPSK, float(5 + k), rng)
             p = prepare([inst], QPSK)
-            ml = ml_oracle(p, 0)
+            ml = oracle(p, 0)
             mmse = mmse_detect(p, 0)
             sbr = detect_one(p, params, True, r=0.5, seed=1)
             assert ml.ising_energy <= mmse.ising_energy + 1e-9
@@ -734,7 +754,7 @@ class TestSbDetect:
         anchor = mmse_detect(p, 0)
         results = [
             anchor,
-            ml_oracle(p, 0),
+            oracle(p, 0),
             detect_one(p, params, seed=4),
             detect_one(p, params, True, r=0.5, seed=4),
         ]

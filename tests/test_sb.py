@@ -11,7 +11,6 @@ from sbmimo import sb
 from sbmimo.ising import IsingModel, energy
 from sbmimo.sb import (
     SBParams,
-    SolveResult,
     compute_c0,
     initial_states,
     pump_schedule,
@@ -613,20 +612,27 @@ class TestSolve:
 
 
 def assert_matches_reference(model, params, seed, outcome, rows):
-    # One model's block outcome and trace rows against its own
-    # per-restart reference run.
+    # One model's row of a block's outcome, (spins, energy, diverged),
+    # and its trace rows against its own per-restart reference run.  A
+    # model whose every restart diverged counts n_restarts, and its
+    # spins and energy are not read.
+    spins, e, diverged = outcome
     ref_rows = []
     runs = reference_runs(model, params, seed, ref_rows)
     survivors = [s for s in runs if s is not None]
-    if not survivors:
-        assert outcome is None
-    else:
-        assert isinstance(outcome, SolveResult)
-        spins, e = reference_best(model, runs)
-        assert np.array_equal(outcome.spins, spins)
-        assert same_energy(outcome.energy, e)
-        assert outcome.diverged_restarts == params.n_restarts - len(survivors)
+    assert diverged == params.n_restarts - len(survivors)
+    if survivors:
+        want, want_e = reference_best(model, runs)
+        assert spins.dtype == np.int8 and np.array_equal(spins, want)
+        assert same_energy(e, want_e)
     assert_same_rows(rows, ref_rows)
+
+
+def outcomes(out):
+    # solve's (spins, energy, diverged) arrays as one row per model.
+    spins, e, diverged = out
+    assert spins.shape[:1] == e.shape == diverged.shape
+    return list(zip(spins, e.tolist(), diverged.tolist()))
 
 
 class TestBlock:
@@ -658,7 +664,7 @@ class TestBlock:
         # A block of models of one size, each with its own seed, some of
         # them huge: every model's outcome and trace rows are bit for bit
         # those of its reference run alone, whatever its block-mates do.
-        # A model whose every restart diverges alone has no readout.
+        # A model whose every restart diverges alone counts them all.
         models = []
         for seed, huge in draws:
             m = random_model(np.random.default_rng(seed), n)
@@ -668,7 +674,7 @@ class TestBlock:
         traces = [[] for _ in models]
         quiet = "ignore" if any(huge for _, huge in draws) else "warn"
         with np.errstate(over=quiet, invalid=quiet):
-            out = solve(stack(models), params, seeds, traces)
+            out = outcomes(solve(stack(models), params, seeds, traces))
         assert len(out) == len(models)
         for (seed, huge), m, outcome, rows in zip(draws, models, out, traces):
             quiet = "ignore" if huge else "warn"
@@ -686,18 +692,17 @@ class TestBlock:
         seeds = [seed, 0, 0, 11]
         traces = [[] for _ in models]
         with np.errstate(over="ignore", invalid="ignore"):
-            out = solve(stack(models), params, seeds, traces)
+            out = outcomes(solve(stack(models), params, seeds, traces))
             for m, s, outcome, rows in zip(models, seeds, out, traces):
                 if m is field_only:
                     alone = solve_one(m, params, s)
-                    assert np.array_equal(outcome.spins, alone.spins)
-                    assert outcome.energy == alone.energy
+                    assert np.array_equal(outcome[0], alone.spins)
+                    assert outcome[1:] == (alone.energy, 0)
                     assert rows == []
                 else:
                     assert_matches_reference(m, params, s, outcome, rows)
-        assert out[1] is None
-        assert out[0].diverged_restarts == 3
-        assert out[2].spins.tolist() == [-1, 1, 1]
+        assert [d for _, _, d in out] == [3, params.n_restarts, 0, 0]
+        assert out[2][0].tolist() == [-1, 1, 1]
         # The kernel evolves the subset of coupled models, and each of
         # their outcomes and traces is the one the block gets without the
         # field-only model.  (sb_solve's unsolved problems are tested in
@@ -705,15 +710,14 @@ class TestBlock:
         coupled = [0, 1, 3]
         sub_traces = [[] for _ in coupled]
         with np.errstate(over="ignore", invalid="ignore"):
-            got = solve(stack([models[k] for k in coupled]), params,
-                        [seeds[k] for k in coupled], sub_traces)
+            got = outcomes(solve(stack([models[k] for k in coupled]), params,
+                                 [seeds[k] for k in coupled], sub_traces))
         for k, outcome, rows in zip(coupled, got, sub_traces):
-            want = out[k]
-            assert type(outcome) is type(want)
-            if want is not None:
-                assert np.array_equal(outcome.spins, want.spins)
-                assert same_energy(outcome.energy, want.energy)
-                assert outcome.diverged_restarts == want.diverged_restarts
+            spins, e, diverged = out[k]
+            assert outcome[2] == diverged
+            if diverged < params.n_restarts:
+                assert np.array_equal(outcome[0], spins)
+                assert same_energy(outcome[1], e)
             assert_same_rows(rows, traces[k])
 
     def test_one_energies_call_per_ranking_and_traced_step(
@@ -770,6 +774,17 @@ class TestParams:
                       np.longdouble("1e400")):
             with pytest.raises(ValueError, match="dt must be"):
                 SBParams(dt=value)
+
+    def test_setting_with_no_lower_bound_is_still_finite(self):
+        # A least of -inf bounds nothing, but the value must be finite:
+        # -inf was returned as it was.  A count beyond the float range
+        # is compared, not converted, so it stays an int.
+        assert sb.setting("x", -1e308, -math.inf) == -1e308
+        for value in (-math.inf, math.inf, math.nan):
+            with pytest.raises(ValueError,
+                               match=f"x must be finite, got {value!r}$"):
+                sb.setting("x", value, -math.inf)
+        assert sb.setting("n", 10**400, 0) == 10**400
 
     def test_dt_must_not_be_a_bool(self):
         # True would run as dt = 1, and write_csv would write "True".
