@@ -77,9 +77,18 @@ MUTANTS = (
         "    done = diverged < params.n_restarts",
         "    done = diverged <= params.n_restarts",
         (
+            DETECTORS + "TestSbDetect::"
+            "test_problem_whose_every_restart_diverges_is_unsolved",
             "tests/test_bench.py::TestRunSweep::"
             "test_every_restart_diverging_is_a_failure",
         ),
+    ),
+    Mutant(
+        "sb-reg scores a diverged readout in place of its anchor",
+        "detectors.py",
+        "        spins = np.where(done[:, None], spins, anchors)",
+        "        pass",
+        (DETECTORS + "TestSbDetect::test_diverged_readout_is_not_scored",),
     ),
     Mutant(
         "solve counts no diverged restart of a model whose every one diverged",
@@ -185,8 +194,8 @@ MUTANTS = (
     Mutant(
         "the oracle's ties go to the largest spin vector",
         "detectors.py",
-        "            leaf = (float(low), min(spins[e == low].tolist()))",
-        "            leaf = (float(low), max(spins[e == low].tolist()))",
+        "                order = np.lexsort((*s.T[::-1], e, g))",
+        "                order = np.lexsort((*-s.T[::-1], e, g))",
         (
             DETECTORS + "TestOracle::test_tie_break_is_first_lexicographic",
             DETECTORS + "TestOracle::test_zero_channel_tie_is_all_minus_one[qam16]",
@@ -196,37 +205,50 @@ MUTANTS = (
     Mutant(
         "the oracle's bound shrinks to the best leaf without the slack",
         "detectors.py",
-        "            bound = min(bound, d.min() + slack)",
-        "            bound = min(bound, d.min())",
+        "                    bound[u], np.minimum.reduceat(d, first) + slack[u]",
+        "                    bound[u], np.minimum.reduceat(d, first)",
         (
             DETECTORS + "TestOracle::test_exact_ties_survive_the_shrinking_bound",
         ),
     ),
     Mutant(
-        "a later leaf block replaces the oracle's incumbent unscored",
+        "a leaf lowers every instance's bound to the block's best",
         "detectors.py",
-        "            if best is None or leaf < best:",
-        "            if True:",
+        "                bound[u] = np.minimum(\n"
+        "                    bound[u], np.minimum.reduceat(d, first) + slack[u]\n"
+        "                )\n",
+        "                bound = np.minimum(bound, d.min() + slack)\n",
+        (DETECTORS + "TestOracle::test_block_decisions_match_blocks_of_one",),
+    ),
+    Mutant(
+        "a later leaf entry replaces the oracle's incumbent unscored",
+        "detectors.py",
+        "(e, best[u])",
+        "(e, np.full(len(u), np.inf))",
         (
             DETECTORS + "TestOracle::test_first_leaf_block_keeps_its_optimum",
         ),
     ),
     Mutant(
-        "the oracle scores a leaf block before lowering the bound",
+        "the oracle scores a leaf entry before lowering the bound",
         "detectors.py",
-        "            bound = min(bound, d.min() + slack)\n"
-        "            spins = level_spins(idx[d <= bound], c)\n",
-        "            spins = level_spins(idx[d <= bound], c)\n"
-        "            bound = min(bound, d.min() + slack)\n",
+        "                bound[u] = np.minimum(\n"
+        "                    bound[u], np.minimum.reduceat(d, first) + slack[u]\n"
+        "                )\n"
+        "                keep = d <= bound.take(g)\n",
+        "                keep = d <= bound.take(g)\n"
+        "                bound[u] = np.minimum(\n"
+        "                    bound[u], np.minimum.reduceat(d, first) + slack[u]\n"
+        "                )\n",
         (
             DETECTORS + "TestOracle::test_shrinking_bound_pins_the_search_work",
         ),
     ),
     Mutant(
-        "the oracle expands waiting blocks without filtering them again",
+        "the oracle expands waiting entries without filtering them again",
         "detectors.py",
-        "        if bound < pushed:",
-        "        if False:",
+        "            if (bound[lo:hi] < pushed[lo:hi]).any():",
+        "            if False:",
         (
             DETECTORS + "TestOracle::test_shrinking_bound_pins_the_search_work",
         ),
@@ -435,8 +457,8 @@ MUTANTS = (
     Mutant(
         "the oracle counts its prefix distances down",
         "detectors.py",
-        "        nodes += dd.size",
-        "        nodes -= dd.size",
+        "            nodes[u] += runs * len(combos)",
+        "            nodes[u] -= runs * len(combos)",
         (
             DETECTORS + "TestOracle::test_exact_ties_survive_the_shrinking_bound",
             DETECTORS + "TestOracle::test_beats_every_candidate_by_full_scan",

@@ -31,7 +31,10 @@ from sbmimo.sb import SBParams, solve
 ORACLE_SPIN_LIMIT = 24
 # Rows one frontier expansion may build in ml_oracle, and the most one
 # round that expands several coordinates at once may build (no more).
-_BLOCK_ROWS = 1 << 16
+# A block's lockstep rounds reach the first far more often than one
+# instance's: at 2^16 they ran out of cache, 20-25 % slower than 2^14 at
+# 4x2 and 12x4 at -10 dB, and held three times the memory.
+_BLOCK_ROWS = 1 << 14
 _ROUND_ROWS = 256
 # Pruning slack, relative to the largest distance an instance can reach.
 _MARGIN = 1e-9
@@ -57,7 +60,8 @@ class Problem:
     ``prepare`` for every detector: their noise variances (B,), stacked
     realify system and Ising model, the constellation, and per instance
     its MMSE decision, also ``sb-reg``'s anchor (None where the solves
-    failed)."""
+    failed).  The ML oracle's front end and its decisions are built for
+    the whole block on first use (oracle_front, oracle)."""
 
     noise_var: np.ndarray
     sys: RealizedSystem
@@ -96,6 +100,138 @@ class Problem:
                                where=row[:, i] != 0)
             x[:, i] = np.take(c.levels, nearest_index(centre, c))
         return rz, x
+
+    @functools.cached_property
+    def oracle(self) -> tuple[np.ndarray, ...]:
+        """Every instance's ML decision (see ml_oracle), by one pruned
+        search over the block on first use: spins (B, n) int8, energy
+        (B,), and per instance the leaves scored and the prefix distances
+        computed (B,).
+
+        The block's instances go down their triangles in lockstep: an
+        entry of the frontier holds prefixes at one depth, in instance
+        order, each with its instance's index g.  Each round extends every
+        prefix of an entry by every level combination of the next w
+        coordinates and keeps the extensions whose distance at the end of
+        them is still within their instance's bound (partial distances
+        never decrease, so this drops no leaf within it).  w is the
+        largest with rows * levels^w at most _ROUND_ROWS, the rows counted
+        over the entry, at least 1 and at most the coordinates left.  An
+        entry wider than one block expands a block's worth of prefixes
+        and keeps the rest for later, so one round builds at most
+        _BLOCK_ROWS rows and at most one entry per depth waits.  A leaf
+        entry lowers each of its instances' bounds to that instance's best
+        distance plus slack, and an entry that waited while one of its
+        instances' bounds was lowered is filtered against them when taken
+        up.  The leaf entry's leaves within the lowered bounds are scored
+        under their own models, and one lexsort keeps each instance's
+        incumbent.  The order in which prefixes are visited changes the
+        work, never what lies within the final bound, so each decision is
+        bit for bit what a block of one gives.  An instance with no leaf
+        within its bound (a non-finite input) takes level 0 at every
+        coordinate, scored as energy scores it, and 0 candidates.
+        """
+        c, model, (rz, start) = self.c, self.model, self.oracle_front
+        n_b, k = start.shape
+        r = rz[:, :, :k]
+        flat = self.sys.h_r.reshape(n_b, -1)
+        resid = rz[:, :, k] - np.matvec(r, start)
+        # No distance exceeds 2 * scale, and rounding in the QR and the sums
+        # moves one by a small multiple of (rows * k * eps) * scale.
+        scale = (np.vecdot(self.sys.y_r, self.sys.y_r)
+                 + np.vecdot(flat, flat) * k * max(c.levels) ** 2)
+        slack = _MARGIN * scale
+        bound = np.vecdot(resid, resid) + slack
+        n_lv = len(c.levels)
+        cut = max(1, _BLOCK_ROWS // n_lv)
+        spins = level_spins(np.zeros((n_b, k), dtype=np.int8), c)
+        best = np.full(n_b, np.inf)
+        candidates = np.zeros(n_b, dtype=np.int64)
+        nodes = np.zeros(n_b, dtype=np.int64)
+        # g takes the smallest dtype: waiting entries hold one per row.
+        g = np.arange(n_b, dtype=np.min_scalar_type(n_b))
+        # A prefix row holds its levels, then -1: its product with [R z]
+        # is R x - z.
+        x = np.zeros((n_b, k + 1), dtype=np.int8)
+        x[:, k] = -1
+        stack = [(k, g, x, np.zeros(n_b), bound.copy())]
+        while stack:
+            i, g, x, d, pushed = stack.pop()
+            lo, hi = int(g[0]), int(g[-1]) + 1  # the entry's instances
+            if (bound[lo:hi] < pushed[lo:hi]).any():
+                keep = d <= bound.take(g)
+                g, x, d = g[keep], x[keep], d[keep]
+                if not len(d):
+                    continue
+            if i == 0:
+                u, first, _ = _runs(g)
+                bound[u] = np.minimum(
+                    bound[u], np.minimum.reduceat(d, first) + slack[u]
+                )
+                keep = d <= bound.take(g)
+                g, s = g[keep], level_spins(nearest_index(x[keep, :k], c), c)
+                e = _leaf_energies(model, g, s)
+                candidates += np.bincount(g, minlength=n_b)
+                g, s, e = (np.concatenate(pair) for pair in
+                           ((g, u), (s, spins[u]), (e, best[u])))
+                order = np.lexsort((*s.T[::-1], e, g))
+                win = order[_runs(g[order])[1]]
+                spins[g[win]], best[g[win]] = s[win], e[win]
+                continue
+            if len(d) > cut:
+                stack.append((i, g[cut:], x[cut:], d[cut:], bound.copy()))
+                g, x, d = g[:cut], x[:cut], d[:cut]
+            w = 1
+            while w < i and len(d) * n_lv ** (w + 1) <= _ROUND_ROWS:
+                w += 1
+            j = i - w
+            combos, values = _combos(c.levels, w)
+            # Per-instance values reach each row by np.repeat over its run
+            # (a fancy-index gather of them costs several times more).
+            u, _, runs = _runs(g)
+            at = np.repeat(np.arange(len(u)), runs)
+            # One product with rows j:i of every instance's [R z] side by
+            # side; each prefix keeps its own instance's columns.
+            rzu = rz[u, j:i, i:].transpose(2, 0, 1).reshape(k + 1 - i, -1)
+            done = (x[:, i:] @ rzu).reshape(len(g), len(u), w)
+            e = np.repeat(r[u, j:i, j:i] @ values, runs, axis=0)
+            e += done[np.arange(len(g)), at, :, None]
+            e *= e
+            dd = e.sum(1)
+            dd += d[:, None]
+            nodes[u] += runs * len(combos)
+            rows, cols = np.nonzero(dd <= np.repeat(bound[u], runs)[:, None])
+            if rows.size:
+                x = x[rows]
+                x[:, j:i] = combos[cols]
+                stack.append((j, g[rows], x, dd[rows, cols], bound.copy()))
+        for b in np.flatnonzero(candidates == 0).tolist():
+            best[b] = energy(model[b], spins[b])
+        return spins, best, candidates, nodes
+
+
+def _leaf_energies(model, g, s):
+    # Energies of spin rows s, each under model[g] for its instance index
+    # g (sorted), by one ising.energies call that copies no J per row:
+    # each instance's rows are cut into pieces of at most ceil(rows /
+    # instances), zero-padded to that length, so the call scores at most
+    # about twice the rows under at most twice the instances' models.
+    u, first, runs = _runs(g)
+    size = -(-len(g) // len(u))
+    pieces = -(-runs // size)
+    pos = np.arange(len(g)) - np.repeat(first, runs)
+    piece = np.repeat(np.cumsum(pieces) - pieces, runs) + pos // size
+    cell = piece, pos % size
+    rows = np.zeros((pieces.sum(), size, s.shape[1]), dtype=s.dtype)
+    rows[cell] = s
+    return energies(model[np.repeat(u, pieces)], rows)[cell]
+
+
+def _runs(g):
+    # The distinct values of a sorted array, where each one's run starts,
+    # and its length.
+    first = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
+    return g[first], first, np.diff(np.concatenate((first, [len(g)])))
 
 
 def _mmse_spins(h, y, noise_var, c):
@@ -170,122 +306,46 @@ def mmse_detect(p: Problem, b: int) -> DetectionResult:
 
 @functools.cache
 def _combos(levels, w):
-    # Every level-index combination of w coordinates, one int8 row each,
-    # and their levels transposed, one column each.
-    grid = np.indices((len(levels),) * w, dtype=np.int8).reshape(w, -1)
-    values = np.array(levels, dtype=np.float64)[grid]
-    grid = grid.T
+    # Every combination of levels at w coordinates, one int8 row each in
+    # level-index order, and the same as float64 columns.
+    idx = np.indices((len(levels),) * w).reshape(w, -1)
+    grid = np.array(levels, dtype=np.int8)[idx.T]
+    values = grid.T.astype(np.float64)
     grid.flags.writeable = values.flags.writeable = False
     return grid, values
 
 
-def _search(r, z, bound, slack, model, c):
-    """The leaf of least energy among those whose distance
-    ||z - r lv[x]||^2 is within the final bound, as its spins and energy,
-    with the number of leaves scored and of prefix distances computed.
-
-    Breadth-first down the triangle from the last coordinate: each round
-    extends every surviving prefix by every level combination of the next
-    w coordinates and keeps the extensions whose distance at the end of
-    them is still within bound (partial distances never decrease, so this
-    drops no leaf within it).  w is the largest with rows * levels^w at
-    most _ROUND_ROWS, at least 1 and at most the coordinates left.  A
-    frontier wider than one block expands a block's worth of prefixes and
-    keeps the rest for later, so one round builds at most _BLOCK_ROWS rows
-    and at most one block per level waits.  Each leaf block lowers the
-    bound to its best distance plus slack, and a block waiting since
-    before that is filtered against the new bound when it is taken up.
-    The leaves of a block within the lowered bound are scored by one
-    ising.energies call, and one incumbent is kept: the lowest energy,
-    ties to the lexicographically smallest spin vector (-1 before +1).
-    """
-    levels = c.levels
-    k, n_lv = len(z), len(levels)
-    lv = np.array(levels, dtype=np.float64)
-    cut = max(1, _BLOCK_ROWS // n_lv)
-    stack = [(k, np.zeros((1, k), dtype=np.int8), np.zeros(1), bound)]
-    best, candidates, nodes = None, 0, 0
-    while stack:
-        i, idx, d, pushed = stack.pop()
-        if bound < pushed:
-            keep = d <= bound
-            idx, d = idx[keep], d[keep]
-            if not len(d):
-                continue
-        if i == 0:
-            bound = min(bound, d.min() + slack)
-            spins = level_spins(idx[d <= bound], c)
-            e = energies(model, spins)
-            candidates += len(e)
-            low = e.min()
-            leaf = (float(low), min(spins[e == low].tolist()))
-            if best is None or leaf < best:
-                best = leaf
-            continue
-        if len(d) > cut:
-            stack.append((i, idx[cut:], d[cut:], bound))
-            idx, d = idx[:cut], d[:cut]
-        w = 1
-        while w < i and len(d) * n_lv ** (w + 1) <= _ROUND_ROWS:
-            w += 1
-        j = i - w
-        combos, values = _combos(levels, w)
-        t = z[j:i] - lv[idx[:, i:]] @ r[j:i, i:].T
-        e = t[:, :, None] - r[j:i, j:i] @ values
-        e *= e
-        dd = e.sum(1)
-        dd += d[:, None]
-        nodes += dd.size
-        rows, cols = np.nonzero(dd <= bound)
-        if rows.size:
-            idx = idx[rows]
-            idx[:, j:i] = combos[cols]
-            stack.append((j, idx, dd[rows, cols], bound))
-    if best is None:  # a non-finite input: no distance is within bound
-        spins = level_spins(np.zeros(k, dtype=np.int8), c)
-        return spins, energy(model, spins), 0, nodes
-    return np.array(best[1], dtype=np.int8), best[0], candidates, nodes
-
-
 def ml_oracle(p: Problem, b: int) -> DetectionResult:
-    """Global minimizer of the squared residual by exact pruned search.
+    """Global minimizer of the squared residual by exact pruned search:
+    instance b's decision from p.oracle, which the first call takes for
+    the whole block.
 
     The search runs over the real coordinates of realify's system, with
-    h_r = Q R from p.oracle_front (built once for the block), down the
-    triangle from the last coordinate, several coordinates per numpy
-    round while few prefixes survive.  A prefix is dropped once its
-    partial distance exceeds the bound: first that of the MMSE-SIC
-    start, then the best leaf found so far, each plus the most rounding
-    can move a distance, so the optimum is never dropped.  With nr < nt,
-    R has fewer rows than coordinates and the top levels simply go
-    unpruned.  Each block of leaves is scored, within the bound it
-    lowered, by p.model[b]'s energy of their spins (see level_spins) in
-    one ising.energies call; the lowest energy wins, and ties go to the
+    h_r = Q R from p.oracle_front, breadth-first down the triangle from
+    the last coordinate, several coordinates per numpy round while few
+    prefixes survive.  A prefix is dropped once its partial distance
+    exceeds the bound: first that of the MMSE-SIC start, then the best
+    leaf found so far, each plus the most rounding can move a distance,
+    so the optimum is never dropped.  With nr < nt, R has fewer rows
+    than coordinates and the top levels simply go unpruned.  The leaves
+    within the bound are scored by p.model[b]'s energy of their spins
+    (see level_spins); the lowest energy wins, and ties go to the
     lexicographically smallest spin vector (-1 before +1): the answer of
-    a scan over all 2^n spin vectors in that order.
-    extras["candidates"] counts the leaves scored, summed over the leaf
-    blocks, and extras["nodes"] the prefix distances computed.  Refuses
-    above ORACLE_SPIN_LIMIT spins.
+    a scan over all 2^n spin vectors in that order, whatever the block.
+    extras["candidates"] counts the leaves scored and extras["nodes"] the
+    prefix distances computed; both can move with instance b's
+    block-mates, since a round's width is set by all the rows it
+    extends.  Refuses above ORACLE_SPIN_LIMIT spins, on every call.
     """
     n = p.model.n
     if n > ORACLE_SPIN_LIMIT:
         raise ValueError(
             f"{n} spins exceed the oracle limit of {ORACLE_SPIN_LIMIT}"
         )
-    c, h_r, y_r = p.c, p.sys.h_r[b], p.sys.y_r[b]
-    k = h_r.shape[1]
-    rz, start = p.oracle_front
-    r, z = rz[b, :, :k], rz[b, :, k]
-    resid = z - r @ start[b]
-    # No distance exceeds 2 * scale, and rounding in the QR and the sums
-    # moves one by a small multiple of (rows * k * eps) * scale.
-    scale = y_r @ y_r + np.vdot(h_r, h_r) * k * max(c.levels) ** 2
-    slack = _MARGIN * float(scale)
-    spins, e, candidates, nodes = _search(
-        r, z, float(resid @ resid) + slack, slack, p.model[b], c
-    )
+    spins, e, candidates, nodes = p.oracle
     return DetectionResult(
-        "ml-oracle", spins, e, {"candidates": candidates, "nodes": nodes}
+        "ml-oracle", spins[b], float(e[b]),
+        {"candidates": int(candidates[b]), "nodes": int(nodes[b])},
     )
 
 

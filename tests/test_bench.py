@@ -371,24 +371,38 @@ class TestRunSweep:
     def test_oracle_front_end_built_once_per_block(
         self, monkeypatch, detectors, fronts_per_block
     ):
+        import functools
+
         import sbmimo.bench
+        from sbmimo.detectors import Problem
 
         # Every ml_oracle call of a block reads the block's front end,
-        # built by one stacked QR; a sweep without the oracle builds none.
-        callers = []
+        # built by one stacked QR, and its decision from one search over
+        # the whole block; a sweep without the oracle builds neither.
+        callers, searched = [], []
         qr = np.linalg.qr
+        search = Problem.oracle.func
 
         def counting(*args, **kwargs):
             callers.append(sys._getframe(1).f_globals["__name__"])
             return qr(*args, **kwargs)
 
+        def counting_search(p):
+            searched.append(len(p.noise_var))
+            return search(p)
+
         monkeypatch.setattr(np.linalg, "qr", counting)
+        oracle = functools.cached_property(counting_search)
+        oracle.__set_name__(Problem, "oracle")
+        monkeypatch.setattr(Problem, "oracle", oracle)
         cfg = small_config(detectors=detectors, instances=20)
         run_sweep(cfg)
         instances = len(cfg.snr_db) * cfg.instances
         blocks = math.ceil(instances / sbmimo.bench._BLOCK)
         assert blocks == 2
         assert callers == ["sbmimo.detectors"] * (fronts_per_block * blocks)
+        sizes = [sbmimo.bench._BLOCK, instances - sbmimo.bench._BLOCK]
+        assert searched == sizes * fronts_per_block
 
     def test_detector_order_does_not_change_records(self):
         a = run_sweep(small_config(detectors=("mmse", "sb-reg")))

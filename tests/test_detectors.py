@@ -18,19 +18,20 @@ from sbmimo.channel import (
 from sbmimo.detectors import (
     ORACLE_SPIN_LIMIT,
     DetectionFailureError,
+    DetectionResult,
     ml_oracle,
     mmse_detect,
     prepare,
     sb_detect,
     sb_solve,
 )
-from sbmimo.ising import energies, energy
+from sbmimo.ising import IsingModel, energies, energy
 from sbmimo.reduction import (
     level_spins,
     regularize,
     symbols_to_spins,
 )
-from sbmimo.sb import SBParams
+from sbmimo.sb import SBParams, solve
 
 from conftest import (
     all_spin_vectors,
@@ -87,6 +88,32 @@ def oracle_instances(draw):
     snr = draw(st.floats(-10.0, 40.0))
     seed = draw(st.integers(0, 2**32 - 1))
     return sample_instance(nt, nr, c, snr, np.random.default_rng(seed)), c
+
+
+@st.composite
+def oracle_blocks(draw):
+    # A block of 2 to 4 same-size instances of up to 12 spins, nr from 1
+    # to nt + 2 (wide and tall): at least one drawn at its own SNR in
+    # [-10, 25] dB, beside others drawn so, zero channels, or drawn with
+    # a NaN in y.
+    c = draw(st.sampled_from([BPSK, QPSK, QAM16]))
+    nt = draw(st.integers(1, 12 // c.bps))
+    nr = draw(st.integers(1, nt + 2))
+    kinds = draw(st.lists(st.sampled_from(["drawn", "zero", "nan"]),
+                          min_size=1, max_size=3))
+    kinds.insert(draw(st.integers(0, len(kinds))), "drawn")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    insts = []
+    for kind in kinds:
+        inst = sample_instance(nt, nr, c, float(rng.uniform(-10, 25)), rng)
+        if kind == "zero":
+            inst = zero_channel(nt, nr, c)
+        elif kind == "nan":
+            y = inst.y.copy()
+            y[rng.integers(nr)] = np.nan
+            inst = replace(inst, y=y)
+        insts.append(inst)
+    return insts, c
 
 
 def mmse_reference(inst, c):
@@ -418,6 +445,27 @@ class TestOracle:
         assert np.array_equal(res.spins, spins)
         assert res.ising_energy == e
 
+    @given(oracle_blocks())
+    @settings(max_examples=25, deadline=None)
+    def test_block_decisions_match_blocks_of_one(self, case):
+        # One search over the block decides each instance bit for bit as
+        # its block of one and the exhaustive scan do.  An instance with
+        # a NaN in y takes level 0 everywhere, scoring NaN, with no leaf
+        # scored, and leaves its block-mates as they are.
+        insts, c = case
+        p = prepare(insts, c)
+        for b, inst in enumerate(insts):
+            one = prepare([inst], c)
+            spins, e = exhaustive_ml(one.model[0])
+            for res in (ml_oracle(p, b), ml_oracle(one, 0)):
+                assert np.array_equal(res.spins, spins)
+                assert np.array_equal(res.ising_energy, e, equal_nan=True)
+                if np.isnan(inst.y).any():
+                    assert res.extras["candidates"] == 0
+                else:
+                    assert (res.extras["nodes"] >= res.extras["candidates"]
+                            >= 1)
+
     def test_split_frontier_matches_reference(self, monkeypatch):
         # A 3-row block splits every frontier wider than one prefix.  The
         # zero channel prunes nothing, so all 2^8 leaves come in blocks;
@@ -524,7 +572,8 @@ class TestOracle:
         assert res.ising_energy == e
         assert len(scored) >= 2
         assert scored[0].min() == e < min(b.min() for b in scored[1:])
-        assert res.extras["candidates"] == sum(map(len, scored))
+        # A block of one scores each leaf entry as one unpadded piece.
+        assert res.extras["candidates"] == sum(b.size for b in scored)
 
     def test_guard_refuses_large_search(self, rng):
         inst = sample_instance(7, 2, QAM16, 10.0, rng)  # 28 spins
@@ -690,6 +739,58 @@ class TestSbDetect:
         monkeypatch.setattr(sbmimo.detectors, "solve", no_solve)
         none = replace(p, mmse=[None] * 5)
         assert sb_solve(none, params, seeds, 0.5) == [None] * 5
+
+    def test_problem_whose_every_restart_diverges_is_unsolved(self, rng):
+        # Problem 1's couplings at 1e308 overflow J @ s under every sign
+        # pattern, so each of its restarts diverges at the first step,
+        # plain and anchored: it has no decision, and each block-mate is
+        # decided as in a block of one.  That model overflows wherever it
+        # is scored, its anchor included, hence the errstate.
+        params = SBParams(n_steps=40, n_restarts=2)
+        insts = [sample_instance(3, 3, BPSK, 10.0, rng) for _ in range(3)]
+        p = prepare(insts, BPSK)
+        j = p.model.j.copy()
+        j[1] = np.where(np.eye(3, dtype=bool), 0.0, 1e308)
+        model = IsingModel(j, p.model.h, p.model.offset)
+        with np.errstate(over="ignore", invalid="ignore"):
+            anchor = replace(p.mmse[1],
+                             ising_energy=energy(model[1], p.mmse[1].spins))
+        p = replace(p, model=model, mmse=[p.mmse[0], anchor, p.mmse[2]])
+        seeds = [41, 42, 43]
+        for anchored in (False, True):
+            with np.errstate(over="ignore", invalid="ignore"):
+                solved = sb_solve(p, params, seeds, 0.5 if anchored else None)
+            assert solved[1] is None
+            for b in (0, 2):
+                alone = detect_one(prepare([insts[b]], BPSK), params,
+                                   anchored, 0.5, seeds[b])
+                assert solved[b].detector == alone.detector
+                assert np.array_equal(solved[b].spins, alone.spins)
+                assert solved[b].ising_energy == alone.ising_energy
+                assert solved[b].extras == alone.extras
+
+    def test_diverged_readout_is_not_scored(self):
+        # Couplings and fields at 0.5e308: the spins (+1, +1) score past
+        # the float range and the anchor (-1, -1) scores 0.  At dt = 1e300
+        # every restart diverges, and with this seed the anchored solve
+        # reads out (+1, +1).  sb-reg scores the anchor in its place, so no
+        # overflow is raised (a RuntimeWarning fails this suite) and the
+        # problem has no decision.
+        inst = sample_instance(2, 2, BPSK, 10.0, np.random.default_rng(0))
+        big = IsingModel(np.array([[[0.0, 0.5e308], [0.5e308, 0.0]]]),
+                         np.full((1, 2), 0.5e308), np.zeros(1))
+        anchor = np.full(2, -1, dtype=np.int8)
+        p = replace(prepare([inst], BPSK), model=big, mmse=[
+            DetectionResult("mmse", anchor, energy(big[0], anchor), {})
+        ])
+        params = SBParams(n_steps=20, dt=1e300, n_restarts=1)
+        spins, _, diverged = solve(regularize(big, anchor[None], 0.5),
+                                   params, [2])
+        assert diverged.tolist() == [1] and spins.tolist() == [[1, 1]]
+        with pytest.raises(FloatingPointError):
+            with np.errstate(over="raise"):
+                energy(big[0], spins[0])
+        assert sb_solve(p, params, [2], 0.5) == [None]
 
     def test_decisions_are_labelled_by_r(self, rng):
         # Without r, each decision is its problem's readout, "sb", with
