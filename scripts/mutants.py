@@ -40,6 +40,7 @@ DETECTORS = "tests/test_detectors.py::"
 PREPARE = DETECTORS + "TestPrepare::"
 FRONT = DETECTORS + "TestOracleFront::"
 PIN = FRONT + "test_block_matches_per_instance_reference"
+RECORD = DETECTORS + "TestDetectionResult::test_records_match_their_lookups"
 BLOCKS = "tests/test_bench.py::TestBlocks::"
 GOLDEN = "tests/test_golden.py::test_sweep_reproduces_golden_files"
 REDUCTION = "tests/test_reduction.py::"
@@ -74,8 +75,8 @@ MUTANTS = (
     Mutant(
         "sb_solve takes a model whose every restart diverged as solved",
         "detectors.py",
-        "    done = diverged < params.n_restarts",
-        "    done = diverged <= params.n_restarts",
+        "    done &= diverged < params.n_restarts",
+        "    done &= diverged <= params.n_restarts",
         (
             DETECTORS + "TestSbDetect::"
             "test_problem_whose_every_restart_diverges_is_unsolved",
@@ -134,8 +135,8 @@ MUTANTS = (
     Mutant(
         "sb-reg anchored at the previous problem's MMSE spins",
         "detectors.py",
-        "        anchors = np.array([p.mmse[b].spins for b in keep])",
-        "        anchors = np.array([p.mmse[b - 1].spins for b in keep])",
+        "regularize(plain, anchors[keep], r)",
+        "regularize(plain, np.roll(anchors, 1, 0)[keep], r)",
         (
             DETECTORS + "TestSbDetect::test_block_decisions_match_blocks_of_one",
             BLOCKS + "test_block_size_does_not_change_records[1]",
@@ -256,13 +257,9 @@ MUTANTS = (
     Mutant(
         "sb_solve solves an anchorless problem's plain model",
         "detectors.py",
-        "        keep = [b for b, res in enumerate(p.mmse) if res is not None]\n"
-        "        if not keep:\n"
-        "            return out\n"
-        "        anchors = np.array([p.mmse[b].spins for b in keep])\n",
-        "        keep = range(len(out))\n"
-        "        anchors = np.array([0 * p.model.h[b] if p.mmse[b] is None"
-        " else p.mmse[b].spins for b in keep])\n",
+        "    done = np.ones(n_b, dtype=bool) if r is None else"
+        " p.mmse.done.copy()",
+        "    done = np.ones(n_b, dtype=bool)",
         (
             DETECTORS + "TestSbDetect::test_problem_without_an_anchor_is_not_solved",
             BLOCKS + "test_block_with_some_anchors_missing",
@@ -271,24 +268,52 @@ MUTANTS = (
     Mutant(
         "sb-reg's ties go to the anchor",
         "detectors.py",
-        "        sb = e <= anchor_e  # ties keep the readout",
-        "        sb = e < anchor_e",
+        "        sb = e <= p.mmse.ising_energy  # ties keep the readout",
+        "        sb = e < p.mmse.ising_energy",
         (DETECTORS + "TestSbDetect::test_energy_tie_keeps_solver_readout",),
     ),
     Mutant(
         "sb-reg scores its readouts under the regularized models",
         "detectors.py",
-        "        e = energies(plain, spins[:, None].astype(np.float64))",
-        "        e = energies(model, spins[:, None].astype(np.float64))",
+        "energies(p.model, ",
+        "energies(model, ",
         (DETECTORS + "TestSbDetect::test_regularized_never_loses_to_anchor",),
     ),
     Mutant(
         "a block's sb_detect calls run in descending point order",
         "bench.py",
-        "                        for b, s in enumerate(solved)]",
-        "                        for b, s in reversed(list(enumerate(solved)))]"
-        "[::-1]",
+        "        for b in np.flatnonzero(solved.done).tolist():",
+        "        for b in np.flatnonzero(solved.done)[::-1].tolist():",
         (BLOCKS + "test_call_order_within_blocks",),
+    ),
+    Mutant(
+        "the tally counts the bit errors of undecided points",
+        "bench.py",
+        "np.count_nonzero(res.spins != sent, axis=1) * res.done,",
+        "np.count_nonzero(res.spins != sent, axis=1),",
+        (
+            "tests/test_bench.py::TestRunSweep::"
+            "test_failed_detections_skip_instance_for_that_detector",
+            "tests/test_bench.py::TestRunSweep::"
+            "test_every_restart_diverging_is_a_failure",
+        ),
+    ),
+    Mutant(
+        "the oracle leaves a decision with a NaN energy undone",
+        "detectors.py",
+        "                               np.ones(n_b, dtype=bool))",
+        "                               best == best)",
+        (RECORD,),
+    ),
+    Mutant(
+        "prepare passes an infinite entry of y on",
+        "detectors.py",
+        "    y[~np.isfinite(y)] = np.nan",
+        "    pass",
+        (
+            RECORD,
+            DETECTORS + "TestOracle::test_block_decisions_match_blocks_of_one",
+        ),
     ),
     Mutant(
         "prepare scores each MMSE decision under a neighbouring problem's model",

@@ -205,19 +205,18 @@ def _eval_block(cfg: SweepConfig, points, trace=None):
     points lists (snr_idx, i) pairs, which may span several SNR points.
     Each point is sampled from its own RNG stream; the block is reduced,
     with every MMSE decision taken and scored, by one `prepare` call into
-    one `Problem`; then MMSE and the ML oracle each take one pass over
-    its points, by index b; then each SB-family detector takes one
-    `sb_solve` of the whole block, which decides every point, and one
-    pass of `sb_detect` that reads the decisions in point order.  Each
-    detector keeps one decision list, None where it failed.  `sb-reg` is
-    anchored at each point's MMSE decision, p.mmse[b], so an MMSE failure
-    counts against both.  Bit errors are counted as spin mismatches
-    against the spins of the sent levels: under the channel's bit
-    labeling each bit is one spin.  With `ml-oracle` configured, a
-    decision is ML-optimal if its energy is at most the oracle's
-    e + 1e-9 max(1, |e|).  trace, when given, holds one list per point,
-    and only the first SB-family detector's solve extends it (see
-    `trace_rows`).
+    one `Problem`.  Each detector decides the block as one
+    `DetectionResult` of arrays: p.mmse, p.oracle, or an `sb_solve` of
+    the whole block.  The tally reads each record's done mask, spins and
+    energies: an undecided point is a failure, whose NaN energy meets no
+    energy test, and counts no bit error.  `sb-reg` is anchored at each
+    point's MMSE decision, so an MMSE failure counts against both.  Bit
+    errors are spin mismatches against the spins of the sent levels:
+    under the channel's bit labeling each bit is one spin.  With
+    `ml-oracle` configured, a decision is ML-optimal if its energy is at
+    most the oracle's e + 1e-9 max(1, |e|).  trace, when given, holds one
+    list per point, and only the first SB-family detector's solve extends
+    it (see `trace_rows`).
     """
     c = get_constellation(cfg.modulation)
     insts, seeds = [], []
@@ -228,46 +227,40 @@ def _eval_block(cfg: SweepConfig, points, trace=None):
         )
         seeds.append(int(rng.integers(0, 1 << 63, dtype=np.uint64)))
     p = prepare(insts, c)
+    # perfbench wraps the lookups and checks what they return: so each
+    # runs once per decided point, in this order (the first ml_oracle
+    # call runs the oracle's search).
     decided = {}
+    e_ml = np.full(len(points), np.nan)  # no oracle: none is ML-optimal
     if "mmse" in cfg.detectors:
-        decided["mmse"] = [None if m is None else mmse_detect(p, b)
-                           for b, m in enumerate(p.mmse)]
+        decided["mmse"] = p.mmse
+        for b in np.flatnonzero(p.mmse.done).tolist():
+            mmse_detect(p, b)
     if "ml-oracle" in cfg.detectors:
-        decided["ml-oracle"] = [ml_oracle(p, b) for b in range(len(points))]
+        for b in range(len(points)):
+            ml_oracle(p, b)
+        decided["ml-oracle"] = p.oracle
+        e_ml = p.oracle.ising_energy
     for det in [d for d in cfg.detectors if d in SB_FAMILY]:
         r = cfg.r if det == "sb-reg" else None
-        solved = sb_solve(p, cfg.sb, seeds, r, trace)
+        solved = decided[det] = sb_solve(p, cfg.sb, seeds, r, trace)
         trace = None  # the first SB-family solve alone is traced
-        decided[det] = [None if s is None else sb_detect(solved, b)
-                        for b, s in enumerate(solved)]
-    # A failed decision stands in as the sent spins with a NaN energy, so
-    # it counts no error and meets no energy test.
+        for b in np.flatnonzero(solved.done).tolist():
+            sb_detect(solved, b)
     sent = level_spins(np.array([inst.tx_levels for inst in insts]), c)
     zero = np.zeros(len(points), dtype=bool)
-    e_ml = _energies(decided["ml-oracle"]) if "ml-oracle" in decided else None
     counts = []
     for det in cfg.detectors:
         res = decided[det]
-        done = np.array([r is not None for r in res])
-        spins = np.array([s if r is None else r.spins
-                          for r, s in zip(res, sent)])
-        e = _energies(res)
+        e = res.ising_energy
         counts.append([  # in _COUNTS order
-            done,
-            np.count_nonzero(spins != sent, axis=1),
-            ~done,
-            e > _energies(p.mmse) if det == "sb-reg"
-            else zero,
-            zero if e_ml is None
-            else e <= e_ml + 1e-9 * np.maximum(1.0, abs(e_ml)),
+            res.done,
+            np.count_nonzero(res.spins != sent, axis=1) * res.done,
+            ~res.done,
+            e > p.mmse.ising_energy if det == "sb-reg" else zero,
+            e <= e_ml + 1e-9 * np.maximum(1.0, abs(e_ml)),
         ])
     return np.array(counts, dtype=np.int64)
-
-
-def _energies(results):
-    # The decisions' energies, NaN for a failed one.
-    return np.array([math.nan if r is None else r.ising_energy
-                     for r in results])
 
 
 def trace_rows(cfg: SweepConfig) -> list:

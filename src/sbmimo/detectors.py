@@ -2,12 +2,13 @@
 solver composed with the reduction (plain and MMSE-anchored regularized).
 
 Every detector reads a ``Problem``, a block of instances reduced, their
-MMSE decisions taken and scored, once by ``prepare``, at the index of
-its instance there; ``sb_solve`` decides the whole block.  Each reports
-the Ising energy of its decision under the unregularized instance
-model, which equals the squared ML residual; the regularized path
-selects between the solver readout and the MMSE anchor by that energy,
-so its result never scores worse than MMSE's.
+MMSE decisions taken and scored, once by ``prepare``, and decides the
+whole block as one ``DetectionResult`` of arrays; ``mmse_detect``,
+``ml_oracle`` and ``sb_detect`` look one decision up by its index.  Each
+reports the Ising energy of its decision under the unregularized
+instance model, which equals the squared ML residual; the regularized
+path selects between the solver readout and the MMSE anchor by that
+energy, so its result never scores worse than MMSE's.
 """
 
 from __future__ import annotations
@@ -40,34 +41,45 @@ _ROUND_ROWS = 256
 _MARGIN = 1e-9
 
 
-class DetectionFailureError(RuntimeError):
-    """A detector could not produce a decision."""
-
-
 @dataclass(frozen=True)
 class DetectionResult:
-    """A detector's decision as spins, with its model energy."""
+    """A detector's decisions on a block of B instances: spins (B, n)
+    int8, their energies (B,) under the unregularized models, NaN where
+    no decision was made, each extra a (B,) array, and done (B,), the
+    mask of the instances decided.  result[b] is decision b alone, or
+    None where done[b] is False: the same class with spins (n,), a float
+    energy, Python scalar extras and done True."""
 
     detector: str
     spins: np.ndarray
-    ising_energy: float
+    ising_energy: np.ndarray | float
     extras: dict
+    done: np.ndarray | bool = True
+
+    def __getitem__(self, b: int) -> DetectionResult | None:
+        if not self.done[b]:
+            return None
+        return DetectionResult(
+            self.detector, self.spins[b], float(self.ising_energy[b]),
+            {key: value[b].item() for key, value in self.extras.items()},
+        )
 
 
 @dataclass(frozen=True)
 class Problem:
     """A solver block of same-size channel instances, built once by
     ``prepare`` for every detector: their noise variances (B,), stacked
-    realify system and Ising model, the constellation, and per instance
-    its MMSE decision, also ``sb-reg``'s anchor (None where the solves
-    failed).  The ML oracle's front end and its decisions are built for
-    the whole block on first use (oracle_front, oracle)."""
+    realify system and Ising model, the constellation, and the block's
+    MMSE decisions, also ``sb-reg``'s anchors, as one DetectionResult
+    (done where the solves succeeded).  The ML oracle's front end and its
+    decisions are built for the whole block on first use (oracle_front,
+    oracle)."""
 
     noise_var: np.ndarray
     sys: RealizedSystem
     model: IsingModel
     c: Constellation
-    mmse: list[DetectionResult | None]
+    mmse: DetectionResult
 
     @functools.cached_property
     def oracle_front(self) -> tuple[np.ndarray, np.ndarray]:
@@ -102,11 +114,12 @@ class Problem:
         return rz, x
 
     @functools.cached_property
-    def oracle(self) -> tuple[np.ndarray, ...]:
+    def oracle(self) -> DetectionResult:
         """Every instance's ML decision (see ml_oracle), by one pruned
-        search over the block on first use: spins (B, n) int8, energy
-        (B,), and per instance the leaves scored and the prefix distances
-        computed (B,).
+        search over the block on first use, every one done: spins (B, n)
+        int8, energy (B,), and per instance the leaves scored and the
+        prefix distances computed, extras "candidates" and "nodes" (B,).
+        Above ORACLE_SPIN_LIMIT spins it refuses, on every use.
 
         The block's instances go down their triangles in lockstep: an
         entry of the frontier holds prefixes at one depth, in instance
@@ -131,6 +144,9 @@ class Problem:
         within its bound (a non-finite input) takes level 0 at every
         coordinate, scored as energy scores it, and 0 candidates.
         """
+        if self.model.n > ORACLE_SPIN_LIMIT:
+            raise ValueError(f"{self.model.n} spins exceed the oracle limit "
+                             f"of {ORACLE_SPIN_LIMIT}")
         c, model, (rz, start) = self.c, self.model, self.oracle_front
         n_b, k = start.shape
         r = rz[:, :, :k]
@@ -207,7 +223,9 @@ class Problem:
                 stack.append((j, g[rows], x, dd[rows, cols], bound.copy()))
         for b in np.flatnonzero(candidates == 0).tolist():
             best[b] = energy(model[b], spins[b])
-        return spins, best, candidates, nodes
+        extras = {"candidates": candidates, "nodes": nodes}
+        return DetectionResult("ml-oracle", spins, best, extras,
+                               np.ones(n_b, dtype=bool))
 
 
 def _leaf_energies(model, g, s):
@@ -274,33 +292,30 @@ def prepare(insts, c: Constellation) -> Problem:
     """Realify a block of same-size channel instances, reduce them, and
     take and score their MMSE decisions, each in one stacked pass: the
     block every detector takes.  Each instance's row is bit for bit what
-    it would be in a block of one."""
+    it would be in a block of one.  A non-finite entry of y is taken as
+    NaN, so an infinite one decides as a NaN does, with no warning."""
     insts = list(insts)
     h = np.array([inst.h for inst in insts], dtype=np.complex128)
     y = np.array([inst.y for inst in insts], dtype=np.complex128)
+    y[~np.isfinite(y)] = np.nan
     noise_var = np.array([inst.noise_var for inst in insts], dtype=np.float64)
     sys = realify(h, y, c)
     model = instance_model(sys, c)
     spins, ok = _mmse_spins(h, y, noise_var, c)
     # Float64 rows, as energy takes one: each scores as energy scores it.
-    e = energies(model, spins[:, None].astype(np.float64))
-    mmse = [DetectionResult("mmse", s, float(ei), {}) if keep else None
-            for s, (ei,), keep in zip(spins, e, ok.tolist())]
+    e = energies(model, spins[:, None].astype(np.float64))[:, 0]
+    mmse = DetectionResult("mmse", spins, np.where(ok, e, np.nan), {}, ok)
     return Problem(noise_var, sys, model, c, mmse)
 
 
-def mmse_detect(p: Problem, b: int) -> DetectionResult:
+def mmse_detect(p: Problem, b: int) -> DetectionResult | None:
     """Regularized linear estimate, hard-quantized onto the lattice: the
-    decision ``prepare`` took and scored for instance b (see _mmse_spins).
-
-    Raises ValueError for a noise variance that is not positive, and
-    DetectionFailureError where the regularized solve and its lstsq
-    fallback both failed.
+    decision ``prepare`` took and scored for instance b (see _mmse_spins),
+    or None where the regularized solve and its lstsq fallback both
+    failed.  Raises ValueError for a noise variance that is not positive.
     """
     if not p.noise_var[b] > 0:
         raise ValueError(f"noise_var must be > 0, got {p.noise_var[b]}")
-    if p.mmse[b] is None:
-        raise DetectionFailureError("regularized solve failed")
     return p.mmse[b]
 
 
@@ -337,16 +352,7 @@ def ml_oracle(p: Problem, b: int) -> DetectionResult:
     block-mates, since a round's width is set by all the rows it
     extends.  Refuses above ORACLE_SPIN_LIMIT spins, on every call.
     """
-    n = p.model.n
-    if n > ORACLE_SPIN_LIMIT:
-        raise ValueError(
-            f"{n} spins exceed the oracle limit of {ORACLE_SPIN_LIMIT}"
-        )
-    spins, e, candidates, nodes = p.oracle
-    return DetectionResult(
-        "ml-oracle", spins[b], float(e[b]),
-        {"candidates": int(candidates[b]), "nodes": int(nodes[b])},
-    )
+    return p.oracle[b]
 
 
 def sb_solve(
@@ -355,50 +361,49 @@ def sb_solve(
     seeds,
     r: float | None = None,
     trace: list | None = None,
-) -> list:
+) -> DetectionResult:
     """Decide a block by one solve call on its stacked model: plain with r
-    None ("sb": the readout), else anchored by one regularize call at each
-    MMSE decision, p.mmse[b], with weight r ("sb-reg": the lower-energy,
+    None ("sb": the readout), else anchored by one regularize call at the
+    MMSE decisions, p.mmse, with weight r ("sb-reg": the lower-energy,
     under the unregularized model, of readout and anchor, ties to the
     readout).  The anchored pick is one energies call on the block's
     readouts, each diverged one replaced by its anchor, and one np.where.
     A problem with no MMSE decision is left out (with none, solve is not
-    called).  seeds holds a solver seed and trace, when given, a list for
-    solve's trace rows per problem.  Returns per problem for
-    ``sb_detect`` a DetectionResult, or None where unsolved or every
-    restart diverged."""
-    out = [None] * len(p.noise_var)
-    plain, keep = p.model, range(len(out))
-    if r is not None:
-        keep = [b for b, res in enumerate(p.mmse) if res is not None]
-        if not keep:
-            return out
-        anchors = np.array([p.mmse[b].spins for b in keep])
+    called).  seeds holds a solver seed per problem and trace, when
+    given, a list per problem for solve's trace rows; a list of another
+    length is refused.  Returns the block's decisions, done where solved
+    and not every restart diverged, with extras "diverged_restarts" and,
+    anchored, "selected" ("sb" or "mmse")."""
+    n_b = len(p.noise_var)
+    if len(seeds) != n_b or trace is not None and len(trace) != n_b:
+        raise ValueError("a block needs a stack of same-size models and one "
+                         "seed each")
+    anchors = p.mmse.spins
+    done = np.ones(n_b, dtype=bool) if r is None else p.mmse.done.copy()
+    keep = np.flatnonzero(done).tolist()
+    # An unsolved problem stands in as its anchor, with no restart run.
+    spins, e, diverged = anchors.copy(), np.zeros(n_b), np.zeros(n_b, int)
+    if keep:
         # Only a block with gaps takes a subset (a copy) of its models.
-        plain = plain if len(keep) == len(out) else plain[keep]
-    model = plain if r is None else regularize(plain, anchors, r)
-    traces = None if trace is None else [trace[b] for b in keep]
-    spins, e, diverged = solve(model, params, [seeds[b] for b in keep], traces)
-    done = diverged < params.n_restarts
+        plain = p.model if len(keep) == n_b else p.model[keep]
+        model = plain if r is None else regularize(plain, anchors[keep], r)
+        traces = None if trace is None else [trace[b] for b in keep]
+        out = solve(model, params, [seeds[b] for b in keep], traces)
+        spins[keep], e[keep], diverged[keep] = out
+    done &= diverged < params.n_restarts
+    extras = {"diverged_restarts": diverged}
     if r is not None:  # each diverged readout scores its anchor, as float64
         spins = np.where(done[:, None], spins, anchors)
-        e = energies(plain, spins[:, None].astype(np.float64))[:, 0]
-        anchor_e = np.array([p.mmse[b].ising_energy for b in keep])
-        sb = e <= anchor_e  # ties keep the readout
+        e = energies(p.model, spins[:, None].astype(np.float64))[:, 0]
+        sb = e <= p.mmse.ising_energy  # ties keep the readout
         spins = np.where(sb[:, None], spins, anchors)
-        e = np.where(sb, e, anchor_e)
+        e = np.where(sb, e, p.mmse.ising_energy)
+        extras["selected"] = np.where(sb, "sb", "mmse")
     name = "sb" if r is None else "sb-reg"
-    for m in np.flatnonzero(done).tolist():
-        extras = {"diverged_restarts": int(diverged[m])}
-        if r is not None:
-            extras["selected"] = "sb" if sb[m] else "mmse"
-        out[keep[m]] = DetectionResult(name, spins[m], float(e[m]), extras)
-    return out
+    return DetectionResult(name, spins, np.where(done, e, np.nan), extras, done)
 
 
-def sb_detect(solved: list, b: int) -> DetectionResult:
+def sb_detect(solved: DetectionResult, b: int) -> DetectionResult | None:
     """The SB decision ``sb_solve`` made on problem b of its block,
-    solved[b].  Raises DetectionFailureError where it made none."""
-    if solved[b] is None:
-        raise DetectionFailureError("the solver gave no readout")
+    solved[b], or None where it made none."""
     return solved[b]

@@ -286,6 +286,8 @@ class TestRunSweep:
         assert by_det["sb-reg"].failures == 10
         assert by_det["sb-reg"].instances == 0
         assert by_det["sb-reg"].total_bits == 0
+        # An undecided point counts no bit error.
+        assert by_det["mmse"].bit_errors == by_det["sb-reg"].bit_errors == 0
 
     def test_every_restart_diverging_is_a_failure(self):
         # At dt = 1e300 every restart overflows, so no SB-family solve
@@ -303,7 +305,8 @@ class TestRunSweep:
                 assert (rec.failures, rec.instances) == (0, 40)
             else:
                 assert (rec.failures, rec.instances) == (40, 0)
-                assert rec.total_bits == 0 and rec.ber == 0.0
+                assert rec.total_bits == rec.bit_errors == 0
+                assert rec.ber == 0.0
 
     @pytest.mark.parametrize(
         "detectors, mmse_calls",

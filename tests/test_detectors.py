@@ -17,7 +17,6 @@ from sbmimo.channel import (
 )
 from sbmimo.detectors import (
     ORACLE_SPIN_LIMIT,
-    DetectionFailureError,
     DetectionResult,
     ml_oracle,
     mmse_detect,
@@ -95,11 +94,12 @@ def oracle_blocks(draw):
     # A block of 2 to 4 same-size instances of up to 12 spins, nr from 1
     # to nt + 2 (wide and tall): at least one drawn at its own SNR in
     # [-10, 25] dB, beside others drawn so, zero channels, or drawn with
-    # a NaN in y.
+    # a NaN, an inf, a -inf or an inf * 1j in y.
     c = draw(st.sampled_from([BPSK, QPSK, QAM16]))
     nt = draw(st.integers(1, 12 // c.bps))
     nr = draw(st.integers(1, nt + 2))
-    kinds = draw(st.lists(st.sampled_from(["drawn", "zero", "nan"]),
+    bad = [np.nan, np.inf, -np.inf, complex(0, np.inf)]
+    kinds = draw(st.lists(st.sampled_from(["drawn", "zero", *bad]),
                           min_size=1, max_size=3))
     kinds.insert(draw(st.integers(0, len(kinds))), "drawn")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -108,9 +108,9 @@ def oracle_blocks(draw):
         inst = sample_instance(nt, nr, c, float(rng.uniform(-10, 25)), rng)
         if kind == "zero":
             inst = zero_channel(nt, nr, c)
-        elif kind == "nan":
+        elif kind != "drawn":
             y = inst.y.copy()
-            y[rng.integers(nr)] = np.nan
+            y[rng.integers(nr)] = kind
             inst = replace(inst, y=y)
         insts.append(inst)
     return insts, c
@@ -174,7 +174,9 @@ class TestPrepare:
         # makes the stacked solve fall back to per-instance solves.
         insts, c = block
         p = prepare(insts, c)
-        assert len(p.noise_var) == len(p.mmse) == len(p.model.h) == len(insts)
+        assert len(p.noise_var) == len(p.mmse.spins) == len(p.model.h)
+        assert len(p.noise_var) == len(insts)
+        assert p.mmse.done.all()
         assert p.c is c
         for b, inst in enumerate(insts):
             sys = realify(inst.h, inst.y, c)
@@ -189,6 +191,8 @@ class TestPrepare:
             res = mmse_detect(p, b)
             assert np.array_equal(res.spins, spins)
             assert res.ising_energy == energy_ref(model, spins)
+            assert np.array_equal(p.mmse.spins[b], spins)
+            assert p.mmse.ising_energy[b] == res.ising_energy
 
     def test_block_mixes_singular_and_regular_gram(self, rng):
         # One pinned block of each kind: the stacked solve raises, so the
@@ -199,13 +203,14 @@ class TestPrepare:
         gram = np.ones((2, 2)) + 1e-300 / QPSK.symbol_energy * np.eye(2)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(gram, np.ones(2))
-        for res, inst in zip(prepare(insts, QPSK).mmse, insts):
-            assert np.array_equal(res.spins, mmse_reference(inst, QPSK))
+        p = prepare(insts, QPSK)
+        for b, inst in enumerate(insts):
+            assert np.array_equal(p.mmse.spins[b], mmse_reference(inst, QPSK))
 
     def test_one_energies_call_scores_the_block(self, monkeypatch, rng):
         # prepare scores every MMSE decision of a block in one energies
         # call, each under its own problem's model as energy scores it
-        # alone; mmse_detect hands back the stored decision.
+        # alone; mmse_detect hands back row b of the stored record.
         import sbmimo.detectors
 
         shapes = []
@@ -220,17 +225,91 @@ class TestPrepare:
                  for snr in (0.0, 10.0, 20.0, 30.0)]
         p = prepare(insts, QAM16)
         assert shapes == [(4, 12, 12)]
+        assert p.mmse.done.tolist() == [True] * 4
         for b in range(len(insts)):
             res = mmse_detect(p, b)
-            assert res is p.mmse[b]
+            assert res.spins.tobytes() == p.mmse.spins[b].tobytes()
+            assert res.ising_energy == p.mmse.ising_energy[b]
             assert (res.detector, res.extras) == ("mmse", {})
             assert res.ising_energy == energy(p.model[b], res.spins)
         assert len(shapes) == 1
 
     def test_no_decision_is_a_detection_failure(self, rng):
+        # A problem whose MMSE record is not done has no decision: its
+        # lookup gives None, which the sweep counts as a failure.
         p = prepare([sample_instance(2, 2, QPSK, 10.0, rng)], QPSK)
-        with pytest.raises(DetectionFailureError):
-            mmse_detect(replace(p, mmse=[None]), 0)
+        assert mmse_detect(p, 0) is not None
+        undone = replace(p.mmse, done=np.array([False]))
+        assert mmse_detect(replace(p, mmse=undone), 0) is None
+
+
+class TestDetectionResult:
+    def test_records_match_their_lookups(self, rng, monkeypatch):
+        # Each detector's record of a block against its [b] and its
+        # lookup: row b of the record, or None exactly where done[b] is
+        # False.  Problem 1 has a NaN in y and problem 2 the same instance
+        # with an inf there: MMSE and the oracle decide both, with a NaN
+        # energy, sb and sb-reg neither, and both decide alike, with no
+        # warning.  MMSE reports no decision on problem 3, so sb-reg has
+        # none there either.
+        import sbmimo.detectors
+
+        mmse_spins = sbmimo.detectors._mmse_spins
+
+        def failing(*args):
+            s, ok = mmse_spins(*args)
+            ok[3] = False
+            return s, ok
+
+        monkeypatch.setattr(sbmimo.detectors, "_mmse_spins", failing)
+        insts = [sample_instance(3, 3, QPSK, 10.0, rng) for _ in range(4)]
+        y = insts[1].y.copy()
+        y[0] = np.nan
+        insts[1] = replace(insts[1], y=y)
+        y = y.copy()
+        y[0] = np.inf
+        insts.insert(2, replace(insts[1], y=y))
+        p = prepare(insts, QPSK)
+        params = SBParams(n_steps=40, n_restarts=2)
+        seeds = [5, 6, 6, 7, 8]
+        sb = sb_solve(p, params, seeds)
+        reg = sb_solve(p, params, seeds, 0.5)
+        cases = [
+            (p.mmse, lambda b: mmse_detect(p, b), [1, 1, 1, 0, 1], set()),
+            (p.oracle, lambda b: ml_oracle(p, b), [1, 1, 1, 1, 1],
+             {"candidates", "nodes"}),
+            (sb, lambda b: sb_detect(sb, b), [1, 0, 0, 1, 1],
+             {"diverged_restarts"}),
+            (reg, lambda b: sb_detect(reg, b), [1, 0, 0, 0, 1],
+             {"diverged_restarts", "selected"}),
+        ]
+        for rec, lookup, done, keys in cases:
+            assert rec.spins.shape == (5, 6) and rec.spins.dtype == np.int8
+            assert rec.ising_energy.shape == (5,)
+            assert rec.done.tolist() == [bool(d) for d in done]
+            assert set(rec.extras) == keys
+            nan = np.isnan(rec.ising_energy).tolist()
+            assert nan[1] and nan[2] and not (nan[0] or nan[4])
+            assert nan[3] == (not rec.done[3])
+            for b in range(5):
+                for res in (rec[b], lookup(b)):
+                    if not rec.done[b]:
+                        assert res is None
+                        continue
+                    assert res.detector == rec.detector and res.done is True
+                    assert res.spins.tobytes() == rec.spins[b].tobytes()
+                    assert type(res.ising_energy) is float
+                    assert np.array_equal(res.ising_energy,
+                                          rec.ising_energy[b], equal_nan=True)
+                    assert res.extras == {
+                        key: value[b] for key, value in rec.extras.items()
+                    }
+                    assert all(type(v) in (int, str)
+                               for v in res.extras.values())
+            if rec.done[1]:
+                assert rec.spins[1].tobytes() == rec.spins[2].tobytes()
+                assert rec[1].extras == rec[2].extras
+        assert p.oracle.extras["candidates"][1:3].tolist() == [0, 0]
 
 
 class TestMmse:
@@ -450,8 +529,8 @@ class TestOracle:
     def test_block_decisions_match_blocks_of_one(self, case):
         # One search over the block decides each instance bit for bit as
         # its block of one and the exhaustive scan do.  An instance with
-        # a NaN in y takes level 0 everywhere, scoring NaN, with no leaf
-        # scored, and leaves its block-mates as they are.
+        # a NaN or an infinity in y takes level 0 everywhere, scoring NaN,
+        # with no leaf scored, and leaves its block-mates as they are.
         insts, c = case
         p = prepare(insts, c)
         for b, inst in enumerate(insts):
@@ -460,7 +539,7 @@ class TestOracle:
             for res in (ml_oracle(p, b), ml_oracle(one, 0)):
                 assert np.array_equal(res.spins, spins)
                 assert np.array_equal(res.ising_energy, e, equal_nan=True)
-                if np.isnan(inst.y).any():
+                if not np.isfinite(inst.y).all():
                     assert res.extras["candidates"] == 0
                 else:
                     assert (res.extras["nodes"] >= res.extras["candidates"]
@@ -650,7 +729,10 @@ class TestSbDetect:
         params = SBParams(n_steps=40, n_restarts=restarts)
         seeds = [3, 4, 5, 6]
         p = prepare(insts, QPSK)
-        assert all(mmse_detect(p, b) is p.mmse[b] for b in range(4))
+        for b in range(4):
+            res = mmse_detect(p, b)
+            assert res.ising_energy == p.mmse.ising_energy[b]
+            assert np.array_equal(res.spins, p.mmse.spins[b])
         assert calls == ["sbmimo.detectors.energies"]
         sb = sb_solve(p, params, seeds)
         assert calls[1:] == ["sbmimo.sb.energies"]
@@ -664,8 +746,8 @@ class TestSbDetect:
 
     def test_block_decisions_match_blocks_of_one(self, rng, monkeypatch):
         # sb_solve over a block, then sb_detect per problem, decides each
-        # problem as solving it alone does; an outcome of None (no
-        # readout: every restart diverged) is a detection failure.  No
+        # problem as solving it alone does; a problem not done (no
+        # readout: every restart diverged) looks up as None.  No
         # model of the block needs rescaling, so every step evolves the
         # stacked J that prepare built, anchored or not: not a copy.
         import sbmimo.sb
@@ -696,8 +778,10 @@ class TestSbDetect:
                 assert np.array_equal(res.spins, alone.spins)
                 assert res.ising_energy == alone.ising_energy
                 assert res.extras == alone.extras
-        with pytest.raises(DetectionFailureError, match="no readout"):
-            sb_detect([*solved[:2], None], 2)
+        assert solved.done.all()
+        undone = replace(solved, done=np.arange(5) != 2)
+        assert sb_detect(undone, 2) is None
+        assert sb_detect(undone, 1).ising_energy == solved.ising_energy[1]
 
     def test_problem_without_an_anchor_is_not_solved(self, rng, monkeypatch):
         # An anchored block may have gaps: a problem with no MMSE decision
@@ -709,16 +793,17 @@ class TestSbDetect:
         params = SBParams(n_steps=40, n_restarts=2)
         insts = [sample_instance(3, 3, QPSK, 10.0, rng) for _ in range(5)]
         p = prepare(insts, QPSK)
-        p = replace(p, mmse=[res if b % 2 else None
-                             for b, res in enumerate(p.mmse)])
+        gaps = np.arange(5) % 2 == 1
+        p = replace(p, mmse=replace(p.mmse, done=gaps))
         seeds = [21, 22, 23, 24, 25]
         traces = [[] if b % 2 else ["kept"] for b in range(5)]
         solved = sb_solve(p, params, seeds, 0.5, traces)
-        assert [s is None for s in solved] == [res is None for res in p.mmse]
+        assert solved.done.tolist() == gaps.tolist()
         assert traces[0] == traces[2] == traces[4] == ["kept"]
         for b in (0, 2, 4):
-            with pytest.raises(DetectionFailureError, match="no readout"):
-                sb_detect(solved, b)
+            assert p.mmse[b] is None
+            assert sb_detect(solved, b) is None
+            assert np.isnan(solved.ising_energy[b])
         for b in (1, 3):
             res = sb_detect(solved, b)
             one = prepare([insts[b]], QPSK)
@@ -737,8 +822,9 @@ class TestSbDetect:
             raise AssertionError("solve called on a block with no anchor")
 
         monkeypatch.setattr(sbmimo.detectors, "solve", no_solve)
-        none = replace(p, mmse=[None] * 5)
-        assert sb_solve(none, params, seeds, 0.5) == [None] * 5
+        none = replace(p, mmse=replace(p.mmse, done=np.zeros(5, dtype=bool)))
+        solved = sb_solve(none, params, seeds, 0.5)
+        assert [sb_detect(solved, b) for b in range(5)] == [None] * 5
 
     def test_problem_whose_every_restart_diverges_is_unsolved(self, rng):
         # Problem 1's couplings at 1e308 overflow J @ s under every sign
@@ -752,10 +838,11 @@ class TestSbDetect:
         j = p.model.j.copy()
         j[1] = np.where(np.eye(3, dtype=bool), 0.0, 1e308)
         model = IsingModel(j, p.model.h, p.model.offset)
+        anchor_e = p.mmse.ising_energy.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            anchor = replace(p.mmse[1],
-                             ising_energy=energy(model[1], p.mmse[1].spins))
-        p = replace(p, model=model, mmse=[p.mmse[0], anchor, p.mmse[2]])
+            anchor_e[1] = energy(model[1], p.mmse.spins[1])
+        p = replace(p, model=model,
+                    mmse=replace(p.mmse, ising_energy=anchor_e))
         seeds = [41, 42, 43]
         for anchored in (False, True):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -780,9 +867,10 @@ class TestSbDetect:
         big = IsingModel(np.array([[[0.0, 0.5e308], [0.5e308, 0.0]]]),
                          np.full((1, 2), 0.5e308), np.zeros(1))
         anchor = np.full(2, -1, dtype=np.int8)
-        p = replace(prepare([inst], BPSK), model=big, mmse=[
-            DetectionResult("mmse", anchor, energy(big[0], anchor), {})
-        ])
+        p = replace(prepare([inst], BPSK), model=big, mmse=DetectionResult(
+            "mmse", anchor[None], np.array([energy(big[0], anchor)]), {},
+            np.array([True]),
+        ))
         params = SBParams(n_steps=20, dt=1e300, n_restarts=1)
         spins, _, diverged = solve(regularize(big, anchor[None], 0.5),
                                    params, [2])
@@ -790,7 +878,30 @@ class TestSbDetect:
         with pytest.raises(FloatingPointError):
             with np.errstate(over="raise"):
                 energy(big[0], spins[0])
-        assert sb_solve(p, params, [2], 0.5) == [None]
+        solved = sb_solve(p, params, [2], 0.5)
+        assert solved.done.tolist() == [False] and solved[0] is None
+
+    @pytest.mark.parametrize("r", [None, 0.5], ids=["plain", "anchored"])
+    def test_seed_and_trace_lists_must_match_the_block(
+        self, rng, monkeypatch, r
+    ):
+        # Too few or too many seeds or trace lists are refused before any
+        # work: nothing is regularized or solved.
+        import sbmimo.detectors
+
+        def no_work(*args):
+            raise AssertionError("work done before the refusal")
+
+        p = prepare([sample_instance(2, 2, QPSK, 10.0, rng)
+                     for _ in range(3)], QPSK)
+        monkeypatch.setattr(sbmimo.detectors, "solve", no_work)
+        monkeypatch.setattr(sbmimo.detectors, "regularize", no_work)
+        for seeds, trace in (([1, 2], None), ([1, 2, 3, 4, 5], None),
+                             ([1, 2, 3], [[], []]),
+                             ([1, 2, 3], [[], [], [], []])):
+            with pytest.raises(ValueError, match="a block needs a stack of "
+                               "same-size models and one seed each"):
+                sb_solve(p, SBParams(n_steps=10), seeds, r, trace)
 
     def test_decisions_are_labelled_by_r(self, rng):
         # Without r, each decision is its problem's readout, "sb", with
