@@ -184,6 +184,13 @@ MUTANTS = (
         (SB + "TestSolve::test_tie_keeps_earlier_restart",),
     ),
     Mutant(
+        "solve scores its field-only models' spins in reversed order",
+        "sb.py",
+        "energy(model[~coupled], spins[~coupled, None])",
+        "energy(model[~coupled], spins[~coupled, None][::-1])",
+        (SB + "TestBlock::test_mixed_block",),
+    ),
+    Mutant(
         "the energy kernel adds the fields before its dot with s",
         "ising.py",
         "    return quad + np.vecdot(h[..., None, :], s) + offset[..., None]",
@@ -275,8 +282,8 @@ MUTANTS = (
     Mutant(
         "sb-reg scores its readouts under the regularized models",
         "detectors.py",
-        "energies(p.model, ",
-        "energies(model, ",
+        "energy(p.model, ",
+        "energy(model, ",
         (DETECTORS + "TestSbDetect::test_regularized_never_loses_to_anchor",),
     ),
     Mutant(
@@ -318,9 +325,9 @@ MUTANTS = (
     Mutant(
         "prepare scores each MMSE decision under a neighbouring problem's model",
         "detectors.py",
-        "    e = energies(model, spins[:, None].astype(np.float64))",
-        "    e = energies(model[np.roll(np.arange(len(insts)), 1)],"
-        " spins[:, None].astype(np.float64))",
+        "    e = energy(model, spins[:, None])",
+        "    e = energy(model[np.roll(np.arange(len(insts)), 1)],"
+        " spins[:, None])",
         (
             PREPARE + "test_one_energies_call_scores_the_block",
             PREPARE + "test_block_matches_each_instance_alone",

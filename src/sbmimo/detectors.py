@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sbmimo.channel import Constellation, RealizedSystem, realify
-from sbmimo.ising import IsingModel, energies, energy
+from sbmimo.ising import IsingModel, energy
 from sbmimo.reduction import (
     instance_model,
     level_spins,
@@ -142,7 +142,8 @@ class Problem:
         work, never what lies within the final bound, so each decision is
         bit for bit what a block of one gives.  An instance with no leaf
         within its bound (a non-finite input) takes level 0 at every
-        coordinate, scored as energy scores it, and 0 candidates.
+        coordinate and 0 candidates; every such instance is scored by one
+        more energy call.
         """
         if self.model.n > ORACLE_SPIN_LIMIT:
             raise ValueError(f"{self.model.n} spins exceed the oracle limit "
@@ -221,8 +222,9 @@ class Problem:
                 x = x[rows]
                 x[:, j:i] = combos[cols]
                 stack.append((j, g[rows], x, dd[rows, cols], bound.copy()))
-        for b in np.flatnonzero(candidates == 0).tolist():
-            best[b] = energy(model[b], spins[b])
+        none = candidates == 0
+        if none.any():
+            best[none] = energy(model[none], spins[none, None])[:, 0]
         extras = {"candidates": candidates, "nodes": nodes}
         return DetectionResult("ml-oracle", spins, best, extras,
                                np.ones(n_b, dtype=bool))
@@ -230,7 +232,7 @@ class Problem:
 
 def _leaf_energies(model, g, s):
     # Energies of spin rows s, each under model[g] for its instance index
-    # g (sorted), by one ising.energies call that copies no J per row:
+    # g (sorted), by one ising.energy call that copies no J per row:
     # each instance's rows are cut into pieces of at most ceil(rows /
     # instances), zero-padded to that length, so the call scores at most
     # about twice the rows under at most twice the instances' models.
@@ -242,7 +244,7 @@ def _leaf_energies(model, g, s):
     cell = piece, pos % size
     rows = np.zeros((pieces.sum(), size, s.shape[1]), dtype=s.dtype)
     rows[cell] = s
-    return energies(model[np.repeat(u, pieces)], rows)[cell]
+    return energy(model[np.repeat(u, pieces)], rows)[cell]
 
 
 def _runs(g):
@@ -302,8 +304,7 @@ def prepare(insts, c: Constellation) -> Problem:
     sys = realify(h, y, c)
     model = instance_model(sys, c)
     spins, ok = _mmse_spins(h, y, noise_var, c)
-    # Float64 rows, as energy takes one: each scores as energy scores it.
-    e = energies(model, spins[:, None].astype(np.float64))[:, 0]
+    e = energy(model, spins[:, None])[:, 0]
     mmse = DetectionResult("mmse", spins, np.where(ok, e, np.nan), {}, ok)
     return Problem(noise_var, sys, model, c, mmse)
 
@@ -366,7 +367,7 @@ def sb_solve(
     None ("sb": the readout), else anchored by one regularize call at the
     MMSE decisions, p.mmse, with weight r ("sb-reg": the lower-energy,
     under the unregularized model, of readout and anchor, ties to the
-    readout).  The anchored pick is one energies call on the block's
+    readout).  The anchored pick is one energy call on the block's
     readouts, each diverged one replaced by its anchor, and one np.where.
     A problem with no MMSE decision is left out (with none, solve is not
     called).  seeds holds a solver seed per problem and trace, when
@@ -392,9 +393,9 @@ def sb_solve(
         spins[keep], e[keep], diverged[keep] = out
     done &= diverged < params.n_restarts
     extras = {"diverged_restarts": diverged}
-    if r is not None:  # each diverged readout scores its anchor, as float64
+    if r is not None:  # each diverged readout scores its anchor
         spins = np.where(done[:, None], spins, anchors)
-        e = energies(p.model, spins[:, None].astype(np.float64))[:, 0]
+        e = energy(p.model, spins[:, None])[:, 0]
         sb = e <= p.mmse.ising_energy  # ties keep the readout
         spins = np.where(sb[:, None], spins, anchors)
         e = np.where(sb, e, p.mmse.ising_energy)

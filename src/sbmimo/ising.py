@@ -56,26 +56,15 @@ class IsingModel:
         return IsingModel(self.j[idx], self.h[idx], self.offset[idx])
 
 
-def energies(model: IsingModel, s) -> np.ndarray:
-    """Energies of stacked spin rows s (..., R, n) under a model or a
-    stack of models (...).  Returns (..., R).
+def energy(model: IsingModel, s) -> np.ndarray:
+    """Energies of stacked spin rows s (..., R, n), int8 or float, under
+    a model or a stack of models (...).  Returns (..., R).
 
     Each row is summed as ``(s @ J) @ s + h @ s + offset``, in that order,
-    so a row scores bit for bit as it would alone.  Nothing is checked.
+    so a row scores bit for bit as it would alone, and int8 rows as their
+    float64 values.  A row length other than n is numpy's ValueError;
+    spin values are not checked: callers own the {-1, +1} contract.
     """
     j, h, offset = model.j, model.h, np.asarray(model.offset)
     quad = np.vecdot(np.vecmat(s, j[..., None, :, :]), s)
     return quad + np.vecdot(h[..., None, :], s) + offset[..., None]
-
-
-def energy(model: IsingModel, s: np.ndarray) -> float:
-    """Evaluate ``s^T J s + h . s + offset`` for one model and spins s.
-
-    Raises ValueError on a stack of models or a length mismatch.  Spin
-    values are not checked; callers own the {-1, +1} contract.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    if model.h.ndim != 1 or s.shape != (model.n,):
-        raise ValueError(f"spin vector has shape {s.shape}, expected one "
-                         f"model's {model.h.shape}")
-    return float(energies(model, s[None])[0])

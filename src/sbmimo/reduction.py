@@ -100,7 +100,7 @@ def regularize(model: IsingModel, s_p: np.ndarray, r: float) -> IsingModel:
 
     Over spins, ||s - s_p||^2 = 2n - 2 s . s_p, so only the fields and the
     offset move: h -> h - 2 r s_p, offset -> offset + 2 r n.  Couplings
-    are untouched (the same array) and the identity
+    are untouched (the same array) and, for spin rows s, the identity
     energy(new, s) == energy(old, s) + r * ||s - s_p||^2 holds exactly.
     """
     r = setting("r", r, 0.0)

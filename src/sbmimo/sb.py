@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sbmimo.ising import IsingModel, energies, energy
+from sbmimo.ising import IsingModel, energy
 
 
 def setting(name: str, value, least: int | float, strict: bool = False):
@@ -213,7 +213,7 @@ def solve(model: IsingModel, params: SBParams, seeds, trace=None):
     Every restart of every model is one row of a single (2, B, R, N)
     state, started from its own initial state drawn from its model's seed
     (see initial_states), for n_steps; each reads out sign(x), and one
-    ising.energies call scores them all.  Per model, the readout with the
+    ising.energy call scores them all.  Per model, the readout with the
     lowest energy wins; ties keep the earlier restart, and a NaN energy
     (inf - inf near the float limit) ranks last.  A restart that diverges
     is dropped: its row evolves on, unread.  A model whose every restart
@@ -222,7 +222,8 @@ def solve(model: IsingModel, params: SBParams, seeds, trace=None):
     One model is the stack of one.
 
     A model with all-zero couplings (including n = 1) is solved exactly
-    by fields alone; only then does the kernel take a subset of the stack.
+    by fields alone, and such models are scored by one more energy call;
+    only then does the kernel take a subset of the stack.
 
     trace, when given, holds one list per model, which is extended by
     ``(restart, step, a, x, y, readout_energy)`` for every step of every
@@ -238,8 +239,8 @@ def solve(model: IsingModel, params: SBParams, seeds, trace=None):
     diverged = np.zeros(len(seeds), dtype=int)
     coupled = model.j.any(axis=(1, 2)) & (model.n > 1)
     block = np.flatnonzero(coupled).tolist()  # the models the kernel evolves
-    for b in np.flatnonzero(~coupled).tolist():
-        out_e[b] = energy(model[b], spins[b])
+    if not coupled.all():
+        out_e[~coupled] = energy(model[~coupled], spins[~coupled, None])[:, 0]
     if not block:
         return spins, out_e, diverged
     if len(block) < len(seeds):
@@ -262,9 +263,9 @@ def solve(model: IsingModel, params: SBParams, seeds, trace=None):
                     break
             if trace is not None:
                 # xy is updated in place, so trace rows are copies.
-                e = energies(model, s).tolist()
+                e = energy(model, s).tolist()
                 steps.append((k, a, xy[0].copy(), xy[1].copy(), e, live.copy()))
-        e = energies(model, s)
+        e = energy(model, s)
     # Dead rows rank last, then NaN energies (inf - inf near the float
     # limit); the sort is stable, so ties and an all-NaN set keep the
     # earlier restart.

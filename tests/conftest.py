@@ -27,8 +27,9 @@ def energy_loop(model: IsingModel, s) -> float:
 
 
 def energy_ref(model: IsingModel, s) -> float:
-    # The single-row energy expression ising.energies must reproduce bit
-    # for bit: s @ J @ s + h @ s + offset, summed in that order.
+    # The single-row energy expression ising.energy must reproduce bit
+    # for bit, for float and int8 rows: s @ J @ s + h @ s + offset, summed
+    # in that order.  One model's energy in tests goes through it.
     s = np.asarray(s, dtype=np.float64)
     return float(s @ model.j @ s + model.h @ s + model.offset)
 

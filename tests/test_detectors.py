@@ -24,7 +24,7 @@ from sbmimo.detectors import (
     sb_detect,
     sb_solve,
 )
-from sbmimo.ising import IsingModel, energies, energy
+from sbmimo.ising import IsingModel, energy
 from sbmimo.reduction import (
     level_spins,
     regularize,
@@ -55,7 +55,7 @@ def make_instance(nt, nr, c, noise_var, seed):
 def exhaustive_ml(model):
     """First minimum of energy over all spin vectors in lexicographic order."""
     table = np.array(list(all_spin_vectors(model.n)))
-    energies = [energy(model, s) for s in table]
+    energies = [energy_ref(model, s) for s in table]
     k = int(np.argmin(energies))
     return table[k], energies[k]
 
@@ -208,19 +208,20 @@ class TestPrepare:
             assert np.array_equal(p.mmse.spins[b], mmse_reference(inst, QPSK))
 
     def test_one_energies_call_scores_the_block(self, monkeypatch, rng):
-        # prepare scores every MMSE decision of a block in one energies
-        # call, each under its own problem's model as energy scores it
-        # alone; mmse_detect hands back row b of the stored record.
+        # prepare scores every MMSE decision of a block in one energy
+        # call, each under its own problem's model as the single-row
+        # expression scores it; mmse_detect hands back row b of the
+        # stored record.
         import sbmimo.detectors
 
         shapes = []
-        score = sbmimo.detectors.energies
+        score = sbmimo.detectors.energy
 
         def counting(model, s):
             shapes.append(model.j.shape)
             return score(model, s)
 
-        monkeypatch.setattr(sbmimo.detectors, "energies", counting)
+        monkeypatch.setattr(sbmimo.detectors, "energy", counting)
         insts = [sample_instance(3, 2, QAM16, snr, rng)
                  for snr in (0.0, 10.0, 20.0, 30.0)]
         p = prepare(insts, QAM16)
@@ -231,7 +232,7 @@ class TestPrepare:
             assert res.spins.tobytes() == p.mmse.spins[b].tobytes()
             assert res.ising_energy == p.mmse.ising_energy[b]
             assert (res.detector, res.extras) == ("mmse", {})
-            assert res.ising_energy == energy(p.model[b], res.spins)
+            assert res.ising_energy == energy_ref(p.model[b], res.spins)
         assert len(shapes) == 1
 
     def test_no_decision_is_a_detection_failure(self, rng):
@@ -339,7 +340,7 @@ class TestMmse:
         inst = sample_instance(3, 3, QAM16, 14.0, rng)
         res = mmse_detect(prepare([inst], QAM16), 0)
         model = prepare([inst], QAM16).model[0]
-        assert res.ising_energy == energy(model, res.spins)
+        assert res.ising_energy == energy_ref(model, res.spins)
 
     @pytest.mark.parametrize("c", [QPSK, BPSK], ids=["qpsk", "bpsk"])
     def test_singular_gram_at_tiny_noise_takes_least_squares(self, c):
@@ -359,7 +360,7 @@ class TestMmse:
         res = mmse_detect(p, 0)
         assert res.spins.shape == (p.model[0].n,)
         assert np.isfinite(res.ising_energy)
-        assert res.ising_energy == energy(p.model[0], res.spins)
+        assert res.ising_energy == energy_ref(p.model[0], res.spins)
 
     def test_zero_noise_has_no_decision(self):
         # At noise_var 0 the regularizer is 0, and this H^H H alone is
@@ -493,7 +494,7 @@ class TestOracle:
         res = oracle(prepare([inst], QPSK), 0)
         model = prepare([inst], QPSK).model[0]
         table = np.array(list(all_spin_vectors(model.n)))
-        energies = np.array([energy(model, s) for s in table])
+        energies = np.array([energy_ref(model, s) for s in table])
         assert res.ising_energy == energies.min()
         assert np.array_equal(table[np.argmin(energies)], res.spins)
 
@@ -638,13 +639,13 @@ class TestOracle:
         )
         p = prepare([inst], QPSK)
         spins, e = exhaustive_ml(p.model[0])
-        scored = []  # the oracle's energies calls alone
+        scored = []  # the oracle's energy calls alone
 
         def recording(*args):
-            scored.append(energies(*args))
+            scored.append(energy(*args))
             return scored[-1]
 
-        monkeypatch.setattr("sbmimo.detectors.energies", recording)
+        monkeypatch.setattr("sbmimo.detectors.energy", recording)
         res = oracle(p, 0)
         assert np.array_equal(res.spins, spins)
         assert np.array_equal(spins, -np.ones(8))
@@ -676,7 +677,7 @@ class TestSbDetect:
         inst = sample_instance(3, 3, QPSK, 10.0, rng)
         res = detect_one(prepare([inst], QPSK), SBParams(n_steps=80), seed=2)
         model = prepare([inst], QPSK).model[0]
-        assert res.ising_energy == energy(model, res.spins)
+        assert res.ising_energy == energy_ref(model, res.spins)
         assert res.detector == "sb"
         assert set(res.extras) == {"diverged_restarts"}
 
@@ -690,7 +691,7 @@ class TestSbDetect:
             assert set(res.extras) == {"diverged_restarts", "selected"}
             readout = solve_one(regularize(p.model[0], anchor.spins, 0.5),
                                 params)
-            sb_energy = energy(p.model[0], readout.spins)
+            sb_energy = energy_ref(p.model[0], readout.spins)
             assert res.ising_energy <= anchor.ising_energy
             assert res.ising_energy == min(sb_energy, anchor.ising_energy)
             winner = readout if res.extras["selected"] == "sb" else anchor
@@ -699,11 +700,11 @@ class TestSbDetect:
     @pytest.mark.parametrize("restarts", [1, 4])
     def test_each_decision_energy_evaluated_once(self, monkeypatch, restarts):
         # On a block of several problems, prepare scores the MMSE
-        # decisions in one energies call, and mmse_detect nothing; solve
-        # scores every restart's readout in one energies call; sb reuses
+        # decisions in one energy call, and mmse_detect nothing; solve
+        # scores every restart's readout in one energy call; sb reuses
         # each winner's energy, sb-reg scores the block's readouts under
-        # the plain models in one more energies call, and sb_detect
-        # scores nothing.  No energy call is made.
+        # the plain models in one more energy call, and sb_detect scores
+        # nothing.  No model is scored alone.
         import sbmimo.detectors
         import sbmimo.sb
 
@@ -717,13 +718,8 @@ class TestSbDetect:
                 return func(*args)
             return counted
 
-        for module, name in (
-            (sbmimo.detectors, "energy"),
-            (sbmimo.detectors, "energies"),
-            (sbmimo.sb, "energy"),
-            (sbmimo.sb, "energies"),
-        ):
-            monkeypatch.setattr(module, name, counting(module, name))
+        for module in (sbmimo.detectors, sbmimo.sb):
+            monkeypatch.setattr(module, "energy", counting(module, "energy"))
         rng = np.random.default_rng(8)
         insts = [sample_instance(3, 3, QPSK, 10.0, rng) for _ in range(4)]
         params = SBParams(n_steps=40, n_restarts=restarts)
@@ -733,15 +729,15 @@ class TestSbDetect:
             res = mmse_detect(p, b)
             assert res.ising_energy == p.mmse.ising_energy[b]
             assert np.array_equal(res.spins, p.mmse.spins[b])
-        assert calls == ["sbmimo.detectors.energies"]
+        assert calls == ["sbmimo.detectors.energy"]
         sb = sb_solve(p, params, seeds)
-        assert calls[1:] == ["sbmimo.sb.energies"]
+        assert calls[1:] == ["sbmimo.sb.energy"]
         reg = sb_solve(p, params, seeds, 0.5)
-        assert calls[2:] == ["sbmimo.sb.energies", "sbmimo.detectors.energies"]
+        assert calls[2:] == ["sbmimo.sb.energy", "sbmimo.detectors.energy"]
         for b in range(4):
             for solved in (sb, reg):
                 res = sb_detect(solved, b)
-                assert res.ising_energy == energy(p.model[b], res.spins)
+                assert res.ising_energy == energy_ref(p.model[b], res.spins)
         assert len(calls) == 4
 
     def test_block_decisions_match_blocks_of_one(self, rng, monkeypatch):
@@ -840,7 +836,7 @@ class TestSbDetect:
         model = IsingModel(j, p.model.h, p.model.offset)
         anchor_e = p.mmse.ising_energy.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            anchor_e[1] = energy(model[1], p.mmse.spins[1])
+            anchor_e[1] = energy_ref(model[1], p.mmse.spins[1])
         p = replace(p, model=model,
                     mmse=replace(p.mmse, ising_energy=anchor_e))
         seeds = [41, 42, 43]
@@ -868,7 +864,7 @@ class TestSbDetect:
                          np.full((1, 2), 0.5e308), np.zeros(1))
         anchor = np.full(2, -1, dtype=np.int8)
         p = replace(prepare([inst], BPSK), model=big, mmse=DetectionResult(
-            "mmse", anchor[None], np.array([energy(big[0], anchor)]), {},
+            "mmse", anchor[None], np.array([energy_ref(big[0], anchor)]), {},
             np.array([True]),
         ))
         params = SBParams(n_steps=20, dt=1e300, n_restarts=1)
@@ -877,7 +873,7 @@ class TestSbDetect:
         assert diverged.tolist() == [1] and spins.tolist() == [[1, 1]]
         with pytest.raises(FloatingPointError):
             with np.errstate(over="raise"):
-                energy(big[0], spins[0])
+                energy_ref(big[0], spins[0])
         solved = sb_solve(p, params, [2], 0.5)
         assert solved.done.tolist() == [False] and solved[0] is None
 
@@ -926,10 +922,10 @@ class TestSbDetect:
                 assert res.detector == "sb"
                 assert res.extras == {"diverged_restarts": 0}
                 assert np.array_equal(res.spins, readout.spins)
-                assert res.ising_energy == energy(model, readout.spins)
+                assert res.ising_energy == energy_ref(model, readout.spins)
                 readout = solve_one(regularize(model, anchor.spins, 0.5),
                                     params, seed)
-                sb_energy = energy(model, readout.spins)
+                sb_energy = energy_ref(model, readout.spins)
                 keep = sb_energy <= anchor.ising_energy
                 res = reg[b]
                 assert res.detector == "sb-reg"
@@ -953,7 +949,7 @@ class TestSbDetect:
             res = detect_one(p, params, True, r=0.5, seed=seed)
             model = regularize(p.model[0], anchor.spins, 0.5)
             readout = solve_one(model, params, seed)
-            if energy(p.model[0], readout.spins) == anchor.ising_energy:
+            if energy_ref(p.model[0], readout.spins) == anchor.ising_energy:
                 assert res.extras["selected"] == "sb"
                 assert np.array_equal(res.spins, readout.spins)
                 return

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbmimo.ising import IsingModel, energies, energy
+from sbmimo.ising import IsingModel, energy
 
 from conftest import (
     all_spin_vectors,
@@ -19,6 +19,11 @@ from conftest import (
 
 def model_of(j, h, offset=0.0):
     return IsingModel(j=j, h=h, offset=offset)
+
+
+def energy_of(m, s):
+    # The kernel on one row s under one model.
+    return float(energy(m, np.asarray(s)[None])[0])
 
 
 class TestModelShape:
@@ -69,29 +74,28 @@ class TestEnergy:
     def test_null_model_is_zero(self):
         m = model_of(np.zeros((3, 3)), np.zeros(3))
         for s in all_spin_vectors(3):
-            assert energy(m, s) == 0.0
+            assert energy_of(m, s) == 0.0
 
     def test_two_spin_hand_expansion(self):
         # Both ordered pairs contribute: J_01 + J_10 = 2, s_0 s_1 = -1.
         m = model_of([[0, 1], [1, 0]], [0, 0])
-        assert energy(m, np.array([1, -1])) == -2.0
+        assert energy_of(m, np.array([1, -1])) == -2.0
 
     def test_matches_scalar_loop_oracle(self, rng):
         for _ in range(20):
             m = random_model(rng, 6)
             s = rng.choice([-1, 1], size=6)
-            assert energy(m, s) == pytest.approx(
+            assert energy_of(m, s) == pytest.approx(
                 energy_loop(m, s), rel=1e-10
             )
 
     def test_dimension_mismatch_rejected(self):
+        # A row of the wrong length is numpy's core-dimension ValueError,
+        # under one model and under a stack.
         m = model_of([[0, 1], [1, 0]], [0, 0])
-        with pytest.raises(ValueError):
-            energy(m, np.array([1, -1, 1]))
-        # energy scores one model: a stack is refused, not read as its
-        # first model.
-        with pytest.raises(ValueError, match=r"\(1, 2\)"):
-            energy(stack([m]), np.array([1, -1]))
+        for model in (m, stack([m])):
+            with pytest.raises(ValueError):
+                energy(model, np.array([[1, -1, 1]]))
 
 
 def stacked_draw(seed, n, huge, restarts):
@@ -104,21 +108,27 @@ def stacked_draw(seed, n, huge, restarts):
     return models, s
 
 
+def same_bits(got, want):
+    # Bit for bit, NaN as NaN whatever its payload.
+    same = got.view(np.int64) == want.view(np.int64)
+    return (same | np.isnan(got) & np.isnan(want)).all()
+
+
 def assert_matches_single_rows(models, s):
-    # energies over the stack equals the single-row expression bit for
-    # bit (NaN as NaN, whatever its payload), and so does energy under
-    # each model taken from the stack; returns the energies.
+    # energy over the stack equals the single-row expression bit for bit,
+    # for float64 rows and for the same rows as int8, and so does energy
+    # of one row under each model taken from the stack; returns the
+    # energies.
     block = stack(models)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = energies(block, s)
+        got = energy(block, s)
+        got8 = energy(block, s.astype(np.int8))
         want = np.array(
             [[energy_ref(m, row) for row in rows] for m, rows in zip(models, s)]
         )
-        one = np.array([energy(block[b], s[b, 0]) for b in range(len(s))])
-    same = got.view(np.int64) == want.view(np.int64)
-    assert (same | np.isnan(got) & np.isnan(want)).all()
-    same = one.view(np.int64) == want[:, 0].view(np.int64)
-    assert (same | np.isnan(one) & np.isnan(want[:, 0])).all()
+        one = np.array([energy(block[b], s[b, :1])[0] for b in range(len(s))])
+    assert same_bits(got, want) and same_bits(got8, want)
+    assert same_bits(one, want[:, 0])
     assert type(block[0].offset) is float
     return want
 
@@ -133,7 +143,8 @@ class TestStackedEnergies:
     @settings(max_examples=100, deadline=None)
     def test_stack_matches_single_row_expression(self, n, huge, restarts, seed):
         # A stack of models of one size, some near the float limit, where
-        # energies overflow to inf and inf - inf gives NaN.
+        # energies overflow to inf and inf - inf gives NaN; rows are
+        # scored as float64 and as int8.
         assert_matches_single_rows(*stacked_draw(seed, n, huge, restarts))
 
     def test_huge_draw_reaches_inf_and_nan(self):
@@ -162,8 +173,8 @@ class TestEnergyProperties:
         mp = IsingModel(
             j=m.j[np.ix_(perm, perm)], h=m.h[perm], offset=m.offset
         )
-        assert energy(mp, s[perm]) == pytest.approx(
-            energy(m, s), rel=1e-10, abs=1e-10
+        assert energy_of(mp, s[perm]) == pytest.approx(
+            energy_of(m, s), rel=1e-10, abs=1e-10
         )
 
     @given(model_and_spins(), st.floats(-1e6, 1e6))
@@ -171,8 +182,8 @@ class TestEnergyProperties:
     def test_offset_shifts_energy(self, ms, c):
         m, s, _ = ms
         shifted = IsingModel(j=m.j, h=m.h, offset=m.offset + c)
-        assert energy(shifted, s) == pytest.approx(
-            energy(m, s) + c, rel=1e-12, abs=1e-9
+        assert energy_of(shifted, s) == pytest.approx(
+            energy_of(m, s) + c, rel=1e-12, abs=1e-9
         )
 
     @given(model_and_spins())
@@ -183,6 +194,6 @@ class TestEnergyProperties:
         flipped = s.copy()
         flipped[k] = -flipped[k]
         delta = -2.0 * s[k] * (2.0 * (m.j[k] @ s) + m.h[k])
-        assert energy(m, flipped) - energy(m, s) == pytest.approx(
+        assert energy_of(m, flipped) - energy_of(m, s) == pytest.approx(
             delta, rel=1e-10, abs=1e-10
         )

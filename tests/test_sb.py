@@ -8,7 +8,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from sbmimo import sb
-from sbmimo.ising import IsingModel, energy
+from sbmimo.ising import IsingModel
 from sbmimo.sb import (
     SBParams,
     compute_c0,
@@ -20,6 +20,7 @@ from sbmimo.sb import (
 
 from conftest import (
     all_spin_vectors,
+    energy_ref,
     huge_model,
     random_model,
     sign_pm1,
@@ -67,7 +68,8 @@ def reference_runs(model, params, seed=0, trace=None):
         if trace is not None:
             for r in np.flatnonzero(alive).tolist():
                 spins = sign_pm1(x[r]).astype(np.int8)
-                rows[r].append((r, k, a, x[r], y[r], energy(model, spins)))
+                e = energy_ref(model, spins)
+                rows[r].append((r, k, a, x[r], y[r], e))
     if trace is not None:
         trace.extend(row for run in rows for row in run)
     return [sign_pm1(xr).astype(np.int8) if ok else None
@@ -80,7 +82,7 @@ def reference_best(model, runs):
     best = None
     for spins in runs:
         if spins is not None:
-            e = energy(model, spins)
+            e = energy_ref(model, spins)
             if (
                 best is None
                 or e < best[1]
@@ -374,7 +376,7 @@ class TestSolve:
         params = SBParams(n_steps=60, dt=0.5, n_restarts=5)
         res = solve_one(m, params, seed=17)
         runs = reference_runs(m, params, seed=17)
-        energies = [energy(m, spins) for spins in runs]
+        energies = [energy_ref(m, spins) for spins in runs]
         assert res.energy == min(energies)
         assert np.array_equal(res.spins, runs[int(np.argmin(energies))])
 
@@ -470,7 +472,7 @@ class TestSolve:
         assert len({tuple(s) for s in runs}) == 5
         pinned = [math.inf, 4.05e307, -math.inf, math.nan, math.inf]
         monkeypatch.setattr(
-            sb, "energies", lambda model, s: np.array([pinned])
+            sb, "energy", lambda model, s: np.array([pinned])
         )
         res = solve_one(m, params, seed=4)
         assert res.energy == -math.inf and res.diverged_restarts == 0
@@ -487,7 +489,7 @@ class TestSolve:
             calls.append(s.shape)
             return np.full(s.shape[:-1], math.nan)
 
-        monkeypatch.setattr(sb, "energies", nan_energies)
+        monkeypatch.setattr(sb, "energy", nan_energies)
         res = solve_one(m, params, seed=2)
         assert calls == [(1, 4, 6)]  # one call ranks every restart
         assert math.isnan(res.energy)
@@ -500,7 +502,7 @@ class TestSolve:
         m = model_of([[0, -1], [-1, 0]], [0, 0])
         params = SBParams(n_steps=50, dt=0.5, n_restarts=6)
         runs = reference_runs(m, params, seed=1)
-        assert {energy(m, s) for s in runs} == {-2.0}
+        assert {energy_ref(m, s) for s in runs} == {-2.0}
         assert len({tuple(s) for s in runs}) == 2
         for restarts in range(1, 7):
             fewer = dataclasses.replace(params, n_restarts=restarts)
@@ -514,7 +516,7 @@ class TestSolve:
             m = random_model(rng, 8)
             res = solve_one(m, SBParams(n_steps=100, dt=0.5, n_restarts=10),
                         seed=int(rng.integers(2**63)))
-            best = min(energy(m, s) for s in all_spin_vectors(8))
+            best = min(energy_ref(m, s) for s in all_spin_vectors(8))
             hits += res.energy <= best + 1e-9
         assert hits >= 190  # >= 95% of 200
 
@@ -608,7 +610,7 @@ class TestSolve:
         assert steps == list(range(25))
         assert rows[0][2] == 0.0 and rows[24][2] == 1.0  # pump ramp
         for row in rows:
-            assert row[5] == energy(m, sign_pm1(row[3]).astype(np.int8))
+            assert row[5] == energy_ref(m, sign_pm1(row[3]).astype(np.int8))
 
 
 def assert_matches_reference(model, params, seed, outcome, rows):
@@ -683,31 +685,35 @@ class TestBlock:
 
     def test_mixed_block(self):
         # One block of 3-spin models: staggered divergence, every restart
-        # diverging, zero couplings (solved by fields alone) and a plain
-        # model.  Each outcome is the one the model gets alone.
+        # diverging, two with zero couplings (solved by fields alone, with
+        # different energies) and a plain model.  Each outcome is the one
+        # the model gets alone.
         staggered, params, seed = staggered_divergence_model()
-        field_only = model_of(np.zeros((3, 3)), [1.0, -2.0, 0.0])
+        field_only = [model_of(np.zeros((3, 3)), [1.0, -2.0, 0.0]),
+                      model_of(np.zeros((3, 3)), [-0.5, 4.0, 1.5], 2.0)]
         plain = random_model(np.random.default_rng(3), 3)
-        models = [staggered, overflowing_model(), field_only, plain]
-        seeds = [seed, 0, 0, 11]
+        models = [staggered, overflowing_model(), *field_only, plain]
+        seeds = [seed, 0, 0, 0, 11]
         traces = [[] for _ in models]
         with np.errstate(over="ignore", invalid="ignore"):
             out = outcomes(solve(stack(models), params, seeds, traces))
             for m, s, outcome, rows in zip(models, seeds, out, traces):
-                if m is field_only:
+                if any(m is f for f in field_only):
                     alone = solve_one(m, params, s)
                     assert np.array_equal(outcome[0], alone.spins)
                     assert outcome[1:] == (alone.energy, 0)
                     assert rows == []
                 else:
                     assert_matches_reference(m, params, s, outcome, rows)
-        assert [d for _, _, d in out] == [3, params.n_restarts, 0, 0]
+        assert [d for _, _, d in out] == [3, params.n_restarts, 0, 0, 0]
         assert out[2][0].tolist() == [-1, 1, 1]
+        assert out[3][0].tolist() == [1, -1, -1]
+        assert [out[2][1], out[3][1]] == [-3.0, -4.0]
         # The kernel evolves the subset of coupled models, and each of
         # their outcomes and traces is the one the block gets without the
-        # field-only model.  (sb_solve's unsolved problems are tested in
+        # field-only models.  (sb_solve's unsolved problems are tested in
         # test_detectors.py.)
-        coupled = [0, 1, 3]
+        coupled = [0, 1, 4]
         sub_traces = [[] for _ in coupled]
         with np.errstate(over="ignore", invalid="ignore"):
             got = outcomes(solve(stack([models[k] for k in coupled]), params,
@@ -723,19 +729,17 @@ class TestBlock:
     def test_one_energies_call_per_ranking_and_traced_step(
         self, rng, monkeypatch
     ):
-        # The block's readouts are scored by one stacked energies call,
-        # and a traced solve adds one per step; no row is scored alone.
+        # The block's readouts are scored by one stacked energy call, and
+        # a traced solve adds one per step; the models solved by fields
+        # alone are scored together by one call first.  No row is scored
+        # alone.
         calls = []
 
-        def counting(model, s, _energies=sb.energies):
+        def counting(model, s, _energy=sb.energy):
             calls.append(s.shape)
-            return _energies(model, s)
+            return _energy(model, s)
 
-        def no_energy(model, s):
-            raise AssertionError("solve scored a readout alone")
-
-        monkeypatch.setattr(sb, "energies", counting)
-        monkeypatch.setattr(sb, "energy", no_energy)
+        monkeypatch.setattr(sb, "energy", counting)
         models = stack([random_model(rng, 5) for _ in range(3)])
         params = SBParams(n_steps=7, n_restarts=4)
         solve(models, params, [0, 1, 2])
@@ -743,6 +747,12 @@ class TestBlock:
         calls.clear()
         solve(models, params, [0, 1, 2], [[], [], []])
         assert calls == [(3, 4, 5)] * 8
+        calls.clear()
+        free = model_of(np.zeros((5, 5)), rng.normal(size=5))
+        mixed = [free, models[0], free, models[1], free]
+        spins, e, _ = solve(stack(mixed), params, [0, 1, 2, 3, 4])
+        assert calls == [(3, 1, 5), (2, 4, 5)]
+        assert e[[0, 2, 4]].tolist() == [energy_ref(free, spins[0])] * 3
 
     def test_block_needs_one_size_and_one_seed_per_model(self, rng):
         # Models of two sizes make no stack, and one model unstacked is
