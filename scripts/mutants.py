@@ -229,6 +229,17 @@ MUTANTS = (
         (DETECTORS + "TestOracle::test_block_decisions_match_blocks_of_one",),
     ),
     Mutant(
+        # A block of one has one run, so the blocks' property kills it.
+        "each prefix's product takes a neighbouring instance's rows",
+        "detectors.py",
+        "np.repeat(rz[u, j:i, i:], runs, axis=0)",
+        "np.repeat(rz[u, j:i, i:], np.roll(runs, 1), axis=0)",
+        (
+            DETECTORS + "TestOracle::test_block_decisions_match_blocks_of_one",
+            BLOCKS + "test_oracle_bounds_every_instance[4-qpsk]",
+        ),
+    ),
+    Mutant(
         "a later leaf entry replaces the oracle's incumbent unscored",
         "detectors.py",
         "(e, best[u])",
@@ -407,7 +418,7 @@ MUTANTS = (
     Mutant(
         "nearest_index rounds a non-finite value like a finite one",
         "reduction.py",
-        "    v = np.nan_to_num(v, posinf=0.0, neginf=0.0)",
+        "    v = np.where(np.isfinite(v), v, 0.0)",
         "    pass",
         (
             *EDGES, EXACT,

@@ -192,10 +192,12 @@ _COUNTS = ("instances", "bit_errors", "failures", "selection_violations",
            "ml_optimal")
 
 # Sweep points per dSB block, of any SNR: _eval_block solves a block as one
-# solver state.  It stays 32 for memory: larger blocks solve faster (174 us
-# per instance at 16x16 QPSK, 133 at 128) but three qpsk16-mmse-sbreg sweeps
-# peaked at 38.5 MiB RSS at 32, 39.5 at 64 and 41.7 (+8 %) at 128.
-_BLOCK = 32
+# solver state, and the ML oracle searches it once.  In ten alternating
+# perfbench runs each at seeds 3 and 90217 (2 cores, one BLAS thread),
+# qpsk16-mmse-sbreg read medians of 3,239 and 3,248 instances/s at 32
+# points and 4,096 and 4,117 at 64, with peak RSS 40.7 MiB at 32 and
+# 41.9 at 64 on both seeds.
+_BLOCK = 64
 
 
 def _eval_block(cfg: SweepConfig, points, trace=None):

@@ -51,6 +51,14 @@ class Constellation:
         return w
 
     @functools.cached_property
+    def midpoints(self) -> np.ndarray:
+        """The midpoints of adjacent levels, ascending, as read-only
+        float64: the edges of the nearest-level rule."""
+        mid = np.add(self.levels[:-1], self.levels[1:]) / 2
+        mid.flags.writeable = False
+        return mid
+
+    @functools.cached_property
     def symbol_energy(self) -> float:
         """Average symbol energy E_s over the alphabet."""
         return self.axes * float(np.mean(np.square(self.levels)))

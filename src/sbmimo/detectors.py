@@ -88,21 +88,24 @@ class Problem:
         trapezoidal; with fewer rows than coordinates, the rows past h_r's
         are zero), and each MMSE-SIC lattice point (B, k), the search's
         start (of those tried, it searched least: linear MMSE 1.4x, ZF-SIC
-        4.5x).  One stacked QR factors each [h_r | y_r] and [h_r; lam I |
-        y_r; 0], lam^2 = noise_var / Es.  The start is the Babai point of
-        the latter: per coordinate, last first, the nearest level (see
-        nearest_index) to its centre given the ones decided, each row
-        summed left to right; a zero pivot's centre is 0.
+        4.5x).  Two stacked QRs, in turn on one buffer, factor each
+        [h_r; 0 | y_r; 0] and then [h_r; lam I | y_r; 0], lam^2 = noise_var
+        / Es: half the peak memory of one QR of both systems side by side.
+        The start is the Babai point of the latter: per coordinate, last
+        first, the nearest level (see nearest_index) to its centre given
+        the ones decided, each row summed left to right; a zero pivot's
+        centre is 0.
         """
         h_r, y_r, c = self.sys.h_r, self.sys.y_r, self.c
         n_b, m, k = h_r.shape
-        a = np.zeros((n_b, 2, m + k, k + 1))
-        a[:, :, :m, :k] = h_r[:, None]
-        a[:, :, :m, k] = y_r[:, None]
+        a = np.zeros((n_b, m + k, k + 1))
+        a[:, :m, :k] = h_r
+        a[:, :m, k] = y_r
+        rz = np.linalg.qr(a, mode="r")[:, :k]
         lam = np.array([(max(0.0, v) / c.symbol_energy) ** 0.5
                         for v in self.noise_var.tolist()])
-        np.einsum("bii->bi", a[:, 1, m:, :k])[...] = lam[:, None]
-        rz, reg = np.linalg.qr(a, mode="r")[:, :, :k].swapaxes(0, 1)
+        np.einsum("bii->bi", a[:, m:, :k])[...] = lam[:, None]
+        reg = np.linalg.qr(a, mode="r")[:, :k]
         x = np.zeros((n_b, k))
         for i in range(k - 1, -1, -1):
             row = reg[:, i]
@@ -127,9 +130,12 @@ class Problem:
         prefix of an entry by every level combination of the next w
         coordinates and keeps the extensions whose distance at the end of
         them is still within their instance's bound (partial distances
-        never decrease, so this drops no leaf within it).  w is the
-        largest with rows * levels^w at most _ROUND_ROWS, the rows counted
-        over the entry, at least 1 and at most the coordinates left.  An
+        never decrease, so this drops no leaf within it).  Each prefix is
+        multiplied by its own instance's rows of [R z] alone, so a round's
+        memory is linear in its rows; one product with every instance's
+        rows side by side would hold rows x instances.  w is the largest
+        with rows * levels^w at most _ROUND_ROWS, the rows counted over
+        the entry, at least 1 and at most the coordinates left.  An
         entry wider than one block expands a block's worth of prefixes
         and keeps the rest for later, so one round builds at most
         _BLOCK_ROWS rows and at most one entry per depth waits.  A leaf
@@ -204,15 +210,12 @@ class Problem:
             j = i - w
             combos, values = _combos(c.levels, w)
             # Per-instance values reach each row by np.repeat over its run
-            # (a fancy-index gather of them costs several times more).
+            # (a fancy-index gather of them costs several times more), and
+            # each prefix meets its own instance's rows j:i of [R z] alone.
             u, _, runs = _runs(g)
-            at = np.repeat(np.arange(len(u)), runs)
-            # One product with rows j:i of every instance's [R z] side by
-            # side; each prefix keeps its own instance's columns.
-            rzu = rz[u, j:i, i:].transpose(2, 0, 1).reshape(k + 1 - i, -1)
-            done = (x[:, i:] @ rzu).reshape(len(g), len(u), w)
+            own = np.repeat(rz[u, j:i, i:], runs, axis=0)
             e = np.repeat(r[u, j:i, j:i] @ values, runs, axis=0)
-            e += done[np.arange(len(g)), at, :, None]
+            e += np.matvec(own, x[:, i:].astype(np.float64))[:, :, None]
             e *= e
             dd = e.sum(1)
             dd += d[:, None]

@@ -78,8 +78,8 @@ def nearest_index(v, c: Constellation) -> np.ndarray:
     The comparisons against the midpoints of adjacent levels are exact,
     so the level is the nearest to any finite value.
     """
-    v = np.nan_to_num(v, posinf=0.0, neginf=0.0)
-    mid = np.add(c.levels[:-1], c.levels[1:]) / 2
+    v = np.where(np.isfinite(v), v, 0.0)
+    mid = c.midpoints
     left, right = mid.searchsorted(v, "left"), mid.searchsorted(v, "right")
     return np.where(v > 0, left, right)
 

@@ -352,7 +352,10 @@ class TestRunSweep:
         monkeypatch.setattr(
             "sbmimo.bench.mmse_detect", counting(sbmimo.bench.mmse_detect)
         )
-        cfg = small_config(detectors=detectors, instances=20)
+        # Two SNR points of half a block and 8 more: a full block and a
+        # 16-point one, at any block size.
+        cfg = small_config(detectors=detectors,
+                           instances=sbmimo.bench._BLOCK // 2 + 8)
         run_sweep(cfg)
         instances = len(cfg.snr_db) * cfg.instances
         blocks = [sbmimo.bench._BLOCK, instances - sbmimo.bench._BLOCK]
@@ -380,8 +383,9 @@ class TestRunSweep:
         from sbmimo.detectors import Problem
 
         # Every ml_oracle call of a block reads the block's front end,
-        # built by one stacked QR, and its decision from one search over
-        # the whole block; a sweep without the oracle builds neither.
+        # built by two stacked QRs (the plain and the regularized
+        # systems), and its decision from one search over the whole
+        # block; a sweep without the oracle builds neither.
         callers, searched = [], []
         qr = np.linalg.qr
         search = Problem.oracle.func
@@ -398,12 +402,15 @@ class TestRunSweep:
         oracle = functools.cached_property(counting_search)
         oracle.__set_name__(Problem, "oracle")
         monkeypatch.setattr(Problem, "oracle", oracle)
-        cfg = small_config(detectors=detectors, instances=20)
+        cfg = small_config(detectors=detectors,
+                           instances=sbmimo.bench._BLOCK // 2 + 8)
         run_sweep(cfg)
         instances = len(cfg.snr_db) * cfg.instances
         blocks = math.ceil(instances / sbmimo.bench._BLOCK)
         assert blocks == 2
-        assert callers == ["sbmimo.detectors"] * (fronts_per_block * blocks)
+        assert callers == (
+            ["sbmimo.detectors"] * (2 * fronts_per_block * blocks)
+        )
         sizes = [sbmimo.bench._BLOCK, instances - sbmimo.bench._BLOCK]
         assert searched == sizes * fronts_per_block
 
@@ -484,7 +491,11 @@ class TestRunSweep:
     ):
         # The pool is replaced by one that runs each job in this process,
         # so no process starts, and the host is said to have 4 CPUs.
+        # instances is per SNR point at 32-point blocks, scaled with the
+        # block, so each case cuts 2 or 7 jobs at any block size.
         import concurrent.futures
+
+        import sbmimo.bench
 
         sizes = []
 
@@ -509,7 +520,8 @@ class TestRunSweep:
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid: set(range(4)), raising=False
         )
-        cfg = small_config(instances=instances, sb=SBParams(n_steps=5))
+        cfg = small_config(instances=instances * sbmimo.bench._BLOCK // 32,
+                           sb=SBParams(n_steps=5))
         records = run_sweep(replace(cfg, workers=workers))
         assert sizes == [expected]
         assert records == run_sweep(cfg)
@@ -519,7 +531,7 @@ ALL_DETECTORS = ("mmse", "sb", "sb-reg", "ml-oracle")
 
 
 class TestBlocks:
-    @pytest.mark.parametrize("block", [1, 3, None])
+    @pytest.mark.parametrize("block", [1, 3, 32, None])
     def test_block_size_does_not_change_records(self, monkeypatch, block):
         # 70 instances per point span several blocks of every size tried,
         # with a partial last block.
@@ -599,7 +611,8 @@ class TestBlocks:
             func = getattr(sbmimo.bench, name)
             monkeypatch.setattr(sbmimo.bench, name, recording(name, func))
         cfg = small_config(
-            instances=70, detectors=ALL_DETECTORS, sb=SBParams(n_steps=20),
+            instances=2 * block + 6, detectors=ALL_DETECTORS,
+            sb=SBParams(n_steps=20),
         )
         run_sweep(cfg)
         points = len(cfg.snr_db) * cfg.instances
@@ -616,11 +629,12 @@ class TestBlocks:
         assert events == expected
 
     def test_one_solve_per_detector_spans_the_snr_points(self, monkeypatch):
-        # 5 SNR points x 7 instances fill one block and start a second, so
-        # each SB-family detector solves the first block's problems, from
-        # all five points, in one call, not 7 per point, and sb-reg's
-        # solve anchors its whole block in one regularize call.  Two
-        # workers, one block each, give the same records.
+        # 5 SNR points of a quarter block less one instance each fill one
+        # block and start a second, so each SB-family detector solves the
+        # first block's problems, from all five points, in one call, not
+        # one per point, and sb-reg's solve anchors its whole block in one
+        # regularize call.  Two workers, one block each, give the same
+        # records.
         import sbmimo.bench
         import sbmimo.detectors
 
@@ -638,11 +652,11 @@ class TestBlocks:
 
         monkeypatch.setattr(sbmimo.bench, "sb_solve", recording)
         monkeypatch.setattr(sbmimo.detectors, "regularize", anchoring)
+        block = sbmimo.bench._BLOCK
         cfg = small_config(
-            snr_db=(0.0, 5.0, 10.0, 15.0, 20.0), instances=7,
+            snr_db=(0.0, 5.0, 10.0, 15.0, 20.0), instances=block // 4 - 1,
             detectors=ALL_DETECTORS,
         )
-        block = sbmimo.bench._BLOCK
         points = len(cfg.snr_db) * cfg.instances
         assert cfg.instances < block < points
         records = run_sweep(cfg)

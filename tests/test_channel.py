@@ -59,6 +59,15 @@ class TestConstellations:
             with pytest.raises(ValueError, match="read-only"):
                 c.weights[0] = 0
 
+    def test_midpoints_are_cached_and_read_only(self):
+        # The nearest-level rule's edges: one between each pair of levels.
+        for c, mid in ((BPSK, [0]), (QPSK, [0]), (QAM16, [-2, 0, 2])):
+            assert c.midpoints.dtype == np.float64
+            assert c.midpoints.tolist() == mid
+            assert c.midpoints is c.midpoints  # built once per constellation
+            with pytest.raises(ValueError, match="read-only"):
+                c.midpoints[0] = 1.0
+
     def test_real_axes(self):
         assert (BPSK.axes, QPSK.axes, QAM16.axes) == (1, 2, 2)
 

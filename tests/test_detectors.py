@@ -1,5 +1,6 @@
 import bisect
 import operator
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -654,6 +655,27 @@ class TestOracle:
         assert scored[0].min() == e < min(b.min() for b in scored[1:])
         # A block of one scores each leaf entry as one unpadded piece.
         assert res.extras["candidates"] == sum(b.size for b in scored)
+
+    def test_memory_per_instance_does_not_grow_with_the_block(self):
+        # Each prefix's product reads only its own instance's rows of
+        # [R z], so the oracle's peak traced allocation per instance on a
+        # 64-instance 8x8 QPSK block at 5 dB stays near a 32-instance
+        # block's from the same streams (0.93x measured).  A product with
+        # every instance's rows side by side grows with the block: ~1.5x.
+        def peak_per_instance(insts):
+            p = prepare(insts, QPSK)
+            tracemalloc.start()
+            try:
+                p.oracle
+                return tracemalloc.get_traced_memory()[1] / len(insts)
+            finally:
+                tracemalloc.stop()
+
+        insts = [
+            sample_instance(8, 8, QPSK, 5.0, np.random.default_rng([1, 0, i]))
+            for i in range(64)
+        ]
+        assert peak_per_instance(insts) <= 1.25 * peak_per_instance(insts[:32])
 
     def test_guard_refuses_large_search(self, rng):
         inst = sample_instance(7, 2, QAM16, 10.0, rng)  # 28 spins
