@@ -191,6 +191,13 @@ MUTANTS = (
         (SB + "TestBlock::test_mixed_block",),
     ),
     Mutant(
+        "an IsingModel takes one model unstacked",
+        "ising.py",
+        "        if (h.ndim != 2 or j.shape",
+        "        if (h.ndim < 1 or j.shape",
+        ("tests/test_ising.py::TestModelShape::test_only_a_stack_is_a_model",),
+    ),
+    Mutant(
         "the energy kernel adds the fields before its dot with s",
         "ising.py",
         "    return quad + np.vecdot(h[..., None, :], s) + offset[..., None]",
@@ -266,7 +273,7 @@ MUTANTS = (
     Mutant(
         "the oracle expands waiting entries without filtering them again",
         "detectors.py",
-        "            if (bound[lo:hi] < pushed[lo:hi]).any():",
+        "            if not keep.all():",
         "            if False:",
         (
             DETECTORS + "TestOracle::test_shrinking_bound_pins_the_search_work",

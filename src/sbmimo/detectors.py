@@ -140,16 +140,16 @@ class Problem:
         and keeps the rest for later, so one round builds at most
         _BLOCK_ROWS rows and at most one entry per depth waits.  A leaf
         entry lowers each of its instances' bounds to that instance's best
-        distance plus slack, and an entry that waited while one of its
-        instances' bounds was lowered is filtered against them when taken
-        up.  The leaf entry's leaves within the lowered bounds are scored
-        under their own models, and one lexsort keeps each instance's
-        incumbent.  The order in which prefixes are visited changes the
-        work, never what lies within the final bound, so each decision is
-        bit for bit what a block of one gives.  An instance with no leaf
-        within its bound (a non-finite input) takes level 0 at every
-        coordinate and 0 candidates; every such instance is scored by one
-        more energy call.
+        distance plus slack.  Every entry is filtered against its
+        instances' bounds when taken up, so one that waited drops the
+        prefixes the lowered bounds exclude.  The leaf entry's leaves
+        within the lowered bounds are scored under their own models, and
+        one lexsort keeps each instance's incumbent.  The order in which
+        prefixes are visited changes the work, never what lies within the
+        final bound, so each decision is bit for bit what a block of one
+        gives.  An instance with no leaf within its bound (a non-finite
+        input) takes level 0 at every coordinate and 0 candidates; every
+        such instance is scored by one more energy call.
         """
         if self.model.n > ORACLE_SPIN_LIMIT:
             raise ValueError(f"{self.model.n} spins exceed the oracle limit "
@@ -177,12 +177,11 @@ class Problem:
         # is R x - z.
         x = np.zeros((n_b, k + 1), dtype=np.int8)
         x[:, k] = -1
-        stack = [(k, g, x, np.zeros(n_b), bound.copy())]
+        stack = [(k, g, x, np.zeros(n_b))]
         while stack:
-            i, g, x, d, pushed = stack.pop()
-            lo, hi = int(g[0]), int(g[-1]) + 1  # the entry's instances
-            if (bound[lo:hi] < pushed[lo:hi]).any():
-                keep = d <= bound.take(g)
+            i, g, x, d = stack.pop()
+            keep = d <= bound.take(g)
+            if not keep.all():
                 g, x, d = g[keep], x[keep], d[keep]
                 if not len(d):
                     continue
@@ -202,7 +201,7 @@ class Problem:
                 spins[g[win]], best[g[win]] = s[win], e[win]
                 continue
             if len(d) > cut:
-                stack.append((i, g[cut:], x[cut:], d[cut:], bound.copy()))
+                stack.append((i, g[cut:], x[cut:], d[cut:]))
                 g, x, d = g[:cut], x[:cut], d[:cut]
             w = 1
             while w < i and len(d) * n_lv ** (w + 1) <= _ROUND_ROWS:
@@ -224,7 +223,7 @@ class Problem:
             if rows.size:
                 x = x[rows]
                 x[:, j:i] = combos[cols]
-                stack.append((j, g[rows], x, dd[rows, cols], bound.copy()))
+                stack.append((j, g[rows], x, dd[rows, cols]))
         none = candidates == 0
         if none.any():
             best[none] = energy(model[none], spins[none, None])[:, 0]
@@ -347,7 +346,7 @@ def ml_oracle(p: Problem, b: int) -> DetectionResult:
     leaf found so far, each plus the most rounding can move a distance,
     so the optimum is never dropped.  With nr < nt, R has fewer rows
     than coordinates and the top levels simply go unpruned.  The leaves
-    within the bound are scored by p.model[b]'s energy of their spins
+    within the bound are scored under p.model[[b]] by their spins' energy
     (see level_spins); the lowest energy wins, and ties go to the
     lexicographically smallest spin vector (-1 before +1): the answer of
     a scan over all 2^n spin vectors in that order, whatever the block.

@@ -33,9 +33,9 @@ def instance_model(sys: RealizedSystem, c: Constellation) -> IsingModel:
     energy equals ||y_r - H_r T s||^2 for every s.  H_r T is each axis's
     column block of H_r once per weight, scaled by it.
 
-    sys holds h_r (..., m, k) and y_r (..., m), one system or a stack;
-    returns one model or the stack of them, each system's bit for bit
-    what it would be alone.
+    sys holds a stack of B systems, h_r (B, m, k) and y_r (B, m);
+    returns the stack of their models, each system's bit for bit what it
+    would be alone.
     """
     *lead, m, k = sys.h_r.shape
     nt = k // c.axes
@@ -95,8 +95,8 @@ def symbols_to_spins(x: np.ndarray, c: Constellation) -> np.ndarray:
 
 
 def regularize(model: IsingModel, s_p: np.ndarray, r: float) -> IsingModel:
-    """Add the anchor penalty r * ||s - s_p||^2 in closed form, to one
-    model or to each model of a stack, anchored at its own row of s_p.
+    """Add the anchor penalty r * ||s - s_p||^2 in closed form to each
+    model of a stack, anchored at its own row of s_p (B, n).
 
     Over spins, ||s - s_p||^2 = 2n - 2 s . s_p, so only the fields and the
     offset move: h -> h - 2 r s_p, offset -> offset + 2 r n.  Couplings

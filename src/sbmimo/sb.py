@@ -14,8 +14,8 @@ c0 = 1 / (2 sqrt(N) lambda) with lambda the rms off-diagonal coupling,
 computed on J scaled by a power of two: it is exact under power-of-two
 rescaling of the model, and sum(J**2) can neither overflow nor underflow.
 
-solve() takes a stacked IsingModel of B same-size models, one seed
-each, and evolves every restart of every model as a row of one
+solve() takes an IsingModel, a stack of B same-size models, and one
+seed each, and evolves every restart of every model as a row of one
 (2, B, R, N) state of positions and momenta and one (B, R, N) array of
 their signs s, updated in place by ufuncs and one np.matmul(s, J) with
 the stack's own J (B, N, N): one (R, N) @ (N, N) product per model (J
@@ -230,7 +230,7 @@ def solve(model: IsingModel, params: SBParams, seeds, trace=None):
     restart, restart-major; a diverged restart's rows stop at its last
     finite step, and a model solved by fields alone adds none.
     """
-    if model.h.ndim != 2 or len(seeds) != len(model.h):
+    if len(seeds) != len(model.h):
         raise ValueError("a block needs a stack of same-size models and one "
                          "seed each")
     # The exact minimizer of h . s; h_i == 0 breaks to +1.

@@ -16,42 +16,52 @@ from sbmimo.reduction import symbols_to_spins
 from sbmimo.sb import solve
 
 
+def model_of(j, h, offset=0.0) -> IsingModel:
+    # The stack of one of a single model's couplings j (n, n), fields h
+    # (n,) and offset: the form every IsingModel takes.
+    return IsingModel(np.asarray(j)[None], np.asarray(h)[None], [offset])
+
+
 def energy_loop(model: IsingModel, s) -> float:
-    # Independent oracle: ordered-pair double sum, plain Python floats.
-    total = model.offset
+    # Independent oracle on a stack of one: ordered-pair double sum,
+    # plain Python floats.
+    (j,), (h,), (total,) = model.j, model.h, model.offset.tolist()
     for i in range(model.n):
-        total += model.h[i] * s[i]
+        total += h[i] * s[i]
         for k in range(model.n):
-            total += model.j[i, k] * s[i] * s[k]
+            total += j[i, k] * s[i] * s[k]
     return total
 
 
 def energy_ref(model: IsingModel, s) -> float:
     # The single-row energy expression ising.energy must reproduce bit
     # for bit, for float and int8 rows: s @ J @ s + h @ s + offset, summed
-    # in that order.  One model's energy in tests goes through it.
+    # in that order, under a stack of one.  One model's energy in tests
+    # goes through it.
+    (j,), (h,), (offset,) = model.j, model.h, model.offset
     s = np.asarray(s, dtype=np.float64)
-    return float(s @ model.j @ s + model.h @ s + model.offset)
+    return float(s @ j @ s + h @ s + offset)
 
 
 def model_from(a, y_r):
     # The Ising model of ||y_r - a s||^2 from one instance's spin matrix
     # a = H_r T, by the reduction's formulas in instance_model's order of
-    # operations: the per-instance reference of the stacked reduction.
+    # operations: the per-instance reference of the stacked reduction, as
+    # a stack of one.
     g = a.T @ a
     g = 0.5 * (g + g.T)
-    return IsingModel(
+    return model_of(
         j=g - np.diag(np.diagonal(g)),
         h=-2.0 * (a.T @ y_r),
-        offset=float(np.trace(g) + y_r @ y_r),
+        offset=np.trace(g) + y_r @ y_r,
     )
 
 
 def assert_same_model(model, ref):
-    # Bit for bit.
-    assert model.j.tobytes() == ref.j.tobytes()
-    assert model.h.tobytes() == ref.h.tobytes()
-    assert model.offset == ref.offset
+    # Bit for bit, shapes included.
+    for got, want in zip((model.j, model.h, model.offset),
+                         (ref.j, ref.h, ref.offset)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def sign_pm1(x) -> np.ndarray:
@@ -183,17 +193,17 @@ def hard_symbols(symbols, c) -> np.ndarray:
 
 
 def stack(models) -> IsingModel:
-    # Same-size models as one stacked model, the form solve takes.
-    return IsingModel(np.stack([m.j for m in models]),
-                      np.stack([m.h for m in models]),
-                      np.array([m.offset for m in models]))
+    # Stacks of same-size models joined into one, in order.
+    return IsingModel(np.concatenate([m.j for m in models]),
+                      np.concatenate([m.h for m in models]),
+                      np.concatenate([m.offset for m in models]))
 
 
 def solve_one(model, params, seed=0, trace=None):
-    # One model through the block solver, as the stack of one: its row
-    # of solve's arrays as spins, energy and diverged_restarts, or None
-    # if every restart diverged.
-    (spins,), (e,), (diverged,) = solve(stack([model]), params, [seed],
+    # A stack of one through the block solver: its row of solve's arrays
+    # as spins, energy and diverged_restarts, or None if every restart
+    # diverged.
+    (spins,), (e,), (diverged,) = solve(model, params, [seed],
                                         None if trace is None else [trace])
     if diverged == params.n_restarts:
         return None
@@ -208,11 +218,12 @@ def detect_one(p, params, anchored=False, r=0.5, seed=0):
 
 
 def random_model(rng, n: int, h_scale: float = 1.0) -> IsingModel:
+    # A stack of one random model of n spins.
     a = rng.normal(size=(n, n))
     j = (a + a.T) / 2.0
     np.fill_diagonal(j, 0.0)
     h = rng.normal(size=n) * h_scale
-    return IsingModel(j=j, h=h, offset=float(rng.normal()))
+    return model_of(j, h, rng.normal())
 
 
 def huge_model(m):

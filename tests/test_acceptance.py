@@ -81,12 +81,12 @@ def test_criterion_1_energy_equals_ml_residual():
         nr = nt + int(rng.integers(0, 3))
         snr_db = float(rng.uniform(0.0, 30.0))
         inst = sample_instance(nt, nr, c, snr_db, rng)
-        sys_r = realify(inst.h, inst.y, c)
+        sys_r = realify(inst.h[None], inst.y[None], c)  # a stack of one
         model = instance_model(sys_r, c)
-        a = sys_r.h_r @ spin_transform(c, nt)
+        a = sys_r.h_r[0] @ spin_transform(c, nt)
         spins = rng.choice([-1.0, 1.0], size=(100, nt * c.bps))
-        for s, e in zip(spins, energy(model, spins).tolist()):
-            resid = sys_r.y_r - a @ s
+        for s, e in zip(spins, energy(model, spins[None])[0].tolist()):
+            resid = sys_r.y_r[0] - a @ s
             ref = float(resid @ resid)
             err = abs(e - ref) / max(abs(ref), 1.0)
             worst = max(worst, err)
@@ -104,9 +104,9 @@ def test_criterion_2_exhaustive_argmin_matches_oracle():
     for i in range(n_inst):
         rng = np.random.default_rng([41, i])
         p = prepare([sample_instance(3, 3, c, 8.0, rng)], c)
-        model = p.model[0]
+        model = p.model[[0]]
         table = np.array(list(all_spin_vectors(model.n)))
-        best = table[int(np.argmin(energy(model, table)))]
+        best = table[int(np.argmin(energy(model, table[None])[0]))]
         if np.array_equal(best, ml_oracle(p, 0).spins):
             agree += 1
     report(

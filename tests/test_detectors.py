@@ -186,7 +186,7 @@ class TestPrepare:
             assert p.sys.y_r[b].tobytes() == sys.y_r.tobytes()
             nt = inst.h.shape[1]
             model = model_from(sys.h_r @ spin_transform(c, nt), sys.y_r)
-            assert_same_model(p.model[b], model)
+            assert_same_model(p.model[[b]], model)
             spins = mmse_reference(inst, c)
             assert spins is not None
             res = mmse_detect(p, b)
@@ -233,7 +233,7 @@ class TestPrepare:
             assert res.spins.tobytes() == p.mmse.spins[b].tobytes()
             assert res.ising_energy == p.mmse.ising_energy[b]
             assert (res.detector, res.extras) == ("mmse", {})
-            assert res.ising_energy == energy_ref(p.model[b], res.spins)
+            assert res.ising_energy == energy_ref(p.model[[b]], res.spins)
         assert len(shapes) == 1
 
     def test_no_decision_is_a_detection_failure(self, rng):
@@ -340,7 +340,7 @@ class TestMmse:
     def test_energy_is_definitionally_consistent(self, rng):
         inst = sample_instance(3, 3, QAM16, 14.0, rng)
         res = mmse_detect(prepare([inst], QAM16), 0)
-        model = prepare([inst], QAM16).model[0]
+        model = prepare([inst], QAM16).model[[0]]
         assert res.ising_energy == energy_ref(model, res.spins)
 
     @pytest.mark.parametrize("c", [QPSK, BPSK], ids=["qpsk", "bpsk"])
@@ -359,9 +359,9 @@ class TestMmse:
             np.linalg.solve(gram, np.ones(2))
         p = prepare([inst], c)
         res = mmse_detect(p, 0)
-        assert res.spins.shape == (p.model[0].n,)
+        assert res.spins.shape == (p.model[[0]].n,)
         assert np.isfinite(res.ising_energy)
-        assert res.ising_energy == energy_ref(p.model[0], res.spins)
+        assert res.ising_energy == energy_ref(p.model[[0]], res.spins)
 
     def test_zero_noise_has_no_decision(self):
         # At noise_var 0 the regularizer is 0, and this H^H H alone is
@@ -493,7 +493,7 @@ class TestOracle:
     def test_beats_every_candidate_by_full_scan(self, rng):
         inst = sample_instance(2, 2, QPSK, 4.0, rng)
         res = oracle(prepare([inst], QPSK), 0)
-        model = prepare([inst], QPSK).model[0]
+        model = prepare([inst], QPSK).model[[0]]
         table = np.array(list(all_spin_vectors(model.n)))
         energies = np.array([energy_ref(model, s) for s in table])
         assert res.ising_energy == energies.min()
@@ -522,7 +522,7 @@ class TestOracle:
     def test_matches_exhaustive_reference(self, case):
         inst, c = case
         res = oracle(prepare([inst], c), 0)
-        spins, e = exhaustive_ml(prepare([inst], c).model[0])
+        spins, e = exhaustive_ml(prepare([inst], c).model[[0]])
         assert np.array_equal(res.spins, spins)
         assert res.ising_energy == e
 
@@ -537,7 +537,7 @@ class TestOracle:
         p = prepare(insts, c)
         for b, inst in enumerate(insts):
             one = prepare([inst], c)
-            spins, e = exhaustive_ml(one.model[0])
+            spins, e = exhaustive_ml(one.model[[0]])
             for res in (ml_oracle(p, b), ml_oracle(one, 0)):
                 assert np.array_equal(res.spins, spins)
                 assert np.array_equal(res.ising_energy, e, equal_nan=True)
@@ -559,7 +559,7 @@ class TestOracle:
         for c, nt, nr, snr in [(QAM16, 3, 2, 0.0), (QPSK, 5, 3, -10.0)]:
             inst = sample_instance(nt, nr, c, snr, rng)
             res = oracle(prepare([inst], c), 0)
-            spins, e = exhaustive_ml(prepare([inst], c).model[0])
+            spins, e = exhaustive_ml(prepare([inst], c).model[[0]])
             assert np.array_equal(res.spins, spins)
             assert res.ising_energy == e
 
@@ -570,7 +570,7 @@ class TestOracle:
         for snr in (-10.0, 10.0, 40.0):
             inst = sample_instance(3, 1, QAM16, snr, rng)
             res = oracle(prepare([inst], QAM16), 0)
-            spins, e = exhaustive_ml(prepare([inst], QAM16).model[0])
+            spins, e = exhaustive_ml(prepare([inst], QAM16).model[[0]])
             assert isinstance(res.extras["candidates"], int)
             assert np.array_equal(res.spins, spins)
             assert res.ising_energy == e
@@ -583,7 +583,7 @@ class TestOracle:
         for _ in range(2):
             inst = sample_instance(8, 8, QPSK, snr, rng)
             res = oracle(prepare([inst], QPSK), 0)
-            spins, e = exhaustive_ml(prepare([inst], QPSK).model[0])
+            spins, e = exhaustive_ml(prepare([inst], QPSK).model[[0]])
             assert np.array_equal(res.spins, spins)
             assert res.ising_energy == e
 
@@ -592,7 +592,7 @@ class TestOracle:
         # 9,392 leaves lie within the MMSE-SIC point's distance.  Only
         # those within slack of the best leaf are scored.
         inst = sample_instance(4, 2, QAM16, -10.0, np.random.default_rng(3))
-        spins, e = exhaustive_ml(prepare([inst], QAM16).model[0])
+        spins, e = exhaustive_ml(prepare([inst], QAM16).model[[0]])
         res = oracle(prepare([inst], QAM16), 0)
         assert np.array_equal(res.spins, spins)
         assert res.ising_energy == e
@@ -618,7 +618,7 @@ class TestOracle:
             noise_var=1.0, y=np.array([-3 - 1j, 1 + 2j]),
         )
         res = oracle(prepare([inst], QPSK), 0)
-        spins, e = exhaustive_ml(prepare([inst], QPSK).model[0])
+        spins, e = exhaustive_ml(prepare([inst], QPSK).model[[0]])
         assert np.array_equal(res.spins, spins)
         assert res.ising_energy == e == 9.0
         assert res.extras["candidates"] == 3
@@ -639,7 +639,7 @@ class TestOracle:
             noise_var=1.0, y=h @ np.full(4, -1 - 1j),
         )
         p = prepare([inst], QPSK)
-        spins, e = exhaustive_ml(p.model[0])
+        spins, e = exhaustive_ml(p.model[[0]])
         scored = []  # the oracle's energy calls alone
 
         def recording(*args):
@@ -698,7 +698,7 @@ class TestSbDetect:
     def test_plain_readout_is_consistent(self, rng):
         inst = sample_instance(3, 3, QPSK, 10.0, rng)
         res = detect_one(prepare([inst], QPSK), SBParams(n_steps=80), seed=2)
-        model = prepare([inst], QPSK).model[0]
+        model = prepare([inst], QPSK).model[[0]]
         assert res.ising_energy == energy_ref(model, res.spins)
         assert res.detector == "sb"
         assert set(res.extras) == {"diverged_restarts"}
@@ -711,9 +711,9 @@ class TestSbDetect:
             anchor = mmse_detect(p, 0)
             res = detect_one(p, params, True, r=0.5)
             assert set(res.extras) == {"diverged_restarts", "selected"}
-            readout = solve_one(regularize(p.model[0], anchor.spins, 0.5),
-                                params)
-            sb_energy = energy_ref(p.model[0], readout.spins)
+            readout = solve_one(
+                regularize(p.model[[0]], anchor.spins[None], 0.5), params)
+            sb_energy = energy_ref(p.model[[0]], readout.spins)
             assert res.ising_energy <= anchor.ising_energy
             assert res.ising_energy == min(sb_energy, anchor.ising_energy)
             winner = readout if res.extras["selected"] == "sb" else anchor
@@ -759,7 +759,7 @@ class TestSbDetect:
         for b in range(4):
             for solved in (sb, reg):
                 res = sb_detect(solved, b)
-                assert res.ising_energy == energy_ref(p.model[b], res.spins)
+                assert res.ising_energy == energy_ref(p.model[[b]], res.spins)
         assert len(calls) == 4
 
     def test_block_decisions_match_blocks_of_one(self, rng, monkeypatch):
@@ -858,7 +858,7 @@ class TestSbDetect:
         model = IsingModel(j, p.model.h, p.model.offset)
         anchor_e = p.mmse.ising_energy.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            anchor_e[1] = energy_ref(model[1], p.mmse.spins[1])
+            anchor_e[1] = energy_ref(model[[1]], p.mmse.spins[1])
         p = replace(p, model=model,
                     mmse=replace(p.mmse, ising_energy=anchor_e))
         seeds = [41, 42, 43]
@@ -886,7 +886,7 @@ class TestSbDetect:
                          np.full((1, 2), 0.5e308), np.zeros(1))
         anchor = np.full(2, -1, dtype=np.int8)
         p = replace(prepare([inst], BPSK), model=big, mmse=DetectionResult(
-            "mmse", anchor[None], np.array([energy_ref(big[0], anchor)]), {},
+            "mmse", anchor[None], np.array([energy_ref(big[[0]], anchor)]), {},
             np.array([True]),
         ))
         params = SBParams(n_steps=20, dt=1e300, n_restarts=1)
@@ -895,7 +895,7 @@ class TestSbDetect:
         assert diverged.tolist() == [1] and spins.tolist() == [[1, 1]]
         with pytest.raises(FloatingPointError):
             with np.errstate(over="raise"):
-                energy_ref(big[0], spins[0])
+                energy_ref(big[[0]], spins[0])
         solved = sb_solve(p, params, [2], 0.5)
         assert solved.done.tolist() == [False] and solved[0] is None
 
@@ -938,14 +938,14 @@ class TestSbDetect:
             plain = sb_solve(p, params, seeds)
             reg = sb_solve(p, params, seeds, 0.5)
             for b, seed in enumerate(seeds):
-                model, anchor = p.model[b], p.mmse[b]
+                model, anchor = p.model[[b]], p.mmse[b]
                 readout = solve_one(model, params, seed)
                 res = plain[b]
                 assert res.detector == "sb"
                 assert res.extras == {"diverged_restarts": 0}
                 assert np.array_equal(res.spins, readout.spins)
                 assert res.ising_energy == energy_ref(model, readout.spins)
-                readout = solve_one(regularize(model, anchor.spins, 0.5),
+                readout = solve_one(regularize(model, anchor.spins[None], 0.5),
                                     params, seed)
                 sb_energy = energy_ref(model, readout.spins)
                 keep = sb_energy <= anchor.ising_energy
@@ -969,9 +969,9 @@ class TestSbDetect:
             params = SBParams(n_steps=100)
             anchor = mmse_detect(p, 0)
             res = detect_one(p, params, True, r=0.5, seed=seed)
-            model = regularize(p.model[0], anchor.spins, 0.5)
+            model = regularize(p.model[[0]], anchor.spins[None], 0.5)
             readout = solve_one(model, params, seed)
-            if energy_ref(p.model[0], readout.spins) == anchor.ising_energy:
+            if energy_ref(p.model[[0]], readout.spins) == anchor.ising_energy:
                 assert res.extras["selected"] == "sb"
                 assert np.array_equal(res.spins, readout.spins)
                 return

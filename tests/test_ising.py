@@ -12,62 +12,73 @@ from conftest import (
     energy_loop,
     energy_ref,
     huge_model,
+    model_of,
     random_model,
     stack,
 )
 
 
-def model_of(j, h, offset=0.0):
-    return IsingModel(j=j, h=h, offset=offset)
-
-
 def energy_of(m, s):
-    # The kernel on one row s under one model.
-    return float(energy(m, np.asarray(s)[None])[0])
+    # The kernel on one row s under a stack of one.
+    return float(energy(m, np.asarray(s)[None, None])[0, 0])
 
 
 class TestModelShape:
     def test_spin_count_is_the_field_length(self):
         m = model_of(np.zeros((3, 3)), [1, 2, 3])
         assert m.n == 3
-        assert replace(m, h=np.zeros(3)).n == 3
+        assert replace(m, h=np.zeros((1, 3))).n == 3
 
     @pytest.mark.parametrize(
         "j_shape, h_shape",
-        [((3, 3), (2,)), ((2, 3), (2,)), ((2, 2), (2, 1)), ((), ()),
-         # Stacks: of 2 couplings and 3 fields, and of 2 models whose
-         # offset is one number, not one per model.
-         ((2, 3, 3), (3, 3)), ((2, 3, 3), (2, 3))],
+        [((1, 3, 3), (1, 2)), ((1, 2, 3), (1, 2)), ((1, 2, 2), (1, 2, 1)),
+         ((), ()),
+         # Stacks: of 2 couplings and 3 fields, and of fields with a
+         # second leading axis.
+         ((2, 3, 3), (3, 3)), ((2, 3, 3), (2, 3, 3))],
     )
     def test_mismatch_rejected_at_construction(self, j_shape, h_shape):
         # Before, IsingModel(n=2, j=<3x3>, h=<3>) was accepted and solve
         # failed later with numpy's broadcast error.
         with pytest.raises(ValueError) as exc:
-            model_of(np.zeros(j_shape), np.zeros(h_shape))
+            IsingModel(np.zeros(j_shape), np.zeros(h_shape),
+                       np.zeros(h_shape[:-1]))
         assert str(j_shape) in str(exc.value)
         assert str(h_shape) in str(exc.value)
 
     def test_replace_checks_the_new_shapes(self):
         m = model_of(np.zeros((2, 2)), [0, 0])
         with pytest.raises(ValueError):
-            replace(m, h=np.zeros(3))
+            replace(m, h=np.zeros((1, 3)))
         # A stack of two models takes one offset per model.
-        pair = model_of(np.zeros((2, 2, 2)), np.zeros((2, 2)), np.zeros(2))
+        pair = IsingModel(np.zeros((2, 2, 2)), np.zeros((2, 2)), np.zeros(2))
         assert pair.n == 2 and pair.offset.shape == (2,)
         with pytest.raises(ValueError, match=r"offset \(3,\)"):
             replace(pair, offset=np.zeros(3))
 
-    def test_only_a_stack_iterates_or_indexes(self):
-        # A single model is neither a sequence of models nor indexable:
-        # unpacking or indexing it names stacks, not a float subscript.
-        single = model_of(np.zeros((2, 2)), [1, 2], 3.0)
-        for use in (lambda: IsingModel(*single), lambda: single[0]):
-            with pytest.raises(TypeError, match="only a stack of models"):
+    def test_only_a_stack_is_a_model(self):
+        # One model unstacked, a scalar offset, a second leading axis and
+        # an int index (which would select one model unstacked) are each
+        # the shape ValueError; so is unpacking a stack into its models.
+        trio = IsingModel(np.zeros((3, 2, 2)), [[1, 2], [3, 4], [5, 6]],
+                          [5.0, 6.0, 7.0])
+        for use in (lambda: IsingModel(np.zeros((2, 2)), [1, 2], 3.0),
+                    lambda: IsingModel(np.zeros((1, 2, 2)), [[1, 2]], 3.0),
+                    lambda: IsingModel(np.zeros((2, 3, 2, 2)),
+                                       np.zeros((2, 3, 2)), np.zeros((2, 3))),
+                    lambda: trio[0], lambda: IsingModel(*trio)):
+            with pytest.raises(ValueError, match=r"need j \(B, n, n\), h "
+                               r"\(B, n\) and offset \(B,\)"):
                 use()
-        pair = model_of(np.zeros((2, 2, 2)), [[1, 2], [3, 4]], [5.0, 6.0])
-        first, second = pair
-        assert second.h.tolist() == [3, 4] and second.offset == 6.0
-        assert pair[0].offset == first.offset == 5.0
+        # A list, an array, a mask or a slice selects a stack, whose
+        # offsets stay a float64 array, one per model.
+        for idx in ([1], np.array([0, 2]), np.array([False, True, True]),
+                    slice(1, None)):
+            sub = trio[idx]
+            assert sub.h.tolist() == trio.h[idx].tolist()
+            assert sub.offset.dtype == np.float64
+            assert sub.offset.tolist() == trio.offset[idx].tolist()
+            assert sub.offset.shape == (len(sub.h),)
 
 
 class TestEnergy:
@@ -90,12 +101,10 @@ class TestEnergy:
             )
 
     def test_dimension_mismatch_rejected(self):
-        # A row of the wrong length is numpy's core-dimension ValueError,
-        # under one model and under a stack.
+        # A row of the wrong length is numpy's core-dimension ValueError.
         m = model_of([[0, 1], [1, 0]], [0, 0])
-        for model in (m, stack([m])):
-            with pytest.raises(ValueError):
-                energy(model, np.array([[1, -1, 1]]))
+        with pytest.raises(ValueError):
+            energy(m, np.array([[[1, -1, 1]]]))
 
 
 def stacked_draw(seed, n, huge, restarts):
@@ -117,8 +126,8 @@ def same_bits(got, want):
 def assert_matches_single_rows(models, s):
     # energy over the stack equals the single-row expression bit for bit,
     # for float64 rows and for the same rows as int8, and so does energy
-    # of one row under each model taken from the stack; returns the
-    # energies.
+    # of one row under each model taken from the stack as a stack of one;
+    # returns the energies.
     block = stack(models)
     with np.errstate(over="ignore", invalid="ignore"):
         got = energy(block, s)
@@ -126,10 +135,10 @@ def assert_matches_single_rows(models, s):
         want = np.array(
             [[energy_ref(m, row) for row in rows] for m, rows in zip(models, s)]
         )
-        one = np.array([energy(block[b], s[b, :1])[0] for b in range(len(s))])
+        one = np.array([energy(block[[b]], s[b:b + 1, :1])[0, 0]
+                        for b in range(len(s))])
     assert same_bits(got, want) and same_bits(got8, want)
     assert same_bits(one, want[:, 0])
-    assert type(block[0].offset) is float
     return want
 
 
@@ -171,7 +180,7 @@ class TestEnergyProperties:
         m, s, rng = ms
         perm = rng.permutation(m.n)
         mp = IsingModel(
-            j=m.j[np.ix_(perm, perm)], h=m.h[perm], offset=m.offset
+            j=m.j[:, perm][:, :, perm], h=m.h[:, perm], offset=m.offset
         )
         assert energy_of(mp, s[perm]) == pytest.approx(
             energy_of(m, s), rel=1e-10, abs=1e-10
@@ -193,7 +202,7 @@ class TestEnergyProperties:
         k = int(rng.integers(m.n))
         flipped = s.copy()
         flipped[k] = -flipped[k]
-        delta = -2.0 * s[k] * (2.0 * (m.j[k] @ s) + m.h[k])
+        delta = -2.0 * s[k] * (2.0 * (m.j[0, k] @ s) + m.h[0, k])
         assert energy_of(m, flipped) - energy_of(m, s) == pytest.approx(
             delta, rel=1e-10, abs=1e-10
         )

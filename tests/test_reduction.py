@@ -42,23 +42,28 @@ from conftest import (
 )
 
 
+def realify_one(inst, c):
+    # One instance's realify system as a stack of one.
+    return realify(inst.h[None], inst.y[None], c)
+
+
 def realified(rng, c, nt, nr=None):
     inst = sample_instance(nt, nt if nr is None else nr, c, 10.0, rng)
-    return realify(inst.h, inst.y, c)
+    return realify_one(inst, c)
 
 
 class TestContext:
     def test_qpsk_transform_is_identity(self, rng):
         sys = realified(rng, QPSK, 3)
-        assert sys.h_r.shape == (6, 6)
+        assert sys.h_r.shape == (1, 6, 6)
         assert_same_model(instance_model(sys, QPSK),
-                          model_from(sys.h_r, sys.y_r))
+                          model_from(sys.h_r[0], sys.y_r[0]))
 
     def test_bpsk_transform_is_identity(self, rng):
         sys = realified(rng, BPSK, 4)
-        assert sys.h_r.shape == (8, 4)
+        assert sys.h_r.shape == (1, 8, 4)
         assert_same_model(instance_model(sys, BPSK),
-                          model_from(sys.h_r, sys.y_r))
+                          model_from(sys.h_r[0], sys.y_r[0]))
 
     def test_qam16_block_structure(self, rng):
         nt = 2
@@ -70,7 +75,8 @@ class TestContext:
         )
         model = instance_model(sys, QAM16)
         assert model.n == 8
-        assert_same_model(model, model_from(sys.h_r @ expected, sys.y_r))
+        assert_same_model(model, model_from(sys.h_r[0] @ expected,
+                                            sys.y_r[0]))
 
     def test_qam16_image_is_the_lattice(self):
         # The 16 bit patterns modulate onto the 16 lattice points under
@@ -94,18 +100,18 @@ class TestBuildIsing:
         for c in (BPSK, QPSK, QAM16):
             inst = sample_instance(3, 3, c, 10.0, rng)
             clean = dataclasses.replace(inst, y=inst.h @ sent_symbols(inst, c))
-            model = instance_model(realify(clean.h, clean.y, c), c)
+            model = instance_model(realify_one(clean, c), c)
             s_true = level_spins(inst.tx_levels, c)
             assert energy_ref(model, s_true) == pytest.approx(0.0, abs=1e-9)
 
     def test_energy_equals_residual(self, rng):
         inst = sample_instance(2, 2, QPSK, 8.0, rng)
-        sys = realify(inst.h, inst.y, QPSK)
+        sys = realify_one(inst, QPSK)
         model = instance_model(sys, QPSK)
-        a = sys.h_r @ spin_transform(QPSK, 2)
+        a = sys.h_r[0] @ spin_transform(QPSK, 2)
         for _ in range(50):
             s = rng.choice([-1, 1], size=4)
-            resid = sys.y_r - a @ s
+            resid = sys.y_r[0] - a @ s
             assert energy_ref(model, s) == pytest.approx(
                 resid @ resid, rel=1e-10
             )
@@ -113,7 +119,7 @@ class TestBuildIsing:
     def test_argmin_matches_symbol_domain_search(self, rng):
         # Exhaustive scan over all 4^3 QPSK symbol vectors.
         inst = sample_instance(3, 3, QPSK, 6.0, rng)
-        model = instance_model(realify(inst.h, inst.y, QPSK), QPSK)
+        model = instance_model(realify_one(inst, QPSK), QPSK)
         best_spins = min(
             all_spin_vectors(6), key=lambda s: energy_ref(model, s)
         )
@@ -130,11 +136,12 @@ class TestBuildIsing:
     def test_built_model_satisfies_ising_invariants(self, rng):
         for c in (BPSK, QPSK, QAM16):
             inst = sample_instance(2, 3, c, 12.0, rng)
-            model = instance_model(realify(inst.h, inst.y, c), c)
+            model = instance_model(realify_one(inst, c), c)
             assert model.n == 2 * c.bps
-            assert model.j.shape == (model.n, model.n)
-            assert np.all(np.diagonal(model.j) == 0.0)
-            assert np.array_equal(model.j, model.j.T)
+            assert model.j.shape == (1, model.n, model.n)
+            (j,) = model.j
+            assert np.all(np.diagonal(j) == 0.0)
+            assert np.array_equal(j, j.T)
 
     def test_dimension_mismatch_rejected(self, rng):
         # A receive vector one entry short of h's rows: realify refuses it.
@@ -280,24 +287,24 @@ def test_nearest_level_rule_is_exact(case):
 class TestRegularize:
     def test_zero_weight_is_identity(self, rng):
         m = random_model(rng, 5)
-        s_p = rng.choice([-1, 1], size=5)
+        s_p = rng.choice([-1, 1], size=(1, 5))
         out = regularize(m, s_p, 0.0)
         assert np.array_equal(out.j, m.j)
         assert np.array_equal(out.h, m.h)
-        assert out.offset == m.offset
+        assert np.array_equal(out.offset, m.offset)
 
     def test_penalty_vanishes_at_anchor(self, rng):
         m = random_model(rng, 6)
-        s_p = rng.choice([-1, 1], size=6)
+        s_p = rng.choice([-1, 1], size=(1, 6))
         out = regularize(m, s_p, 0.5)
-        assert energy_ref(out, s_p) == pytest.approx(
-            energy_ref(m, s_p), rel=1e-12
+        assert energy_ref(out, s_p[0]) == pytest.approx(
+            energy_ref(m, s_p[0]), rel=1e-12
         )
 
     def test_penalty_identity_exhaustive(self, rng):
         m = random_model(rng, 6)
-        s_p = rng.choice([-1, 1], size=6)
-        out = regularize(m, s_p, 0.5)
+        (s_p,) = anchors = rng.choice([-1, 1], size=(1, 6))
+        out = regularize(m, anchors, 0.5)
         for s in all_spin_vectors(6):
             penalty = 0.5 * float(np.sum((s - s_p) ** 2))
             assert energy_ref(out, s) - energy_ref(m, s) == pytest.approx(
@@ -306,11 +313,12 @@ class TestRegularize:
 
     def test_couplings_and_invariants_preserved(self, rng):
         m = random_model(rng, 4)
-        out = regularize(m, np.ones(4), 2.0)
+        out = regularize(m, np.ones((1, 4)), 2.0)
         assert out.j is m.j or np.array_equal(out.j, m.j)
-        assert out.h.shape == (4,)
-        assert np.all(np.diagonal(out.j) == 0.0)
-        assert np.array_equal(out.j, out.j.T)
+        assert out.h.shape == (1, 4)
+        (j,) = out.j
+        assert np.all(np.diagonal(j) == 0.0)
+        assert np.array_equal(j, j.T)
 
     def test_bad_inputs_rejected(self, rng):
         m = random_model(rng, 4)
@@ -320,9 +328,9 @@ class TestRegularize:
         # beyond the float range an OverflowError.
         for r in (-0.1, float("nan"), float("inf"), "0.5", None, 10**400):
             with pytest.raises(ValueError, match="r must be finite and >= 0"):
-                regularize(m, np.ones(4), r)
+                regularize(m, np.ones((1, 4)), r)
         with pytest.raises(ValueError):
-            regularize(m, np.ones(3), 0.5)
+            regularize(m, np.ones((1, 3)), 0.5)
         # A stack takes one anchor row per model.
         with pytest.raises(ValueError, match=r"\(2, 4\)"):
             regularize(stack([m, m]), np.ones((1, 4)), 0.5)
@@ -341,10 +349,11 @@ class TestRegularize:
         r = kind(min(x, 65504.0) if kind is np.float16 else x)
         rng = np.random.default_rng(1)
         m = random_model(rng, 5)
-        s_p = np.array([1, -1, -1, 1, 1])
+        s_p = np.array([[1, -1, -1, 1, 1]])
         got, want = regularize(m, s_p, r), regularize(m, s_p, float(r))
         assert got.h.tobytes() == want.h.tobytes()
-        assert type(got.offset) is float and got.offset == want.offset
+        assert got.offset.dtype == np.float64 and got.offset.shape == (1,)
+        assert got.offset.tobytes() == want.offset.tobytes()
         # A stack anchored in one call: each row is bit for bit its model
         # anchored alone at its own row of anchors.
         models = [m, *(random_model(rng, 5) for _ in range(2))]
@@ -353,15 +362,15 @@ class TestRegularize:
         block = regularize(stacked, anchors, r)
         assert block.j is stacked.j  # the couplings are not copied
         for b, (model, row) in enumerate(zip(models, anchors)):
-            alone = regularize(model, row, float(r))
-            assert block[b].h.tobytes() == alone.h.tobytes()
-            assert block[b].offset == alone.offset
+            alone = regularize(model, row[None], float(r))
+            assert block[[b]].h.tobytes() == alone.h.tobytes()
+            assert block[[b]].offset.tobytes() == alone.offset.tobytes()
 
     def test_bool_weight_rejected(self, rng):
         # True would penalise with r = 1.
         m = random_model(rng, 4)
         with pytest.raises(ValueError, match="r must be finite and >= 0"):
-            regularize(m, np.ones(4), True)
+            regularize(m, np.ones((1, 4)), True)
 
 
 @given(
@@ -375,11 +384,11 @@ def test_objective_embedding_property(seed, name, nt):
     c = get_constellation(name)
     rng = np.random.default_rng(seed)
     inst = sample_instance(nt, nt, c, float(rng.uniform(0, 30)), rng)
-    sys = realify(inst.h, inst.y, c)
+    sys = realify_one(inst, c)
     model = instance_model(sys, c)
-    a = sys.h_r @ spin_transform(c, nt)
+    a = sys.h_r[0] @ spin_transform(c, nt)
     s = rng.choice([-1, 1], size=nt * c.bps)
-    resid = sys.y_r - a @ s
+    resid = sys.y_r[0] - a @ s
     assert energy_ref(model, s) == pytest.approx(
         float(resid @ resid), rel=1e-10
     )
@@ -401,8 +410,8 @@ def test_instance_model_equals_product_with_transform(
     sys = realified(np.random.default_rng(seed), c, nt, nt + extra_rx)
     model = instance_model(sys, c)
     assert model.n == nt * c.bps
-    assert_same_model(model, model_from(sys.h_r @ spin_transform(c, nt),
-                                        sys.y_r))
+    assert_same_model(model, model_from(sys.h_r[0] @ spin_transform(c, nt),
+                                        sys.y_r[0]))
 
 
 @given(

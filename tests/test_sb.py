@@ -22,6 +22,7 @@ from conftest import (
     all_spin_vectors,
     energy_ref,
     huge_model,
+    model_of,
     random_model,
     sign_pm1,
     solve_one,
@@ -29,12 +30,9 @@ from conftest import (
 )
 
 
-def model_of(j, h, offset=0.0):
-    return IsingModel(j=j, h=h, offset=offset)
-
-
 def reference_runs(model, params, seed=0, trace=None):
-    """Evolve one model's restarts together, an (R, N) array per step.
+    """Evolve the restarts of a stack of one together, an (R, N) array
+    per step.
 
     An independent per-model loop the batched solver must match bit for
     bit.  The forces are the one per-model product signs (R, N) @ J that
@@ -43,7 +41,8 @@ def reference_runs(model, params, seed=0, trace=None):
     where it diverged; with ``trace`` a list, appends a row per step of
     each restart, restart-major, as solve's trace gets.
     """
-    c0 = compute_c0(model.j)
+    (j,), (h,) = model.j, model.h
+    c0 = compute_c0(j)
     n_steps = params.n_steps
     starts = []
     for restart in range(params.n_restarts):
@@ -57,7 +56,7 @@ def reference_runs(model, params, seed=0, trace=None):
         a = 1.0 if n_steps == 1 else k / (n_steps - 1)
         with np.errstate(over="ignore", invalid="ignore"):
             force = -(1.0 - a) * x - c0 * (
-                sign_pm1(x) @ model.j + 0.5 * model.h
+                sign_pm1(x) @ j + 0.5 * h
             )
             y = y + params.dt * force
             x = x + params.dt * y
@@ -112,7 +111,7 @@ def overflowing_model():
     # step although c0 is finite and > 0.
     j = np.full((3, 3), 1e308)
     np.fill_diagonal(j, 0.0)
-    return IsingModel(j=j, h=np.zeros(3))
+    return model_of(j, np.zeros(3))
 
 
 def staggered_divergence_model():
@@ -122,7 +121,7 @@ def staggered_divergence_model():
     # returned, restart 0 diverges at step 0, restart 1 at step 1, restart 3
     # at step 6, and restart 2 finishes.
     j = 2e307 * np.array([[0, 4, -3], [4, 0, -3], [-3, -3, 0]], dtype=float)
-    model = IsingModel(j=j, h=2e307 * np.array([6.0, 0.0, -6.0]))
+    model = model_of(j, 2e307 * np.array([6.0, 0.0, -6.0]))
     return model, SBParams(n_steps=12, dt=0.5, n_restarts=4), 15
 
 
@@ -130,7 +129,8 @@ class TestNormalization:
     # c0 = 1 / (2 sqrt(N) lambda), lambda the rms off-diagonal coupling.
     def test_lambda_two_spin_uniform(self):
         m = model_of([[0, 3], [3, 0]], [0, 0])  # lambda = 3
-        assert compute_c0(m.j) == pytest.approx(1.0 / (6.0 * math.sqrt(2.0)))
+        assert compute_c0(m.j[0]) == pytest.approx(
+            1.0 / (6.0 * math.sqrt(2.0)))
 
     def test_lambda_three_spin_uniform(self):
         j = np.full((3, 3), 2.0)  # lambda = 2
@@ -138,19 +138,20 @@ class TestNormalization:
         assert compute_c0(j) == pytest.approx(1.0 / (4.0 * math.sqrt(3.0)))
 
     def test_lambda_matches_scalar_loop(self, rng):
-        m = random_model(rng, 8)
+        (j,) = random_model(rng, 8).j
         total = 0.0
         for i in range(8):
             for k in range(8):
                 if i != k:
-                    total += m.j[i, k] ** 2
+                    total += j[i, k] ** 2
         lam = math.sqrt(total / (8 * 7))
         expected = 1.0 / (2.0 * math.sqrt(8) * lam)
-        assert compute_c0(m.j) == pytest.approx(expected, rel=1e-12)
+        assert compute_c0(j) == pytest.approx(expected, rel=1e-12)
 
     def test_c0_two_spin_uniform(self):
         m = model_of([[0, 1], [1, 0]], [0, 0])
-        assert compute_c0(m.j) == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)))
+        assert compute_c0(m.j[0]) == pytest.approx(
+            1.0 / (2.0 * math.sqrt(2.0)))
 
     def test_c0_four_spin_uniform(self):
         j = np.ones((4, 4))
@@ -167,7 +168,7 @@ class TestNormalization:
         # Bit for bit the unscaled formula, wherever sum(J**2) is a
         # normal float.
         m = random_model(np.random.default_rng(seed), n)
-        j = m.j * 10.0**log_scale
+        j = m.j[0] * 10.0**log_scale
         lam = math.sqrt(float(np.sum(j**2)) / (n * (n - 1)))
         assert compute_c0(j) == 1 / (2 * math.sqrt(n) * lam)
 
@@ -189,7 +190,8 @@ class TestNormalization:
         models = []
         for seed, e in draws:
             m = random_model(np.random.default_rng(seed), n)
-            models.append(model_of(np.ldexp(m.j, e), np.ldexp(m.h, e)))
+            models.append(IsingModel(np.ldexp(m.j, e), np.ldexp(m.h, e),
+                                     np.zeros(1)))
         # Each model's c0 is tiled to its rows, every entry the same.
         _, j, _, c0 = sb._stack(stack(models), range(len(models)), 3)
         for jb, tile in zip(j, c0):
@@ -239,8 +241,8 @@ def step_rows(x, y, a, j, half_h, c0, dt=0.5):
 
 
 def step_model(m, x, y, a, c0, dt=0.5):
-    # step on a model, with rows given as nested lists.
-    return step_rows(x, y, a, m.j, 0.5 * m.h, c0, dt)
+    # step on a stack of one, with rows given as nested lists.
+    return step_rows(x, y, a, m.j[0], 0.5 * m.h[0], c0, dt)
 
 
 class TestStep:
@@ -302,7 +304,7 @@ class TestStep:
         assert finite.tolist() == [False, True]
         # A lone restart that overflows leaves the solve no readout.
         lone = overflowing_model()
-        assert 0.0 < compute_c0(lone.j) < math.inf
+        assert 0.0 < compute_c0(lone.j[0]) < math.inf
         assert reference_runs(lone, SBParams(n_steps=5)) == [None]
         assert solve_one(lone, SBParams(n_steps=5)) is None
 
@@ -311,13 +313,14 @@ class TestStep:
         # peak traced allocation stays far below one array of x's shape,
         # which a fresh force array would take.
         m = random_model(rng, 32)
+        (j,), (h,) = m.j, m.h
         xy = initial_states(32, seed=1, n_restarts=128)
-        s, force, keep, half_h = step_buffers(xy, 0.5 * m.h)
-        c0 = compute_c0(m.j)
-        step(xy, s, force, keep, 0.5, m.j, half_h, c0, 0.5)
+        s, force, keep, half_h = step_buffers(xy, 0.5 * h)
+        c0 = compute_c0(j)
+        step(xy, s, force, keep, 0.5, j, half_h, c0, 0.5)
         tracemalloc.start()
         try:
-            assert step(xy, s, force, keep, 1.0, m.j, half_h, c0, 0.5) is None
+            assert step(xy, s, force, keep, 1.0, j, half_h, c0, 0.5) is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -329,12 +332,13 @@ class TestStep:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
         m = random_model(rng, n)
+        (j,), (h,) = m.j, m.h
         dt = float(rng.uniform(0.1, 1.5))
         xy = initial_states(n, int(rng.integers(2**32)), 3)
-        s, force, keep, half_h = step_buffers(xy, 0.5 * m.h)
-        c0 = compute_c0(m.j)
+        s, force, keep, half_h = step_buffers(xy, 0.5 * h)
+        c0 = compute_c0(j)
         for a in pump_schedule(30):
-            assert step(xy, s, force, keep, a, m.j, half_h, c0, dt) is None
+            assert step(xy, s, force, keep, a, j, half_h, c0, dt) is None
             assert np.max(np.abs(xy[0])) <= 1.0
             # The signs step hands on are sign(x) with sign(0) = +1.
             assert np.array_equal(s, sign_pm1(xy[0]))
@@ -528,14 +532,14 @@ class TestSolve:
         a = rng.normal(size=(6, 6))
         j = (a + a.T) / 2.0
         np.fill_diagonal(j, 0.0)
-        m1 = IsingModel(j=j, h=np.zeros(6))
+        m1 = model_of(j, np.zeros(6))
         x = rng.uniform(-1, 1, 6)
         for kappa in (3.0, 4.0):
-            mk = IsingModel(j=kappa * j, h=np.zeros(6))
-            f1 = compute_c0(m1.j) * (m1.j @ sign_pm1(x))
-            fk = compute_c0(mk.j) * (mk.j @ sign_pm1(x))
+            mk = model_of(kappa * j, np.zeros(6))
+            f1 = compute_c0(m1.j[0]) * (m1.j[0] @ sign_pm1(x))
+            fk = compute_c0(mk.j[0]) * (mk.j[0] @ sign_pm1(x))
             assert fk == pytest.approx(f1, rel=1e-12)
-        m4 = IsingModel(j=4.0 * j, h=np.zeros(6))
+        m4 = model_of(4.0 * j, np.zeros(6))
         params = SBParams(n_steps=50, dt=0.5)
         assert np.array_equal(
             solve_one(m1, params, seed=5).spins, solve_one(m4, params, seed=5).spins
@@ -553,9 +557,9 @@ class TestSolve:
         m = random_model(rng, int(rng.integers(2, 13)))
         scaled = IsingModel(
             j=np.ldexp(m.j, k), h=np.ldexp(m.h, k),
-            offset=math.ldexp(m.offset, k),
+            offset=np.ldexp(m.offset, k),
         )
-        assert compute_c0(scaled.j) == math.ldexp(compute_c0(m.j), -k)
+        assert compute_c0(scaled.j) == np.ldexp(compute_c0(m.j), -k)
         params = SBParams(n_steps=40, n_restarts=3)
         res, ref = solve_one(scaled, params, seed), solve_one(m, params, seed)
         assert np.array_equal(res.spins, ref.spins)
@@ -581,14 +585,13 @@ class TestSolve:
         a = rng.normal(size=(5, 5))
         j = (a + a.T) / 2.0
         np.fill_diagonal(j, 0.0)
-        m = IsingModel(j=j, h=np.zeros(5))
-        c0 = compute_c0(m.j)
+        c0 = compute_c0(j)
         xy = initial_states(5, seed=3, n_restarts=1)
         xy = np.concatenate([xy, -xy], axis=1)
         x, y = xy
-        s, force, keep, half_h = step_buffers(xy, 0.5 * m.h)
+        s, force, keep, half_h = step_buffers(xy, np.zeros(5))
         for a in pump_schedule(40):
-            step(xy, s, force, keep, a, m.j, half_h, c0, 0.5)
+            step(xy, s, force, keep, a, j, half_h, c0, 0.5)
             assert np.array_equal(x[1], -x[0])
             assert np.array_equal(y[1], -y[0])
         assert np.array_equal(s[1], -s[0])
@@ -749,20 +752,21 @@ class TestBlock:
         assert calls == [(3, 4, 5)] * 8
         calls.clear()
         free = model_of(np.zeros((5, 5)), rng.normal(size=5))
-        mixed = [free, models[0], free, models[1], free]
+        mixed = [free, models[[0]], free, models[[1]], free]
         spins, e, _ = solve(stack(mixed), params, [0, 1, 2, 3, 4])
         assert calls == [(3, 1, 5), (2, 4, 5)]
         assert e[[0, 2, 4]].tolist() == [energy_ref(free, spins[0])] * 3
 
     def test_block_needs_one_size_and_one_seed_per_model(self, rng):
         # Models of two sizes make no stack, and one model unstacked is
-        # not a block.
+        # not a block: no IsingModel holds it.
         params = SBParams(n_steps=5)
         a, b = random_model(rng, 3), random_model(rng, 4)
         with pytest.raises(ValueError, match=r"h \(2, 4\)"):
-            IsingModel(np.stack([a.j, a.j]), np.stack([b.h, b.h]), np.zeros(2))
-        with pytest.raises(ValueError, match="same-size models"):
-            solve(a, params, [0])
+            IsingModel(np.concatenate([a.j, a.j]), np.concatenate([b.h, b.h]),
+                       np.zeros(2))
+        with pytest.raises(ValueError, match=r"h \(3,\)"):
+            solve(IsingModel(a.j[0], a.h[0], a.offset[0]), params, [0])
         with pytest.raises(ValueError, match="one seed each"):
             solve(stack([a, a]), params, [0])
 
