@@ -256,6 +256,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the oracle's incumbent starts at +inf",
+        "detectors.py",
+        "        best = energy(model, spins[:, None])[:, 0]",
+        "        best = np.full(n_b, np.inf)",
+        (
+            RECORD,
+            DETECTORS + "TestOracle::test_block_decisions_match_blocks_of_one",
+        ),
+    ),
+    Mutant(
         "the oracle scores a leaf entry before lowering the bound",
         "detectors.py",
         "                bound[u] = np.minimum(\n"
@@ -394,8 +404,8 @@ MUTANTS = (
     Mutant(
         "the stacked reduction sums y_r . y_r by einsum",
         "reduction.py",
-        "np.vecdot(sys.y_r, sys.y_r)",
-        'np.einsum("...i,...i->...", sys.y_r, sys.y_r)',
+        "np.vecdot(y_r, y_r)",
+        'np.einsum("...i,...i->...", y_r, y_r)',
         (PREPARE + "test_block_matches_each_instance_alone",),
     ),
     Mutant(

@@ -93,15 +93,6 @@ class ChannelInstance:
     y: np.ndarray
 
 
-@dataclass(frozen=True)
-class RealizedSystem:
-    """Real-valued stand-in for the complex system: ||y - Hx||^2 ==
-    ||y_r - h_r @ x_r||^2 for the matching real symbol vector x_r."""
-
-    h_r: np.ndarray
-    y_r: np.ndarray
-
-
 def noise_variance_for_snr(snr_db: float, nt: int, c: Constellation) -> float:
     """Total complex noise variance per receive antenna for a target SNR."""
     if nt < 1:
@@ -109,9 +100,13 @@ def noise_variance_for_snr(snr_db: float, nt: int, c: Constellation) -> float:
     return nt * c.symbol_energy / 10.0 ** (snr_db / 10.0)
 
 
-def realify(H: np.ndarray, y: np.ndarray, c: Constellation) -> RealizedSystem:
-    """Real-valued system preserving the residual norm, of one system or
-    of a stack: H (..., nr, nt) and y (..., nr).
+def realify(
+    H: np.ndarray, y: np.ndarray, c: Constellation
+) -> tuple[np.ndarray, np.ndarray]:
+    """The real-valued stand-in (h_r, y_r) for the complex system, of one
+    system or of a stack: H (..., nr, nt) and y (..., nr).  It preserves
+    the residual norm: ||y - Hx||^2 == ||y_r - h_r @ x_r||^2 for the
+    matching real symbol vector x_r (see realify_symbols).
 
     Complex constellations use the doubled block form
     [[Re H, -Im H], [Im H, Re H]]; BPSK stacks [Re H; Im H] and keeps the
@@ -125,15 +120,14 @@ def realify(H: np.ndarray, y: np.ndarray, c: Constellation) -> RealizedSystem:
         )
     y_r = np.concatenate([y.real, y.imag], axis=-1)
     if c.axes == 1:
-        return RealizedSystem(h_r=np.concatenate([H.real, H.imag], axis=-2),
-                              y_r=y_r)
+        return np.concatenate([H.real, H.imag], axis=-2), y_r
     # Filled block by block: np.block costs several times as much.
     *lead, nr, nt = H.shape
     h_r = np.empty((*lead, 2 * nr, 2 * nt))
     h_r[..., :nr, :nt] = h_r[..., nr:, nt:] = H.real
     h_r[..., nr:, :nt] = H.imag
     np.negative(H.imag, out=h_r[..., :nr, nt:])
-    return RealizedSystem(h_r=h_r, y_r=y_r)
+    return h_r, y_r
 
 
 def realify_symbols(x: np.ndarray, c: Constellation) -> np.ndarray:

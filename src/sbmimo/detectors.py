@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sbmimo.channel import Constellation, RealizedSystem, realify
+from sbmimo.channel import Constellation, realify
 from sbmimo.ising import IsingModel, energy
 from sbmimo.reduction import (
     instance_model,
@@ -69,14 +69,15 @@ class DetectionResult:
 class Problem:
     """A solver block of same-size channel instances, built once by
     ``prepare`` for every detector: their noise variances (B,), stacked
-    realify system and Ising model, the constellation, and the block's
-    MMSE decisions, also ``sb-reg``'s anchors, as one DetectionResult
-    (done where the solves succeeded).  The ML oracle's front end and its
-    decisions are built for the whole block on first use (oracle_front,
-    oracle)."""
+    realify systems h_r (B, m, k) and y_r (B, m) and Ising model, the
+    constellation, and the block's MMSE decisions, also ``sb-reg``'s
+    anchors, as one DetectionResult (done where the solves succeeded).
+    The ML oracle's front end and its decisions are built for the whole
+    block on first use (oracle_front, oracle)."""
 
     noise_var: np.ndarray
-    sys: RealizedSystem
+    h_r: np.ndarray
+    y_r: np.ndarray
     model: IsingModel
     c: Constellation
     mmse: DetectionResult
@@ -96,7 +97,7 @@ class Problem:
         the ones decided, each row summed left to right; a zero pivot's
         centre is 0.
         """
-        h_r, y_r, c = self.sys.h_r, self.sys.y_r, self.c
+        h_r, y_r, c = self.h_r, self.y_r, self.c
         n_b, m, k = h_r.shape
         a = np.zeros((n_b, m + k, k + 1))
         a[:, :m, :k] = h_r
@@ -147,9 +148,12 @@ class Problem:
         one lexsort keeps each instance's incumbent.  The order in which
         prefixes are visited changes the work, never what lies within the
         final bound, so each decision is bit for bit what a block of one
-        gives.  An instance with no leaf within its bound (a non-finite
-        input) takes level 0 at every coordinate and 0 candidates; every
-        such instance is scored by one more energy call.
+        gives.  Each instance's incumbent starts as level 0 at every
+        coordinate (all -1 spins), scored by one energy call on the block:
+        the first spin vector in lexicographic order, it stays only where
+        the exhaustive scan picks it, and an instance with no leaf within
+        its bound (a non-finite input) keeps it, with a NaN energy and 0
+        candidates.
         """
         if self.model.n > ORACLE_SPIN_LIMIT:
             raise ValueError(f"{self.model.n} spins exceed the oracle limit "
@@ -157,18 +161,18 @@ class Problem:
         c, model, (rz, start) = self.c, self.model, self.oracle_front
         n_b, k = start.shape
         r = rz[:, :, :k]
-        flat = self.sys.h_r.reshape(n_b, -1)
+        flat = self.h_r.reshape(n_b, -1)
         resid = rz[:, :, k] - np.matvec(r, start)
         # No distance exceeds 2 * scale, and rounding in the QR and the sums
         # moves one by a small multiple of (rows * k * eps) * scale.
-        scale = (np.vecdot(self.sys.y_r, self.sys.y_r)
+        scale = (np.vecdot(self.y_r, self.y_r)
                  + np.vecdot(flat, flat) * k * max(c.levels) ** 2)
         slack = _MARGIN * scale
         bound = np.vecdot(resid, resid) + slack
         n_lv = len(c.levels)
         cut = max(1, _BLOCK_ROWS // n_lv)
         spins = level_spins(np.zeros((n_b, k), dtype=np.int8), c)
-        best = np.full(n_b, np.inf)
+        best = energy(model, spins[:, None])[:, 0]
         candidates = np.zeros(n_b, dtype=np.int64)
         nodes = np.zeros(n_b, dtype=np.int64)
         # g takes the smallest dtype: waiting entries hold one per row.
@@ -224,9 +228,6 @@ class Problem:
                 x = x[rows]
                 x[:, j:i] = combos[cols]
                 stack.append((j, g[rows], x, dd[rows, cols]))
-        none = candidates == 0
-        if none.any():
-            best[none] = energy(model[none], spins[none, None])[:, 0]
         extras = {"candidates": candidates, "nodes": nodes}
         return DetectionResult("ml-oracle", spins, best, extras,
                                np.ones(n_b, dtype=bool))
@@ -303,22 +304,20 @@ def prepare(insts, c: Constellation) -> Problem:
     y = np.array([inst.y for inst in insts], dtype=np.complex128)
     y[~np.isfinite(y)] = np.nan
     noise_var = np.array([inst.noise_var for inst in insts], dtype=np.float64)
-    sys = realify(h, y, c)
-    model = instance_model(sys, c)
+    h_r, y_r = realify(h, y, c)
+    model = instance_model(h_r, y_r, c)
     spins, ok = _mmse_spins(h, y, noise_var, c)
     e = energy(model, spins[:, None])[:, 0]
     mmse = DetectionResult("mmse", spins, np.where(ok, e, np.nan), {}, ok)
-    return Problem(noise_var, sys, model, c, mmse)
+    return Problem(noise_var, h_r, y_r, model, c, mmse)
 
 
 def mmse_detect(p: Problem, b: int) -> DetectionResult | None:
     """Regularized linear estimate, hard-quantized onto the lattice: the
     decision ``prepare`` took and scored for instance b (see _mmse_spins),
-    or None where the regularized solve and its lstsq fallback both
-    failed.  Raises ValueError for a noise variance that is not positive.
-    """
-    if not p.noise_var[b] > 0:
-        raise ValueError(f"noise_var must be > 0, got {p.noise_var[b]}")
+    p.mmse[b], or None where it took none: a noise variance that is not
+    a finite positive number, or the regularized solve and its lstsq
+    fallback both failed."""
     return p.mmse[b]
 
 
@@ -347,9 +346,10 @@ def ml_oracle(p: Problem, b: int) -> DetectionResult:
     so the optimum is never dropped.  With nr < nt, R has fewer rows
     than coordinates and the top levels simply go unpruned.  The leaves
     within the bound are scored under p.model[[b]] by their spins' energy
-    (see level_spins); the lowest energy wins, and ties go to the
-    lexicographically smallest spin vector (-1 before +1): the answer of
-    a scan over all 2^n spin vectors in that order, whatever the block.
+    (see level_spins) against an incumbent that starts at the all -1
+    point; the lowest energy wins, and ties go to the lexicographically
+    smallest spin vector (-1 before +1): the answer of a scan over all
+    2^n spin vectors in that order, whatever the block.
     extras["candidates"] counts the leaves scored and extras["nodes"] the
     prefix distances computed; both can move with instance b's
     block-mates, since a round's width is set by all the rows it

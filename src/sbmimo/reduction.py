@@ -23,31 +23,32 @@ from dataclasses import replace
 
 import numpy as np
 
-from sbmimo.channel import Constellation, RealizedSystem, realify_symbols
+from sbmimo.channel import Constellation, realify_symbols
 from sbmimo.ising import IsingModel
 from sbmimo.sb import setting
 
 
-def instance_model(sys: RealizedSystem, c: Constellation) -> IsingModel:
+def instance_model(h_r: np.ndarray, y_r: np.ndarray,
+                   c: Constellation) -> IsingModel:
     """Reduce realify systems to their detection Ising models, whose
     energy equals ||y_r - H_r T s||^2 for every s.  H_r T is each axis's
     column block of H_r once per weight, scaled by it.
 
-    sys holds a stack of B systems, h_r (B, m, k) and y_r (B, m);
-    returns the stack of their models, each system's bit for bit what it
-    would be alone.
+    h_r (B, m, k) and y_r (B, m) are a stack of B systems, as realify
+    gives them; returns the stack of their models, each system's bit for
+    bit what it would be alone.
     """
-    *lead, m, k = sys.h_r.shape
+    *lead, m, k = h_r.shape
     nt = k // c.axes
-    blocks = sys.h_r.reshape(*lead, m, c.axes, 1, nt) * c.weights[:, None]
+    blocks = h_r.reshape(*lead, m, c.axes, 1, nt) * c.weights[:, None]
     a = blocks.reshape(*lead, m, nt * c.bps)
-    h = -2.0 * (a.mT @ sys.y_r[..., None])[..., 0]
+    h = -2.0 * (a.mT @ y_r[..., None])[..., 0]
     g = a.mT @ a
     del blocks, a  # a stack's temporaries are large: free each when done
     g = g + g.mT
     g *= 0.5
     # vecdot sums y_r . y_r as a lone dot does (einsum may not).
-    offset = np.trace(g, axis1=-2, axis2=-1) + np.vecdot(sys.y_r, sys.y_r)
+    offset = np.trace(g, axis1=-2, axis2=-1) + np.vecdot(y_r, y_r)
     np.einsum("...ii->...i", g)[...] = 0.0  # g is now J
     return IsingModel(g, h, offset)
 

@@ -81,12 +81,12 @@ def test_criterion_1_energy_equals_ml_residual():
         nr = nt + int(rng.integers(0, 3))
         snr_db = float(rng.uniform(0.0, 30.0))
         inst = sample_instance(nt, nr, c, snr_db, rng)
-        sys_r = realify(inst.h[None], inst.y[None], c)  # a stack of one
-        model = instance_model(sys_r, c)
-        a = sys_r.h_r[0] @ spin_transform(c, nt)
+        h_r, y_r = realify(inst.h[None], inst.y[None], c)  # a stack of one
+        model = instance_model(h_r, y_r, c)
+        a = h_r[0] @ spin_transform(c, nt)
         spins = rng.choice([-1.0, 1.0], size=(100, nt * c.bps))
         for s, e in zip(spins, energy(model, spins[None])[0].tolist()):
-            resid = sys_r.y_r[0] - a @ s
+            resid = y_r[0] - a @ s
             ref = float(resid @ resid)
             err = abs(e - ref) / max(abs(ref), 1.0)
             worst = max(worst, err)

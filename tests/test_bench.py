@@ -346,8 +346,7 @@ class TestRunSweep:
         )
         monkeypatch.setattr(
             "sbmimo.detectors.instance_model",
-            sizing("build", sbmimo.detectors.instance_model,
-                   lambda sys: len(sys.h_r)),
+            sizing("build", sbmimo.detectors.instance_model, len),
         )
         monkeypatch.setattr(
             "sbmimo.bench.mmse_detect", counting(sbmimo.bench.mmse_detect)

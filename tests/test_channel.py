@@ -209,28 +209,28 @@ class TestRealify:
     def test_real_channel_block_structure(self, rng):
         h = rng.normal(size=(3, 2)) + 0j
         y = rng.normal(size=3) + 0j
-        sys = realify(h, y, QPSK)
-        assert sys.h_r.shape == (6, 4)
-        assert np.array_equal(sys.h_r[:3, :2], h.real)
-        assert np.array_equal(sys.h_r[3:, 2:], h.real)
-        assert np.all(sys.h_r[:3, 2:] == 0) and np.all(sys.h_r[3:, :2] == 0)
+        h_r, _ = realify(h, y, QPSK)
+        assert h_r.shape == (6, 4)
+        assert np.array_equal(h_r[:3, :2], h.real)
+        assert np.array_equal(h_r[3:, 2:], h.real)
+        assert np.all(h_r[:3, 2:] == 0) and np.all(h_r[3:, :2] == 0)
 
     def test_bpsk_stacked_shape(self, rng):
         h = channel(2, 3, rng)
         y = rng.normal(size=3) + 1j * rng.normal(size=3)
-        sys = realify(h, y, BPSK)
-        assert sys.h_r.shape == (6, 2)
-        assert sys.y_r.shape == (6,)
+        h_r, y_r = realify(h, y, BPSK)
+        assert h_r.shape == (6, 2)
+        assert y_r.shape == (6,)
 
     @pytest.mark.parametrize("c", [BPSK, QPSK, QAM16], ids=lambda c: c.name)
     def test_residual_identity(self, c, rng):
         for _ in range(10):
             inst = sample_instance(3, 3, c, 5.0, rng)
             h, x, y = inst.h, random_symbols(rng, c, 3), inst.y
-            sys = realify(h, y, c)
+            h_r, y_r = realify(h, y, c)
             x_r = realify_symbols(x, c)
             complex_res = np.sum(np.abs(y - h @ x) ** 2)
-            real_res = np.sum((sys.y_r - sys.h_r @ x_r) ** 2)
+            real_res = np.sum((y_r - h_r @ x_r) ** 2)
             assert real_res == pytest.approx(complex_res, rel=1e-12)
 
 

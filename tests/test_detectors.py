@@ -180,12 +180,12 @@ class TestPrepare:
         assert p.mmse.done.all()
         assert p.c is c
         for b, inst in enumerate(insts):
-            sys = realify(inst.h, inst.y, c)
+            h_r, y_r = realify(inst.h, inst.y, c)
             assert p.noise_var[b] == inst.noise_var
-            assert p.sys.h_r[b].tobytes() == sys.h_r.tobytes()
-            assert p.sys.y_r[b].tobytes() == sys.y_r.tobytes()
+            assert p.h_r[b].tobytes() == h_r.tobytes()
+            assert p.y_r[b].tobytes() == y_r.tobytes()
             nt = inst.h.shape[1]
-            model = model_from(sys.h_r @ spin_transform(c, nt), sys.y_r)
+            model = model_from(h_r @ spin_transform(c, nt), y_r)
             assert_same_model(p.model[[b]], model)
             spins = mmse_reference(inst, c)
             assert spins is not None
@@ -253,7 +253,9 @@ class TestDetectionResult:
         # with an inf there: MMSE and the oracle decide both, with a NaN
         # energy, sb and sb-reg neither, and both decide alike, with no
         # warning.  MMSE reports no decision on problem 3, so sb-reg has
-        # none there either.
+        # none there either.  Problems 5 to 7 have noise variances of 0,
+        # -1 and NaN: MMSE and so sb-reg decide none of them, and the
+        # oracle and sb decide each.
         import sbmimo.detectors
 
         mmse_spins = sbmimo.detectors._mmse_spins
@@ -271,29 +273,32 @@ class TestDetectionResult:
         y = y.copy()
         y[0] = np.inf
         insts.insert(2, replace(insts[1], y=y))
+        insts += [replace(insts[0], noise_var=v) for v in (0.0, -1.0, np.nan)]
         p = prepare(insts, QPSK)
         params = SBParams(n_steps=40, n_restarts=2)
-        seeds = [5, 6, 6, 7, 8]
+        seeds = [5, 6, 6, 7, 8, 9, 10, 11]
         sb = sb_solve(p, params, seeds)
         reg = sb_solve(p, params, seeds, 0.5)
         cases = [
-            (p.mmse, lambda b: mmse_detect(p, b), [1, 1, 1, 0, 1], set()),
-            (p.oracle, lambda b: ml_oracle(p, b), [1, 1, 1, 1, 1],
+            (p.mmse, lambda b: mmse_detect(p, b), [1, 1, 1, 0, 1, 0, 0, 0],
+             set()),
+            (p.oracle, lambda b: ml_oracle(p, b), [1, 1, 1, 1, 1, 1, 1, 1],
              {"candidates", "nodes"}),
-            (sb, lambda b: sb_detect(sb, b), [1, 0, 0, 1, 1],
+            (sb, lambda b: sb_detect(sb, b), [1, 0, 0, 1, 1, 1, 1, 1],
              {"diverged_restarts"}),
-            (reg, lambda b: sb_detect(reg, b), [1, 0, 0, 0, 1],
+            (reg, lambda b: sb_detect(reg, b), [1, 0, 0, 0, 1, 0, 0, 0],
              {"diverged_restarts", "selected"}),
         ]
         for rec, lookup, done, keys in cases:
-            assert rec.spins.shape == (5, 6) and rec.spins.dtype == np.int8
-            assert rec.ising_energy.shape == (5,)
+            assert rec.spins.shape == (8, 6) and rec.spins.dtype == np.int8
+            assert rec.ising_energy.shape == (8,)
             assert rec.done.tolist() == [bool(d) for d in done]
             assert set(rec.extras) == keys
             nan = np.isnan(rec.ising_energy).tolist()
             assert nan[1] and nan[2] and not (nan[0] or nan[4])
-            assert nan[3] == (not rec.done[3])
-            for b in range(5):
+            for b in (3, 5, 6, 7):
+                assert nan[b] == (not rec.done[b])
+            for b in range(8):
                 for res in (rec[b], lookup(b)):
                     if not rec.done[b]:
                         assert res is None
@@ -366,23 +371,23 @@ class TestMmse:
     def test_zero_noise_has_no_decision(self):
         # At noise_var 0 the regularizer is 0, and this H^H H alone is
         # invertible, yet no decision is taken, as for any variance that
-        # is not positive: p.mmse holds None and mmse_detect refuses.
+        # is not positive: p.mmse is not done there and the lookup is None.
         inst = replace(make_instance(2, 2, QPSK, 1e-6, seed=3), noise_var=0.0)
         p = prepare([inst], QPSK)
         assert np.linalg.cond(inst.h) < 100
+        assert not p.mmse.done[0]
         assert p.mmse[0] is None
-        with pytest.raises(ValueError, match="noise_var must be > 0, got 0.0"):
-            mmse_detect(p, 0)
+        assert mmse_detect(p, 0) is None
 
     def test_rejects_nonpositive_noise(self):
-        # A block-mate with a bad noise variance leaves a good instance's
+        # A noise variance that is not a finite positive number has no
+        # decision, and a block-mate with one leaves a good instance's
         # decision as it is alone.
         inst = make_instance(2, 2, QPSK, 1e-6, seed=3)
         for noise_var in (0.0, -1.0, float("nan")):
             bad = replace(inst, noise_var=noise_var)
             p = prepare([bad, inst], QPSK)
-            with pytest.raises(ValueError):
-                mmse_detect(p, 0)
+            assert mmse_detect(p, 0) is None
             assert np.array_equal(mmse_detect(p, 1).spins,
                                   mmse_reference(inst, QPSK))
 
@@ -423,11 +428,11 @@ def assert_front_matches_reference(insts, c):
     # Bit for bit: each instance's R, z and start are its own front end's.
     p = prepare(insts, c)
     rz, start = p.oracle_front
-    k = p.sys.h_r.shape[-1]
+    k = p.h_r.shape[-1]
     assert rz.shape == (len(insts), k, k + 1) and start.shape == rz.shape[:2]
     for b, inst in enumerate(insts):
         lam = (max(0.0, inst.noise_var) / c.symbol_energy) ** 0.5
-        plain, reg = triangles_reference(p.sys.h_r[b], p.sys.y_r[b], lam)
+        plain, reg = triangles_reference(p.h_r[b], p.y_r[b], lam)
         assert rz[b].tobytes() == plain.tobytes()
         assert start[b].tobytes() == babai_reference(reg, c).tobytes()
 
@@ -472,7 +477,7 @@ class TestOracleFront:
         c, insts = list(front_blocks())[-1].values
         p = prepare(insts, c)
         start = p.oracle_front[1]
-        m = p.sys.h_r.shape[1]
+        m = p.h_r.shape[1]
         assert np.all(start[1, m:] == 1)
         assert np.all(start[2] == 1)
         assert not np.all(start[0] == 1)
@@ -651,10 +656,14 @@ class TestOracle:
         assert np.array_equal(res.spins, spins)
         assert np.array_equal(spins, -np.ones(8))
         assert res.ising_energy == e
-        assert len(scored) >= 2
-        assert scored[0].min() == e < min(b.min() for b in scored[1:])
+        # The first call scores the incumbent's start, the all -1 point;
+        # the rest score the leaf blocks.
+        start, *leaves = scored
+        assert start.shape == (1, 1) and start[0, 0] == e
+        assert len(leaves) >= 2
+        assert leaves[0].min() == e < min(b.min() for b in leaves[1:])
         # A block of one scores each leaf entry as one unpadded piece.
-        assert res.extras["candidates"] == sum(b.size for b in scored)
+        assert res.extras["candidates"] == sum(b.size for b in leaves)
 
     def test_memory_per_instance_does_not_grow_with_the_block(self):
         # Each prefix's product reads only its own instance's rows of

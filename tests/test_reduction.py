@@ -43,7 +43,7 @@ from conftest import (
 
 
 def realify_one(inst, c):
-    # One instance's realify system as a stack of one.
+    # One instance's realify system, h_r and y_r, as a stack of one.
     return realify(inst.h[None], inst.y[None], c)
 
 
@@ -54,29 +54,28 @@ def realified(rng, c, nt, nr=None):
 
 class TestContext:
     def test_qpsk_transform_is_identity(self, rng):
-        sys = realified(rng, QPSK, 3)
-        assert sys.h_r.shape == (1, 6, 6)
-        assert_same_model(instance_model(sys, QPSK),
-                          model_from(sys.h_r[0], sys.y_r[0]))
+        h_r, y_r = realified(rng, QPSK, 3)
+        assert h_r.shape == (1, 6, 6)
+        assert_same_model(instance_model(h_r, y_r, QPSK),
+                          model_from(h_r[0], y_r[0]))
 
     def test_bpsk_transform_is_identity(self, rng):
-        sys = realified(rng, BPSK, 4)
-        assert sys.h_r.shape == (1, 8, 4)
-        assert_same_model(instance_model(sys, BPSK),
-                          model_from(sys.h_r[0], sys.y_r[0]))
+        h_r, y_r = realified(rng, BPSK, 4)
+        assert h_r.shape == (1, 8, 4)
+        assert_same_model(instance_model(h_r, y_r, BPSK),
+                          model_from(h_r[0], y_r[0]))
 
     def test_qam16_block_structure(self, rng):
         nt = 2
-        sys = realified(rng, QAM16, nt)
+        h_r, y_r = realified(rng, QAM16, nt)
         eye = np.eye(nt)
         zero = np.zeros((nt, nt))
         expected = np.block(
             [[2 * eye, eye, zero, zero], [zero, zero, 2 * eye, eye]]
         )
-        model = instance_model(sys, QAM16)
+        model = instance_model(h_r, y_r, QAM16)
         assert model.n == 8
-        assert_same_model(model, model_from(sys.h_r[0] @ expected,
-                                            sys.y_r[0]))
+        assert_same_model(model, model_from(h_r[0] @ expected, y_r[0]))
 
     def test_qam16_image_is_the_lattice(self):
         # The 16 bit patterns modulate onto the 16 lattice points under
@@ -100,18 +99,18 @@ class TestBuildIsing:
         for c in (BPSK, QPSK, QAM16):
             inst = sample_instance(3, 3, c, 10.0, rng)
             clean = dataclasses.replace(inst, y=inst.h @ sent_symbols(inst, c))
-            model = instance_model(realify_one(clean, c), c)
+            model = instance_model(*realify_one(clean, c), c)
             s_true = level_spins(inst.tx_levels, c)
             assert energy_ref(model, s_true) == pytest.approx(0.0, abs=1e-9)
 
     def test_energy_equals_residual(self, rng):
         inst = sample_instance(2, 2, QPSK, 8.0, rng)
-        sys = realify_one(inst, QPSK)
-        model = instance_model(sys, QPSK)
-        a = sys.h_r[0] @ spin_transform(QPSK, 2)
+        h_r, y_r = realify_one(inst, QPSK)
+        model = instance_model(h_r, y_r, QPSK)
+        a = h_r[0] @ spin_transform(QPSK, 2)
         for _ in range(50):
             s = rng.choice([-1, 1], size=4)
-            resid = sys.y_r[0] - a @ s
+            resid = y_r[0] - a @ s
             assert energy_ref(model, s) == pytest.approx(
                 resid @ resid, rel=1e-10
             )
@@ -119,7 +118,7 @@ class TestBuildIsing:
     def test_argmin_matches_symbol_domain_search(self, rng):
         # Exhaustive scan over all 4^3 QPSK symbol vectors.
         inst = sample_instance(3, 3, QPSK, 6.0, rng)
-        model = instance_model(realify_one(inst, QPSK), QPSK)
+        model = instance_model(*realify_one(inst, QPSK), QPSK)
         best_spins = min(
             all_spin_vectors(6), key=lambda s: energy_ref(model, s)
         )
@@ -136,7 +135,7 @@ class TestBuildIsing:
     def test_built_model_satisfies_ising_invariants(self, rng):
         for c in (BPSK, QPSK, QAM16):
             inst = sample_instance(2, 3, c, 12.0, rng)
-            model = instance_model(realify_one(inst, c), c)
+            model = instance_model(*realify_one(inst, c), c)
             assert model.n == 2 * c.bps
             assert model.j.shape == (1, model.n, model.n)
             (j,) = model.j
@@ -384,11 +383,11 @@ def test_objective_embedding_property(seed, name, nt):
     c = get_constellation(name)
     rng = np.random.default_rng(seed)
     inst = sample_instance(nt, nt, c, float(rng.uniform(0, 30)), rng)
-    sys = realify_one(inst, c)
-    model = instance_model(sys, c)
-    a = sys.h_r[0] @ spin_transform(c, nt)
+    h_r, y_r = realify_one(inst, c)
+    model = instance_model(h_r, y_r, c)
+    a = h_r[0] @ spin_transform(c, nt)
     s = rng.choice([-1, 1], size=nt * c.bps)
-    resid = sys.y_r[0] - a @ s
+    resid = y_r[0] - a @ s
     assert energy_ref(model, s) == pytest.approx(
         float(resid @ resid), rel=1e-10
     )
@@ -407,11 +406,11 @@ def test_instance_model_equals_product_with_transform(
     # Block scaling reproduces the model of h_r @ T bit for bit, T from
     # its definition.
     c = get_constellation(name)
-    sys = realified(np.random.default_rng(seed), c, nt, nt + extra_rx)
-    model = instance_model(sys, c)
+    h_r, y_r = realified(np.random.default_rng(seed), c, nt, nt + extra_rx)
+    model = instance_model(h_r, y_r, c)
     assert model.n == nt * c.bps
-    assert_same_model(model, model_from(sys.h_r[0] @ spin_transform(c, nt),
-                                        sys.y_r[0]))
+    assert_same_model(model, model_from(h_r[0] @ spin_transform(c, nt),
+                                        y_r[0]))
 
 
 @given(
