@@ -364,10 +364,8 @@ MUTANTS = (
     Mutant(
         "the sweep sums its counts over an (instance, SNR) split",
         "bench.py",
-        "    shape = (len(cfg.detectors), len(_COUNTS), len(cfg.snr_db),"
-        " cfg.instances)",
-        "    shape = (len(cfg.detectors), len(_COUNTS), cfg.instances,"
-        " len(cfg.snr_db))",
+        "(..., np.asarray(points) // cfg.instances)",
+        "(..., np.asarray(points) % len(cfg.snr_db))",
         (
             GOLDEN + "[qpsk-4x4-1]",
             GOLDEN + "[qpsk-2x2-sbreg-2]",
@@ -375,10 +373,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the sweep joins its blocks' counts in reverse order",
+        "a point's counts go to the next SNR point",
         "bench.py",
-        "    counts = np.concatenate(blocks, axis=-1)",
-        "    counts = np.concatenate(blocks[::-1], axis=-1)",
+        "(..., np.asarray(points) // cfg.instances)",
+        "(..., (np.asarray(points) // cfg.instances + 1) % len(cfg.snr_db))",
         (GOLDEN + "[qpsk-4x4-1]", GOLDEN + "[qpsk-16x16-2]"),
     ),
     Mutant(
@@ -604,6 +602,15 @@ MUTANTS = (
         "    if count > SNR_POINT_LIMIT:",
         "    if False:",
         ("tests/test_bench.py::TestSnrRange::test_point_count_is_bounded",),
+    ),
+    Mutant(
+        # It changes no output, so only the reach scan can see it.
+        "a dead statement after pump_schedule's one-step return",
+        "sb.py",
+        "        return np.ones(1)",
+        "        return np.ones(1)\n        n_steps = 1",
+        ("tests/test_unused_names.py::"
+         "test_every_src_statement_runs_on_a_command_line_path",),
     ),
 )
 

@@ -201,10 +201,13 @@ _BLOCK = 64
 
 
 def _eval_block(cfg: SweepConfig, points, trace=None):
-    """The counts of one block of sweep points, as an int array of shape
-    (detector, count, point) in cfg.detectors and _COUNTS order.
+    """The counts of one block of sweep points, summed per SNR point, as
+    an int array of shape (detector, count, SNR point) in cfg.detectors,
+    _COUNTS and cfg.snr_db order.
 
-    points lists (snr_idx, i) pairs, which may span several SNR points.
+    points holds sweep point indices in SNR-major order, each point's SNR
+    index and instance its divmod by cfg.instances, and may span several
+    SNR points.
     Each point is sampled from its own RNG stream; the block is reduced,
     with every MMSE decision taken and scored, by one `prepare` call into
     one `Problem`.  Each detector decides the block as one
@@ -222,7 +225,8 @@ def _eval_block(cfg: SweepConfig, points, trace=None):
     """
     c = get_constellation(cfg.modulation)
     insts, seeds = [], []
-    for snr_idx, i in points:
+    for point in points:
+        snr_idx, i = divmod(point, cfg.instances)
         rng = np.random.default_rng([cfg.seed, snr_idx, i])
         insts.append(
             sample_instance(cfg.nt, cfg.nr, c, cfg.snr_db[snr_idx], rng)
@@ -262,20 +266,23 @@ def _eval_block(cfg: SweepConfig, points, trace=None):
             e > p.mmse.ising_energy if det == "sb-reg" else zero,
             e <= e_ml + 1e-9 * np.maximum(1.0, abs(e_ml)),
         ])
-    return np.array(counts, dtype=np.int64)
+    counts = np.array(counts, dtype=np.int64)
+    totals = np.zeros((*counts.shape[:2], len(cfg.snr_db)), dtype=np.int64)
+    np.add.at(totals, (..., np.asarray(points) // cfg.instances), counts)
+    return totals
 
 
 def trace_rows(cfg: SweepConfig) -> list:
     """Solver trajectory of the sweep's first instance (SNR index 0).
 
-    It is taken from that instance's own block of one, under the first
-    SB-family detector configured.  There are no rows when there is
-    none, when it fails before solving, or when the model has no
-    couplings (one spin, say): `solve` settles it by fields.  Each row is
-    (restart, step, a, x, y, energy), as `solve` reports it.
+    It is taken from that instance's own block of one, sweep point 0,
+    under the first SB-family detector configured.  There are no rows
+    when there is none, when it fails before solving, or when the model
+    has no couplings (one spin, say): `solve` settles it by fields.  Each
+    row is (restart, step, a, x, y, energy), as `solve` reports it.
     """
     rows = []
-    _eval_block(cfg, [(0, 0)], [rows])
+    _eval_block(cfg, range(1), [rows])
     return rows
 
 
@@ -284,23 +291,24 @@ def run_sweep(cfg: SweepConfig) -> list[BerRecord]:
 
     Per-instance detector failures are counted on the record and the
     instance is skipped for that detector only, so `instances` on a
-    record is the number actually counted.  The sweep's points, (snr
-    index, instance) in SNR-major order, are cut into solver blocks of up
-    to _BLOCK consecutive points, whatever their SNR.  The jobs, run in
-    turn or spread over the worker processes, are those blocks; no more
-    processes start than there are jobs or usable CPUs.  Nothing is
+    record is the number actually counted.  The sweep's points, indexed
+    in SNR-major order, are cut into solver blocks of up to _BLOCK
+    consecutive points, whatever their SNR.  The jobs, run in turn or
+    spread over the worker processes, are those blocks as index ranges;
+    no more processes start than there are jobs or usable CPUs.  Each
+    block's counts come summed per SNR point and are added as they
+    arrive, so the sweep keeps no per-point bookkeeping.  Nothing is
     written (see `write_csv`, `trace_rows` and `write_trace`).
     """
     c = get_constellation(cfg.modulation)
-    points = [(snr_idx, i) for snr_idx in range(len(cfg.snr_db))
-              for i in range(cfg.instances)]
+    points = range(len(cfg.snr_db) * cfg.instances)
     jobs = [points[k:k + _BLOCK] for k in range(0, len(points), _BLOCK)]
     # A pool may start all of its processes at its first submit.
     affinity = getattr(os, "sched_getaffinity", None)  # not on every OS
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     workers = min(cfg.workers, len(jobs), cpus)
     if workers == 1:
-        blocks = [_eval_block(cfg, job) for job in jobs]
+        counts = sum(_eval_block(cfg, job) for job in jobs)
     else:
         # Imported here: it pulls in multiprocessing, which a one-worker
         # sweep and a plain `import sbmimo` never need.
@@ -308,12 +316,8 @@ def run_sweep(cfg: SweepConfig) -> list[BerRecord]:
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_eval_block, cfg, job) for job in jobs]
-            blocks = [f.result() for f in futures]
-    # The blocks' counts are (detector, count, point) and the points run
-    # SNR-major: one sum per (detector, SNR point), as a list of counts.
-    counts = np.concatenate(blocks, axis=-1)
-    shape = (len(cfg.detectors), len(_COUNTS), len(cfg.snr_db), cfg.instances)
-    totals = counts.reshape(shape).sum(axis=-1).transpose(0, 2, 1).tolist()
+            counts = sum(f.result() for f in futures)
+    totals = counts.transpose(0, 2, 1).tolist()  # per (detector, SNR point)
     bits_per_instance = cfg.nt * c.bps
     records = []
     for det, cells in zip(cfg.detectors, totals):

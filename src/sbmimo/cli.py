@@ -233,7 +233,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot write {path}: {err}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

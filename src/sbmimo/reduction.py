@@ -88,10 +88,8 @@ def nearest_index(v, c: Constellation) -> np.ndarray:
 def symbols_to_spins(x: np.ndarray, c: Constellation) -> np.ndarray:
     """Spins of the lattice point nearest to x on each real axis (see
     nearest_index): the hard decision, which inverts x_r = T s on the
-    lattice.  x is one symbol vector (nt,) or a stack (..., nt)."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim == 0 or x.size == 0:
-        raise ValueError(f"symbol vector has shape {x.shape}, expected (nt,)")
+    lattice.  x is one symbol vector (nt,) or a stack (..., nt); an empty
+    one gives empty spins, and a 0-d x is numpy's ValueError."""
     return level_spins(nearest_index(realify_symbols(x, c), c), c)
 
 

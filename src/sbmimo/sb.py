@@ -114,9 +114,8 @@ def _exponents(j):
 
 
 def pump_schedule(n_steps: int) -> np.ndarray:
-    """Linear pump ramp a_k = k / (n_steps - 1); a single step runs at 1."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    """Linear pump ramp a_k = k / (n_steps - 1); a single step runs at 1,
+    and fewer steps give an empty ramp (SBParams refuses n_steps < 1)."""
     if n_steps == 1:
         return np.ones(1)
     return np.arange(n_steps) / (n_steps - 1)

@@ -368,6 +368,19 @@ class TestMmse:
         assert np.isfinite(res.ising_energy)
         assert res.ising_energy == energy_ref(p.model[[0]], res.spins)
 
+    def test_failed_least_squares_has_no_decision(self):
+        # Two equal columns of H make the regularized Gram matrix exactly
+        # singular at tiny noise, whatever a NaN third column holds, so
+        # both solves fail; the NaN makes lstsq fail too.
+        inst = ChannelInstance(
+            h=np.array([[1.0, 1.0, np.nan]], dtype=complex),
+            tx_levels=np.zeros(6, dtype=np.int8), noise_var=1e-300,
+            y=np.array([1.0], dtype=complex),
+        )
+        p = prepare([inst], QPSK)
+        assert not p.mmse.done[0]
+        assert mmse_detect(p, 0) is None
+
     def test_zero_noise_has_no_decision(self):
         # At noise_var 0 the regularizer is 0, and this H^H H alone is
         # invertible, yet no decision is taken, as for any variance that

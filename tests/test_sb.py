@@ -215,12 +215,6 @@ class TestSchedule:
         # Same values as evaluating k / (n_steps - 1) one step at a time.
         assert values == [k / 24 for k in range(25)]
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            pump_schedule(0)
-        with pytest.raises(ValueError):
-            pump_schedule(-1)
-
 
 def step_buffers(xy, half_h):
     # The buffers step takes besides the state: the signs sign(x), the
